@@ -28,7 +28,7 @@ from .geometry import (
     make_manifold,
     quad_critical,
 )
-from .grid import RadialField, RadialGrid
+from .grid import RadialGrid
 from .solver import (
     BarrierDirichlet,
     DtPolicy,

@@ -51,8 +51,6 @@ from .xlog import LogNorm, RadialDatum, limsup_ratio
 
 DELTA_BISECT_TOL = 1e-6
 S_MIN_FACTOR = 1e-8  # stall cutoff S_n < factor * T_1
-DEFAULT_THRESHOLD = 1e3
-DEFAULT_MAX_STAGES = 600
 
 
 def stage_T(liminf_est: float, eps: float, a_hat: float, m: float) -> float:
@@ -198,9 +196,8 @@ class BlowupConfig:
     m: float
     radius: float = 25.0
     cells: int = 250
-    threshold_factor: float = DEFAULT_THRESHOLD
-    s_min_factor: float = S_MIN_FACTOR
-    max_stages: int = DEFAULT_MAX_STAGES
+    threshold_factor: float = 1e3
+    max_stages: int = 600
     steps_per_stage: int = 40
     newton_tol: float = 1e-10
     norm_r: float = 2.0
@@ -337,7 +334,7 @@ def run_blowup(
         if lognorm >= threshold:
             status = "blown-up"
             break
-        if S_next < cfg.s_min_factor * T1:
+        if S_next < S_MIN_FACTOR * T1:
             status = "stalled"
             break
     else:

@@ -5,6 +5,11 @@ Subcommands: ``geometry`` (comparison constants report), ``barrier-check``
 (nested-ball monotonicity), ``blowup`` (staged norm blow-up), ``uniq-check``
 (uniqueness-side decay product) and ``sweep`` (parameter sweeps).
 
+Run objects come from the builders in ``pme.config``; ``blowup`` and each
+``sweep`` row share one path from a config dict to a validated ledger.
+``sweep --param`` takes ``b`` (log-growth amplitude) or a key in
+``config.BLOWUP_KEYS``; each ``--values`` token enters the config as typed.
+
 Outputs are deterministic (identical bytes for identical config and build)
 and written atomically.  Exit codes: 0 success, 2 configuration error,
 3 certificate failure, 4 solver failure.
@@ -20,7 +25,6 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,16 +43,6 @@ from .errors import (
 from .grid import RadialGrid
 
 logger = logging.getLogger("pme")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One CLI invocation: target module, config path and output paths."""
-
-    name: str
-    target: str
-    config: str | None
-    outputs: tuple
 
 
 # -- deterministic atomic output ------------------------------------------------
@@ -87,11 +81,29 @@ def write_csv(path, header, rows):
 
 def _fmt(x):
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))  # numpy scalars would print as np.float64(...)
     return str(x)
 
 
+def write_trajectory(path, traj: solver.Trajectory):
+    """Trajectory CSV: one ``t,rho,u`` row per recorded time and cell."""
+    rows = [
+        (t, rho, val)
+        for t, u in zip(traj.times, traj.fields)
+        for rho, val in zip(traj.grid.centers, u)
+    ]
+    write_csv(path, ["t", "rho", "u"], rows)
+
+
 # -- shared builders -------------------------------------------------------------
+
+
+def _numbers(text: str, option: str) -> list:
+    """Nonblank tokens of a comma-separated list of finite numbers."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    for tok in tokens:
+        cfgmod.get_float({option: tok}, option)
+    return tokens
 
 
 def _manifold_args(parser):
@@ -107,37 +119,23 @@ def _manifold_from_args(args):
     return cfgmod.manifold_from(cfg)
 
 
-def _solver_config(cfg: dict, m: float, t_end: float) -> solver.SolverConfig:
-    boundary_name = cfg.get("boundary", "homogeneous-dirichlet")
-    if boundary_name == "homogeneous-dirichlet":
-        boundary = solver.HomogeneousDirichlet()
-    elif boundary_name == "barrier-dirichlet":
-        params = barriers.BarrierParams(
-            amplitude=cfgmod._get_float(cfg, "barrier_a", positive=True),
-            r=cfgmod._get_float(cfg, "barrier_r", default=2.0),
-            horizon=cfgmod._get_float(cfg, "barrier_T", positive=True),
-            m=m,
-        )
-        delta = cfgmod._get_float(cfg, "barrier_delta", default=0.0)
-        boundary = solver.BarrierDirichlet(params, delta)
-    else:
-        raise ConfigError(f"unknown boundary mode {boundary_name!r}")
-    dt0 = cfgmod._get_float(cfg, "dt0", positive=True)
-    policy = solver.DtPolicy(
-        dt0=dt0,
-        growth=cfgmod._get_float(cfg, "dt_growth", default=1.25),
-        dt_max=cfgmod._get_float(cfg, "dt_max", default=math.inf),
+def _blowup_setup(cfg: dict):
+    """Validated inputs of a blow-up run: manifold, datum spec and settings."""
+    manifold = cfgmod.manifold_from(cfg)
+    m = cfgmod.exponent_from(cfg)
+    return manifold, cfgmod.datum_from(cfg), cfgmod.blowup_config_from(cfg, m)
+
+
+def _blowup_ledger(cfg: dict, stage_hook=None) -> blowup.BlowupLedger:
+    """Run the staged blow-up construction for ``cfg`` and validate its ledger."""
+    manifold, spec, bcfg = _blowup_setup(cfg)
+    consts = geometry.fit_comparison_constants(manifold)
+    datum = spec.datum(bcfg.m, np.geomspace(1e-3, 1e6, 4001))
+    ledger = blowup.run_blowup(
+        datum, spec.profile(bcfg.m), manifold, consts, bcfg, stage_hook=stage_hook
     )
-    return solver.SolverConfig(
-        m=m,
-        dt=policy,
-        t_end=t_end,
-        boundary=boundary,
-        newton_tol=cfgmod._get_float(cfg, "newton_tol", default=1e-10, positive=True),
-        newton_max_iter=cfgmod._get_int(cfg, "newton_max_iter", default=30, minimum=1),
-        norm_r=cfgmod._get_float(cfg, "norm_r", default=2.0),
-        snapshot_stride=cfgmod._get_int(cfg, "snapshot_stride", default=1, minimum=1),
-    )
+    ledger.validate()
+    return ledger
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -202,30 +200,24 @@ def _load_run(args):
 
 def cmd_solve(args) -> int:
     cfg, manifold, m, spec = _load_run(args)
-    radius = cfgmod._get_float(cfg, "R", positive=True)
-    cells = cfgmod._get_int(cfg, "cells", minimum=3)
-    t_end = cfgmod._get_float(cfg, "t_end", positive=True)
-    scfg = _solver_config(cfg, m, t_end)
+    radius = cfgmod.get_float(cfg, "R", positive=True)
+    cells = cfgmod.get_int(cfg, "cells", minimum=3)
+    scfg = cfgmod.solver_config_from(cfg, m)
     grid = RadialGrid.uniform(manifold, radius, cells)
 
     consts = geometry.fit_comparison_constants(manifold)
     datum = spec.datum(m, np.geomspace(1e-3, max(1e3, 10 * radius), 4001))
     et = solver.existence_time(datum, consts, m, r=scfg.norm_r)
     horizon = None
-    if not et.global_flag and et.time is not math.inf:
+    if not et.global_flag and not math.isinf(et.time):
         horizon = et.time
-        if t_end >= horizon:
+        if scfg.t_end >= horizon:
             raise ConfigError(
-                f"t_end={t_end:g} reaches the certified horizon T={horizon:g}"
+                f"t_end={scfg.t_end:g} reaches the certified horizon T={horizon:g}"
             )
 
     traj = solver.solve_ball(spec.profile(m), scfg, grid, barrier_horizon=horizon)
-
-    rows = []
-    for t, u in zip(traj.times, traj.fields):
-        for rho, val in zip(grid.centers, u):
-            rows.append((t, rho, val))
-    write_csv(args.out, ["t", "rho", "u"], rows)
+    write_trajectory(args.out, traj)
 
     norm0 = xlog.log_norm(datum, xlog.LogNorm(scfg.norm_r, m))
     excess = None
@@ -253,10 +245,9 @@ def cmd_solve(args) -> int:
 
 def cmd_exhaust(args) -> int:
     cfg, manifold, m, spec = _load_run(args)
-    radii = [float(x) for x in args.radii.split(",") if x.strip()]
-    cells = cfgmod._get_int(cfg, "cells", minimum=3)
-    t_end = cfgmod._get_float(cfg, "t_end", positive=True)
-    scfg = _solver_config(cfg, m, t_end)
+    radii = [float(x) for x in _numbers(args.radii, "--radii")]
+    cells = cfgmod.get_int(cfg, "cells", minimum=3)
+    scfg = cfgmod.solver_config_from(cfg, m)
     rep = solver.exhaust(spec.profile(m), scfg, manifold, radii, cells)
     out = {
         "radii": rep.radii,
@@ -273,35 +264,15 @@ def cmd_exhaust(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    cfg, manifold, m, spec = _load_run(args)
-    consts = geometry.fit_comparison_constants(manifold)
-    radius = cfgmod._get_float(cfg, "R", positive=True)
-    cells = cfgmod._get_int(cfg, "cells", minimum=3)
-    bcfg = blowup.BlowupConfig(
-        m=m,
-        radius=radius,
-        cells=cells,
-        threshold_factor=cfgmod._get_float(cfg, "blowup_threshold", default=1e3),
-        max_stages=cfgmod._get_int(cfg, "blowup_max_stages", default=600, minimum=1),
-        steps_per_stage=cfgmod._get_int(cfg, "steps_per_stage", default=40, minimum=5),
-        newton_tol=cfgmod._get_float(cfg, "newton_tol", default=1e-10, positive=True),
-        norm_r=cfgmod._get_float(cfg, "norm_r", default=2.0),
-    )
-    datum = spec.datum(m, np.geomspace(1e-3, 1e6, 4001))
-
+    cfg = cfgmod.parse_config(args.config)
     hook = None
     if args.dump_stages:
         dump_dir = Path(args.dump_stages)
 
         def hook(n, traj):
-            rows = []
-            for t, u in zip(traj.times, traj.fields):
-                for rho, val in zip(traj.grid.centers, u):
-                    rows.append((t, rho, val))
-            write_csv(dump_dir / f"stage_{n:04d}.csv", ["t", "rho", "u"], rows)
+            write_trajectory(dump_dir / f"stage_{n:04d}.csv", traj)
 
-    ledger = blowup.run_blowup(datum, spec.profile(m), manifold, consts, bcfg, stage_hook=hook)
-    ledger.validate()
+    ledger = _blowup_ledger(cfg, stage_hook=hook)
     write_json(args.ledger, ledger.as_json_dict())
     logger.info(
         "blow-up run: %s after %d stages, tau=%.6g",
@@ -360,65 +331,43 @@ def cmd_uniq_check(args) -> int:
 # -- sweep ------------------------------------------------------------------------
 
 
-def _sweep_row(payload):
-    base, param, value = payload
-    cfg = dict(base)
-    if param == "b":
-        cfg["u0"] = f"log-growth({value})"
-    else:
-        cfg[param] = str(value)
+def _sweep_row(cfg: dict) -> list:
+    """Sweep CSV columns from ``status`` on: the run's ledger, or its failure."""
     try:
-        manifold = cfgmod.manifold_from(cfg)
-        m = cfgmod.exponent_from(cfg)
-        spec = cfgmod.datum_from(cfg)
-        consts = geometry.fit_comparison_constants(manifold)
-        bcfg = blowup.BlowupConfig(
-            m=m,
-            radius=cfgmod._get_float(cfg, "R", positive=True),
-            cells=cfgmod._get_int(cfg, "cells", minimum=3),
-            threshold_factor=cfgmod._get_float(cfg, "blowup_threshold", default=1e3),
-            max_stages=cfgmod._get_int(cfg, "blowup_max_stages", default=600, minimum=1),
-            steps_per_stage=cfgmod._get_int(cfg, "steps_per_stage", default=40, minimum=5),
-        )
-        datum = spec.datum(m, np.geomspace(1e-3, 1e6, 4001))
-        ledger = blowup.run_blowup(datum, spec.profile(m), manifold, consts, bcfg)
-        ledger.validate()
-        return {
-            "param": param,
-            "value": value,
-            "status": ledger.status,
-            "tau": ledger.tau,
-            "T1": ledger.T1,
-            "stages": len(ledger.stages),
-            "initial_lognorm": ledger.initial_lognorm,
-            "final_lognorm": ledger.stages[-1].lognorm,
-            "error": "",
-        }
+        ledger = _blowup_ledger(cfg)
     except PMEError as exc:
-        return {
-            "param": param,
-            "value": value,
-            "status": "failed",
-            "tau": float("nan"),
-            "T1": float("nan"),
-            "stages": 0,
-            "initial_lognorm": float("nan"),
-            "final_lognorm": float("nan"),
-            "error": str(exc),
-        }
+        nan = float("nan")
+        return ["failed", nan, nan, 0, nan, nan, str(exc)]
+    return [
+        ledger.status,
+        ledger.tau,
+        ledger.T1,
+        len(ledger.stages),
+        ledger.initial_lognorm,
+        ledger.stages[-1].lognorm,
+        "",
+    ]
 
 
 def cmd_sweep(args) -> int:
+    if args.param != "b" and args.param not in cfgmod.BLOWUP_KEYS:
+        raise ConfigError(
+            f"--param {args.param!r}: expected 'b' or a key the blow-up run reads "
+            f"({', '.join(sorted(cfgmod.BLOWUP_KEYS))})"
+        )
     base = cfgmod.parse_config(args.config)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
+    tokens = sorted(_numbers(args.values, "--values"), key=float)
+    if not tokens:
         raise ConfigError("sweep needs a nonempty value grid")
-    payloads = [(base, args.param, v) for v in sorted(values)]
+    key, form = ("u0", "log-growth({})") if args.param == "b" else (args.param, "{}")
+    cfgs = [{**base, key: form.format(tok)} for tok in tokens]
+    for cfg in cfgs:
+        _blowup_setup(cfg)  # every row's config is valid before any run starts
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_row, payloads))
+            rows = list(pool.map(_sweep_row, cfgs))
     else:
-        rows = [_sweep_row(p) for p in payloads]
+        rows = [_sweep_row(cfg) for cfg in cfgs]
     header = [
         "param",
         "value",
@@ -430,8 +379,8 @@ def cmd_sweep(args) -> int:
         "final_lognorm",
         "error",
     ]
-    write_csv(args.out, header, [[row[k] for k in header] for row in rows])
-    if all(row["status"] == "failed" for row in rows):
+    write_csv(args.out, header, [[args.param, float(tok), *row] for tok, row in zip(tokens, rows)])
+    if all(row[0] == "failed" for row in rows):
         raise SolverError("every sweep row failed")
     return 0
 
@@ -445,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Radial porous-medium-equation runs and certificates "
         "on negatively curved model manifolds",
     )
-    ap.add_argument("--seed", type=int, default=None, help="reserved; all computations are deterministic")
     ap.add_argument("--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -499,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="parameter sweep of blow-up runs")
     w.add_argument("--config", required=True)
-    w.add_argument("--param", required=True, help="swept key ('b' sweeps the log-growth amplitude)")
+    w.add_argument("--param", required=True, help="'b' (log-growth amplitude) or a key blowup reads")
     w.add_argument("--values", required=True, help="comma-separated values")
     w.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     w.add_argument("--out", required=True)
@@ -508,9 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def run_scenario(scenario: Scenario, args) -> int:
-    """Dispatch one scenario; exceptions map to the exit-code contract."""
-    logger.info("running scenario %s", scenario)
+def main(argv=None) -> int:
+    """Run one subcommand; exceptions map to the exit-code contract."""
+    args = build_parser().parse_args(argv)
+    logging.basicConfig(
+        level=logging.INFO if args.verbose else logging.WARNING,
+        format="%(levelname)s %(name)s: %(message)s",
+    )
     try:
         return args.func(args)
     except (ConfigError, DomainError) as exc:
@@ -522,26 +474,6 @@ def run_scenario(scenario: Scenario, args) -> int:
     except (SolverError, StageError) as exc:
         print(f"pme: solver failure: {exc}", file=sys.stderr)
         return 4
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    outputs = tuple(
-        str(getattr(args, name))
-        for name in ("report", "out", "summary", "ledger")
-        if getattr(args, name, None)
-    )
-    scenario = Scenario(
-        name=args.command,
-        target=args.command,
-        config=getattr(args, "config", None),
-        outputs=outputs,
-    )
-    return run_scenario(scenario, args)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,15 @@
-"""Line-oriented ``key = value`` run configuration.
+"""Line-oriented ``key = value`` run configuration, and the objects built from it.
 
 Strict parsing: unknown keys are rejected, values are validated before any
 computation starts, and every constraint violation raises ConfigError (CLI
 exit code 2).  The initial datum is one of ``log-growth(b)``, ``bounded(B)``
 or ``table(path.csv)``; tables are two-column CSV ``rho,value`` with a
 header row, interpolated linearly onto the solver grid.
+
+``solver_config_from`` and ``blowup_config_from`` map a config dict to run
+objects for every subcommand and ``sweep`` row.  An absent optional key keeps
+its dataclass field default.  ``BLOWUP_KEYS`` (the keys ``sweep`` can vary)
+are the keys a blow-up run reads.
 """
 
 from __future__ import annotations
@@ -13,17 +18,22 @@ import csv
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .barriers import BarrierParams
+from .blowup import BlowupConfig
 from .errors import ConfigError
 from .geometry import ModelManifold, make_manifold
+from .solver import BarrierDirichlet, DtPolicy, HomogeneousDirichlet, SolverConfig
 from .xlog import (
     RadialDatum,
-    TailDescriptor,
+    bounded_datum,
     bounded_profile,
+    log_growth_datum,
     log_growth_profile,
 )
 
@@ -77,7 +87,8 @@ def parse_config(path) -> dict:
     return out
 
 
-def _get_float(cfg: dict, key: str, default=None, positive=False) -> Optional[float]:
+def get_float(cfg: dict, key: str, default=None, positive=False) -> float:
+    """Finite float value of ``key``; required unless a default is given."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required key '{key}'")
@@ -93,11 +104,10 @@ def _get_float(cfg: dict, key: str, default=None, positive=False) -> Optional[fl
     return val
 
 
-def _get_int(cfg: dict, key: str, default=None, minimum=None) -> int:
+def get_int(cfg: dict, key: str, minimum=None) -> int:
+    """Integer value of the required ``key``."""
     if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}'")
-        return default
+        raise ConfigError(f"missing required key '{key}'")
     try:
         val = int(cfg[key])
     except ValueError as exc:
@@ -107,13 +117,73 @@ def _get_int(cfg: dict, key: str, default=None, minimum=None) -> int:
     return val
 
 
+_positive = partial(get_float, positive=True)
+
+
+def _fields(cfg: dict, readers: dict) -> dict:
+    """Dataclass keywords for the keys of ``readers`` {key: (field, reader)} in ``cfg``."""
+    return {name: read(cfg, key) for key, (name, read) in readers.items() if key in cfg}
+
+
+_DT_FIELDS = {"dt_growth": ("growth", get_float), "dt_max": ("dt_max", get_float)}
+_RUN_FIELDS = {"newton_tol": ("newton_tol", _positive), "norm_r": ("norm_r", get_float)}
+_SOLVER_FIELDS = {
+    **_RUN_FIELDS,
+    "newton_max_iter": ("newton_max_iter", partial(get_int, minimum=1)),
+    "snapshot_stride": ("snapshot_stride", partial(get_int, minimum=1)),
+}
+_BLOWUP_FIELDS = {
+    **_RUN_FIELDS,
+    "blowup_threshold": ("threshold_factor", get_float),
+    "blowup_max_stages": ("max_stages", partial(get_int, minimum=1)),
+    "steps_per_stage": ("steps_per_stage", partial(get_int, minimum=5)),
+}
+# keys read by manifold_from, exponent_from, datum_from and blowup_config_from
+BLOWUP_KEYS = frozenset({"manifold", "dim", "c", "m", "u0", "R", "cells", *_BLOWUP_FIELDS})
+
+
+def _boundary_from(cfg: dict, m: float):
+    name = cfg.get("boundary", "homogeneous-dirichlet")
+    if name == "homogeneous-dirichlet":
+        return HomogeneousDirichlet()
+    if name != "barrier-dirichlet":
+        raise ConfigError(f"unknown boundary mode {name!r}")
+    params = BarrierParams(
+        amplitude=_positive(cfg, "barrier_a"),
+        r=get_float(cfg, "barrier_r", default=2.0),
+        horizon=_positive(cfg, "barrier_T"),
+        m=m,
+    )
+    return BarrierDirichlet(params, **_fields(cfg, {"barrier_delta": ("delta", get_float)}))
+
+
+def solver_config_from(cfg: dict, m: float) -> SolverConfig:
+    """Solver settings of a ``solve`` or ``exhaust`` run."""
+    return SolverConfig(
+        m=m,
+        dt=DtPolicy(dt0=_positive(cfg, "dt0"), **_fields(cfg, _DT_FIELDS)),
+        t_end=_positive(cfg, "t_end"),
+        boundary=_boundary_from(cfg, m),
+        **_fields(cfg, _SOLVER_FIELDS),
+    )
+
+
+def blowup_config_from(cfg: dict, m: float) -> BlowupConfig:
+    """Settings of the staged blow-up run (``blowup`` and each ``sweep`` row)."""
+    return BlowupConfig(
+        m=m,
+        radius=_positive(cfg, "R"),
+        cells=get_int(cfg, "cells", minimum=3),
+        **_fields(cfg, _BLOWUP_FIELDS),
+    )
+
+
 def manifold_from(cfg: dict) -> ModelManifold:
     kind = cfg.get("manifold")
     if kind is None:
         raise ConfigError("missing required key 'manifold'")
-    dim = _get_int(cfg, "dim", minimum=2)
-    c = _get_float(cfg, "c", default=math.nan)
-    c = None if math.isnan(c) else c
+    dim = get_int(cfg, "dim", minimum=2)
+    c = get_float(cfg, "c") if "c" in cfg else None
     if kind in ("quad-critical", "log-critical") and (c is None or c <= 0):
         raise ConfigError(f"manifold '{kind}' requires c > 0")
     try:
@@ -127,7 +197,7 @@ def manifold_from(cfg: dict) -> ModelManifold:
 
 
 def exponent_from(cfg: dict) -> float:
-    m = _get_float(cfg, "m")
+    m = get_float(cfg, "m")
     if m <= 1.0:
         raise ConfigError("the PME exponent must satisfy m > 1")
     return m
@@ -154,16 +224,12 @@ class DatumSpec:
         return interp
 
     def datum(self, m: float, rho) -> RadialDatum:
-        rho = np.asarray(rho, dtype=float)
-        values = self.profile(m)(rho)
-        tail: Optional[TailDescriptor] = None
         if self.kind == "log-growth":
-            start = max(float(np.e), 2.0)
-            if rho[-1] >= start:
-                tail = TailDescriptor("log-growth", self.amplitude, start, m=m)
-        elif self.kind == "bounded":
-            tail = TailDescriptor("bounded", self.amplitude, float(rho[0]))
-        return RadialDatum(rho, values, tail=tail)
+            return log_growth_datum(self.amplitude, m, rho)
+        if self.kind == "bounded":
+            return bounded_datum(self.amplitude, rho)
+        rho = np.asarray(rho, dtype=float)
+        return RadialDatum(rho, self.profile(m)(rho))
 
 
 def datum_from(cfg: dict) -> DatumSpec:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, InvalidManifoldError, NotCriticalError
 
@@ -43,7 +42,7 @@ def sphere_area(dim: int) -> float:
 
 
 def log_sphere_area(dim: int) -> float:
-    return math.log(2.0) + (dim / 2.0) * math.log(math.pi) - gammaln(dim / 2.0)
+    return math.log(2.0) + (dim / 2.0) * math.log(math.pi) - math.lgamma(dim / 2.0)
 
 
 @dataclass(frozen=True)

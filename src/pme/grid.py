@@ -104,10 +104,3 @@ class RadialGrid:
             raise DomainError("radii are not nested for this spacing")
         return slice(0, int(round(n)))
 
-
-@dataclass
-class RadialField:
-    """Cell values of a radial function at one time."""
-
-    values: np.ndarray
-    t: float

@@ -33,6 +33,8 @@ from .xlog import LimsupEstimate, LogNorm, RadialDatum, limsup_ratio, log_norm
 
 JACOBIAN_EPS = 1e-12
 MAX_HALVINGS = 40
+# near a barrier horizon T the step is capped at BARRIER_CAP * (T - t)
+BARRIER_CAP = 0.01
 
 # Discretization-error coefficient, calibrated once on the Euclidean
 # Barenblatt pair (scripts/calibrate_tau.py): max-norm error stays below
@@ -55,8 +57,6 @@ class HomogeneousDirichlet:
     def value(self, t: float, radius: float) -> float:
         return 0.0
 
-    label = "homogeneous-dirichlet"
-
 
 @dataclass(frozen=True)
 class BarrierDirichlet:
@@ -70,16 +70,12 @@ class BarrierDirichlet:
         base = float(shifted_subsolution(p, self.delta, radius))
         return (1.0 - t / p.horizon) ** (-1.0 / (p.m - 1.0)) * base
 
-    label = "barrier-dirichlet"
-
 
 @dataclass(frozen=True)
 class DtPolicy:
     dt0: float
     growth: float = 1.25
     dt_max: float = math.inf
-    # near a barrier horizon T the step is capped at barrier_cap * (T - t)
-    barrier_cap: float = 0.01
 
     def __post_init__(self):
         if self.dt0 <= 0 or self.growth < 1.0:
@@ -269,7 +265,7 @@ def solve_ball(
     while t < cfg.t_end - 1e-14 * cfg.t_end:
         d = min(dt, cfg.t_end - t)
         for T in horizons:
-            d = min(d, cfg.dt.barrier_cap * (T - t))
+            d = min(d, BARRIER_CAP * (T - t))
         u, out = step(u, t, d, grid, cfg)
         t += d
         k += 1

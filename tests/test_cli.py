@@ -419,6 +419,118 @@ steps_per_stage = 20
     assert int(row["stages"]) == len(direct["stages"])
 
 
+R12_BLOWUP_CFG = """
+manifold = quad-critical
+dim = 3
+c = 0.5
+m = 2
+u0 = log-growth(1.0)
+R = 12
+cells = 120
+blowup_threshold = 30
+steps_per_stage = 20
+"""
+
+
+def run_sweep(tmp_path, param, values, cfg_text=R12_BLOWUP_CFG):
+    cfg = write_cfg(tmp_path, cfg_text, name="sweep.cfg")
+    out = tmp_path / "sweep.csv"
+    rc = run_cli(
+        "sweep", "--config", cfg, "--param", param, "--values", values,
+        "--workers", "1", "--out", str(out),
+    )
+    if rc != 0:
+        return rc, []
+    lines = out.read_text().splitlines()
+    return rc, [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+
+
+def run_direct_blowup(tmp_path, extra_line):
+    cfg = write_cfg(tmp_path, R12_BLOWUP_CFG + extra_line + "\n", name="direct.cfg")
+    ledger = tmp_path / "direct.json"
+    assert run_cli("blowup", "--config", cfg, "--ledger", str(ledger)) == 0
+    return json.loads(ledger.read_text())
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [("norm_r", "50", "stages"), ("newton_tol", "1e-2", "final_lognorm")],
+)
+def test_sweep_row_matches_direct_run(tmp_path, key, value, field):
+    """The swept key reaches the blow-up run: the row equals a direct run."""
+    rc, rows = run_sweep(tmp_path, key, value)
+    assert rc == 0
+    (row,) = rows
+    direct = run_direct_blowup(tmp_path, f"{key} = {value}")
+    assert float(row["tau"]) == direct["tau"]
+    assert int(row["stages"]) == len(direct["stages"])
+    assert float(row["final_lognorm"]) == direct["stages"][-1]["lognorm"]
+    # the value moves the result, so a dropped key would not match
+    default = run_direct_blowup(tmp_path, "")
+    moved = {"stages": len(default["stages"]), "final_lognorm": default["stages"][-1]["lognorm"]}
+    assert float(row[field]) != moved[field]
+
+
+def test_sweep_integer_key(tmp_path):
+    rc, rows = run_sweep(tmp_path, "cells", "60")
+    assert rc == 0
+    assert [(r["value"], r["status"]) for r in rows] == [("60.0", "blown-up")]
+
+
+@pytest.mark.parametrize("param", ["bogus_key", "t_end"])
+def test_sweep_rejects_keys_the_blowup_run_ignores(tmp_path, param):
+    rc, _ = run_sweep(tmp_path, param, "1,2")
+    assert rc == 2
+
+
+def test_sweep_rejects_invalid_row_config(tmp_path):
+    rc, _ = run_sweep(tmp_path, "cells", "60,2")
+    assert rc == 2
+
+
+def test_sweep_rejects_non_numeric_values(tmp_path, capsys):
+    rc, _ = run_sweep(tmp_path, "b", "1,abc")
+    assert rc == 2
+    assert "'abc'" in capsys.readouterr().err
+
+
+def test_exhaust_rejects_non_numeric_radii(tmp_path):
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    rc = run_cli("exhaust", "--config", cfg, "--radii", "1,x,3", "--out", str(tmp_path / "e.json"))
+    assert rc == 2
+
+
+def csv_tokens(path):
+    header, *rows = path.read_text().splitlines()
+    assert header == "t,rho,u"
+    return [tok for row in rows for tok in row.split(",")]
+
+
+def test_trajectory_csvs_hold_plain_floats(tmp_path):
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "traj.csv"
+    assert run_cli("solve", "--config", cfg, "--out", str(out), "--summary", str(tmp_path / "s.json")) == 0
+    dump = tmp_path / "stages"
+    blowup_cfg = write_cfg(tmp_path, R12_BLOWUP_CFG + "blowup_max_stages = 2\n", name="b.cfg")
+    assert run_cli(
+        "blowup", "--config", blowup_cfg, "--ledger", str(tmp_path / "l.json"),
+        "--dump-stages", str(dump),
+    ) == 0
+    paths = [out, *sorted(dump.glob("stage_*.csv"))]
+    assert len(paths) == 3
+    for path in paths:
+        tokens = csv_tokens(path)
+        assert tokens
+        for tok in tokens:
+            float(tok)  # raises on tokens such as np.float64(0.1)
+
+
+def test_cli_import_skips_scipy_special():
+    code = "import sys, pme.cli; assert 'scipy.special' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pme.cli", "--help"], capture_output=True, text=True

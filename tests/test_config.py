@@ -1,0 +1,132 @@
+"""Config -> run-object builders: defaults, key coverage, datum tails."""
+
+import math
+
+import numpy as np
+import pytest
+
+from pme import blowup, config, solver, xlog
+from pme.errors import ConfigError
+from pme.geometry import log_sphere_area, sphere_area
+
+# every known key, each with a valid value (barrier boundary, so that the
+# barrier_* keys are live)
+FULL_CFG = {
+    "manifold": "quad-critical",
+    "dim": "3",
+    "c": "0.5",
+    "m": "2",
+    "u0": "log-growth(1.0)",
+    "R": "12",
+    "cells": "60",
+    "t_end": "0.01",
+    "boundary": "barrier-dirichlet",
+    "dt0": "2e-4",
+    "dt_growth": "1.1",
+    "dt_max": "1e-3",
+    "newton_tol": "1e-9",
+    "newton_max_iter": "20",
+    "norm_r": "3",
+    "snapshot_stride": "2",
+    "barrier_a": "1.001",
+    "barrier_r": "2.5",
+    "barrier_T": "4.0",
+    "barrier_delta": "0.12",
+    "blowup_threshold": "30",
+    "blowup_max_stages": "5",
+    "steps_per_stage": "20",
+}
+
+
+class RecordingDict(dict):
+    """A config dict that remembers which keys were read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def keys_read(*builders):
+    cfg = RecordingDict(FULL_CFG)
+    m = config.exponent_from(cfg)
+    config.manifold_from(cfg)
+    config.datum_from(cfg)
+    for build in builders:
+        build(cfg, m)
+    return cfg.read
+
+
+def test_full_cfg_covers_known_keys():
+    assert set(FULL_CFG) == config.KNOWN_KEYS
+
+
+def test_every_known_key_is_read():
+    solve_keys = keys_read(config.solver_config_from)
+    blowup_keys = keys_read(config.blowup_config_from)
+    assert solve_keys | blowup_keys == config.KNOWN_KEYS
+
+
+def test_sweepable_keys_are_the_keys_the_blowup_run_reads():
+    assert keys_read(config.blowup_config_from) == config.BLOWUP_KEYS
+
+
+def test_absent_keys_keep_dataclass_defaults():
+    cfg = {"dt0": "1e-3", "t_end": "0.5", "R": "12", "cells": "60"}
+    assert config.solver_config_from(cfg, 2.0) == solver.SolverConfig(
+        m=2.0, dt=solver.DtPolicy(dt0=1e-3), t_end=0.5
+    )
+    assert config.blowup_config_from(cfg, 2.0) == blowup.BlowupConfig(
+        m=2.0, radius=12.0, cells=60
+    )
+
+
+def test_present_keys_reach_their_fields():
+    scfg = config.solver_config_from(FULL_CFG, 2.0)
+    assert scfg.dt == solver.DtPolicy(dt0=2e-4, growth=1.1, dt_max=1e-3)
+    assert (scfg.t_end, scfg.newton_tol, scfg.newton_max_iter) == (0.01, 1e-9, 20)
+    assert (scfg.norm_r, scfg.snapshot_stride) == (3.0, 2)
+    assert scfg.boundary.delta == 0.12
+    assert (scfg.boundary.params.amplitude, scfg.boundary.params.r) == (1.001, 2.5)
+    assert scfg.boundary.params.horizon == 4.0
+    bcfg = config.blowup_config_from(FULL_CFG, 2.0)
+    assert (bcfg.radius, bcfg.cells, bcfg.threshold_factor) == (12.0, 60, 30.0)
+    assert (bcfg.max_stages, bcfg.steps_per_stage) == (5, 20)
+    assert (bcfg.newton_tol, bcfg.norm_r) == (1e-9, 3.0)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("cells", "2"), ("cells", "60.0"), ("newton_tol", "0"), ("dt_max", "inf"),
+     ("steps_per_stage", "4"), ("boundary", "neumann"), ("barrier_a", "x")],
+)
+def test_invalid_values_raise_config_error(key, value):
+    cfg = dict(FULL_CFG, **{key: value})
+    with pytest.raises(ConfigError, match=key):
+        config.solver_config_from(cfg, 2.0)
+        config.blowup_config_from(cfg, 2.0)  # reached for the blow-up keys only
+
+
+@pytest.mark.parametrize("u0", ["log-growth(1.5)", "bounded(0.7)"])
+@pytest.mark.parametrize("rho_max", [2.0, 1e6])
+def test_datum_matches_xlog_constructors(u0, rho_max):
+    rho = np.geomspace(1e-3, rho_max, 200)
+    got = config.datum_from({"u0": u0}).datum(2.0, rho)
+    if u0.startswith("log"):
+        want = xlog.log_growth_datum(1.5, 2.0, rho)
+    else:
+        want = xlog.bounded_datum(0.7, rho)
+    assert np.array_equal(got.values, want.values)
+    assert got.tail == want.tail
+
+
+def test_log_sphere_area_matches_closed_form():
+    for dim in range(2, 9):
+        assert log_sphere_area(dim) == pytest.approx(math.log(sphere_area(dim)), rel=1e-14)
