@@ -64,8 +64,20 @@ def _atomic_write(path, text: str):
         raise
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float replaced by None (JSON ``null``)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(val) for val in obj]
+    return obj
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    """Strict JSON: no ``Infinity`` or ``NaN`` tokens, non-finite values are null."""
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, obj):
@@ -229,8 +241,8 @@ def cmd_solve(args) -> int:
         "mass_series": traj.masses,
         "times": traj.times,
         "max_barrier_violation": excess,
-        "existence_time": None if et.time == math.inf else et.time,
-        "existence_time_limit": None if et.limit_time == math.inf else et.limit_time,
+        "existence_time": et.time,
+        "existence_time_limit": et.limit_time,
         "global_existence": et.global_flag,
         "tau_h": solver.tau_h(grid.h, max(1.0, max(traj.lognorms) * 10.0)),
     }

@@ -7,9 +7,16 @@ balance is exact and the scheme is monotone (ordered data stay ordered).
 
 Each step solves the nonlinear cell balance implicitly with a damped Newton
 iteration on the cell values u; the flux nonlinearity enters through v(u)
-with dv/du = m(|u|^{m-1} + eps) regularized at the degenerate zero set.  A
-rejected step is retried on two half steps, recursively, so ``step`` always
-advances by exactly the requested increment or raises.
+with dv/du = m(|u|^{m-1} + eps) regularized at the degenerate zero set.  The
+tridiagonal Newton system goes straight to LAPACK ``dgtsv`` (the routine
+``scipy.linalg.solve_banded`` uses for one band on each side, without its
+band copy and input checks), and the residual at the point accepted by the
+Armijo line search becomes the next iterate's residual, so each Newton
+iteration evaluates the residual about once.  A rejected step, including
+a singular or non-finite system, is retried on two half steps,
+recursively, so ``step`` always advances by exactly the requested
+increment or raises; ``MAX_HALVINGS`` bounds the depth and
+``MAX_SUBSTEPS`` the total work.
 
 Boundary conditions at rho = R: homogeneous Dirichlet, or the time-dependent
 trace of a shifted separable subsolution (used by the blow-up iteration);
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .barriers import BarrierParams, shifted_subsolution, supersolution_amplitude
 from .errors import DomainError, SolverError
@@ -33,6 +40,9 @@ from .xlog import LimsupEstimate, LogNorm, RadialDatum, limsup_ratio, log_norm
 
 JACOBIAN_EPS = 1e-12
 MAX_HALVINGS = 40
+# Newton solves one call to ``step`` may attempt before it gives up; bounds
+# the total work, which MAX_HALVINGS alone lets grow like 2^MAX_HALVINGS
+MAX_SUBSTEPS = 10_000
 # near a barrier horizon T the step is capped at BARRIER_CAP * (T - t)
 BARRIER_CAP = 0.01
 
@@ -80,6 +90,8 @@ class DtPolicy:
     def __post_init__(self):
         if self.dt0 <= 0 or self.growth < 1.0:
             raise DomainError("dt0 must be positive and growth >= 1")
+        if not self.dt_max > 0:
+            raise DomainError("dt_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,6 +110,8 @@ class SolverConfig:
             raise DomainError("m must be > 1")
         if self.newton_tol <= 0 or self.t_end <= 0:
             raise DomainError("tolerances and t_end must be positive")
+        if self.newton_max_iter < 1 or self.snapshot_stride < 1:
+            raise DomainError("newton_max_iter and snapshot_stride must be >= 1")
 
 
 @dataclass
@@ -111,19 +125,26 @@ class Trajectory:
     tail_ratios: list = field(default_factory=list)
     masses: list = field(default_factory=list)
     boundary_outflow: list = field(default_factory=list)  # per recorded interval
+    # (norm, weight, outer-half slice, tail weight) of the last ``record``
+    _weights: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def _norm_weights(self, norm: LogNorm) -> tuple:
+        """Fixed arrays of ``record`` for ``norm``, computed once per norm."""
+        if self._weights is None or self._weights[0] != norm:
+            centers = self.grid.centers
+            # centers increase, so the outer half of the ball is a suffix
+            outer = slice(int(np.searchsorted(centers, max(self.grid.radius / 2.0, 2.0))), None)
+            tail = np.log(centers[outer]) ** (1.0 / (norm.m - 1.0))
+            self._weights = (norm, norm.weight(centers), outer, tail)
+        return self._weights[1:]
 
     def record(self, t, u, norm: LogNorm, outflow: float):
+        w, outer, tail = self._norm_weights(norm)
         self.times.append(float(t))
         self.fields.append(u.copy())
-        w = norm.weight(self.grid.centers)
-        self.lognorms.append(float(np.max(np.abs(u) / w)))
-        outer = self.grid.centers >= max(self.grid.radius / 2.0, 2.0)
-        if np.any(outer):
-            r = self.grid.centers[outer]
-            ratio = np.abs(u[outer]) / np.log(r) ** (1.0 / (norm.m - 1.0))
-            self.tail_ratios.append(float(np.max(ratio)))
-        else:
-            self.tail_ratios.append(0.0)
+        au = np.abs(u)
+        self.lognorms.append(float((au / w).max()))
+        self.tail_ratios.append(float((au[outer] / tail).max()) if tail.size else 0.0)
         self.masses.append(self.grid.mass(u))
         self.boundary_outflow.append(float(outflow))
 
@@ -141,47 +162,74 @@ def odd_power(u: np.ndarray, m: float) -> np.ndarray:
 
 
 def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
-    """Solve the implicit cell balance; returns (u, converged, residual)."""
+    """Solve the implicit cell balance; returns (u, converged, residual).
+
+    Fails (``converged`` False) on a singular Jacobian or on any non-finite
+    diagonal, Newton direction or residual, so that ``step`` halves the step
+    instead of letting NaN or inf into the field.
+    """
     cm = dt * grid.coeff_minus
     cp = dt * grid.coeff_plus
     n = u_old.size
     u = u_old.copy()
-    uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
+    uscale = max(1.0, float(np.abs(u_old).max()), abs(v_b) ** (1.0 / m))
+    target = tol * uscale
+    # fixed factors of the Jacobian diagonals, and one buffer holding the
+    # diagonals so that a single test sees any non-finite entry
+    c_diag = cp + cm
+    c_upper = -cp[:-1]
+    c_lower = -cm[1:]
+    jac = np.empty(3 * n - 2)
+    diag, upper, lower = jac[:n], jac[n : 2 * n - 1], jac[2 * n - 1 :]
 
     def residual(u):
+        # jump[k] is the difference of v across face k; face 0 is the
+        # origin (v[0] - 0, weighted by coeff_minus[0] = 0), face n the
+        # outer boundary, where v takes the imposed value v_b
         v = odd_power(u, m)
-        right = np.empty(n)
-        right[:-1] = v[1:]
-        right[-1] = v_b
-        left = np.empty(n)
-        left[0] = 0.0  # never used: coeff_minus[0] = 0
-        left[1:] = v[:-1]
-        return (u - u_old) - (cp * (right - v) - cm * (v - left))
+        jump = np.empty(n + 1)
+        jump[0] = v[0]
+        np.subtract(v[1:], v[:-1], out=jump[1:-1])
+        jump[-1] = v_b - v[-1]
+        return (u - u_old) - (cp * jump[1:] - cm * jump[:-1])
 
     g = residual(u)
-    g_norm = float(np.max(np.abs(g)))
+    g_norm = float(np.abs(g).max())
     for _ in range(max_iter):
-        if g_norm <= tol * uscale:
+        if g_norm <= target:
             return u, True, g_norm
-        dv = m * (np.abs(u) ** (m - 1.0) + JACOBIAN_EPS)
-        ab = np.zeros((3, n))
-        ab[1, :] = 1.0 + (cp + cm) * dv
-        ab[0, 1:] = -cp[:-1] * dv[1:]  # superdiagonal
-        ab[2, :-1] = -cm[1:] * dv[:-1]  # subdiagonal
-        try:
-            delta = solve_banded((1, 1), ab, -g)
-        except Exception:
+        if not math.isfinite(g_norm):
             return u, False, g_norm
+        dv = m * (np.abs(u) ** (m - 1.0) + JACOBIAN_EPS)
+        np.multiply(c_diag, dv, out=diag)
+        diag += 1.0
+        np.multiply(c_upper, dv[1:], out=upper)
+        np.multiply(c_lower, dv[:-1], out=lower)
+        if not np.isfinite(jac).all():
+            return u, False, g_norm
+        _, _, _, delta, info = dgtsv(
+            lower, diag, upper, -g,
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+        )
+        if info != 0 or not np.isfinite(delta).all():
+            return u, False, g_norm
+        # Armijo backtracking; a non-finite trial norm fails the test too.
+        # The accepted trial point and its residual become the next iterate.
         lam = 1.0
         while lam > 2.0**-30:
-            g_new_norm = float(np.max(np.abs(residual(u + lam * delta))))
-            if g_new_norm < (1.0 - 0.25 * lam) * g_norm or g_new_norm <= tol * uscale:
+            trial = u + lam * delta
+            g_trial = residual(trial)
+            g_trial_norm = float(np.abs(g_trial).max())
+            if g_trial_norm < (1.0 - 0.25 * lam) * g_norm or g_trial_norm <= target:
+                u, g, g_norm = trial, g_trial, g_trial_norm
                 break
             lam *= 0.5
-        u = u + lam * delta
-        g = residual(u)
-        g_norm = float(np.max(np.abs(g)))
-    return u, g_norm <= tol * uscale, g_norm
+        else:
+            # no trial accepted: take the smallest step, not yet evaluated
+            u = u + lam * delta
+            g = residual(u)
+            g_norm = float(np.abs(g).max())
+    return u, g_norm <= target, g_norm
 
 
 def step(
@@ -202,12 +250,19 @@ def step(
         raise SolverError("non-finite field entering step")
     pending = [(t, dt, 0)]
     outflow = 0.0
+    solves = 0
     while pending:
         t0, d, depth = pending.pop()
         if depth > MAX_HALVINGS:
             raise SolverError(
                 f"Newton failed after {MAX_HALVINGS} halvings at t={t0:.6g}"
             )
+        if solves == MAX_SUBSTEPS:
+            raise SolverError(
+                f"step from t={t:.6g} spent its budget of {MAX_SUBSTEPS} Newton solves"
+                f" at t={t0:.6g}"
+            )
+        solves += 1
         ub = cfg.boundary.value(t0 + d, grid.radius)
         v_b = math.copysign(abs(ub) ** cfg.m, ub)
         u_new, ok, res = _newton_solve(

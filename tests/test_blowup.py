@@ -7,7 +7,7 @@ runs the production-size configuration.
 import numpy as np
 import pytest
 
-from pme import barriers, blowup, geometry, xlog
+from pme import barriers, blowup, geometry, solver, xlog
 from pme.errors import NotApplicableError, StageError
 
 RHO_REF = np.geomspace(1e-3, 1e6, 3000)
@@ -94,8 +94,7 @@ def test_stage_delta_failure_for_negative_field():
 # -- full run (desk scale) -------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def desk_ledger():
+def desk_run():
     M = geometry.quad_critical(0.5, 3)
     cc = geometry.fit_comparison_constants(M)
     cfg = blowup.BlowupConfig(
@@ -104,6 +103,32 @@ def desk_ledger():
     datum = xlog.log_growth_datum(1.0, 2.0, RHO_REF)
     prof = xlog.log_growth_profile(1.0, 2.0)
     return blowup.run_blowup(datum, prof, M, cc, cfg)
+
+
+@pytest.fixture(scope="module")
+def desk_ledger():
+    return desk_run()
+
+
+def test_newton_evaluates_residual_about_once_per_iteration(monkeypatch):
+    # residual evaluations are the full-field odd_power calls; Newton
+    # iterations are the tridiagonal solves
+    counts = {"residuals": 0, "iterations": 0}
+    odd_power, dgtsv = solver.odd_power, solver.dgtsv
+
+    def counted_odd_power(u, m):
+        counts["residuals"] += u.size > 1
+        return odd_power(u, m)
+
+    def counted_dgtsv(*args, **kw):
+        counts["iterations"] += 1
+        return dgtsv(*args, **kw)
+
+    monkeypatch.setattr(solver, "odd_power", counted_odd_power)
+    monkeypatch.setattr(solver, "dgtsv", counted_dgtsv)
+    assert desk_run().status == "blown-up"
+    assert counts["iterations"] > 0
+    assert counts["residuals"] < 2 * counts["iterations"]
 
 
 def test_run_reaches_threshold(desk_ledger):

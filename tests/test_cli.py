@@ -525,6 +525,27 @@ def test_trajectory_csvs_hold_plain_floats(tmp_path):
             float(tok)  # raises on tokens such as np.float64(0.1)
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_write_json_is_strict(tmp_path):
+    path = tmp_path / "out.json"
+    obj = {
+        "gap": -float("inf"),
+        "series": [1.5, float("nan"), np.float64(float("inf")), np.float64(0.25)],
+        "nested": {"pair": (float("inf"), 2)},
+    }
+    cli.write_json(path, obj)
+    text = path.read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    assert json.loads(text, parse_constant=_reject_constant) == {
+        "gap": None,
+        "series": [1.5, None, None, 0.25],
+        "nested": {"pair": [None, 2]},
+    }
+
+
 def test_cli_import_skips_scipy_special():
     code = "import sys, pme.cli; assert 'scipy.special' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from pme import barriers, geometry, solver, xlog
 from pme.errors import DomainError, SolverError
@@ -52,6 +55,196 @@ def test_positivity_preserved():
     traj = solver.solve_ball(u, small_cfg(0.05), g)
     for f in traj.fields:
         assert np.min(f) >= -1e-12
+
+
+# -- Newton kernel ---------------------------------------------------------------------
+
+
+def reference_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
+    """The kernel as it was before the direct LAPACK call and residual reuse."""
+    cm = dt * grid.coeff_minus
+    cp = dt * grid.coeff_plus
+    n = u_old.size
+    u = u_old.copy()
+    uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
+
+    def residual(u):
+        v = solver.odd_power(u, m)
+        right = np.empty(n)
+        right[:-1] = v[1:]
+        right[-1] = v_b
+        left = np.empty(n)
+        left[0] = 0.0
+        left[1:] = v[:-1]
+        return (u - u_old) - (cp * (right - v) - cm * (v - left))
+
+    g = residual(u)
+    g_norm = float(np.max(np.abs(g)))
+    for _ in range(max_iter):
+        if g_norm <= tol * uscale:
+            return u, True, g_norm
+        dv = m * (np.abs(u) ** (m - 1.0) + solver.JACOBIAN_EPS)
+        ab = np.zeros((3, n))
+        ab[1, :] = 1.0 + (cp + cm) * dv
+        ab[0, 1:] = -cp[:-1] * dv[1:]
+        ab[2, :-1] = -cm[1:] * dv[:-1]
+        try:
+            delta = solve_banded((1, 1), ab, -g)
+        except Exception:
+            return u, False, g_norm
+        lam = 1.0
+        while lam > 2.0**-30:
+            g_new_norm = float(np.max(np.abs(residual(u + lam * delta))))
+            if g_new_norm < (1.0 - 0.25 * lam) * g_norm or g_new_norm <= tol * uscale:
+                break
+            lam *= 0.5
+        u = u + lam * delta
+        g = residual(u)
+        g_norm = float(np.max(np.abs(g)))
+    return u, g_norm <= tol * uscale, g_norm
+
+
+BUILTIN_MANIFOLDS = [
+    geometry.euclidean(3),
+    geometry.hyperbolic(2),
+    geometry.quad_critical(0.5, 3),
+    geometry.quad_critical(1.0, 2),
+    geometry.log_critical(1.0, 2),
+]
+
+
+@st.composite
+def newton_cases(draw):
+    manifold = draw(st.sampled_from(BUILTIN_MANIFOLDS))
+    cells = draw(st.integers(min_value=3, max_value=80))
+    radius = draw(st.floats(min_value=1.0, max_value=20.0))
+    values = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+    u_old = np.array(draw(st.lists(values, min_size=cells, max_size=cells)))
+    m = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    dt = draw(st.floats(min_value=1e-5, max_value=1.0))
+    v_b = draw(values)
+    max_iter = draw(st.integers(min_value=1, max_value=30))
+    return RadialGrid.uniform(manifold, radius, cells), u_old, m, dt, v_b, max_iter
+
+
+@given(newton_cases())
+@settings(max_examples=150, deadline=None)
+def test_newton_solve_matches_reference_kernel(case):
+    grid, u_old, m, dt, v_b, max_iter = case
+    args = (u_old, v_b, dt, grid, m, 1e-10, max_iter)
+    u, ok, res = solver._newton_solve(*args)
+    u_ref, ok_ref, res_ref = reference_newton_solve(*args)
+    assert np.array_equal(u, u_ref)
+    assert ok == ok_ref
+    assert res == res_ref
+
+
+def fake_dgtsv(delta_value=None, info=0):
+    """dgtsv stand-in returning ``info`` and, if given, a constant direction."""
+
+    def call(dl, d, du, b, **kw):
+        x = b if delta_value is None else np.full_like(b, delta_value)
+        return dl, d, du, x, info
+
+    return call
+
+
+def newton_args(J=20):
+    g = RadialGrid.uniform(geometry.euclidean(2), 2.0, J)
+    u_old = np.linspace(1.0, 0.5, J)
+    return u_old, 0.0, 0.01, g, 2.0, 1e-10, 30
+
+
+@pytest.mark.parametrize(
+    "stub", [fake_dgtsv(info=3), fake_dgtsv(delta_value=math.nan), fake_dgtsv(math.inf)],
+    ids=["singular", "nan-direction", "inf-direction"],
+)
+def test_newton_solve_fails_on_singular_or_nonfinite_system(monkeypatch, stub):
+    monkeypatch.setattr(solver, "dgtsv", stub)
+    u_old = newton_args()[0]
+    u, ok, res = solver._newton_solve(*newton_args())
+    assert not ok
+    assert np.array_equal(u, u_old)  # nothing non-finite reached the iterate
+    assert math.isfinite(res)
+
+
+def test_newton_solve_fails_on_overflowing_field():
+    u_old, v_b, dt, g, m, tol, max_iter = newton_args()
+    u_old = u_old.copy()
+    u_old[5] = 1e200  # |u|^2 overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, ok, res = solver._newton_solve(u_old, v_b, dt, g, m, tol, max_iter)
+    assert not ok
+    assert not math.isfinite(res)
+
+
+def test_step_halves_after_a_singular_system(monkeypatch):
+    u0, v_b, dt, g, m, tol, max_iter = newton_args()
+    cfg = small_cfg(1.0, m=m)
+    want = u0
+    for k in range(2):
+        want, _ = solver.step(want, k * dt / 2, dt / 2, g, cfg)
+
+    real_dgtsv, calls = solver.dgtsv, []
+
+    def singular_first(*args, **kw):
+        calls.append(1)
+        *out, info = real_dgtsv(*args, **kw)
+        return (*out, 1 if len(calls) == 1 else info)
+
+    solved = []
+    real_solve = solver._newton_solve
+
+    def recording_solve(u, v_b, d, *rest):
+        out = real_solve(u, v_b, d, *rest)
+        solved.append((d, out[1]))
+        return out
+
+    monkeypatch.setattr(solver, "dgtsv", singular_first)
+    monkeypatch.setattr(solver, "_newton_solve", recording_solve)
+    u, _ = solver.step(u0, 0.0, dt, g, cfg)
+    assert solved == [(dt, False), (dt / 2, True), (dt / 2, True)]
+    assert np.array_equal(u, want)
+
+
+def test_step_spends_at_most_the_substep_budget(monkeypatch):
+    g = RadialGrid.uniform(geometry.euclidean(2), 1.0, 10)
+    calls = []
+
+    def fails_above(threshold):
+        def stub(u, v_b, d, *rest):
+            calls.append(d)
+            return u, d <= threshold, 0.0
+
+        return stub
+
+    # 64 accepted substeps and 63 rejected ones fit in the budget
+    monkeypatch.setattr(solver, "_newton_solve", fails_above(1.0 / 64))
+    solver.step(np.zeros(10), 0.0, 1.0, g, small_cfg(1.0))
+    assert len(calls) == 127
+
+    # depth 30 < MAX_HALVINGS, but about 2^31 solves: the budget stops it
+    calls.clear()
+    monkeypatch.setattr(solver, "_newton_solve", fails_above(1e-9))
+    with pytest.raises(SolverError, match="budget"):
+        solver.step(np.zeros(10), 0.0, 1.0, g, small_cfg(1.0))
+    assert len(calls) == solver.MAX_SUBSTEPS
+
+
+# -- configuration invariants ------------------------------------------------------
+
+
+@pytest.mark.parametrize("dt_max", [0.0, -1e-3, math.nan])
+def test_dt_policy_rejects_nonpositive_dt_max(dt_max):
+    with pytest.raises(DomainError, match="dt_max"):
+        solver.DtPolicy(dt0=1e-3, dt_max=dt_max)
+
+
+@pytest.mark.parametrize("key", ["snapshot_stride", "newton_max_iter"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_solver_config_rejects_counts_below_one(key, value):
+    with pytest.raises(DomainError, match=key):
+        small_cfg(1.0, **{key: value})
 
 
 # -- Barenblatt oracle --------------------------------------------------------------
