@@ -245,6 +245,8 @@ def run_blowup(
 
     grid = RadialGrid.uniform(manifold, cfg.radius, cfg.cells)
     weight = LogNorm(cfg.norm_r, m).weight(grid.centers)
+    # weight of the audit's upper envelope, offset far beyond the ball
+    far_weight = LogNorm(20.0 * grid.radius, m).weight(grid.centers)
     u = np.asarray(u0_profile(grid.centers), dtype=float)
 
     liminf = limsup = ratio
@@ -297,8 +299,6 @@ def run_blowup(
         v_base = shifted_subsolution(barrier, delta, grid.centers)
         lower_gap = -math.inf
         upper_gap = -math.inf
-        r_far = 20.0 * grid.radius
-        far_weight = LogNorm(r_far, m).weight(grid.centers)
         norm_far = max(float(np.max(np.abs(u) / far_weight)), limsup)
         s_super = a_tilde ** (m - 1.0) * norm_far ** (1.0 - m)
         for t, f in zip(traj.times, traj.fields):

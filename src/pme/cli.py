@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +375,9 @@ def cmd_sweep(args) -> int:
     for cfg in cfgs:
         _blowup_setup(cfg)  # every row's config is valid before any run starts
     if args.workers > 1:
+        # imported here: it costs every other command about 10 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_row, cfgs))
     else:

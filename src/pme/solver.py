@@ -12,11 +12,20 @@ tridiagonal Newton system goes straight to LAPACK ``dgtsv`` (the routine
 ``scipy.linalg.solve_banded`` uses for one band on each side, without its
 band copy and input checks), and the residual at the point accepted by the
 Armijo line search becomes the next iterate's residual, so each Newton
-iteration evaluates the residual about once.  A rejected step, including
-a singular or non-finite system, is retried on two half steps,
-recursively, so ``step`` always advances by exactly the requested
-increment or raises; ``MAX_HALVINGS`` bounds the depth and
+iteration evaluates the residual about once.
+
+A rejected step, including a singular or non-finite system, is retried on
+two half steps, recursively, so ``step`` always advances by exactly the
+requested increment or raises; ``MAX_HALVINGS`` bounds the depth and
 ``MAX_SUBSTEPS`` the total work.
+
+``dgtsv`` is the one thing taken from scipy.  It comes from scipy's own f2py
+LAPACK extension ``scipy/linalg/_flapack``, the module behind
+``scipy.linalg.lapack.dgtsv``, so the same binary solves every system.  The
+extension is loaded straight from its file, because importing
+``scipy.linalg`` pulls in ``numpy.f2py``, ``numpy.testing`` and scipy's
+array-API layer and about doubles the start-up time of every ``pme``
+command.
 
 Boundary conditions at rho = R: homogeneous Dirichlet, or the time-dependent
 trace of a shifted separable subsolution (used by the blow-up iteration);
@@ -25,12 +34,14 @@ values are imposed at the new time level.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .barriers import BarrierParams, shifted_subsolution, supersolution_amplitude
 from .errors import DomainError, SolverError
@@ -54,6 +65,32 @@ TAU_H_COEFF = 0.35
 TAU_H_SAFETY = 4.0
 
 
+def _load_dgtsv():
+    """``dgtsv`` of scipy's ``_flapack`` extension, without running any scipy
+    ``__init__`` (``find_spec`` on a top-level package imports nothing).
+
+    The extension registers itself in ``sys.modules`` as ``_flapack``; a
+    later ``import scipy.linalg`` loads the same file once more under its
+    own name.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        linalg = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec("_flapack", linalg)
+    if spec is None:
+        raise ImportError(
+            "pme needs scipy: its LAPACK extension scipy.linalg._flapack"
+            " solves the Newton system"
+        )
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgtsv
+
+
+dgtsv = _load_dgtsv()
+
+
 def tau_h(h: float, scale: float = 1.0) -> float:
     """Discretization tolerance C*h, scaled by the solution magnitude."""
     return TAU_H_SAFETY * TAU_H_COEFF * h * scale
@@ -74,10 +111,15 @@ class BarrierDirichlet:
 
     params: BarrierParams
     delta: float = 0.0
+    # radius -> shifted subsolution there; the trace's time-free factor,
+    # computed once per radius instead of on every Newton solve
+    _base: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def value(self, t: float, radius: float) -> float:
         p = self.params
-        base = float(shifted_subsolution(p, self.delta, radius))
+        base = self._base.get(radius)
+        if base is None:
+            base = self._base[radius] = float(shifted_subsolution(p, self.delta, radius))
         return (1.0 - t / p.horizon) ** (-1.0 / (p.m - 1.0)) * base
 
 

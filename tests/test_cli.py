@@ -547,9 +547,35 @@ def test_write_json_is_strict(tmp_path):
 
 
 def test_cli_import_skips_scipy_special():
-    code = "import sys, pme.cli; assert 'scipy.special' not in sys.modules"
+    # no scipy package at all: the solver loads scipy's LAPACK extension from
+    # its file; nor the numpy submodules scipy.linalg would pull in, nor the
+    # process pool that only ``sweep --workers > 1`` uses
+    code = (
+        "import sys, pme.cli\n"
+        "bad = sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')\n"
+        "             or k in ('numpy.f2py', 'numpy.testing', 'concurrent.futures.process'))\n"
+        "assert not bad, bad\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sweep_with_two_workers_in_a_fresh_process(tmp_path):
+    # the process pool is imported inside ``cmd_sweep``; a fresh interpreter
+    # has not loaded it before, and the rows equal a one-worker sweep's
+    cfg = write_cfg(tmp_path, R12_BLOWUP_CFG)
+    outs = []
+    for workers in ("2", "1"):
+        out = tmp_path / f"sweep{workers}.csv"
+        argv = ["sweep", "--config", cfg, "--param", "b", "--values", "1,2",
+                "--workers", workers, "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pme.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 3
 
 
 def test_console_entry_point():

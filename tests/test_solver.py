@@ -2,12 +2,14 @@
 audits, comparison/order preservation, exhaustion and existence times."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from pme import barriers, geometry, solver, xlog
 from pme.errors import DomainError, SolverError
@@ -137,6 +139,81 @@ def test_newton_solve_matches_reference_kernel(case):
     assert np.array_equal(u, u_ref)
     assert ok == ok_ref
     assert res == res_ref
+
+
+# -- the LAPACK binary ------------------------------------------------------------------
+
+
+@st.composite
+def tridiagonal_systems(draw):
+    n = draw(st.integers(min_value=2, max_value=60))
+    entries = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+    dl, d, du, b = (
+        np.array(draw(st.lists(entries, min_size=k, max_size=k)))
+        for k in (n - 1, n, n - 1, n)
+    )
+    kind = draw(st.sampled_from(["plain", "pivoting", "singular"]))
+    if kind == "pivoting":
+        # a diagonal far below the subdiagonal makes dgtsv swap rows
+        d *= 1e-3
+        dl = np.where(np.abs(dl) < 1.0, 5.0, dl)
+    elif kind == "singular":
+        # column k is zero: d[k], dl[k] and du[k-1] vanish
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        d[k] = 0.0
+        if k < n - 1:
+            dl[k] = 0.0
+        if k > 0:
+            du[k - 1] = 0.0
+    return dl, d, du, b
+
+
+@given(tridiagonal_systems())
+@settings(max_examples=200, deadline=None)
+def test_dgtsv_is_scipys_binary(system):
+    # every output, bit for bit, including the info of a singular system
+    *arrays, info = solver.dgtsv(*(a.copy() for a in system))
+    *ref_arrays, ref_info = lapack.dgtsv(*(a.copy() for a in system))
+    assert info == ref_info
+    for a, ref in zip(arrays, ref_arrays):
+        assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
+
+
+SOLVE_DIGEST = """
+import hashlib
+import numpy as np
+{before}
+from pme import geometry, solver
+from pme.grid import RadialGrid
+{after}
+g = RadialGrid.uniform(geometry.quad_critical(0.5, 3), 10.0, 80)
+u0 = np.random.default_rng(3).uniform(-1.0, 2.0, 80)
+dt = solver.DtPolicy(dt0=1e-3, growth=1.2, dt_max=1e-2)
+traj = solver.solve_ball(u0, solver.SolverConfig(m=2.0, dt=dt, t_end=0.05), g)
+print(hashlib.sha256(b"".join(f.tobytes() for f in traj.fields)).hexdigest())
+"""
+
+
+def solve_digest(before="", after=""):
+    code = SOLVE_DIGEST.format(before=before, after=after)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_solve_unchanged_by_importing_scipy_linalg_before_or_after():
+    alone = solve_digest()
+    assert solve_digest(before="import scipy.linalg") == alone
+    assert solve_digest(after="import scipy.linalg") == alone
+
+
+@pytest.mark.parametrize(
+    "finder", ["importlib.util.find_spec", "importlib.machinery.PathFinder.find_spec"]
+)
+def test_missing_lapack_extension_names_scipy(monkeypatch, finder):
+    monkeypatch.setattr(finder, lambda *args: None)
+    with pytest.raises(ImportError, match="scipy"):
+        solver._load_dgtsv()
 
 
 def fake_dgtsv(delta_value=None, info=0):
@@ -310,6 +387,35 @@ def test_mass_audit_on_warped_model():
     outflow = np.array(traj.boundary_outflow[1:])
     scale = max(abs(m) for m in traj.masses)
     assert np.max(np.abs(dm + outflow)) <= 1e-6 * scale
+
+
+# -- odd symmetry -------------------------------------------------------------------------
+
+
+@st.composite
+def symmetric_runs(draw):
+    grid, u0, m, dt0, _, _ = draw(newton_cases())
+    steps = draw(st.integers(min_value=1, max_value=8))
+    cfg = solver.SolverConfig(
+        m=m, dt=solver.DtPolicy(dt0=dt0, growth=1.25), t_end=steps * dt0
+    )
+    return grid, u0, cfg
+
+
+@given(symmetric_runs())
+@settings(max_examples=60, deadline=None)
+def test_odd_symmetry_is_exact(run):
+    # every operation of the scheme commutes with negation under homogeneous
+    # Dirichlet data, so -u0 gives -u exactly (== treats 0.0 and -0.0 alike)
+    grid, u0, cfg = run
+    a = solver.solve_ball(u0, cfg, grid)
+    b = solver.solve_ball(-u0, cfg, grid)
+    assert b.times == a.times
+    assert all(np.array_equal(fb, -fa) for fa, fb in zip(a.fields, b.fields, strict=True))
+    assert b.masses == [-x for x in a.masses]
+    assert b.boundary_outflow == [-x for x in a.boundary_outflow]
+    assert b.lognorms == a.lognorms
+    assert b.tail_ratios == a.tail_ratios
 
 
 # -- comparison principle ---------------------------------------------------------------
