@@ -29,6 +29,23 @@ ETA_TOL = 1e-12
 K_MARGIN = 0.1
 
 
+def blowup_factor(t, horizon, m):
+    """Separable time factor (1 - t/T)^(-1/(m-1)), which blows up at t = T."""
+    return (1.0 - t / horizon) ** (-1.0 / (m - 1.0))
+
+
+def horizon_time(a, norm, m):
+    """Horizon T = a^(m-1) ||u||^(1-m) of the amplitude-a barrier above norm ||u||."""
+    return a ** (m - 1.0) * norm ** (1.0 - m)
+
+
+def separable_envelopes(times, horizon, m, scale, profile) -> np.ndarray:
+    """One row blowup_factor(t, horizon, m) * scale * profile per time; each
+    factor is a Python float, as when the envelope is evaluated at one time."""
+    factors = np.array([blowup_factor(float(t), horizon, m) * scale for t in times])
+    return factors[:, None] * profile
+
+
 @dataclass(frozen=True)
 class BarrierParams:
     """Separable barrier data: amplitude, weight offset, blow-up horizon."""
@@ -63,8 +80,7 @@ class BarrierParams:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0) or np.any(t >= self.horizon):
             raise DomainError("t must lie in [0, horizon)")
-        factor = (1.0 - t / self.horizon) ** (-1.0 / (self.m - 1.0))
-        return factor * self.profile(rho)
+        return blowup_factor(t, self.horizon, self.m) * self.profile(rho)
 
 
 def supersolution_amplitude(c_prime: float, m: float) -> float:
@@ -132,6 +148,26 @@ def default_certificate_grid(rho_max: float = 1e3, nodes: int = 10**4) -> np.nda
     return np.geomspace(1e-3, rho_max, nodes)
 
 
+def _certificate_grid(rho_grid) -> np.ndarray:
+    rho = default_certificate_grid() if rho_grid is None else np.asarray(rho_grid)
+    if rho.size == 0:
+        raise DomainError("a certificate needs at least one grid node")
+    return rho
+
+
+def _report(res, rho, params: dict, details: dict, ok: bool = True) -> CertificateReport:
+    """Report of the worst scaled residual ``res`` on the nodes ``rho``."""
+    i = int(np.argmin(res))
+    return CertificateReport(
+        passed=ok and bool(res[i] >= -RESIDUAL_TOL),
+        min_residual=float(res[i]),
+        argmin_rho=float(rho[i]),
+        nodes=rho.size,
+        params=params,
+        details=details,
+    )
+
+
 def certify_supersolution(
     p: BarrierParams,
     manifold: ModelManifold,
@@ -144,14 +180,10 @@ def certify_supersolution(
     comparison constants are supplied, the sufficient amplitude condition
     2m a^(m-1) [C'(1+rho^2) + (m+1)/(m-1)] <= r^2 + rho^2 is checked too.
     """
-    rho = default_certificate_grid() if rho_grid is None else np.asarray(rho_grid)
+    rho = _certificate_grid(rho_grid)
     w = p.profile_unit(rho)
     lap = (p.m - 1.0) * laplacian_wm(p, manifold, rho)
-    scale = np.abs(w) + np.abs(lap)
-    res = (w - lap) / scale
-    i = int(np.argmin(res))
     details = {}
-    ok = bool(res[i] >= -RESIDUAL_TOL)
     if consts is not None:
         lhs = (
             2.0
@@ -163,15 +195,9 @@ def certify_supersolution(
         j = int(np.argmin(margin))
         details["amplitude_condition_ok"] = bool(margin[j] >= 0.0)
         details["amplitude_condition_min_margin"] = float(margin[j])
-        ok = ok and details["amplitude_condition_ok"]
-    return CertificateReport(
-        passed=ok,
-        min_residual=float(res[i]),
-        argmin_rho=float(rho[i]),
-        nodes=rho.size,
-        params={"a": p.amplitude, "r": p.r, "m": p.m},
-        details=details,
-    )
+    res = (w - lap) / (np.abs(w) + np.abs(lap))
+    params = {"a": p.amplitude, "r": p.r, "m": p.m}
+    return _report(res, rho, params, details, details.get("amplitude_condition_ok", True))
 
 
 def certify_subsolution(
@@ -180,20 +206,11 @@ def certify_subsolution(
     rho_grid: Optional[np.ndarray] = None,
 ) -> CertificateReport:
     """Certify W <= (m-1) Laplacian(W^m) for the unit-horizon profile."""
-    rho = default_certificate_grid() if rho_grid is None else np.asarray(rho_grid)
+    rho = _certificate_grid(rho_grid)
     w = p.profile_unit(rho)
     lap = (p.m - 1.0) * laplacian_wm(p, manifold, rho)
-    scale = np.abs(w) + np.abs(lap)
-    res = (lap - w) / scale
-    i = int(np.argmin(res))
-    return CertificateReport(
-        passed=bool(res[i] >= -RESIDUAL_TOL),
-        min_residual=float(res[i]),
-        argmin_rho=float(rho[i]),
-        nodes=rho.size,
-        params={"a": p.amplitude, "r": p.r, "m": p.m},
-        details={},
-    )
+    res = (lap - w) / (np.abs(w) + np.abs(lap))
+    return _report(res, rho, {"a": p.amplitude, "r": p.r, "m": p.m}, {})
 
 
 def _lower_envelope_min(c_dd: float, r: float) -> float:
@@ -261,7 +278,7 @@ def certify_shifted_subsolution(
     rho_grid: Optional[np.ndarray] = None,
 ) -> CertificateReport:
     """Certify V <= (m-1) T Laplacian(V^m) on the region where W^m > delta."""
-    rho = default_certificate_grid() if rho_grid is None else np.asarray(rho_grid)
+    rho = _certificate_grid(rho_grid)
     wm = p.profile(rho) ** p.m
     mask = wm > delta
     if not np.any(mask):
@@ -273,17 +290,9 @@ def certify_shifted_subsolution(
     # Laplacian(V^m) = Laplacian(W_{T,r}^m) on the unclipped region.
     lap = laplacian_wm(p, manifold, r) / p.horizon ** (p.m / (p.m - 1.0))
     rhs = (p.m - 1.0) * p.horizon * lap
-    scale = np.abs(v) + np.abs(rhs)
-    res = (rhs - v) / scale
-    i = int(np.argmin(res))
-    return CertificateReport(
-        passed=bool(res[i] >= -RESIDUAL_TOL),
-        min_residual=float(res[i]),
-        argmin_rho=float(r[i]),
-        nodes=int(mask.sum()),
-        params={"a": p.amplitude, "r": p.r, "T": p.horizon, "m": p.m, "delta": delta},
-        details={"active_nodes": int(mask.sum())},
-    )
+    res = (rhs - v) / (np.abs(v) + np.abs(rhs))
+    params = {"a": p.amplitude, "r": p.r, "T": p.horizon, "m": p.m, "delta": delta}
+    return _report(res, r, params, {"active_nodes": r.size})
 
 
 # -- backward uniqueness barrier ----------------------------------------------
@@ -376,6 +385,8 @@ def certify_eta(
     eta_rho < 0, any larger drift only helps.  Only nodes where the
     Laplacian is positive are binding (elsewhere eta_t < 0 settles it).
     """
+    if dim < 2:
+        raise DomainError("dimension must be >= 2")
     rho = np.geomspace(p.inner_radius * (1.0 + 1e-6), rho_max, n_rho)
     ts = np.linspace(0.0, p.horizon * (1.0 - 1e-6), n_t)
     R, T = np.meshgrid(rho, ts, indexing="ij")

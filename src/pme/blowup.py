@@ -21,6 +21,13 @@ The run stops when the recorded norm exceeds the blow-up threshold (default
 Total duration tau = sum S_k stays below 2 T_1 by the telescoping
 inequality T_{n+1} <= T_n - S_n + T_1/2^n, which the ledger re-checks on its
 own recorded values.
+
+Each stage is audited by ``sandwich_gaps``: the stacked stage fields are
+compared at once with the separable envelopes of the shifted subsolution
+and of the small-amplitude supersolution (``barriers.separable_envelopes``),
+giving the ledger's lower and upper gaps.  Horizons, durations and growth
+factors all come from ``barriers.horizon_time`` and
+``barriers.blowup_factor``.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ import numpy as np
 
 from .barriers import (
     BarrierParams,
+    blowup_factor,
+    horizon_time,
+    separable_envelopes,
     shifted_subsolution,
     subsolution_params,
     supersolution_amplitude,
@@ -40,14 +50,8 @@ from .barriers import (
 from .errors import DomainError, NotApplicableError, StageError
 from .geometry import ComparisonConstants, ModelManifold
 from .grid import RadialGrid
-from .solver import (
-    BarrierDirichlet,
-    DtPolicy,
-    SolverConfig,
-    solve_ball,
-    tau_h,
-)
-from .xlog import LogNorm, RadialDatum, limsup_ratio
+from .solver import BarrierDirichlet, DtPolicy, SolverConfig, Trajectory, solve_ball, tau_h
+from .xlog import LogNorm, RadialDatum, norm_limit
 
 DELTA_BISECT_TOL = 1e-6
 S_MIN_FACTOR = 1e-8  # stall cutoff S_n < factor * T_1
@@ -59,7 +63,7 @@ def stage_T(liminf_est: float, eps: float, a_hat: float, m: float) -> float:
         raise NotApplicableError("blow-up scheme needs a positive asymptotic ratio")
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
-    return (a_hat / (1.0 - eps)) ** (m - 1.0) * liminf_est ** (1.0 - m)
+    return horizon_time(a_hat / (1.0 - eps), liminf_est, m)
 
 
 def stage_epsilon(n: int, T_n: float, S_n: float, T1: float, m: float) -> float:
@@ -205,15 +209,28 @@ class BlowupConfig:
 
 def _ratio_floor(datum: RadialDatum, m: float) -> float:
     """Asymptotic ratio in the norm-limit normalization (against log rho^2)."""
-    est = limsup_ratio(datum, m=m)
-    if not est.exact:
+    if datum.tail is None:
         raise NotApplicableError("blow-up bookkeeping needs an exact tail descriptor")
-    return est.value * 2.0 ** (-1.0 / (m - 1.0))
+    return norm_limit(datum, m)
 
 
 def _recorded_lognorm(u: np.ndarray, weight: np.ndarray, tail_est: float) -> float:
     """Norm of the extended field: grid part plus analytic tail part."""
     return max(float(np.max(np.abs(u) / weight)), tail_est)
+
+
+def sandwich_gaps(traj: Trajectory, m, horizon, v_base, s_super, norm_far, far_weight) -> tuple:
+    """Worst excess of the subsolution blowup_factor(t, horizon) * v_base over
+    u, and of u over the supersolution blowup_factor(t, s_super) * norm_far *
+    far_weight at the recorded times t < 0.95 s_super (-inf if there is none)."""
+    fields = traj.stacked
+    lower_gap = float(np.max(separable_envelopes(traj.times, horizon, m, 1.0, v_base) - fields))
+    times = np.array(traj.times)
+    early = times < 0.95 * s_super
+    if not early.any():
+        return lower_gap, -math.inf
+    up = separable_envelopes(times[early], s_super, m, norm_far, far_weight)
+    return lower_gap, float(np.max(fields[early] - up))
 
 
 def run_blowup(
@@ -265,7 +282,7 @@ def run_blowup(
         T_next = stage_T(liminf, eps, a_hat, m)
         if T1 is None:
             T1 = T_next
-        S_next = (a_tilde / 2.0) ** (m - 1.0) * limsup ** (1.0 - m)
+        S_next = horizon_time(a_tilde / 2.0, limsup, m)
         if not S_next < T_next:
             raise StageError(f"stage duration reached the horizon at n={n}", stage=n)
 
@@ -297,19 +314,14 @@ def run_blowup(
         # the bulk contribution to the norm washes out and only the tail
         # ratio counts (the construction lets that offset grow arbitrarily).
         v_base = shifted_subsolution(barrier, delta, grid.centers)
-        lower_gap = -math.inf
-        upper_gap = -math.inf
         norm_far = max(float(np.max(np.abs(u) / far_weight)), limsup)
-        s_super = a_tilde ** (m - 1.0) * norm_far ** (1.0 - m)
-        for t, f in zip(traj.times, traj.fields):
-            low = (1.0 - t / T_next) ** (-1.0 / (m - 1.0)) * v_base
-            lower_gap = max(lower_gap, float(np.max(low - f)))
-            if t < 0.95 * s_super:
-                up = (1.0 - t / s_super) ** (-1.0 / (m - 1.0)) * norm_far * far_weight
-                upper_gap = max(upper_gap, float(np.max(f - up)))
+        s_super = horizon_time(a_tilde, norm_far, m)
+        lower_gap, upper_gap = sandwich_gaps(
+            traj, m, T_next, v_base, s_super, norm_far, far_weight
+        )
 
         u = traj.final
-        growth = (1.0 - eps) * (1.0 - S_next / T_next) ** (-1.0 / (m - 1.0))
+        growth = (1.0 - eps) * blowup_factor(S_next, T_next, m)
         liminf *= growth
         limsup *= growth
         t_n += S_next

@@ -169,6 +169,8 @@ def cmd_barrier_check(args) -> int:
     m = args.m
     if m <= 1.0:
         raise ConfigError("the PME exponent must satisfy m > 1")
+    if args.nodes < 1:
+        raise ConfigError("--nodes must be >= 1")
     grid = barriers.default_certificate_grid(args.rho_max, args.nodes)
     if args.which == "super":
         consts = geometry.fit_comparison_constants(manifold, rho_max=max(10.0, args.rho_max))
@@ -246,7 +248,7 @@ def cmd_solve(args) -> int:
         "tau_h": solver.tau_h(grid.h, max(1.0, max(traj.lognorms) * 10.0)),
     }
     write_json(args.summary, summary)
-    scale = max(float(np.max(np.abs(f))) for f in traj.fields)
+    scale = float(np.max(np.abs(traj.stacked)))
     if excess is not None and excess > solver.tau_h(grid.h, scale):
         raise CertificateError(
             f"barrier sandwich violated by {excess:.3e} (tolerance {solver.tau_h(grid.h, scale):.3e})"
@@ -295,6 +297,8 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_uniq_check(args) -> int:
+    if args.table_points < 1:
+        raise ConfigError("--table-points must be >= 1")
     if args.k is None:
         k = barriers.select_K(args.c2, args.r0)
     else:

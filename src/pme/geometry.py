@@ -63,10 +63,6 @@ def _fd2(f, rho):
     return (f(rho + h) - 2.0 * f(rho) + f(rho - h)) / h**2
 
 
-def _as_longdouble(rho):
-    return np.asarray(rho, dtype=np.longdouble)
-
-
 @dataclass(frozen=True, eq=False)
 class ModelManifold:
     """Warped-product model: metric d rho^2 + psi(rho)^2 d theta^2."""
@@ -74,9 +70,7 @@ class ModelManifold:
     dim: int
     kind: str
     c: Optional[float]
-    psi: Callable[[np.ndarray], np.ndarray]
-    dpsi: Callable[[np.ndarray], np.ndarray]
-    d2psi: Callable[[np.ndarray], np.ndarray]
+    # psi is held once, as log psi and its derivative ratios
     log_psi: Callable[[np.ndarray], np.ndarray]
     # psi'/psi and psi''/psi; overflow-safe closed forms for built-ins.
     ratio1: Callable[[np.ndarray], np.ndarray]
@@ -142,8 +136,8 @@ class ModelManifold:
         the finest probe; psi'' must be nonnegative up to roundoff.
         """
         probes = np.array(CLASS_A_PROBES)
-        p = np.asarray(self.psi(probes), dtype=float)
-        dp = np.asarray(self.dpsi(probes), dtype=float)
+        p = np.exp(np.asarray(self.log_psi(probes), dtype=float))
+        dp = np.asarray(self.ratio1(probes), dtype=float) * p
         if np.any(p <= 0):
             raise InvalidManifoldError("psi must be positive on (0, inf)")
         dev_ratio = np.abs(p / probes - 1.0)
@@ -185,9 +179,6 @@ def euclidean(dim: int = 3) -> ModelManifold:
         dim=dim,
         kind="euclidean",
         c=None,
-        psi=lambda r: np.asarray(r),
-        dpsi=lambda r: np.ones_like(np.asarray(r)),
-        d2psi=lambda r: np.zeros_like(np.asarray(r)),
         log_psi=lambda r: np.log(r),
         ratio1=lambda r: 1.0 / np.asarray(r),
         ratio2=lambda r: np.zeros_like(np.asarray(r)),
@@ -201,9 +192,6 @@ def hyperbolic(dim: int = 2) -> ModelManifold:
         dim=dim,
         kind="hyperbolic",
         c=None,
-        psi=np.sinh,
-        dpsi=np.cosh,
-        d2psi=np.sinh,
         log_psi=lambda r: np.asarray(r) + np.log1p(-np.exp(-2.0 * np.asarray(r))) - math.log(2.0),
         ratio1=lambda r: 1.0 / np.tanh(r),
         ratio2=lambda r: np.ones_like(np.asarray(r)),
@@ -219,26 +207,10 @@ def quad_critical(c: float, dim: int = 3) -> ModelManifold:
     """
     if c <= 0:
         raise DomainError("quad-critical family requires c > 0")
-
-    def psi(r):
-        r = np.asarray(r)
-        return r * np.exp(c * r * r)
-
-    def dpsi(r):
-        r = np.asarray(r)
-        return np.exp(c * r * r) * (1.0 + 2.0 * c * r * r)
-
-    def d2psi(r):
-        r = np.asarray(r)
-        return np.exp(c * r * r) * (6.0 * c * r + 4.0 * c * c * r**3)
-
     return ModelManifold(
         dim=dim,
         kind="quad-critical",
         c=c,
-        psi=psi,
-        dpsi=dpsi,
-        d2psi=d2psi,
         log_psi=lambda r: np.log(r) + c * np.asarray(r) ** 2,
         ratio1=lambda r: (1.0 + 2.0 * c * np.asarray(r) ** 2) / np.asarray(r),
         ratio2=lambda r: 6.0 * c + 4.0 * c * c * np.asarray(r) ** 2,
@@ -274,21 +246,6 @@ def log_critical(c: float, dim: int = 2) -> ModelManifold:
         )
         return f, f1, f2
 
-    def psi(r):
-        r = np.asarray(r)
-        f, _, _ = _f_parts(r)
-        return r * np.exp(f)
-
-    def dpsi(r):
-        r = np.asarray(r)
-        f, f1, _ = _f_parts(r)
-        return np.exp(f) * (1.0 + r * f1)
-
-    def d2psi(r):
-        r = np.asarray(r)
-        f, f1, f2 = _f_parts(r)
-        return np.exp(f) * (2.0 * f1 + r * f1 * f1 + r * f2)
-
     def ratio1(r):
         r = np.asarray(r)
         _, f1, _ = _f_parts(r)
@@ -303,9 +260,6 @@ def log_critical(c: float, dim: int = 2) -> ModelManifold:
         dim=dim,
         kind="log-critical",
         c=c,
-        psi=psi,
-        dpsi=dpsi,
-        d2psi=d2psi,
         log_psi=lambda r: np.log(r) + _f_parts(r)[0],
         ratio1=ratio1,
         ratio2=ratio2,
@@ -327,27 +281,14 @@ def custom(psi: Callable, dim: int, name: str = "custom") -> ModelManifold:
     heuristics because no analytic tails are known.
     """
 
-    def _ld(f):
-        def g(r):
-            return np.asarray(f(_as_longdouble(r)))
-
-        return g
-
-    pld = _ld(psi)
-
-    def dpsi(r):
-        return np.asarray(_fd1(pld, _as_longdouble(r)), dtype=float)
-
-    def d2psi(r):
-        return np.asarray(_fd2(pld, _as_longdouble(r)), dtype=float)
-
     def psif(r):
         return np.asarray(psi(np.asarray(r, dtype=float)), dtype=float)
 
-    def _ratio(deriv):
+    def _ratio(fd):
         def f(r):
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                return deriv(r) / psif(r)
+                deriv = np.asarray(fd(psi, np.asarray(r, dtype=np.longdouble)), dtype=float)
+                return deriv / psif(r)
 
         return f
 
@@ -355,12 +296,9 @@ def custom(psi: Callable, dim: int, name: str = "custom") -> ModelManifold:
         dim=dim,
         kind=name,
         c=None,
-        psi=psif,
-        dpsi=dpsi,
-        d2psi=d2psi,
         log_psi=lambda r: np.log(psif(r)),
-        ratio1=_ratio(dpsi),
-        ratio2=_ratio(d2psi),
+        ratio1=_ratio(_fd1),
+        ratio2=_ratio(_fd2),
         tail_limits=None,
     )
 
@@ -381,6 +319,8 @@ def make_manifold(kind: str, dim: int, c: float | None = None) -> ModelManifold:
         if c is None:
             raise DomainError(f"{kind} requires the curvature parameter c")
         return BUILTIN_FAMILIES[kind](c, dim)
+    if c is not None:
+        raise DomainError(f"{kind} takes no curvature parameter c")
     return BUILTIN_FAMILIES[kind](dim)
 
 
@@ -426,21 +366,13 @@ def probe_grid(rho_max: float, n_probe: int) -> np.ndarray:
     return np.geomspace(1e-3, rho_max, n_probe)
 
 
-def _sup_with_limits(vals, rho, head, tail):
-    """Certified sup combining grid max with analytic endpoint limits."""
-    i = int(np.argmax(vals))
+def _extremum_with_limits(vals, rho, head, tail, sign=1.0):
+    """Certified sup (sign 1) or inf (sign -1): the grid extremum merged with
+    the analytic endpoint limits, and where it is attained."""
+    i = int(np.argmax(sign * vals))
     best, where = float(vals[i]), float(rho[i])
     for lim, tag in ((head, "rho->0"), (tail, "rho->inf")):
-        if lim is not None and lim > best:
-            best, where = lim, tag
-    return best, where
-
-
-def _inf_with_limits(vals, rho, head, tail):
-    i = int(np.argmin(vals))
-    best, where = float(vals[i]), float(rho[i])
-    for lim, tag in ((head, "rho->0"), (tail, "rho->inf")):
-        if lim is not None and lim < best:
+        if lim is not None and sign * lim > sign * best:
             best, where = lim, tag
     return best, where
 
@@ -484,11 +416,11 @@ def fit_comparison_constants(
             raise NotCriticalError(
                 f"drift grows faster than quadratically near rho={bad:.3g}", probe=bad
             )
-    sup, where = _sup_with_limits(ratio, rho, head, tail)
+    sup, where = _extremum_with_limits(ratio, rho, head, tail)
     c_prime = (1.0 + FIT_MARGIN) * sup
     attained["c_prime"] = where
 
-    inf, where = _inf_with_limits(ratio, rho, head, tail)
+    inf, where = _extremum_with_limits(ratio, rho, head, tail, -1.0)
     if inf > 1e-9 * sup:
         c_double_prime: Optional[float] = (1.0 - FIT_MARGIN) * inf
         attained["c_double_prime"] = where
@@ -504,7 +436,7 @@ def fit_comparison_constants(
         raise NotCriticalError(
             "Ricci curvature diverges faster than quadratically", probe=float(rho[-1])
         )
-    sup, where = _sup_with_limits(neg_ric, rho, ric_head, ric_tail)
+    sup, where = _extremum_with_limits(neg_ric, rho, ric_head, ric_tail)
     c_o = (1.0 + FIT_MARGIN) * max(sup, 0.0)
     attained["c_o"] = where
 
@@ -512,7 +444,7 @@ def fit_comparison_constants(
     mask = rho >= r_o
     neg_sect = -curv.sectional[mask] / rho[mask] ** 2
     sect_tail = None if tails is None else tails["sect"]
-    inf, where = _inf_with_limits(neg_sect, rho[mask], None, sect_tail)
+    inf, where = _extremum_with_limits(neg_sect, rho[mask], None, sect_tail, -1.0)
     if inf > 1e-12:
         k_o: Optional[float] = (1.0 - FIT_MARGIN) * inf
         attained["k_o"] = where
@@ -531,7 +463,7 @@ def fit_comparison_constants(
         c_m = None
         attained["c_m"] = None
     else:
-        sup, where = _sup_with_limits(vol_ratio, rv, None, vol_tail)
+        sup, where = _extremum_with_limits(vol_ratio, rv, None, vol_tail)
         c_m = (1.0 + FIT_MARGIN) * max(sup, 0.0)
         attained["c_m"] = where
 

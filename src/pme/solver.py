@@ -30,6 +30,12 @@ command.
 Boundary conditions at rho = R: homogeneous Dirichlet, or the time-dependent
 trace of a shifted separable subsolution (used by the blow-up iteration);
 values are imposed at the new time level.
+
+A ``Trajectory`` holds only what a run produces: the recorded times and
+fields and the boundary outflow of each recorded interval.  Its norm,
+tail-ratio and mass series are computed from the stacked fields when read,
+and ``barrier_excess`` checks the stacked fields against the separable
+envelopes of ``barriers.separable_envelopes`` in one array operation.
 """
 
 from __future__ import annotations
@@ -43,11 +49,18 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .barriers import BarrierParams, shifted_subsolution, supersolution_amplitude
+from .barriers import (
+    BarrierParams,
+    blowup_factor,
+    horizon_time,
+    separable_envelopes,
+    shifted_subsolution,
+    supersolution_amplitude,
+)
 from .errors import DomainError, SolverError
 from .geometry import ComparisonConstants, ModelManifold
 from .grid import RadialGrid
-from .xlog import LimsupEstimate, LogNorm, RadialDatum, limsup_ratio, log_norm
+from .xlog import LogNorm, RadialDatum, log_norm, norm_limit
 
 JACOBIAN_EPS = 1e-12
 MAX_HALVINGS = 40
@@ -120,7 +133,7 @@ class BarrierDirichlet:
         base = self._base.get(radius)
         if base is None:
             base = self._base[radius] = float(shifted_subsolution(p, self.delta, radius))
-        return (1.0 - t / p.horizon) ** (-1.0 / (p.m - 1.0)) * base
+        return blowup_factor(t, p.horizon, p.m) * base
 
 
 @dataclass(frozen=True)
@@ -158,37 +171,46 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
+    """What a run records: times, fields and the boundary outflow of each
+    recorded interval.  The norm, tail-ratio and mass series are computed
+    from the stacked fields when read."""
+
     grid: RadialGrid
+    norm: LogNorm
     times: list = field(default_factory=list)
     fields: list = field(default_factory=list)
-    lognorms: list = field(default_factory=list)
-    # grid-window estimate of |u|/(log rho)^(1/(m-1)) over the outer half of
-    # the ball; a proxy for the asymptotic ratio, not a true limit
-    tail_ratios: list = field(default_factory=list)
-    masses: list = field(default_factory=list)
     boundary_outflow: list = field(default_factory=list)  # per recorded interval
-    # (norm, weight, outer-half slice, tail weight) of the last ``record``
-    _weights: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def _norm_weights(self, norm: LogNorm) -> tuple:
-        """Fixed arrays of ``record`` for ``norm``, computed once per norm."""
-        if self._weights is None or self._weights[0] != norm:
-            centers = self.grid.centers
-            # centers increase, so the outer half of the ball is a suffix
-            outer = slice(int(np.searchsorted(centers, max(self.grid.radius / 2.0, 2.0))), None)
-            tail = np.log(centers[outer]) ** (1.0 / (norm.m - 1.0))
-            self._weights = (norm, norm.weight(centers), outer, tail)
-        return self._weights[1:]
-
-    def record(self, t, u, norm: LogNorm, outflow: float):
-        w, outer, tail = self._norm_weights(norm)
+    def record(self, t, u, outflow: float):
         self.times.append(float(t))
         self.fields.append(u.copy())
-        au = np.abs(u)
-        self.lognorms.append(float((au / w).max()))
-        self.tail_ratios.append(float((au[outer] / tail).max()) if tail.size else 0.0)
-        self.masses.append(self.grid.mass(u))
         self.boundary_outflow.append(float(outflow))
+
+    @property
+    def stacked(self) -> np.ndarray:
+        """The recorded fields as one (records, cells) array."""
+        return np.array(self.fields)
+
+    @property
+    def lognorms(self) -> list:
+        """Weighted sup-norm ``norm`` of each recorded field."""
+        w = self.norm.weight(self.grid.centers)
+        return (np.abs(self.stacked) / w).max(axis=1).tolist()
+
+    @property
+    def tail_ratios(self) -> list:
+        """Grid-window estimate of |u|/(log rho)^(1/(m-1)) over the outer half
+        of the ball; a proxy for the asymptotic ratio, not a true limit."""
+        rho = self.grid.centers
+        outer = rho >= max(self.grid.radius / 2.0, 2.0)
+        if not outer.any():
+            return [0.0] * len(self.fields)
+        tail = np.log(rho[outer]) ** (1.0 / (self.norm.m - 1.0))
+        return (np.abs(self.stacked[:, outer]) / tail).max(axis=1).tolist()
+
+    @property
+    def masses(self) -> list:
+        return [self.grid.mass(u) for u in self.fields]
 
     @property
     def final(self) -> np.ndarray:
@@ -351,9 +373,8 @@ def solve_ball(
         raise DomainError("t_end must stay below the barrier horizon")
 
     u = _initial_values(u0, grid)
-    norm = LogNorm(cfg.norm_r, cfg.m)
-    traj = Trajectory(grid=grid)
-    traj.record(0.0, u, norm, 0.0)
+    traj = Trajectory(grid=grid, norm=LogNorm(cfg.norm_r, cfg.m))
+    traj.record(0.0, u, 0.0)
 
     t = 0.0
     dt = cfg.dt.dt0
@@ -368,7 +389,7 @@ def solve_ball(
         k += 1
         pending_outflow += out
         if k % cfg.snapshot_stride == 0 or t >= cfg.t_end - 1e-14 * cfg.t_end:
-            traj.record(t, u, norm, pending_outflow)
+            traj.record(t, u, pending_outflow)
             pending_outflow = 0.0
         dt = min(dt * cfg.dt.growth, cfg.dt.dt_max)
     return traj
@@ -408,27 +429,23 @@ def exhaust(
         grids.append(RadialGrid.uniform(manifold, R, int(round(n))))
 
     trajs = [solve_ball(u0, cfg, g) for g in grids]
-    times = trajs[0].times
+    times = np.array(trajs[0].times)
     for tr in trajs[1:]:
-        if len(tr.times) != len(times) or any(
-            abs(a - b) > 1e-12 * max(1.0, a) for a, b in zip(times, tr.times)
+        if len(tr.times) != times.size or np.any(
+            np.abs(times - tr.times) > 1e-12 * np.maximum(1.0, times)
         ):
             raise SolverError("time grids diverged across exhaustion levels")
 
-    gap = -math.inf
-    for k in range(len(radii) - 1):
-        sl = grids[k + 1].restriction_slice(radii[k])
-        for a, b in zip(trajs[k].fields, trajs[k + 1].fields):
-            gap = max(gap, float(np.max(a - b[sl])))
-
+    fields = [tr.stacked for tr in trajs]
+    levels = range(len(radii) - 1)
+    gap = max(
+        float(np.max(fields[k] - fields[k + 1][:, grids[k + 1].restriction_slice(radii[k])]))
+        for k in levels
+    )
     inner = grids[0].restriction_slice(radii[0] / 2.0)
-    increments = []
-    for k in range(len(radii) - 1):
-        diff = max(
-            float(np.max(np.abs(trajs[k + 1].fields[i][inner] - trajs[k].fields[i][inner])))
-            for i in range(len(times))
-        )
-        increments.append(diff)
+    increments = [
+        float(np.max(np.abs(fields[k + 1][:, inner] - fields[k][:, inner]))) for k in levels
+    ]
 
     scale = max(1.0, max(float(np.max(np.abs(tr.final))) for tr in trajs))
     return ExhaustReport(
@@ -462,15 +479,13 @@ def existence_time(
 ) -> ExistenceTime:
     a = supersolution_amplitude(consts.c_prime, m)
     norm = log_norm(u0, LogNorm(r, m))
-    est: LimsupEstimate = limsup_ratio(u0, m=m)
-    lim_norm = est.value * 2.0 ** (-1.0 / (m - 1.0))
+    lim_norm = norm_limit(u0, m)
     if norm == 0.0:
         return ExistenceTime(math.inf, r, math.inf, True, a)
-    time = a ** (m - 1.0) * norm ** (1.0 - m)
+    time = horizon_time(a, norm, m)
     if lim_norm == 0.0:
         return ExistenceTime(time, r, math.inf, True, a)
-    limit_time = a ** (m - 1.0) * lim_norm ** (1.0 - m)
-    return ExistenceTime(time, r, limit_time, False, a)
+    return ExistenceTime(time, r, horizon_time(a, lim_norm, m), False, a)
 
 
 # -- barrier sandwich audit -----------------------------------------------------
@@ -485,11 +500,8 @@ def barrier_excess(
     (1 - t/T)^(-1/(m-1)) * norm0 * weight(rho).
     """
     w = LogNorm(r, m).weight(traj.grid.centers)
-    worst = -math.inf
-    for t, u in zip(traj.times, traj.fields):
-        bound = (1.0 - t / horizon) ** (-1.0 / (m - 1.0)) * norm0 * w
-        worst = max(worst, float(np.max(np.abs(u) - bound)))
-    return worst
+    bound = separable_envelopes(traj.times, horizon, m, norm0, w)
+    return float(np.max(np.abs(traj.stacked) - bound))
 
 
 # -- classical self-similar oracle ---------------------------------------------

@@ -117,9 +117,8 @@ class RadialDatum:
 class LimsupEstimate:
     """Asymptotic growth ratio limsup |f|/(log rho)^(1/(m-1))."""
 
-    value: float
+    value: float  # inf when the grid window sees the ratio still growing
     exact: bool
-    diverging: bool = False
 
 
 def log_norm(datum: RadialDatum, norm: LogNorm) -> float:
@@ -162,19 +161,20 @@ def limsup_ratio(datum: RadialDatum, m: float | None = None) -> LimsupEstimate:
     mid = r <= np.sqrt(r[0] * r[-1])
     lo = float(np.max(ratios[mid])) if np.any(mid) else float(ratios[0])
     hi = float(np.max(ratios[~mid])) if np.any(~mid) else lo
-    diverging = hi > 1.5 * max(lo, 1e-300)
-    value = float("inf") if diverging else float(np.max(ratios))
-    return LimsupEstimate(value, exact=False, diverging=diverging)
+    value = float("inf") if hi > 1.5 * max(lo, 1e-300) else float(np.max(ratios))
+    return LimsupEstimate(value, exact=False)
 
 
 def norm_limit(datum: RadialDatum, m: float | None = None) -> float:
     """lim_{r->inf} ||f||_r = 2^(-1/(m-1)) * limsup_ratio."""
     t = datum.tail
-    mm = t.m if (t is not None and t.form == "log-growth") else m
-    if mm is None:
+    if t is not None and t.form == "log-growth":
+        if m not in (None, t.m):
+            raise DomainError("tail descriptor exponent disagrees with m")
+        m = t.m
+    if m is None:
         raise DomainError("m is required to take the norm limit")
-    est = limsup_ratio(datum, m=mm)
-    return est.value * 2.0 ** (-1.0 / (mm - 1.0))
+    return limsup_ratio(datum, m=m).value * 2.0 ** (-1.0 / (m - 1.0))
 
 
 # -- canonical data generators -------------------------------------------------

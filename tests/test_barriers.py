@@ -178,6 +178,19 @@ def test_subsolution_certificate(quad_manifold, quad_constants):
     assert rep.min_residual >= -barriers.RESIDUAL_TOL
 
 
+def test_certificates_reject_an_empty_grid(quad_manifold, quad_constants):
+    sub = barriers.subsolution_params(quad_constants, 2.0)
+    p = barriers.BarrierParams(sub.amplitude, sub.r, horizon=4.0, m=2.0)
+    empty = np.array([])
+    for certify in (
+        lambda: barriers.certify_supersolution(p, quad_manifold, quad_constants, empty),
+        lambda: barriers.certify_subsolution(p, quad_manifold, empty),
+        lambda: barriers.certify_shifted_subsolution(p, 1.0, quad_manifold, empty),
+    ):
+        with pytest.raises(DomainError):
+            certify()
+
+
 # -- shifted subsolution -------------------------------------------------------------
 
 
@@ -292,6 +305,8 @@ def test_eta_domain_checks():
         barriers.eta(p, 1.5, 0.1)
     with pytest.raises(DomainError):
         barriers.eta(p, 3.0, 2.0)
+    with pytest.raises(DomainError):
+        barriers.certify_eta(p, dim=1)
 
 
 # -- decay product -----------------------------------------------------------------------

@@ -4,11 +4,16 @@ The full-run test uses a small ball so it stays fast; the acceptance suite
 runs the production-size configuration.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pme import barriers, blowup, geometry, solver, xlog
 from pme.errors import NotApplicableError, StageError
+from pme.grid import RadialGrid
 
 RHO_REF = np.geomspace(1e-3, 1e6, 3000)
 
@@ -187,3 +192,74 @@ def test_model_without_lower_bound_rejected():
     datum = xlog.log_growth_datum(1.0, 2.0, RHO_REF)
     with pytest.raises(NotApplicableError):
         blowup.run_blowup(datum, xlog.log_growth_profile(1.0, 2.0), M, cc, cfg)
+
+
+# -- trajectory series and sandwich audits against the record loops --------------------
+
+
+def reference_series(traj):
+    """Norm, tail-ratio and mass series as ``Trajectory.record`` used to
+    compute them, one record at a time."""
+    grid, norm = traj.grid, traj.norm
+    centers = grid.centers
+    outer = slice(int(np.searchsorted(centers, max(grid.radius / 2.0, 2.0))), None)
+    tail = np.log(centers[outer]) ** (1.0 / (norm.m - 1.0))
+    w = norm.weight(centers)
+    lognorms, tail_ratios, masses = [], [], []
+    for u in traj.fields:
+        au = np.abs(u)
+        lognorms.append(float((au / w).max()))
+        tail_ratios.append(float((au[outer] / tail).max()) if tail.size else 0.0)
+        masses.append(grid.mass(u))
+    return lognorms, tail_ratios, masses
+
+
+def reference_barrier_excess(traj, norm0, horizon, r, m):
+    """``solver.barrier_excess`` as it was: one Python loop over the records."""
+    w = xlog.LogNorm(r, m).weight(traj.grid.centers)
+    worst = -math.inf
+    for t, u in zip(traj.times, traj.fields):
+        bound = (1.0 - t / horizon) ** (-1.0 / (m - 1.0)) * norm0 * w
+        worst = max(worst, float(np.max(np.abs(u) - bound)))
+    return worst
+
+
+def reference_sandwich_gaps(traj, m, T_next, v_base, s_super, norm_far, far_weight):
+    """The stage audit of ``run_blowup`` as it was: one loop over the records."""
+    lower_gap = upper_gap = -math.inf
+    for t, f in zip(traj.times, traj.fields):
+        low = (1.0 - t / T_next) ** (-1.0 / (m - 1.0)) * v_base
+        lower_gap = max(lower_gap, float(np.max(low - f)))
+        if t < 0.95 * s_super:
+            up = (1.0 - t / s_super) ** (-1.0 / (m - 1.0)) * norm_far * far_weight
+            upper_gap = max(upper_gap, float(np.max(f - up)))
+    return lower_gap, upper_gap
+
+
+@st.composite
+def audited_trajectories(draw):
+    manifold = draw(st.sampled_from([geometry.euclidean(3), geometry.quad_critical(0.5, 3)]))
+    cells = draw(st.integers(min_value=3, max_value=60))
+    grid = RadialGrid.uniform(manifold, draw(st.floats(min_value=1.0, max_value=25.0)), cells)
+    m = draw(st.floats(min_value=1.05, max_value=4.0))
+    horizon = draw(st.floats(min_value=1e-4, max_value=10.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    traj = solver.Trajectory(grid=grid, norm=xlog.LogNorm(2.0, m))
+    # the recorded times lie in [0, horizon); t = 0 is left out at random so
+    # that a stage can also have no record before 0.95 s_super
+    for t in np.sort(rng.uniform(0.0, horizon, draw(st.integers(min_value=1, max_value=12)))):
+        traj.record(t, rng.uniform(-3.0, 3.0, cells) * rng.uniform(0.0, 1.0), 0.0)
+    return traj, m, horizon, rng
+
+
+@given(audited_trajectories(), st.floats(min_value=1e-3, max_value=10.0), st.floats(2.0, 50.0))
+@settings(max_examples=150, deadline=None)
+def test_vectorised_reads_equal_the_record_loops(case, s_super, r):
+    traj, m, horizon, rng = case
+    assert (traj.lognorms, traj.tail_ratios, traj.masses) == reference_series(traj)
+    norm0 = float(rng.uniform(1e-3, 5.0))
+    got = solver.barrier_excess(traj, norm0, horizon, r, m)
+    assert got == reference_barrier_excess(traj, norm0, horizon, r, m)
+    n = traj.grid.cells
+    args = (m, horizon, rng.uniform(0.0, 3.0, n), s_super, norm0, rng.uniform(0.5, 5.0, n))
+    assert blowup.sandwich_gaps(traj, *args) == reference_sandwich_gaps(traj, *args)

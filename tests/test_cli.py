@@ -117,6 +117,30 @@ def test_barrier_check_eta(tmp_path):
     assert cert["params"]["K"] == pytest.approx(1 / 4.4, rel=1e-12)
 
 
+
+@pytest.mark.parametrize("nodes", ["0", "-1"])
+def test_barrier_check_rejects_empty_grid(tmp_path, nodes):
+    rc = run_cli(
+        "barrier-check", "--manifold", "euclidean", "--dim", "2", "--m", "2",
+        "--which", "super", "--nodes", nodes, "--out", str(tmp_path / "cert.json"),
+    )
+    assert rc == 2
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+def test_curvature_parameter_rejected_for_families_without_one(tmp_path, kind, capsys):
+    rc = run_cli(
+        "geometry", "--manifold", kind, "--dim", "3", "--c", "-1",
+        "--report", str(tmp_path / "g.json"),
+    )
+    assert rc == 2
+    assert "no curvature parameter" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("quad-critical", kind))
+    rc = run_cli("solve", "--config", cfg, "--out", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json"))
+    assert rc == 2
+    assert "no curvature parameter" in capsys.readouterr().err
+
+
 # -- solve ------------------------------------------------------------------------------
 
 
@@ -336,6 +360,14 @@ def test_uniq_check_writes_table(tmp_path):
     assert table[0] == "R,F,logF"
     logf = [float(line.split(",")[2]) for line in table[1:]]
     assert all(a > b for a, b in zip(logf, logf[1:]))
+
+
+
+@pytest.mark.parametrize(
+    "extra", [["--table-points", "-1"], ["--table-points", "0"], ["--dim", "0"], ["--dim", "1"]]
+)
+def test_uniq_check_rejects_bad_input(extra):
+    assert run_cli("uniq-check", "--T", "0.05", "--c_m", "1", "--k", "0.2", *extra) == 2
 
 
 # -- sweep -------------------------------------------------------------------------------

@@ -146,20 +146,21 @@ def test_validate_rejects_wrong_slope():
 
 @pytest.mark.parametrize("kind", ["euclidean", "hyperbolic", "quad-critical", "log-critical"])
 def test_fd_fallback_matches_closed_forms(kind):
+    # the built-ins' closed-form psi'/psi and psi''/psi against the
+    # difference-quotient ratios of ``custom`` wrapping the same psi
     built = {
         "euclidean": geometry.euclidean(3),
         "hyperbolic": geometry.hyperbolic(3),
         "quad-critical": geometry.quad_critical(0.5, 3),
         "log-critical": geometry.log_critical(1.0, 3),
     }[kind]
-    wrapped = geometry.custom(built.psi, dim=3)
+    wrapped = geometry.custom(sp.lambdify(RHO, SYMBOLIC[kind], "numpy"), dim=3)
     for rho in (0.05, 0.7, 1.0, 3.0, 8.0):
-        scale = abs(float(built.psi(rho)))
         for fd, exact in (
-            (wrapped.dpsi(rho), float(built.dpsi(rho))),
-            (wrapped.d2psi(rho), float(built.d2psi(rho))),
+            (wrapped.ratio1(rho), float(built.ratio1(rho))),
+            (wrapped.ratio2(rho), float(built.ratio2(rho))),
         ):
-            assert abs(float(fd) - exact) <= 1e-6 * max(abs(exact), scale)
+            assert abs(float(fd) - exact) <= 1e-6 * max(abs(exact), 1.0)
 
 
 # -- surface measure ---------------------------------------------------------------
@@ -238,6 +239,10 @@ def test_fit_preconditions():
 def test_make_manifold_dispatch():
     M = geometry.make_manifold("quad-critical", 3, 0.5)
     assert M.kind == "quad-critical" and M.c == 0.5
+    for kind in ("euclidean", "hyperbolic"):
+        assert geometry.make_manifold(kind, 3).c is None
+        with pytest.raises(DomainError):
+            geometry.make_manifold(kind, 3, 0.5)
     with pytest.raises(DomainError):
         geometry.make_manifold("quad-critical", 3, None)
     with pytest.raises(DomainError):

@@ -418,6 +418,44 @@ def test_odd_symmetry_is_exact(run):
     assert b.tail_ratios == a.tail_ratios
 
 
+@given(symmetric_runs())
+@settings(max_examples=80, deadline=None)
+def test_mass_balance_per_recorded_interval(run):
+    # Each accepted Newton solve leaves a residual g with max|g| <= tol * uscale,
+    # uscale = max(1, max|u_old|, |v_b|^(1/m)) <= U = max(1, max|u0|) under
+    # homogeneous Dirichlet data.  The flux terms of sum_i w_i g_i telescope
+    # to the boundary outflow, so each recorded interval obeys
+    #   |dmass + outflow| <= solves * tol * U * W + 8 cells eps W U^m,
+    # W = sum of the scaled cell weights; the second term covers rounding in
+    # the masses and in the flux sums.
+    grid, u0, cfg = run
+    solves = []  # accepted Newton solves of each step, one step per record
+    newton_solve, step = solver._newton_solve, solver.step
+
+    def counting_newton_solve(*args):
+        out = newton_solve(*args)
+        solves[-1] += out[1]
+        return out
+
+    def counting_step(*args):
+        solves.append(0)
+        return step(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton_solve", counting_newton_solve)
+        mp.setattr(solver, "step", counting_step)
+        traj = solver.solve_ball(u0, cfg, grid)
+    W = float(np.sum(grid.weights_scaled))
+    U = max(1.0, float(np.max(np.abs(u0))))
+    bound = (
+        np.array(solves) * cfg.newton_tol * U * W
+        + 8 * grid.cells * np.finfo(float).eps * W * U**cfg.m
+    )
+    defect = np.abs(np.diff(traj.masses) + traj.boundary_outflow[1:])
+    assert len(defect) == len(solves)
+    assert np.all(defect <= bound)
+
+
 # -- comparison principle ---------------------------------------------------------------
 
 

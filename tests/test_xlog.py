@@ -101,6 +101,9 @@ def test_limsup_requires_reach_or_descriptor():
 def test_norm_limit_is_half_ratio_for_m2():
     d = xlog.log_growth_datum(1.0, 2.0, GRID[1:])
     assert xlog.norm_limit(d) == pytest.approx(0.5, rel=1e-14)
+    assert xlog.norm_limit(d, 2.0) == xlog.norm_limit(d)
+    with pytest.raises(DomainError):
+        xlog.norm_limit(d, 3.0)  # the tail's own exponent is 2
 
 
 # -- invariants (property tests) ----------------------------------------------------
