@@ -47,7 +47,7 @@ from .barriers import (
     subsolution_params,
     supersolution_amplitude,
 )
-from .errors import DomainError, NotApplicableError, StageError
+from .errors import CertificateError, DomainError, NotApplicableError, StageError
 from .geometry import ComparisonConstants, ModelManifold
 from .grid import RadialGrid
 from .solver import BarrierDirichlet, DtPolicy, SolverConfig, Trajectory, solve_ball, tau_h
@@ -170,23 +170,28 @@ class BlowupLedger:
         }
 
     def validate(self, slack: float = 1e-6):
-        """Re-check the ledger invariants on the recorded values."""
+        """Re-check the ledger invariants and sandwich gaps on the recorded values."""
         if not self.stages:
             raise StageError("empty ledger")
-        t_prev = 0.0
+        t_prev, tol = 0.0, self.discretization_tol
         for k, s in enumerate(self.stages):
             if not (0.0 < s.eps < 1.0):
-                raise StageError(f"eps out of range at stage {s.n}", stage=s.n)
+                raise StageError(f"eps out of range at stage {s.n}")
             if not s.duration < s.horizon:
-                raise StageError(f"S >= T at stage {s.n}", stage=s.n)
+                raise StageError(f"S >= T at stage {s.n}")
             if not s.t_end > t_prev:
-                raise StageError(f"stage times not increasing at {s.n}", stage=s.n)
+                raise StageError(f"stage times not increasing at {s.n}")
+            if not (s.lower_gap <= tol and s.upper_gap <= tol):
+                raise CertificateError(
+                    f"sandwich gaps {s.lower_gap:.3e} (lower), {s.upper_gap:.3e} (upper) "
+                    f"exceed the tolerance {tol:.3e} at stage {s.n}"
+                )
             t_prev = s.t_end
             if k >= 1:
                 prev = self.stages[k - 1]
                 bound = prev.horizon - prev.duration + self.T1 / 2.0 ** (s.n - 1)
                 if s.horizon > bound * (1.0 + 1e-12):
-                    raise StageError(f"telescoping bound violated at {s.n}", stage=s.n)
+                    raise StageError(f"telescoping bound violated at {s.n}")
         if self.tau > self.tau_bound + slack:
             raise StageError("total duration exceeds 2 T1")
         lns = [s.lognorm for s in self.stages]
@@ -284,13 +289,13 @@ def run_blowup(
             T1 = T_next
         S_next = horizon_time(a_tilde / 2.0, limsup, m)
         if not S_next < T_next:
-            raise StageError(f"stage duration reached the horizon at n={n}", stage=n)
+            raise StageError(f"stage duration reached the horizon at n={n}")
 
         barrier = BarrierParams(amplitude=a_hat, r=r_hat, horizon=T_next, m=m)
         try:
             delta = stage_delta(u, barrier, grid.centers)
         except StageError as exc:
-            raise StageError(f"stage {n}: {exc}", stage=n) from exc
+            raise StageError(f"stage {n}: {exc}") from exc
 
         scfg = SolverConfig(
             m=m,

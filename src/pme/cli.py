@@ -11,8 +11,8 @@ Run objects come from the builders in ``pme.config``; ``blowup`` and each
 ``config.BLOWUP_KEYS``; each ``--values`` token enters the config as typed.
 
 Outputs are deterministic (identical bytes for identical config and build)
-and written atomically.  Exit codes: 0 success, 2 configuration error,
-3 certificate failure, 4 solver failure.
+and written atomically.  Exit codes: 0 success, else the ``exit_code`` of the
+``PMEError`` raised (``pme.errors``: 2 bad input, 3 certificate, 4 solver).
 """
 
 from __future__ import annotations
@@ -29,16 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import barriers, blowup, config as cfgmod, geometry, solver, xlog
-from .errors import (
-    CertificateError,
-    ConfigError,
-    DomainError,
-    NotApplicableError,
-    NotCriticalError,
-    PMEError,
-    SolverError,
-    StageError,
-)
+from .errors import EXIT_LABELS, CertificateError, ConfigError, PMEError, SolverError
 from .grid import RadialGrid
 
 logger = logging.getLogger("pme")
@@ -84,24 +75,20 @@ def write_json(path, obj):
 
 
 def write_csv(path, header, rows):
+    """CSV of ``rows``, each value written with ``str`` (pass Python scalars)."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+        lines.append(",".join(map(str, row)))
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(float(x))  # numpy scalars would print as np.float64(...)
-    return str(x)
 
 
 def write_trajectory(path, traj: solver.Trajectory):
     """Trajectory CSV: one ``t,rho,u`` row per recorded time and cell."""
+    centers = traj.grid.centers.tolist()
     rows = [
         (t, rho, val)
         for t, u in zip(traj.times, traj.fields)
-        for rho, val in zip(traj.grid.centers, u)
+        for rho, val in zip(centers, u.tolist())
     ]
     write_csv(path, ["t", "rho", "u"], rows)
 
@@ -166,9 +153,7 @@ def cmd_geometry(args) -> int:
 
 def cmd_barrier_check(args) -> int:
     manifold = _manifold_from_args(args)
-    m = args.m
-    if m <= 1.0:
-        raise ConfigError("the PME exponent must satisfy m > 1")
+    m = cfgmod.exponent_from({"m": repr(args.m)})
     if args.nodes < 1:
         raise ConfigError("--nodes must be >= 1")
     grid = barriers.default_certificate_grid(args.rho_max, args.nodes)
@@ -233,6 +218,7 @@ def cmd_solve(args) -> int:
     write_trajectory(args.out, traj)
 
     norm0 = xlog.log_norm(datum, xlog.LogNorm(scfg.norm_r, m))
+    tol = solver.tau_h(grid.h, float(np.max(np.abs(traj.stacked))))
     excess = None
     if horizon is not None and norm0 > 0:
         excess = solver.barrier_excess(traj, norm0, horizon, scfg.norm_r, m)
@@ -245,14 +231,11 @@ def cmd_solve(args) -> int:
         "existence_time": et.time,
         "existence_time_limit": et.limit_time,
         "global_existence": et.global_flag,
-        "tau_h": solver.tau_h(grid.h, max(1.0, max(traj.lognorms) * 10.0)),
+        "tau_h": tol,
     }
     write_json(args.summary, summary)
-    scale = float(np.max(np.abs(traj.stacked)))
-    if excess is not None and excess > solver.tau_h(grid.h, scale):
-        raise CertificateError(
-            f"barrier sandwich violated by {excess:.3e} (tolerance {solver.tau_h(grid.h, scale):.3e})"
-        )
+    if excess is not None and excess > tol:
+        raise CertificateError(f"barrier sandwich violated by {excess:.3e} (tolerance {tol:.3e})")
     return 0
 
 
@@ -474,24 +457,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_float_options(args):
+    """Every float option is finite, as a config key read by ``get_float`` is."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"option {name!r} must be finite, got {value!r}")
+
+
 def main(argv=None) -> int:
-    """Run one subcommand; exceptions map to the exit-code contract."""
+    """Run one subcommand; a PMEError exits with its class's ``exit_code``."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        _check_float_options(args)
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
-        print(f"pme: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (CertificateError, NotApplicableError, NotCriticalError) as exc:
-        print(f"pme: certificate failure: {exc}", file=sys.stderr)
-        return 3
-    except (SolverError, StageError) as exc:
-        print(f"pme: solver failure: {exc}", file=sys.stderr)
-        return 4
+    except PMEError as exc:
+        print(f"pme: {EXIT_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

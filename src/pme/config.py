@@ -1,10 +1,12 @@
 """Line-oriented ``key = value`` run configuration, and the objects built from it.
 
 Strict parsing: unknown keys are rejected, values are validated before any
-computation starts, and every constraint violation raises ConfigError (CLI
-exit code 2).  The initial datum is one of ``log-growth(b)``, ``bounded(B)``
-or ``table(path.csv)``; tables are two-column CSV ``rho,value`` with a
-header row, interpolated linearly onto the solver grid.
+computation starts, and every constraint violation raises an error with exit
+code 2: ConfigError here (an unreadable config or table file too), DomainError
+or InvalidManifoldError from the manifold constructors.  The initial datum is
+one of ``log-growth(b)``, ``bounded(B)`` or ``table(path.csv)``; tables are
+two-column CSV ``rho,value`` with a header row, interpolated linearly onto the
+solver grid.
 
 ``solver_config_from`` and ``blowup_config_from`` map a config dict to run
 objects for every subcommand and ``sweep`` row.  An absent optional key keeps
@@ -68,11 +70,19 @@ KNOWN_KEYS = {
 _U0_RE = re.compile(r"^(log-growth|bounded|table)\(([^)]*)\)$")
 
 
+def _read_text(path) -> str:
+    """Text of the file ``path``; an unreadable file is a ConfigError."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # OSError: no repeated path
+        raise ConfigError(f"cannot read {path}: {reason}") from exc
+
+
 def parse_config(path) -> dict:
     """Parse a config file into a {key: string} dict (strict keys)."""
-    text = Path(path).read_text()
     out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -184,15 +194,8 @@ def manifold_from(cfg: dict) -> ModelManifold:
         raise ConfigError("missing required key 'manifold'")
     dim = get_int(cfg, "dim", minimum=2)
     c = get_float(cfg, "c") if "c" in cfg else None
-    if kind in ("quad-critical", "log-critical") and (c is None or c <= 0):
-        raise ConfigError(f"manifold '{kind}' requires c > 0")
-    try:
-        manifold = make_manifold(kind, dim, c)
-        manifold.validate()
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
+    manifold = make_manifold(kind, dim, c)
+    manifold.validate()
     return manifold
 
 
@@ -243,10 +246,7 @@ def datum_from(cfg: dict) -> DatumSpec:
         )
     kind, arg = match.group(1), match.group(2).strip()
     if kind == "table":
-        path = Path(arg)
-        if not path.exists():
-            raise ConfigError(f"u0 table file not found: {path}")
-        rho, vals = _read_table(path)
+        rho, vals = _read_table(arg)
         return DatumSpec(kind="table", table_rho=rho, table_values=vals)
     try:
         amp = float(arg)
@@ -257,20 +257,19 @@ def datum_from(cfg: dict) -> DatumSpec:
     return DatumSpec(kind=kind, amplitude=amp)
 
 
-def _read_table(path: Path):
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["rho", "value"]:
-            raise ConfigError(f"{path}: table needs a 'rho,value' header row")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad table row {row!r}") from exc
+def _read_table(path):
+    reader = csv.reader(_read_text(path).splitlines())
+    header = next(reader, None)
+    if header is None or [h.strip().lower() for h in header[:2]] != ["rho", "value"]:
+        raise ConfigError(f"{path}: table needs a 'rho,value' header row")
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            rows.append((float(row[0]), float(row[1])))
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad table row {row!r}") from exc
     if len(rows) < 2:
         raise ConfigError(f"{path}: table needs at least two rows")
     rho = np.array([r[0] for r in rows])

@@ -414,7 +414,7 @@ def fit_comparison_constants(
         bad = _diverging(ratio, rho)
         if bad is not None:
             raise NotCriticalError(
-                f"drift grows faster than quadratically near rho={bad:.3g}", probe=bad
+                f"drift grows faster than quadratically near rho={bad:.3g}"
             )
     sup, where = _extremum_with_limits(ratio, rho, head, tail)
     c_prime = (1.0 + FIT_MARGIN) * sup
@@ -433,9 +433,7 @@ def fit_comparison_constants(
     ric_head = float(nm1 * np.asarray(manifold.ratio2(1e-6), dtype=float))
     ric_tail = None if tails is None else tails["ricci"]
     if tails is None and _diverging(neg_ric, rho) is not None:
-        raise NotCriticalError(
-            "Ricci curvature diverges faster than quadratically", probe=float(rho[-1])
-        )
+        raise NotCriticalError("Ricci curvature diverges faster than quadratically")
     sup, where = _extremum_with_limits(neg_ric, rho, ric_head, ric_tail)
     c_o = (1.0 + FIT_MARGIN) * max(sup, 0.0)
     attained["c_o"] = where

@@ -4,6 +4,7 @@ The full-run test uses a small ball so it stays fast; the acceptance suite
 runs the production-size configuration.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pme import barriers, blowup, geometry, solver, xlog
-from pme.errors import NotApplicableError, StageError
+from pme.errors import CertificateError, NotApplicableError, StageError
 from pme.grid import RadialGrid
 
 RHO_REF = np.geomspace(1e-3, 1e6, 3000)
@@ -174,6 +175,17 @@ def test_sandwich_gaps_within_tolerance(desk_ledger):
     worst_up = max(s.upper_gap for s in led.stages)
     assert worst_low <= led.discretization_tol
     assert worst_up <= led.discretization_tol
+
+
+@pytest.mark.parametrize("gap", ["lower_gap", "upper_gap"])
+@pytest.mark.parametrize("factor", [1.5, math.nan])
+def test_validate_rejects_a_sandwich_gap_above_tolerance(desk_ledger, gap, factor):
+    led = desk_ledger
+    k = len(led.stages) // 2
+    bad = dataclasses.replace(led.stages[k], **{gap: factor * led.discretization_tol})
+    stages = [*led.stages[:k], bad, *led.stages[k + 1 :]]
+    with pytest.raises(CertificateError, match=f"at stage {bad.n}$"):
+        dataclasses.replace(led, stages=stages).validate()
 
 
 def test_bounded_datum_rejected():

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from pme import cli
+from pme import cli, errors, solver
 
 
 def run_cli(*argv):
@@ -161,6 +161,9 @@ def test_solve_writes_outputs(tmp_path):
     }
     assert data["max_barrier_violation"] < 0.5
     assert len(data["tail_ratio_series"]) == len(data["log_norm_series"])
+    # the reported tolerance is the one the sandwich gate applies: h = R/cells
+    max_u = max(abs(float(row.split(",")[2])) for row in out.read_text().splitlines()[1:])
+    assert data["tau_h"] == solver.tau_h(20 / 200, max_u)
 
 
 def test_solve_rejects_small_exponent(tmp_path, capsys):
@@ -616,3 +619,131 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "barrier-check" in proc.stdout
+
+
+# -- exit codes ---------------------------------------------------------------------------
+
+# the documented contract (README "Command line", ``pme.errors``)
+EXIT_CODES = {
+    errors.ConfigError: 2,
+    errors.DomainError: 2,
+    errors.InvalidManifoldError: 2,
+    errors.TailMismatchError: 2,
+    errors.CertificateError: 3,
+    errors.NotApplicableError: 3,
+    errors.NotCriticalError: 3,
+    errors.SolverError: 4,
+    errors.StageError: 4,
+}
+PREFIXES = {2: "pme: configuration error: ", 3: "pme: certificate failure: ", 4: "pme: solver failure: "}
+
+
+def error_classes(cls=errors.PMEError):
+    """Every subclass of ``cls``, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", list(error_classes()), ids=lambda cls: cls.__name__)
+def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, cls):
+    assert cls in EXIT_CODES, f"{cls.__name__} has no documented exit code"
+
+    def stub(args):
+        raise cls("stub failure")
+
+    monkeypatch.setattr(cli, "cmd_uniq_check", stub)
+    rc = run_cli("uniq-check", "--T", "0.05", "--c_m", "1")
+    assert rc == EXIT_CODES[cls]
+    assert capsys.readouterr().err == PREFIXES[rc] + "stub failure\n"
+
+
+def test_documented_exit_codes_name_only_existing_classes():
+    assert set(EXIT_CODES) == set(error_classes())
+
+
+def assert_one_configuration_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert len(err.splitlines()) == 1 and err.startswith(PREFIXES[2]), err
+
+
+def quad_args(command, *extra):
+    return [command, "--manifold", "quad-critical", "--dim", "3", "--c", "0.5", *extra]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uniq-check", "--T", "nan", "--c_m", "1", "--k", "0.2"],
+        ["uniq-check", "--T", "0.05", "--c_m", "1", "--k", "nan"],
+        ["uniq-check", "--T", "0.05", "--c_m", "1", "--c2", "nan"],
+        ["uniq-check", "--T", "0.05", "--c_m", "inf", "--k", "0.2"],
+        ["uniq-check", "--T", "0.05", "--c_m", "1", "--r0=-inf"],
+        ["uniq-check", "--T", "0.05", "--c_m", "1", "--k", "0.2", "--m", "nan"],
+        quad_args("barrier-check", "--m", "nan", "--which", "super", "--out", "{tmp}/c.json"),
+        quad_args("barrier-check", "--m", "2", "--which", "eta", "--c2", "nan", "--out", "{tmp}/c.json"),
+        quad_args("barrier-check", "--m", "2", "--which", "sub", "--rho-max", "inf", "--out", "{tmp}/c.json"),
+        quad_args("geometry", "--rho-max", "nan", "--report", "{tmp}/g.json"),
+        ["geometry", "--manifold", "quad-critical", "--dim", "3", "--c", "nan", "--report", "{tmp}/g.json"],
+    ],
+)
+def test_non_finite_float_options_are_configuration_errors(tmp_path, capsys, argv):
+    rc = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert_one_configuration_error(rc, capsys)
+    assert not any(tmp_path.iterdir())
+
+
+def solve_args(tmp_path, cfg):
+    return ["solve", "--config", cfg, "--out", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")]
+
+
+def undecodable_cfg(tmp_path):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\xff\xfe manifold = euclidean\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        pytest.param(
+            lambda tmp: quad_args("geometry", "--rho-max", "1e200", "--report", str(tmp / "g.json")),
+            id="geometry-psi-overflow",
+        ),
+        pytest.param(
+            lambda tmp: quad_args(
+                "barrier-check", "--m", "2", "--which", "super", "--rho-max", "1e200",
+                "--out", str(tmp / "c.json"),
+            ),
+            id="barrier-check-psi-overflow",
+        ),
+        pytest.param(lambda tmp: solve_args(tmp, str(tmp / "missing.cfg")), id="solve-missing-config"),
+        pytest.param(
+            lambda tmp: ["sweep", "--config", str(tmp / "missing.cfg"), "--param", "b",
+                         "--values", "1", "--workers", "1", "--out", str(tmp / "s.csv")],
+            id="sweep-missing-config",
+        ),
+        pytest.param(lambda tmp: solve_args(tmp, str(tmp)), id="solve-config-is-a-directory"),
+        pytest.param(lambda tmp: solve_args(tmp, undecodable_cfg(tmp)), id="solve-undecodable-config"),
+        pytest.param(
+            lambda tmp: solve_args(
+                tmp, write_cfg(tmp, BASE_CFG.replace("log-growth(1.0)", f"table({tmp})"))
+            ),
+            id="solve-table-is-a-directory",
+        ),
+        pytest.param(
+            lambda tmp: solve_args(
+                tmp, write_cfg(tmp, BASE_CFG.replace("log-growth(1.0)", f"table({tmp}/no.csv)"))
+            ),
+            id="solve-missing-table",
+        ),
+        pytest.param(
+            lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG.replace("c = 0.5", "c = -1"))),
+            id="solve-negative-curvature-parameter",
+        ),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_argv):
+    rc = run_cli(*make_argv(tmp_path))
+    assert_one_configuration_error(rc, capsys)
