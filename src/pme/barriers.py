@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NotApplicableError
-from .geometry import ComparisonConstants, ModelManifold
+from .geometry import ComparisonConstants, ModelManifold, probe_grid
 
 RESIDUAL_TOL = 1e-10
 ETA_TOL = 1e-12
@@ -133,6 +133,7 @@ class CertificateReport:
     params: dict
     details: dict
 
+    # hand-written because its key "pass" is a Python keyword, not a field name
     def as_json_dict(self) -> dict:
         return {
             "pass": bool(self.passed),
@@ -144,12 +145,8 @@ class CertificateReport:
         }
 
 
-def default_certificate_grid(rho_max: float = 1e3, nodes: int = 10**4) -> np.ndarray:
-    return np.geomspace(1e-3, rho_max, nodes)
-
-
 def _certificate_grid(rho_grid) -> np.ndarray:
-    rho = default_certificate_grid() if rho_grid is None else np.asarray(rho_grid)
+    rho = probe_grid(1e3, 10**4) if rho_grid is None else np.asarray(rho_grid)
     if rho.size == 0:
         raise DomainError("a certificate needs at least one grid node")
     return rho
@@ -171,33 +168,31 @@ def _report(res, rho, params: dict, details: dict, ok: bool = True) -> Certifica
 def certify_supersolution(
     p: BarrierParams,
     manifold: ModelManifold,
-    consts: Optional[ComparisonConstants] = None,
+    consts: ComparisonConstants,
     rho_grid: Optional[np.ndarray] = None,
 ) -> CertificateReport:
     """Certify W >= (m-1) Laplacian(W^m) for the unit-horizon profile.
 
-    Residuals are scaled by |W| + |(m-1) Lap(W^m)| per node.  When
-    comparison constants are supplied, the sufficient amplitude condition
-    2m a^(m-1) [C'(1+rho^2) + (m+1)/(m-1)] <= r^2 + rho^2 is checked too.
+    Residuals are scaled by |W| + |(m-1) Lap(W^m)| per node.  The sufficient
+    amplitude condition 2m a^(m-1) [C'(1+rho^2) + (m+1)/(m-1)] <= r^2 + rho^2
+    is checked too.
     """
     rho = _certificate_grid(rho_grid)
     w = p.profile_unit(rho)
     lap = (p.m - 1.0) * laplacian_wm(p, manifold, rho)
-    details = {}
-    if consts is not None:
-        lhs = (
-            2.0
-            * p.m
-            * p.amplitude ** (p.m - 1.0)
-            * (consts.c_prime * (1.0 + rho**2) + (p.m + 1.0) / (p.m - 1.0))
-        )
-        margin = (p.r**2 + rho**2) - lhs
-        j = int(np.argmin(margin))
-        details["amplitude_condition_ok"] = bool(margin[j] >= 0.0)
-        details["amplitude_condition_min_margin"] = float(margin[j])
+    lhs = (
+        2.0
+        * p.m
+        * p.amplitude ** (p.m - 1.0)
+        * (consts.c_prime * (1.0 + rho**2) + (p.m + 1.0) / (p.m - 1.0))
+    )
+    margin = (p.r**2 + rho**2) - lhs
+    j = int(np.argmin(margin))
+    ok = bool(margin[j] >= 0.0)
+    details = {"amplitude_condition_ok": ok, "amplitude_condition_min_margin": float(margin[j])}
     res = (w - lap) / (np.abs(w) + np.abs(lap))
     params = {"a": p.amplitude, "r": p.r, "m": p.m}
-    return _report(res, rho, params, details, details.get("amplitude_condition_ok", True))
+    return _report(res, rho, params, details, ok)
 
 
 def certify_subsolution(
@@ -227,15 +222,10 @@ def _lower_envelope_min(c_dd: float, r: float) -> float:
     return min(vals)
 
 
-def subsolution_params(
-    consts: ComparisonConstants,
-    m: float,
-    rho_grid: Optional[np.ndarray] = None,
-    r_max: int = 1024,
-) -> BarrierParams:
+def subsolution_params(consts: ComparisonConstants, m: float) -> BarrierParams:
     """Smallest integer weight offset and matching large amplitude.
 
-    Scans r = 2, 3, ... for the first offset with
+    Scans r = 2, 3, ..., 1024 for the first offset with
     C''(1+rho^2) + 1 - 2 rho^2/(r^2+rho^2) >= (C''/2)(1+rho^2) for all rho
     (closed-form minimum double-checked on the probe grid), then sets
     a = (r^2 / (C'' m))^(1/(m-1)) exactly.  Horizon is left at 1.
@@ -245,9 +235,8 @@ def subsolution_params(
             "model carries no lower quadratic drift certificate"
         )
     c_dd = consts.c_double_prime
-    rho = default_certificate_grid(1e3, 4096) if rho_grid is None else np.asarray(rho_grid)
-    x = rho**2
-    for r in range(2, r_max + 1):
+    x = probe_grid(1e3, 4096) ** 2
+    for r in range(2, 1025):
         if _lower_envelope_min(c_dd, float(r)) < 0.0:
             continue
         vals = c_dd / 2.0 * (1.0 + x) + 1.0 - 2.0 * x / (r * r + x)
@@ -317,27 +306,21 @@ class EtaBarrierParams:
             raise DomainError("coefficient bound must be positive")
 
 
-def select_K(
-    c2: float,
-    inner_radius: float = 2.0,
-    margin: float = K_MARGIN,
-    rho_max: float = 1e6,
-    nodes: int = 20001,
-) -> float:
-    """Largest safe decay constant: K = 1 / ((1+margin) C2 G*).
+def select_K(c2: float, inner_radius: float = 2.0) -> float:
+    """Largest safe decay constant: K = 1 / ((1+K_MARGIN) C2 G*).
 
     G* = sup_{rho >= R0} log(2+rho) (2 log rho - 1)^2 / (log rho)^3 is taken
-    as the max of a grid scan and its analytic limit 4 at infinity (the
-    supremum is approached from below along the tail).
+    as the max of a scan of [R0, 1e6] and its analytic limit 4 at infinity
+    (the supremum is approached from below along the tail).
     """
     if c2 <= 0:
         raise DomainError("C2 must be positive")
     if inner_radius < 2.0:
         raise DomainError("inner radius must be >= 2")
-    rho = np.geomspace(inner_radius, rho_max, nodes)
+    rho = np.geomspace(inner_radius, 1e6, 20001)
     g = np.log(2.0 + rho) * (2.0 * np.log(rho) - 1.0) ** 2 / np.log(rho) ** 3
     g_star = max(float(np.max(g)), 4.0)
-    return 1.0 / ((1.0 + margin) * c2 * g_star)
+    return 1.0 / ((1.0 + K_MARGIN) * c2 * g_star)
 
 
 def eta(p: EtaBarrierParams, rho, t):
@@ -449,9 +432,10 @@ def decay_product(c_m: float, decay: float, horizon: float, m: float, radius: fl
     return math.exp(lf)
 
 
-def decay_regime(c_m: float, decay: float, horizon: float, rel_tol: float = 1e-12) -> str:
-    """'decay' when T < K/(2 C_M), 'growth' when above, 'boundary' at the knife edge."""
+def decay_regime(c_m: float, decay: float, horizon: float) -> str:
+    """'decay' when T < K/(2 C_M), 'growth' when above, 'boundary' within a
+    relative 1e-12 of the knife edge."""
     critical = decay / (2.0 * c_m)
-    if abs(horizon - critical) <= rel_tol * critical:
+    if abs(horizon - critical) <= 1e-12 * critical:
         return "boundary"
     return "decay" if horizon < critical else "growth"

@@ -28,6 +28,9 @@ and of the small-amplitude supersolution (``barriers.separable_envelopes``),
 giving the ledger's lower and upper gaps.  Horizons, durations and growth
 factors all come from ``barriers.horizon_time`` and
 ``barriers.blowup_factor``.
+
+``pme blowup`` writes the ledger JSON straight from the ``BlowupLedger`` and
+``StageRecord`` fields, named as in the construction (T_n, S_n, eps_n, ...).
 """
 
 from __future__ import annotations
@@ -112,31 +115,16 @@ def stage_delta(u: np.ndarray, p: BarrierParams, rho: np.ndarray) -> float:
 @dataclass(frozen=True)
 class StageRecord:
     n: int
-    horizon: float  # T_n
-    duration: float  # S_n
-    eps: float
-    delta: float
-    t_end: float  # t_n = sum of durations
+    T_n: float  # stage horizon
+    S_n: float  # stage duration
+    eps_n: float
+    delta_n: float
+    t_n: float  # sum of the durations S_1 + ... + S_n
     liminf_est: float
     limsup_est: float
     lognorm: float
     lower_gap: float  # worst (subsolution - u) over the stage; <= tau is good
     upper_gap: float  # worst (u - supersolution) over the stage
-
-    def as_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "T_n": self.horizon,
-            "S_n": self.duration,
-            "eps_n": self.eps,
-            "delta_n": self.delta,
-            "t_n": self.t_end,
-            "liminf_est": self.liminf_est,
-            "limsup_est": self.limsup_est,
-            "lognorm": self.lognorm,
-            "lower_gap": self.lower_gap,
-            "upper_gap": self.upper_gap,
-        }
 
 
 @dataclass
@@ -156,43 +144,30 @@ class BlowupLedger:
     # before the certified geometric growth takes over.
     growth_onset: int = 0
 
-    def as_json_dict(self) -> dict:
-        return {
-            "stages": [s.as_json_dict() for s in self.stages],
-            "T1": self.T1,
-            "tau": self.tau,
-            "tau_bound": self.tau_bound,
-            "status": self.status,
-            "initial_lognorm": self.initial_lognorm,
-            "threshold": self.threshold,
-            "discretization_tol": self.discretization_tol,
-            "growth_onset": self.growth_onset,
-        }
-
-    def validate(self, slack: float = 1e-6):
+    def validate(self):
         """Re-check the ledger invariants and sandwich gaps on the recorded values."""
         if not self.stages:
             raise StageError("empty ledger")
         t_prev, tol = 0.0, self.discretization_tol
         for k, s in enumerate(self.stages):
-            if not (0.0 < s.eps < 1.0):
+            if not (0.0 < s.eps_n < 1.0):
                 raise StageError(f"eps out of range at stage {s.n}")
-            if not s.duration < s.horizon:
+            if not s.S_n < s.T_n:
                 raise StageError(f"S >= T at stage {s.n}")
-            if not s.t_end > t_prev:
+            if not s.t_n > t_prev:
                 raise StageError(f"stage times not increasing at {s.n}")
             if not (s.lower_gap <= tol and s.upper_gap <= tol):
                 raise CertificateError(
                     f"sandwich gaps {s.lower_gap:.3e} (lower), {s.upper_gap:.3e} (upper) "
                     f"exceed the tolerance {tol:.3e} at stage {s.n}"
                 )
-            t_prev = s.t_end
+            t_prev = s.t_n
             if k >= 1:
                 prev = self.stages[k - 1]
-                bound = prev.horizon - prev.duration + self.T1 / 2.0 ** (s.n - 1)
-                if s.horizon > bound * (1.0 + 1e-12):
+                bound = prev.T_n - prev.S_n + self.T1 / 2.0 ** (s.n - 1)
+                if s.T_n > bound * (1.0 + 1e-12):
                     raise StageError(f"telescoping bound violated at {s.n}")
-        if self.tau > self.tau_bound + slack:
+        if self.tau > self.tau_bound + 1e-6:
             raise StageError("total duration exceeds 2 T1")
         lns = [s.lognorm for s in self.stages]
         if any(b <= a for a, b in zip(lns[self.growth_onset :], lns[self.growth_onset + 1 :])):
@@ -334,11 +309,11 @@ def run_blowup(
         stages.append(
             StageRecord(
                 n=n + 1,
-                horizon=T_next,
-                duration=S_next,
-                eps=eps,
-                delta=delta,
-                t_end=t_n,
+                T_n=T_next,
+                S_n=S_next,
+                eps_n=eps,
+                delta_n=delta,
+                t_n=t_n,
                 liminf_est=liminf,
                 limsup_est=limsup,
                 lognorm=lognorm,

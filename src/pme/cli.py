@@ -8,16 +8,19 @@ Subcommands: ``geometry`` (comparison constants report), ``barrier-check``
 Run objects come from the builders in ``pme.config``; ``blowup`` and each
 ``sweep`` row share one path from a config dict to a validated ledger.
 ``sweep --param`` takes ``b`` (log-growth amplitude) or a key in
-``config.BLOWUP_KEYS``; each ``--values`` token enters the config as typed.
+``config.BLOWUP_KEYS``; each ``--values`` token enters the config as typed,
+and a config key outside ``BLOWUP_KEYS`` exits 2 before any run.
 
 Outputs are deterministic (identical bytes for identical config and build)
-and written atomically.  Exit codes: 0 success, else the ``exit_code`` of the
-``PMEError`` raised (``pme.errors``: 2 bad input, 3 certificate, 4 solver).
+and written atomically; ``write_json`` writes a report dataclass by its field
+names.  Exit codes: 0 success, else the ``exit_code`` of the ``PMEError``
+raised (``pme.errors``: 2 bad input, 3 certificate, 4 solver).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -28,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import barriers, blowup, config as cfgmod, geometry, solver, xlog
+from . import barriers, blowup, config as cfgmod, geometry, solver
 from .errors import EXIT_LABELS, CertificateError, ConfigError, PMEError, SolverError
 from .grid import RadialGrid
 
@@ -55,9 +58,11 @@ def _atomic_write(path, text: str):
 
 
 def _finite_or_null(obj):
-    """``obj`` with every non-finite float replaced by None (JSON ``null``)."""
+    """``obj`` with non-finite floats as None (JSON ``null``) and dataclasses as field dicts."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _finite_or_null(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {key: _finite_or_null(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -119,6 +124,7 @@ def _manifold_from_args(args):
 
 def _blowup_setup(cfg: dict):
     """Validated inputs of a blow-up run: manifold, datum spec and settings."""
+    cfgmod.reject_keys(cfg, cfg.keys() - cfgmod.BLOWUP_KEYS, "the blow-up run")
     manifold = cfgmod.manifold_from(cfg)
     m = cfgmod.exponent_from(cfg)
     return manifold, cfgmod.datum_from(cfg), cfgmod.blowup_config_from(cfg, m)
@@ -144,41 +150,52 @@ def cmd_geometry(args) -> int:
     consts = geometry.fit_comparison_constants(
         manifold, rho_max=args.rho_max, n_probe=args.n_probe
     )
-    report = consts.as_json_dict()
-    report["manifold"] = {"kind": manifold.kind, "dim": manifold.dim, "c": manifold.c}
-    write_json(args.report, report)
+    manifold_key = {"kind": manifold.kind, "dim": manifold.dim, "c": manifold.c}
+    write_json(args.report, {**dataclasses.asdict(consts), "manifold": manifold_key})
     logger.info("geometry constants written to %s", args.report)
     return 0
+
+
+# barrier-check flags that only some --which read, with their defaults there
+_WHICH_DEFAULTS = {
+    "super": {"nodes": 10**4},
+    "sub": {"nodes": 10**4},
+    "eta": {"c2": 1.0, "r0": 2.0},
+}
 
 
 def cmd_barrier_check(args) -> int:
     manifold = _manifold_from_args(args)
     m = cfgmod.exponent_from({"m": repr(args.m)})
-    if args.nodes < 1:
-        raise ConfigError("--nodes must be >= 1")
-    grid = barriers.default_certificate_grid(args.rho_max, args.nodes)
-    if args.which == "super":
-        consts = geometry.fit_comparison_constants(manifold, rho_max=max(10.0, args.rho_max))
-        a = barriers.supersolution_amplitude(consts.c_prime, m)
-        params = barriers.BarrierParams(amplitude=a, r=2.0, horizon=1.0, m=m)
-        report = barriers.certify_supersolution(params, manifold, consts, grid)
-        out = report.as_json_dict()
-        out["params"] = {"a": a, "r": 2.0, "K": None}
-    elif args.which == "sub":
-        consts = geometry.fit_comparison_constants(manifold, rho_max=max(10.0, args.rho_max))
-        params = barriers.subsolution_params(consts, m)
-        report = barriers.certify_subsolution(params, manifold, grid)
-        out = report.as_json_dict()
-        out["params"] = {"a": params.amplitude, "r": params.r, "K": None}
-    else:  # eta
-        k = barriers.select_K(args.c2, args.r0)
+    opt = dict(_WHICH_DEFAULTS[args.which])
+    for name in ("nodes", "c2", "r0"):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in opt:
+            raise ConfigError(f"--which {args.which} does not read --{name}")
+        opt[name] = value
+    if args.which == "eta":
+        k = barriers.select_K(opt["c2"], opt["r0"])
         eta_params = barriers.EtaBarrierParams(
-            decay=k, scale=1.0, horizon=1.0, inner_radius=args.r0, coeff_bound=args.c2
+            decay=k, scale=1.0, horizon=1.0, inner_radius=opt["r0"], coeff_bound=opt["c2"]
         )
         report = barriers.certify_eta(eta_params, dim=manifold.dim, rho_max=args.rho_max)
-        out = report.as_json_dict()
-        out["params"] = {"a": None, "r": None, "K": k}
-    write_json(args.out, out)
+        params = {"a": None, "r": None, "K": k}
+    else:
+        if opt["nodes"] < 1:
+            raise ConfigError("--nodes must be >= 1")
+        grid = geometry.probe_grid(args.rho_max, opt["nodes"])
+        consts = geometry.fit_comparison_constants(manifold, rho_max=max(10.0, args.rho_max))
+        if args.which == "super":
+            a = barriers.supersolution_amplitude(consts.c_prime, m)
+            barrier = barriers.BarrierParams(amplitude=a, r=2.0, horizon=1.0, m=m)
+            report = barriers.certify_supersolution(barrier, manifold, consts, grid)
+        else:
+            barrier = barriers.subsolution_params(consts, m)
+            report = barriers.certify_subsolution(barrier, manifold, grid)
+        params = {"a": barrier.amplitude, "r": barrier.r, "K": None}
+    write_json(args.out, {**report.as_json_dict(), "params": params})
     if not report.passed:
         raise CertificateError(
             f"{args.which} certificate failed: residual {report.min_residual:.3e} "
@@ -217,11 +234,10 @@ def cmd_solve(args) -> int:
     traj = solver.solve_ball(spec.profile(m), scfg, grid, barrier_horizon=horizon)
     write_trajectory(args.out, traj)
 
-    norm0 = xlog.log_norm(datum, xlog.LogNorm(scfg.norm_r, m))
     tol = solver.tau_h(grid.h, float(np.max(np.abs(traj.stacked))))
     excess = None
-    if horizon is not None and norm0 > 0:
-        excess = solver.barrier_excess(traj, norm0, horizon, scfg.norm_r, m)
+    if horizon is not None:  # a finite horizon implies a positive norm
+        excess = solver.barrier_excess(traj, et.norm, horizon, scfg.norm_r, m)
     summary = {
         "log_norm_series": traj.lognorms,
         "tail_ratio_series": traj.tail_ratios,
@@ -245,16 +261,10 @@ def cmd_exhaust(args) -> int:
     cells = cfgmod.get_int(cfg, "cells", minimum=3)
     scfg = cfgmod.solver_config_from(cfg, m)
     rep = solver.exhaust(spec.profile(m), scfg, manifold, radii, cells)
-    out = {
-        "radii": rep.radii,
-        "monotonicity_gap": rep.monotonicity_gap,
-        "inner_increments": rep.inner_increments,
-        "tau_h": rep.tau,
-    }
-    write_json(args.out, out)
-    if rep.monotonicity_gap > rep.tau:
+    write_json(args.out, rep)
+    if rep.monotonicity_gap > rep.tau_h:
         raise CertificateError(
-            f"exhaustion monotonicity violated: gap {rep.monotonicity_gap:.3e} > {rep.tau:.3e}"
+            f"exhaustion monotonicity violated: gap {rep.monotonicity_gap:.3e} > {rep.tau_h:.3e}"
         )
     return 0
 
@@ -269,7 +279,7 @@ def cmd_blowup(args) -> int:
             write_trajectory(dump_dir / f"stage_{n:04d}.csv", traj)
 
     ledger = _blowup_ledger(cfg, stage_hook=hook)
-    write_json(args.ledger, ledger.as_json_dict())
+    write_json(args.ledger, ledger)
     logger.info(
         "blow-up run: %s after %d stages, tau=%.6g",
         ledger.status,
@@ -348,11 +358,6 @@ def _sweep_row(cfg: dict) -> list:
 
 
 def cmd_sweep(args) -> int:
-    if args.param != "b" and args.param not in cfgmod.BLOWUP_KEYS:
-        raise ConfigError(
-            f"--param {args.param!r}: expected 'b' or a key the blow-up run reads "
-            f"({', '.join(sorted(cfgmod.BLOWUP_KEYS))})"
-        )
     base = cfgmod.parse_config(args.config)
     tokens = sorted(_numbers(args.values, "--values"), key=float)
     if not tokens:
@@ -410,9 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--m", type=float, required=True)
     b.add_argument("--which", choices=("super", "sub", "eta"), required=True)
     b.add_argument("--rho-max", type=float, default=1e3)
-    b.add_argument("--nodes", type=int, default=10**4)
-    b.add_argument("--c2", type=float, default=1.0, help="coefficient bound for eta")
-    b.add_argument("--r0", type=float, default=2.0, help="inner radius for eta")
+    b.add_argument("--nodes", type=int, default=None, help="super/sub: nodes (default 10000)")
+    b.add_argument("--c2", type=float, default=None, help="eta: coefficient bound (default 1)")
+    b.add_argument("--r0", type=float, default=None, help="eta: inner radius (default 2)")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_barrier_check)
 

@@ -11,7 +11,9 @@ solver grid.
 ``solver_config_from`` and ``blowup_config_from`` map a config dict to run
 objects for every subcommand and ``sweep`` row.  An absent optional key keeps
 its dataclass field default.  ``BLOWUP_KEYS`` (the keys ``sweep`` can vary)
-are the keys a blow-up run reads.
+are the keys a blow-up run reads.  A key the run would not read is a
+ConfigError too: the blow-up-only keys in a ``solve`` or ``exhaust`` run, and
+``barrier_*`` keys without ``boundary = barrier-dirichlet``.
 """
 
 from __future__ import annotations
@@ -152,9 +154,17 @@ _BLOWUP_FIELDS = {
 BLOWUP_KEYS = frozenset({"manifold", "dim", "c", "m", "u0", "R", "cells", *_BLOWUP_FIELDS})
 
 
+def reject_keys(cfg: dict, keys, reader: str):
+    """ConfigError naming the keys of ``keys`` that ``cfg`` sets: ``reader`` ignores them."""
+    unread = sorted(set(keys) & set(cfg))
+    if unread:
+        raise ConfigError(f"{reader} does not read {', '.join(map(repr, unread))}")
+
+
 def _boundary_from(cfg: dict, m: float):
     name = cfg.get("boundary", "homogeneous-dirichlet")
     if name == "homogeneous-dirichlet":
+        reject_keys(cfg, (key for key in cfg if key.startswith("barrier_")), f"boundary {name!r}")
         return HomogeneousDirichlet()
     if name != "barrier-dirichlet":
         raise ConfigError(f"unknown boundary mode {name!r}")
@@ -169,6 +179,7 @@ def _boundary_from(cfg: dict, m: float):
 
 def solver_config_from(cfg: dict, m: float) -> SolverConfig:
     """Solver settings of a ``solve`` or ``exhaust`` run."""
+    reject_keys(cfg, _BLOWUP_FIELDS.keys() - _RUN_FIELDS.keys(), "a solve or exhaust run")
     return SolverConfig(
         m=m,
         dt=DtPolicy(dt0=_positive(cfg, "dt0"), **_fields(cfg, _DT_FIELDS)),

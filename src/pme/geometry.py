@@ -94,7 +94,8 @@ class ModelManifold:
     def drift(self, rho):
         """Radial Laplacian drift m(rho) = (N-1) psi'(rho)/psi(rho)."""
         arr = self._check_rho(rho)
-        val = (self.dim - 1) * np.asarray(self.ratio1(arr), dtype=float)
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            val = (self.dim - 1) * np.asarray(self.ratio1(arr), dtype=float)
         if not np.all(np.isfinite(val)):
             raise InvalidManifoldError("psi'/psi is not finite on the requested radii")
         return float(val) if np.isscalar(rho) else val
@@ -102,7 +103,8 @@ class ModelManifold:
     def curvature(self, rho):
         """Sectional curvature -psi''/psi and radial Ricci (N-1) times it."""
         arr = self._check_rho(rho)
-        sec = -np.asarray(self.ratio2(arr), dtype=float)
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            sec = -np.asarray(self.ratio2(arr), dtype=float)
         if not np.all(np.isfinite(sec)):
             raise InvalidManifoldError("psi''/psi is not finite on the requested radii")
         ric = (self.dim - 1) * sec
@@ -192,7 +194,9 @@ def hyperbolic(dim: int = 2) -> ModelManifold:
         dim=dim,
         kind="hyperbolic",
         c=None,
-        log_psi=lambda r: np.asarray(r) + np.log1p(-np.exp(-2.0 * np.asarray(r))) - math.log(2.0),
+        # log sinh r = r + log(1 - exp(-2r)) - log 2, with expm1 keeping full
+        # precision as r -> 0
+        log_psi=lambda r: np.asarray(r) + np.log(-np.expm1(-2.0 * np.asarray(r))) - math.log(2.0),
         ratio1=lambda r: 1.0 / np.tanh(r),
         ratio2=lambda r: np.ones_like(np.asarray(r)),
         tail_limits={"drift": 0.0, "ricci": 0.0, "sect": 0.0, "volume": 0.0},
@@ -350,19 +354,10 @@ class ComparisonConstants:
     c_m: Optional[float]
     attained_at: dict
 
-    def as_json_dict(self) -> dict:
-        return {
-            "c_prime": self.c_prime,
-            "c_double_prime": self.c_double_prime,
-            "c_o": self.c_o,
-            "k_o": self.k_o,
-            "r_o": self.r_o,
-            "c_m": self.c_m,
-            "attained_at": self.attained_at,
-        }
-
 
 def probe_grid(rho_max: float, n_probe: int) -> np.ndarray:
+    """Geometric radii on [1e-3, rho_max]: the probes of the constant fits
+    and the nodes of the barrier certificates."""
     return np.geomspace(1e-3, rho_max, n_probe)
 
 

@@ -398,10 +398,9 @@ def solve_ball(
 @dataclass
 class ExhaustReport:
     radii: list
-    trajectories: list
     monotonicity_gap: float  # max over shared cells/times of u_Rk - u_R(k+1)
     inner_increments: list  # sup on the inner ball of successive differences
-    tau: float  # discretization tolerance used
+    tau_h: float  # discretization tolerance used
 
 
 def exhaust(
@@ -416,6 +415,8 @@ def exhaust(
     All levels share the cell width of the first radius, so grids are nested
     cell-by-cell and time grids coincide (the growth policy is a function of
     the step index only; internal halvings do not alter recorded times).
+    The increments are taken on the inner ball of the first ``cells_first // 2``
+    cells.
     """
     radii = list(radii)
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
@@ -442,7 +443,7 @@ def exhaust(
         float(np.max(fields[k] - fields[k + 1][:, grids[k + 1].restriction_slice(radii[k])]))
         for k in levels
     )
-    inner = grids[0].restriction_slice(radii[0] / 2.0)
+    inner = slice(0, cells_first // 2)
     increments = [
         float(np.max(np.abs(fields[k + 1][:, inner] - fields[k][:, inner]))) for k in levels
     ]
@@ -450,10 +451,9 @@ def exhaust(
     scale = max(1.0, max(float(np.max(np.abs(tr.final))) for tr in trajs))
     return ExhaustReport(
         radii=radii,
-        trajectories=trajs,
         monotonicity_gap=gap,
         inner_increments=increments,
-        tau=tau_h(h, scale),
+        tau_h=tau_h(h, scale),
     )
 
 
@@ -465,10 +465,9 @@ class ExistenceTime:
     """Certified existence horizon a^{m-1} ||u0||^{1-m} and its r->inf limit."""
 
     time: float  # may be inf
-    r: float
     limit_time: float  # horizon from the norm limit (inf for bounded data)
     global_flag: bool
-    amplitude: float
+    norm: float  # ||u0|| in the weighted norm of offset r
 
 
 def existence_time(
@@ -481,11 +480,11 @@ def existence_time(
     norm = log_norm(u0, LogNorm(r, m))
     lim_norm = norm_limit(u0, m)
     if norm == 0.0:
-        return ExistenceTime(math.inf, r, math.inf, True, a)
+        return ExistenceTime(math.inf, math.inf, True, norm)
     time = horizon_time(a, norm, m)
     if lim_norm == 0.0:
-        return ExistenceTime(time, r, math.inf, True, a)
-    return ExistenceTime(time, r, horizon_time(a, lim_norm, m), False, a)
+        return ExistenceTime(time, math.inf, True, norm)
+    return ExistenceTime(time, horizon_time(a, lim_norm, m), False, norm)
 
 
 # -- barrier sandwich audit -----------------------------------------------------

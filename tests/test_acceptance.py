@@ -76,7 +76,7 @@ SUPER_MODELS = [
 
 def test_criterion_2_supersolution_certificates():
     with criterion(2, "supersolution certificate on every built-in"):
-        grid = barriers.default_certificate_grid(1e3, 10**4)
+        grid = geometry.probe_grid(1e3, 10**4)
         for M in SUPER_MODELS:
             start = time.monotonic()
             consts = geometry.fit_comparison_constants(M)
@@ -99,7 +99,7 @@ def test_criterion_3_subsolution_certificate(quad_manifold, quad_constants):
         p = barriers.subsolution_params(quad_constants, m)
         # amplitude condition holds exactly by construction
         assert p.amplitude == (p.r**2 / (quad_constants.c_double_prime * m)) ** (1.0 / (m - 1.0))
-        grid = barriers.default_certificate_grid(1e3, 10**4)
+        grid = geometry.probe_grid(1e3, 10**4)
         rep = barriers.certify_subsolution(p, quad_manifold, grid)
         assert rep.passed
         assert rep.min_residual >= -1e-10
@@ -145,7 +145,7 @@ def test_criterion_5_exhaustion_monotonicity():
             t_end=2.0,
         )
         rep = solver.exhaust(lambda r: np.ones_like(r), cfg, M, (25.0, 50.0, 100.0), 50)
-        assert rep.monotonicity_gap <= rep.tau
+        assert rep.monotonicity_gap <= rep.tau_h
         assert rep.inner_increments[1] <= rep.inner_increments[0] / 2.0
 
 
@@ -167,10 +167,10 @@ def test_criterion_6_blowup_ledger(quad_manifold, quad_constants):
         # drops below one ulp of T at late stages, so "exact" means exact
         # up to float rounding of the recorded numbers)
         for s in led.stages:
-            assert s.duration < s.horizon
+            assert s.S_n < s.T_n
         for prev, cur in zip(led.stages, led.stages[1:]):
-            bound = prev.horizon - prev.duration + led.T1 / 2.0 ** (cur.n - 1)
-            assert cur.horizon <= bound * (1.0 + 1e-14)
+            bound = prev.T_n - prev.S_n + led.T1 / 2.0 ** (cur.n - 1)
+            assert cur.T_n <= bound * (1.0 + 1e-14)
         assert led.tau <= 2.0 * led.T1 + 1e-6
         # norm series: strict growth past the hand-off transient
         lns = [s.lognorm for s in led.stages]

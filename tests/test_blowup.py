@@ -148,24 +148,24 @@ def test_ledger_invariants(desk_ledger):
     led = desk_ledger
     assert led.validate()
     for s in led.stages:
-        assert s.duration < s.horizon
-        assert 0 < s.eps < 1
+        assert s.S_n < s.T_n
+        assert 0 < s.eps_n < 1
     # stage durations eventually decay
-    assert led.stages[-1].duration < led.stages[0].duration
+    assert led.stages[-1].S_n < led.stages[0].S_n
 
 
 def test_ledger_telescoping_exact(desk_ledger):
     led = desk_ledger
     for prev, cur in zip(led.stages, led.stages[1:]):
-        bound = prev.horizon - prev.duration + led.T1 / 2.0 ** (cur.n - 1)
-        assert cur.horizon <= bound * (1 + 1e-12)
+        bound = prev.T_n - prev.S_n + led.T1 / 2.0 ** (cur.n - 1)
+        assert cur.T_n <= bound * (1 + 1e-12)
 
 
 def test_ledger_growth_identity(desk_ledger):
     # liminf update matches the closed-form factor per stage
     led = desk_ledger
     for prev, cur in zip(led.stages, led.stages[1:]):
-        factor = (1 - cur.eps) * (1 - cur.duration / cur.horizon) ** -1.0
+        factor = (1 - cur.eps_n) * (1 - cur.S_n / cur.T_n) ** -1.0
         assert cur.liminf_est == pytest.approx(prev.liminf_est * factor, rel=1e-12)
 
 

@@ -1,13 +1,15 @@
 """CLI contract: exit codes, output formats, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from pme import cli, errors, solver
+from pme import blowup, cli, errors, geometry, solver
 
 
 def run_cli(*argv):
@@ -127,6 +129,29 @@ def test_barrier_check_rejects_empty_grid(tmp_path, nodes):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "which, flag", [("eta", "--nodes"), ("super", "--c2"), ("super", "--r0"), ("sub", "--c2"), ("sub", "--r0")]
+)
+def test_barrier_check_rejects_flags_its_which_does_not_read(tmp_path, capsys, which, flag):
+    rc = run_cli(
+        "barrier-check", "--manifold", "quad-critical", "--dim", "3", "--c", "0.5", "--m", "2",
+        "--which", which, flag, "5", "--out", str(tmp_path / "cert.json"),
+    )
+    assert_one_configuration_error(rc, capsys)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("which, flags", [("super", ["--nodes", "10000"]), ("eta", ["--c2", "1", "--r0", "2"])])
+def test_barrier_check_flag_defaults(tmp_path, which, flags):
+    outs = []
+    for extra in ([], flags):
+        out = tmp_path / f"cert{len(outs)}.json"
+        args = ["--manifold", "euclidean", "--dim", "2", "--m", "2", "--which", which]
+        assert run_cli("barrier-check", *args, *extra, "--out", str(out)) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
 def test_curvature_parameter_rejected_for_families_without_one(tmp_path, kind, capsys):
     rc = run_cli(
@@ -239,10 +264,7 @@ def test_solve_deterministic_bytes(tmp_path):
 # -- exhaust -----------------------------------------------------------------------------
 
 
-def test_exhaust_cli(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        """
+EXHAUST_CFG = """
 manifold = quad-critical
 dim = 3
 c = 0.02
@@ -252,14 +274,26 @@ cells = 30
 t_end = 0.5
 dt0 = 5e-3
 dt_max = 2e-2
-""",
-    )
+"""
+
+
+def test_exhaust_cli(tmp_path):
+    cfg = write_cfg(tmp_path, EXHAUST_CFG)
     out = tmp_path / "exhaust.json"
     rc = run_cli("exhaust", "--config", cfg, "--radii", "6,12,24", "--out", str(out))
     assert rc == 0
     rep = json.loads(out.read_text())
     assert rep["monotonicity_gap"] <= rep["tau_h"]
     assert len(rep["inner_increments"]) == 2
+
+
+def test_exhaust_cli_with_an_odd_cell_count(tmp_path):
+    cfg = write_cfg(tmp_path, EXHAUST_CFG.replace("cells = 30", "cells = 51"))
+    out = tmp_path / "exhaust.json"
+    assert run_cli("exhaust", "--config", cfg, "--radii", "5,10,20", "--out", str(out)) == 0
+    rep = json.loads(out.read_text())
+    assert len(rep["inner_increments"]) == 2
+    assert rep["monotonicity_gap"] <= rep["tau_h"]
 
 
 # -- blowup ------------------------------------------------------------------------------
@@ -560,6 +594,63 @@ def test_trajectory_csvs_hold_plain_floats(tmp_path):
             float(tok)  # raises on tokens such as np.float64(0.1)
 
 
+def field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_json_reports_have_their_dataclass_fields_as_keys(tmp_path):
+    ledger = tmp_path / "ledger.json"
+    cfg = write_cfg(tmp_path, R12_BLOWUP_CFG.replace("cells = 120", "cells = 60") + "blowup_max_stages = 2\n")
+    assert run_cli("blowup", "--config", cfg, "--ledger", str(ledger)) == 0
+    led = json.loads(ledger.read_text())
+    assert set(led) == field_names(blowup.BlowupLedger)
+    assert len(led["stages"]) == 2
+    assert all(set(stage) == field_names(blowup.StageRecord) for stage in led["stages"])
+
+    report = tmp_path / "constants.json"
+    assert run_cli("geometry", "--manifold", "euclidean", "--dim", "3", "--report", str(report)) == 0
+    assert set(json.loads(report.read_text())) == field_names(geometry.ComparisonConstants) | {"manifold"}
+
+    exhaust = tmp_path / "exhaust.json"
+    cfg = write_cfg(tmp_path, EXHAUST_CFG, name="exhaust.cfg")
+    assert run_cli("exhaust", "--config", cfg, "--radii", "6,12,24", "--out", str(exhaust)) == 0
+    assert set(json.loads(exhaust.read_text())) == field_names(solver.ExhaustReport)
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("blowup", "t_end = 99"),
+        ("blowup", "dt0 = 5"),
+        ("blowup", "snapshot_stride = 3"),
+        ("blowup", "boundary = nonsense"),
+        ("solve", "barrier_a = 3"),
+        ("solve", "barrier_r = 2"),
+        ("solve", "barrier_T = 4"),
+        ("solve", "barrier_delta = 0.1"),
+        ("solve", "steps_per_stage = 7"),
+        ("solve", "blowup_max_stages = 2"),
+        ("solve", "blowup_threshold = 30"),
+        ("exhaust", "steps_per_stage = 7"),
+    ],
+)
+def test_config_keys_the_run_does_not_read_exit_2(tmp_path, capsys, command, line):
+    key = line.split()[0]
+    if command == "blowup":
+        cfg = write_cfg(tmp_path, R12_BLOWUP_CFG + line + "\n")
+        argv = ["blowup", "--config", cfg, "--ledger", str(tmp_path / "l.json")]
+    elif command == "solve":
+        cfg = write_cfg(tmp_path, BASE_CFG + line + "\n")
+        argv = solve_args(tmp_path, cfg)
+    else:
+        cfg = write_cfg(tmp_path, EXHAUST_CFG + line + "\n")
+        argv = ["exhaust", "--config", cfg, "--radii", "6,12,24", "--out", str(tmp_path / "e.json")]
+    rc = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and f"'{key}'" in err, err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 
@@ -745,5 +836,9 @@ def undecodable_cfg(tmp_path):
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_argv):
-    rc = run_cli(*make_argv(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(*make_argv(tmp_path))
+    # outside pytest, each warning would print its own lines on stderr
+    assert not caught, [str(w.message) for w in caught]
     assert_one_configuration_error(rc, capsys)

@@ -175,6 +175,12 @@ def test_surface_measure_hyperbolic():
     assert got == pytest.approx(2 * math.pi * math.sinh(1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("r", np.geomspace(1e-8, 1.0, 9).tolist())
+def test_hyperbolic_log_psi_keeps_full_precision_near_the_origin(r):
+    exact = float(sp.log(sp.sinh(sp.Float(r, 40))))
+    assert float(geometry.hyperbolic(2).log_psi(r)) == pytest.approx(exact, rel=1e-14)
+
+
 def test_surface_measure_log_critical_satisfies_volume_envelope():
     M = geometry.log_critical(1.0, 2)
     consts = geometry.fit_comparison_constants(M)

@@ -532,7 +532,7 @@ def test_exhaust_monotone_and_cauchy():
         m=2.0, dt=solver.DtPolicy(dt0=2e-3, growth=1.3, dt_max=2e-2), t_end=1.0
     )
     rep = solver.exhaust(lambda r: np.ones_like(r), cfg, M, (6.0, 12.0, 24.0), 60)
-    assert rep.monotonicity_gap <= rep.tau
+    assert rep.monotonicity_gap <= rep.tau_h
     assert rep.inner_increments[1] <= rep.inner_increments[0] / 2.0
 
 
@@ -553,8 +553,27 @@ def test_exhaust_compact_support_barely_moves():
         return np.maximum(1.0 - (r / 2.0) ** 2, 0.0)
 
     rep = solver.exhaust(bump, cfg, M, (8.0, 16.0, 32.0), 40)
-    assert rep.inner_increments[0] <= 10 * rep.tau
-    assert rep.monotonicity_gap <= rep.tau
+    assert rep.inner_increments[0] <= 10 * rep.tau_h
+    assert rep.monotonicity_gap <= rep.tau_h
+
+
+def test_exhaust_with_an_odd_cell_count():
+    # the inner ball is the first cells // 2 cells of the first level
+    M = geometry.euclidean(2)
+    cfg = small_cfg(0.05)
+
+    def bump(r):
+        return np.maximum(1.0 - (r / 2.0) ** 2, 0.0)
+
+    radii, cells = (5.0, 10.0, 20.0), 51
+    rep = solver.exhaust(bump, cfg, M, radii, cells)
+    levels = [solver.solve_ball(bump, cfg, RadialGrid.uniform(M, R, cells * k)).stacked
+              for R, k in zip(radii, (1, 2, 4))]
+    inner = slice(0, cells // 2)
+    assert rep.inner_increments == [
+        float(np.max(np.abs(b[:, inner] - a[:, inner]))) for a, b in zip(levels, levels[1:])
+    ]
+    assert rep.monotonicity_gap <= rep.tau_h
 
 
 def test_exhaust_validates_radii():
