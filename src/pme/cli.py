@@ -6,10 +6,11 @@ Subcommands: ``geometry`` (comparison constants report), ``barrier-check``
 (uniqueness-side decay product) and ``sweep`` (parameter sweeps).
 
 Run objects come from the builders in ``pme.config``; ``blowup`` and each
-``sweep`` row share one path from a config dict to a validated ledger.
-``sweep --param`` takes ``b`` (log-growth amplitude) or a key in
-``config.BLOWUP_KEYS``; each ``--values`` token enters the config as typed,
-and a config key outside ``BLOWUP_KEYS`` exits 2 before any run.
+``sweep`` row share one path from a config dict to a validated ledger.  Each
+run checks, after its builders and before any solve or output, that it read
+every config key (``barrier-check``: every optional flag) it was given.
+``sweep --param`` takes ``b`` (log-growth amplitude) or a config key the
+blow-up run reads; each ``--values`` token enters the config as typed.
 
 Outputs are deterministic (identical bytes for identical config and build)
 and written atomically; ``write_json`` writes a report dataclass by its field
@@ -124,10 +125,12 @@ def _manifold_from_args(args):
 
 def _blowup_setup(cfg: dict):
     """Validated inputs of a blow-up run: manifold, datum spec and settings."""
-    cfgmod.reject_keys(cfg, cfg.keys() - cfgmod.BLOWUP_KEYS, "the blow-up run")
+    cfg = cfgmod.RunConfig(cfg)
     manifold = cfgmod.manifold_from(cfg)
     m = cfgmod.exponent_from(cfg)
-    return manifold, cfgmod.datum_from(cfg), cfgmod.blowup_config_from(cfg, m)
+    spec, bcfg = cfgmod.datum_from(cfg), cfgmod.blowup_config_from(cfg, m)
+    cfgmod.reject_unread(cfg, "the blow-up run")
+    return manifold, spec, bcfg
 
 
 def _blowup_ledger(cfg: dict, stage_hook=None) -> blowup.BlowupLedger:
@@ -156,36 +159,29 @@ def cmd_geometry(args) -> int:
     return 0
 
 
-# barrier-check flags that only some --which read, with their defaults there
-_WHICH_DEFAULTS = {
-    "super": {"nodes": 10**4},
-    "sub": {"nodes": 10**4},
-    "eta": {"c2": 1.0, "r0": 2.0},
-}
-
-
 def cmd_barrier_check(args) -> int:
     manifold = _manifold_from_args(args)
-    m = cfgmod.exponent_from({"m": repr(args.m)})
-    opt = dict(_WHICH_DEFAULTS[args.which])
-    for name in ("nodes", "c2", "r0"):
-        value = getattr(args, name)
-        if value is None:
-            continue
-        if name not in opt:
-            raise ConfigError(f"--which {args.which} does not read --{name}")
-        opt[name] = value
+    # the optional flags given, as a config: a flag this --which does not read exits 2
+    opts = cfgmod.RunConfig(
+        {k: v for k, v in vars(args).items() if k in ("m", "nodes", "c2", "r0") and v is not None}
+    )
     if args.which == "eta":
-        k = barriers.select_K(opt["c2"], opt["r0"])
+        c2 = cfgmod.get_float(opts, "c2", default=1.0)
+        r0 = cfgmod.get_float(opts, "r0", default=2.0)
+        cfgmod.reject_unread(opts, "--which eta")
+        k = barriers.select_K(c2, r0)
         eta_params = barriers.EtaBarrierParams(
-            decay=k, scale=1.0, horizon=1.0, inner_radius=opt["r0"], coeff_bound=opt["c2"]
+            decay=k, scale=1.0, horizon=1.0, inner_radius=r0, coeff_bound=c2
         )
         report = barriers.certify_eta(eta_params, dim=manifold.dim, rho_max=args.rho_max)
         params = {"a": None, "r": None, "K": k}
     else:
-        if opt["nodes"] < 1:
+        m = cfgmod.exponent_from(opts)
+        nodes = opts.get("nodes", 10**4)
+        if nodes < 1:
             raise ConfigError("--nodes must be >= 1")
-        grid = geometry.probe_grid(args.rho_max, opt["nodes"])
+        cfgmod.reject_unread(opts, f"--which {args.which}")
+        grid = geometry.probe_grid(args.rho_max, nodes)
         consts = geometry.fit_comparison_constants(manifold, rho_max=max(10.0, args.rho_max))
         if args.which == "super":
             a = barriers.supersolution_amplitude(consts.c_prime, m)
@@ -218,10 +214,14 @@ def cmd_solve(args) -> int:
     radius = cfgmod.get_float(cfg, "R", positive=True)
     cells = cfgmod.get_int(cfg, "cells", minimum=3)
     scfg = cfgmod.solver_config_from(cfg, m)
+    cfgmod.reject_unread(cfg, "a solve run")
     grid = RadialGrid.uniform(manifold, radius, cells)
 
     consts = geometry.fit_comparison_constants(manifold)
-    datum = spec.datum(m, np.geomspace(1e-3, max(1e3, 10 * radius), 4001))
+    top = max(1e3, 10 * radius)
+    if spec.kind == "table":  # the norm sees the sampled rows and the tail past the last row
+        top = max(top, float(spec.table_rho[-1]))
+    datum = spec.datum(m, np.geomspace(1e-3, top, 4001))
     et = solver.existence_time(datum, consts, m, r=scfg.norm_r)
     horizon = None
     if not et.global_flag and not math.isinf(et.time):
@@ -260,6 +260,7 @@ def cmd_exhaust(args) -> int:
     radii = [float(x) for x in _numbers(args.radii, "--radii")]
     cells = cfgmod.get_int(cfg, "cells", minimum=3)
     scfg = cfgmod.solver_config_from(cfg, m)
+    cfgmod.reject_unread(cfg, "an exhaust run")
     rep = solver.exhaust(spec.profile(m), scfg, manifold, radii, cells)
     write_json(args.out, rep)
     if rep.monotonicity_gap > rep.tau_h:
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("barrier-check", help="certify a barrier inequality")
     _manifold_args(b)
-    b.add_argument("--m", type=float, required=True)
+    b.add_argument("--m", type=float, default=None, help="super/sub: PME exponent (required)")
     b.add_argument("--which", choices=("super", "sub", "eta"), required=True)
     b.add_argument("--rho-max", type=float, default=1e3)
     b.add_argument("--nodes", type=int, default=None, help="super/sub: nodes (default 10000)")

@@ -1,19 +1,18 @@
 """Line-oriented ``key = value`` run configuration, and the objects built from it.
 
-Strict parsing: unknown keys are rejected, values are validated before any
-computation starts, and every constraint violation raises an error with exit
-code 2: ConfigError here (an unreadable config or table file too), DomainError
-or InvalidManifoldError from the manifold constructors.  The initial datum is
-one of ``log-growth(b)``, ``bounded(B)`` or ``table(path.csv)``; tables are
-two-column CSV ``rho,value`` with a header row, interpolated linearly onto the
-solver grid.
+Strict parsing: values are validated before any computation starts, and every
+constraint violation raises an error with exit code 2: ConfigError here (an
+unreadable config or table file too), DomainError or InvalidManifoldError from
+the manifold constructors.  The initial datum is one of ``log-growth(b)``,
+``bounded(B)`` or ``table(path.csv)``; tables are two-column CSV ``rho,value``
+with a header row, interpolated linearly onto the solver grid and held at the
+last value beyond the last row.
 
-``solver_config_from`` and ``blowup_config_from`` map a config dict to run
-objects for every subcommand and ``sweep`` row.  An absent optional key keeps
-its dataclass field default.  ``BLOWUP_KEYS`` (the keys ``sweep`` can vary)
-are the keys a blow-up run reads.  A key the run would not read is a
-ConfigError too: the blow-up-only keys in a ``solve`` or ``exhaust`` run, and
-``barrier_*`` keys without ``boundary = barrier-dirichlet``.
+``solver_config_from`` and ``blowup_config_from`` map a config to run objects
+for every subcommand and ``sweep`` row.  An absent optional key keeps its
+dataclass field default.  A ``RunConfig`` records the keys its builders read,
+and ``reject_unread`` makes any other key a ConfigError: a run accepts exactly
+the keys it reads.
 """
 
 from __future__ import annotations
@@ -35,39 +34,12 @@ from .geometry import ModelManifold, make_manifold
 from .solver import BarrierDirichlet, DtPolicy, HomogeneousDirichlet, SolverConfig
 from .xlog import (
     RadialDatum,
+    TailDescriptor,
     bounded_datum,
     bounded_profile,
     log_growth_datum,
     log_growth_profile,
 )
-
-KNOWN_KEYS = {
-    "manifold",
-    "dim",
-    "c",
-    "m",
-    "u0",
-    "R",
-    "cells",
-    "t_end",
-    "boundary",
-    "dt0",
-    "dt_growth",
-    "dt_max",
-    "newton_tol",
-    "newton_max_iter",
-    "norm_r",
-    "snapshot_stride",
-    # barrier-dirichlet boundary parameters
-    "barrier_a",
-    "barrier_r",
-    "barrier_T",
-    "barrier_delta",
-    # blow-up specific knobs
-    "blowup_threshold",
-    "blowup_max_stages",
-    "steps_per_stage",
-}
 
 _U0_RE = re.compile(r"^(log-growth|bounded|table)\(([^)]*)\)$")
 
@@ -81,9 +53,32 @@ def _read_text(path) -> str:
         raise ConfigError(f"cannot read {path}: {reason}") from exc
 
 
-def parse_config(path) -> dict:
-    """Parse a config file into a {key: string} dict (strict keys)."""
-    out: dict = {}
+class RunConfig(dict):
+    """A ``{key: value}`` run config that records the keys read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def reject_unread(run: RunConfig, reader: str):
+    """ConfigError naming every key of ``run`` that building the run did not read."""
+    unread = sorted(run.keys() - run.read)
+    if unread:
+        raise ConfigError(f"{reader} does not read {', '.join(map(repr, unread))}")
+
+
+def parse_config(path) -> RunConfig:
+    """Parse a config file into a {key: string} ``RunConfig``."""
+    out = RunConfig()
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,8 +86,6 @@ def parse_config(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
         out[key] = value
@@ -150,21 +143,11 @@ _BLOWUP_FIELDS = {
     "blowup_max_stages": ("max_stages", partial(get_int, minimum=1)),
     "steps_per_stage": ("steps_per_stage", partial(get_int, minimum=5)),
 }
-# keys read by manifold_from, exponent_from, datum_from and blowup_config_from
-BLOWUP_KEYS = frozenset({"manifold", "dim", "c", "m", "u0", "R", "cells", *_BLOWUP_FIELDS})
-
-
-def reject_keys(cfg: dict, keys, reader: str):
-    """ConfigError naming the keys of ``keys`` that ``cfg`` sets: ``reader`` ignores them."""
-    unread = sorted(set(keys) & set(cfg))
-    if unread:
-        raise ConfigError(f"{reader} does not read {', '.join(map(repr, unread))}")
 
 
 def _boundary_from(cfg: dict, m: float):
     name = cfg.get("boundary", "homogeneous-dirichlet")
     if name == "homogeneous-dirichlet":
-        reject_keys(cfg, (key for key in cfg if key.startswith("barrier_")), f"boundary {name!r}")
         return HomogeneousDirichlet()
     if name != "barrier-dirichlet":
         raise ConfigError(f"unknown boundary mode {name!r}")
@@ -179,7 +162,6 @@ def _boundary_from(cfg: dict, m: float):
 
 def solver_config_from(cfg: dict, m: float) -> SolverConfig:
     """Solver settings of a ``solve`` or ``exhaust`` run."""
-    reject_keys(cfg, _BLOWUP_FIELDS.keys() - _RUN_FIELDS.keys(), "a solve or exhaust run")
     return SolverConfig(
         m=m,
         dt=DtPolicy(dt0=_positive(cfg, "dt0"), **_fields(cfg, _DT_FIELDS)),
@@ -242,8 +224,12 @@ class DatumSpec:
             return log_growth_datum(self.amplitude, m, rho)
         if self.kind == "bounded":
             return bounded_datum(self.amplitude, rho)
+        # np.interp holds the last value beyond the last row: the table is bounded
+        tail = TailDescriptor(
+            "bounded", abs(float(self.table_values[-1])), rho_start=float(self.table_rho[-1])
+        )
         rho = np.asarray(rho, dtype=float)
-        return RadialDatum(rho, self.profile(m)(rho))
+        return RadialDatum(rho, self.profile(m)(rho), tail=tail)
 
 
 def datum_from(cfg: dict) -> DatumSpec:

@@ -112,7 +112,7 @@ def test_barrier_check_eta(tmp_path):
     out = tmp_path / "cert.json"
     rc = run_cli(
         "barrier-check", "--manifold", "euclidean", "--dim", "2",
-        "--m", "2", "--which", "eta", "--out", str(out),
+        "--which", "eta", "--out", str(out),
     )
     assert rc == 0
     cert = json.loads(out.read_text())
@@ -130,11 +130,13 @@ def test_barrier_check_rejects_empty_grid(tmp_path, nodes):
 
 
 @pytest.mark.parametrize(
-    "which, flag", [("eta", "--nodes"), ("super", "--c2"), ("super", "--r0"), ("sub", "--c2"), ("sub", "--r0")]
+    "which, flag",
+    [("eta", "--nodes"), ("eta", "--m"), ("super", "--c2"), ("super", "--r0"), ("sub", "--c2"), ("sub", "--r0")],
 )
 def test_barrier_check_rejects_flags_its_which_does_not_read(tmp_path, capsys, which, flag):
+    m = [] if which == "eta" else ["--m", "2"]
     rc = run_cli(
-        "barrier-check", "--manifold", "quad-critical", "--dim", "3", "--c", "0.5", "--m", "2",
+        "barrier-check", "--manifold", "quad-critical", "--dim", "3", "--c", "0.5", *m,
         "--which", which, flag, "5", "--out", str(tmp_path / "cert.json"),
     )
     assert_one_configuration_error(rc, capsys)
@@ -146,7 +148,8 @@ def test_barrier_check_flag_defaults(tmp_path, which, flags):
     outs = []
     for extra in ([], flags):
         out = tmp_path / f"cert{len(outs)}.json"
-        args = ["--manifold", "euclidean", "--dim", "2", "--m", "2", "--which", which]
+        m = [] if which == "eta" else ["--m", "2"]
+        args = ["--manifold", "euclidean", "--dim", "2", *m, "--which", which]
         assert run_cli("barrier-check", *args, *extra, "--out", str(out)) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -221,6 +224,12 @@ def test_solve_table_datum(tmp_path):
         "--summary", str(tmp_path / "s.json"),
     )
     assert rc == 0
+    # a table is held at its last value beyond its last row: bounded data exist
+    # globally, so the run has no finite horizon and no barrier sandwich
+    summary = json.loads((tmp_path / "s.json").read_text())
+    assert summary["global_existence"] is True
+    assert summary["existence_time_limit"] is None
+    assert summary["max_barrier_violation"] is None
 
 
 def test_solve_with_barrier_boundary(tmp_path):
@@ -632,6 +641,9 @@ def test_json_reports_have_their_dataclass_fields_as_keys(tmp_path):
         ("solve", "blowup_max_stages = 2"),
         ("solve", "blowup_threshold = 30"),
         ("exhaust", "steps_per_stage = 7"),
+        ("exhaust", "R = 24"),
+        ("blowup", "barrier_a = 3"),
+        ("solve", "whatever = 3"),
     ],
 )
 def test_config_keys_the_run_does_not_read_exit_2(tmp_path, capsys, command, line):
@@ -773,7 +785,7 @@ def quad_args(command, *extra):
         ["uniq-check", "--T", "0.05", "--c_m", "1", "--r0=-inf"],
         ["uniq-check", "--T", "0.05", "--c_m", "1", "--k", "0.2", "--m", "nan"],
         quad_args("barrier-check", "--m", "nan", "--which", "super", "--out", "{tmp}/c.json"),
-        quad_args("barrier-check", "--m", "2", "--which", "eta", "--c2", "nan", "--out", "{tmp}/c.json"),
+        quad_args("barrier-check", "--which", "eta", "--c2", "nan", "--out", "{tmp}/c.json"),
         quad_args("barrier-check", "--m", "2", "--which", "sub", "--rho-max", "inf", "--out", "{tmp}/c.json"),
         quad_args("geometry", "--rho-max", "nan", "--report", "{tmp}/g.json"),
         ["geometry", "--manifold", "quad-critical", "--dim", "3", "--c", "nan", "--report", "{tmp}/g.json"],
@@ -808,6 +820,10 @@ def undecodable_cfg(tmp_path):
                 "--out", str(tmp / "c.json"),
             ),
             id="barrier-check-psi-overflow",
+        ),
+        pytest.param(
+            lambda tmp: quad_args("barrier-check", "--which", "super", "--out", str(tmp / "c.json")),
+            id="barrier-check-super-without-m",
         ),
         pytest.param(lambda tmp: solve_args(tmp, str(tmp / "missing.cfg")), id="solve-missing-config"),
         pytest.param(

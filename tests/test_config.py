@@ -9,8 +9,8 @@ from pme import blowup, config, solver, xlog
 from pme.errors import ConfigError
 from pme.geometry import log_sphere_area, sphere_area
 
-# every known key, each with a valid value (barrier boundary, so that the
-# barrier_* keys are live)
+# every key some run reads, each with a valid value (barrier boundary, so that
+# a solve run reads the barrier_* keys)
 FULL_CFG = {
     "manifold": "quad-critical",
     "dim": "3",
@@ -36,7 +36,7 @@ FULL_CFG = {
     "blowup_max_stages": "5",
     "steps_per_stage": "20",
 }
-# a solve or exhaust config may not set the keys only a blow-up run reads
+# a solve or exhaust run does not read the keys only a blow-up run reads
 SOLVE_CFG = {
     key: value
     for key, value in FULL_CFG.items()
@@ -44,43 +44,30 @@ SOLVE_CFG = {
 }
 
 
-class RecordingDict(dict):
-    """A config dict that remembers which keys were read."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
+def keys_read(build):
+    """Keys of FULL_CFG that the manifold, exponent and datum builders plus ``build`` read."""
+    run = config.RunConfig(FULL_CFG)
+    m = config.exponent_from(run)
+    config.manifold_from(run)
+    config.datum_from(run)
+    build(run, m)
+    return run.read
 
 
-def keys_read(build, cfg=FULL_CFG):
-    cfg = RecordingDict(cfg)
-    m = config.exponent_from(cfg)
-    config.manifold_from(cfg)
-    config.datum_from(cfg)
-    build(cfg, m)
-    return cfg.read
+def test_a_solve_build_reads_exactly_the_solve_keys():
+    def solve_build(run, m):  # as cli.cmd_solve builds its run
+        config.get_float(run, "R", positive=True)
+        config.get_int(run, "cells", minimum=3)
+        config.solver_config_from(run, m)
+
+    assert keys_read(solve_build) == set(SOLVE_CFG)
 
 
-def test_full_cfg_covers_known_keys():
-    assert set(FULL_CFG) == config.KNOWN_KEYS
-
-
-def test_every_known_key_is_read():
-    solve_keys = keys_read(config.solver_config_from, SOLVE_CFG)
-    blowup_keys = keys_read(config.blowup_config_from)
-    assert solve_keys | blowup_keys == config.KNOWN_KEYS
-
-
-def test_sweepable_keys_are_the_keys_the_blowup_run_reads():
-    assert keys_read(config.blowup_config_from) == config.BLOWUP_KEYS
+def test_a_blowup_build_reads_exactly_the_keys_sweep_can_vary():
+    assert keys_read(config.blowup_config_from) == {
+        "manifold", "dim", "c", "m", "u0", "R", "cells", "newton_tol", "norm_r",
+        "blowup_threshold", "blowup_max_stages", "steps_per_stage",
+    }
 
 
 def test_absent_keys_keep_dataclass_defaults():
@@ -131,6 +118,16 @@ def test_datum_matches_xlog_constructors(u0, rho_max):
         want = xlog.bounded_datum(0.7, rho)
     assert np.array_equal(got.values, want.values)
     assert got.tail == want.tail
+
+
+def test_table_datum_is_bounded_beyond_its_last_row(tmp_path):
+    table = tmp_path / "u0.csv"
+    table.write_text("rho,value\n0.5,2.0\n4.0,-0.25\n")
+    rho = np.geomspace(1e-3, 1e3, 400)
+    datum = config.datum_from({"u0": f"table({table})"}).datum(2.0, rho)
+    assert datum.tail == xlog.TailDescriptor("bounded", 0.25, rho_start=4.0)
+    assert np.all(datum.values[rho >= 4.0] == -0.25)
+    assert xlog.limsup_ratio(datum) == xlog.LimsupEstimate(0.0, exact=True)
 
 
 def test_log_sphere_area_matches_closed_form():
