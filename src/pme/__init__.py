@@ -20,7 +20,6 @@ from .blowup import BlowupConfig, BlowupLedger, run_blowup, stage_T, stage_delta
 from .geometry import (
     ComparisonConstants,
     ModelManifold,
-    custom,
     euclidean,
     fit_comparison_constants,
     hyperbolic,

@@ -75,13 +75,6 @@ class BarrierParams:
         """Horizon-scaled profile W / T^(1/(m-1))."""
         return self.profile_unit(rho) / self.horizon ** (1.0 / (self.m - 1.0))
 
-    def separable(self, rho, t):
-        """(1 - t/T)^(-1/(m-1)) times the horizon-scaled profile."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t >= self.horizon):
-            raise DomainError("t must lie in [0, horizon)")
-        return blowup_factor(t, self.horizon, self.m) * self.profile(rho)
-
 
 def supersolution_amplitude(c_prime: float, m: float) -> float:
     """Amplitude making the separable profile a supersolution:
@@ -370,7 +363,10 @@ def certify_eta(
     """
     if dim < 2:
         raise DomainError("dimension must be >= 2")
-    rho = np.geomspace(p.inner_radius * (1.0 + 1e-6), rho_max, n_rho)
+    first = p.inner_radius * (1.0 + 1e-6)
+    if not rho_max > first:
+        raise DomainError(f"rho_max must exceed the first node {first:g}, got {rho_max:g}")
+    rho = np.geomspace(first, rho_max, n_rho)
     ts = np.linspace(0.0, p.horizon * (1.0 - 1e-6), n_t)
     R, T = np.meshgrid(rho, ts, indexing="ij")
     e, e_t, e_r, e_rr = eta_derivatives(p, R, T)
@@ -435,6 +431,8 @@ def decay_product(c_m: float, decay: float, horizon: float, m: float, radius: fl
 def decay_regime(c_m: float, decay: float, horizon: float) -> str:
     """'decay' when T < K/(2 C_M), 'growth' when above, 'boundary' within a
     relative 1e-12 of the knife edge."""
+    if c_m <= 0:
+        raise DomainError("C_M must be positive")
     critical = decay / (2.0 * c_m)
     if abs(horizon - critical) <= 1e-12 * critical:
         return "boundary"

@@ -187,13 +187,6 @@ class BlowupConfig:
     norm_r: float = 2.0
 
 
-def _ratio_floor(datum: RadialDatum, m: float) -> float:
-    """Asymptotic ratio in the norm-limit normalization (against log rho^2)."""
-    if datum.tail is None:
-        raise NotApplicableError("blow-up bookkeeping needs an exact tail descriptor")
-    return norm_limit(datum, m)
-
-
 def _recorded_lognorm(u: np.ndarray, weight: np.ndarray, tail_est: float) -> float:
     """Norm of the extended field: grid part plus analytic tail part."""
     return max(float(np.max(np.abs(u) / weight)), tail_est)
@@ -234,7 +227,7 @@ def run_blowup(
     a_hat, r_hat = sub.amplitude, sub.r
     a_tilde = supersolution_amplitude(consts.c_prime, m)
 
-    ratio = _ratio_floor(u0_datum, m)
+    ratio = norm_limit(u0_datum, m)  # in the norm-limit normalization
     if ratio <= 0:
         raise NotApplicableError(
             "initial datum has zero asymptotic growth ratio; no blow-up stage applies"

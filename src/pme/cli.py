@@ -161,13 +161,14 @@ def cmd_geometry(args) -> int:
 
 def cmd_barrier_check(args) -> int:
     manifold = _manifold_from_args(args)
-    # the optional flags given, as a config: a flag this --which does not read exits 2
+    # the optional flags given, as a config keyed by flag: a flag this --which
+    # does not read exits 2, and every message names the flag
     opts = cfgmod.RunConfig(
-        {k: v for k, v in vars(args).items() if k in ("m", "nodes", "c2", "r0") and v is not None}
+        {f"--{k}": v for k, v in vars(args).items() if k in ("m", "nodes", "c2", "r0") and v is not None}
     )
     if args.which == "eta":
-        c2 = cfgmod.get_float(opts, "c2", default=1.0)
-        r0 = cfgmod.get_float(opts, "r0", default=2.0)
+        c2 = cfgmod.get_float(opts, "--c2", default=1.0)
+        r0 = cfgmod.get_float(opts, "--r0", default=2.0)
         cfgmod.reject_unread(opts, "--which eta")
         k = barriers.select_K(c2, r0)
         eta_params = barriers.EtaBarrierParams(
@@ -176,8 +177,8 @@ def cmd_barrier_check(args) -> int:
         report = barriers.certify_eta(eta_params, dim=manifold.dim, rho_max=args.rho_max)
         params = {"a": None, "r": None, "K": k}
     else:
-        m = cfgmod.exponent_from(opts)
-        nodes = opts.get("nodes", 10**4)
+        m = cfgmod.exponent_from(opts, "--m")
+        nodes = opts.get("--nodes", 10**4)
         if nodes < 1:
             raise ConfigError("--nodes must be >= 1")
         cfgmod.reject_unread(opts, f"--which {args.which}")
@@ -359,6 +360,8 @@ def _sweep_row(cfg: dict) -> list:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
     base = cfgmod.parse_config(args.config)
     tokens = sorted(_numbers(args.values, "--values"), key=float)
     if not tokens:

@@ -192,8 +192,8 @@ def manifold_from(cfg: dict) -> ModelManifold:
     return manifold
 
 
-def exponent_from(cfg: dict) -> float:
-    m = get_float(cfg, "m")
+def exponent_from(cfg: dict, key: str = "m") -> float:
+    m = get_float(cfg, key)
     if m <= 1.0:
         raise ConfigError("the PME exponent must satisfy m > 1")
     return m

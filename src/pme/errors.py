@@ -3,9 +3,8 @@
 Every concrete error class declares the ``exit_code`` that ``pme`` returns
 when it escapes a subcommand: 2 for bad input (``ConfigError``,
 ``DomainError``, ``InvalidManifoldError``, ``TailMismatchError``), 3 for a
-failed certificate (``CertificateError``, ``NotApplicableError``,
-``NotCriticalError``) and 4 for a solver breakdown (``SolverError``,
-``StageError``).  ``EXIT_LABELS`` names each code in the CLI's stderr line.
+failed certificate (``CertificateError``, ``NotApplicableError``) and 4 for
+a solver breakdown (``SolverError``, ``StageError``).  ``EXIT_LABELS`` names each code in the CLI's stderr line.
 """
 
 EXIT_LABELS = {2: "configuration error", 3: "certificate failure", 4: "solver failure"}
@@ -24,11 +23,6 @@ class DomainError(PMEError, ValueError):
 class InvalidManifoldError(PMEError):
     """The warping function violates positivity or class-A membership."""
     exit_code = 2
-
-
-class NotCriticalError(PMEError):
-    """Drift grows faster than quadratically; comparison constants diverge."""
-    exit_code = 3
 
 
 class NotApplicableError(PMEError):

@@ -13,7 +13,9 @@ reaches exp(c rho^2)), so all hot paths work in ratio/log space.
 
 Suprema/infima over the noncompact radius range are certified on a geometric
 probe grid with a multiplicative safety margin, combined with per-family
-analytic limits at rho -> 0 and rho -> infinity.
+analytic limits at rho -> 0 and rho -> infinity.  Every rho -> infinity
+quantity comes from the family's ``tail_limits`` alone; nothing is
+extrapolated from the grid.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidManifoldError, NotCriticalError
+from .errors import DomainError, InvalidManifoldError
 
 # Safety margin applied to grid extrema when certifying constants.
 FIT_MARGIN = 1e-3
@@ -32,8 +34,6 @@ FIT_MARGIN = 1e-3
 # along this sequence and land within CLASS_A_TOL at the last probe).
 CLASS_A_PROBES = (1e-2, 1e-3, 1e-4)
 CLASS_A_TOL = 1e-4
-# Relative step for difference-quotient derivatives of user-supplied psi.
-FD_STEP = 1e-5
 
 
 def sphere_area(dim: int) -> float:
@@ -53,16 +53,6 @@ class CurvatureSample:
     ricci_radial: np.ndarray | float
 
 
-def _fd1(f, rho):
-    h = FD_STEP * np.maximum(1.0, rho)
-    return (f(rho + h) - f(rho - h)) / (2.0 * h)
-
-
-def _fd2(f, rho):
-    h = FD_STEP * np.maximum(1.0, rho)
-    return (f(rho + h) - 2.0 * f(rho) + f(rho - h)) / h**2
-
-
 @dataclass(frozen=True, eq=False)
 class ModelManifold:
     """Warped-product model: metric d rho^2 + psi(rho)^2 d theta^2."""
@@ -72,12 +62,13 @@ class ModelManifold:
     c: Optional[float]
     # psi is held once, as log psi and its derivative ratios
     log_psi: Callable[[np.ndarray], np.ndarray]
-    # psi'/psi and psi''/psi; overflow-safe closed forms for built-ins.
+    # psi'/psi and psi''/psi in overflow-safe closed form.
     ratio1: Callable[[np.ndarray], np.ndarray]
     ratio2: Callable[[np.ndarray], np.ndarray]
-    # Analytic limits of rho*m(rho)/((N-1)(1+rho^2)) etc.; None means unknown
-    # (user-supplied psi) and triggers grid-divergence heuristics instead.
-    tail_limits: Optional[dict] = field(default=None, repr=False)
+    # Analytic rho -> inf limits of the fitted ratios: rho m/(1+rho^2)
+    # ("drift"), -Ric/(1+rho^2), -sec/rho^2 and log|S_rho| log rho/rho^2
+    # ("volume", None when it diverges).
+    tail_limits: dict = field(repr=False)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -112,17 +103,8 @@ class ModelManifold:
             return CurvatureSample(float(sec), float(ric))
         return CurvatureSample(sec, ric)
 
-    def surface_measure(self, radius):
-        """Area of the geodesic sphere S_R: |S^{N-1}| psi(R)^{N-1}.
-
-        Overflows to inf on strongly warped families at large R; use
-        ``log_surface_measure`` for certified growth comparisons.
-        """
-        r = self._check_rho(radius)
-        val = np.exp(self.log_surface_measure(r))
-        return float(val) if np.isscalar(radius) else val
-
     def log_surface_measure(self, radius):
+        """log of the area of the geodesic sphere S_R, |S^{N-1}| psi(R)^{N-1}."""
         r = self._check_rho(radius)
         return log_sphere_area(self.dim) + (self.dim - 1) * np.asarray(
             self.log_psi(r), dtype=float
@@ -153,8 +135,8 @@ class ModelManifold:
                 raise InvalidManifoldError(
                     f"{name} deviates by {dev[-1]:.2e} at rho={probes[-1]:g}"
                 )
-        # Convexity spot check across the working range; user-supplied psi
-        # may overflow at large radii, which only shrinks the checkable set.
+        # Convexity spot check across the working range; where psi''/psi
+        # overflows (a large c), the checkable set only shrinks.
         grid = np.geomspace(1e-3, 1e3, 200)
         with np.errstate(over="ignore", invalid="ignore"):
             r2 = np.asarray(self.ratio2(grid), dtype=float)
@@ -276,37 +258,6 @@ def log_critical(c: float, dim: int = 2) -> ModelManifold:
     )
 
 
-def custom(psi: Callable, dim: int, name: str = "custom") -> ModelManifold:
-    """Wrap a user-supplied warping function with difference quotients.
-
-    Derivatives use central differences at step 1e-5 * max(1, rho), evaluated
-    in extended precision so the second derivative is not drowned by
-    cancellation.  Comparison-constant fits fall back to grid-divergence
-    heuristics because no analytic tails are known.
-    """
-
-    def psif(r):
-        return np.asarray(psi(np.asarray(r, dtype=float)), dtype=float)
-
-    def _ratio(fd):
-        def f(r):
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                deriv = np.asarray(fd(psi, np.asarray(r, dtype=np.longdouble)), dtype=float)
-                return deriv / psif(r)
-
-        return f
-
-    return ModelManifold(
-        dim=dim,
-        kind=name,
-        c=None,
-        log_psi=lambda r: np.log(psif(r)),
-        ratio1=_ratio(_fd1),
-        ratio2=_ratio(_fd2),
-        tail_limits=None,
-    )
-
-
 BUILTIN_FAMILIES = {
     "euclidean": euclidean,
     "hyperbolic": hyperbolic,
@@ -358,6 +309,8 @@ class ComparisonConstants:
 def probe_grid(rho_max: float, n_probe: int) -> np.ndarray:
     """Geometric radii on [1e-3, rho_max]: the probes of the constant fits
     and the nodes of the barrier certificates."""
+    if not rho_max > 1e-3:
+        raise DomainError(f"rho_max must exceed the first probe radius 1e-3, got {rho_max:g}")
     return np.geomspace(1e-3, rho_max, n_probe)
 
 
@@ -372,25 +325,13 @@ def _extremum_with_limits(vals, rho, head, tail, sign=1.0):
     return best, where
 
 
-def _diverging(vals, rho):
-    """Heuristic tail-divergence test for user-supplied manifolds."""
-    i = int(np.argmax(vals))
-    if i < len(vals) - max(3, len(vals) // 50):
-        return None
-    j = int(np.searchsorted(rho, rho[-1] / 4.0))
-    if vals[-1] > 1.1 * vals[j]:
-        return float(rho[-1])
-    return None
-
-
 def fit_comparison_constants(
     manifold: ModelManifold, rho_max: float = 1e3, n_probe: int = 4096
 ) -> ComparisonConstants:
     """Fit all drift/curvature/volume comparison constants on a probe grid.
 
-    Grid extrema are widened by FIT_MARGIN and merged with per-family
-    analytic limits so the certified inequalities hold beyond the probes for
-    the built-in families.
+    Grid extrema are widened by FIT_MARGIN and merged with the family's
+    analytic limits, so the certified inequalities hold beyond the probes.
     """
     if rho_max < 10.0:
         raise DomainError("rho_max must be >= 10")
@@ -404,18 +345,11 @@ def fit_comparison_constants(
     drift = manifold.drift(rho)
     ratio = rho * drift / (1.0 + rho * rho)
     head = float(nm1)  # rho psi'/psi -> 1 for class A
-    tail = None if tails is None else tails["drift"]
-    if tails is None:
-        bad = _diverging(ratio, rho)
-        if bad is not None:
-            raise NotCriticalError(
-                f"drift grows faster than quadratically near rho={bad:.3g}"
-            )
-    sup, where = _extremum_with_limits(ratio, rho, head, tail)
+    sup, where = _extremum_with_limits(ratio, rho, head, tails["drift"])
     c_prime = (1.0 + FIT_MARGIN) * sup
     attained["c_prime"] = where
 
-    inf, where = _extremum_with_limits(ratio, rho, head, tail, -1.0)
+    inf, where = _extremum_with_limits(ratio, rho, head, tails["drift"], -1.0)
     if inf > 1e-9 * sup:
         c_double_prime: Optional[float] = (1.0 - FIT_MARGIN) * inf
         attained["c_double_prime"] = where
@@ -426,18 +360,14 @@ def fit_comparison_constants(
     curv = manifold.curvature(rho)
     neg_ric = -curv.ricci_radial / (1.0 + rho * rho)
     ric_head = float(nm1 * np.asarray(manifold.ratio2(1e-6), dtype=float))
-    ric_tail = None if tails is None else tails["ricci"]
-    if tails is None and _diverging(neg_ric, rho) is not None:
-        raise NotCriticalError("Ricci curvature diverges faster than quadratically")
-    sup, where = _extremum_with_limits(neg_ric, rho, ric_head, ric_tail)
+    sup, where = _extremum_with_limits(neg_ric, rho, ric_head, tails["ricci"])
     c_o = (1.0 + FIT_MARGIN) * max(sup, 0.0)
     attained["c_o"] = where
 
     r_o = 1.0
     mask = rho >= r_o
     neg_sect = -curv.sectional[mask] / rho[mask] ** 2
-    sect_tail = None if tails is None else tails["sect"]
-    inf, where = _extremum_with_limits(neg_sect, rho[mask], None, sect_tail, -1.0)
+    inf, where = _extremum_with_limits(neg_sect, rho[mask], None, tails["sect"], -1.0)
     if inf > 1e-12:
         k_o: Optional[float] = (1.0 - FIT_MARGIN) * inf
         attained["k_o"] = where
@@ -445,18 +375,13 @@ def fit_comparison_constants(
         k_o, r_o = None, None
         attained["k_o"] = None
 
-    vol_mask = rho >= 3.0
-    rv = rho[vol_mask]
-    lvol = manifold.log_surface_measure(rv)
-    vol_ratio = lvol * np.log(rv) / rv**2
-    vol_tail = None if tails is None else tails["volume"]
-    if (tails is not None and vol_tail is None) or (
-        tails is None and _diverging(vol_ratio, rv) is not None
-    ):
+    if tails["volume"] is None:
         c_m = None
         attained["c_m"] = None
     else:
-        sup, where = _extremum_with_limits(vol_ratio, rv, None, vol_tail)
+        rv = rho[rho >= 3.0]
+        vol_ratio = manifold.log_surface_measure(rv) * np.log(rv) / rv**2
+        sup, where = _extremum_with_limits(vol_ratio, rv, None, tails["volume"])
         c_m = (1.0 + FIT_MARGIN) * max(sup, 0.0)
         attained["c_m"] = where
 

@@ -478,9 +478,9 @@ def existence_time(
 ) -> ExistenceTime:
     a = supersolution_amplitude(consts.c_prime, m)
     norm = log_norm(u0, LogNorm(r, m))
-    lim_norm = norm_limit(u0, m)
     if norm == 0.0:
         return ExistenceTime(math.inf, math.inf, True, norm)
+    lim_norm = norm_limit(u0, m)
     time = horizon_time(a, norm, m)
     if lim_norm == 0.0:
         return ExistenceTime(time, math.inf, True, norm)

@@ -1,10 +1,11 @@
 """Weighted sup-norms for data with logarithmic growth.
 
 The norm family is ||f||_r = sup |f(rho)| / [log(r^2 + rho^2)]^(1/(m-1)),
-r >= 2.  Finite grids cannot see the rho -> infinity behaviour, so canonical
-data carry a *tail descriptor* (exact analytic form beyond a stated radius)
-which makes the tail supremum and the asymptotic growth ratio exact instead
-of extrapolated.
+r >= 2.  Finite grids cannot see the rho -> infinity behaviour, so data carry
+a *tail descriptor* (exact analytic form beyond a stated radius).  Every
+rho -> infinity quantity, the tail supremum and the asymptotic growth ratio,
+is read off that descriptor; nothing is extrapolated from the grid, and a
+datum without one has no asymptotic ratio (``NotApplicableError``).
 
 Note on the r -> infinity limit: since log(r^2 + rho^2) ~ 2 log rho, the
 norms decrease to 2^(-1/(m-1)) times the asymptotic ratio
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, TailMismatchError
+from .errors import DomainError, NotApplicableError, TailMismatchError
 
 TAIL_FORMS = ("log-growth", "bounded")
 
@@ -113,14 +114,6 @@ class RadialDatum:
             )
 
 
-@dataclass(frozen=True)
-class LimsupEstimate:
-    """Asymptotic growth ratio limsup |f|/(log rho)^(1/(m-1))."""
-
-    value: float  # inf when the grid window sees the ratio still growing
-    exact: bool
-
-
 def log_norm(datum: RadialDatum, norm: LogNorm) -> float:
     """Weighted sup-norm over the sampled nodes plus the exact tail part.
 
@@ -143,38 +136,25 @@ def log_norm(datum: RadialDatum, norm: LogNorm) -> float:
     return max(grid_part, tail_part)
 
 
-def limsup_ratio(datum: RadialDatum, m: float | None = None) -> LimsupEstimate:
-    """Exact from the tail descriptor; windowed grid estimate otherwise."""
+def limsup_ratio(datum: RadialDatum) -> float:
+    """limsup |f|/(log rho)^(1/(m-1)), read off the tail descriptor."""
     t = datum.tail
-    if t is not None:
-        if t.form == "bounded":
-            return LimsupEstimate(0.0, exact=True)
-        return LimsupEstimate(t.amplitude, exact=True)
-    if m is None:
-        raise DomainError("m is required for descriptor-free data")
-    rho_max = float(datum.rho[-1])
-    if rho_max < 1e3:
-        raise DomainError("grid must extend to rho >= 1e3 without a tail descriptor")
-    window = datum.rho >= rho_max / 10.0
-    r = datum.rho[window]
-    ratios = np.abs(datum.values[window]) / np.log(r) ** (1.0 / (m - 1.0))
-    mid = r <= np.sqrt(r[0] * r[-1])
-    lo = float(np.max(ratios[mid])) if np.any(mid) else float(ratios[0])
-    hi = float(np.max(ratios[~mid])) if np.any(~mid) else lo
-    value = float("inf") if hi > 1.5 * max(lo, 1e-300) else float(np.max(ratios))
-    return LimsupEstimate(value, exact=False)
+    if t is None:
+        raise NotApplicableError("the asymptotic ratio needs a tail descriptor")
+    return 0.0 if t.form == "bounded" else t.amplitude
 
 
 def norm_limit(datum: RadialDatum, m: float | None = None) -> float:
     """lim_{r->inf} ||f||_r = 2^(-1/(m-1)) * limsup_ratio."""
+    ratio = limsup_ratio(datum)
     t = datum.tail
-    if t is not None and t.form == "log-growth":
+    if t.form == "log-growth":
         if m not in (None, t.m):
             raise DomainError("tail descriptor exponent disagrees with m")
         m = t.m
     if m is None:
         raise DomainError("m is required to take the norm limit")
-    return limsup_ratio(datum, m=m).value * 2.0 ** (-1.0 / (m - 1.0))
+    return ratio * 2.0 ** (-1.0 / (m - 1.0))
 
 
 # -- canonical data generators -------------------------------------------------

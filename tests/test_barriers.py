@@ -235,7 +235,7 @@ def test_separable_norm_growth_is_exact():
     n = xlog.LogNorm(2.0, 2.0)
     base = xlog.log_norm(xlog.RadialDatum(rho, p.profile(rho)), n)
     for t in (0.0, 0.03, 0.09):
-        vals = p.separable(rho, t)
+        vals = barriers.blowup_factor(t, p.horizon, p.m) * p.profile(rho)
         got = xlog.log_norm(xlog.RadialDatum(rho, vals), n)
         factor = (1 - t / p.horizon) ** -1.0
         assert got == pytest.approx(factor * base, rel=1e-13)
@@ -257,7 +257,7 @@ def test_supersolution_dominates_subsolution_for_canonical_datum(
     sub = barriers.subsolution_params(quad_constants, m)
     lower = barriers.BarrierParams(sub.amplitude, sub.r, horizon=4.0, m=m)
     delta = float(np.max(lower.profile(rho) ** m - np.abs(datum.values) ** m))
-    up0 = upper.separable(rho, 0.0)
+    up0 = barriers.blowup_factor(0.0, upper.horizon, upper.m) * upper.profile(rho)
     low0 = barriers.shifted_subsolution(lower, max(delta, 0.0), rho)
     assert np.all(up0 >= datum.values - 1e-12)
     assert np.all(datum.values >= low0 - 1e-12)

@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +141,8 @@ def test_barrier_check_rejects_flags_its_which_does_not_read(tmp_path, capsys, w
         "barrier-check", "--manifold", "quad-critical", "--dim", "3", "--c", "0.5", *m,
         "--which", which, flag, "5", "--out", str(tmp_path / "cert.json"),
     )
-    assert_one_configuration_error(rc, capsys)
+    err = assert_one_configuration_error(rc, capsys)
+    assert f"'{flag}'" in err, err
     assert not any(tmp_path.iterdir())
 
 
@@ -204,13 +207,15 @@ def test_solve_rejects_small_exponent(tmp_path, capsys):
     assert "m > 1" in capsys.readouterr().err
 
 
-def test_solve_rejects_unknown_key(tmp_path):
+def test_solve_rejects_unknown_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG + "\nwhatever = 3\n")
     rc = run_cli(
         "solve", "--config", cfg, "--out", str(tmp_path / "t.csv"),
         "--summary", str(tmp_path / "s.json"),
     )
-    assert rc == 2
+    err = capsys.readouterr().err
+    assert rc == 2 and "'whatever'" in err, err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_solve_table_datum(tmp_path):
@@ -726,19 +731,25 @@ def test_console_entry_point():
 
 # -- exit codes ---------------------------------------------------------------------------
 
-# the documented contract (README "Command line", ``pme.errors``)
-EXIT_CODES = {
-    errors.ConfigError: 2,
-    errors.DomainError: 2,
-    errors.InvalidManifoldError: 2,
-    errors.TailMismatchError: 2,
-    errors.CertificateError: 3,
-    errors.NotApplicableError: 3,
-    errors.NotCriticalError: 3,
-    errors.SolverError: 4,
-    errors.StageError: 4,
-}
-PREFIXES = {2: "pme: configuration error: ", 3: "pme: certificate failure: ", 4: "pme: solver failure: "}
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def documented_exit_codes():
+    """({error class name: code}, {code: label}) read from the README "Command line"
+    bullets ``- N, `label`: `SomeError`, ...``, which may wrap onto more lines."""
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    codes, labels = {}, {}
+    bullets = re.findall(r"^- (\d), `([^`]+)`:(.*?)(?=^- |^$)", section, re.M | re.S)
+    for code, label, body in bullets:
+        labels[int(code)] = label
+        for name in re.findall(r"`(\w+Error)`", body):
+            codes[name] = int(code)
+    return codes, labels
+
+
+# the documented contract; a README that drifts from ``pme.errors`` fails below
+EXIT_CODES, _LABELS = documented_exit_codes()
+PREFIXES = {code: f"pme: {label}: " for code, label in _LABELS.items()}
 
 
 def error_classes(cls=errors.PMEError):
@@ -750,25 +761,27 @@ def error_classes(cls=errors.PMEError):
 
 @pytest.mark.parametrize("cls", list(error_classes()), ids=lambda cls: cls.__name__)
 def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, cls):
-    assert cls in EXIT_CODES, f"{cls.__name__} has no documented exit code"
+    assert cls.__name__ in EXIT_CODES, f"{cls.__name__} has no documented exit code"
 
     def stub(args):
         raise cls("stub failure")
 
     monkeypatch.setattr(cli, "cmd_uniq_check", stub)
     rc = run_cli("uniq-check", "--T", "0.05", "--c_m", "1")
-    assert rc == EXIT_CODES[cls]
+    assert rc == EXIT_CODES[cls.__name__]
     assert capsys.readouterr().err == PREFIXES[rc] + "stub failure\n"
 
 
 def test_documented_exit_codes_name_only_existing_classes():
-    assert set(EXIT_CODES) == set(error_classes())
+    assert set(EXIT_CODES) == {cls.__name__ for cls in error_classes()}
+    assert set(PREFIXES) == {2, 3, 4}
 
 
 def assert_one_configuration_error(rc, capsys):
     err = capsys.readouterr().err
     assert rc == 2, err
     assert len(err.splitlines()) == 1 and err.startswith(PREFIXES[2]), err
+    return err
 
 
 def quad_args(command, *extra):
@@ -807,54 +820,103 @@ def undecodable_cfg(tmp_path):
     return str(path)
 
 
+def sweep_args(tmp_path, *extra):
+    cfg = write_cfg(tmp_path, R12_BLOWUP_CFG)
+    return ["sweep", "--config", cfg, "--param", "b", "--values", "1", *extra, "--out", str(tmp_path / "s.csv")]
+
+
+def check_args(tmp_path, *extra):
+    return quad_args("barrier-check", *extra, "--out", str(tmp_path / "c.json"))
+
+
 @pytest.mark.parametrize(
-    "make_argv",
+    "make_argv, needle",
     [
         pytest.param(
             lambda tmp: quad_args("geometry", "--rho-max", "1e200", "--report", str(tmp / "g.json")),
+            "psi'/psi is not finite",
             id="geometry-psi-overflow",
         ),
         pytest.param(
-            lambda tmp: quad_args(
-                "barrier-check", "--m", "2", "--which", "super", "--rho-max", "1e200",
-                "--out", str(tmp / "c.json"),
-            ),
+            lambda tmp: check_args(tmp, "--m", "2", "--which", "super", "--rho-max", "1e200"),
+            "psi'/psi is not finite",
             id="barrier-check-psi-overflow",
         ),
         pytest.param(
-            lambda tmp: quad_args("barrier-check", "--which", "super", "--out", str(tmp / "c.json")),
-            id="barrier-check-super-without-m",
+            lambda tmp: check_args(tmp, "--which", "super"), "'--m'", id="barrier-check-super-without-m"
         ),
-        pytest.param(lambda tmp: solve_args(tmp, str(tmp / "missing.cfg")), id="solve-missing-config"),
+        pytest.param(
+            lambda tmp: check_args(tmp, "--m", "2", "--which", "super", "--rho-max", "0"),
+            "rho_max",
+            id="barrier-check-super-rho-max-zero",
+        ),
+        pytest.param(
+            lambda tmp: check_args(tmp, "--m", "2", "--which", "super", "--rho-max", "-1"),
+            "rho_max",
+            id="barrier-check-super-rho-max-negative",
+        ),
+        pytest.param(
+            lambda tmp: check_args(tmp, "--m", "2", "--which", "super", "--rho-max", "1e-5"),
+            "rho_max",
+            id="barrier-check-super-rho-max-below-first-probe",
+        ),
+        pytest.param(
+            lambda tmp: check_args(tmp, "--which", "eta", "--rho-max", "0"),
+            "rho_max",
+            id="barrier-check-eta-rho-max-zero",
+        ),
+        pytest.param(
+            lambda tmp: check_args(tmp, "--which", "eta", "--rho-max", "-1"),
+            "rho_max",
+            id="barrier-check-eta-rho-max-negative",
+        ),
+        pytest.param(
+            lambda tmp: ["uniq-check", "--T", "0.05", "--c_m", "0", "--k", "0.2", "--out", str(tmp / "u.json")],
+            "C_M",
+            id="uniq-check-zero-c_m",
+        ),
+        pytest.param(lambda tmp: sweep_args(tmp, "--workers", "0"), "--workers", id="sweep-zero-workers"),
+        pytest.param(lambda tmp: sweep_args(tmp, "--workers", "-3"), "--workers", id="sweep-negative-workers"),
+        pytest.param(lambda tmp: solve_args(tmp, str(tmp / "missing.cfg")), "missing.cfg", id="solve-missing-config"),
         pytest.param(
             lambda tmp: ["sweep", "--config", str(tmp / "missing.cfg"), "--param", "b",
                          "--values", "1", "--workers", "1", "--out", str(tmp / "s.csv")],
+            "missing.cfg",
             id="sweep-missing-config",
         ),
-        pytest.param(lambda tmp: solve_args(tmp, str(tmp)), id="solve-config-is-a-directory"),
-        pytest.param(lambda tmp: solve_args(tmp, undecodable_cfg(tmp)), id="solve-undecodable-config"),
+        pytest.param(lambda tmp: solve_args(tmp, str(tmp)), "cannot read", id="solve-config-is-a-directory"),
+        pytest.param(
+            lambda tmp: solve_args(tmp, undecodable_cfg(tmp)), "cannot read", id="solve-undecodable-config"
+        ),
         pytest.param(
             lambda tmp: solve_args(
                 tmp, write_cfg(tmp, BASE_CFG.replace("log-growth(1.0)", f"table({tmp})"))
             ),
+            "cannot read",
             id="solve-table-is-a-directory",
         ),
         pytest.param(
             lambda tmp: solve_args(
                 tmp, write_cfg(tmp, BASE_CFG.replace("log-growth(1.0)", f"table({tmp}/no.csv)"))
             ),
+            "no.csv",
             id="solve-missing-table",
         ),
         pytest.param(
             lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG.replace("c = 0.5", "c = -1"))),
+            "c > 0",
             id="solve-negative-curvature-parameter",
         ),
     ],
 )
-def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_argv):
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_argv, needle):
+    argv = make_argv(tmp_path)
+    inputs = sorted(tmp_path.iterdir())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = run_cli(*make_argv(tmp_path))
+        rc = run_cli(*argv)
     # outside pytest, each warning would print its own lines on stderr
     assert not caught, [str(w.message) for w in caught]
-    assert_one_configuration_error(rc, capsys)
+    err = assert_one_configuration_error(rc, capsys)
+    assert needle in err, err
+    assert sorted(tmp_path.iterdir()) == inputs  # no output file

@@ -127,7 +127,7 @@ def test_table_datum_is_bounded_beyond_its_last_row(tmp_path):
     datum = config.datum_from({"u0": f"table({table})"}).datum(2.0, rho)
     assert datum.tail == xlog.TailDescriptor("bounded", 0.25, rho_start=4.0)
     assert np.all(datum.values[rho >= 4.0] == -0.25)
-    assert xlog.limsup_ratio(datum) == xlog.LimsupEstimate(0.0, exact=True)
+    assert xlog.limsup_ratio(datum) == 0.0
 
 
 def test_log_sphere_area_matches_closed_form():

@@ -12,12 +12,7 @@ import pytest
 import sympy as sp
 
 from pme import geometry
-from pme.errors import (
-    DomainError,
-    InvalidManifoldError,
-    NotApplicableError,
-    NotCriticalError,
-)
+from pme.errors import DomainError, InvalidManifoldError
 
 RHO = sp.symbols("rho", positive=True)
 
@@ -29,6 +24,16 @@ def symbolic_ratios(psi_expr):
     f1 = sp.lambdify(RHO, sp.simplify(d1), "numpy")
     f2 = sp.lambdify(RHO, sp.simplify(d2), "numpy")
     return f1, f2
+
+
+def sympy_manifold(psi_expr, dim):
+    """A model manifold whose log psi and ratios are lambdified from sympy."""
+    log_psi = sp.lambdify(RHO, sp.log(psi_expr), "numpy")
+    ratio1, ratio2 = symbolic_ratios(psi_expr)
+    return geometry.ModelManifold(
+        dim=dim, kind="sympy", c=None, log_psi=log_psi, ratio1=ratio1, ratio2=ratio2,
+        tail_limits={},
+    )
 
 
 SYMBOLIC = {
@@ -128,50 +133,47 @@ def test_builtins_are_class_a(all_builtins):
 
 
 def test_validate_rejects_concave_psi():
-    ok = geometry.custom(lambda r: np.sinh(r), dim=2)
-    bad = geometry.custom(lambda r: np.log(1.0 + r), dim=2)
+    bad = sympy_manifold(sp.log(1 + RHO), dim=2)
     with pytest.raises(InvalidManifoldError):
         bad.validate()
-    assert ok.validate()
+    assert geometry.hyperbolic(2).validate()
 
 
 def test_validate_rejects_wrong_slope():
-    bad = geometry.custom(lambda r: 2.0 * r, dim=2)  # psi'(0) = 2
+    bad = sympy_manifold(2 * RHO, dim=2)  # psi'(0) = 2
     with pytest.raises(InvalidManifoldError):
         bad.validate()
 
 
-# -- difference-quotient fallback -------------------------------------------------
+# -- closed-form ratios --------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "hyperbolic", "quad-critical", "log-critical"])
 def test_fd_fallback_matches_closed_forms(kind):
-    # the built-ins' closed-form psi'/psi and psi''/psi against the
-    # difference-quotient ratios of ``custom`` wrapping the same psi
+    # the built-ins' closed-form psi'/psi and psi''/psi against sympy's
+    # derivatives of the same psi
     built = {
         "euclidean": geometry.euclidean(3),
         "hyperbolic": geometry.hyperbolic(3),
         "quad-critical": geometry.quad_critical(0.5, 3),
         "log-critical": geometry.log_critical(1.0, 3),
     }[kind]
-    wrapped = geometry.custom(sp.lambdify(RHO, SYMBOLIC[kind], "numpy"), dim=3)
+    f1, f2 = symbolic_ratios(SYMBOLIC[kind])
     for rho in (0.05, 0.7, 1.0, 3.0, 8.0):
-        for fd, exact in (
-            (wrapped.ratio1(rho), float(built.ratio1(rho))),
-            (wrapped.ratio2(rho), float(built.ratio2(rho))),
-        ):
-            assert abs(float(fd) - exact) <= 1e-6 * max(abs(exact), 1.0)
+        assert float(built.ratio1(rho)) == pytest.approx(float(f1(rho)), rel=1e-12)
+        assert float(built.ratio2(rho)) == pytest.approx(float(f2(rho)), rel=1e-12)
 
 
 # -- surface measure ---------------------------------------------------------------
 
 
 def test_surface_measure_euclidean_unit_sphere():
-    assert geometry.euclidean(3).surface_measure(1.0) == pytest.approx(4 * math.pi, rel=1e-12)
+    got = math.exp(geometry.euclidean(3).log_surface_measure(1.0))
+    assert got == pytest.approx(4 * math.pi, rel=1e-12)
 
 
 def test_surface_measure_hyperbolic():
-    got = geometry.hyperbolic(2).surface_measure(1.0)
+    got = math.exp(geometry.hyperbolic(2).log_surface_measure(1.0))
     assert got == pytest.approx(2 * math.pi * math.sinh(1.0), rel=1e-12)
 
 
@@ -218,7 +220,7 @@ def test_constants_hyperbolic_lower_bound_absent():
 
 
 def test_certified_sandwich_on_probes(all_builtins):
-    for M in all_builtins:
+    for M in [*all_builtins, geometry.log_critical(0.3, 4)]:
         consts = geometry.fit_comparison_constants(M)
         rho = geometry.probe_grid(1e3, 2048)
         drift = M.drift(rho)
@@ -227,11 +229,20 @@ def test_certified_sandwich_on_probes(all_builtins):
         if consts.c_double_prime is not None:
             assert np.all(drift >= consts.c_double_prime * (1 + rho**2) / rho - 1e-12)
 
-
-def test_not_critical_error_for_cubic_growth():
-    M = geometry.custom(lambda r: r * np.exp(0.002 * r**3), dim=2)
-    with pytest.raises(NotCriticalError):
-        geometry.fit_comparison_constants(M, rho_max=50.0)
+        # the fits probe up to rho = 1e3; past that, only the analytic
+        # tails stand behind the constants
+        rho = np.geomspace(1e3, 1e8, 2001)
+        ratio = rho * M.drift(rho) / (1 + rho**2)
+        assert np.all(ratio <= consts.c_prime), M.kind
+        if consts.c_double_prime is not None:
+            assert np.all(ratio >= consts.c_double_prime), M.kind
+        curv = M.curvature(rho)
+        assert np.all(-curv.ricci_radial / (1 + rho**2) <= consts.c_o), M.kind
+        if consts.k_o is not None:
+            assert np.all(-curv.sectional / rho**2 >= consts.k_o), M.kind
+        if consts.c_m is not None:
+            vol = M.log_surface_measure(rho) * np.log(rho) / rho**2
+            assert np.all(vol <= consts.c_m), M.kind
 
 
 def test_fit_preconditions():

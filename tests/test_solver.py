@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack, solve_banded
 
 from pme import barriers, geometry, solver, xlog
-from pme.errors import DomainError, SolverError
+from pme.errors import DomainError, NotApplicableError, SolverError
 from pme.grid import RadialGrid
 
 
@@ -593,7 +593,8 @@ def test_existence_time_closed_form():
 
     rho = np.geomspace(1e-3, 1e6, 2000)
     w = xlog.LogNorm(2.0, 2.0).weight(rho)
-    datum = xlog.RadialDatum(rho, w)  # norm exactly 1
+    # norm exactly 1; the weight's tail 2 log rho matches the rows past 1e5 to 2e-11
+    datum = xlog.RadialDatum(rho, w, tail=xlog.TailDescriptor("log-growth", 2.0, 1e5, m=2.0))
     et = solver.existence_time(datum, FakeConsts(), 2.0)
     assert et.time == pytest.approx(1.0 / 24, rel=1e-12)
     assert not et.global_flag
@@ -632,6 +633,10 @@ def test_existence_time_zero_datum():
     datum = xlog.RadialDatum(rho, np.zeros_like(rho))
     et = solver.existence_time(datum, FakeConsts(), 2.0)
     assert et.global_flag and et.time == math.inf
+    # a positive datum has no limit horizon without a tail descriptor
+    datum = xlog.RadialDatum(rho, np.ones_like(rho))
+    with pytest.raises(NotApplicableError):
+        solver.existence_time(datum, FakeConsts(), 2.0)
 
 
 # -- step policies agree -----------------------------------------------------------------

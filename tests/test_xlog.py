@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pme import xlog
-from pme.errors import DomainError, TailMismatchError
+from pme.errors import DomainError, NotApplicableError, TailMismatchError
 
 GRID = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 3000)))
 
@@ -71,31 +71,33 @@ def test_tail_mismatch_detected():
 
 def test_limsup_bounded_data_is_zero():
     d = xlog.bounded_datum(7.0, GRID[1:])
-    assert xlog.limsup_ratio(d).value == 0.0
-    assert xlog.limsup_ratio(d).exact
+    assert xlog.limsup_ratio(d) == 0.0
 
 
 def test_limsup_log_growth_is_amplitude():
     d = xlog.log_growth_datum(0.7, 2.0, GRID[1:])
-    est = xlog.limsup_ratio(d)
-    assert est.value == pytest.approx(0.7, abs=0)
-    assert est.exact
+    assert xlog.limsup_ratio(d) == 0.7
 
 
 def test_limsup_of_shifted_weight_without_descriptor():
-    # f = log(4 + rho^2) grows like 2 log rho, so the ratio tends to 2
+    # f = log(4 + rho^2) grows like 2 log rho, but no grid reaches rho -> inf:
+    # without a tail descriptor there is no ratio, however far the samples go
     rho = np.geomspace(1.0, 1e6, 4000)
     d = xlog.RadialDatum(rho, np.log(4.0 + rho**2))
-    est = xlog.limsup_ratio(d, m=2.0)
-    assert not est.exact
-    assert est.value == pytest.approx(2.0, rel=1e-2)
+    with pytest.raises(NotApplicableError):
+        xlog.limsup_ratio(d)
+    for m in (None, 2.0):
+        with pytest.raises(NotApplicableError):
+            xlog.norm_limit(d, m)
 
 
 def test_limsup_requires_reach_or_descriptor():
     rho = np.geomspace(1.0, 100.0, 50)
     d = xlog.RadialDatum(rho, np.ones_like(rho))
-    with pytest.raises(DomainError):
-        xlog.limsup_ratio(d, m=2.0)
+    with pytest.raises(NotApplicableError):
+        xlog.limsup_ratio(d)
+    with pytest.raises(NotApplicableError):
+        xlog.norm_limit(d, 2.0)
 
 
 def test_norm_limit_is_half_ratio_for_m2():
@@ -162,7 +164,7 @@ def test_reproducing_bound_absolute_at_unit_scale():
 @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
 def test_ratio_scaled_by_half_power_below_every_norm(b, m):
     d = xlog.log_growth_datum(b, m, GRID[1:])
-    ratio = xlog.limsup_ratio(d).value
+    ratio = xlog.limsup_ratio(d)
     scaled = ratio * 2.0 ** (-1.0 / (m - 1.0))
     for r in (2.0, 4.0, 16.0, 256.0):
         assert scaled <= xlog.log_norm(d, xlog.LogNorm(r, m)) * (1 + 1e-12)
