@@ -301,7 +301,7 @@ def cmd_uniq_check(args) -> int:
     eta_params = barriers.EtaBarrierParams(
         decay=k,
         scale=1.0,
-        horizon=max(args.T, 1e-6),
+        horizon=args.T,
         inner_radius=args.r0,
         coeff_bound=args.c2,
     )

@@ -92,33 +92,38 @@ def parse_config(path) -> RunConfig:
     return out
 
 
+def _named(key: str) -> str:
+    """``key`` as messages name it: a ``--`` key is a command-line option."""
+    return f"option '{key}'" if key.startswith("--") else f"key '{key}'"
+
+
 def get_float(cfg: dict, key: str, default=None, positive=False) -> float:
     """Finite float value of ``key``; required unless a default is given."""
     if key not in cfg:
         if default is None:
-            raise ConfigError(f"missing required key '{key}'")
+            raise ConfigError(f"missing required {_named(key)}")
         return default
     try:
         val = float(cfg[key])
     except ValueError as exc:
-        raise ConfigError(f"key '{key}': not a number ({cfg[key]!r})") from exc
+        raise ConfigError(f"{_named(key)}: not a number ({cfg[key]!r})") from exc
     if positive and val <= 0:
-        raise ConfigError(f"key '{key}' must be positive")
+        raise ConfigError(f"{_named(key)} must be positive")
     if not math.isfinite(val):
-        raise ConfigError(f"key '{key}' must be finite")
+        raise ConfigError(f"{_named(key)} must be finite")
     return val
 
 
 def get_int(cfg: dict, key: str, minimum=None) -> int:
     """Integer value of the required ``key``."""
     if key not in cfg:
-        raise ConfigError(f"missing required key '{key}'")
+        raise ConfigError(f"missing required {_named(key)}")
     try:
         val = int(cfg[key])
     except ValueError as exc:
-        raise ConfigError(f"key '{key}': not an integer ({cfg[key]!r})") from exc
+        raise ConfigError(f"{_named(key)}: not an integer ({cfg[key]!r})") from exc
     if minimum is not None and val < minimum:
-        raise ConfigError(f"key '{key}' must be >= {minimum}")
+        raise ConfigError(f"{_named(key)} must be >= {minimum}")
     return val
 
 

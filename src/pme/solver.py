@@ -14,6 +14,22 @@ band copy and input checks), and the residual at the point accepted by the
 Armijo line search becomes the next iterate's residual, so each Newton
 iteration evaluates the residual about once.
 
+At the grid sizes of a staged blow-up run the cost of a Newton iteration
+is numpy call dispatch, not arithmetic, so the kernel makes as few calls as
+it can while producing every float bit for bit as the plain form (|u|^m
+and |u|^{m-1} recomputed from u, ``-g`` and ``u + lam * delta`` as new
+arrays) does; ``tests/test_solver.py`` keeps that form as its oracle.
+|u| is taken once per evaluated point and serves both the residual's
+|u|^m and the next Jacobian's |u|^{m-1}, since ``abs`` is exact.  The
+residual is written into buffers owned by the solve, in the plain form's
+order of operations.  The right-hand side is negated in place and the step
+is ``u + lam * delta``: solving for +g and stepping with ``u - lam * delta``
+would round every nonzero entry alike, but LAPACK's ``b - fact * b`` does
+not commute with negation when the result is an exact zero, so the sign of
+a zero direction entry, and with it the sign of a ``-0.0`` cell (odd data
+make them), could change.  At ``lam == 1`` the step skips the multiply,
+because ``1.0 * x`` is exact.
+
 A rejected step, including a singular or non-finite system, is retried on
 two half steps, recursively, so ``step`` always advances by exactly the
 requested increment or raises; ``MAX_HALVINGS`` bounds the depth and
@@ -235,9 +251,6 @@ def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
     cm = dt * grid.coeff_minus
     cp = dt * grid.coeff_plus
     n = u_old.size
-    u = u_old.copy()
-    uscale = max(1.0, float(np.abs(u_old).max()), abs(v_b) ** (1.0 / m))
-    target = tol * uscale
     # fixed factors of the Jacobian diagonals, and one buffer holding the
     # diagonals so that a single test sees any non-finite entry
     c_diag = cp + cm
@@ -245,54 +258,80 @@ def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
     c_lower = -cm[1:]
     jac = np.empty(3 * n - 2)
     diag, upper, lower = jac[:n], jac[n : 2 * n - 1], jac[2 * n - 1 :]
+    dv = np.empty(n)
+    dv_upper, dv_lower = dv[1:], dv[:-1]
+    # vpad = [0, v(u), v_b], so jump[k] = vpad[k+1] - vpad[k] is the
+    # difference of v across face k: face 0 is the origin (v[0] - 0,
+    # weighted by coeff_minus[0] = 0), face n the outer boundary
+    vpad = np.zeros(n + 2)
+    vpad[-1] = v_b
+    v, v_right, v_left = vpad[1:-1], vpad[1:], vpad[:-1]
+    jump = np.empty(n + 1)
+    jump_out, jump_in = jump[1:], jump[:-1]
+    flux, scratch = np.empty(n), np.empty(n)
 
-    def residual(u):
-        # jump[k] is the difference of v across face k; face 0 is the
-        # origin (v[0] - 0, weighted by coeff_minus[0] = 0), face n the
-        # outer boundary, where v takes the imposed value v_b
-        v = odd_power(u, m)
-        jump = np.empty(n + 1)
-        jump[0] = v[0]
-        np.subtract(v[1:], v[:-1], out=jump[1:-1])
-        jump[-1] = v_b - v[-1]
-        return (u - u_old) - (cp * jump[1:] - cm * jump[:-1])
+    def residual(u, u_abs, g):
+        """Write |u| to ``u_abs`` and the residual to ``g``; return max|g|."""
+        np.absolute(u, out=u_abs)
+        np.power(u_abs, m, out=v)
+        np.sign(u, out=scratch)
+        np.multiply(scratch, v, out=v)
+        np.subtract(v_right, v_left, out=jump)
+        np.multiply(cp, jump_out, out=flux)
+        np.multiply(cm, jump_in, out=scratch)
+        np.subtract(flux, scratch, out=flux)
+        np.subtract(u, u_old, out=g)
+        np.subtract(g, flux, out=g)
+        return float(np.maximum.reduce(np.absolute(g, out=scratch)))
 
-    g = residual(u)
-    g_norm = float(np.abs(g).max())
+    # the current point u with |u| and its residual g, and the same three
+    # buffers for the line-search trial; an accepted trial swaps the two
+    u, u_abs, g = u_old.copy(), np.empty(n), np.empty(n)
+    trial, trial_abs, g_trial = np.empty(n), np.empty(n), np.empty(n)
+    g_norm = residual(u, u_abs, g)
+    uscale = max(1.0, float(np.maximum.reduce(u_abs)), abs(v_b) ** (1.0 / m))
+    target = tol * uscale
     for _ in range(max_iter):
         if g_norm <= target:
             return u, True, g_norm
         if not math.isfinite(g_norm):
             return u, False, g_norm
-        dv = m * (np.abs(u) ** (m - 1.0) + JACOBIAN_EPS)
+        np.power(u_abs, m - 1.0, out=dv)
+        dv += JACOBIAN_EPS
+        dv *= m
         np.multiply(c_diag, dv, out=diag)
         diag += 1.0
-        np.multiply(c_upper, dv[1:], out=upper)
-        np.multiply(c_lower, dv[:-1], out=lower)
-        if not np.isfinite(jac).all():
+        np.multiply(c_upper, dv_upper, out=upper)
+        np.multiply(c_lower, dv_lower, out=lower)
+        if not np.logical_and.reduce(np.isfinite(jac)):
             return u, False, g_norm
         _, _, _, delta, info = dgtsv(
-            lower, diag, upper, -g,
+            lower, diag, upper, np.negative(g, out=g),
             overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
         )
-        if info != 0 or not np.isfinite(delta).all():
+        if info != 0 or not np.logical_and.reduce(np.isfinite(delta)):
             return u, False, g_norm
         # Armijo backtracking; a non-finite trial norm fails the test too.
         # The accepted trial point and its residual become the next iterate.
         lam = 1.0
         while lam > 2.0**-30:
-            trial = u + lam * delta
-            g_trial = residual(trial)
-            g_trial_norm = float(np.abs(g_trial).max())
+            if lam == 1.0:
+                np.add(u, delta, out=trial)
+            else:
+                np.add(u, np.multiply(lam, delta, out=trial), out=trial)
+            g_trial_norm = residual(trial, trial_abs, g_trial)
             if g_trial_norm < (1.0 - 0.25 * lam) * g_norm or g_trial_norm <= target:
-                u, g, g_norm = trial, g_trial, g_trial_norm
+                u, trial = trial, u
+                u_abs, trial_abs = trial_abs, u_abs
+                g, g_trial = g_trial, g
+                g_norm = g_trial_norm
                 break
             lam *= 0.5
         else:
             # no trial accepted: take the smallest step, not yet evaluated
-            u = u + lam * delta
-            g = residual(u)
-            g_norm = float(np.abs(g).max())
+            np.add(u, np.multiply(lam, delta, out=trial), out=trial)
+            u, trial = trial, u
+            g_norm = residual(u, u_abs, g)
     return u, g_norm <= target, g_norm
 
 
@@ -310,7 +349,7 @@ def step(
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    if not np.all(np.isfinite(u)):
+    if not np.logical_and.reduce(np.isfinite(u)):
         raise SolverError("non-finite field entering step")
     pending = [(t, dt, 0)]
     outflow = 0.0

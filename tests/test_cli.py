@@ -146,6 +146,16 @@ def test_barrier_check_rejects_flags_its_which_does_not_read(tmp_path, capsys, w
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("which", ["super", "sub"])
+def test_barrier_check_without_m_names_the_option(tmp_path, capsys, which):
+    rc = run_cli(
+        "barrier-check", "--manifold", "euclidean", "--dim", "2", "--which", which,
+        "--out", str(tmp_path / "cert.json"),
+    )
+    err = assert_one_configuration_error(rc, capsys)
+    assert "missing required option '--m'" in err and "key" not in err, err
+
+
 @pytest.mark.parametrize("which, flags", [("super", ["--nodes", "10000"]), ("eta", ["--c2", "1", "--r0", "2"])])
 def test_barrier_check_flag_defaults(tmp_path, which, flags):
     outs = []
@@ -412,6 +422,21 @@ def test_uniq_check_writes_table(tmp_path):
     logf = [float(line.split(",")[2]) for line in table[1:]]
     assert all(a > b for a, b in zip(logf, logf[1:]))
 
+
+
+@pytest.mark.parametrize("T", ["1e-7", "1e-12"])
+def test_uniq_check_certifies_at_the_given_horizon(capsys, T):
+    rc = run_cli("uniq-check", "--T", T, "--c_m", "1", "--k", "0.2")
+    assert rc == 0  # the eta certificate passed at this horizon
+    data = json.loads(capsys.readouterr().out)
+    assert data["T"] == data["eta_certificate"]["params"]["T"] == float(T)
+
+
+@pytest.mark.parametrize("T", ["0", "-1"])
+def test_uniq_check_nonpositive_horizon_exits_2(capsys, T):
+    rc = run_cli("uniq-check", "--T", T, "--c_m", "1", "--k", "0.2")
+    err = assert_one_configuration_error(rc, capsys)
+    assert "horizon must be positive" in err, err
 
 
 @pytest.mark.parametrize(

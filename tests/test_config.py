@@ -107,6 +107,27 @@ def test_invalid_values_raise_config_error(key, value):
         config.blowup_config_from(dict(FULL_CFG, **{key: value}), 2.0)
 
 
+@pytest.mark.parametrize(
+    "read, cfg, message",
+    [
+        (config.get_float, {}, "missing required {}"),
+        (config.get_float, {"{}": "x"}, "{}: not a number ('x')"),
+        (config.get_float, {"{}": "-1"}, "{} must be positive"),
+        (config.get_float, {"{}": "inf"}, "{} must be finite"),
+        (config.get_int, {}, "missing required {}"),
+        (config.get_int, {"{}": "1.5"}, "{}: not an integer ('1.5')"),
+        (config.get_int, {"{}": "0"}, "{} must be >= 1"),
+    ],
+)
+@pytest.mark.parametrize("key, named", [("--m", "option '--m'"), ("m", "key 'm'")])
+def test_messages_name_a_dashed_key_as_an_option(read, cfg, message, key, named):
+    cfg = {k.format(key): v for k, v in cfg.items()}
+    kw = {"positive": True} if read is config.get_float else {"minimum": 1}
+    with pytest.raises(ConfigError) as exc:
+        read(cfg, key, **kw)
+    assert str(exc.value) == message.format(named)
+
+
 @pytest.mark.parametrize("u0", ["log-growth(1.5)", "bounded(0.7)"])
 @pytest.mark.parametrize("rho_max", [2.0, 1e6])
 def test_datum_matches_xlog_constructors(u0, rho_max):

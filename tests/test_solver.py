@@ -141,6 +141,154 @@ def test_newton_solve_matches_reference_kernel(case):
     assert res == res_ref
 
 
+def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
+    """The kernel before its per-call trimming: |u| recomputed for the
+    Jacobian, ``-g`` and each trial point new arrays.  ``_newton_solve`` must
+    reproduce it byte for byte."""
+    dgtsv = solver.dgtsv  # resolved per call, so that a stub reaches both kernels
+    cm = dt * grid.coeff_minus
+    cp = dt * grid.coeff_plus
+    n = u_old.size
+    u = u_old.copy()
+    uscale = max(1.0, float(np.abs(u_old).max()), abs(v_b) ** (1.0 / m))
+    target = tol * uscale
+    c_diag = cp + cm
+    c_upper = -cp[:-1]
+    c_lower = -cm[1:]
+    jac = np.empty(3 * n - 2)
+    diag, upper, lower = jac[:n], jac[n : 2 * n - 1], jac[2 * n - 1 :]
+
+    def residual(u):
+        v = solver.odd_power(u, m)
+        jump = np.empty(n + 1)
+        jump[0] = v[0]
+        np.subtract(v[1:], v[:-1], out=jump[1:-1])
+        jump[-1] = v_b - v[-1]
+        return (u - u_old) - (cp * jump[1:] - cm * jump[:-1])
+
+    g = residual(u)
+    g_norm = float(np.abs(g).max())
+    for _ in range(max_iter):
+        if g_norm <= target:
+            return u, True, g_norm
+        if not math.isfinite(g_norm):
+            return u, False, g_norm
+        dv = m * (np.abs(u) ** (m - 1.0) + solver.JACOBIAN_EPS)
+        np.multiply(c_diag, dv, out=diag)
+        diag += 1.0
+        np.multiply(c_upper, dv[1:], out=upper)
+        np.multiply(c_lower, dv[:-1], out=lower)
+        if not np.isfinite(jac).all():
+            return u, False, g_norm
+        _, _, _, delta, info = dgtsv(
+            lower, diag, upper, -g,
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+        )
+        if info != 0 or not np.isfinite(delta).all():
+            return u, False, g_norm
+        lam = 1.0
+        while lam > 2.0**-30:
+            trial = u + lam * delta
+            g_trial = residual(trial)
+            g_trial_norm = float(np.abs(g_trial).max())
+            if g_trial_norm < (1.0 - 0.25 * lam) * g_norm or g_trial_norm <= target:
+                u, g, g_norm = trial, g_trial, g_trial_norm
+                break
+            lam *= 0.5
+        else:
+            u = u + lam * delta
+            g = residual(u)
+            g_norm = float(np.abs(g).max())
+    return u, g_norm <= target, g_norm
+
+
+FAMILIES = [
+    geometry.euclidean(3),
+    geometry.hyperbolic(2),
+    geometry.quad_critical(0.5, 3),
+    geometry.log_critical(1.0, 2),
+]
+
+
+@st.composite
+def signed_newton_cases(draw):
+    """Mixed-sign fields with exact zeros of both signs, scattered and in one
+    block, and now and then a value whose power overflows, so the failure
+    paths are drawn too.  In a zero block the Jacobian couples cells only
+    through JACOBIAN_EPS, so the Newton direction underflows to exact zeros
+    there, and the sign of each zero cell must come out as the plain
+    kernel's."""
+    manifold = draw(st.sampled_from(FAMILIES))
+    cells = draw(st.integers(min_value=3, max_value=80))
+    radius = draw(st.floats(min_value=1.0, max_value=20.0))
+    zero = st.sampled_from([0.0, -0.0])
+    value = st.one_of(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), zero)
+    values = draw(st.lists(value, min_size=cells, max_size=cells))
+    start = draw(st.integers(min_value=0, max_value=cells))
+    stop = draw(st.integers(min_value=start, max_value=cells))
+    values[start:stop] = draw(st.lists(zero, min_size=stop - start, max_size=stop - start))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        values[draw(st.integers(min_value=0, max_value=cells - 1))] = draw(
+            st.sampled_from([1e200, -1e200])
+        )
+    m = draw(st.floats(min_value=1.2, max_value=4.0))
+    dt = draw(st.floats(min_value=1e-5, max_value=1.0))
+    v_b = draw(value)
+    max_iter = draw(st.integers(min_value=1, max_value=30))
+    grid = RadialGrid.uniform(manifold, radius, cells)
+    return grid, np.array(values), m, dt, v_b, max_iter
+
+
+def same_bytes(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@given(signed_newton_cases())
+@settings(max_examples=300, deadline=None)
+def test_newton_solve_is_bitwise_the_plain_kernel(case):
+    grid, u_old, m, dt, v_b, max_iter = case
+    args = (u_old, v_b, dt, grid, m, 1e-10, max_iter)
+    with np.errstate(all="ignore"):
+        u, ok, res = solver._newton_solve(*args)
+        u_ref, ok_ref, res_ref = plain_newton_solve(*args)
+    assert same_bytes(u, u_ref)
+    assert ok == ok_ref
+    assert same_bytes(res, res_ref)
+
+
+@given(signed_newton_cases(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_step_through_halvings_is_bitwise_the_plain_kernel(case, singular):
+    # the first ``singular`` LAPACK calls of each run report a singular
+    # system, so ``step`` halves whenever its first solve needs an iteration
+    grid, u_old, m, dt, _, _ = case
+    cfg = small_cfg(1.0, m=m)
+    real_dgtsv = solver.dgtsv
+
+    def run(kernel):
+        calls = []
+
+        def singular_first(*args, **kw):
+            calls.append(1)
+            *out, info = real_dgtsv(*args, **kw)
+            return (*out, 1 if len(calls) <= singular else info)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "dgtsv", singular_first)
+            mp.setattr(solver, "_newton_solve", kernel)
+            try:
+                with np.errstate(all="ignore"):
+                    return solver.step(u_old, 0.0, dt, grid, cfg)
+            except SolverError as exc:
+                return str(exc)
+
+    got, want = run(solver._newton_solve), run(plain_newton_solve)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
 # -- the LAPACK binary ------------------------------------------------------------------
 
 
@@ -456,19 +604,60 @@ def test_mass_balance_per_recorded_interval(run):
     assert np.all(defect <= bound)
 
 
+# -- PME scaling group -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("manifold", FAMILIES, ids=lambda m: m.kind)
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("lam", [0.5, 2.0, 3.0])
+def test_scaling_group(manifold, m, lam):
+    # v = lam * u(lam^(m-1) t) solves the PME when u does.  The implicit step
+    # maps over exactly: from lam * u_old with dt / lam^(m-1), the residual at
+    # lam * u is lam times the residual at u.  An accepted solve with residual
+    # g solves the step exactly from u_old + g, with max|g| <= tol * uscale
+    # plus rounding: 4 eps per entry of each operand, and the operands are at
+    # most 2 uscale and 2 dt (cp + cm) uscale^m.  The step is a contraction in
+    # the cell-weighted L1 norm (monotone, conservative, Dirichlet), so after
+    # the run |lam u - v|_1 is at most W times the sum of these moves, lam
+    # times those of the run from u0 plus those of the run from lam u0;
+    # W = sum of the scaled cell weights.  Not exact, because uscale =
+    # max(1, ...) does not scale with lam.
+    grid = RadialGrid.uniform(manifold, 8.0, 60)
+    cfg = small_cfg(1.0, m=m)
+    eps = np.finfo(float).eps
+    moves = []  # [run from u0, run from lam u0]
+    newton_solve = solver._newton_solve
+
+    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter):
+        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter)
+        if out[1]:
+            uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
+            coeff = float(np.max(d * (grid.coeff_plus + grid.coeff_minus)))
+            moves[-1] += tol * uscale + 8 * eps * (uscale + coeff * uscale**m)
+        return out
+
+    u = np.random.default_rng(1).uniform(-1.5, 1.5, grid.cells)
+    v = lam * u
+    s = lam ** (m - 1.0)
+    t = 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton_solve", recording_solve)
+        for k in range(40):
+            dt = 1e-3 * 1.1**k
+            moves.append(0.0)
+            u, _ = solver.step(u, t, dt, grid, cfg)
+            moves.append(0.0)
+            v, _ = solver.step(v, t / s, dt / s, grid, cfg)
+            t += dt
+    W = float(np.sum(grid.weights_scaled))
+    bound = W * (lam * sum(moves[0::2]) + sum(moves[1::2]))
+    assert float(grid.weights_scaled @ np.abs(lam * u - v)) <= bound
+
+
 # -- comparison principle ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "manifold",
-    [
-        geometry.euclidean(3),
-        geometry.hyperbolic(2),
-        geometry.quad_critical(0.5, 3),
-        geometry.log_critical(1.0, 2),
-    ],
-    ids=lambda m: m.kind,
-)
+@pytest.mark.parametrize("manifold", FAMILIES, ids=lambda m: m.kind)
 def test_discrete_comparison_fifty_random_pairs(manifold):
     rng = np.random.default_rng(hash(manifold.kind) % 2**32)
     J = 60
