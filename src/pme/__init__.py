@@ -16,7 +16,7 @@ from .barriers import (
     subsolution_params,
     supersolution_amplitude,
 )
-from .blowup import BlowupConfig, BlowupLedger, run_blowup, stage_T, stage_delta, stage_epsilon
+from .blowup import BlowupConfig, BlowupLedger, run_blowup, stage_T, stage_delta, stage_epsilon, stage_schedule
 from .geometry import (
     ComparisonConstants,
     ModelManifold,

@@ -9,18 +9,23 @@ which certifies a strictly growing lower envelope while a small-amplitude
 supersolution caps the growth from above.
 
 Asymptotic bookkeeping: the tail of the solution outside the ball follows
-the imposed boundary datum, so the stage-to-stage growth ratios are updated
-in closed form (per-stage factor (1-eps_n)(1 - S/T)^(-1/(m-1))).  Ratios are
-stored in the "norm limit" normalization, i.e. against the r -> infinity
-limit of the weight, [log(rho^2)]^(1/(m-1)); the plain asymptotic ratio
-against (log rho)^(1/(m-1)) is 2^(1/(m-1)) times larger.  The stage horizon
-and duration formulas are exact identities in this normalization.
+the imposed boundary datum, so the stage-to-stage growth ratio is updated in
+closed form (per-stage factor (1-eps_n)(1 - S/T)^(-1/(m-1))).  One ratio
+suffices: the datum's tail descriptor fixes its exact log-growth form, so
+its liminf and limsup ratios are equal and every stage multiplies both by
+the same factor.  The ratio is kept in the "norm limit" normalization, i.e.
+against the r -> infinity limit of the weight, [log(rho^2)]^(1/(m-1)); the
+plain asymptotic ratio against (log rho)^(1/(m-1)) is 2^(1/(m-1)) times
+larger.  The stage horizon and duration formulas are exact identities in
+this normalization, so ``stage_schedule`` generates eps_n, T_n, S_n, t_n
+and the ratio without a solve.  Total duration tau = sum S_k stays below
+2 T_1 by the telescoping inequality T_{n+1} <= T_n - S_n + T_1/2^n, which
+``stage_epsilon`` enforces and the ledger re-checks on its recorded values.
 
-The run stops when the recorded norm exceeds the blow-up threshold (default
-1000x the initial norm) or stages stall (S_n below s_min, or a stage cap).
-Total duration tau = sum S_k stays below 2 T_1 by the telescoping
-inequality T_{n+1} <= T_n - S_n + T_1/2^n, which the ledger re-checks on its
-own recorded values.
+``run_blowup`` adds what needs the field: the shift delta_n, the stage
+solve, the sandwich audit and the recorded norm.  It stops when that norm
+exceeds the blow-up threshold (default 1000x the initial norm) or the
+schedule ends (S_n below S_MIN_FACTOR * T_1, or the stage cap).
 
 Each stage is audited by ``sandwich_gaps``: the stacked stage fields are
 compared at once with the separable envelopes of the shifted subsolution
@@ -37,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -63,14 +67,23 @@ S_MIN_FACTOR = 1e-8  # stall cutoff S_n < factor * T_1
 def stage_T(liminf_est: float, eps: float, a_hat: float, m: float) -> float:
     """Next stage horizon (a_hat/(1-eps))^(m-1) liminf^(1-m)."""
     if liminf_est <= 0:
-        raise NotApplicableError("blow-up scheme needs a positive asymptotic ratio")
+        raise NotApplicableError(
+            "blow-up scheme needs a positive asymptotic growth ratio; no blow-up stage applies"
+        )
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
     return horizon_time(a_hat / (1.0 - eps), liminf_est, m)
 
 
 def stage_epsilon(n: int, T_n: float, S_n: float, T1: float, m: float) -> float:
-    """Largest eps = 2^-j with [(1-eps)^(1-m) - 1](T_n - S_n) <= T1/2^n."""
+    """Largest eps = 2^-j <= 1/2 with [(1-eps)^(1-m) - 1](T_n - S_n) <= T1/2^n.
+
+    The bracket is evaluated as expm1((1-m) log1p(-eps)), which keeps its
+    relative accuracy for eps below the float spacing at 1, where
+    (1-eps)**(1-m) - 1 rounds to 0 and any eps would pass.  Since the bracket
+    is at least (m-1) eps, no eps above budget/((m-1) gap) passes: the search
+    starts at twice the largest power of two below that bound.
+    """
     if n < 1:
         raise DomainError("stage index must be >= 1")
     gap = T_n - S_n
@@ -78,12 +91,36 @@ def stage_epsilon(n: int, T_n: float, S_n: float, T1: float, m: float) -> float:
         raise DomainError("T_n must dominate S_n")
     budget = T1 / 2.0**n
     eps = 0.5
-    for _ in range(1200):
-        lhs = ((1.0 - eps) ** (1.0 - m) - 1.0) * gap
-        if lhs <= budget:
-            return eps
+    if gap > 0 and budget > 0:
+        eps = min(eps, math.ldexp(1.0, math.frexp(budget / ((m - 1.0) * gap))[1]))
+    while math.expm1((1.0 - m) * math.log1p(-eps)) * gap > budget:
         eps *= 0.5
     return eps
+
+
+def stage_schedule(ratio: float, a_hat: float, a_tilde: float, m: float, max_stages: int):
+    """Yield (eps_n, T_n, S_n, t_n, ratio after stage n) for n = 1, 2, ...
+
+    The recursion of the construction, with no solve: eps_1 = 1/2, then
+    eps_{n+1} = stage_epsilon(n, T_n, S_n, T_1, m); T_n = stage_T(ratio,
+    eps_n, a_hat, m), S_n = horizon_time(a_tilde/2, ratio, m) and t_n the sum
+    of S_1 ... S_n; the ratio grows by (1-eps_n)(1 - S_n/T_n)^(-1/(m-1)).
+    Ends after ``max_stages`` stages or after the first with S_n below
+    S_MIN_FACTOR * T_1.
+    """
+    eps, t_n = 0.5, 0.0
+    T1 = stage_T(ratio, eps, a_hat, m)
+    for n in range(1, max_stages + 1):
+        T_n = stage_T(ratio, eps, a_hat, m)
+        S_n = horizon_time(a_tilde / 2.0, ratio, m)
+        if not S_n < T_n:
+            raise StageError(f"stage duration reached the horizon at n={n}")
+        t_n += S_n
+        ratio *= (1.0 - eps) * blowup_factor(S_n, T_n, m)
+        yield eps, T_n, S_n, t_n, ratio
+        if S_n < S_MIN_FACTOR * T1:
+            return
+        eps = stage_epsilon(n, T_n, S_n, T1, m)
 
 
 def stage_delta(u: np.ndarray, p: BarrierParams, rho: np.ndarray) -> float:
@@ -120,8 +157,7 @@ class StageRecord:
     eps_n: float
     delta_n: float
     t_n: float  # sum of the durations S_1 + ... + S_n
-    liminf_est: float
-    limsup_est: float
+    liminf_est: float  # growth ratio after the stage, norm-limit normalization
     lognorm: float
     lower_gap: float  # worst (subsolution - u) over the stage; <= tau is good
     upper_gap: float  # worst (u - supersolution) over the stage
@@ -133,7 +169,7 @@ class BlowupLedger:
     T1: float
     tau: float
     tau_bound: float  # 2 T_1
-    status: str  # running | blown-up | stalled
+    status: str  # blown-up | stalled
     initial_lognorm: float
     threshold: float
     discretization_tol: float
@@ -186,6 +222,16 @@ class BlowupConfig:
     newton_tol: float = 1e-10
     norm_r: float = 2.0
 
+    def __post_init__(self):
+        if not (self.m > 1.0 and self.radius > 0 and self.cells >= 3):
+            raise DomainError("blow-up run needs m > 1, radius > 0 and cells >= 3")
+        if not self.threshold_factor > 1.0:
+            raise DomainError("blow-up threshold factor must be > 1")
+        if self.max_stages < 1 or self.steps_per_stage < 5:
+            raise DomainError("max_stages must be >= 1 and steps_per_stage >= 5")
+        if not (self.newton_tol > 0 and self.norm_r >= 2.0):
+            raise DomainError("newton_tol must be positive and norm_r >= 2")
+
 
 def _recorded_lognorm(u: np.ndarray, weight: np.ndarray, tail_est: float) -> float:
     """Norm of the extended field: grid part plus analytic tail part."""
@@ -228,38 +274,19 @@ def run_blowup(
     a_tilde = supersolution_amplitude(consts.c_prime, m)
 
     ratio = norm_limit(u0_datum, m)  # in the norm-limit normalization
-    if ratio <= 0:
-        raise NotApplicableError(
-            "initial datum has zero asymptotic growth ratio; no blow-up stage applies"
-        )
-
     grid = RadialGrid.uniform(manifold, cfg.radius, cfg.cells)
     weight = LogNorm(cfg.norm_r, m).weight(grid.centers)
     # weight of the audit's upper envelope, offset far beyond the ball
     far_weight = LogNorm(20.0 * grid.radius, m).weight(grid.centers)
     u = np.asarray(u0_profile(grid.centers), dtype=float)
 
-    liminf = limsup = ratio
-    lognorm0 = _recorded_lognorm(u, weight, liminf)
+    lognorm0 = _recorded_lognorm(u, weight, ratio)
     threshold = cfg.threshold_factor * lognorm0
-    tol = tau_h(grid.h)
-
     stages: list = []
-    status = "running"
-    t_n = 0.0
-    T1: Optional[float] = None
-    T_prev = S_prev = 0.0
-
-    for n in range(cfg.max_stages):
-        eps = 0.5 if n == 0 else stage_epsilon(n, T_prev, S_prev, T1, m)
-        T_next = stage_T(liminf, eps, a_hat, m)
-        if T1 is None:
-            T1 = T_next
-        S_next = horizon_time(a_tilde / 2.0, limsup, m)
-        if not S_next < T_next:
-            raise StageError(f"stage duration reached the horizon at n={n}")
-
-        barrier = BarrierParams(amplitude=a_hat, r=r_hat, horizon=T_next, m=m)
+    status = "stalled"
+    schedule = stage_schedule(ratio, a_hat, a_tilde, m, cfg.max_stages)
+    for n, (eps, T_n, S_n, t_n, next_ratio) in enumerate(schedule):
+        barrier = BarrierParams(amplitude=a_hat, r=r_hat, horizon=T_n, m=m)
         try:
             delta = stage_delta(u, barrier, grid.centers)
         except StageError as exc:
@@ -268,11 +295,11 @@ def run_blowup(
         scfg = SolverConfig(
             m=m,
             dt=DtPolicy(
-                dt0=S_next / cfg.steps_per_stage,
+                dt0=S_n / cfg.steps_per_stage,
                 growth=1.3,
-                dt_max=S_next / 10.0,
+                dt_max=S_n / 10.0,
             ),
-            t_end=S_next,
+            t_end=S_n,
             boundary=BarrierDirichlet(barrier, delta),
             newton_tol=cfg.newton_tol,
             norm_r=cfg.norm_r,
@@ -287,55 +314,42 @@ def run_blowup(
         # the bulk contribution to the norm washes out and only the tail
         # ratio counts (the construction lets that offset grow arbitrarily).
         v_base = shifted_subsolution(barrier, delta, grid.centers)
-        norm_far = max(float(np.max(np.abs(u) / far_weight)), limsup)
+        norm_far = max(float(np.max(np.abs(u) / far_weight)), ratio)
         s_super = horizon_time(a_tilde, norm_far, m)
-        lower_gap, upper_gap = sandwich_gaps(
-            traj, m, T_next, v_base, s_super, norm_far, far_weight
-        )
+        lower_gap, upper_gap = sandwich_gaps(traj, m, T_n, v_base, s_super, norm_far, far_weight)
 
-        u = traj.final
-        growth = (1.0 - eps) * blowup_factor(S_next, T_next, m)
-        liminf *= growth
-        limsup *= growth
-        t_n += S_next
-        lognorm = _recorded_lognorm(u, weight, liminf)
+        u, ratio = traj.final, next_ratio
+        lognorm = _recorded_lognorm(u, weight, ratio)
         stages.append(
             StageRecord(
                 n=n + 1,
-                T_n=T_next,
-                S_n=S_next,
+                T_n=T_n,
+                S_n=S_n,
                 eps_n=eps,
                 delta_n=delta,
                 t_n=t_n,
-                liminf_est=liminf,
-                limsup_est=limsup,
+                liminf_est=ratio,
                 lognorm=lognorm,
                 lower_gap=lower_gap,
                 upper_gap=upper_gap,
             )
         )
-        T_prev, S_prev = T_next, S_next
-
         if lognorm >= threshold:
             status = "blown-up"
             break
-        if S_next < S_MIN_FACTOR * T1:
-            status = "stalled"
-            break
-    else:
-        status = "stalled"
 
     lns = [s.lognorm for s in stages]
     descents = [i for i in range(len(lns) - 1) if lns[i + 1] <= lns[i]]
     onset = descents[-1] + 1 if descents else 0
+    T1 = stages[0].T_n
     return BlowupLedger(
         stages=stages,
         T1=T1,
-        tau=t_n,
+        tau=stages[-1].t_n,
         tau_bound=2.0 * T1,
         status=status,
         initial_lognorm=lognorm0,
         threshold=threshold,
-        discretization_tol=tol,
+        discretization_tol=tau_h(grid.h),
         growth_onset=onset,
     )

@@ -49,6 +49,10 @@ def _atomic_write(path, text: str):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -466,22 +470,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _check_float_options(args):
-    """Every float option is finite, as a config key read by ``get_float`` is."""
+def _check_float_options(parser, args):
+    """Every float option is finite, as a config key read by ``get_float`` is;
+    the message names the option by its flag."""
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        a.dest: a.option_strings[0] for a in subparsers.choices[args.command]._actions if a.option_strings
+    }
     for name, value in vars(args).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"option {name!r} must be finite, got {value!r}")
+        if isinstance(value, float):
+            cfgmod.get_float({flags[name]: value}, flags[name])
 
 
 def main(argv=None) -> int:
     """Run one subcommand; a PMEError exits with its class's ``exit_code``."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        _check_float_options(args)
+        _check_float_options(parser, args)
         return args.func(args)
     except PMEError as exc:
         print(f"pme: {EXIT_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)

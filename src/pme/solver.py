@@ -86,10 +86,9 @@ MAX_SUBSTEPS = 10_000
 # near a barrier horizon T the step is capped at BARRIER_CAP * (T - t)
 BARRIER_CAP = 0.01
 
-# Discretization-error coefficient, calibrated once on the Euclidean
-# Barenblatt pair (scripts/calibrate_tau.py): max-norm error stays below
-# coeff * h * max|u| at dt = 0.5 h for J in [250, 4000].  tau_h carries a
-# 4x safety factor on top.
+# Discretization-error coefficient, calibrated on the Euclidean Barenblatt
+# pair (tests/test_solver.py): max-norm error stays below coeff * h * max|u|
+# at dt = 0.5 h for J in [250, 4000].  tau_h carries a 4x safety factor on top.
 TAU_H_COEFF = 0.35
 TAU_H_SAFETY = 4.0
 

@@ -6,6 +6,7 @@ runs the production-size configuration.
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pme import barriers, blowup, geometry, solver, xlog
-from pme.errors import CertificateError, NotApplicableError, StageError
+from pme.errors import CertificateError, DomainError, NotApplicableError, StageError
 from pme.grid import RadialGrid
 
 RHO_REF = np.geomspace(1e-3, 1e6, 3000)
@@ -61,6 +62,90 @@ def test_stage_epsilon_satisfies_constraint(n, Tn, Sn, T1, m):
     # largest admissible power of two: doubling eps must violate
     if eps < 0.5:
         assert ((1 - 2 * eps) ** (1 - m) - 1) * (Tn - Sn) > T1 / 2**n
+
+
+def exact_bracket(eps, m):
+    """(1-eps)^(1-m) - 1 in exact rationals, for integer m."""
+    return (1 - Fraction(eps)) ** (1 - m) - 1
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [60, 100, 500])
+def test_stage_epsilon_is_exact_where_one_minus_eps_rounds_to_one(n, m):
+    # once T1/2^n is below the float spacing of T_n - S_n, (1-eps)**(1-m) - 1
+    # rounds to 0 for every eps <= 2^-53, and the inequality held only by rounding
+    Tn, Sn, T1 = 1.7, 1.0, 1.0
+    eps = blowup.stage_epsilon(n, Tn, Sn, T1, float(m))
+    gap, budget = Fraction(Tn) - Fraction(Sn), Fraction(T1) / 2**n
+    assert exact_bracket(eps, m) * gap <= budget
+    assert exact_bracket(2 * eps, m) * gap > budget
+
+
+def halving_search(n, Tn, Sn, T1, m):
+    """``stage_epsilon`` without its start: halve from 1/2 until the inequality holds."""
+    eps = 0.5
+    while math.expm1((1 - m) * math.log1p(-eps)) * (Tn - Sn) > T1 / 2.0**n:
+        eps *= 0.5
+    return eps
+
+
+@given(
+    st.integers(min_value=1, max_value=600),
+    st.floats(min_value=1e-6, max_value=1e3),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=1e-6, max_value=1e3),
+    st.floats(min_value=1.01, max_value=5.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_stage_epsilon_start_skips_only_failing_candidates(n, Tn, frac, T1, m):
+    Sn = frac * Tn
+    assert blowup.stage_epsilon(n, Tn, Sn, T1, m) == halving_search(n, Tn, Sn, T1, m)
+
+
+# -- stage schedule (no solve) ------------------------------------------------------
+
+
+def horizon_ref(a, ratio, m):
+    """Horizon of the amplitude-a barrier above ``ratio``: (a/ratio)^(m-1)."""
+    return (a / ratio) ** (m - 1)
+
+
+@given(
+    st.floats(min_value=0.1, max_value=10.0),
+    st.floats(min_value=0.01, max_value=0.99),
+    st.floats(min_value=1.2, max_value=4.0),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.integers(min_value=1, max_value=300),
+)
+@settings(max_examples=100, deadline=None)
+def test_stage_schedule_recursion(a_hat, tilde_frac, m, ratio0, max_stages):
+    a_tilde = tilde_frac * a_hat
+    rows = list(blowup.stage_schedule(ratio0, a_hat, a_tilde, m, max_stages))
+    assert 1 <= len(rows) <= max_stages
+    T1 = rows[0][1]
+    t_sum, ratio = 0.0, ratio0
+    for n, (eps, T_n, S_n, t_n, after) in enumerate(rows, 1):
+        assert 0 < eps < 1 and S_n < T_n
+        assert T_n == pytest.approx(horizon_ref(a_hat / (1 - eps), ratio, m), rel=1e-12)
+        assert S_n == pytest.approx(horizon_ref(a_tilde / 2, ratio, m), rel=1e-12)
+        t_sum += S_n
+        assert t_n == t_sum
+        factor = (1 - eps) * (1 - S_n / T_n) ** (-1 / (m - 1))
+        assert after == pytest.approx(ratio * factor, rel=1e-12)
+        ratio = after
+    for n, (prev, cur) in enumerate(zip(rows, rows[1:]), 1):
+        assert cur[1] <= (prev[1] - prev[2] + T1 / 2.0**n) * (1 + 1e-12)
+    assert sum(Fraction(row[2]) for row in rows) <= 2 * Fraction(T1)
+    # the schedule ends at the stage cap or at the first stall
+    stalled = [row[2] < blowup.S_MIN_FACTOR * T1 for row in rows]
+    assert not any(stalled[:-1])
+    assert stalled[-1] or len(rows) == max_stages
+
+
+def test_stage_schedule_rejects_a_duration_at_the_horizon():
+    # a_tilde/2 >= a_hat/(1 - eps_1) makes S_1 >= T_1
+    with pytest.raises(StageError, match="n=1$"):
+        next(blowup.stage_schedule(1.0, 1.0, 4.0, 2.0, 10))
 
 
 # -- stage delta --------------------------------------------------------------------
@@ -161,8 +246,22 @@ def test_ledger_telescoping_exact(desk_ledger):
         assert cur.T_n <= bound * (1 + 1e-12)
 
 
+def test_ledger_is_the_stage_schedule(desk_ledger):
+    # every ledger value but delta_n, lognorm and the gaps comes from the schedule
+    led = desk_ledger
+    M = geometry.quad_critical(0.5, 3)
+    cc = geometry.fit_comparison_constants(M)
+    a_hat = barriers.subsolution_params(cc, 2.0).amplitude
+    a_tilde = barriers.supersolution_amplitude(cc.c_prime, 2.0)
+    ratio = xlog.norm_limit(xlog.log_growth_datum(1.0, 2.0, RHO_REF), 2.0)
+    rows = blowup.stage_schedule(ratio, a_hat, a_tilde, 2.0, len(led.stages))
+    recorded = [(s.eps_n, s.T_n, s.S_n, s.t_n, s.liminf_est) for s in led.stages]
+    assert recorded == list(rows)
+    assert (led.T1, led.tau, led.tau_bound) == (recorded[0][1], recorded[-1][3], 2 * recorded[0][1])
+
+
 def test_ledger_growth_identity(desk_ledger):
-    # liminf update matches the closed-form factor per stage
+    # ratio update matches the closed-form factor per stage
     led = desk_ledger
     for prev, cur in zip(led.stages, led.stages[1:]):
         factor = (1 - cur.eps_n) * (1 - cur.S_n / cur.T_n) ** -1.0
@@ -186,6 +285,27 @@ def test_validate_rejects_a_sandwich_gap_above_tolerance(desk_ledger, gap, facto
     stages = [*led.stages[:k], bad, *led.stages[k + 1 :]]
     with pytest.raises(CertificateError, match=f"at stage {bad.n}$"):
         dataclasses.replace(led, stages=stages).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("m", 1.0),
+        ("m", math.nan),
+        ("radius", 0.0),
+        ("cells", 2),
+        ("threshold_factor", 1.0),
+        ("threshold_factor", -1.0),
+        ("max_stages", 0),
+        ("steps_per_stage", 4),
+        ("steps_per_stage", 0),
+        ("newton_tol", 0.0),
+        ("norm_r", 1.5),
+    ],
+)
+def test_blowup_config_rejects_values_outside_its_domain(field, value):
+    with pytest.raises(DomainError):
+        blowup.BlowupConfig(**{"m": 2.0, field: value})
 
 
 def test_bounded_datum_rejected():

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -345,7 +347,7 @@ steps_per_stage = 20
     assert led["status"] == "blown-up"
     assert led["tau"] <= led["tau_bound"] + 1e-6
     stage = led["stages"][0]
-    assert set(stage) >= {"n", "T_n", "S_n", "eps_n", "delta_n", "t_n", "liminf_est", "limsup_est", "lognorm"}
+    assert set(stage) >= {"n", "T_n", "S_n", "eps_n", "delta_n", "t_n", "liminf_est", "lognorm"}
 
 
 def test_blowup_dump_stages(tmp_path):
@@ -714,6 +716,19 @@ def test_write_json_is_strict(tmp_path):
     }
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o007], ids=oct)
+def test_outputs_take_the_mode_a_new_file_gets(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        rc = run_cli("uniq-check", "--T", "0.05", "--c_m", "1", "--k", "0.2", "--out", str(tmp_path / "u.json"))
+        (tmp_path / "touched").touch()
+    finally:
+        os.umask(previous)
+    assert rc == 0
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["u.json", "u.csv", "touched"], 0o666 & ~umask)
+
+
 def test_cli_import_skips_scipy_special():
     # no scipy package at all: the solver loads scipy's LAPACK extension from
     # its file; nor the numpy submodules scipy.linalg would pull in, nor the
@@ -831,8 +846,12 @@ def quad_args(command, *extra):
 )
 def test_non_finite_float_options_are_configuration_errors(tmp_path, capsys, argv):
     rc = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
-    assert_one_configuration_error(rc, capsys)
+    err = assert_one_configuration_error(rc, capsys)
     assert not any(tmp_path.iterdir())
+    # the message names the flag as typed (--c_m keeps its underscore)
+    value = next(arg for arg in argv if arg.endswith(("nan", "inf")))
+    flag = value.split("=")[0] if "=" in value else argv[argv.index(value) - 1]
+    assert f"option '{flag}' must be finite" in err, err
 
 
 def solve_args(tmp_path, cfg):
@@ -899,6 +918,12 @@ def check_args(tmp_path, *extra):
             lambda tmp: ["uniq-check", "--T", "0.05", "--c_m", "0", "--k", "0.2", "--out", str(tmp / "u.json")],
             "C_M",
             id="uniq-check-zero-c_m",
+        ),
+        pytest.param(
+            lambda tmp: ["blowup", "--ledger", str(tmp / "l.json"), "--config", write_cfg(
+                tmp, R12_BLOWUP_CFG.replace("blowup_threshold = 30", "blowup_threshold = -1"))],
+            "threshold factor must be > 1",
+            id="blowup-negative-threshold",
         ),
         pytest.param(lambda tmp: sweep_args(tmp, "--workers", "0"), "--workers", id="sweep-zero-workers"),
         pytest.param(lambda tmp: sweep_args(tmp, "--workers", "-3"), "--workers", id="sweep-negative-workers"),

@@ -476,6 +476,8 @@ def test_solver_config_rejects_counts_below_one(key, value):
 
 
 def barenblatt_l1_error(J, t0=1.0, t1=2.0, mass_const=0.25):
+    """L1 error relative to the exact profile, max-norm error over h * max
+    exact, and the trajectory of the Euclidean (N=2, m=2) source solution."""
     M = geometry.euclidean(2)
     R = 6.0
     g = RadialGrid.uniform(M, R, J)
@@ -489,21 +491,29 @@ def barenblatt_l1_error(J, t0=1.0, t1=2.0, mass_const=0.25):
     )
     traj = solver.solve_ball(u0, cfg, g)
     exact = solver.barenblatt(g.centers, t1, 2, 2.0, mass_const)
-    err = np.dot(g.weights_scaled, np.abs(traj.final - exact))
-    return err / np.dot(g.weights_scaled, exact), traj
+    diff = np.abs(traj.final - exact)
+    err = np.dot(g.weights_scaled, diff) / np.dot(g.weights_scaled, exact)
+    return err, float(np.max(diff)) / (h * float(np.max(exact))), traj
 
 
 def test_barenblatt_profile_is_tracked():
-    err, traj = barenblatt_l1_error(500)
+    err, _, traj = barenblatt_l1_error(500)
     assert err < 0.02
     # compactly supported: no outflow, mass conserved tightly
     assert abs(traj.masses[-1] - traj.masses[0]) <= 1e-9 * traj.masses[0]
 
 
 def test_barenblatt_convergence_order():
-    e1, _ = barenblatt_l1_error(400)
-    e2, _ = barenblatt_l1_error(800)
+    e1, _, _ = barenblatt_l1_error(400)
+    e2, _, _ = barenblatt_l1_error(800)
     assert e1 / e2 >= 1.8
+
+
+def test_barenblatt_max_norm_error_calibrates_tau_h():
+    # tau_h's coefficient: the max-norm error stays below TAU_H_COEFF * h * max|u|
+    # at dt = h/2 on J = 250 ... 4000 cells (0.098 at J = 250, worst 0.320 at 4000)
+    worst = max(barenblatt_l1_error(J)[1] for J in (250, 500, 1000, 2000, 4000))
+    assert worst < solver.TAU_H_COEFF
 
 
 def test_support_radius_helper():
