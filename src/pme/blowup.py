@@ -55,7 +55,7 @@ from .barriers import (
     supersolution_amplitude,
 )
 from .errors import CertificateError, DomainError, NotApplicableError, StageError
-from .geometry import ComparisonConstants, ModelManifold
+from .geometry import ComparisonConstants
 from .grid import RadialGrid
 from .solver import BarrierDirichlet, DtPolicy, SolverConfig, Trajectory, solve_ball, tau_h
 from .xlog import LogNorm, RadialDatum, norm_limit
@@ -214,8 +214,6 @@ class BlowupLedger:
 @dataclass(frozen=True)
 class BlowupConfig:
     m: float
-    radius: float = 25.0
-    cells: int = 250
     threshold_factor: float = 1e3
     max_stages: int = 600
     steps_per_stage: int = 40
@@ -223,8 +221,8 @@ class BlowupConfig:
     norm_r: float = 2.0
 
     def __post_init__(self):
-        if not (self.m > 1.0 and self.radius > 0 and self.cells >= 3):
-            raise DomainError("blow-up run needs m > 1, radius > 0 and cells >= 3")
+        if not self.m > 1.0:
+            raise DomainError("blow-up run needs m > 1")
         if not self.threshold_factor > 1.0:
             raise DomainError("blow-up threshold factor must be > 1")
         if self.max_stages < 1 or self.steps_per_stage < 5:
@@ -255,16 +253,17 @@ def sandwich_gaps(traj: Trajectory, m, horizon, v_base, s_super, norm_far, far_w
 def run_blowup(
     u0_datum: RadialDatum,
     u0_profile,
-    manifold: ModelManifold,
+    grid: RadialGrid,
     consts: ComparisonConstants,
     cfg: BlowupConfig,
     stage_hook=None,
 ) -> BlowupLedger:
     """Run the staged blow-up construction and return the filled ledger.
 
-    ``u0_profile`` evaluates the initial datum on the cell centers;
-    ``u0_datum`` carries its tail descriptor.  ``stage_hook(n, traj)`` is
-    called after each stage solve (used by the CLI to dump trajectories).
+    The run is solved on ``grid``; ``u0_profile`` evaluates the initial
+    datum on its cell centers and ``u0_datum`` carries its tail descriptor.
+    ``stage_hook(n, traj)`` is called after each stage solve (used by the
+    CLI to dump trajectories).
     """
     m = cfg.m
     if consts.c_double_prime is None:
@@ -274,7 +273,6 @@ def run_blowup(
     a_tilde = supersolution_amplitude(consts.c_prime, m)
 
     ratio = norm_limit(u0_datum, m)  # in the norm-limit normalization
-    grid = RadialGrid.uniform(manifold, cfg.radius, cfg.cells)
     weight = LogNorm(cfg.norm_r, m).weight(grid.centers)
     # weight of the audit's upper envelope, offset far beyond the ball
     far_weight = LogNorm(20.0 * grid.radius, m).weight(grid.centers)
@@ -314,7 +312,7 @@ def run_blowup(
         # the bulk contribution to the norm washes out and only the tail
         # ratio counts (the construction lets that offset grow arbitrarily).
         v_base = shifted_subsolution(barrier, delta, grid.centers)
-        norm_far = max(float(np.max(np.abs(u) / far_weight)), ratio)
+        norm_far = _recorded_lognorm(u, far_weight, ratio)
         s_super = horizon_time(a_tilde, norm_far, m)
         lower_gap, upper_gap = sandwich_gaps(traj, m, T_n, v_base, s_super, norm_far, far_weight)
 

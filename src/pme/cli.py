@@ -6,9 +6,11 @@ Subcommands: ``geometry`` (comparison constants report), ``barrier-check``
 (uniqueness-side decay product) and ``sweep`` (parameter sweeps).
 
 Run objects come from the builders in ``pme.config``; ``blowup`` and each
-``sweep`` row share one path from a config dict to a validated ledger.  Each
-run checks, after its builders and before any solve or output, that it read
-every config key (``barrier-check``: every optional flag) it was given.
+``sweep`` row share one path from a config dict to a validated ledger, whose
+setup builds the ball, so ``sweep`` checks every row's config and ball before
+any run starts.  Each run checks, after its builders and before any solve or
+output, that it read every config key (``barrier-check``: every optional
+flag) it was given.
 ``sweep --param`` takes ``b`` (log-growth amplitude) or a config key the
 blow-up run reads; each ``--values`` token enters the config as typed.
 
@@ -34,7 +36,6 @@ import numpy as np
 
 from . import barriers, blowup, config as cfgmod, geometry, solver
 from .errors import EXIT_LABELS, CertificateError, ConfigError, PMEError, SolverError
-from .grid import RadialGrid
 
 logger = logging.getLogger("pme")
 
@@ -128,22 +129,22 @@ def _manifold_from_args(args):
 
 
 def _blowup_setup(cfg: dict):
-    """Validated inputs of a blow-up run: manifold, datum spec and settings."""
+    """Validated inputs of a blow-up run: ball, datum spec and settings."""
     cfg = cfgmod.RunConfig(cfg)
-    manifold = cfgmod.manifold_from(cfg)
+    grid = cfgmod.grid_from(cfg, cfgmod.manifold_from(cfg))
     m = cfgmod.exponent_from(cfg)
     spec, bcfg = cfgmod.datum_from(cfg), cfgmod.blowup_config_from(cfg, m)
     cfgmod.reject_unread(cfg, "the blow-up run")
-    return manifold, spec, bcfg
+    return grid, spec, bcfg
 
 
 def _blowup_ledger(cfg: dict, stage_hook=None) -> blowup.BlowupLedger:
     """Run the staged blow-up construction for ``cfg`` and validate its ledger."""
-    manifold, spec, bcfg = _blowup_setup(cfg)
-    consts = geometry.fit_comparison_constants(manifold)
+    grid, spec, bcfg = _blowup_setup(cfg)
+    consts = geometry.fit_comparison_constants(grid.manifold)
     datum = spec.datum(bcfg.m, np.geomspace(1e-3, 1e6, 4001))
     ledger = blowup.run_blowup(
-        datum, spec.profile(bcfg.m), manifold, consts, bcfg, stage_hook=stage_hook
+        datum, spec.profile(bcfg.m), grid, consts, bcfg, stage_hook=stage_hook
     )
     ledger.validate()
     return ledger
@@ -216,14 +217,12 @@ def _load_run(args):
 
 def cmd_solve(args) -> int:
     cfg, manifold, m, spec = _load_run(args)
-    radius = cfgmod.get_float(cfg, "R", positive=True)
-    cells = cfgmod.get_int(cfg, "cells", minimum=3)
+    grid = cfgmod.grid_from(cfg, manifold)
     scfg = cfgmod.solver_config_from(cfg, m)
     cfgmod.reject_unread(cfg, "a solve run")
-    grid = RadialGrid.uniform(manifold, radius, cells)
 
     consts = geometry.fit_comparison_constants(manifold)
-    top = max(1e3, 10 * radius)
+    top = max(1e3, 10 * grid.radius)
     if spec.kind == "table":  # the norm sees the sampled rows and the tail past the last row
         top = max(top, float(spec.table_rho[-1]))
     datum = spec.datum(m, np.geomspace(1e-3, top, 4001))
@@ -296,8 +295,11 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_uniq_check(args) -> int:
-    if args.table_points < 1:
-        raise ConfigError("--table-points must be >= 1")
+    if args.table_points is not None:
+        if not args.out:
+            raise ConfigError("--table-points sizes the --out table; it needs --out")
+        if args.table_points < 1:
+            raise ConfigError("--table-points must be >= 1")
     if args.k is None:
         k = barriers.select_K(args.c2, args.r0)
     else:
@@ -311,11 +313,6 @@ def cmd_uniq_check(args) -> int:
     )
     eta_report = barriers.certify_eta(eta_params, dim=args.dim)
     regime = barriers.decay_regime(args.c_m, k, args.T)
-    radii = np.geomspace(10.0, 1000.0, args.table_points)
-    rows = []
-    for r in radii:
-        lf = barriers.log_decay_product(args.c_m, k, args.T, args.m, float(r))
-        rows.append((float(r), barriers.decay_product(args.c_m, k, args.T, args.m, float(r)), lf))
     out = {
         "K": k,
         "C_M": args.c_m,
@@ -327,6 +324,11 @@ def cmd_uniq_check(args) -> int:
         "logF_at_100": barriers.log_decay_product(args.c_m, k, args.T, args.m, 100.0),
     }
     if args.out:
+        rows = [
+            (r, barriers.decay_product(args.c_m, k, args.T, args.m, r),
+             barriers.log_decay_product(args.c_m, k, args.T, args.m, r))
+            for r in np.geomspace(10.0, 1000.0, args.table_points or 60).tolist()
+        ]
         write_json(args.out, out)
         write_csv(Path(args.out).with_suffix(".csv"), ["R", "F", "logF"], rows)
     else:
@@ -373,7 +375,7 @@ def cmd_sweep(args) -> int:
     key, form = ("u0", "log-growth({})") if args.param == "b" else (args.param, "{}")
     cfgs = [{**base, key: form.format(tok)} for tok in tokens]
     for cfg in cfgs:
-        _blowup_setup(cfg)  # every row's config is valid before any run starts
+        _blowup_setup(cfg)  # every row's config and ball are valid before any run starts
     if args.workers > 1:
         # imported here: it costs every other command about 10 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -455,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--r0", type=float, default=2.0)
     u.add_argument("--m", type=float, default=2.0)
     u.add_argument("--dim", type=int, default=2)
-    u.add_argument("--table-points", type=int, default=60)
+    u.add_argument("--table-points", type=int, default=None, help="rows of the --out table (default 60)")
     u.add_argument("--out", default=None)
     u.set_defaults(func=cmd_uniq_check)
 

@@ -2,16 +2,19 @@
 
 Strict parsing: values are validated before any computation starts, and every
 constraint violation raises an error with exit code 2: ConfigError here (an
-unreadable config or table file too), DomainError or InvalidManifoldError from
-the manifold constructors.  The initial datum is one of ``log-growth(b)``,
-``bounded(B)`` or ``table(path.csv)``; tables are two-column CSV ``rho,value``
-with a header row, interpolated linearly onto the solver grid and held at the
-last value beyond the last row.
+unreadable config or table file too), DomainError from the manifold and grid
+constructors.  The built-in manifolds are valid for every admissible key, so
+``manifold_from`` builds one without probing it; ``grid_from`` builds the
+ball, which fails when its volume ratios overflow the double range.  The initial
+datum is one of ``log-growth(b)``, ``bounded(B)`` or ``table(path.csv)``;
+tables are two-column CSV ``rho,value`` with a header row, interpolated
+linearly onto the solver grid and held at the last value beyond the last row.
 
-``solver_config_from`` and ``blowup_config_from`` map a config to run objects
-for every subcommand and ``sweep`` row.  An absent optional key keeps its
-dataclass field default.  A ``RunConfig`` records the keys its builders read,
-and ``reject_unread`` makes any other key a ConfigError: a run accepts exactly
+``solver_config_from``, ``blowup_config_from`` and ``grid_from`` map a config
+to run objects for every subcommand and ``sweep`` row; ``grid_from`` is the
+one reader of ``R``.  An absent optional key keeps its dataclass field
+default.  A ``RunConfig`` records the keys its builders read, and
+``reject_unread`` makes any other key a ConfigError: a run accepts exactly
 the keys it reads.
 """
 
@@ -31,6 +34,7 @@ from .barriers import BarrierParams
 from .blowup import BlowupConfig
 from .errors import ConfigError
 from .geometry import ModelManifold, make_manifold
+from .grid import RadialGrid
 from .solver import BarrierDirichlet, DtPolicy, HomogeneousDirichlet, SolverConfig
 from .xlog import (
     RadialDatum,
@@ -178,12 +182,12 @@ def solver_config_from(cfg: dict, m: float) -> SolverConfig:
 
 def blowup_config_from(cfg: dict, m: float) -> BlowupConfig:
     """Settings of the staged blow-up run (``blowup`` and each ``sweep`` row)."""
-    return BlowupConfig(
-        m=m,
-        radius=_positive(cfg, "R"),
-        cells=get_int(cfg, "cells", minimum=3),
-        **_fields(cfg, _BLOWUP_FIELDS),
-    )
+    return BlowupConfig(m=m, **_fields(cfg, _BLOWUP_FIELDS))
+
+
+def grid_from(cfg: dict, manifold: ModelManifold) -> RadialGrid:
+    """The ball of a ``solve``, ``blowup`` or ``sweep`` run: radius ``R``, ``cells`` cells."""
+    return RadialGrid.uniform(manifold, _positive(cfg, "R"), get_int(cfg, "cells", minimum=3))
 
 
 def manifold_from(cfg: dict) -> ModelManifold:
@@ -192,9 +196,7 @@ def manifold_from(cfg: dict) -> ModelManifold:
         raise ConfigError("missing required key 'manifold'")
     dim = get_int(cfg, "dim", minimum=2)
     c = get_float(cfg, "c") if "c" in cfg else None
-    manifold = make_manifold(kind, dim, c)
-    manifold.validate()
-    return manifold
+    return make_manifold(kind, dim, c)
 
 
 def exponent_from(cfg: dict, key: str = "m") -> float:

@@ -2,9 +2,10 @@
 
 Every concrete error class declares the ``exit_code`` that ``pme`` returns
 when it escapes a subcommand: 2 for bad input (``ConfigError``,
-``DomainError``, ``InvalidManifoldError``, ``TailMismatchError``), 3 for a
-failed certificate (``CertificateError``, ``NotApplicableError``) and 4 for
-a solver breakdown (``SolverError``, ``StageError``).  ``EXIT_LABELS`` names each code in the CLI's stderr line.
+``DomainError``, ``TailMismatchError``), 3 for a failed certificate
+(``CertificateError``, ``NotApplicableError``) and 4 for a solver breakdown
+(``SolverError``, ``StageError``).  ``EXIT_LABELS`` names each code in the
+CLI's stderr line.
 """
 
 EXIT_LABELS = {2: "configuration error", 3: "certificate failure", 4: "solver failure"}
@@ -16,12 +17,8 @@ class PMEError(Exception):
 
 
 class DomainError(PMEError, ValueError):
-    """A numeric argument is outside its admissible range (e.g. rho <= 0)."""
-    exit_code = 2
-
-
-class InvalidManifoldError(PMEError):
-    """The warping function violates positivity or class-A membership."""
+    """An argument is outside its admissible range: rho <= 0, a dimension
+    below 2, or a geometry whose values leave the double range."""
     exit_code = 2
 
 

@@ -9,7 +9,10 @@ comparison constants) reduces to scalar functions of the radius rho.
 Built-in families carry closed-form derivative *ratios* psi'/psi and
 psi''/psi and a closed-form log psi.  Ratios and log-values stay finite even
 where psi itself overflows double precision (the quadratically warped family
-reaches exp(c rho^2)), so all hot paths work in ratio/log space.
+reaches exp(c rho^2)), so all hot paths work in ratio/log space.  The four
+families are of class A and convex for every c > 0 by construction, and are
+not re-checked at run time; ``drift`` and ``curvature`` raise DomainError
+where a ratio leaves the double range.
 
 Suprema/infima over the noncompact radius range are certified on a geometric
 probe grid with a multiplicative safety margin, combined with per-family
@@ -26,14 +29,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidManifoldError
+from .errors import DomainError
 
 # Safety margin applied to grid extrema when certifying constants.
 FIT_MARGIN = 1e-3
-# Probe radii used for class-A membership checks (deviations must shrink
-# along this sequence and land within CLASS_A_TOL at the last probe).
-CLASS_A_PROBES = (1e-2, 1e-3, 1e-4)
-CLASS_A_TOL = 1e-4
 
 
 def sphere_area(dim: int) -> float:
@@ -72,7 +71,7 @@ class ModelManifold:
 
     def __post_init__(self):
         if self.dim < 2:
-            raise InvalidManifoldError("dimension must be >= 2")
+            raise DomainError("dimension must be >= 2")
 
     # -- pointwise geometry ------------------------------------------------
 
@@ -88,7 +87,7 @@ class ModelManifold:
         with np.errstate(over="ignore"):  # an overflow is reported just below
             val = (self.dim - 1) * np.asarray(self.ratio1(arr), dtype=float)
         if not np.all(np.isfinite(val)):
-            raise InvalidManifoldError("psi'/psi is not finite on the requested radii")
+            raise DomainError("psi'/psi is not finite on the requested radii")
         return float(val) if np.isscalar(rho) else val
 
     def curvature(self, rho):
@@ -97,7 +96,7 @@ class ModelManifold:
         with np.errstate(over="ignore"):  # an overflow is reported just below
             sec = -np.asarray(self.ratio2(arr), dtype=float)
         if not np.all(np.isfinite(sec)):
-            raise InvalidManifoldError("psi''/psi is not finite on the requested radii")
+            raise DomainError("psi''/psi is not finite on the requested radii")
         ric = (self.dim - 1) * sec
         if np.isscalar(rho):
             return CurvatureSample(float(sec), float(ric))
@@ -109,49 +108,6 @@ class ModelManifold:
         return log_sphere_area(self.dim) + (self.dim - 1) * np.asarray(
             self.log_psi(r), dtype=float
         )
-
-    # -- class-A validation --------------------------------------------------
-
-    def validate(self):
-        """Check class-A membership and convexity on the probe radii.
-
-        psi(rho)/rho and psi'(rho) must approach 1 with nonincreasing
-        deviations along the probe sequence, landing within CLASS_A_TOL at
-        the finest probe; psi'' must be nonnegative up to roundoff.
-        """
-        probes = np.array(CLASS_A_PROBES)
-        p = np.exp(np.asarray(self.log_psi(probes), dtype=float))
-        dp = np.asarray(self.ratio1(probes), dtype=float) * p
-        if np.any(p <= 0):
-            raise InvalidManifoldError("psi must be positive on (0, inf)")
-        dev_ratio = np.abs(p / probes - 1.0)
-        dev_slope = np.abs(dp - 1.0)
-        for dev, name in ((dev_ratio, "psi/rho"), (dev_slope, "psi'")):
-            if np.any(np.diff(dev) > 1e-12 + 0.5 * dev[:-1]):
-                raise InvalidManifoldError(
-                    f"{name} does not converge to 1 along the probe radii"
-                )
-            if dev[-1] > CLASS_A_TOL:
-                raise InvalidManifoldError(
-                    f"{name} deviates by {dev[-1]:.2e} at rho={probes[-1]:g}"
-                )
-        # Convexity spot check across the working range; where psi''/psi
-        # overflows (a large c), the checkable set only shrinks.
-        grid = np.geomspace(1e-3, 1e3, 200)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r2 = np.asarray(self.ratio2(grid), dtype=float)
-            lp = np.asarray(self.log_psi(grid), dtype=float)
-        live = np.isfinite(r2)
-        if np.count_nonzero(live) < grid.size // 2:
-            raise InvalidManifoldError("psi''/psi is not defined on most of the probe range")
-        r2, grid_live = r2[live], grid[live]
-        scale = np.maximum(1.0, np.abs(r2))
-        if np.any(r2 < -1e-12 * scale):
-            bad = grid_live[np.argmin(r2 / scale)]
-            raise InvalidManifoldError(f"psi'' < 0 near rho={bad:.3g} (not Cartan-Hadamard)")
-        if np.any(np.isnan(lp[live])):
-            raise InvalidManifoldError("psi must be positive on (0, inf)")
-        return True
 
 
 # -- built-in families -------------------------------------------------------

@@ -6,7 +6,11 @@ warped models the volume element spans far more than the double-precision
 exponent range, so the grid stores log-weights and exposes *scaled*
 quantities: every weight and face area is normalized by the largest cell
 volume (``log_scale``).  Ratios between neighbouring cells, which are all
-the scheme ever needs, remain O(exp(drift * h)).
+the scheme ever needs, remain O(exp(drift * h)).  ``RadialGrid.uniform``
+raises DomainError for a ball where even these ratios overflow the double
+range (quad-critical c = 1000 at R = 25 with 250 cells): a scaled weight or
+a face coefficient that is not finite.  Scaled weights of inner cells may
+still underflow to 0.
 
 The flux through the origin vanishes identically because psi(0)^{N-1} = 0;
 no ghost cell is needed.
@@ -44,6 +48,7 @@ class RadialGrid:
     boundary_flux_coeff: float = 0.0  # outer face area / (dist * scale)
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # reported by the range check below
     def uniform(cls, manifold: ModelManifold, radius: float, cells: int) -> "RadialGrid":
         if radius <= 0 or cells < 3:
             raise DomainError("need radius > 0 and at least 3 cells")
@@ -76,6 +81,17 @@ class RadialGrid:
         log_scale = float(np.max(log_weights))
         weights_scaled = np.exp(log_weights - log_scale)
         boundary_flux_coeff = float(np.exp(log_faces[-1] - log_scale))
+
+        # A value that is not finite means exp(drift * h) has overflowed.  A
+        # ratio that underflows to 0 (an inner weight, or the inflow
+        # coefficient of a much larger cell) is below every other term it
+        # meets, so it stays.
+        if not all(np.isfinite(a).all() for a in (weights_scaled, coeff_minus, coeff_plus)):
+            family = manifold.kind if manifold.c is None else f"{manifold.kind} (c={manifold.c:g})"
+            raise DomainError(
+                f"{family} ball of radius R={radius:g} with {cells} cells: the volume "
+                "ratios between neighbouring cells overflow the double range"
+            )
 
         return cls(
             manifold=manifold,

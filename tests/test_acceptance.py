@@ -153,10 +153,11 @@ def test_criterion_5_exhaustion_monotonicity():
 
 
 def _blowup_ledger(b, quad_manifold, quad_constants):
-    cfg = blowup.BlowupConfig(m=2.0, radius=25.0, cells=250, steps_per_stage=30)
+    cfg = blowup.BlowupConfig(m=2.0, steps_per_stage=30)
     datum = xlog.log_growth_datum(b, 2.0, np.geomspace(1e-3, 1e6, 4000))
     prof = xlog.log_growth_profile(b, 2.0)
-    return blowup.run_blowup(datum, prof, quad_manifold, quad_constants, cfg)
+    grid = RadialGrid.uniform(quad_manifold, 25.0, 250)
+    return blowup.run_blowup(datum, prof, grid, quad_constants, cfg)
 
 
 def test_criterion_6_blowup_ledger(quad_manifold, quad_constants):

@@ -188,12 +188,10 @@ def test_stage_delta_failure_for_negative_field():
 def desk_run():
     M = geometry.quad_critical(0.5, 3)
     cc = geometry.fit_comparison_constants(M)
-    cfg = blowup.BlowupConfig(
-        m=2.0, radius=12.0, cells=120, threshold_factor=50.0, max_stages=400, steps_per_stage=25
-    )
+    cfg = blowup.BlowupConfig(m=2.0, threshold_factor=50.0, max_stages=400, steps_per_stage=25)
     datum = xlog.log_growth_datum(1.0, 2.0, RHO_REF)
     prof = xlog.log_growth_profile(1.0, 2.0)
-    return blowup.run_blowup(datum, prof, M, cc, cfg)
+    return blowup.run_blowup(datum, prof, RadialGrid.uniform(M, 12.0, 120), cc, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -292,8 +290,6 @@ def test_validate_rejects_a_sandwich_gap_above_tolerance(desk_ledger, gap, facto
     [
         ("m", 1.0),
         ("m", math.nan),
-        ("radius", 0.0),
-        ("cells", 2),
         ("threshold_factor", 1.0),
         ("threshold_factor", -1.0),
         ("max_stages", 0),
@@ -311,19 +307,19 @@ def test_blowup_config_rejects_values_outside_its_domain(field, value):
 def test_bounded_datum_rejected():
     M = geometry.quad_critical(0.5, 3)
     cc = geometry.fit_comparison_constants(M)
-    cfg = blowup.BlowupConfig(m=2.0, radius=12.0, cells=60)
     datum = xlog.bounded_datum(1.0, RHO_REF)
+    grid, cfg = RadialGrid.uniform(M, 12.0, 60), blowup.BlowupConfig(m=2.0)
     with pytest.raises(NotApplicableError):
-        blowup.run_blowup(datum, xlog.bounded_profile(1.0), M, cc, cfg)
+        blowup.run_blowup(datum, xlog.bounded_profile(1.0), grid, cc, cfg)
 
 
 def test_model_without_lower_bound_rejected():
     M = geometry.hyperbolic(2)
     cc = geometry.fit_comparison_constants(M)
-    cfg = blowup.BlowupConfig(m=2.0, radius=12.0, cells=60)
     datum = xlog.log_growth_datum(1.0, 2.0, RHO_REF)
+    grid, cfg = RadialGrid.uniform(M, 12.0, 60), blowup.BlowupConfig(m=2.0)
     with pytest.raises(NotApplicableError):
-        blowup.run_blowup(datum, xlog.log_growth_profile(1.0, 2.0), M, cc, cfg)
+        blowup.run_blowup(datum, xlog.log_growth_profile(1.0, 2.0), grid, cc, cfg)
 
 
 # -- trajectory series and sandwich audits against the record loops --------------------

@@ -75,7 +75,26 @@ def test_geometry_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_geometry_accepts_a_large_curvature_parameter(tmp_path):
+    out = tmp_path / "constants.json"
+    rc = run_cli("geometry", "--manifold", "quad-critical", "--dim", "3", "--c", "1e5", "--report", str(out))
+    assert rc == 0
+    data = json.loads(out.read_text())
+    assert data["c_prime"] == pytest.approx(2 * 1e5 * 2 * (1 + geometry.FIT_MARGIN), rel=1e-12)
+
+
 # -- barrier-check -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["super", "sub"])
+def test_barrier_check_passes_at_a_large_curvature_parameter(tmp_path, which):
+    out = tmp_path / "cert.json"
+    rc = run_cli(
+        "barrier-check", "--manifold", "quad-critical", "--dim", "3", "--c", "1e5",
+        "--m", "2", "--which", which, "--out", str(out),
+    )
+    assert rc == 0
+    assert json.loads(out.read_text())["pass"] is True
 
 
 def test_barrier_check_super_euclidean(tmp_path):
@@ -423,6 +442,14 @@ def test_uniq_check_writes_table(tmp_path):
     assert table[0] == "R,F,logF"
     logf = [float(line.split(",")[2]) for line in table[1:]]
     assert all(a > b for a, b in zip(logf, logf[1:]))
+    assert len(logf) == 60
+
+
+def test_uniq_check_table_points_sizes_the_table(tmp_path):
+    out = tmp_path / "uniq.json"
+    rc = run_cli("uniq-check", "--T", "0.05", "--c_m", "1", "--table-points", "7", "--out", str(out))
+    assert rc == 0
+    assert len((tmp_path / "uniq.csv").read_text().splitlines()) == 1 + 7
 
 
 
@@ -873,6 +900,20 @@ def check_args(tmp_path, *extra):
     return quad_args("barrier-check", *extra, "--out", str(tmp_path / "c.json"))
 
 
+# exp(drift * h) between neighbouring cells of this ball overflows
+OVERFLOW_SOLVE_CFG = """
+manifold = quad-critical
+dim = 3
+c = 1000
+m = 2
+u0 = log-growth(1.0)
+R = 25
+cells = 250
+t_end = 1e-4
+dt0 = 1e-5
+"""
+
+
 @pytest.mark.parametrize(
     "make_argv, needle",
     [
@@ -924,6 +965,22 @@ def check_args(tmp_path, *extra):
                 tmp, R12_BLOWUP_CFG.replace("blowup_threshold = 30", "blowup_threshold = -1"))],
             "threshold factor must be > 1",
             id="blowup-negative-threshold",
+        ),
+        pytest.param(
+            lambda tmp: solve_args(tmp, write_cfg(tmp, OVERFLOW_SOLVE_CFG)),
+            "quad-critical (c=1000) ball of radius R=25 with 250 cells",
+            id="solve-ball-overflows",
+        ),
+        pytest.param(  # the c = 300 row's ball overflows: no row runs
+            lambda tmp: ["sweep", "--config", write_cfg(tmp, R12_BLOWUP_CFG.replace("cells = 120", "cells = 60")),
+                         "--param", "c", "--values", "0.5,300", "--workers", "1", "--out", str(tmp / "s.csv")],
+            "quad-critical (c=300) ball of radius R=12 with 60 cells",
+            id="sweep-row-ball-overflows",
+        ),
+        pytest.param(
+            lambda tmp: ["uniq-check", "--T", "0.05", "--c_m", "1", "--table-points", "7"],
+            "--table-points",
+            id="uniq-check-table-points-without-out",
         ),
         pytest.param(lambda tmp: sweep_args(tmp, "--workers", "0"), "--workers", id="sweep-zero-workers"),
         pytest.param(lambda tmp: sweep_args(tmp, "--workers", "-3"), "--workers", id="sweep-negative-workers"),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pme import blowup, config, solver, xlog
+from pme import blowup, config, geometry, solver, xlog
 from pme.errors import ConfigError
 from pme.geometry import log_sphere_area, sphere_area
 
@@ -48,26 +48,37 @@ def keys_read(build):
     """Keys of FULL_CFG that the manifold, exponent and datum builders plus ``build`` read."""
     run = config.RunConfig(FULL_CFG)
     m = config.exponent_from(run)
-    config.manifold_from(run)
+    manifold = config.manifold_from(run)
     config.datum_from(run)
-    build(run, m)
+    build(run, m, manifold)
     return run.read
 
 
 def test_a_solve_build_reads_exactly_the_solve_keys():
-    def solve_build(run, m):  # as cli.cmd_solve builds its run
-        config.get_float(run, "R", positive=True)
-        config.get_int(run, "cells", minimum=3)
+    def solve_build(run, m, manifold):  # as cli.cmd_solve builds its run
+        config.grid_from(run, manifold)
         config.solver_config_from(run, m)
 
     assert keys_read(solve_build) == set(SOLVE_CFG)
 
 
 def test_a_blowup_build_reads_exactly_the_keys_sweep_can_vary():
-    assert keys_read(config.blowup_config_from) == {
+    def blowup_build(run, m, manifold):  # as cli._blowup_setup builds its run
+        config.grid_from(run, manifold)
+        config.blowup_config_from(run, m)
+
+    assert keys_read(blowup_build) == {
         "manifold", "dim", "c", "m", "u0", "R", "cells", "newton_tol", "norm_r",
         "blowup_threshold", "blowup_max_stages", "steps_per_stage",
     }
+
+
+def test_only_the_ball_builder_reads_the_ball_keys():
+    def settings(run, m, manifold):
+        config.solver_config_from(run, m)
+        config.blowup_config_from(run, m)
+
+    assert not keys_read(settings) & {"R", "cells"}
 
 
 def test_absent_keys_keep_dataclass_defaults():
@@ -75,9 +86,7 @@ def test_absent_keys_keep_dataclass_defaults():
     assert config.solver_config_from(cfg, 2.0) == solver.SolverConfig(
         m=2.0, dt=solver.DtPolicy(dt0=1e-3), t_end=0.5
     )
-    assert config.blowup_config_from(cfg, 2.0) == blowup.BlowupConfig(
-        m=2.0, radius=12.0, cells=60
-    )
+    assert config.blowup_config_from(cfg, 2.0) == blowup.BlowupConfig(m=2.0)
 
 
 def test_present_keys_reach_their_fields():
@@ -88,8 +97,10 @@ def test_present_keys_reach_their_fields():
     assert scfg.boundary.delta == 0.12
     assert (scfg.boundary.params.amplitude, scfg.boundary.params.r) == (1.001, 2.5)
     assert scfg.boundary.params.horizon == 4.0
+    grid = config.grid_from(FULL_CFG, geometry.quad_critical(0.5, 3))
+    assert (grid.radius, grid.cells) == (12.0, 60)
     bcfg = config.blowup_config_from(FULL_CFG, 2.0)
-    assert (bcfg.radius, bcfg.cells, bcfg.threshold_factor) == (12.0, 60, 30.0)
+    assert bcfg.threshold_factor == 30.0
     assert (bcfg.max_stages, bcfg.steps_per_stage) == (5, 20)
     assert (bcfg.newton_tol, bcfg.norm_r) == (1e-9, 3.0)
 
@@ -100,11 +111,12 @@ def test_present_keys_reach_their_fields():
      ("steps_per_stage", "4"), ("boundary", "neumann"), ("barrier_a", "x")],
 )
 def test_invalid_values_raise_config_error(key, value):
+    bad = dict(FULL_CFG, **{key: value})
     with pytest.raises(ConfigError, match=key):
-        if key in SOLVE_CFG:
-            config.solver_config_from(dict(SOLVE_CFG, **{key: value}), 2.0)
-        # reached for the keys solver_config_from does not read
-        config.blowup_config_from(dict(FULL_CFG, **{key: value}), 2.0)
+        # each builder passes over the keys it does not read
+        config.grid_from(bad, geometry.euclidean(3))
+        config.solver_config_from(bad, 2.0)
+        config.blowup_config_from(bad, 2.0)
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,20 @@
 """Geometry: drifts, curvatures, measures, certified constants.
 
 Closed-form derivative examples are checked against a symbolic oracle
-(sympy differentiation of the warping functions), constants against
+(sympy differentiation of the warping functions), the class-A conditions
+and the analytic rho -> inf limits against sympy limits, constants against
 brute-force suprema over the probe grid.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
 from pme import geometry
-from pme.errors import DomainError, InvalidManifoldError
+from pme.errors import DomainError
 
 RHO = sp.symbols("rho", positive=True)
 
@@ -26,21 +28,18 @@ def symbolic_ratios(psi_expr):
     return f1, f2
 
 
-def sympy_manifold(psi_expr, dim):
-    """A model manifold whose log psi and ratios are lambdified from sympy."""
-    log_psi = sp.lambdify(RHO, sp.log(psi_expr), "numpy")
-    ratio1, ratio2 = symbolic_ratios(psi_expr)
-    return geometry.ModelManifold(
-        dim=dim, kind="sympy", c=None, log_psi=log_psi, ratio1=ratio1, ratio2=ratio2,
-        tail_limits={},
-    )
-
-
 SYMBOLIC = {
     "euclidean": RHO,
     "hyperbolic": sp.sinh(RHO),
     "quad-critical": RHO * sp.exp(sp.Rational(1, 2) * RHO**2),
     "log-critical": RHO * sp.exp(RHO**2 / sp.log(sp.E + RHO)),
+}
+# each built-in with the c of its SYMBOLIC psi
+BUILT = {
+    "euclidean": geometry.euclidean(3),
+    "hyperbolic": geometry.hyperbolic(3),
+    "quad-critical": geometry.quad_critical(0.5, 3),
+    "log-critical": geometry.log_critical(1.0, 3),
 }
 
 
@@ -124,25 +123,39 @@ def test_ricci_is_dim_times_sectional(all_builtins, probe_rhos):
         assert np.all(cur.sectional <= 1e-14)
 
 
-# -- class A / validation ---------------------------------------------------------
+# -- class A and the rho -> inf limits ----------------------------------------------
 
 
-def test_builtins_are_class_a(all_builtins):
-    for M in all_builtins:
-        assert M.validate()
+def test_builtins_are_class_a(probe_rhos):
+    # class A: psi -> 0 and psi' -> 1 at the origin; psi'' >= 0 (nonpositive
+    # sectional curvature), in mpmath, where exp(rho^2) cannot overflow
+    for kind, psi in SYMBOLIC.items():
+        assert sp.limit(psi, RHO, 0, "+") == 0, kind
+        assert sp.limit(sp.diff(psi, RHO), RHO, 0, "+") == 1, kind
+        d2 = sp.lambdify(RHO, sp.diff(psi, RHO, 2), "mpmath")
+        assert all(d2(mpmath.mpf(float(r))) >= 0 for r in probe_rhos), kind
 
 
-def test_validate_rejects_concave_psi():
-    bad = sympy_manifold(sp.log(1 + RHO), dim=2)
-    with pytest.raises(InvalidManifoldError):
-        bad.validate()
-    assert geometry.hyperbolic(2).validate()
-
-
-def test_validate_rejects_wrong_slope():
-    bad = sympy_manifold(2 * RHO, dim=2)  # psi'(0) = 2
-    with pytest.raises(InvalidManifoldError):
-        bad.validate()
+@pytest.mark.parametrize("kind", list(SYMBOLIC))
+def test_tail_limits_match_sympy_limits(kind):
+    psi, M = SYMBOLIC[kind], BUILT[kind]
+    nm1, half = M.dim - 1, sp.Rational(M.dim, 2)
+    r1, r2 = sp.diff(psi, RHO) / psi, sp.diff(psi, RHO, 2) / psi
+    log_area = sp.log(2 * sp.pi**half / sp.gamma(half)) + nm1 * sp.expand_log(sp.log(psi), force=True)
+    ratios = {
+        "drift": RHO * nm1 * r1 / (1 + RHO**2),
+        "ricci": nm1 * r2 / (1 + RHO**2),
+        "sect": r2 / RHO**2,
+        "volume": log_area * sp.log(RHO) / RHO**2,
+    }
+    assert set(M.tail_limits) == set(ratios)
+    for name, ratio in ratios.items():
+        want = sp.limit(ratio, RHO, sp.oo)
+        got = M.tail_limits[name]
+        if want == sp.oo:
+            assert got is None, (name, got)
+        else:
+            assert got == pytest.approx(float(want), rel=1e-14, abs=1e-300), (name, want)
 
 
 # -- closed-form ratios --------------------------------------------------------------
@@ -152,12 +165,7 @@ def test_validate_rejects_wrong_slope():
 def test_fd_fallback_matches_closed_forms(kind):
     # the built-ins' closed-form psi'/psi and psi''/psi against sympy's
     # derivatives of the same psi
-    built = {
-        "euclidean": geometry.euclidean(3),
-        "hyperbolic": geometry.hyperbolic(3),
-        "quad-critical": geometry.quad_critical(0.5, 3),
-        "log-critical": geometry.log_critical(1.0, 3),
-    }[kind]
+    built = BUILT[kind]
     f1, f2 = symbolic_ratios(SYMBOLIC[kind])
     for rho in (0.05, 0.7, 1.0, 3.0, 8.0):
         assert float(built.ratio1(rho)) == pytest.approx(float(f1(rho)), rel=1e-12)

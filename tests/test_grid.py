@@ -66,3 +66,22 @@ def test_grid_validation():
         RadialGrid.uniform(M, -1.0, 10)
     with pytest.raises(DomainError):
         RadialGrid.uniform(M, 1.0, 2)
+
+
+def test_ball_whose_volume_ratios_overflow_is_a_domain_error():
+    # exp(drift * h) between neighbouring cells overflows the double range; the
+    # build raises, naming the ball, and lets no RuntimeWarning through
+    with pytest.raises(DomainError, match=r"quad-critical \(c=1000\) ball of radius R=25 with 250 cells"):
+        RadialGrid.uniform(geometry.quad_critical(1000.0, 3), 25.0, 250)
+
+
+@pytest.mark.parametrize("c", [20.0, 100.0])
+def test_ratios_may_underflow_to_zero(c):
+    # inner scaled weights underflow from c = 20 on; from c = 80 on so do the
+    # outer cells' inflow coefficients, each below 1e-308 of its cell's other
+    # terms, and the ball stays usable
+    g = RadialGrid.uniform(geometry.quad_critical(c, 3), 25.0, 250)
+    assert g.weights_scaled[0] == 0.0 and g.weights_scaled[-1] == 1.0
+    assert (g.coeff_minus[-1] == 0.0) == (c == 100.0)
+    assert np.all(g.coeff_plus > 0)
+    assert np.all(np.isfinite(g.coeff_minus)) and np.all(np.isfinite(g.coeff_plus))
