@@ -35,6 +35,21 @@ two half steps, recursively, so ``step`` always advances by exactly the
 requested increment or raises; ``MAX_HALVINGS`` bounds the depth and
 ``MAX_SUBSTEPS`` the total work.
 
+Each step of ``solve_ball`` hands ``step`` a guess at the new field, and
+the step's first, unhalved solve starts Newton from it instead of from the
+old field u.  The guess extrapolates the run's last accepted levels to the
+new time: none on the first step, u + (d/d_prev)(u - u_prev) on the
+second, and from the third on the quadratic through the last three levels,
+with Lagrange weights built from the actual step sizes, so that capped and
+growing steps extrapolate alike.  The target residual stays
+tol * max(1, max|u_old|, |v_b|^(1/m)) of the old field: an accepted solve
+means what it meant before, so the mass-balance and scaling-group bounds
+hold as they did, and results move only within the Newton tolerance.  A
+predicted solve that fails is retried once from u at the same full step,
+before any halving, and the two attempts count as one solve against
+``MAX_SUBSTEPS``; so the guess never causes a halving that the start from
+u would not make.  Halved sub-solves start from their own old field.
+
 ``dgtsv`` is the one thing taken from scipy.  It comes from scipy's own f2py
 LAPACK extension ``scipy/linalg/_flapack``, the module behind
 ``scipy.linalg.lapack.dgtsv``, so the same binary solves every system.  The
@@ -240,12 +255,19 @@ def odd_power(u: np.ndarray, m: float) -> np.ndarray:
 # -- single implicit step -----------------------------------------------------
 
 
-def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
+def _newton_target(u_old_max, v_b, m, tol):
+    """Residual a solve from a field of sup norm ``u_old_max`` must reach."""
+    return tol * max(1.0, u_old_max, abs(v_b) ** (1.0 / m))
+
+
+def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
     """Solve the implicit cell balance; returns (u, converged, residual).
 
-    Fails (``converged`` False) on a singular Jacobian or on any non-finite
-    diagonal, Newton direction or residual, so that ``step`` halves the step
-    instead of letting NaN or inf into the field.
+    The iteration starts from ``start`` (default ``u_old``); the target
+    residual comes from ``u_old`` either way.  Fails (``converged`` False)
+    on a singular Jacobian or on any non-finite diagonal, Newton direction
+    or residual, so that ``step`` halves the step instead of letting NaN or
+    inf into the field.
     """
     cm = dt * grid.coeff_minus
     cp = dt * grid.coeff_plus
@@ -285,11 +307,13 @@ def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
 
     # the current point u with |u| and its residual g, and the same three
     # buffers for the line-search trial; an accepted trial swaps the two
-    u, u_abs, g = u_old.copy(), np.empty(n), np.empty(n)
+    u = (u_old if start is None else start).copy()
+    u_abs, g = np.empty(n), np.empty(n)
     trial, trial_abs, g_trial = np.empty(n), np.empty(n), np.empty(n)
     g_norm = residual(u, u_abs, g)
-    uscale = max(1.0, float(np.maximum.reduce(u_abs)), abs(v_b) ** (1.0 / m))
-    target = tol * uscale
+    # the target is set by u_old; trial_abs is free until the first trial
+    old_abs = u_abs if start is None else np.absolute(u_old, out=trial_abs)
+    target = _newton_target(float(np.maximum.reduce(old_abs)), v_b, m, tol)
     for _ in range(max_iter):
         if g_norm <= target:
             return u, True, g_norm
@@ -340,8 +364,12 @@ def step(
     dt: float,
     grid: RadialGrid,
     cfg: SolverConfig,
+    start: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, float]:
     """Advance exactly dt, splitting into half steps when Newton stalls.
+
+    ``start`` is a guess at the new field.  The full-step solve starts from
+    it, and from ``u`` once more if that fails, before any halving.
 
     Returns the new field and the accumulated boundary outflow (in the
     grid's scaled mass units) over the increment.
@@ -353,24 +381,29 @@ def step(
     pending = [(t, dt, 0)]
     outflow = 0.0
     solves = 0
+    failed = None  # (field, v_b, residual) of the last failed solve
     while pending:
         t0, d, depth = pending.pop()
         if depth > MAX_HALVINGS:
             raise SolverError(
                 f"Newton failed after {MAX_HALVINGS} halvings at t={t0:.6g}"
+                + _failure_note(failed, cfg)
             )
         if solves == MAX_SUBSTEPS:
             raise SolverError(
                 f"step from t={t:.6g} spent its budget of {MAX_SUBSTEPS} Newton solves"
-                f" at t={t0:.6g}"
+                f" at t={t0:.6g}" + _failure_note(failed, cfg)
             )
         solves += 1
         ub = cfg.boundary.value(t0 + d, grid.radius)
         v_b = math.copysign(abs(ub) ** cfg.m, ub)
-        u_new, ok, res = _newton_solve(
-            u, v_b, d, grid, cfg.m, cfg.newton_tol, cfg.newton_max_iter
-        )
+        args = (u, v_b, d, grid, cfg.m, cfg.newton_tol, cfg.newton_max_iter)
+        u_new, ok, res = _newton_solve(*args, start)
+        if not ok and start is not None:
+            u_new, ok, res = _newton_solve(*args, None)
+        start = None
         if not ok:
+            failed = (u, v_b, res)
             pending.append((t0 + d / 2.0, d / 2.0, depth + 1))
             pending.append((t0, d / 2.0, depth + 1))
             continue
@@ -379,6 +412,29 @@ def step(
         )
         u = u_new
     return u, outflow
+
+
+def _failure_note(failed, cfg: SolverConfig) -> str:
+    u_old, v_b, res = failed
+    target = _newton_target(float(np.max(np.abs(u_old))), v_b, cfg.m, cfg.newton_tol)
+    return f" (last failed solve: residual {res:.3g}, target {target:.3g})"
+
+
+def _extrapolate(levels: list, d: float) -> Optional[np.ndarray]:
+    """The field ``d`` past the newest of ``levels``, the last accepted
+    (step size, field) pairs, oldest first: none from one level, linear
+    from two, quadratic (Lagrange weights on the actual steps) from three."""
+    if len(levels) == 2:
+        (_, u1), (a, u0) = levels
+        return u0 + (d / a) * (u0 - u1)
+    if len(levels) == 3:
+        (_, u2), (b, u1), (a, u0) = levels
+        ab = a + b
+        w0 = (d + a) * (d + ab) / (a * ab)
+        w1 = -d * (d + ab) / (a * b)
+        w2 = d * (d + a) / (ab * b)
+        return w0 * u0 + w1 * u1 + w2 * u2
+    return None
 
 
 # -- trajectories -------------------------------------------------------------
@@ -418,11 +474,13 @@ def solve_ball(
     dt = cfg.dt.dt0
     k = 0
     pending_outflow = 0.0
+    levels = [(0.0, u)]  # the last three accepted (step size, field) pairs
     while t < cfg.t_end - 1e-14 * cfg.t_end:
         d = min(dt, cfg.t_end - t)
         for T in horizons:
             d = min(d, BARRIER_CAP * (T - t))
-        u, out = step(u, t, d, grid, cfg)
+        u, out = step(u, t, d, grid, cfg, _extrapolate(levels, d))
+        levels = [*levels[-2:], (d, u)]
         t += d
         k += 1
         pending_outflow += out

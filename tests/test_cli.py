@@ -839,6 +839,18 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, c
     assert capsys.readouterr().err == PREFIXES[rc] + "stub failure\n"
 
 
+def test_solver_failure_exits_4_naming_the_residual_and_its_target(tmp_path, monkeypatch, capsys):
+    # every LAPACK call reports a singular system
+    monkeypatch.setattr(solver, "dgtsv", lambda dl, d, du, b, **kw: (dl, d, du, b, 1))
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    out, summary = str(tmp_path / "traj.csv"), str(tmp_path / "summary.json")
+    rc = run_cli("solve", "--config", cfg, "--out", out, "--summary", summary)
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith(PREFIXES[4]), err
+    assert re.search(r" \(last failed solve: residual \S+, target \S+\)\n$", err), err
+
+
 def test_documented_exit_codes_name_only_existing_classes():
     assert set(EXIT_CODES) == {cls.__name__ for cls in error_classes()}
     assert set(PREFIXES) == {2, 3, 4}

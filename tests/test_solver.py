@@ -141,7 +141,7 @@ def test_newton_solve_matches_reference_kernel(case):
     assert res == res_ref
 
 
-def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
+def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
     """The kernel before its per-call trimming: |u| recomputed for the
     Jacobian, ``-g`` and each trial point new arrays.  ``_newton_solve`` must
     reproduce it byte for byte."""
@@ -149,7 +149,7 @@ def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
     cm = dt * grid.coeff_minus
     cp = dt * grid.coeff_plus
     n = u_old.size
-    u = u_old.copy()
+    u = (u_old if start is None else start).copy()
     uscale = max(1.0, float(np.abs(u_old).max()), abs(v_b) ** (1.0 / m))
     target = tol * uscale
     c_diag = cp + cm
@@ -287,6 +287,112 @@ def test_step_through_halvings_is_bitwise_the_plain_kernel(case, singular):
         assert got == want
     else:
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+# -- predictor start ------------------------------------------------------------------------
+
+
+@given(signed_newton_cases())
+@settings(max_examples=150, deadline=None)
+def test_newton_solve_from_a_copy_of_the_old_field_is_the_default_start(case):
+    grid, u_old, m, dt, v_b, max_iter = case
+    args = (u_old, v_b, dt, grid, m, 1e-10, max_iter)
+    with np.errstate(all="ignore"):
+        u, ok, res = solver._newton_solve(*args, start=u_old.copy())
+        u_ref, ok_ref, res_ref = solver._newton_solve(*args)
+    assert same_bytes(u, u_ref)
+    assert ok == ok_ref
+    assert same_bytes(res, res_ref)
+
+
+def run_step(u, dt, grid, cfg, start=None):
+    try:
+        with np.errstate(all="ignore"):
+            return solver.step(u, 0.0, dt, grid, cfg, start)
+    except SolverError as exc:
+        return str(exc)
+
+
+@given(signed_newton_cases())
+@settings(max_examples=60, deadline=None)
+def test_step_after_a_failed_prediction_is_the_start_free_step(case):
+    # the guess, a constant, is no solution, so the predicted solve needs a
+    # Newton iteration, and its first LAPACK call reports a singular system
+    grid, u_old, m, dt, _, _ = case
+    cfg = small_cfg(1.0, m=m)
+    want = run_step(u_old, dt, grid, cfg)
+    real_dgtsv, calls = solver.dgtsv, []
+
+    def singular_first(*args, **kw):
+        calls.append(1)
+        *out, info = real_dgtsv(*args, **kw)
+        return (*out, 1 if len(calls) == 1 else info)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "dgtsv", singular_first)
+        got = run_step(u_old, dt, grid, cfg, start=np.full(grid.cells, 0.5))
+    assert calls
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+def recorded_run(u0, cfg, grid, predicted=True):
+    """``solve_ball``'s trajectory, each step's count of accepted solves, and
+    the moves of the accepted solves summed up to each step (the bound of
+    test_scaling_group).  ``predicted=False`` drops the guess that
+    ``solve_ball`` hands to ``step``, so every solve starts from the old
+    field."""
+    eps = np.finfo(float).eps
+    newton_solve, step = solver._newton_solve, solver.step
+    solves, moves = [], [0.0]
+
+    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None):
+        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start)
+        if out[1]:
+            uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
+            coeff = float(np.max(d * (grid.coeff_plus + grid.coeff_minus)))
+            moves[-1] += tol * uscale + 8 * eps * (uscale + coeff * uscale**m)
+            solves[-1] += 1
+        return out
+
+    def marking_step(u, t, dt, grid, cfg, start=None):
+        solves.append(0)
+        moves.append(moves[-1])
+        return step(u, t, dt, grid, cfg, start if predicted else None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton_solve", recording_solve)
+        mp.setattr(solver, "step", marking_step)
+        traj = solver.solve_ball(u0, cfg, grid)
+    return traj, solves, np.array(moves)
+
+
+@pytest.mark.parametrize("manifold", FAMILIES, ids=lambda m: m.kind)
+@pytest.mark.parametrize("boundary", ["dirichlet", "barrier"])
+def test_predicted_run_agrees_with_the_start_free_run(manifold, boundary):
+    # Both runs solve the same substeps under the same Dirichlet data, and
+    # the step is a contraction in the cell-weighted L1 norm; an accepted
+    # solve is the exact step from a field moved by its residual.  So after
+    # k steps the two fields differ by at most W times the moves of both
+    # runs' first k steps, W = sum of the scaled cell weights.
+    m = 2.0
+    grid = RadialGrid.uniform(manifold, 8.0, 60)
+    bc = solver.HomogeneousDirichlet()
+    if boundary == "barrier":
+        bc = solver.BarrierDirichlet(barriers.BarrierParams(1.0, 2.0, horizon=1.0, m=m))
+    cfg = small_cfg(0.2, m=m, boundary=bc)
+    u0 = np.random.default_rng(5).uniform(-1.5, 1.5, grid.cells)
+    got, got_solves, got_moves = recorded_run(u0, cfg, grid)
+    want, want_solves, want_moves = recorded_run(u0, cfg, grid, predicted=False)
+    assert got.times == want.times
+    assert got_solves == want_solves
+    W = float(np.sum(grid.weights_scaled))
+    bound = W * (got_moves + want_moves)
+    diff = [float(grid.weights_scaled @ np.abs(a - b)) for a, b in zip(got.fields, want.fields)]
+    assert np.all(diff <= bound)
+    assert max(diff) > 0.0  # the guess did change the iterates
 
 
 # -- the LAPACK binary ------------------------------------------------------------------
@@ -454,6 +560,44 @@ def test_step_spends_at_most_the_substep_budget(monkeypatch):
     with pytest.raises(SolverError, match="budget"):
         solver.step(np.zeros(10), 0.0, 1.0, g, small_cfg(1.0))
     assert len(calls) == solver.MAX_SUBSTEPS
+
+
+def test_halving_failure_names_the_last_residual_and_its_target(monkeypatch):
+    # every LAPACK call reports a singular system, so each solve that needs a
+    # Newton iteration fails; at depth MAX_HALVINGS the step's residual still
+    # exceeds the target, as where a run stalls at its rounding floor
+    u_old, v_b, _, g, m, tol, max_iter = newton_args()
+    u0, dt = 100.0 * u_old, 10.0
+    monkeypatch.setattr(solver, "dgtsv", fake_dgtsv(info=3))
+    d = dt / 2.0**solver.MAX_HALVINGS
+    _, ok, res = solver._newton_solve(u0, v_b, d, g, m, tol, max_iter)
+    target = tol * 100.0
+    assert not ok and res > target
+    with pytest.raises(SolverError) as exc:
+        solver.step(u0, 0.0, dt, g, small_cfg(1.0, m=m))
+    assert str(exc.value) == (
+        f"Newton failed after {solver.MAX_HALVINGS} halvings at t=0"
+        f" (last failed solve: residual {res:.3g}, target {target:.3g})"
+    )
+
+
+def test_budget_failure_names_the_last_residual_and_its_target(monkeypatch):
+    g = RadialGrid.uniform(geometry.euclidean(2), 1.0, 10)
+    u0 = np.full(10, -3.0)
+    failed = []
+
+    def fails_above_1e9(u, v_b, d, *rest):
+        if d <= 1e-9:
+            return u, True, 0.0
+        failed.append(7.0 * d)
+        return u, False, failed[-1]
+
+    monkeypatch.setattr(solver, "_newton_solve", fails_above_1e9)
+    with pytest.raises(SolverError, match="budget") as exc:
+        solver.step(u0, 0.0, 1.0, g, small_cfg(1.0))
+    assert str(exc.value).endswith(
+        f" (last failed solve: residual {failed[-1]:.3g}, target {3e-10:.3g})"
+    )
 
 
 # -- configuration invariants ------------------------------------------------------
@@ -638,8 +782,8 @@ def test_scaling_group(manifold, m, lam):
     moves = []  # [run from u0, run from lam u0]
     newton_solve = solver._newton_solve
 
-    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter):
-        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter)
+    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None):
+        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start)
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
             coeff = float(np.max(d * (grid.coeff_plus + grid.coeff_minus)))
