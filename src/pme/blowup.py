@@ -181,7 +181,12 @@ class BlowupLedger:
     growth_onset: int = 0
 
     def validate(self):
-        """Re-check the ledger invariants and sandwich gaps on the recorded values."""
+        """Re-check the ledger invariants and sandwich gaps on the recorded values.
+
+        The stage times and the total duration are checked exactly: each t_n
+        is t_{n-1} + S_n as ``stage_schedule`` sums it, tau is the last t_n,
+        and tau <= tau_bound = 2 T_1, a product that is exact in floats.
+        """
         if not self.stages:
             raise StageError("empty ledger")
         t_prev, tol = 0.0, self.discretization_tol
@@ -192,6 +197,8 @@ class BlowupLedger:
                 raise StageError(f"S >= T at stage {s.n}")
             if not s.t_n > t_prev:
                 raise StageError(f"stage times not increasing at {s.n}")
+            if s.t_n != t_prev + s.S_n:
+                raise StageError(f"t_n is not the sum of the stage durations at {s.n}")
             if not (s.lower_gap <= tol and s.upper_gap <= tol):
                 raise CertificateError(
                     f"sandwich gaps {s.lower_gap:.3e} (lower), {s.upper_gap:.3e} (upper) "
@@ -203,7 +210,9 @@ class BlowupLedger:
                 bound = prev.T_n - prev.S_n + self.T1 / 2.0 ** (s.n - 1)
                 if s.T_n > bound * (1.0 + 1e-12):
                     raise StageError(f"telescoping bound violated at {s.n}")
-        if self.tau > self.tau_bound + 1e-6:
+        if self.tau != t_prev:
+            raise StageError("total duration is not the last stage time")
+        if not self.tau <= self.tau_bound:
             raise StageError("total duration exceeds 2 T1")
         lns = [s.lognorm for s in self.stages]
         if any(b <= a for a, b in zip(lns[self.growth_onset :], lns[self.growth_onset + 1 :])):

@@ -21,7 +21,7 @@ and |u|^{m-1} recomputed from u, ``-g`` and ``u + lam * delta`` as new
 arrays) does; ``tests/test_solver.py`` keeps that form as its oracle.
 |u| is taken once per evaluated point and serves both the residual's
 |u|^m and the next Jacobian's |u|^{m-1}, since ``abs`` is exact.  The
-residual is written into buffers owned by the solve, in the plain form's
+residual is written into the run's buffers (see below), in the plain form's
 order of operations.  The right-hand side is negated in place and the step
 is ``u + lam * delta``: solving for +g and stepping with ``u - lam * delta``
 would round every nonzero entry alike, but LAPACK's ``b - fact * b`` does
@@ -29,6 +29,18 @@ not commute with negation when the result is an exact zero, so the sign of
 a zero direction entry, and with it the sign of a ``-0.0`` cell (odd data
 make them), could change.  At ``lam == 1`` the step skips the multiply,
 because ``1.0 * x`` is exact.
+
+Each ``solve_ball`` run owns one ``NewtonWorkspace`` and hands it to every
+step.  It holds the work arrays of a solve (the Jacobian, |u|, v and its
+face jumps, the residual and the line-search trial), so a solve allocates
+only the copy of the field it returns; no returned or recorded field is one
+of its buffers.  It keeps the dt-scaled face coefficients and Jacobian
+factors until the step size changes: a Barenblatt run scales them once, a
+blow-up stage once per distinct step size.  And it keeps v_b - v[-1] of the
+last residual evaluated, the accepted field's boundary jump, from which
+``step`` sums the boundary outflow.  The workspace changes where the
+numbers are stored, never how they are computed, so every float is what a
+fresh array per solve gives.  ``step`` without a workspace builds its own.
 
 A rejected step, including a singular or non-finite system, is retried on
 two half steps, recursively, so ``step`` always advances by exactly the
@@ -247,11 +259,6 @@ class Trajectory:
         return self.fields[-1]
 
 
-def odd_power(u: np.ndarray, m: float) -> np.ndarray:
-    """Signed power |u|^{m-1} u."""
-    return np.sign(u) * np.abs(u) ** m
-
-
 # -- single implicit step -----------------------------------------------------
 
 
@@ -260,65 +267,106 @@ def _newton_target(u_old_max, v_b, m, tol):
     return tol * max(1.0, u_old_max, abs(v_b) ** (1.0 / m))
 
 
-def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
-    """Solve the implicit cell balance; returns (u, converged, residual).
+class NewtonWorkspace:
+    """The arrays of a run's Newton solves on one grid with one exponent m.
 
-    The iteration starts from ``start`` (default ``u_old``); the target
-    residual comes from ``u_old`` either way.  Fails (``converged`` False)
-    on a singular Jacobian or on any non-finite diagonal, Newton direction
-    or residual, so that ``step`` halves the step instead of letting NaN or
-    inf into the field.
+    ``scale`` sets the dt-scaled coefficients, recomputing them only when
+    the step size changes.  After a solve, ``boundary_jump`` is v_b - v[-1]
+    of the last residual it evaluated: the returned field's when the solve
+    converged.
     """
-    cm = dt * grid.coeff_minus
-    cp = dt * grid.coeff_plus
-    n = u_old.size
-    # fixed factors of the Jacobian diagonals, and one buffer holding the
-    # diagonals so that a single test sees any non-finite entry
-    c_diag = cp + cm
-    c_upper = -cp[:-1]
-    c_lower = -cm[1:]
-    jac = np.empty(3 * n - 2)
-    diag, upper, lower = jac[:n], jac[n : 2 * n - 1], jac[2 * n - 1 :]
-    dv = np.empty(n)
-    dv_upper, dv_lower = dv[1:], dv[:-1]
-    # vpad = [0, v(u), v_b], so jump[k] = vpad[k+1] - vpad[k] is the
-    # difference of v across face k: face 0 is the origin (v[0] - 0,
-    # weighted by coeff_minus[0] = 0), face n the outer boundary
-    vpad = np.zeros(n + 2)
-    vpad[-1] = v_b
-    v, v_right, v_left = vpad[1:-1], vpad[1:], vpad[:-1]
-    jump = np.empty(n + 1)
-    jump_out, jump_in = jump[1:], jump[:-1]
-    flux, scratch = np.empty(n), np.empty(n)
 
-    def residual(u, u_abs, g):
-        """Write |u| to ``u_abs`` and the residual to ``g``; return max|g|."""
+    def __init__(self, grid: RadialGrid, m: float):
+        n = grid.cells
+        self.grid, self.m = grid, m
+        self.dt = math.nan  # the step size of the coefficients below
+        # dt * coeff_minus, dt * coeff_plus, and the fixed factors of the
+        # Jacobian's three diagonals
+        self.cm, self.cp = np.empty(n), np.empty(n)
+        self.c_diag, self.c_upper, self.c_lower = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        # one buffer holding the Jacobian diagonals, so that a single test
+        # sees any non-finite entry
+        self.jac = jac = np.empty(3 * n - 2)
+        self.diag, self.upper, self.lower = jac[:n], jac[n : 2 * n - 1], jac[2 * n - 1 :]
+        self.dv = dv = np.empty(n)
+        self.dv_upper, self.dv_lower = dv[1:], dv[:-1]
+        # vpad = [0, v(u), v_b], so jump[k] = vpad[k+1] - vpad[k] is the
+        # difference of v across face k: face 0 is the origin (v[0] - 0,
+        # weighted by coeff_minus[0] = 0), face n the outer boundary
+        self.vpad = vpad = np.zeros(n + 2)
+        self.v, self.v_right, self.v_left = vpad[1:-1], vpad[1:], vpad[:-1]
+        self.jump = jump = np.zeros(n + 1)
+        self.jump_out, self.jump_in = jump[1:], jump[:-1]
+        self.flux, self.scratch = np.empty(n), np.empty(n)
+        # the current point u with |u| and its residual g, and the same three
+        # for the line-search trial
+        self.u, self.u_abs, self.g = np.empty(n), np.empty(n), np.empty(n)
+        self.trial, self.trial_abs, self.g_trial = np.empty(n), np.empty(n), np.empty(n)
+
+    def scale(self, dt: float):
+        """Scale the face coefficients and the Jacobian factors by ``dt``."""
+        if dt != self.dt:
+            np.multiply(dt, self.grid.coeff_minus, out=self.cm)
+            np.multiply(dt, self.grid.coeff_plus, out=self.cp)
+            np.add(self.cp, self.cm, out=self.c_diag)
+            np.negative(self.cp[:-1], out=self.c_upper)
+            np.negative(self.cm[1:], out=self.c_lower)
+            self.dt = dt
+
+    def residual(self, u_old, u, u_abs, g) -> float:
+        """Write |u| to ``u_abs`` and the residual of the step from ``u_old``
+        to ``g``; return max|g|."""
+        v, flux, scratch = self.v, self.flux, self.scratch
         np.absolute(u, out=u_abs)
-        np.power(u_abs, m, out=v)
+        np.power(u_abs, self.m, out=v)
         np.sign(u, out=scratch)
         np.multiply(scratch, v, out=v)
-        np.subtract(v_right, v_left, out=jump)
-        np.multiply(cp, jump_out, out=flux)
-        np.multiply(cm, jump_in, out=scratch)
+        np.subtract(self.v_right, self.v_left, out=self.jump)
+        np.multiply(self.cp, self.jump_out, out=flux)
+        np.multiply(self.cm, self.jump_in, out=scratch)
         np.subtract(flux, scratch, out=flux)
         np.subtract(u, u_old, out=g)
         np.subtract(g, flux, out=g)
         return float(np.maximum.reduce(np.absolute(g, out=scratch)))
 
-    # the current point u with |u| and its residual g, and the same three
-    # buffers for the line-search trial; an accepted trial swaps the two
-    u = (u_old if start is None else start).copy()
-    u_abs, g = np.empty(n), np.empty(n)
-    trial, trial_abs, g_trial = np.empty(n), np.empty(n), np.empty(n)
-    g_norm = residual(u, u_abs, g)
+    @property
+    def boundary_jump(self) -> float:
+        return float(self.jump[-1])
+
+
+def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None):
+    """Solve the implicit cell balance; returns (u, converged, residual).
+
+    The iteration starts from ``start`` (default ``u_old``); the target
+    residual comes from ``u_old`` either way.  ``work`` is the run's
+    ``NewtonWorkspace`` on ``grid`` and ``m`` (a new one if None); the
+    returned field is a copy, never one of its buffers.  Fails
+    (``converged`` False) on a singular Jacobian or on any non-finite
+    diagonal, Newton direction or residual, so that ``step`` halves the step
+    instead of letting NaN or inf into the field.
+    """
+    if work is None:
+        work = NewtonWorkspace(grid, m)
+    work.scale(dt)
+    c_diag, c_upper, c_lower = work.c_diag, work.c_upper, work.c_lower
+    jac, diag, upper, lower = work.jac, work.diag, work.upper, work.lower
+    dv, dv_upper, dv_lower = work.dv, work.dv_upper, work.dv_lower
+    work.vpad[-1] = v_b
+    residual = work.residual
+
+    # an accepted trial swaps its three buffers with the current point's
+    u, u_abs, g = work.u, work.u_abs, work.g
+    trial, trial_abs, g_trial = work.trial, work.trial_abs, work.g_trial
+    np.copyto(u, u_old if start is None else start)
+    g_norm = residual(u_old, u, u_abs, g)
     # the target is set by u_old; trial_abs is free until the first trial
     old_abs = u_abs if start is None else np.absolute(u_old, out=trial_abs)
     target = _newton_target(float(np.maximum.reduce(old_abs)), v_b, m, tol)
     for _ in range(max_iter):
         if g_norm <= target:
-            return u, True, g_norm
+            return u.copy(), True, g_norm
         if not math.isfinite(g_norm):
-            return u, False, g_norm
+            return u.copy(), False, g_norm
         np.power(u_abs, m - 1.0, out=dv)
         dv += JACOBIAN_EPS
         dv *= m
@@ -327,13 +375,13 @@ def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
         np.multiply(c_upper, dv_upper, out=upper)
         np.multiply(c_lower, dv_lower, out=lower)
         if not np.logical_and.reduce(np.isfinite(jac)):
-            return u, False, g_norm
+            return u.copy(), False, g_norm
         _, _, _, delta, info = dgtsv(
             lower, diag, upper, np.negative(g, out=g),
             overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
         )
         if info != 0 or not np.logical_and.reduce(np.isfinite(delta)):
-            return u, False, g_norm
+            return u.copy(), False, g_norm
         # Armijo backtracking; a non-finite trial norm fails the test too.
         # The accepted trial point and its residual become the next iterate.
         lam = 1.0
@@ -342,7 +390,7 @@ def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
                 np.add(u, delta, out=trial)
             else:
                 np.add(u, np.multiply(lam, delta, out=trial), out=trial)
-            g_trial_norm = residual(trial, trial_abs, g_trial)
+            g_trial_norm = residual(u_old, trial, trial_abs, g_trial)
             if g_trial_norm < (1.0 - 0.25 * lam) * g_norm or g_trial_norm <= target:
                 u, trial = trial, u
                 u_abs, trial_abs = trial_abs, u_abs
@@ -354,8 +402,8 @@ def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
             # no trial accepted: take the smallest step, not yet evaluated
             np.add(u, np.multiply(lam, delta, out=trial), out=trial)
             u, trial = trial, u
-            g_norm = residual(u, u_abs, g)
-    return u, g_norm <= target, g_norm
+            g_norm = residual(u_old, u, u_abs, g)
+    return u.copy(), g_norm <= target, g_norm
 
 
 def step(
@@ -365,11 +413,14 @@ def step(
     grid: RadialGrid,
     cfg: SolverConfig,
     start: Optional[np.ndarray] = None,
+    work: Optional[NewtonWorkspace] = None,
 ) -> tuple[np.ndarray, float]:
     """Advance exactly dt, splitting into half steps when Newton stalls.
 
     ``start`` is a guess at the new field.  The full-step solve starts from
     it, and from ``u`` once more if that fails, before any halving.
+    ``work`` is the run's ``NewtonWorkspace`` on ``grid`` and ``cfg.m``;
+    without one the step builds its own.
 
     Returns the new field and the accumulated boundary outflow (in the
     grid's scaled mass units) over the increment.
@@ -378,6 +429,8 @@ def step(
         raise DomainError("dt must be positive")
     if not np.logical_and.reduce(np.isfinite(u)):
         raise SolverError("non-finite field entering step")
+    if work is None:
+        work = NewtonWorkspace(grid, cfg.m)
     pending = [(t, dt, 0)]
     outflow = 0.0
     solves = 0
@@ -398,18 +451,16 @@ def step(
         ub = cfg.boundary.value(t0 + d, grid.radius)
         v_b = math.copysign(abs(ub) ** cfg.m, ub)
         args = (u, v_b, d, grid, cfg.m, cfg.newton_tol, cfg.newton_max_iter)
-        u_new, ok, res = _newton_solve(*args, start)
+        u_new, ok, res = _newton_solve(*args, start, work)
         if not ok and start is not None:
-            u_new, ok, res = _newton_solve(*args, None)
+            u_new, ok, res = _newton_solve(*args, None, work)
         start = None
         if not ok:
             failed = (u, v_b, res)
             pending.append((t0 + d / 2.0, d / 2.0, depth + 1))
             pending.append((t0, d / 2.0, depth + 1))
             continue
-        outflow += -d * grid.boundary_flux_coeff * (
-            v_b - float(odd_power(u_new[-1:], cfg.m)[0])
-        )
+        outflow += -d * grid.boundary_flux_coeff * work.boundary_jump
         u = u_new
     return u, outflow
 
@@ -475,11 +526,12 @@ def solve_ball(
     k = 0
     pending_outflow = 0.0
     levels = [(0.0, u)]  # the last three accepted (step size, field) pairs
+    work = NewtonWorkspace(grid, cfg.m)
     while t < cfg.t_end - 1e-14 * cfg.t_end:
         d = min(dt, cfg.t_end - t)
         for T in horizons:
             d = min(d, BARRIER_CAP * (T - t))
-        u, out = step(u, t, d, grid, cfg, _extrapolate(levels, d))
+        u, out = step(u, t, d, grid, cfg, _extrapolate(levels, d), work)
         levels = [*levels[-2:], (d, u)]
         t += d
         k += 1

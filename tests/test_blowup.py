@@ -200,24 +200,26 @@ def desk_ledger():
 
 
 def test_newton_evaluates_residual_about_once_per_iteration(monkeypatch):
-    # residual evaluations are the full-field odd_power calls; Newton
-    # iterations are the tridiagonal solves
+    # residual evaluations are the workspace's residual calls; Newton
+    # iterations are the tridiagonal solves.  Each solve evaluates its start
+    # and at least one trial per iteration, so the count exceeds the
+    # iterations, and the residual of an accepted trial is not evaluated again
     counts = {"residuals": 0, "iterations": 0}
-    odd_power, dgtsv = solver.odd_power, solver.dgtsv
+    residual, dgtsv = solver.NewtonWorkspace.residual, solver.dgtsv
 
-    def counted_odd_power(u, m):
-        counts["residuals"] += u.size > 1
-        return odd_power(u, m)
+    def counted_residual(*args):
+        counts["residuals"] += 1
+        return residual(*args)
 
     def counted_dgtsv(*args, **kw):
         counts["iterations"] += 1
         return dgtsv(*args, **kw)
 
-    monkeypatch.setattr(solver, "odd_power", counted_odd_power)
+    monkeypatch.setattr(solver.NewtonWorkspace, "residual", counted_residual)
     monkeypatch.setattr(solver, "dgtsv", counted_dgtsv)
     assert desk_run().status == "blown-up"
     assert counts["iterations"] > 0
-    assert counts["residuals"] < 2 * counts["iterations"]
+    assert counts["iterations"] < counts["residuals"] < 2 * counts["iterations"]
 
 
 def test_predictor_start_saves_a_quarter_of_the_newton_iterations():
@@ -232,8 +234,8 @@ def test_predictor_start_saves_a_quarter_of_the_newton_iterations():
             calls.append(1)
             return dgtsv(*args, **kw)
 
-        def start_free_step(u, t, dt, grid, cfg, start=None):
-            return step(u, t, dt, grid, cfg)
+        def start_free_step(u, t, dt, grid, cfg, start=None, work=None):
+            return step(u, t, dt, grid, cfg, None, work)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "dgtsv", counted_dgtsv)
@@ -250,7 +252,7 @@ def test_run_reaches_threshold(desk_ledger):
     led = desk_ledger
     assert led.status == "blown-up"
     assert led.stages[-1].lognorm >= led.threshold
-    assert led.tau <= led.tau_bound + 1e-6
+    assert led.tau <= led.tau_bound
 
 
 def test_ledger_invariants(desk_ledger):
@@ -309,6 +311,33 @@ def test_validate_rejects_a_sandwich_gap_above_tolerance(desk_ledger, gap, facto
     stages = [*led.stages[:k], bad, *led.stages[k + 1 :]]
     with pytest.raises(CertificateError, match=f"at stage {bad.n}$"):
         dataclasses.replace(led, stages=stages).validate()
+
+
+def test_validate_rejects_a_stage_time_off_the_sum_of_durations(desk_ledger):
+    led = desk_ledger
+    k = len(led.stages) // 2
+    s = led.stages[k]
+    bad = dataclasses.replace(s, t_n=math.nextafter(s.t_n, math.inf))
+    stages = [*led.stages[:k], bad, *led.stages[k + 1 :]]
+    with pytest.raises(StageError, match=f"sum of the stage durations at {s.n}$"):
+        dataclasses.replace(led, stages=stages).validate()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda led: {"tau": math.nextafter(led.tau, math.inf)}, "not the last stage time"),
+        (lambda led: {"tau": math.nextafter(led.tau, 0.0)}, "not the last stage time"),
+        (lambda led: {"tau_bound": math.nextafter(led.tau, 0.0)}, "exceeds 2 T1"),
+    ],
+    ids=["tau-above-last-t", "tau-below-last-t", "bound-below-tau"],
+)
+def test_validate_checks_the_total_duration_exactly(desk_ledger, change, message):
+    led = desk_ledger
+    assert led.tau <= led.tau_bound == 2.0 * led.T1
+    with pytest.raises(StageError, match=message):
+        dataclasses.replace(led, **change(led)).validate()
+    assert dataclasses.replace(led, tau_bound=led.tau).validate()  # equality passes
 
 
 @pytest.mark.parametrize(

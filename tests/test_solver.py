@@ -62,6 +62,11 @@ def test_positivity_preserved():
 # -- Newton kernel ---------------------------------------------------------------------
 
 
+def odd_power(u, m):
+    """Signed power |u|^{m-1} u, as the reference kernels compute it."""
+    return np.sign(u) * np.abs(u) ** m
+
+
 def reference_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
     """The kernel as it was before the direct LAPACK call and residual reuse."""
     cm = dt * grid.coeff_minus
@@ -71,7 +76,7 @@ def reference_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
     uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
 
     def residual(u):
-        v = solver.odd_power(u, m)
+        v = odd_power(u, m)
         right = np.empty(n)
         right[:-1] = v[1:]
         right[-1] = v_b
@@ -159,7 +164,7 @@ def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
     diag, upper, lower = jac[:n], jac[n : 2 * n - 1], jac[2 * n - 1 :]
 
     def residual(u):
-        v = solver.odd_power(u, m)
+        v = odd_power(u, m)
         jump = np.empty(n + 1)
         jump[0] = v[0]
         np.subtract(v[1:], v[:-1], out=jump[1:-1])
@@ -200,6 +205,15 @@ def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
             g = residual(u)
             g_norm = float(np.abs(g).max())
     return u, g_norm <= target, g_norm
+
+
+def plain_step_kernel(u_old, v_b, dt, grid, m, tol, max_iter, start, work):
+    """``plain_newton_solve`` as ``step`` calls it: it also leaves in the
+    workspace the boundary jump that ``step`` reads, computed from the
+    returned field as v_b - sign(u)|u|^m at its last cell."""
+    u, ok, res = plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start)
+    work.jump[-1] = v_b - float(odd_power(u[-1:], m)[0])
+    return u, ok, res
 
 
 FAMILIES = [
@@ -282,7 +296,7 @@ def test_step_through_halvings_is_bitwise_the_plain_kernel(case, singular):
             except SolverError as exc:
                 return str(exc)
 
-    got, want = run(solver._newton_solve), run(plain_newton_solve)
+    got, want = run(solver._newton_solve), run(plain_step_kernel)
     if isinstance(want, str):
         assert got == want
     else:
@@ -348,8 +362,8 @@ def recorded_run(u0, cfg, grid, predicted=True):
     newton_solve, step = solver._newton_solve, solver.step
     solves, moves = [], [0.0]
 
-    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None):
-        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start)
+    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None, work=None):
+        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start, work)
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
             coeff = float(np.max(d * (grid.coeff_plus + grid.coeff_minus)))
@@ -357,10 +371,10 @@ def recorded_run(u0, cfg, grid, predicted=True):
             solves[-1] += 1
         return out
 
-    def marking_step(u, t, dt, grid, cfg, start=None):
+    def marking_step(u, t, dt, grid, cfg, start=None, work=None):
         solves.append(0)
         moves.append(moves[-1])
-        return step(u, t, dt, grid, cfg, start if predicted else None)
+        return step(u, t, dt, grid, cfg, start if predicted else None, work)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_newton_solve", recording_solve)
@@ -393,6 +407,88 @@ def test_predicted_run_agrees_with_the_start_free_run(manifold, boundary):
     diff = [float(grid.weights_scaled @ np.abs(a - b)) for a, b in zip(got.fields, want.fields)]
     assert np.all(diff <= bound)
     assert max(diff) > 0.0  # the guess did change the iterates
+
+
+# -- one workspace per run -----------------------------------------------------------------
+
+
+@st.composite
+def workspace_runs(draw):
+    """A short run on any family under homogeneous or barrier Dirichlet data,
+    from mixed-sign data with exact zeros of both signs."""
+    manifold = draw(st.sampled_from(FAMILIES))
+    cells = draw(st.integers(min_value=3, max_value=60))
+    radius = draw(st.floats(min_value=1.0, max_value=20.0))
+    zero = st.sampled_from([0.0, -0.0])
+    value = st.one_of(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), zero)
+    u0 = np.array(draw(st.lists(value, min_size=cells, max_size=cells)))
+    m = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    dt0 = draw(st.floats(min_value=1e-4, max_value=0.02))
+    bc = solver.HomogeneousDirichlet()
+    if draw(st.booleans()):
+        params = barriers.BarrierParams(1.0, 2.0, horizon=1.0, m=m)
+        bc = solver.BarrierDirichlet(params, draw(st.floats(min_value=0.0, max_value=2.0)))
+    steps = draw(st.integers(min_value=1, max_value=8))
+    cfg = solver.SolverConfig(
+        m=m, dt=solver.DtPolicy(dt0=dt0, growth=1.25), t_end=steps * dt0, boundary=bc
+    )
+    return RadialGrid.uniform(manifold, radius, cells), u0, cfg
+
+
+def workspace_run(u0, cfg, grid, shared=True):
+    """``solve_ball``'s trajectory, the workspaces its solves were handed,
+    and each step's outflow summed from the returned fields:
+    -d * boundary_flux_coeff * (v_b - sign(u)|u|^m at the last cell) over
+    the step's accepted solves.  ``shared=False`` drops the run's
+    workspace, so that each step builds its own."""
+    newton_solve, step = solver._newton_solve, solver.step
+    works, outflows = [], []
+
+    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None, work=None):
+        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start, work)
+        works.append(work)
+        if out[1]:
+            jump = v_b - float(odd_power(out[0][-1:], m)[0])
+            outflows[-1] += -d * grid.boundary_flux_coeff * jump
+        return out
+
+    def marking_step(u, t, dt, grid, cfg, start=None, work=None):
+        outflows.append(0.0)
+        return step(u, t, dt, grid, cfg, start, work if shared else None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton_solve", recording_solve)
+        mp.setattr(solver, "step", marking_step)
+        traj = solver.solve_ball(u0, cfg, grid)
+    return traj, works, outflows
+
+
+@given(workspace_runs())
+@settings(max_examples=80, deadline=None)
+def test_run_shares_one_workspace_and_no_field_with_it(run):
+    grid, u0, cfg = run
+    given_u0 = u0.tobytes()
+    traj, works, outflows = workspace_run(u0, cfg, grid)
+    work = works[0]
+    assert all(w is work for w in works)
+    buffers = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
+    fields = traj.fields
+    for i, f in enumerate(fields):
+        assert not any(np.shares_memory(f, g) for g in fields[i + 1 :])
+        assert not any(np.shares_memory(f, b) for b in buffers)
+    assert u0.tobytes() == given_u0
+    # the outflow is the one of the sign(u)|u|^m formula, bit for bit
+    assert same_bytes(traj.boundary_outflow[1:], outflows)
+    # reusing the workspace from step to step moves no bit
+    fresh, fresh_works, _ = workspace_run(u0, cfg, grid, shared=False)
+    assert len({id(w) for w in fresh_works}) == len(fresh.times) - 1  # one per step
+    assert fresh.times == traj.times
+    assert same_bytes(fresh.stacked, traj.stacked)
+    assert same_bytes(fresh.boundary_outflow, traj.boundary_outflow)
+    # a second run on the same grid leaves the first trajectory's bytes alone
+    recorded = [f.tobytes() for f in fields]
+    solver.solve_ball(-0.5 * u0[::-1], cfg, grid)
+    assert [f.tobytes() for f in traj.fields] == recorded
 
 
 # -- the LAPACK binary ------------------------------------------------------------------
@@ -782,8 +878,8 @@ def test_scaling_group(manifold, m, lam):
     moves = []  # [run from u0, run from lam u0]
     newton_solve = solver._newton_solve
 
-    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None):
-        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start)
+    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None, work=None):
+        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start, work)
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
             coeff = float(np.max(d * (grid.coeff_plus + grid.coeff_minus)))
