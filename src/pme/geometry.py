@@ -35,12 +35,8 @@ from .errors import DomainError
 FIT_MARGIN = 1e-3
 
 
-def sphere_area(dim: int) -> float:
-    """Surface area of the unit (dim-1)-sphere, 2 pi^(N/2) / Gamma(N/2)."""
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
 def log_sphere_area(dim: int) -> float:
+    """log of the area of the unit (dim-1)-sphere, 2 pi^(N/2) / Gamma(N/2)."""
     return math.log(2.0) + (dim / 2.0) * math.log(math.pi) - math.lgamma(dim / 2.0)
 
 

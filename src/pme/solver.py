@@ -570,16 +570,14 @@ def solve_ball(
     k = 0
     pending_outflow = 0.0
     levels = [(0.0, u)]  # the last five accepted (step size, field) pairs
-    same = 0  # accepted steps in a row, up to the last, of the last one's size
     work = NewtonWorkspace(grid, cfg.m)
     while t < cfg.t_end - 1e-14 * cfg.t_end:
         d = min(dt, cfg.t_end - t)
         for T in horizons:
             d = min(d, BARRIER_CAP * (T - t))
-        repeat = d == levels[-1][0]
-        guess = _extrapolate(levels, d, repeat and same >= 4, work)
+        uniform = len(levels) == 5 and all(size == d for size, _ in levels[1:])
+        guess = _extrapolate(levels, d, uniform, work)
         u, out = step(u, t, d, grid, cfg, guess, work)
-        same = same + 1 if repeat else 1
         levels = [*levels[-4:], (d, u)]
         t += d
         k += 1
@@ -615,8 +613,13 @@ def exhaust(
     cells.
     """
     radii = list(radii)
-    if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
+    if len(radii) < 3 or any(not b > a for a, b in zip(radii, radii[1:])):
         raise DomainError("need at least 3 strictly increasing radii")
+    if not (0 < radii[0] and radii[-1] < math.inf) or cells_first < 3:
+        raise DomainError(
+            "need finite radii, a positive first radius and >= 3 cells, "
+            f"got {radii} and {cells_first}"
+        )
     h = radii[0] / cells_first
     grids = []
     for R in radii:
@@ -714,10 +717,3 @@ def barenblatt(rho, t, dim: int, m: float, mass_const: float):
     k = alpha * (m - 1.0) / (2.0 * m * dim)
     core = mass_const - k * rho**2 * t ** (-2.0 * beta)
     return t ** (-alpha) * np.maximum(core, 0.0) ** (1.0 / (m - 1.0))
-
-
-def barenblatt_support_radius(t, dim: int, m: float, mass_const: float) -> float:
-    alpha = dim / (dim * (m - 1.0) + 2.0)
-    beta = alpha / dim
-    k = alpha * (m - 1.0) / (2.0 * m * dim)
-    return math.sqrt(mass_const / k) * t**beta

@@ -631,10 +631,20 @@ def test_sweep_rejects_non_numeric_values(tmp_path, capsys):
     assert "'abc'" in capsys.readouterr().err
 
 
-def test_exhaust_rejects_non_numeric_radii(tmp_path):
-    cfg = write_cfg(tmp_path, BASE_CFG)
+def test_exhaust_rejects_non_numeric_radii(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, EXHAUST_CFG)
     rc = run_cli("exhaust", "--config", cfg, "--radii", "1,x,3", "--out", str(tmp_path / "e.json"))
     assert rc == 2
+    assert "'--radii': not a number ('x')" in capsys.readouterr().err
+
+
+def test_exhaust_rejects_a_zero_first_radius(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, EXHAUST_CFG)
+    rc = run_cli("exhaust", "--config", cfg, "--radii", "0,1,2", "--out", str(tmp_path / "e.json"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "first radius" in err
+    assert not (tmp_path / "e.json").exists()
 
 
 def csv_tokens(path):

@@ -22,7 +22,7 @@ def test_euclidean_weights_match_annulus_volumes():
 def test_euclidean_weights_dim5():
     M = geometry.euclidean(5)
     g = RadialGrid.uniform(M, 2.0, 17)
-    area = geometry.sphere_area(5)
+    area = 8.0 * math.pi**2 / 3.0  # |S^4| = 2 pi^(5/2) / Gamma(5/2)
     exact = area * (g.edges[1:] ** 5 - g.edges[:-1] ** 5) / 5.0
     assert np.allclose(np.exp(g.log_weights), exact, rtol=1e-12)
 

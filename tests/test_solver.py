@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack, solve_banded
 
@@ -366,20 +366,36 @@ def polynomial_levels(draw):
 
 
 @given(polynomial_levels())
+@example(  # a level of 2^-1075 rounds to 0, so the exact 2^-1074 is guessed as 0
+    (
+        [(0.0, np.array([0.0, 0.0, -0.0])), (0.5, np.zeros(3))],
+        1.0,
+        False,
+        [Fraction(0), Fraction(0), Fraction(2) ** -1074],
+        [Fraction(-2), Fraction(3)],
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_guess_reproduces_polynomial_fields(case):
     # The guess is exact on polynomials of its degree up to rounding: the
     # levels are rounded once each, every weight is within 8 roundings of its
     # exact value (the uniform ones are exact) and the weighted sum adds at
     # most 6 more, so 16 unit roundoffs of sum |w_i u_i| bound the error.
+    # Where values underflow, a rounding also errs by up to 2^-1075 absolute
+    # (half the least subnormal); sums of floats with a subnormal result are
+    # exact.  The levels' roundings enter the guess times the computed
+    # weights and add about sum |w_i| 2^-1075, and the at most 4 products of
+    # the guess add 4 * 2^-1075; counting each at 2^-1074 leaves room for the
+    # weights' own rounding.
     levels, d, uniform, exact, weights = case
     work = solver.NewtonWorkspace(RadialGrid.uniform(geometry.euclidean(2), 1.0, len(exact)), 2.0)
     guess = solver._extrapolate(levels, d, uniform, work)
     assert guess is work.start
     used = [u for _, u in levels[-len(weights) :]]
+    underflow = (sum(map(abs, weights)) + 4) * Fraction(2) ** -1074
     for i, want in enumerate(exact):
         scale = sum(abs(w) * abs(Fraction(u[i])) for w, u in zip(weights, used))
-        assert abs(Fraction(guess[i]) - want) <= 8 * np.finfo(float).eps * scale
+        assert abs(Fraction(guess[i]) - want) <= 8 * np.finfo(float).eps * scale + underflow
 
 
 def test_one_level_gives_no_guess():
@@ -858,10 +874,11 @@ def test_barenblatt_max_norm_error_calibrates_tau_h():
     assert worst < solver.TAU_H_COEFF
 
 
-def test_support_radius_helper():
-    r = solver.barenblatt_support_radius(1.0, 2, 2.0, 0.25)
-    assert r == pytest.approx(2.0, rel=1e-12)
-    assert solver.barenblatt(np.array([r * 1.01]), 1.0, 2, 2.0, 0.25)[0] == 0.0
+def test_barenblatt_vanishes_beyond_its_support():
+    # support radius sqrt(C/k) t^beta, with k = alpha(m-1)/(2mN) = 1/16 and
+    # beta = 1/4 at N = m = 2: radius 2 at t = 1 and C = 1/4
+    u = solver.barenblatt(np.array([1.99, 2.0 * 1.01]), 1.0, 2, 2.0, 0.25)
+    assert u[0] > 0.0 and u[1] == 0.0
 
 
 # -- mass audit -----------------------------------------------------------------------
@@ -1140,6 +1157,16 @@ def test_exhaust_validates_radii():
         solver.exhaust(lambda r: np.zeros_like(r), small_cfg(0.1), M, (4.0, 8.0), 20)
     with pytest.raises(DomainError):
         solver.exhaust(lambda r: np.zeros_like(r), small_cfg(0.1), M, (4.0, 8.1, 16.0), 20)
+    # h = radii[0] / cells_first: a zero first radius or no cells used to divide
+    # by zero, and R / h raised on a NaN or infinite radius
+    for radii, cells in [
+        ((0.0, 1.0, 2.0), 20),
+        ((4.0, 8.0, 16.0), 0),
+        ((4.0, math.nan, 16.0), 20),
+        ((4.0, 8.0, math.inf), 20),
+    ]:
+        with pytest.raises(DomainError):
+            solver.exhaust(lambda r: np.zeros_like(r), small_cfg(0.1), M, radii, cells)
 
 
 # -- existence time ------------------------------------------------------------------------
