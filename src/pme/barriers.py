@@ -83,7 +83,11 @@ class BarrierParams:
 
     def profile(self, rho):
         """Horizon-scaled profile W / T^(1/(m-1))."""
-        return self.profile_unit(rho) / self.horizon ** (1.0 / (self.m - 1.0))
+        return self.at_horizon(self.profile_unit(rho))
+
+    def at_horizon(self, unit):
+        """The horizon-scaled profile from unit-profile values W: W / T^(1/(m-1))."""
+        return unit / self.horizon ** (1.0 / (self.m - 1.0))
 
 
 def supersolution_amplitude(c_prime: float, m: float) -> float:
@@ -260,10 +264,13 @@ def shifted_subsolution(p: BarrierParams, delta: float, rho):
     """
     if delta < 0:
         raise DomainError("delta must be nonnegative")
-    rho_arr = np.asarray(rho, dtype=float)
-    wm = p.profile(rho_arr) ** p.m
-    val = np.maximum(wm - delta, 0.0) ** (1.0 / p.m)
+    val = shift_root(p.profile(np.asarray(rho, dtype=float)) ** p.m, delta, p.m)
     return float(val) if np.isscalar(rho) else val
+
+
+def shift_root(wm, delta: float, m: float):
+    """(max(wm - delta, 0))^(1/m): the shifted subsolution from W^m values."""
+    return np.maximum(wm - delta, 0.0) ** (1.0 / m)
 
 
 # -- backward uniqueness barrier ----------------------------------------------

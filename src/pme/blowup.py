@@ -23,9 +23,13 @@ and the ratio without a solve.  Total duration tau = sum S_k stays below
 ``stage_epsilon`` enforces and the ledger re-checks on its recorded values.
 
 ``run_blowup`` adds what needs the field: the shift delta_n, the stage
-solve, the sandwich audit and the recorded norm.  It stops when that norm
-exceeds the blow-up threshold (default 1000x the initial norm) or the
-schedule ends (S_n below S_MIN_FACTOR * T_1, or the stage cap).
+solve, the sandwich audit and the recorded norm.  One ``solver.Integrator``
+runs every stage, so each stage's first step is predicted from the last
+stage's levels, and the unit profile is evaluated on the cells once per
+run: each stage's W_T^m, delta_n and audit profile come from it.  It stops
+when that norm exceeds the blow-up threshold (default 1000x the initial
+norm) or the schedule ends (S_n below S_MIN_FACTOR * T_1, or the stage
+cap).
 
 Each stage is audited by ``sandwich_gaps``: the stacked stage fields are
 compared at once with the separable envelopes of the shifted subsolution
@@ -50,14 +54,22 @@ from .barriers import (
     blowup_factor,
     horizon_time,
     separable_envelopes,
-    shifted_subsolution,
+    shift_root,
     subsolution_params,
     supersolution_amplitude,
 )
 from .errors import CertificateError, DomainError, NotApplicableError, StageError
 from .geometry import ComparisonConstants
 from .grid import RadialGrid
-from .solver import BarrierDirichlet, DtPolicy, SolverConfig, Trajectory, solve_ball, tau_h
+from .solver import (
+    BarrierDirichlet,
+    DtPolicy,
+    Integrator,
+    SolverConfig,
+    Trajectory,
+    solve_ball,
+    tau_h,
+)
 from .xlog import LogNorm, RadialDatum, norm_limit
 
 DELTA_BISECT_TOL = 1e-6
@@ -123,24 +135,26 @@ def stage_schedule(ratio: float, a_hat: float, a_tilde: float, m: float, max_sta
         eps = stage_epsilon(n, T_n, S_n, T1, m)
 
 
-def stage_delta(u: np.ndarray, p: BarrierParams, rho: np.ndarray) -> float:
-    """Smallest shift with u >= (W^m - delta)_+^(1/m) at every cell.
+def stage_delta(u: np.ndarray, wm: np.ndarray, m: float) -> float:
+    """Smallest shift with u >= (W^m - delta)_+^(1/m) at every cell, given
+    the values ``wm`` of W^m on the cells.
 
-    Bisection on [0, max W^m] at relative tolerance 1e-6; the returned value
-    is re-certified on the grid before being accepted.
+    Bisection on [0, max W^m] at relative tolerance 1e-6.  The returned
+    shift is one that passed the test u >= (W^m - delta)_+^(1/m) - 1e-14 at
+    every cell: 0 when it passes, and otherwise the bisection's upper end,
+    which moves only to a shift that passed.
     """
-    wm = p.profile(rho) ** p.m
     hi = float(np.max(wm))
 
     def admissible(delta):
-        return bool(np.all(u >= shifted_subsolution(p, delta, rho) - 1e-14))
+        return bool(np.all(u >= shift_root(wm, delta, m) - 1e-14))
 
     if admissible(0.0):
         return 0.0
     if not admissible(hi):
         raise StageError("no admissible shift: field is negative under the barrier")
-    lo = 0.0
-    while hi - lo > DELTA_BISECT_TOL * float(np.max(wm)):
+    lo, tol = 0.0, DELTA_BISECT_TOL * hi
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if admissible(mid):
             hi = mid
@@ -286,6 +300,10 @@ def run_blowup(
     # weight of the audit's upper envelope, offset far beyond the ball
     far_weight = LogNorm(20.0 * grid.radius, m).weight(grid.centers)
     u = np.asarray(u0_profile(grid.centers), dtype=float)
+    # the unit profile on the centers, once per run: each stage's W_T^m is
+    # barrier.at_horizon(unit) ** m, the operations of barrier.profile
+    unit = sub.profile_unit(grid.centers)
+    integrator = Integrator(grid, m)
 
     lognorm0 = _recorded_lognorm(u, weight, ratio)
     threshold = cfg.threshold_factor * lognorm0
@@ -294,8 +312,9 @@ def run_blowup(
     schedule = stage_schedule(ratio, a_hat, a_tilde, m, cfg.max_stages)
     for n, (eps, T_n, S_n, t_n, next_ratio) in enumerate(schedule):
         barrier = BarrierParams(amplitude=a_hat, r=r_hat, horizon=T_n, m=m)
+        wm = barrier.at_horizon(unit) ** m
         try:
-            delta = stage_delta(u, barrier, grid.centers)
+            delta = stage_delta(u, wm, m)
         except StageError as exc:
             raise StageError(f"stage {n}: {exc}") from exc
 
@@ -311,7 +330,7 @@ def run_blowup(
             newton_tol=cfg.newton_tol,
             norm_r=cfg.norm_r,
         )
-        traj = solve_ball(u, scfg, grid)
+        traj = solve_ball(u, scfg, grid, integrator=integrator)
         if stage_hook is not None:
             stage_hook(n, traj)
 
@@ -320,7 +339,7 @@ def run_blowup(
         # The upper envelope uses a weight offset far beyond the ball, where
         # the bulk contribution to the norm washes out and only the tail
         # ratio counts (the construction lets that offset grow arbitrarily).
-        v_base = shifted_subsolution(barrier, delta, grid.centers)
+        v_base = shift_root(wm, delta, m)
         norm_far = _recorded_lognorm(u, far_weight, ratio)
         s_super = horizon_time(a_tilde, norm_far, m)
         lower_gap, upper_gap = sandwich_gaps(traj, m, T_n, v_base, s_super, norm_far, far_weight)

@@ -159,7 +159,7 @@ def test_stage_delta_zero_when_field_dominates():
     p = _barrier()
     rho = np.linspace(0.05, 25.0, 300)
     u = p.profile(rho) + 0.5
-    assert blowup.stage_delta(u, p, rho) == 0.0
+    assert blowup.stage_delta(u, p.profile(rho) ** p.m, p.m) == 0.0
 
 
 def test_stage_delta_matches_closed_form():
@@ -169,7 +169,7 @@ def test_stage_delta_matches_closed_form():
     u = np.maximum(p.profile(rho) - 0.3 * np.exp(-rho), 0.0)
     wm = p.profile(rho) ** p.m
     exact = float(np.max(wm - np.sign(u) * u**p.m))
-    got = blowup.stage_delta(u, p, rho)
+    got = blowup.stage_delta(u, wm, p.m)
     assert got == pytest.approx(exact, abs=blowup.DELTA_BISECT_TOL * float(np.max(wm)) * 1.01)
     assert np.all(u >= barriers.shifted_subsolution(p, got, rho) - 1e-12)
 
@@ -179,7 +179,74 @@ def test_stage_delta_failure_for_negative_field():
     rho = np.linspace(0.05, 25.0, 100)
     u = np.full_like(rho, -1.0)
     with pytest.raises(StageError):
-        blowup.stage_delta(u, p, rho)
+        blowup.stage_delta(u, p.profile(rho) ** p.m, p.m)
+
+
+def reference_wm(p, rho):
+    """W_T^m in the operations the stages always used: W_T = W_1 / T^(1/(m-1))
+    from the unit profile W_1 on the grid."""
+    return (p.profile_unit(rho) / p.horizon ** (1.0 / (p.m - 1.0))) ** p.m
+
+
+def reference_shifted_subsolution(p, delta, rho):
+    return np.maximum(reference_wm(p, rho) - delta, 0.0) ** (1.0 / p.m)
+
+
+def reference_stage_delta(u, p, rho):
+    """``stage_delta`` as each stage once ran it: the shifted subsolution of
+    ``p`` evaluated on the grid on every pass of the bisection."""
+    wm = reference_wm(p, rho)
+    hi = float(np.max(wm))
+
+    def admissible(delta):
+        return bool(np.all(u >= reference_shifted_subsolution(p, delta, rho) - 1e-14))
+
+    if admissible(0.0):
+        return 0.0
+    if not admissible(hi):
+        raise StageError("no admissible shift")
+    lo = 0.0
+    while hi - lo > blowup.DELTA_BISECT_TOL * float(np.max(wm)):
+        mid = 0.5 * (lo + hi)
+        if admissible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@given(
+    T=st.floats(min_value=1e-4, max_value=1e2),
+    delta=st.floats(min_value=0.0, max_value=50.0),
+    m=st.floats(min_value=1.05, max_value=4.0),
+    amplitude=st.floats(min_value=0.01, max_value=5.0),
+    offset=st.integers(min_value=2, max_value=20),
+    mix=st.lists(st.floats(min_value=-0.5, max_value=1.5), min_size=40, max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_unit_profile_cache_is_bitwise_the_per_stage_profile(T, delta, m, amplitude, offset, mix):
+    # run_blowup evaluates the unit profile once and scales it per stage;
+    # delta_n and the audit's v_base must be the bytes that the per-stage
+    # evaluation on a fresh BarrierParams of horizon T gives
+    rho = np.linspace(0.05, 25.0, 40)
+    unit = barriers.BarrierParams(amplitude, float(offset), horizon=1.0, m=m).profile_unit(rho)
+    p = barriers.BarrierParams(amplitude, float(offset), horizon=T, m=m)
+    wm = p.at_horizon(unit) ** m
+    want_v = reference_shifted_subsolution(p, delta, rho)
+    assert barriers.shifted_subsolution(p, delta, rho).tobytes() == want_v.tobytes()
+    assert barriers.shift_root(wm, delta, m).tobytes() == want_v.tobytes()
+    # a field around the shifted subsolution, below it where mix < 0
+    u = want_v * (1.0 + np.array(mix))
+    try:
+        want = reference_stage_delta(u, p, rho)
+    except StageError:
+        with pytest.raises(StageError):
+            blowup.stage_delta(u, wm, m)
+        return
+    got = blowup.stage_delta(u, wm, m)
+    assert got.hex() == want.hex()
+    want_v = reference_shifted_subsolution(p, want, rho)
+    assert barriers.shift_root(wm, got, m).tobytes() == want_v.tobytes()
 
 
 # -- full run (desk scale) -------------------------------------------------------------
@@ -234,8 +301,8 @@ def test_predictor_start_saves_a_quarter_of_the_newton_iterations():
             calls.append(1)
             return dgtsv(*args, **kw)
 
-        def start_free_step(u, t, dt, grid, cfg, start=None, work=None):
-            return step(u, t, dt, grid, cfg, None, work)
+        def start_free_step(u, t, dt, grid, cfg, start=None, work=None, check_finite=True):
+            return step(u, t, dt, grid, cfg, None, work, check_finite)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "dgtsv", counted_dgtsv)
@@ -246,6 +313,76 @@ def test_predictor_start_saves_a_quarter_of_the_newton_iterations():
 
     # 2,270 against 3,896 when this test was written
     assert iterations(True) < 0.75 * iterations(False)
+
+
+def stage_run(carried):
+    """The desk run with each step's returned field, its accepted solves and
+    the moves of the accepted solves summed up to it (the bound of
+    ``test_solver.test_predicted_run_agrees_with_the_start_free_run``), and
+    the LAPACK solves of each stage's first step.  ``carried=False`` hands
+    every stage a fresh integrator, so no stage inherits a history."""
+    eps = np.finfo(float).eps
+    newton_solve, step, dgtsv = solver._newton_solve, solver.step, solver.dgtsv
+    solve_ball = blowup.solve_ball
+    fields, solves, moves, first_step_solves, lapack = [], [], [0.0], [], [0]
+
+    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None, work=None):
+        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start, work)
+        if out[1]:
+            uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
+            coeff = float(np.max(d * (grid.coeff_plus + grid.coeff_minus)))
+            moves[-1] += tol * uscale + 8 * eps * (uscale + coeff * uscale**m)
+            solves[-1] += 1
+        return out
+
+    def counted_dgtsv(*args, **kw):
+        lapack[0] += 1
+        return dgtsv(*args, **kw)
+
+    def marking_step(u, t, dt, grid, cfg, start=None, work=None, check_finite=True):
+        solves.append(0)
+        moves.append(moves[-1])
+        before = lapack[0]
+        out = step(u, t, dt, grid, cfg, start, work, check_finite)
+        if t == 0.0:  # each stage's clock starts at 0
+            first_step_solves.append(lapack[0] - before)
+        fields.append(out[0])
+        return out
+
+    def fresh_solve_ball(u0, cfg, grid, barrier_horizon=None, integrator=None):
+        return solve_ball(u0, cfg, grid, barrier_horizon)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton_solve", recording_solve)
+        mp.setattr(solver, "dgtsv", counted_dgtsv)
+        mp.setattr(solver, "step", marking_step)
+        if not carried:
+            mp.setattr(blowup, "solve_ball", fresh_solve_ball)
+        ledger = desk_run()
+    return ledger, fields, solves, np.array(moves[1:]), first_step_solves
+
+
+def test_stages_carry_the_predictor_history_across_their_boundaries():
+    got, got_fields, got_solves, got_moves, got_first = stage_run(carried=True)
+    want, want_fields, want_solves, want_moves, want_first = stage_run(carried=False)
+    assert len(got_first) == len(got.stages)
+    # a stage's first step is predicted from the last stage's levels
+    assert np.mean(got_first) <= 1.3 < np.mean(want_first)
+    assert (got.status, len(got.stages), got.growth_onset) == (
+        want.status,
+        len(want.stages),
+        want.growth_onset,
+    )
+    # The runs solve the same substeps under the same boundary data (the
+    # same shifts), and the step is an L1 contraction, so their fields differ
+    # by at most W times the moves of both runs' accepted solves so far.
+    assert [s.delta_n for s in got.stages] == [s.delta_n for s in want.stages]
+    assert got_solves == want_solves
+    grid = RadialGrid.uniform(geometry.quad_critical(0.5, 3), 12.0, 120)
+    W = float(np.sum(grid.weights_scaled))
+    diff = np.array([grid.weights_scaled @ np.abs(a - b) for a, b in zip(got_fields, want_fields)])
+    assert np.all(diff <= W * (got_moves + want_moves))
+    assert diff.max() > 0.0  # the carried history did change the iterates
 
 
 def test_run_reaches_threshold(desk_ledger):

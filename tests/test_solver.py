@@ -483,10 +483,10 @@ def recorded_run(u0, cfg, grid, predicted=True):
             solves[-1] += 1
         return out
 
-    def marking_step(u, t, dt, grid, cfg, start=None, work=None):
+    def marking_step(u, t, dt, grid, cfg, start=None, work=None, check_finite=True):
         solves.append(0)
         moves.append(moves[-1])
-        return step(u, t, dt, grid, cfg, start if predicted else None, work)
+        return step(u, t, dt, grid, cfg, start if predicted else None, work, check_finite)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_newton_solve", recording_solve)
@@ -566,9 +566,9 @@ def workspace_run(u0, cfg, grid, shared=True):
             outflows[-1] += -d * grid.boundary_flux_coeff * jump
         return out
 
-    def marking_step(u, t, dt, grid, cfg, start=None, work=None):
+    def marking_step(u, t, dt, grid, cfg, start=None, work=None, check_finite=True):
         outflows.append(0.0)
-        return step(u, t, dt, grid, cfg, start, work if shared else None)
+        return step(u, t, dt, grid, cfg, start, work if shared else None, check_finite)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_newton_solve", recording_solve)
@@ -607,6 +607,96 @@ def test_run_shares_one_workspace_and_no_field_with_it(run):
     held = u0.copy()
     kept = solver.solve_ball(lambda centers: held, cfg, grid)
     assert not any(np.shares_memory(f, held) for f in kept.fields)
+
+
+# -- one integrator across runs ---------------------------------------------------------
+
+
+@st.composite
+def overflow_prone_solves(draw):
+    """Newton solves from finite fields scaled by 10^k, so that |u|^m runs
+    from O(1) past the float range, from no start, a perturbed old field or
+    any floats at all."""
+    manifold = draw(st.sampled_from(FAMILIES))
+    cells = draw(st.integers(min_value=3, max_value=40))
+    grid = RadialGrid.uniform(manifold, draw(st.floats(min_value=1.0, max_value=20.0)), cells)
+    m = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    k = draw(st.integers(min_value=0, max_value=int(330 / m)))
+    values = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+    u_old = 10.0**k * np.array(draw(st.lists(values, min_size=cells, max_size=cells)))
+    kind = draw(st.sampled_from(["none", "perturbed", "any"]))
+    start = None
+    if kind == "perturbed":
+        noise = st.floats(min_value=-1e-3, max_value=1e-3)
+        start = u_old * (1.0 + np.array(draw(st.lists(noise, min_size=cells, max_size=cells))))
+    elif kind == "any":
+        start = np.array(draw(st.lists(st.floats(), min_size=cells, max_size=cells)))
+    # the PME scaling group maps a solve from u_old with dt to one from
+    # 10^k u_old with 10^(k(1-m)) dt, so every scale sees mild steps as well
+    dt = draw(st.floats(min_value=1e-5, max_value=1.0)) * 10.0 ** (k * (1.0 - m))
+    v_b = draw(values) * 10.0 ** min(k * m, 300.0)  # v_b = sign(u)|u|^m stays finite
+    return u_old, v_b, dt, grid, m, 1e-10, draw(st.integers(min_value=1, max_value=30)), start
+
+
+@given(overflow_prone_solves())
+@settings(max_examples=300, deadline=None)
+def test_a_converged_solve_from_a_finite_field_is_finite(case):
+    # the converged residual g = u - u_old - flux is finite, and an infinite
+    # or NaN entry of u would make it non-finite; so the steps of a run need
+    # not check their fields again
+    *args, start = case
+    with np.errstate(all="ignore"):
+        u, ok, res = solver._newton_solve(*args, start=start)
+    if ok:
+        assert np.logical_and.reduce(np.isfinite(u))
+        assert math.isfinite(res)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_datum_is_rejected(bad):
+    grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, 10)
+    u0 = np.zeros(10)
+    u0[3] = bad
+    with pytest.raises(SolverError, match="non-finite"):
+        solver.solve_ball(u0, small_cfg(0.01), grid)
+    integrator = solver.Integrator(grid, 2.0)
+    with pytest.raises(SolverError, match="non-finite"):
+        integrator.run(u0, small_cfg(0.01))
+    # a failed run leaves no history behind
+    assert integrator.levels == []
+
+
+def test_integrator_continues_only_from_its_own_last_field():
+    grid = RadialGrid.uniform(geometry.quad_critical(0.5, 3), 8.0, 60)
+    cfg = small_cfg(0.05)
+    u0 = np.random.default_rng(11).uniform(0.0, 1.5, grid.cells)
+    integrator = solver.Integrator(grid, cfg.m)
+    first = integrator.run(u0, cfg)
+    assert integrator.levels[-1][1] is first.final
+    # a copy of the last field starts a new history: a fresh run's bytes
+    fresh = solver.solve_ball(first.final, cfg, grid)
+    restarted = solver.solve_ball(first.final.copy(), cfg, grid, integrator=integrator)
+    assert restarted.times == fresh.times
+    assert same_bytes(restarted.stacked, fresh.stacked)
+    # the field itself continues the history, which changes the iterates
+    # only within the Newton tolerance
+    integrator = solver.Integrator(grid, cfg.m)
+    first = integrator.run(u0, cfg)
+    continued = integrator.run(first.final, cfg)
+    assert continued.fields[0] is first.final
+    assert continued.times == fresh.times
+    assert not same_bytes(continued.stacked, fresh.stacked)
+    assert np.max(np.abs(continued.stacked - fresh.stacked)) < 1e-8
+
+
+def test_integrator_rejects_another_grid_or_exponent():
+    grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, 10)
+    integrator = solver.Integrator(grid, 2.0)
+    with pytest.raises(DomainError, match="m=3.0"):
+        integrator.run(np.zeros(10), small_cfg(0.01, m=3.0))
+    other = RadialGrid.uniform(geometry.euclidean(2), 1.0, 10)
+    with pytest.raises(DomainError, match="another grid"):
+        solver.solve_ball(np.zeros(10), small_cfg(0.01), other, integrator=integrator)
 
 
 # -- the LAPACK binary ------------------------------------------------------------------
@@ -954,9 +1044,9 @@ def test_mass_balance_per_recorded_interval(run):
         solves[-1] += out[1]
         return out
 
-    def counting_step(*args):
+    def counting_step(*args, **kw):
         solves.append(0)
-        return step(*args)
+        return step(*args, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_newton_solve", counting_newton_solve)
