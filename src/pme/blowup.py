@@ -244,14 +244,14 @@ class BlowupConfig:
     norm_r: float = 2.0
 
     def __post_init__(self):
-        if not self.m > 1.0:
-            raise DomainError("blow-up run needs m > 1")
+        if not 1.0 < self.m < math.inf:
+            raise DomainError("blow-up run needs a finite m > 1")
         if not self.threshold_factor > 1.0:
             raise DomainError("blow-up threshold factor must be > 1")
         if self.max_stages < 1 or self.steps_per_stage < 5:
             raise DomainError("max_stages must be >= 1 and steps_per_stage >= 5")
-        if not (self.newton_tol > 0 and self.norm_r >= 2.0):
-            raise DomainError("newton_tol must be positive and norm_r >= 2")
+        if not (0 < self.newton_tol < math.inf and 2.0 <= self.norm_r < math.inf):
+            raise DomainError("newton_tol must be positive, norm_r >= 2, and both finite")
 
 
 def _recorded_lognorm(u: np.ndarray, weight: np.ndarray, tail_est: float) -> float:

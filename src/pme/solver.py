@@ -21,76 +21,62 @@ and |u|^{m-1} recomputed from u, ``-g`` and ``u + lam * delta`` as new
 arrays) does; ``tests/test_solver.py`` keeps that form as its oracle.
 |u| is taken once per evaluated point and serves both the residual's
 |u|^m and the next Jacobian's |u|^{m-1}, since ``abs`` is exact.  The
-residual is written into the run's buffers (see below), in the plain form's
-order of operations.  The right-hand side is negated in place and the step
-is ``u + lam * delta``: solving for +g and stepping with ``u - lam * delta``
-would round every nonzero entry alike, but LAPACK's ``b - fact * b`` does
-not commute with negation when the result is an exact zero, so the sign of
-a zero direction entry, and with it the sign of a ``-0.0`` cell (odd data
-make them), could change.  At ``lam == 1`` the step skips the multiply,
-because ``1.0 * x`` is exact.
+residual is written into the integrator's buffers (see below), in the
+plain form's order of operations.  The right-hand side is negated in place
+and the step is ``u + lam * delta``: solving for +g and stepping with
+``u - lam * delta`` would round every nonzero entry alike, but LAPACK's
+``b - fact * b`` does not commute with negation when the result is an
+exact zero, so the sign of a zero direction entry, and with it the sign of
+a ``-0.0`` cell (odd data make them), could change.  At ``lam == 1`` the
+step skips the multiply, because ``1.0 * x`` is exact.
 
-Each run's ``Integrator`` owns one ``NewtonWorkspace`` and hands it to
-every step.  It holds the work arrays of a solve (the Jacobian, |u|, v and
-its face jumps, the residual and the line-search trial), so a solve
-allocates only the copy of the field it returns; no returned or recorded
-field is one of its buffers.  That copy is the one a run keeps:
-``Trajectory.record`` stores the array it is given.  The workspace keeps the
+A run's state is one ``Integrator`` on its grid and exponent m.  It holds
+the work arrays of a solve (the Jacobian, |u|, v and its face jumps, the
+residual and the line-search trial), so a solve allocates only the copy of
+the field it returns; no returned or recorded field is one of its buffers,
+and ``Trajectory.record`` stores the array it is given.  It keeps the
 dt-scaled face coefficients and Jacobian factors until the step size
-changes: a Barenblatt run scales them once, a blow-up stage once per
-distinct step size.  And it keeps v_b - v[-1] of the last residual
-evaluated, the accepted field's boundary jump, from which ``step`` sums the
-boundary outflow.  The workspace changes where the numbers are stored, never
-how they are computed, so every float is what a fresh array per solve
-gives.  ``step`` without a workspace builds its own.
+changes, and v_b - v[-1] of the last residual evaluated, the accepted
+field's boundary jump, from which ``step`` sums the boundary outflow.  The
+arrays change where the numbers are stored, never how they are computed,
+so every float is what a fresh array per solve gives.
 
 A rejected step, including a singular or non-finite system, is retried on
 two half steps, recursively, so ``step`` always advances by exactly the
 requested increment or raises; ``MAX_HALVINGS`` bounds the depth and
 ``MAX_SUBSTEPS`` the total work.
 
-Each step of a run hands ``step`` a guess at the new field, and the step's
-first, unhalved solve starts Newton from it instead of from the old field
-u.  The guess extrapolates the run's last accepted levels to the new time.
-When this step and the last four have exactly one size, as in a fixed-step
-run or a growing one that has reached ``dt_max``, it is the quartic through
-the last five levels, 5u0 - 10u1 + 10u2 - 5u3 + u4 (u0 the newest).
-Otherwise it is none on a history's first step, u + (d/d_prev)(u - u_prev)
-on the second, and from the third on the quadratic through the last three
-levels, with Lagrange weights built from the actual step sizes.  There is
-no variable-step quartic: across growing steps it amplifies the
-extrapolation error, and on a staged blow-up run it cost more Newton
-iterations and Python time for the weights than it saved.  The guess is
-written straight into the workspace's start buffer, which the solve
-begins from without a copy.  On the fixed-step Barenblatt runs of the
-benchmark (J = 2000 and 4000, 2,001 steps) the quartic's first residual is
-mostly below the target already, and the LAPACK solves fall from 3,997 to
-2,426.  The target residual stays
-tol * max(1, max|u_old|, |v_b|^(1/m)) of the old field: an accepted solve
-means what it meant before, so the mass-balance and scaling-group bounds
-hold as they did, and results move only within the Newton tolerance.  A
-predicted solve that fails is retried once from u at the same full step,
-before any halving, and the two attempts count as one solve against
-``MAX_SUBSTEPS``; so the guess never causes a halving that the start from
-u would not make.  Halved sub-solves start from their own old field.
+The integrator also keeps ``levels``, the last five accepted (step size,
+field) pairs, and a step's first, unhalved solve starts Newton from
+``Integrator.guess``, their extrapolation to the new time, instead of from
+the old field u.  When this step and the last four have exactly one size,
+as in a fixed-step run or a growing one that has reached ``dt_max``, the
+guess is the quartic through the last five levels,
+5u0 - 10u1 + 10u2 - 5u3 + u4 (u0 the newest).  Otherwise it is none from
+one level, u + (d/d_prev)(u - u_prev) from two, and from three on the
+quadratic through the last three levels, with Lagrange weights built from
+the actual step sizes.  The guess is written straight into the
+integrator's start buffer, which the solve begins from without a copy.
 
-The ``Integrator`` also keeps the run's last five accepted levels, and it
-lives as long as its caller wants: ``solve_ball`` takes a fresh one, so a
-single run is what it always was, while ``blowup.run_blowup`` holds one for
-all its stages.  A run that starts from the integrator's own last field
-(the array itself, checked by identity, not a copy of it) continues the
-history, so a stage's first step is predicted from the previous stage's
-levels like any other step; any other datum starts a new history.  The
-stage boundary brings new boundary data (a new barrier horizon and shift),
-and the guess is still only a start: the target comes from u_old, and a
-failed predicted solve is retried from u, as above.  On the benchmark
-blow-up run (268 stages) a stage's first step took 2.04 LAPACK solves on
-average from a cold start and takes about 1.1 now; the run's LAPACK solves
-fall from 3,700 to 3,452.  The integrator checks the field it is handed
-for a non-finite entry once, and its steps skip ``step``'s own check: a
-converged solve from a finite old field has a finite residual
-g = u - u_old - flux, which an infinite or NaN entry of u would make
-non-finite, so every field a run produces is finite.
+The guess is only a start.  The target residual stays
+tol * max(1, max|u_old|, |v_b|^(1/m)) of the old field, so an accepted
+solve means what it means without a guess: the mass-balance and
+scaling-group bounds hold as they do from u, and results move only within
+the Newton tolerance.  A predicted solve that fails is retried once from u
+at the same full step, before any halving, and the two attempts count as
+one solve against ``MAX_SUBSTEPS``; so the guess never causes a halving
+that the start from u would not make.  Halved sub-solves start from their
+own old field.  Because of both, a history may run on across new boundary
+data: ``blowup.run_blowup`` runs all its stages on one integrator, and a
+stage's first step is predicted from the last stage's levels.
+
+A step continues the history only from the integrator's newest field
+itself, checked by identity.  That field is one a converged solve returned
+from a finite old field, so it is finite: its residual
+g = u - u_old - flux is finite, and an infinite or NaN entry of u would
+make it non-finite.  A step from any other field, a copy included, checks
+it for a non-finite entry and starts a new history; the identity test
+costs nothing, where comparing values would cost as much as the check.
 
 ``dgtsv`` is the one thing taken from scipy.  It comes from scipy's own f2py
 LAPACK extension ``scipy/linalg/_flapack``, the module behind
@@ -215,7 +201,7 @@ class DtPolicy:
     dt_max: float = math.inf
 
     def __post_init__(self):
-        if self.dt0 <= 0 or self.growth < 1.0:
+        if not (self.dt0 > 0 and self.growth >= 1.0):
             raise DomainError("dt0 must be positive and growth >= 1")
         if not self.dt_max > 0:
             raise DomainError("dt_max must be positive")
@@ -233,10 +219,12 @@ class SolverConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.m <= 1.0:
-            raise DomainError("m must be > 1")
-        if self.newton_tol <= 0 or self.t_end <= 0:
-            raise DomainError("tolerances and t_end must be positive")
+        if not 1.0 < self.m < math.inf:
+            raise DomainError(f"m must be finite and > 1, got {self.m!r}")
+        if not (0 < self.newton_tol < math.inf and 0 < self.t_end < math.inf):
+            raise DomainError("newton_tol and t_end must be positive and finite")
+        if not 2.0 <= self.norm_r < math.inf:
+            raise DomainError(f"norm_r must be finite and >= 2, got {self.norm_r!r}")
         if self.newton_max_iter < 1 or self.snapshot_stride < 1:
             raise DomainError("newton_max_iter and snapshot_stride must be >= 1")
 
@@ -299,13 +287,17 @@ def _newton_target(u_old_max, v_b, m, tol):
     return tol * max(1.0, u_old_max, abs(v_b) ** (1.0 / m))
 
 
-class NewtonWorkspace:
-    """The arrays of a run's Newton solves on one grid with one exponent m.
+class Integrator:
+    """The state of runs on one grid with one exponent m: the arrays of
+    their Newton solves and ``levels``, the last five accepted (step size,
+    field) pairs, oldest first.
 
     ``scale`` sets the dt-scaled coefficients, recomputing them only when
     the step size changes.  After a solve, ``boundary_jump`` is v_b - v[-1]
     of the last residual it evaluated: the returned field's when the solve
-    converged.
+    converged.  ``guess`` extrapolates ``levels`` to the next step.  The
+    fields in ``levels`` are the ones ``step`` was handed and returned; they
+    are read, never written.
     """
 
     def __init__(self, grid: RadialGrid, m: float):
@@ -337,6 +329,7 @@ class NewtonWorkspace:
         # a solve handed this buffer as its start begins from its contents
         # without copying them; every solve begins by filling it
         self.start = self.u
+        self.levels = []
 
     def scale(self, dt: float):
         """Scale the face coefficients and the Jacobian factors by ``dt``."""
@@ -368,21 +361,59 @@ class NewtonWorkspace:
     def boundary_jump(self) -> float:
         return float(self.jump[-1])
 
+    def continues(self, u) -> bool:
+        """Whether ``u`` is the newest level's field itself."""
+        return bool(self.levels) and u is self.levels[-1][1]
+
+    def guess(self, d: float) -> Optional[np.ndarray]:
+        """The field ``d`` past the newest level, written into ``start``
+        through ``scratch``; None from one level.
+
+        When ``d`` and the last four steps have one size, the guess is the
+        quartic through the last five levels, with the constant
+        backward-difference weights 5, -10, 10, -5, 1.  Otherwise it is
+        linear from two levels and quadratic (Lagrange weights on the actual
+        steps) from three or more.  Each form is evaluated left to right, as
+        the expression ``w0 * u0 + w1 * u1 + ...`` would be.
+        """
+        levels = self.levels
+        if len(levels) < 2:
+            return None
+        out, tmp = self.start, self.scratch
+        if len(levels) == 5 and all(size == d for size, _ in levels[1:]):
+            (_, u4), (_, u3), (_, u2), (_, u1), (_, u0) = levels
+            np.multiply(5.0, u0, out=out)
+            out -= np.multiply(10.0, u1, out=tmp)
+            out += np.multiply(10.0, u2, out=tmp)
+            out -= np.multiply(5.0, u3, out=tmp)
+            out += u4
+        elif len(levels) == 2:
+            (_, u1), (a, u0) = levels
+            np.subtract(u0, u1, out=tmp)
+            tmp *= d / a
+            np.add(u0, tmp, out=out)
+        else:
+            (_, u2), (b, u1), (a, u0) = levels[-3:]
+            ab = a + b
+            np.multiply((d + a) * (d + ab) / (a * ab), u0, out=out)
+            out += np.multiply(-d * (d + ab) / (a * b), u1, out=tmp)
+            out += np.multiply(d * (d + a) / (ab * b), u2, out=tmp)
+        return out
+
 
 def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None):
     """Solve the implicit cell balance; returns (u, converged, residual).
 
     The iteration starts from ``start`` (default ``u_old``), which may be
-    the workspace's own ``start`` buffer; the target residual comes from
-    ``u_old`` either way.  ``work`` is the run's
-    ``NewtonWorkspace`` on ``grid`` and ``m`` (a new one if None); the
-    returned field is a copy, never one of its buffers.  Fails
-    (``converged`` False) on a singular Jacobian or on any non-finite
-    diagonal, Newton direction or residual, so that ``step`` halves the step
-    instead of letting NaN or inf into the field.
+    the integrator's own ``start`` buffer; the target residual comes from
+    ``u_old`` either way.  ``work`` is the run's ``Integrator`` on ``grid``
+    and ``m`` (a new one if None); the returned field is a copy, never one
+    of its buffers.  Fails (``converged`` False) on a singular Jacobian or
+    on any non-finite diagonal, Newton direction or residual, so that
+    ``step`` halves the step instead of letting NaN or inf into the field.
     """
     if work is None:
-        work = NewtonWorkspace(grid, m)
+        work = Integrator(grid, m)
     work.scale(dt)
     c_diag, c_upper, c_lower = work.c_diag, work.c_upper, work.c_lower
     jac, diag, upper, lower = work.jac, work.diag, work.upper, work.lower
@@ -449,29 +480,29 @@ def step(
     dt: float,
     grid: RadialGrid,
     cfg: SolverConfig,
-    start: Optional[np.ndarray] = None,
-    work: Optional[NewtonWorkspace] = None,
-    check_finite: bool = True,
+    integrator: Optional[Integrator] = None,
 ) -> tuple[np.ndarray, float]:
     """Advance exactly dt, splitting into half steps when Newton stalls.
 
-    ``start`` is a guess at the new field.  The full-step solve starts from
-    it, and from ``u`` once more if that fails, before any halving.
-    ``work`` is the run's ``NewtonWorkspace`` on ``grid`` and ``cfg.m``;
-    without one the step builds its own.  ``check_finite=False`` skips the
-    check that ``u`` is finite, for a caller that knows it is: an
-    ``Integrator`` checks its datum once, and every field a step returns is
-    finite.
+    ``integrator`` is the run's ``Integrator`` on ``grid`` and ``cfg.m``;
+    without one the step takes a fresh one.  A step from its newest field
+    itself continues its history: the full-step solve starts from
+    ``integrator.guess(dt)``, and from ``u`` once more if that fails, before
+    any halving.  A step from any other field checks that it is finite and
+    starts a new history.  The returned field becomes the newest level.
 
     Returns the new field and the accumulated boundary outflow (in the
     grid's scaled mass units) over the increment.
     """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    if check_finite:
+    if not 0 < dt < math.inf:
+        raise DomainError(f"dt must be positive and finite, got {dt!r}")
+    if integrator is None:
+        integrator = Integrator(grid, cfg.m)
+    if integrator.continues(u):
+        levels, start = integrator.levels, integrator.guess(dt)
+    else:
         _check_finite(u)
-    if work is None:
-        work = NewtonWorkspace(grid, cfg.m)
+        levels, start = [(0.0, u)], None
     pending = [(t, dt, 0)]
     outflow = 0.0
     solves = 0
@@ -492,17 +523,18 @@ def step(
         ub = cfg.boundary.value(t0 + d, grid.radius)
         v_b = math.copysign(abs(ub) ** cfg.m, ub)
         args = (u, v_b, d, grid, cfg.m, cfg.newton_tol, cfg.newton_max_iter)
-        u_new, ok, res = _newton_solve(*args, start, work)
+        u_new, ok, res = _newton_solve(*args, start, integrator)
         if not ok and start is not None:
-            u_new, ok, res = _newton_solve(*args, None, work)
+            u_new, ok, res = _newton_solve(*args, None, integrator)
         start = None
         if not ok:
             failed = (u, v_b, res)
             pending.append((t0 + d / 2.0, d / 2.0, depth + 1))
             pending.append((t0, d / 2.0, depth + 1))
             continue
-        outflow += -d * grid.boundary_flux_coeff * work.boundary_jump
+        outflow += -d * grid.boundary_flux_coeff * integrator.boundary_jump
         u = u_new
+    integrator.levels = [*levels[-4:], (dt, u)]
     return u, outflow
 
 
@@ -515,44 +547,6 @@ def _failure_note(failed, cfg: SolverConfig) -> str:
     u_old, v_b, res = failed
     target = _newton_target(float(np.max(np.abs(u_old))), v_b, cfg.m, cfg.newton_tol)
     return f" (last failed solve: residual {res:.3g}, target {target:.3g})"
-
-
-def _extrapolate(
-    levels: list, d: float, uniform: bool, work: NewtonWorkspace
-) -> Optional[np.ndarray]:
-    """The field ``d`` past the newest of ``levels``, the last accepted
-    (step size, field) pairs, oldest first, written into ``work.start``
-    through ``work.scratch``; None from one level.
-
-    ``uniform`` says that ``d`` and the last four steps have one size: the
-    guess is then the quartic through the last five levels, with the
-    constant backward-difference weights 5, -10, 10, -5, 1.  Otherwise it
-    is linear from two levels and quadratic (Lagrange weights on the actual
-    steps) from three or more.  Each form is evaluated left to right, as the
-    expression ``w0 * u0 + w1 * u1 + ...`` would be.
-    """
-    if len(levels) < 2:
-        return None
-    out, tmp = work.start, work.scratch
-    if uniform:
-        (_, u4), (_, u3), (_, u2), (_, u1), (_, u0) = levels
-        np.multiply(5.0, u0, out=out)
-        out -= np.multiply(10.0, u1, out=tmp)
-        out += np.multiply(10.0, u2, out=tmp)
-        out -= np.multiply(5.0, u3, out=tmp)
-        out += u4
-    elif len(levels) == 2:
-        (_, u1), (a, u0) = levels
-        np.subtract(u0, u1, out=tmp)
-        tmp *= d / a
-        np.add(u0, tmp, out=out)
-    else:
-        (_, u2), (b, u1), (a, u0) = levels[-3:]
-        ab = a + b
-        np.multiply((d + a) * (d + ab) / (a * ab), u0, out=out)
-        out += np.multiply(-d * (d + ab) / (a * b), u1, out=tmp)
-        out += np.multiply(d * (d + a) / (ab * b), u2, out=tmp)
-    return out
 
 
 # -- trajectories -------------------------------------------------------------
@@ -569,70 +563,6 @@ def _initial_values(u0, grid: RadialGrid) -> np.ndarray:
     return arr.copy()
 
 
-class Integrator:
-    """Runs on one grid with one exponent m, one after another.
-
-    Owns the ``NewtonWorkspace`` every step is handed and ``levels``, the
-    last five accepted (step size, field) pairs, oldest first, from which
-    each step's guess is extrapolated.  A run from the newest level's field
-    itself, by identity, continues that history: its first step is
-    predicted like every other.  The guess is only a start, so the new run
-    may change the boundary data: each solve's target still comes from its
-    old field, and a failed predicted solve is retried from it.  A run from
-    any other datum copies it, checks that it is finite and starts a new
-    history.  The fields a run records are never written afterwards, so the
-    next run may start from one of them.
-    """
-
-    def __init__(self, grid: RadialGrid, m: float):
-        self.grid, self.m = grid, m
-        self.work = NewtonWorkspace(grid, m)
-        self.levels = []
-
-    def run(self, u0, cfg: SolverConfig, barrier_horizon: Optional[float] = None) -> Trajectory:
-        """Integrate from ``u0`` up to ``cfg.t_end``, as ``solve_ball`` documents."""
-        if cfg.m != self.m:
-            raise DomainError(f"the integrator solves m={self.m}, the config has m={cfg.m}")
-        if barrier_horizon is not None and not barrier_horizon > 0:
-            raise DomainError(f"barrier_horizon must be positive, got {barrier_horizon!r}")
-        horizons = [] if barrier_horizon is None else [barrier_horizon]
-        if isinstance(cfg.boundary, BarrierDirichlet):
-            horizons.append(cfg.boundary.params.horizon)
-        if horizons and cfg.t_end >= min(horizons):
-            raise DomainError("t_end must stay below the barrier horizon")
-
-        grid, work, levels = self.grid, self.work, self.levels
-        if levels and u0 is levels[-1][1]:
-            u = u0
-        else:
-            u = _initial_values(u0, grid)
-            _check_finite(u)
-            levels = [(0.0, u)]
-        traj = Trajectory(grid=grid, norm=LogNorm(cfg.norm_r, cfg.m))
-        traj.record(0.0, u, 0.0)
-
-        t = 0.0
-        dt = cfg.dt.dt0
-        k = 0
-        pending_outflow = 0.0
-        while t < cfg.t_end - 1e-14 * cfg.t_end:
-            d = min(dt, cfg.t_end - t)
-            for T in horizons:
-                d = min(d, BARRIER_CAP * (T - t))
-            uniform = len(levels) == 5 and all(size == d for size, _ in levels[1:])
-            guess = _extrapolate(levels, d, uniform, work)
-            u, out = step(u, t, d, grid, cfg, guess, work, check_finite=False)
-            levels = self.levels = [*levels[-4:], (d, u)]
-            t += d
-            k += 1
-            pending_outflow += out
-            if k % cfg.snapshot_stride == 0 or t >= cfg.t_end - 1e-14 * cfg.t_end:
-                traj.record(t, u, pending_outflow)
-                pending_outflow = 0.0
-            dt = min(dt * cfg.dt.growth, cfg.dt.dt_max)
-        return traj
-
-
 def solve_ball(
     u0,
     cfg: SolverConfig,
@@ -644,15 +574,48 @@ def solve_ball(
 
     ``barrier_horizon`` caps the step near a barrier blow-up time T > 0 (inf
     caps nothing); when the boundary mode is a barrier, its own horizon is
-    enforced as well.  ``integrator`` carries the workspace and the
-    predictor's history from one call to the next (see ``Integrator``);
-    without one the call takes a fresh one.
+    enforced as well.  ``integrator`` carries the arrays and the predictor's
+    history from one call to the next; without one the call takes a fresh
+    one.  A call from the integrator's newest field itself continues that
+    history (see ``step``).  Any other datum is copied, so that the run owns
+    every field it records.  Recorded fields are never written afterwards,
+    so the next call may start from one of them.
     """
     if integrator is None:
         integrator = Integrator(grid, cfg.m)
     elif integrator.grid is not grid:
         raise DomainError("the integrator runs on another grid")
-    return integrator.run(u0, cfg, barrier_horizon)
+    elif cfg.m != integrator.m:
+        raise DomainError(f"the integrator solves m={integrator.m}, the config has m={cfg.m}")
+    if barrier_horizon is not None and not barrier_horizon > 0:
+        raise DomainError(f"barrier_horizon must be positive, got {barrier_horizon!r}")
+    horizons = [] if barrier_horizon is None else [barrier_horizon]
+    if isinstance(cfg.boundary, BarrierDirichlet):
+        horizons.append(cfg.boundary.params.horizon)
+    if horizons and cfg.t_end >= min(horizons):
+        raise DomainError("t_end must stay below the barrier horizon")
+
+    u = u0 if integrator.continues(u0) else _initial_values(u0, grid)
+    traj = Trajectory(grid=grid, norm=LogNorm(cfg.norm_r, cfg.m))
+    traj.record(0.0, u, 0.0)
+
+    t = 0.0
+    dt = cfg.dt.dt0
+    k = 0
+    pending_outflow = 0.0
+    while t < cfg.t_end - 1e-14 * cfg.t_end:
+        d = min(dt, cfg.t_end - t)
+        for T in horizons:
+            d = min(d, BARRIER_CAP * (T - t))
+        u, out = step(u, t, d, grid, cfg, integrator)
+        t += d
+        k += 1
+        pending_outflow += out
+        if k % cfg.snapshot_stride == 0 or t >= cfg.t_end - 1e-14 * cfg.t_end:
+            traj.record(t, u, pending_outflow)
+            pending_outflow = 0.0
+        dt = min(dt * cfg.dt.growth, cfg.dt.dt_max)
+    return traj
 
 
 @dataclass

@@ -15,6 +15,7 @@ limsup |f| / (log rho)^(1/(m-1)); ``norm_limit`` returns that limit and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,10 +34,10 @@ class LogNorm:
     m: float
 
     def __post_init__(self):
-        if self.r < 2.0:
-            raise DomainError("norm parameter r must be >= 2")
-        if self.m <= 1.0:
-            raise DomainError("PME exponent m must be > 1")
+        if not 2.0 <= self.r < math.inf:
+            raise DomainError(f"norm parameter r must be finite and >= 2, got {self.r!r}")
+        if not 1.0 < self.m < math.inf:
+            raise DomainError(f"PME exponent m must be finite and > 1, got {self.m!r}")
 
     def weight(self, rho):
         rho = np.asarray(rho, dtype=float)

@@ -267,12 +267,12 @@ def desk_ledger():
 
 
 def test_newton_evaluates_residual_about_once_per_iteration(monkeypatch):
-    # residual evaluations are the workspace's residual calls; Newton
+    # residual evaluations are the integrator's residual calls; Newton
     # iterations are the tridiagonal solves.  Each solve evaluates its start
     # and at least one trial per iteration, so the count exceeds the
     # iterations, and the residual of an accepted trial is not evaluated again
     counts = {"residuals": 0, "iterations": 0}
-    residual, dgtsv = solver.NewtonWorkspace.residual, solver.dgtsv
+    residual, dgtsv = solver.Integrator.residual, solver.dgtsv
 
     def counted_residual(*args):
         counts["residuals"] += 1
@@ -282,7 +282,7 @@ def test_newton_evaluates_residual_about_once_per_iteration(monkeypatch):
         counts["iterations"] += 1
         return dgtsv(*args, **kw)
 
-    monkeypatch.setattr(solver.NewtonWorkspace, "residual", counted_residual)
+    monkeypatch.setattr(solver.Integrator, "residual", counted_residual)
     monkeypatch.setattr(solver, "dgtsv", counted_dgtsv)
     assert desk_run().status == "blown-up"
     assert counts["iterations"] > 0
@@ -290,8 +290,8 @@ def test_newton_evaluates_residual_about_once_per_iteration(monkeypatch):
 
 
 def test_predictor_start_saves_a_quarter_of_the_newton_iterations():
-    # Newton iterations are the tridiagonal solves; the start-free run drops
-    # the guess that ``solve_ball`` hands to ``step``
+    # Newton iterations are the tridiagonal solves; the start-free run hands
+    # ``step`` no integrator, so that it has no history to guess from
     dgtsv, step = solver.dgtsv, solver.step
 
     def iterations(predicted):
@@ -301,8 +301,8 @@ def test_predictor_start_saves_a_quarter_of_the_newton_iterations():
             calls.append(1)
             return dgtsv(*args, **kw)
 
-        def start_free_step(u, t, dt, grid, cfg, start=None, work=None, check_finite=True):
-            return step(u, t, dt, grid, cfg, None, work, check_finite)
+        def start_free_step(u, t, dt, grid, cfg, integrator=None):
+            return step(u, t, dt, grid, cfg)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "dgtsv", counted_dgtsv)
@@ -339,11 +339,11 @@ def stage_run(carried):
         lapack[0] += 1
         return dgtsv(*args, **kw)
 
-    def marking_step(u, t, dt, grid, cfg, start=None, work=None, check_finite=True):
+    def marking_step(u, t, dt, grid, cfg, integrator=None):
         solves.append(0)
         moves.append(moves[-1])
         before = lapack[0]
-        out = step(u, t, dt, grid, cfg, start, work, check_finite)
+        out = step(u, t, dt, grid, cfg, integrator)
         if t == 0.0:  # each stage's clock starts at 0
             first_step_solves.append(lapack[0] - before)
         fields.append(out[0])

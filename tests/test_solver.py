@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack, solve_banded
 
-from pme import barriers, geometry, solver, xlog
+from pme import barriers, blowup, geometry, solver, xlog
 from pme.errors import DomainError, NotApplicableError, SolverError
 from pme.grid import RadialGrid
 
@@ -312,9 +313,9 @@ def test_step_through_halvings_is_bitwise_the_plain_kernel(case, singular):
 def test_newton_solve_from_a_copy_of_the_old_field_is_the_default_start(case):
     grid, u_old, m, dt, v_b, max_iter = case
     args = (u_old, v_b, dt, grid, m, 1e-10, max_iter)
-    # the copy either in a new array or in the workspace's own start buffer,
-    # which the solve begins from without copying it
-    work = solver.NewtonWorkspace(grid, m)
+    # the copy either in a new array or in the integrator's own start
+    # buffer, which the solve begins from without copying it
+    work = solver.Integrator(grid, m)
     with np.errstate(all="ignore"):
         copied = solver._newton_solve(*args, start=u_old.copy())
         np.copyto(work.start, u_old)
@@ -331,9 +332,9 @@ def polynomial_levels(draw):
     """Accepted levels of a field that is a polynomial in t, oldest first,
     and the step d to the new level: five levels on one drawn step size with
     degree <= 4, or two to five levels on drawn step sizes with degree <= 1
-    from two levels and <= 2 from more.  Returns the levels, d, whether the
-    steps are uniform, the exact new field and the exact weights of the
-    levels the guess uses, as Fractions."""
+    from two levels and <= 2 from more.  Returns the levels, d, the exact
+    new field and the exact weights of the levels the guess uses, as
+    Fractions."""
     cells = draw(st.integers(min_value=3, max_value=6))
     size = st.floats(min_value=1e-6, max_value=1.0)
     uniform = draw(st.booleans())
@@ -359,10 +360,13 @@ def polynomial_levels(draw):
         (step_size, np.array([float(x) for x in field_at(age)]))
         for step_size, age in zip([0.0, *steps], ages)
     ]
+    # drawn sizes may all equal d too, and then the guess is the quartic,
+    # which is exact on the lower degree as well
+    uniform = len(steps) == 4 and all(step == d for step in steps)
     used = ages[-(5 if uniform else min(len(ages), 3)) :]
     new = Fraction(d)
     weights = [math.prod((new - sj) / (si - sj) for sj in used if sj != si) for si in used]
-    return levels, d, uniform, field_at(new), weights
+    return levels, d, field_at(new), weights
 
 
 @given(polynomial_levels())
@@ -370,7 +374,6 @@ def polynomial_levels(draw):
     (
         [(0.0, np.array([0.0, 0.0, -0.0])), (0.5, np.zeros(3))],
         1.0,
-        False,
         [Fraction(0), Fraction(0), Fraction(2) ** -1074],
         [Fraction(-2), Fraction(3)],
     )
@@ -387,10 +390,11 @@ def test_guess_reproduces_polynomial_fields(case):
     # weights and add about sum |w_i| 2^-1075, and the at most 4 products of
     # the guess add 4 * 2^-1075; counting each at 2^-1074 leaves room for the
     # weights' own rounding.
-    levels, d, uniform, exact, weights = case
-    work = solver.NewtonWorkspace(RadialGrid.uniform(geometry.euclidean(2), 1.0, len(exact)), 2.0)
-    guess = solver._extrapolate(levels, d, uniform, work)
-    assert guess is work.start
+    levels, d, exact, weights = case
+    integrator = solver.Integrator(RadialGrid.uniform(geometry.euclidean(2), 1.0, len(exact)), 2.0)
+    integrator.levels = levels
+    guess = integrator.guess(d)
+    assert guess is integrator.start
     used = [u for _, u in levels[-len(weights) :]]
     underflow = (sum(map(abs, weights)) + 4) * Fraction(2) ** -1074
     for i, want in enumerate(exact):
@@ -399,8 +403,9 @@ def test_guess_reproduces_polynomial_fields(case):
 
 
 def test_one_level_gives_no_guess():
-    work = solver.NewtonWorkspace(RadialGrid.uniform(geometry.euclidean(2), 1.0, 4), 2.0)
-    assert solver._extrapolate([(0.0, np.ones(4))], 0.1, False, work) is None
+    integrator = solver.Integrator(RadialGrid.uniform(geometry.euclidean(2), 1.0, 4), 2.0)
+    integrator.levels = [(0.0, np.ones(4))]
+    assert integrator.guess(0.1) is None
 
 
 def test_uniform_steps_take_the_quartic_and_fewer_newton_iterations():
@@ -408,7 +413,16 @@ def test_uniform_steps_take_the_quartic_and_fewer_newton_iterations():
     # on.  The quartic's error falls like dt^5 against the quadratic's dt^3,
     # so the saving grows as the grid is refined: at dt = h/2 the run makes
     # 76% of the quadratic run's LAPACK calls at J = 500, 64% at J = 2000.
-    real_dgtsv, extrapolate = solver.dgtsv, solver._extrapolate
+    real_dgtsv, guess = solver.dgtsv, solver.Integrator.guess
+
+    def quadratic_guess(integrator, d):
+        # from three levels at most, so never the quartic
+        levels = integrator.levels
+        integrator.levels = levels[-3:]
+        try:
+            return guess(integrator, d)
+        finally:
+            integrator.levels = levels
 
     def run(quartic):
         calls = []
@@ -420,9 +434,7 @@ def test_uniform_steps_take_the_quartic_and_fewer_newton_iterations():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "dgtsv", counting)
             if not quartic:
-                mp.setattr(
-                    solver, "_extrapolate", lambda lv, d, uniform, w: extrapolate(lv, d, False, w)
-                )
+                mp.setattr(solver.Integrator, "guess", quadratic_guess)
             err = barenblatt_l1_error(2000)[0]
         return len(calls), err
 
@@ -431,10 +443,10 @@ def test_uniform_steps_take_the_quartic_and_fewer_newton_iterations():
     assert err != quadratic_err  # the quartic did change the iterates
 
 
-def run_step(u, dt, grid, cfg, start=None):
+def run_step(u, dt, grid, cfg, integrator=None):
     try:
         with np.errstate(all="ignore"):
-            return solver.step(u, 0.0, dt, grid, cfg, start)
+            return solver.step(u, 0.0, dt, grid, cfg, integrator)
     except SolverError as exc:
         return str(exc)
 
@@ -454,9 +466,13 @@ def test_step_after_a_failed_prediction_is_the_start_free_step(case):
         *out, info = real_dgtsv(*args, **kw)
         return (*out, 1 if len(calls) == 1 else info)
 
+    # a step from the integrator's newest field is predicted
+    integrator = solver.Integrator(grid, m)
+    integrator.levels = [(0.0, u_old)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "dgtsv", singular_first)
-        got = run_step(u_old, dt, grid, cfg, start=np.full(grid.cells, 0.5))
+        mp.setattr(solver.Integrator, "guess", lambda self, d: np.full(grid.cells, 0.5))
+        got = run_step(u_old, dt, grid, cfg, integrator)
     assert calls
     if isinstance(want, str):
         assert got == want
@@ -464,35 +480,54 @@ def test_step_after_a_failed_prediction_is_the_start_free_step(case):
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
 
 
-def recorded_run(u0, cfg, grid, predicted=True):
-    """``solve_ball``'s trajectory, each step's count of accepted solves, and
-    the moves of the accepted solves summed up to each step (the bound of
-    test_scaling_group).  ``predicted=False`` drops the guess that
-    ``solve_ball`` hands to ``step``, so every solve starts from the old
-    field."""
+def recorded_run(u0, cfg, grid, handed="integrator"):
+    """``solve_ball``'s trajectory and, per step, its count of accepted
+    solves, the moves of the accepted solves summed up to it (the bound of
+    test_scaling_group) and its outflow summed from the returned fields:
+    -d * boundary_flux_coeff * (v_b - sign(u)|u|^m at the last cell) over
+    its accepted solves; and the integrator each solve was handed.
+
+    ``handed`` is what each step gets of the run's integrator: the
+    "integrator" itself; "nothing", so that the step takes a fresh one and
+    every solve starts from the old field; or its "history" in a fresh
+    integrator, so that the step makes the run's guess in new arrays.
+    """
     eps = np.finfo(float).eps
     newton_solve, step = solver._newton_solve, solver.step
-    solves, moves = [], [0.0]
+    run = SimpleNamespace(solves=[], moves=[0.0], works=[], outflows=[])
 
     def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None, work=None):
         out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start, work)
+        run.works.append(work)
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
             coeff = float(np.max(d * (grid.coeff_plus + grid.coeff_minus)))
-            moves[-1] += tol * uscale + 8 * eps * (uscale + coeff * uscale**m)
-            solves[-1] += 1
+            run.moves[-1] += tol * uscale + 8 * eps * (uscale + coeff * uscale**m)
+            run.solves[-1] += 1
+            jump = v_b - float(odd_power(out[0][-1:], m)[0])
+            run.outflows[-1] += -d * grid.boundary_flux_coeff * jump
         return out
 
-    def marking_step(u, t, dt, grid, cfg, start=None, work=None, check_finite=True):
-        solves.append(0)
-        moves.append(moves[-1])
-        return step(u, t, dt, grid, cfg, start if predicted else None, work, check_finite)
+    def marking_step(u, t, dt, grid, cfg, integrator=None):
+        run.solves.append(0)
+        run.moves.append(run.moves[-1])
+        run.outflows.append(0.0)
+        if handed == "integrator":
+            return step(u, t, dt, grid, cfg, integrator)
+        if handed == "nothing":
+            return step(u, t, dt, grid, cfg)
+        fresh = solver.Integrator(grid, cfg.m)
+        fresh.levels = integrator.levels
+        out = step(u, t, dt, grid, cfg, fresh)
+        integrator.levels = fresh.levels
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_newton_solve", recording_solve)
         mp.setattr(solver, "step", marking_step)
-        traj = solver.solve_ball(u0, cfg, grid)
-    return traj, solves, np.array(moves)
+        run.traj = solver.solve_ball(u0, cfg, grid)
+    run.moves = np.array(run.moves)
+    return run
 
 
 @pytest.mark.parametrize("manifold", FAMILIES, ids=lambda m: m.kind)
@@ -510,18 +545,21 @@ def test_predicted_run_agrees_with_the_start_free_run(manifold, boundary):
         bc = solver.BarrierDirichlet(barriers.BarrierParams(1.0, 2.0, horizon=1.0, m=m))
     cfg = small_cfg(0.2, m=m, boundary=bc)
     u0 = np.random.default_rng(5).uniform(-1.5, 1.5, grid.cells)
-    got, got_solves, got_moves = recorded_run(u0, cfg, grid)
-    want, want_solves, want_moves = recorded_run(u0, cfg, grid, predicted=False)
-    assert got.times == want.times
-    assert got_solves == want_solves
+    got = recorded_run(u0, cfg, grid)
+    want = recorded_run(u0, cfg, grid, handed="nothing")
+    assert got.traj.times == want.traj.times
+    assert got.solves == want.solves
     W = float(np.sum(grid.weights_scaled))
-    bound = W * (got_moves + want_moves)
-    diff = [float(grid.weights_scaled @ np.abs(a - b)) for a, b in zip(got.fields, want.fields)]
+    bound = W * (got.moves + want.moves)
+    diff = [
+        float(grid.weights_scaled @ np.abs(a - b))
+        for a, b in zip(got.traj.fields, want.traj.fields)
+    ]
     assert np.all(diff <= bound)
     assert max(diff) > 0.0  # the guess did change the iterates
 
 
-# -- one workspace per run -----------------------------------------------------------------
+# -- one integrator's arrays per run -------------------------------------------------------
 
 
 @st.composite
@@ -549,40 +587,13 @@ def workspace_runs(draw):
     return RadialGrid.uniform(manifold, radius, cells), u0, cfg
 
 
-def workspace_run(u0, cfg, grid, shared=True):
-    """``solve_ball``'s trajectory, the workspaces its solves were handed,
-    and each step's outflow summed from the returned fields:
-    -d * boundary_flux_coeff * (v_b - sign(u)|u|^m at the last cell) over
-    the step's accepted solves.  ``shared=False`` drops the run's
-    workspace, so that each step builds its own."""
-    newton_solve, step = solver._newton_solve, solver.step
-    works, outflows = [], []
-
-    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None, work=None):
-        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start, work)
-        works.append(work)
-        if out[1]:
-            jump = v_b - float(odd_power(out[0][-1:], m)[0])
-            outflows[-1] += -d * grid.boundary_flux_coeff * jump
-        return out
-
-    def marking_step(u, t, dt, grid, cfg, start=None, work=None, check_finite=True):
-        outflows.append(0.0)
-        return step(u, t, dt, grid, cfg, start, work if shared else None, check_finite)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_newton_solve", recording_solve)
-        mp.setattr(solver, "step", marking_step)
-        traj = solver.solve_ball(u0, cfg, grid)
-    return traj, works, outflows
-
-
 @given(workspace_runs())
 @settings(max_examples=80, deadline=None)
 def test_run_shares_one_workspace_and_no_field_with_it(run):
     grid, u0, cfg = run
     given_u0 = u0.tobytes()
-    traj, works, outflows = workspace_run(u0, cfg, grid)
+    rec = recorded_run(u0, cfg, grid)
+    traj, works, outflows = rec.traj, rec.works, rec.outflows
     work = works[0]
     assert all(w is work for w in works)
     buffers = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
@@ -593,9 +604,10 @@ def test_run_shares_one_workspace_and_no_field_with_it(run):
     assert u0.tobytes() == given_u0
     # the outflow is the one of the sign(u)|u|^m formula, bit for bit
     assert same_bytes(traj.boundary_outflow[1:], outflows)
-    # reusing the workspace from step to step moves no bit
-    fresh, fresh_works, _ = workspace_run(u0, cfg, grid, shared=False)
-    assert len({id(w) for w in fresh_works}) == len(fresh.times) - 1  # one per step
+    # reusing the integrator's arrays from step to step moves no bit
+    fresh_run = recorded_run(u0, cfg, grid, handed="history")
+    fresh = fresh_run.traj
+    assert len({id(w) for w in fresh_run.works}) == len(fresh.times) - 1  # one per step
     assert fresh.times == traj.times
     assert same_bytes(fresh.stacked, traj.stacked)
     assert same_bytes(fresh.boundary_outflow, traj.boundary_outflow)
@@ -661,7 +673,7 @@ def test_a_non_finite_datum_is_rejected(bad):
         solver.solve_ball(u0, small_cfg(0.01), grid)
     integrator = solver.Integrator(grid, 2.0)
     with pytest.raises(SolverError, match="non-finite"):
-        integrator.run(u0, small_cfg(0.01))
+        solver.solve_ball(u0, small_cfg(0.01), grid, integrator=integrator)
     # a failed run leaves no history behind
     assert integrator.levels == []
 
@@ -671,7 +683,7 @@ def test_integrator_continues_only_from_its_own_last_field():
     cfg = small_cfg(0.05)
     u0 = np.random.default_rng(11).uniform(0.0, 1.5, grid.cells)
     integrator = solver.Integrator(grid, cfg.m)
-    first = integrator.run(u0, cfg)
+    first = solver.solve_ball(u0, cfg, grid, integrator=integrator)
     assert integrator.levels[-1][1] is first.final
     # a copy of the last field starts a new history: a fresh run's bytes
     fresh = solver.solve_ball(first.final, cfg, grid)
@@ -681,8 +693,8 @@ def test_integrator_continues_only_from_its_own_last_field():
     # the field itself continues the history, which changes the iterates
     # only within the Newton tolerance
     integrator = solver.Integrator(grid, cfg.m)
-    first = integrator.run(u0, cfg)
-    continued = integrator.run(first.final, cfg)
+    first = solver.solve_ball(u0, cfg, grid, integrator=integrator)
+    continued = solver.solve_ball(first.final, cfg, grid, integrator=integrator)
     assert continued.fields[0] is first.final
     assert continued.times == fresh.times
     assert not same_bytes(continued.stacked, fresh.stacked)
@@ -693,13 +705,76 @@ def test_integrator_rejects_another_grid_or_exponent():
     grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, 10)
     integrator = solver.Integrator(grid, 2.0)
     with pytest.raises(DomainError, match="m=3.0"):
-        integrator.run(np.zeros(10), small_cfg(0.01, m=3.0))
+        solver.solve_ball(np.zeros(10), small_cfg(0.01, m=3.0), grid, integrator=integrator)
     other = RadialGrid.uniform(geometry.euclidean(2), 1.0, 10)
     with pytest.raises(DomainError, match="another grid"):
         solver.solve_ball(np.zeros(10), small_cfg(0.01), other, integrator=integrator)
 
 
-# -- the LAPACK binary ------------------------------------------------------------------
+
+def test_step_continues_only_from_the_integrators_newest_field():
+    grid = RadialGrid.uniform(geometry.quad_critical(0.5, 3), 8.0, 60)
+    cfg = small_cfg(1.0)
+    u = np.random.default_rng(3).uniform(0.0, 1.5, grid.cells)
+    integrator = solver.Integrator(grid, cfg.m)
+    # a step from the newest field extends the levels, at most five of them
+    for k in range(7):
+        u, _ = solver.step(u, 0.01 * k, 0.01, grid, cfg, integrator)
+        assert len(integrator.levels) == min(k + 2, 5)
+        assert integrator.levels[-1][0] == 0.01 and integrator.levels[-1][1] is u
+    # an equal copy starts a new history: a fresh integrator's bytes
+    fresh = solver.step(u.copy(), 0.07, 0.01, grid, cfg)
+    levels = list(integrator.levels)
+    restarted = solver.step(u.copy(), 0.07, 0.01, grid, cfg, integrator)
+    assert same_bytes(restarted[0], fresh[0]) and same_bytes(restarted[1], fresh[1])
+    assert len(integrator.levels) == 2 and integrator.levels[-1][1] is restarted[0]
+    # the newest field itself is predicted, which moves the iterates only
+    # within the Newton tolerance
+    integrator.levels = levels
+    predicted, _ = solver.step(u, 0.07, 0.01, grid, cfg, integrator)
+    assert not same_bytes(predicted, fresh[0])
+    assert np.max(np.abs(predicted - fresh[0])) < 1e-8
+    # a NaN field is checked although the integrator has a history, and the
+    # history stays as it was
+    levels = list(integrator.levels)
+    bad = predicted.copy()
+    bad[5] = math.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        solver.step(bad, 0.08, 0.01, grid, cfg, integrator)
+    assert [id(f) for _, f in integrator.levels] == [id(f) for _, f in levels]
+
+
+# each field that takes a float, and how to build it; +inf means "no limit"
+# for the step policy, where t_end and the barrier horizon cap every step
+NON_FINITE_FIELDS = {
+    "SolverConfig.m": lambda x: small_cfg(1.0, m=x),
+    "SolverConfig.t_end": lambda x: small_cfg(x),
+    "SolverConfig.newton_tol": lambda x: small_cfg(1.0, newton_tol=x),
+    "SolverConfig.norm_r": lambda x: small_cfg(1.0, norm_r=x),
+    "DtPolicy.dt0": lambda x: solver.DtPolicy(dt0=x),
+    "DtPolicy.growth": lambda x: solver.DtPolicy(dt0=1e-3, growth=x),
+    "DtPolicy.dt_max": lambda x: solver.DtPolicy(dt0=1e-3, dt_max=x),
+    "BlowupConfig.m": lambda x: blowup.BlowupConfig(m=x),
+    "BlowupConfig.newton_tol": lambda x: blowup.BlowupConfig(m=2.0, newton_tol=x),
+    "BlowupConfig.norm_r": lambda x: blowup.BlowupConfig(m=2.0, norm_r=x),
+    "LogNorm.r": lambda x: xlog.LogNorm(x, 2.0),
+    "LogNorm.m": lambda x: xlog.LogNorm(2.0, x),
+    "step.dt": lambda x: solver.step(
+        np.zeros(10), 0.0, x, RadialGrid.uniform(geometry.euclidean(2), 1.0, 10), small_cfg(1.0)
+    ),
+}
+UNLIMITED = {"DtPolicy.dt0", "DtPolicy.growth", "DtPolicy.dt_max"}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("name", NON_FINITE_FIELDS)
+def test_non_finite_values_are_rejected_in_the_library(name, value):
+    build = NON_FINITE_FIELDS[name]
+    if value == math.inf and name in UNLIMITED:
+        build(value)
+        return
+    with pytest.raises(DomainError):
+        build(value)
 
 
 @st.composite
