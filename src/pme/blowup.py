@@ -45,6 +45,7 @@ factors all come from ``barriers.horizon_time`` and
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,8 +247,8 @@ class BlowupConfig:
     def __post_init__(self):
         if not 1.0 < self.m < math.inf:
             raise DomainError("blow-up run needs a finite m > 1")
-        if not self.threshold_factor > 1.0:
-            raise DomainError("blow-up threshold factor must be > 1")
+        if not 1.0 < self.threshold_factor < math.inf:
+            raise DomainError("blow-up threshold factor must be > 1 and finite")
         if self.max_stages < 1 or self.steps_per_stage < 5:
             raise DomainError("max_stages must be >= 1 and steps_per_stage >= 5")
         if not (0 < self.newton_tol < math.inf and 2.0 <= self.norm_r < math.inf):
@@ -256,21 +257,23 @@ class BlowupConfig:
 
 def _recorded_lognorm(u: np.ndarray, weight: np.ndarray, tail_est: float) -> float:
     """Norm of the extended field: grid part plus analytic tail part."""
-    return max(float(np.max(np.abs(u) / weight)), tail_est)
+    return max(float((np.abs(u) / weight).max()), tail_est)
 
 
 def sandwich_gaps(traj: Trajectory, m, horizon, v_base, s_super, norm_far, far_weight) -> tuple:
     """Worst excess of the subsolution blowup_factor(t, horizon) * v_base over
     u, and of u over the supersolution blowup_factor(t, s_super) * norm_far *
-    far_weight at the recorded times t < 0.95 s_super (-inf if there is none)."""
+    far_weight at the recorded times t < 0.95 s_super (-inf if there is none).
+
+    Recorded times increase, so those early records are a prefix of the
+    trajectory, and its length is a bisection of the times."""
     fields = traj.stacked
-    lower_gap = float(np.max(separable_envelopes(traj.times, horizon, m, 1.0, v_base) - fields))
-    times = np.array(traj.times)
-    early = times < 0.95 * s_super
-    if not early.any():
+    lower_gap = float((separable_envelopes(traj.times, horizon, m, 1.0, v_base) - fields).max())
+    early = bisect_left(traj.times, 0.95 * s_super)
+    if not early:
         return lower_gap, -math.inf
-    up = separable_envelopes(times[early], s_super, m, norm_far, far_weight)
-    return lower_gap, float(np.max(fields[early] - up))
+    up = separable_envelopes(traj.times[:early], s_super, m, norm_far, far_weight)
+    return lower_gap, float((fields[:early] - up).max())
 
 
 def run_blowup(

@@ -78,7 +78,32 @@ def _finite_or_null(obj):
 
 def _json_text(obj) -> str:
     """Strict JSON: no ``Infinity`` or ``NaN`` tokens, non-finite values are null."""
-    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _indented(_finite_or_null(obj), "\n") + "\n"
+
+
+def _indented(obj, newline: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` for
+    ``obj`` nested where ``newline`` (a line break and its indentation)
+    starts a line; dict keys are strings.
+
+    ``indent`` alone makes ``json`` use its pure-Python encoder, so only a
+    container that holds containers is laid out here.  One of scalars goes
+    to the C encoder whole, its item separator carrying the line break and
+    indentation of its items, and gets its brackets placed at its depth.
+    """
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not any(isinstance(val, (dict, list)) for val in obj.values()):
+            flat = json.dumps(obj, separators=("," + inner, ": "), sort_keys=True, allow_nan=False)
+            return flat if not obj else "{" + inner + flat[1:-1] + newline + "}"
+        items = [f"{json.dumps(key)}: {_indented(obj[key], inner)}" for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, list):
+        if not any(isinstance(val, (dict, list)) for val in obj):
+            flat = json.dumps(obj, separators=("," + inner, ": "), allow_nan=False)
+            return flat if not obj else "[" + inner + flat[1:-1] + newline + "]"
+        return "[" + inner + ("," + inner).join(_indented(val, inner) for val in obj) + newline + "]"
+    return json.dumps(obj, allow_nan=False)
 
 
 def write_json(path, obj):

@@ -38,8 +38,15 @@ and ``Trajectory.record`` stores the array it is given.  It keeps the
 dt-scaled face coefficients and Jacobian factors until the step size
 changes, and v_b - v[-1] of the last residual evaluated, the accepted
 field's boundary jump, from which ``step`` sums the boundary outflow.  The
-arrays change where the numbers are stored, never how they are computed,
-so every float is what a fresh array per solve gives.
+coefficients sit in two buffers of 2n entries: dt * [coeff_plus |
+coeff_minus] and its negation.  dt * coeff_plus and dt * coeff_minus are
+the halves of the first, and the Jacobian's off-diagonal factors
+-dt * coeff_plus[:-1] and -dt * coeff_minus[1:] are the slices [:n-1] and
+[n+1:] of the second, so rescaling is three ufunc calls (multiply, the
+diagonal factor's add, negate) and each product is the float that scaling
+each array on its own gives.  The arrays change where the numbers are
+stored, never how they are computed, so every float is what a fresh array
+per solve gives.
 
 A rejected step, including a singular or non-finite system, is retried on
 two half steps, recursively, so ``step`` always advances by exactly the
@@ -74,7 +81,9 @@ A step continues the history only from the integrator's newest field
 itself, checked by identity.  That field is one a converged solve returned
 from a finite old field, so it is finite: its residual
 g = u - u_old - flux is finite, and an infinite or NaN entry of u would
-make it non-finite.  A step from any other field, a copy included, checks
+make it non-finite.  Every field ``step`` returns or a run records is
+read-only (``flags.writeable`` False), so it stays finite: a write into it
+raises at the write.  A step from any other field, a copy included, checks
 it for a non-finite entry and starts a new history; the identity test
 costs nothing, where comparing values would cost as much as the check.
 
@@ -84,7 +93,11 @@ LAPACK extension ``scipy/linalg/_flapack``, the module behind
 extension is loaded straight from its file, because importing
 ``scipy.linalg`` pulls in ``numpy.f2py``, ``numpy.testing`` and scipy's
 array-API layer and about doubles the start-up time of every ``pme``
-command.
+command.  Its four overwrite flags (``overwrite_dl``, ``overwrite_d``,
+``overwrite_du``, ``overwrite_b``, in that order in the f2py signature) are
+passed positionally, because f2py parses keyword arguments on every call:
+at 250 cells a call took 6.8 us with keywords and 5.6 us without (Python
+3.11, scipy 1.17, one core of a Xeon VM).
 
 Boundary conditions at rho = R: homogeneous Dirichlet, or the time-dependent
 trace of a shifted separable subsolution (used by the blow-up iteration);
@@ -243,7 +256,8 @@ class Trajectory:
 
     def record(self, t, u, outflow: float):
         """Append ``u`` itself, not a copy: the caller hands over an array
-        that nothing writes to afterwards."""
+        that nothing writes to afterwards (``solve_ball`` records read-only
+        fields)."""
         self.times.append(float(t))
         self.fields.append(u)
         self.boundary_outflow.append(float(outflow))
@@ -283,8 +297,11 @@ class Trajectory:
 
 
 def _newton_target(u_old_max, v_b, m, tol):
-    """Residual a solve from a field of sup norm ``u_old_max`` must reach."""
-    return tol * max(1.0, u_old_max, abs(v_b) ** (1.0 / m))
+    """Residual a solve from a field of sup norm ``u_old_max`` must reach.
+
+    ``max`` keeps its first argument unless a later one compares greater, so
+    a NaN norm gives a NaN target instead of being dropped."""
+    return tol * max(u_old_max, 1.0, abs(v_b) ** (1.0 / m))
 
 
 class Integrator:
@@ -304,10 +321,13 @@ class Integrator:
         n = grid.cells
         self.grid, self.m = grid, m
         self.dt = math.nan  # the step size of the coefficients below
-        # dt * coeff_minus, dt * coeff_plus, and the fixed factors of the
-        # Jacobian's three diagonals
-        self.cm, self.cp = np.empty(n), np.empty(n)
-        self.c_diag, self.c_upper, self.c_lower = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        # [coeff_plus | coeff_minus], scaled by dt into ``coeffs`` and negated
+        # into ``neg``; cp, cm and the Jacobian's off-diagonal factors
+        # -cp[:-1] and -cm[1:] are views of those two buffers
+        self.coeff_pm = np.concatenate([grid.coeff_plus, grid.coeff_minus])
+        self.coeffs, self.neg, self.c_diag = np.empty(2 * n), np.empty(2 * n), np.empty(n)
+        self.cp, self.cm = self.coeffs[:n], self.coeffs[n:]
+        self.c_upper, self.c_lower = self.neg[: n - 1], self.neg[n + 1 :]
         # one buffer holding the Jacobian diagonals, so that a single test
         # sees any non-finite entry
         self.jac = jac = np.empty(3 * n - 2)
@@ -334,11 +354,9 @@ class Integrator:
     def scale(self, dt: float):
         """Scale the face coefficients and the Jacobian factors by ``dt``."""
         if dt != self.dt:
-            np.multiply(dt, self.grid.coeff_minus, out=self.cm)
-            np.multiply(dt, self.grid.coeff_plus, out=self.cp)
+            np.multiply(dt, self.coeff_pm, out=self.coeffs)
             np.add(self.cp, self.cm, out=self.c_diag)
-            np.negative(self.cp[:-1], out=self.c_upper)
-            np.negative(self.cm[1:], out=self.c_lower)
+            np.negative(self.coeffs, out=self.neg)
             self.dt = dt
 
     def residual(self, u_old, u, u_abs, g) -> float:
@@ -380,7 +398,13 @@ class Integrator:
         if len(levels) < 2:
             return None
         out, tmp = self.start, self.scratch
-        if len(levels) == 5 and all(size == d for size, _ in levels[1:]):
+        if (
+            len(levels) == 5
+            and levels[1][0] == d
+            and levels[2][0] == d
+            and levels[3][0] == d
+            and levels[4][0] == d
+        ):
             (_, u4), (_, u3), (_, u2), (_, u1), (_, u0) = levels
             np.multiply(5.0, u0, out=out)
             out -= np.multiply(10.0, u1, out=tmp)
@@ -444,10 +468,8 @@ def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None)
         np.multiply(c_lower, dv_lower, out=lower)
         if not np.logical_and.reduce(np.isfinite(jac)):
             return u.copy(), False, g_norm
-        _, _, _, delta, info = dgtsv(
-            lower, diag, upper, np.negative(g, out=g),
-            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
-        )
+        # overwrite_dl, overwrite_d, overwrite_du, overwrite_b
+        _, _, _, delta, info = dgtsv(lower, diag, upper, np.negative(g, out=g), 1, 1, 1, 1)
         if info != 0 or not np.logical_and.reduce(np.isfinite(delta)):
             return u.copy(), False, g_norm
         # Armijo backtracking; a non-finite trial norm fails the test too.
@@ -489,7 +511,8 @@ def step(
     itself continues its history: the full-step solve starts from
     ``integrator.guess(dt)``, and from ``u`` once more if that fails, before
     any halving.  A step from any other field checks that it is finite and
-    starts a new history.  The returned field becomes the newest level.
+    starts a new history.  The returned field is read-only and becomes the
+    newest level.
 
     Returns the new field and the accumulated boundary outflow (in the
     grid's scaled mass units) over the increment.
@@ -534,6 +557,7 @@ def step(
             continue
         outflow += -d * grid.boundary_flux_coeff * integrator.boundary_jump
         u = u_new
+    u.flags.writeable = False
     integrator.levels = [*levels[-4:], (dt, u)]
     return u, outflow
 
@@ -553,14 +577,16 @@ def _failure_note(failed, cfg: SolverConfig) -> str:
 
 
 def _initial_values(u0, grid: RadialGrid) -> np.ndarray:
-    """A copy of the datum on the grid's centers, owned by the run: a
-    callable may return an array it keeps."""
+    """A read-only copy of the datum on the grid's centers, owned by the
+    run: a callable may return an array it keeps."""
     if callable(u0):
-        return np.array(u0(grid.centers), dtype=float)
-    arr = np.asarray(u0, dtype=float)
-    if arr.shape != grid.centers.shape:
-        raise DomainError("initial data shape does not match the grid")
-    return arr.copy()
+        arr = np.array(u0(grid.centers), dtype=float)
+    else:
+        arr = np.array(u0, dtype=float)
+        if arr.shape != grid.centers.shape:
+            raise DomainError("initial data shape does not match the grid")
+    arr.flags.writeable = False
+    return arr
 
 
 def solve_ball(

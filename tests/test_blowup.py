@@ -583,3 +583,37 @@ def test_vectorised_reads_equal_the_record_loops(case, s_super, r):
     n = traj.grid.cells
     args = (m, horizon, rng.uniform(0.0, 3.0, n), s_super, norm0, rng.uniform(0.5, 5.0, n))
     assert blowup.sandwich_gaps(traj, *args) == reference_sandwich_gaps(traj, *args)
+
+
+def mask_sandwich_gaps(traj, m, horizon, v_base, s_super, norm_far, far_weight):
+    """The stage audit with the early records picked by a boolean mask."""
+    envelopes = barriers.separable_envelopes
+    fields = traj.stacked
+    lower_gap = float(np.max(envelopes(traj.times, horizon, m, 1.0, v_base) - fields))
+    times = np.array(traj.times)
+    early = times < 0.95 * s_super
+    if not early.any():
+        return lower_gap, -math.inf
+    up = envelopes(times[early], s_super, m, norm_far, far_weight)
+    return lower_gap, float(np.max(fields[early] - up))
+
+
+@given(audited_trajectories(), st.sampled_from(["none", "all", "some", "at-a-record"]))
+@settings(max_examples=150, deadline=None)
+def test_early_records_as_a_prefix_equal_the_mask(case, early):
+    traj, m, horizon, rng = case
+    times = traj.times
+    # 0.95 s_super below the first record, above the last, anywhere, or on a record
+    s_super = {
+        "none": times[0] / 0.95 / 2.0,
+        "all": 2.0 * times[-1] / 0.95 + 1e-3,
+        "some": float(rng.uniform(0.1, 2.0)) * horizon,
+        "at-a-record": times[int(rng.integers(len(times)))] / 0.95,
+    }[early]
+    n = traj.grid.cells
+    v_base, norm_far, far_weight = rng.uniform(0.0, 3.0, n), rng.uniform(1e-3, 5.0), rng.uniform(0.5, 5.0, n)
+    args = (m, horizon, v_base, s_super, float(norm_far), far_weight)
+    got = blowup.sandwich_gaps(traj, *args)
+    assert got == mask_sandwich_gaps(traj, *args)
+    if early == "none":
+        assert got[1] == -math.inf

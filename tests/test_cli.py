@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pme import blowup, cli, errors, geometry, solver
 
@@ -851,7 +853,7 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, c
 
 def test_solver_failure_exits_4_naming_the_residual_and_its_target(tmp_path, monkeypatch, capsys):
     # every LAPACK call reports a singular system
-    monkeypatch.setattr(solver, "dgtsv", lambda dl, d, du, b, **kw: (dl, d, du, b, 1))
+    monkeypatch.setattr(solver, "dgtsv", lambda dl, d, du, b, *flags, **kw: (dl, d, du, b, 1))
     cfg = write_cfg(tmp_path, BASE_CFG)
     out, summary = str(tmp_path / "traj.csv"), str(tmp_path / "summary.json")
     rc = run_cli("solve", "--config", cfg, "--out", out, "--summary", summary)
@@ -1049,3 +1051,26 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_argv, needle
     err = assert_one_configuration_error(rc, capsys)
     assert needle in err, err
     assert sorted(tmp_path.iterdir()) == inputs  # no output file
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], {}], "d": [1.5, None, True, "x"]})
+@settings(max_examples=300, deadline=None)
+def test_json_text_is_the_indented_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"

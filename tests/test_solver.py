@@ -755,6 +755,7 @@ NON_FINITE_FIELDS = {
     "DtPolicy.growth": lambda x: solver.DtPolicy(dt0=1e-3, growth=x),
     "DtPolicy.dt_max": lambda x: solver.DtPolicy(dt0=1e-3, dt_max=x),
     "BlowupConfig.m": lambda x: blowup.BlowupConfig(m=x),
+    "BlowupConfig.threshold_factor": lambda x: blowup.BlowupConfig(m=2.0, threshold_factor=x),
     "BlowupConfig.newton_tol": lambda x: blowup.BlowupConfig(m=2.0, newton_tol=x),
     "BlowupConfig.norm_r": lambda x: blowup.BlowupConfig(m=2.0, norm_r=x),
     "LogNorm.r": lambda x: xlog.LogNorm(x, 2.0),
@@ -812,6 +813,24 @@ def test_dgtsv_is_scipys_binary(system):
         assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
 
 
+@given(tridiagonal_systems())
+@settings(max_examples=100, deadline=None)
+def test_positional_flags_overwrite_in_place_as_the_keywords_do(system):
+    # the kernel passes overwrite_dl, overwrite_d, overwrite_du and
+    # overwrite_b positionally; if the signature put another parameter
+    # there, dgtsv would solve on copies and leave the inputs as they were
+    arrays = [a.copy() for a in system]
+    *out, info = solver.dgtsv(*arrays, 1, 1, 1, 1)
+    ref_arrays = [a.copy() for a in system]
+    *ref, ref_info = solver.dgtsv(
+        *ref_arrays, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
+    )
+    assert info == ref_info
+    for a, got, ref_a, want in zip(arrays, out, ref_arrays, ref):
+        assert np.shares_memory(got, a) and np.shares_memory(want, ref_a)
+        assert same_bytes(got, want) and same_bytes(a, ref_a)
+
+
 SOLVE_DIGEST = """
 import hashlib
 import numpy as np
@@ -850,9 +869,11 @@ def test_missing_lapack_extension_names_scipy(monkeypatch, finder):
 
 
 def fake_dgtsv(delta_value=None, info=0):
-    """dgtsv stand-in returning ``info`` and, if given, a constant direction."""
+    """dgtsv stand-in returning ``info`` and, if given, a constant direction;
+    like the real routine, it takes the overwrite flags positionally or by
+    keyword."""
 
-    def call(dl, d, du, b, **kw):
+    def call(dl, d, du, b, *flags, **kw):
         x = b if delta_value is None else np.full_like(b, delta_value)
         return dl, d, du, x, info
 
@@ -1410,3 +1431,49 @@ def test_two_step_policies_converge_to_same_limit():
     ub = solver.solve_ball(u0, adaptive, g).final
     scale = float(np.max(np.abs(ua)))
     assert np.max(np.abs(ua - ub)) <= 5.0 * (2.5e-4 + 5e-4) * scale
+
+
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(min_value=3, max_value=80),
+    st.floats(min_value=1.0, max_value=20.0),
+    st.lists(st.sampled_from([1e-12, 1e-5, 0.3, 1.0, 7.5]) | st.floats(1e-9, 10.0), max_size=5),
+)
+@settings(max_examples=100, deadline=None)
+def test_scaled_coefficient_views_are_bitwise_the_five_formulas(manifold, cells, radius, dts):
+    grid = RadialGrid.uniform(manifold, radius, cells)
+    work = solver.Integrator(grid, 2.0)
+    for dt in dts:
+        work.scale(dt)
+        cm, cp = dt * grid.coeff_minus, dt * grid.coeff_plus
+        assert same_bytes(work.cm, cm) and same_bytes(work.cp, cp)
+        assert same_bytes(work.c_diag, cp + cm)
+        assert same_bytes(work.c_upper, -cp[:-1]) and same_bytes(work.c_lower, -cm[1:])
+
+
+def two_steps_on_20_cells():
+    grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, 20)
+    cfg = small_cfg(1.0)
+    integrator = solver.Integrator(grid, cfg.m)
+    u = np.linspace(1.0, 0.0, 20)
+    for k in range(2):
+        u, _ = solver.step(u, 0.01 * k, 0.01, grid, cfg, integrator)
+    return u, grid, cfg, integrator
+
+
+def test_a_write_into_a_returned_or_recorded_field_raises():
+    u, grid, cfg, _ = two_steps_on_20_cells()
+    with pytest.raises(ValueError, match="read-only"):
+        u[5] = math.nan
+    traj = solver.solve_ball(np.linspace(1.0, 0.0, 20), small_cfg(0.01), grid)
+    assert not any(f.flags.writeable for f in traj.fields)
+
+
+def test_a_nan_in_the_old_field_gives_a_nan_target():
+    # a caller that takes the guard down and writes NaN into the newest
+    # field steps from it unchecked; the failure names a NaN target
+    u, grid, cfg, integrator = two_steps_on_20_cells()
+    u.flags.writeable = True
+    u[5] = math.nan
+    with pytest.raises(SolverError, match=r"residual nan, target nan\)$"):
+        solver.step(u, 0.02, 0.01, grid, cfg, integrator)
