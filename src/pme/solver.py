@@ -54,7 +54,9 @@ requested increment or raises; ``MAX_HALVINGS`` bounds the depth and
 ``MAX_SUBSTEPS`` the total work.
 
 The integrator also keeps ``levels``, the last five accepted (step size,
-field) pairs, and a step's first, unhalved solve starts Newton from
+field, end) triples, where ``end`` is one past the field's last cell that
+is not +0.0 (``Integrator.end``), and a step's first, unhalved solve starts
+Newton from
 ``Integrator.guess``, their extrapolation to the new time, instead of from
 the old field u.  When this step and the last four have exactly one size,
 as in a fixed-step run or a growing one that has reached ``dt_max``, the
@@ -63,7 +65,10 @@ guess is the quartic through the last five levels,
 one level, u + (d/d_prev)(u - u_prev) from two, and from three on the
 quadratic through the last three levels, with Lagrange weights built from
 the actual step sizes.  The guess is written straight into the
-integrator's start buffer, which the solve begins from without a copy.
+integrator's start buffer, which the solve begins from without a copy.  It
+is computed on the cells before the largest end of the levels; past it
+every level is +0.0, each form gives +0.0 there (a negative weight
+times +0.0 is -0.0, and +0.0 + -0.0 is +0.0), and that is written.
 
 The guess is only a start.  The target residual stays
 tol * max(1, max|u_old|, |v_b|^(1/m)) of the old field, so an accepted
@@ -86,6 +91,73 @@ read-only (``flags.writeable`` False), so it stays finite: a write into it
 raises at the write.  A step from any other field, a copy included, checks
 it for a non-finite entry and starts a new history; the identity test
 costs nothing, where comparing values would cost as much as the check.
+
+Solving only the support.  The porous medium equation moves at finite
+speed, and in floats every cell more than a few dozen cells past the front
+is exactly +0.0 after a step (37 at the J = 4000 Barenblatt run).  A solve
+runs on a window, the leading w cells of the grid, when its boundary value
+v_b is +0.0, the old field and the start end in zeros, the start holds no
+-0.0 and the zero cells' Jacobian coupling q = dt max(coeff) m
+``JACOBIAN_EPS`` (``Integrator.coupling``) is at most 1/4.  w is the
+larger ``end`` of the two fields plus a margin (``_window_margin``), the
+cells in which a right-hand side entry up to 2^64 decays below half the
+smallest subnormal at the rate r = q/(1-q) per cell.  The residual, the Jacobian, ``dgtsv`` and the line search then work
+on a ``Window``: views of the integrator's buffers over those cells, made
+when w changes and kept for the next solve.  The returned field is +0.0
+past the window.  The window is off, at the cost of one scalar compare,
+when v_b is not +0.0 (every blow-up stage), when the last cell of either
+field is nonzero, when the start holds a -0.0 cell and when q > 1/4.
+
+The window gives the whole grid's floats, bit for bit.  Say the iterate u
+and the old field are +0.0 (u) and zero (u_old) on the window's last row
+and past it.  On the whole grid:
+
+- The residual is +0.0 past the window, (+0.0 - 0.0) - (cp * (+0.0) -
+  cm * (+0.0)), and the window's rows are the same floats: the last one
+  reads v = +0.0 past the window from ``Window.vpad[-1]``.  So max|g| and
+  the finite tests agree; the Jacobian rows past the window, of zero
+  cells, are finite when q <= 1/4.
+- ``dgtsv`` is Gaussian elimination with partial pivoting, one row at a
+  time: step i reads and writes rows i and i + 1 only, so on rows before
+  w - 1 and on the pivot and right-hand side of row w - 1 the window's
+  steps are the whole grid's.  The one difference, fill-in that a row swap
+  at step w - 2 writes, multiplies only the direction at row w.  At the cut
+  the whole grid's step w - 1 swaps rows if |d_{w-1}| < |dl_{w-1}|; the
+  subdiagonal entry is at most q <= 1/4 and the pivot d_{w-1} is the last
+  diagonal entry of the window's U factor, which ``dgtsv`` returns, so a
+  check 0.5 <= |d_{w-1}| < 2 rules the swap out.  Past it the rows are
+  zero cells' (diagonal at least 1, off-diagonals at most q), so no row is
+  swapped, every pivot stays in [7/8, 2), and the eliminated right-hand
+  side is -fact * b_{k-1} with |fact| <= 1/2.
+- The eliminated right-hand side underflows.  The window's direction at
+  its last row is b_{w-1}/d_{w-1}; with |d_{w-1}| < 2 a nonzero b_{w-1}
+  (at least the smallest subnormal) gives a nonzero quotient, so a zero
+  direction there means b_{w-1} is zero.  Then each row past it receives
+  -0.0 - fact * (a zero), a zero, and back substitution gives zeros past
+  the window.  On the window's rows back substitution computes
+  b_i - du_i x_{i+1} - dl_i x_{i+2} from the same floats, except that x at
+  rows w - 1 and w may be zeros of other signs, and x - (a zero) is x for
+  every nonzero x.  So the two directions are equal as numbers, and bit for
+  bit where they are nonzero.
+- Signed zeros.  A zero direction entry may be +0.0 on one grid and -0.0
+  on the other, and u + lam * delta differs between them only where u is
+  -0.0.  No iterate holds -0.0: the start holds none, and x + y is -0.0
+  only when x is.  The old field's zero signs enter only u - u_old, where
+  +0.0 - (-0.0) and +0.0 - (+0.0) are both +0.0.  (An old field
+  [0, 0, 0, 0, 0, -0.0] as the start, by contrast, would keep its -0.0 on
+  the whole grid and lose it on a window.)
+
+What the argument cannot rule out is checked after every LAPACK call on a
+window (``_window_holds``): info is 0, or a zero pivot before the window's
+last row, which the whole grid meets at the same step; the direction is
+zero at the last row; and 0.5 <= |d_{w-1}| < 2.  Then the next iterate is
++0.0 on the last row again, and the argument holds for the next iteration.
+When a check fails, the solve goes on from the same point on the whole
+grid with the iterations it has left; every float up to that point was the
+whole grid's.  The margin only makes the checks pass; it is not part of
+the argument, and ``tests/test_solver.py`` runs solves with tails longer
+than the margin against the plain kernel on the whole grid, pivoting,
+failing and falling back included.
 
 ``dgtsv`` is the one thing taken from scipy.  It comes from scipy's own f2py
 LAPACK extension ``scipy/linalg/_flapack``, the module behind
@@ -304,60 +376,37 @@ def _newton_target(u_old_max, v_b, m, tol):
     return tol * max(u_old_max, 1.0, abs(v_b) ** (1.0 / m))
 
 
-class Integrator:
-    """The state of runs on one grid with one exponent m: the arrays of
-    their Newton solves and ``levels``, the last five accepted (step size,
-    field) pairs, oldest first.
+class Window:
+    """Views of an integrator's arrays over its leading ``w`` cells, the
+    cells a Newton solve runs on; ``Integrator.whole`` holds the views over
+    all of them.  Each view starts at the first entry of its buffer, so
+    ``view.base`` is the buffer.  The Jacobian's diagonal, superdiagonal and
+    subdiagonal lie one after the other in ``jac[:3w-2]``, so that a single
+    test sees any non-finite entry."""
 
-    ``scale`` sets the dt-scaled coefficients, recomputing them only when
-    the step size changes.  After a solve, ``boundary_jump`` is v_b - v[-1]
-    of the last residual it evaluated: the returned field's when the solve
-    converged.  ``guess`` extrapolates ``levels`` to the next step.  The
-    fields in ``levels`` are the ones ``step`` was handed and returned; they
-    are read, never written.
-    """
-
-    def __init__(self, grid: RadialGrid, m: float):
-        n = grid.cells
-        self.grid, self.m = grid, m
-        self.dt = math.nan  # the step size of the coefficients below
-        # [coeff_plus | coeff_minus], scaled by dt into ``coeffs`` and negated
-        # into ``neg``; cp, cm and the Jacobian's off-diagonal factors
-        # -cp[:-1] and -cm[1:] are views of those two buffers
-        self.coeff_pm = np.concatenate([grid.coeff_plus, grid.coeff_minus])
-        self.coeffs, self.neg, self.c_diag = np.empty(2 * n), np.empty(2 * n), np.empty(n)
-        self.cp, self.cm = self.coeffs[:n], self.coeffs[n:]
-        self.c_upper, self.c_lower = self.neg[: n - 1], self.neg[n + 1 :]
-        # one buffer holding the Jacobian diagonals, so that a single test
-        # sees any non-finite entry
-        self.jac = jac = np.empty(3 * n - 2)
-        self.diag, self.upper, self.lower = jac[:n], jac[n : 2 * n - 1], jac[2 * n - 1 :]
-        self.dv = dv = np.empty(n)
+    def __init__(self, work: "Integrator", w: int):
+        n = work.grid.cells
+        self.w = w
+        self.cp, self.cm = work.coeffs[:w], work.coeffs[n : n + w]
+        self.c_diag = work.c_diag[:w]
+        self.c_upper, self.c_lower = work.neg[: w - 1], work.neg[n + 1 : n + w]
+        self.jac = jac = work.jac[: 3 * w - 2]
+        self.diag, self.upper, self.lower = jac[:w], jac[w : 2 * w - 1], jac[2 * w - 1 :]
+        self.dv = dv = work.dv[:w]
         self.dv_upper, self.dv_lower = dv[1:], dv[:-1]
         # vpad = [0, v(u), v_b], so jump[k] = vpad[k+1] - vpad[k] is the
         # difference of v across face k: face 0 is the origin (v[0] - 0,
-        # weighted by coeff_minus[0] = 0), face n the outer boundary
-        self.vpad = vpad = np.zeros(n + 2)
+        # weighted by coeff_minus[0] = 0), face w the window's outer face.
+        # On a window vpad[-1] is v of the first cell past it, +0.0
+        self.vpad = vpad = work.vpad[: w + 2]
         self.v, self.v_right, self.v_left = vpad[1:-1], vpad[1:], vpad[:-1]
-        self.jump = jump = np.zeros(n + 1)
+        self.jump = jump = work.jump[: w + 1]
         self.jump_out, self.jump_in = jump[1:], jump[:-1]
-        self.flux, self.scratch = np.empty(n), np.empty(n)
-        # the current point u with |u| and its residual g, and the same three
-        # for the line-search trial
-        self.u, self.u_abs, self.g = np.empty(n), np.empty(n), np.empty(n)
-        self.trial, self.trial_abs, self.g_trial = np.empty(n), np.empty(n), np.empty(n)
-        # a solve handed this buffer as its start begins from its contents
-        # without copying them; every solve begins by filling it
-        self.start = self.u
-        self.levels = []
-
-    def scale(self, dt: float):
-        """Scale the face coefficients and the Jacobian factors by ``dt``."""
-        if dt != self.dt:
-            np.multiply(dt, self.coeff_pm, out=self.coeffs)
-            np.add(self.cp, self.cm, out=self.c_diag)
-            np.negative(self.coeffs, out=self.neg)
-            self.dt = dt
+        self.flux, self.scratch = work.flux[:w], work.scratch[:w]
+        self.u, self.u_abs, self.g = work.u[:w], work.u_abs[:w], work.g[:w]
+        self.trial, self.trial_abs = work.trial[:w], work.trial_abs[:w]
+        self.g_trial = work.g_trial[:w]
+        self.m = work.m
 
     def residual(self, u_old, u, u_abs, g) -> float:
         """Write |u| to ``u_abs`` and the residual of the step from ``u_old``
@@ -375,6 +424,85 @@ class Integrator:
         np.subtract(g, flux, out=g)
         return float(np.maximum.reduce(np.absolute(g, out=scratch)))
 
+
+class Integrator:
+    """The state of runs on one grid with one exponent m: the arrays of
+    their Newton solves and ``levels``, the last five accepted (step size,
+    field, ``end`` of the field) triples, oldest first.
+
+    ``scale`` sets the dt-scaled coefficients and the zero cells'
+    ``coupling``, recomputing them only when the step size changes.  ``window_end`` gives
+    the cells a solve runs on.  After a solve, ``boundary_jump`` is
+    v_b - v[-1] of the last residual it evaluated: the returned field's when
+    the solve converged.  ``guess`` extrapolates ``levels`` to the next
+    step.  The fields in ``levels`` are the ones ``step`` was handed and
+    returned; they are read, never written.
+    """
+
+    def __init__(self, grid: RadialGrid, m: float):
+        n = grid.cells
+        self.grid, self.m = grid, m
+        self.dt = self.coupling = math.nan  # the step size of the coefficients below
+        # [coeff_plus | coeff_minus], scaled by dt into ``coeffs`` and negated
+        # into ``neg``; a ``Window``'s cp, cm and Jacobian off-diagonal
+        # factors -cp[:-1] and -cm[1:] are views of those two buffers
+        self.coeff_pm = np.concatenate([grid.coeff_plus, grid.coeff_minus])
+        self.coeff_max = float(np.max(self.coeff_pm))
+        self.coeffs, self.neg, self.c_diag = np.empty(2 * n), np.empty(2 * n), np.empty(n)
+        self.jac = np.empty(3 * n - 2)
+        self.dv, self.vpad, self.jump = np.empty(n), np.zeros(n + 2), np.zeros(n + 1)
+        self.flux, self.scratch = np.empty(n), np.empty(n)
+        # the current point u with |u| and its residual g, and the same three
+        # for the line-search trial
+        self.u, self.u_abs, self.g = np.empty(n), np.empty(n), np.empty(n)
+        self.trial, self.trial_abs, self.g_trial = np.empty(n), np.empty(n), np.empty(n)
+        # a solve handed this buffer as its start begins from its contents
+        # without copying them; every solve begins by filling it
+        self.start = self.u
+        # which cells of a field are not +0.0, and the same from the last back
+        self.nonzero = self.scratch.view(np.bool_)[:n]
+        self.nonzero_from_end = self.nonzero[::-1]
+        # the views over all cells, and those of the last solve, which the
+        # next one reuses when it runs on the same cells
+        self.whole = self.window = Window(self, n)
+        self.levels = []
+
+    def scale(self, dt: float):
+        """Scale the face coefficients and the Jacobian factors by ``dt``,
+        and set ``coupling``, the q of the window margin, for that step
+        size."""
+        if dt != self.dt:
+            np.multiply(dt, self.coeff_pm, out=self.coeffs)
+            np.add(self.whole.cp, self.whole.cm, out=self.c_diag)
+            np.negative(self.coeffs, out=self.neg)
+            self.dt = dt
+            # the largest off-diagonal Jacobian entry of a zero cell, where
+            # dv = m (0 + eps)
+            self.coupling = dt * self.coeff_max * (JACOBIAN_EPS * self.m)
+
+    def window_end(self, u_old, start, v_b) -> int:
+        """The number of leading cells a solve from ``u_old`` with boundary
+        value ``v_b``, beginning at ``start`` (``u_old`` if None), runs on:
+        the window margin past the ``end`` of either; all cells when the
+        window is off (module docstring)."""
+        n = self.grid.cells
+        first = u_old if start is None else start
+        if not (v_b == 0.0 and u_old[-1] == 0.0 and first[-1] == 0.0):
+            return n
+        margin = _window_margin(self.coupling)
+        if (
+            not margin
+            or math.copysign(1.0, v_b) < 0.0
+            or first.dtype is not _FLOAT
+            or u_old.dtype is not _FLOAT
+            or np.minimum.reduce(first.view(np.int64)) == _NEGATIVE_ZERO_BITS
+        ):
+            return n
+        end = self.end(first)
+        if first is not u_old:
+            end = max(end, self.levels[-1][2] if self.continues(u_old) else self.end(u_old))
+        return min(n, end + margin)
+
     @property
     def boundary_jump(self) -> float:
         return float(self.jump[-1])
@@ -382,6 +510,16 @@ class Integrator:
     def continues(self, u) -> bool:
         """Whether ``u`` is the newest level's field itself."""
         return bool(self.levels) and u is self.levels[-1][1]
+
+    def end(self, u) -> int:
+        """One past the last cell of the float64 field ``u`` whose bits are
+        not those of +0.0."""
+        n = self.grid.cells
+        if u[-1] != 0.0:
+            return n
+        np.not_equal(u.view(np.int64), 0, out=self.nonzero)
+        k = int(self.nonzero_from_end.argmax())  # 0 when every cell is +0.0
+        return n - k if self.nonzero_from_end[k] else 0
 
     def guess(self, d: float) -> Optional[np.ndarray]:
         """The field ``d`` past the newest level, written into ``start``
@@ -392,12 +530,20 @@ class Integrator:
         backward-difference weights 5, -10, 10, -5, 1.  Otherwise it is
         linear from two levels and quadratic (Lagrange weights on the actual
         steps) from three or more.  Each form is evaluated left to right, as
-        the expression ``w0 * u0 + w1 * u1 + ...`` would be.
+        the expression ``w0 * u0 + w1 * u1 + ...`` would be, on the cells
+        before the largest ``end`` of the levels; past it every form gives
+        +0.0, which is written there.
         """
         levels = self.levels
         if len(levels) < 2:
             return None
         out, tmp = self.start, self.scratch
+        e = levels[-1][2]
+        if e < self.grid.cells:
+            e = max([end for _, _, end in levels])
+            out[e:] = 0.0
+            out, tmp = out[:e], tmp[:e]
+            levels = [(s, u[:e], end) for s, u, end in levels]
         if (
             len(levels) == 5
             and levels[1][0] == d
@@ -405,24 +551,54 @@ class Integrator:
             and levels[3][0] == d
             and levels[4][0] == d
         ):
-            (_, u4), (_, u3), (_, u2), (_, u1), (_, u0) = levels
+            (_, u4, _), (_, u3, _), (_, u2, _), (_, u1, _), (_, u0, _) = levels
             np.multiply(5.0, u0, out=out)
             out -= np.multiply(10.0, u1, out=tmp)
             out += np.multiply(10.0, u2, out=tmp)
             out -= np.multiply(5.0, u3, out=tmp)
             out += u4
         elif len(levels) == 2:
-            (_, u1), (a, u0) = levels
+            (_, u1, _), (a, u0, _) = levels
             np.subtract(u0, u1, out=tmp)
             tmp *= d / a
             np.add(u0, tmp, out=out)
         else:
-            (_, u2), (b, u1), (a, u0) = levels[-3:]
+            (_, u2, _), (b, u1, _), (a, u0, _) = levels[-3:]
             ab = a + b
             np.multiply((d + a) * (d + ab) / (a * ab), u0, out=out)
             out += np.multiply(-d * (d + ab) / (a * b), u1, out=tmp)
             out += np.multiply(d * (d + a) / (ab * b), u2, out=tmp)
-        return out
+        return self.start
+
+
+_FLOAT = np.dtype(np.float64)
+# -0.0 read as an int64: the smallest int64, below the bits of every other float
+_NEGATIVE_ZERO_BITS = np.int64(-(2**63))
+# 2^-1075, half the smallest subnormal, rounds to zero; a window's margin
+# lets a right-hand side entry up to 2^64 decay below it
+_TAIL_BITS = 64 + 1075
+
+
+def _window_margin(q: float) -> int:
+    """Cells a window reaches past the support when no off-diagonal entry of
+    a zero cell's Jacobian row exceeds ``q``; 0 (no window) above q = 1/4.
+
+    Elimination through zero cells scales the right-hand side by at most
+    r = q / (1 - q) per cell (module docstring)."""
+    if not q <= 0.25:
+        return 0
+    r = q / (1.0 - q)
+    return 2 + (math.ceil(_TAIL_BITS / -math.log2(r)) if r > 0.0 else 0)
+
+
+def _window_holds(info, w, delta, d) -> bool:
+    """Whether the whole grid's LAPACK call gives a window's ``info`` and,
+    on the window's cells, its direction (module docstring).  ``delta`` and
+    ``d`` are the window's direction and the diagonal of its U factor."""
+    if info:
+        # a zero pivot before the window's last row is the whole grid's too
+        return info < w
+    return delta[-1] == 0.0 and 0.5 <= abs(d[-1]) < 2.0
 
 
 def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None):
@@ -435,65 +611,89 @@ def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None)
     of its buffers.  Fails (``converged`` False) on a singular Jacobian or
     on any non-finite diagonal, Newton direction or residual, so that
     ``step`` halves the step instead of letting NaN or inf into the field.
+
+    The solve runs on the leading ``work.window_end`` cells (module
+    docstring).  On a window every LAPACK call is checked, and when a check
+    fails the solve goes on from the same point on the whole grid, with
+    the iterations it has left.
     """
     if work is None:
         work = Integrator(grid, m)
     work.scale(dt)
-    c_diag, c_upper, c_lower = work.c_diag, work.c_upper, work.c_lower
-    jac, diag, upper, lower = work.jac, work.diag, work.upper, work.lower
-    dv, dv_upper, dv_lower = work.dv, work.dv_upper, work.dv_lower
-    work.vpad[-1] = v_b
-    residual = work.residual
+    n = grid.cells
+    w = n if v_b != 0.0 else work.window_end(u_old, start, v_b)
+    while True:
+        win = work.window
+        if win.w != w:
+            win = work.window = work.whole if w == n else Window(work, w)
+        c_diag, c_upper, c_lower = win.c_diag, win.c_upper, win.c_lower
+        jac, diag, upper, lower = win.jac, win.diag, win.upper, win.lower
+        dv, dv_upper, dv_lower = win.dv, win.dv_upper, win.dv_lower
+        win.vpad[-1] = v_b
+        residual = win.residual
 
-    # an accepted trial swaps its three buffers with the current point's
-    u, u_abs, g = work.u, work.u_abs, work.g
-    trial, trial_abs, g_trial = work.trial, work.trial_abs, work.g_trial
-    if start is not u:
-        np.copyto(u, u_old if start is None else start)
-    g_norm = residual(u_old, u, u_abs, g)
-    # the target is set by u_old; trial_abs is free until the first trial
-    old_abs = u_abs if start is None else np.absolute(u_old, out=trial_abs)
-    target = _newton_target(float(np.maximum.reduce(old_abs)), v_b, m, tol)
-    for _ in range(max_iter):
-        if g_norm <= target:
-            return u.copy(), True, g_norm
-        if not math.isfinite(g_norm):
-            return u.copy(), False, g_norm
-        np.power(u_abs, m - 1.0, out=dv)
-        dv += JACOBIAN_EPS
-        dv *= m
-        np.multiply(c_diag, dv, out=diag)
-        diag += 1.0
-        np.multiply(c_upper, dv_upper, out=upper)
-        np.multiply(c_lower, dv_lower, out=lower)
-        if not np.logical_and.reduce(np.isfinite(jac)):
-            return u.copy(), False, g_norm
-        # overwrite_dl, overwrite_d, overwrite_du, overwrite_b
-        _, _, _, delta, info = dgtsv(lower, diag, upper, np.negative(g, out=g), 1, 1, 1, 1)
-        if info != 0 or not np.logical_and.reduce(np.isfinite(delta)):
-            return u.copy(), False, g_norm
-        # Armijo backtracking; a non-finite trial norm fails the test too.
-        # The accepted trial point and its residual become the next iterate.
-        lam = 1.0
-        while lam > 2.0**-30:
-            if lam == 1.0:
-                np.add(u, delta, out=trial)
-            else:
-                np.add(u, np.multiply(lam, delta, out=trial), out=trial)
-            g_trial_norm = residual(u_old, trial, trial_abs, g_trial)
-            if g_trial_norm < (1.0 - 0.25 * lam) * g_norm or g_trial_norm <= target:
-                u, trial = trial, u
-                u_abs, trial_abs = trial_abs, u_abs
-                g, g_trial = g_trial, g
-                g_norm = g_trial_norm
+        # an accepted trial swaps its three buffers with the current point's
+        u, u_abs, g = win.u, win.u_abs, win.g
+        trial, trial_abs, g_trial = win.trial, win.trial_abs, win.g_trial
+        if start is not work.u:
+            np.copyto(work.u, u_old if start is None else start)
+        old = u_old
+        if w < n:
+            # the cells past the window stay +0.0 in both buffers the field
+            # is returned from, and the boundary jump is +0.0 - +0.0
+            old = u_old[:w]
+            work.trial[w:] = 0.0
+            work.jump[-1] = 0.0
+        g_norm = residual(old, u, u_abs, g)
+        # the target is set by u_old; trial_abs is free until the first trial
+        old_abs = u_abs if start is None else np.absolute(old, out=trial_abs)
+        target = _newton_target(float(np.maximum.reduce(old_abs)), v_b, m, tol)
+        for done in range(max_iter):
+            if g_norm <= target:
+                return u.base.copy(), True, g_norm
+            if not math.isfinite(g_norm):
+                return u.base.copy(), False, g_norm
+            np.power(u_abs, m - 1.0, out=dv)
+            dv += JACOBIAN_EPS
+            dv *= m
+            np.multiply(c_diag, dv, out=diag)
+            diag += 1.0
+            np.multiply(c_upper, dv_upper, out=upper)
+            np.multiply(c_lower, dv_lower, out=lower)
+            if not np.logical_and.reduce(np.isfinite(jac)):
+                return u.base.copy(), False, g_norm
+            # overwrite_dl, overwrite_d, overwrite_du, overwrite_b
+            _, d, _, delta, info = dgtsv(lower, diag, upper, np.negative(g, out=g), 1, 1, 1, 1)
+            if w < n and not _window_holds(info, w, delta, d):
                 break
-            lam *= 0.5
+            if info != 0 or not np.logical_and.reduce(np.isfinite(delta)):
+                return u.base.copy(), False, g_norm
+            # Armijo backtracking; a non-finite trial norm fails the test too.
+            # The accepted trial point and its residual become the next iterate.
+            lam = 1.0
+            while lam > 2.0**-30:
+                if lam == 1.0:
+                    np.add(u, delta, out=trial)
+                else:
+                    np.add(u, np.multiply(lam, delta, out=trial), out=trial)
+                g_trial_norm = residual(old, trial, trial_abs, g_trial)
+                if g_trial_norm < (1.0 - 0.25 * lam) * g_norm or g_trial_norm <= target:
+                    u, trial = trial, u
+                    u_abs, trial_abs = trial_abs, u_abs
+                    g, g_trial = g_trial, g
+                    g_norm = g_trial_norm
+                    break
+                lam *= 0.5
+            else:
+                # no trial accepted: take the smallest step, not yet evaluated
+                np.add(u, np.multiply(lam, delta, out=trial), out=trial)
+                u, trial = trial, u
+                g_norm = residual(old, u, u_abs, g)
         else:
-            # no trial accepted: take the smallest step, not yet evaluated
-            np.add(u, np.multiply(lam, delta, out=trial), out=trial)
-            u, trial = trial, u
-            g_norm = residual(u_old, u, u_abs, g)
-    return u.copy(), g_norm <= target, g_norm
+            return u.base.copy(), g_norm <= target, g_norm
+        # a check failed: the whole grid from the same point, whose cells
+        # past the window are +0.0
+        w, start, max_iter = n, u.base, max_iter - done
 
 
 def step(
@@ -524,8 +724,10 @@ def step(
     if integrator.continues(u):
         levels, start = integrator.levels, integrator.guess(dt)
     else:
+        u = np.asarray(u, dtype=float)
+        _check_shape(u, grid, "field entering step")
         _check_finite(u)
-        levels, start = [(0.0, u)], None
+        levels, start = [(0.0, u, integrator.end(u))], None
     pending = [(t, dt, 0)]
     outflow = 0.0
     solves = 0
@@ -558,8 +760,13 @@ def step(
         outflow += -d * grid.boundary_flux_coeff * integrator.boundary_jump
         u = u_new
     u.flags.writeable = False
-    integrator.levels = [*levels[-4:], (dt, u)]
+    integrator.levels = [*levels[-4:], (dt, u, integrator.end(u))]
     return u, outflow
+
+
+def _check_shape(u, grid: RadialGrid, what: str):
+    if u.shape != (grid.cells,):
+        raise DomainError(f"{what} has shape {u.shape}, the grid has {grid.cells} cells")
 
 
 def _check_finite(u):
@@ -579,12 +786,8 @@ def _failure_note(failed, cfg: SolverConfig) -> str:
 def _initial_values(u0, grid: RadialGrid) -> np.ndarray:
     """A read-only copy of the datum on the grid's centers, owned by the
     run: a callable may return an array it keeps."""
-    if callable(u0):
-        arr = np.array(u0(grid.centers), dtype=float)
-    else:
-        arr = np.array(u0, dtype=float)
-        if arr.shape != grid.centers.shape:
-            raise DomainError("initial data shape does not match the grid")
+    arr = np.array(u0(grid.centers) if callable(u0) else u0, dtype=float)
+    _check_shape(arr, grid, "initial data")
     arr.flags.writeable = False
     return arr
 

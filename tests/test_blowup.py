@@ -272,7 +272,7 @@ def test_newton_evaluates_residual_about_once_per_iteration(monkeypatch):
     # and at least one trial per iteration, so the count exceeds the
     # iterations, and the residual of an accepted trial is not evaluated again
     counts = {"residuals": 0, "iterations": 0}
-    residual, dgtsv = solver.Integrator.residual, solver.dgtsv
+    residual, dgtsv = solver.Window.residual, solver.dgtsv
 
     def counted_residual(*args):
         counts["residuals"] += 1
@@ -282,7 +282,7 @@ def test_newton_evaluates_residual_about_once_per_iteration(monkeypatch):
         counts["iterations"] += 1
         return dgtsv(*args, **kw)
 
-    monkeypatch.setattr(solver.Integrator, "residual", counted_residual)
+    monkeypatch.setattr(solver.Window, "residual", counted_residual)
     monkeypatch.setattr(solver, "dgtsv", counted_dgtsv)
     assert desk_run().status == "blown-up"
     assert counts["iterations"] > 0

@@ -1,6 +1,7 @@
 """Implicit solver: fixed points, the classical self-similar oracle, mass
 audits, comparison/order preservation, exhaustion and existence times."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -255,25 +256,89 @@ def signed_newton_cases(draw):
     return grid, np.array(values), m, dt, v_b, max_iter
 
 
+@st.composite
+def zero_tail_newton_cases(draw, clean=False):
+    """Newton solves from a field that is +0.0 on a tail longer than the
+    window margin of the drawn step, so that the solve can run on a window
+    of the grid.  The zero cells' Jacobian coupling q = dt coeff m eps runs
+    up to about 1/4, above which there is no window.  Unless ``clean``, the
+    boundary value may be -0.0, and the field may hold -0.0 cells, in its
+    tail too, or a cell of +-1e200.  The "pivoting" kind makes coeff_minus
+    grow outward up to 1000-fold, as if the cell volumes shrank, so that
+    LAPACK swaps rows in the support."""
+    manifold = draw(st.sampled_from(FAMILIES))
+    m = draw(st.floats(min_value=1.2, max_value=4.0))
+    kind = draw(st.sampled_from(["plain", "pivoting"]))
+    support = draw(st.integers(min_value=1, max_value=30))
+    tail = draw(st.integers(min_value=40, max_value=800))
+    cells = support + tail
+    h = draw(st.floats(min_value=0.02, max_value=0.5))
+    grid = RadialGrid.uniform(manifold, h * cells, cells)
+    if kind == "pivoting":
+        growth = np.geomspace(1.0, draw(st.floats(min_value=1.0, max_value=1e3)), cells)
+        grid = dataclasses.replace(grid, coeff_minus=grid.coeff_minus * growth)
+    # the largest q whose margin ends the window 3 cells before the grid's
+    r = 2.0 ** (-solver._TAIL_BITS / (tail - 6))
+    q = min(0.25, r / (1.0 + r)) * 10.0 ** draw(st.floats(min_value=-6.0, max_value=0.0))
+    dt = q / (float(np.max(np.concatenate([grid.coeff_plus, grid.coeff_minus]))) * m * 1e-12)
+    flavour = "clean" if clean else draw(st.sampled_from(["clean", "signed zeros", "huge"]))
+    value = st.floats(min_value=-3.0, max_value=3.0).map(lambda x: x + 0.0)  # no -0.0
+    if flavour == "signed zeros":
+        value = st.one_of(value, st.sampled_from([0.0, -0.0]))
+    u_old = np.zeros(cells)
+    u_old[:support] = draw(st.lists(value, min_size=support, max_size=support))
+    if flavour == "signed zeros":
+        k = draw(st.lists(st.integers(min_value=support, max_value=cells - 1), max_size=3))
+        u_old[k] = -0.0
+    elif flavour == "huge":
+        u_old[draw(st.integers(min_value=0, max_value=support - 1))] = draw(
+            st.sampled_from([1e200, -1e200])
+        )
+    v_b = 0.0 if clean else draw(st.sampled_from([0.0, 0.0, -0.0]))
+    max_iter = draw(st.integers(min_value=1, max_value=30))
+    return grid, u_old, m, dt, v_b, max_iter
+
+
+NEWTON_CASES = st.one_of(signed_newton_cases(), zero_tail_newton_cases())
+
+
 def same_bytes(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
-@given(signed_newton_cases())
-@settings(max_examples=300, deadline=None)
-def test_newton_solve_is_bitwise_the_plain_kernel(case):
+def recorded_dgtsv(real_dgtsv, singular=0):
+    """``real_dgtsv`` reporting a singular system on its first ``singular``
+    calls, and the list of the rows of every call."""
+    rows = []
+
+    def call(dl, d, du, b, *flags, **kw):
+        rows.append(d.size)
+        *out, info = real_dgtsv(dl, d, du, b, *flags, **kw)
+        return (*out, 1 if len(rows) <= singular else info)
+
+    return call, rows
+
+
+@given(NEWTON_CASES, st.integers(min_value=0, max_value=2))
+@settings(max_examples=500, deadline=None)
+def test_newton_solve_is_bitwise_the_plain_kernel(case, singular):
+    # the first ``singular`` LAPACK calls of each kernel report a singular
+    # system, which fails the solve at its start
     grid, u_old, m, dt, v_b, max_iter = case
     args = (u_old, v_b, dt, grid, m, 1e-10, max_iter)
-    with np.errstate(all="ignore"):
+    real_dgtsv = solver.dgtsv
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(solver, "dgtsv", recorded_dgtsv(real_dgtsv, singular)[0])
         u, ok, res = solver._newton_solve(*args)
+        mp.setattr(solver, "dgtsv", recorded_dgtsv(real_dgtsv, singular)[0])
         u_ref, ok_ref, res_ref = plain_newton_solve(*args)
     assert same_bytes(u, u_ref)
     assert ok == ok_ref
     assert same_bytes(res, res_ref)
 
 
-@given(signed_newton_cases(), st.integers(min_value=1, max_value=3))
-@settings(max_examples=60, deadline=None)
+@given(NEWTON_CASES, st.integers(min_value=1, max_value=3))
+@settings(max_examples=100, deadline=None)
 def test_step_through_halvings_is_bitwise_the_plain_kernel(case, singular):
     # the first ``singular`` LAPACK calls of each run report a singular
     # system, so ``step`` halves whenever its first solve needs an iteration
@@ -282,15 +347,8 @@ def test_step_through_halvings_is_bitwise_the_plain_kernel(case, singular):
     real_dgtsv = solver.dgtsv
 
     def run(kernel):
-        calls = []
-
-        def singular_first(*args, **kw):
-            calls.append(1)
-            *out, info = real_dgtsv(*args, **kw)
-            return (*out, 1 if len(calls) <= singular else info)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "dgtsv", singular_first)
+            mp.setattr(solver, "dgtsv", recorded_dgtsv(real_dgtsv, singular)[0])
             mp.setattr(solver, "_newton_solve", kernel)
             try:
                 with np.errstate(all="ignore"):
@@ -303,6 +361,199 @@ def test_step_through_halvings_is_bitwise_the_plain_kernel(case, singular):
         assert got == want
     else:
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+@given(zero_tail_newton_cases(clean=True))
+@settings(max_examples=100, deadline=None)
+def test_zero_tail_solves_run_on_fewer_rows_than_cells(case):
+    # a +0.0 boundary value and a field of finite values and +0.0 cells
+    # whose tail is longer than the margin: every LAPACK call until the
+    # first on the whole grid solves fewer rows, and only a window's
+    # direction reaching its last row sends the solve to the whole grid
+    grid, u_old, m, dt, v_b, max_iter = case
+    counting, rows = recorded_dgtsv(solver.dgtsv)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(solver, "dgtsv", counting)
+        solver._newton_solve(u_old, v_b, dt, grid, m, 1e-10, max_iter)
+    windows = rows[: rows.index(grid.cells)] if grid.cells in rows else rows
+    assert all(w < grid.cells for w in windows)
+    assert rows[len(windows) :] == [grid.cells] * (len(rows) - len(windows))
+    assert not rows or windows
+
+
+@given(
+    zero_tail_newton_cases(),
+    st.floats(min_value=-1e-3, max_value=1e-3),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_newton_solve_from_a_start_on_a_window_is_bitwise_the_plain_kernel(case, shift, kept):
+    # a start other than the old field: the old field moved by ``shift`` on
+    # the leading share ``kept`` of its support and +0.0 past it, so that the
+    # old field may reach past the start.  The window is set by both, and
+    # -0.0 cells of the old field do not matter
+    grid, u_old, m, dt, v_b, max_iter = case
+    start = np.where(u_old != 0.0, u_old * (1.0 + shift), 0.0)
+    start[int(kept * (np.flatnonzero(u_old).max(initial=-1) + 1)) :] = 0.0
+    args = (u_old, v_b, dt, grid, m, 1e-10, max_iter)
+    with np.errstate(all="ignore"):
+        u, ok, res = solver._newton_solve(*args, start=start)
+        u_ref, ok_ref, res_ref = plain_newton_solve(*args, start=start)
+    assert same_bytes(u, u_ref)
+    assert ok == ok_ref
+    assert same_bytes(res, res_ref)
+
+
+def test_a_window_whose_direction_reaches_its_last_row_goes_on_on_the_whole_grid(
+    monkeypatch,
+):
+    # values of 1e30 put right-hand side entries far above the 2^64 the
+    # margin is sized for, so the direction does not underflow within it
+    grid = RadialGrid.uniform(geometry.euclidean(2), 4.0, 200)
+    u_old = np.zeros(200)
+    u_old[:10] = np.linspace(1e30, 1e29, 10)
+    args = (u_old, 0.0, 1e-31, grid, 2.0, 1e-10, 30)
+    counting, rows = recorded_dgtsv(solver.dgtsv)
+    monkeypatch.setattr(solver, "dgtsv", counting)
+    u, ok, res = solver._newton_solve(*args)
+    monkeypatch.undo()
+    u_ref, ok_ref, res_ref = plain_newton_solve(*args)
+    assert same_bytes(u, u_ref) and ok == ok_ref and same_bytes(res, res_ref)
+    assert ok
+    whole = rows.index(200)
+    assert 0 < whole and all(w < 200 for w in rows[:whole])
+    assert rows[whole:] == [200] * (len(rows) - whole)
+
+
+def front_args(cells=200, v_b=0.0, dt=1e-3):
+    """A Newton solve from a field that is nonzero on its first 10 of
+    ``cells`` cells and +0.0 past them."""
+    grid = RadialGrid.uniform(geometry.euclidean(2), 4.0, cells)
+    u_old = np.zeros(cells)
+    u_old[:10] = np.linspace(1.0, 0.1, 10)
+    return u_old, v_b, dt, grid, 2.0, 1e-10, 30
+
+
+def first_call_rows(args, start=None):
+    counting, rows = recorded_dgtsv(solver.dgtsv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "dgtsv", counting)
+        solver._newton_solve(*args, start=start)
+    return rows[0]
+
+
+def test_the_window_is_off_unless_each_condition_holds():
+    args = front_args()
+    assert first_call_rows(args) < 200
+    assert first_call_rows(front_args(v_b=-0.0)) == 200
+    signed = args[0].copy()
+    signed[3] = -0.0
+    assert first_call_rows(args, start=signed) == 200
+    full = args[0] + 1e-3
+    assert first_call_rows((full, *args[1:])) == 200
+    assert first_call_rows(args, start=full) == 200
+    # q = dt max(coeff) m eps above 1/4: just above, and far above
+    grid = args[3]
+    for q in (0.3, 10.0):
+        dt = q / (float(np.max(grid.coeff_plus)) * 2.0 * solver.JACOBIAN_EPS)
+        assert first_call_rows(front_args(dt=dt)) == 200
+
+
+def test_an_old_field_reaching_past_the_start_widens_the_window():
+    # the old field is nonzero on 120 cells, the start on 10
+    u_old, *rest = front_args(cells=400)
+    u_old[:120] = np.linspace(1.0, 0.1, 120)
+    start = np.where(np.arange(400) < 10, u_old, 0.0)
+    args = (u_old, *rest)
+    assert 120 < first_call_rows(args, start=start) < 400
+    got = solver._newton_solve(*args, start=start)
+    want = plain_newton_solve(*args, start=start)
+    assert same_bytes(got[0], want[0]) and got[1] == want[1] and same_bytes(got[2], want[2])
+
+
+def test_a_guess_shorter_than_the_old_field_widens_the_window():
+    # the guess 2 u_old - u_prev vanishes on cells 10 to 119 of the old field
+    u_old, v_b, dt, grid, m, *_ = front_args(cells=400)
+    u_old[:120] = np.linspace(1.0, 0.1, 120)
+    u_prev = np.where(np.arange(400) < 10, u_old, 2.0 * u_old)
+
+    def run(kernel):
+        integrator = solver.Integrator(grid, m)
+        integrator.levels = [(dt, u_prev, 120), (dt, u_old, 120)]
+        counting, rows = recorded_dgtsv(solver.dgtsv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "dgtsv", counting)
+            mp.setattr(solver, "_newton_solve", kernel)
+            out = solver.step(u_old, 0.0, dt, grid, small_cfg(1.0, m=m), integrator)
+        return out, rows
+
+    (got, rows), (want, _) = run(solver._newton_solve), run(plain_step_kernel)
+    assert 120 < rows[0] < 400
+    assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+def test_a_window_after_a_whole_grid_solve_reports_a_zero_boundary_jump():
+    args = front_args()
+    work = solver.Integrator(args[3], 2.0)
+    solver._newton_solve(args[0] + 1.0, 4.0, *args[2:], work=work)
+    assert work.boundary_jump != 0.0
+    u, ok, _ = solver._newton_solve(*args, work=work)
+    assert ok and u[-1] == 0.0
+    assert same_bytes(work.boundary_jump, 0.0)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda d, info: (d, d.size),  # a zero last pivot, as LAPACK reports it
+        lambda d, info: (np.concatenate([d[:-1], [4.0]]), info),
+        lambda d, info: (np.concatenate([d[:-1], [0.25]]), info),
+    ],
+    ids=["zero-last-pivot", "last-pivot-above-2", "last-pivot-below-half"],
+)
+def test_a_window_whose_last_pivot_fails_the_check_goes_on_on_the_whole_grid(monkeypatch, fault):
+    # the checks on the window's last pivot send the solve to the whole grid,
+    # which gives the plain kernel's bytes
+    args = front_args()
+    real_dgtsv, rows = solver.dgtsv, []
+
+    def faulty(dl, d, du, b, *flags):
+        rows.append(d.size)
+        dl, d, du, x, info = real_dgtsv(dl, d, du, b, *flags)
+        if d.size < 200:
+            d, info = fault(d, info)
+        return dl, d, du, x, info
+
+    monkeypatch.setattr(solver, "dgtsv", faulty)
+    got = solver._newton_solve(*args)
+    monkeypatch.undo()
+    want = plain_newton_solve(*args)
+    assert rows[0] < 200 and rows[1:] == [200] * (len(rows) - 1)
+    assert same_bytes(got[0], want[0]) and got[1] == want[1] and same_bytes(got[2], want[2])
+
+
+def test_barenblatt_run_on_windows_is_bitwise_the_plain_kernel():
+    # every recorded field, outflow and time of the J = 2000 oracle run, with
+    # at most half the LAPACK rows of the whole-grid solves
+    grid = RadialGrid.uniform(geometry.euclidean(2), 6.0, 2000)
+    cfg = solver.SolverConfig(
+        m=2.0, dt=solver.DtPolicy(dt0=0.5 * grid.h, growth=1.0), t_end=1.0, snapshot_stride=50
+    )
+    u0 = solver.barenblatt(grid.centers, 1.0, 2, 2.0, 0.25)
+
+    def run(kernel):
+        counting, rows = recorded_dgtsv(solver.dgtsv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "dgtsv", counting)
+            mp.setattr(solver, "_newton_solve", kernel)
+            return solver.solve_ball(u0, cfg, grid), sum(rows)
+
+    (got, rows), (want, whole_rows) = run(solver._newton_solve), run(plain_step_kernel)
+    assert len(got.fields) == len(want.fields) == 15
+    assert got.times == want.times
+    assert same_bytes(got.stacked, want.stacked)
+    assert same_bytes(got.boundary_outflow, want.boundary_outflow)
+    assert rows <= 0.5 * whole_rows
 
 
 # -- predictor start ------------------------------------------------------------------------
@@ -392,7 +643,7 @@ def test_guess_reproduces_polynomial_fields(case):
     # weights' own rounding.
     levels, d, exact, weights = case
     integrator = solver.Integrator(RadialGrid.uniform(geometry.euclidean(2), 1.0, len(exact)), 2.0)
-    integrator.levels = levels
+    integrator.levels = [(s, u, integrator.end(u)) for s, u in levels]
     guess = integrator.guess(d)
     assert guess is integrator.start
     used = [u for _, u in levels[-len(weights) :]]
@@ -400,6 +651,53 @@ def test_guess_reproduces_polynomial_fields(case):
     for i, want in enumerate(exact):
         scale = sum(abs(w) * abs(Fraction(u[i])) for w, u in zip(weights, used))
         assert abs(Fraction(guess[i]) - want) <= 8 * np.finfo(float).eps * scale + underflow
+
+
+@st.composite
+def zero_tail_levels(draw):
+    """Two to five levels of mixed-sign fields, each +0.0 past a drawn cell,
+    with -0.0 cells now and then, and a step on which the guess takes each
+    of its three forms."""
+    cells = draw(st.integers(min_value=3, max_value=40))
+    value = st.one_of(
+        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), st.just(-0.0), st.just(5e-324)
+    )
+    levels = []
+    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+        u = np.zeros(cells)
+        k = draw(st.integers(min_value=0, max_value=cells))
+        u[:k] = draw(st.lists(value, min_size=k, max_size=k))
+        levels.append((draw(st.sampled_from([0.1, 0.2, 0.3])), u))
+    d = draw(st.sampled_from([0.1, 0.25]))
+    return levels, d
+
+
+@given(zero_tail_levels())
+@settings(max_examples=200, deadline=None)
+def test_guess_before_the_levels_ends_is_bitwise_the_guess_on_every_cell(case):
+    # the guess computes only the cells before the largest end of the levels
+    # it reads; past it each form of the guess gives +0.0 from +0.0 levels
+    levels, d = case
+    grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, levels[0][1].size)
+    windowed, whole = solver.Integrator(grid, 2.0), solver.Integrator(grid, 2.0)
+    windowed.levels = [(s, u, windowed.end(u)) for s, u in levels]
+    whole.levels = [(s, u, grid.cells) for s, u in levels]
+    np.copyto(windowed.start, np.nan)  # the guess writes every cell
+    with np.errstate(all="ignore"):
+        assert same_bytes(windowed.guess(d), whole.guess(d))
+
+
+def test_end_is_one_past_the_last_cell_that_is_not_plus_zero():
+    integrator = solver.Integrator(RadialGrid.uniform(geometry.euclidean(2), 1.0, 6), 2.0)
+    for u, end in [
+        ([1.0, 0.0, 2.0, 0.0, 0.0, 0.0], 3),
+        ([0.0] * 6, 0),
+        ([0.0, 0.0, 0.0, 0.0, -0.0, 0.0], 5),
+        ([0.0, 5e-324, 0.0, 0.0, 0.0, 0.0], 2),
+        ([0.0] * 5 + [-0.0], 6),
+        ([0.0] * 5 + [1.0], 6),
+    ]:
+        assert integrator.end(np.array(u)) == end
 
 
 def test_one_level_gives_no_guess():
@@ -459,16 +757,11 @@ def test_step_after_a_failed_prediction_is_the_start_free_step(case):
     grid, u_old, m, dt, _, _ = case
     cfg = small_cfg(1.0, m=m)
     want = run_step(u_old, dt, grid, cfg)
-    real_dgtsv, calls = solver.dgtsv, []
-
-    def singular_first(*args, **kw):
-        calls.append(1)
-        *out, info = real_dgtsv(*args, **kw)
-        return (*out, 1 if len(calls) == 1 else info)
+    singular_first, calls = recorded_dgtsv(solver.dgtsv, 1)
 
     # a step from the integrator's newest field is predicted
     integrator = solver.Integrator(grid, m)
-    integrator.levels = [(0.0, u_old)]
+    integrator.levels = [(0.0, u_old, grid.cells)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "dgtsv", singular_first)
         mp.setattr(solver.Integrator, "guess", lambda self, d: np.full(grid.cells, 0.5))
@@ -664,6 +957,26 @@ def test_a_converged_solve_from_a_finite_field_is_finite(case):
         assert math.isfinite(res)
 
 
+@pytest.mark.parametrize(
+    "datum",
+    [lambda r: 1.0, lambda r: np.ones(r.size - 1), lambda r: np.ones((r.size, 1)), np.ones(9)],
+    ids=["constant", "short", "column", "short-array"],
+)
+def test_a_datum_of_another_shape_is_rejected(datum):
+    grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, 10)
+    with pytest.raises(DomainError, match="initial data has shape"):
+        solver.solve_ball(datum, small_cfg(0.01), grid)
+
+
+@pytest.mark.parametrize("shape", [(), (9,), (11,), (10, 1)], ids=str)
+def test_step_rejects_a_field_of_another_shape(shape):
+    grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, 10)
+    integrator = solver.Integrator(grid, 2.0)
+    with pytest.raises(DomainError, match="field entering step has shape"):
+        solver.step(np.ones(shape), 0.0, 0.01, grid, small_cfg(1.0), integrator)
+    assert integrator.levels == []
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_datum_is_rejected(bad):
     grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, 10)
@@ -741,7 +1054,7 @@ def test_step_continues_only_from_the_integrators_newest_field():
     bad[5] = math.nan
     with pytest.raises(SolverError, match="non-finite"):
         solver.step(bad, 0.08, 0.01, grid, cfg, integrator)
-    assert [id(f) for _, f in integrator.levels] == [id(f) for _, f in levels]
+    assert [id(f) for _, f, _ in integrator.levels] == [id(f) for _, f, _ in levels]
 
 
 # each field that takes a float, and how to build it; +inf means "no limit"
@@ -916,13 +1229,7 @@ def test_step_halves_after_a_singular_system(monkeypatch):
     for k in range(2):
         want, _ = solver.step(want, k * dt / 2, dt / 2, g, cfg)
 
-    real_dgtsv, calls = solver.dgtsv, []
-
-    def singular_first(*args, **kw):
-        calls.append(1)
-        *out, info = real_dgtsv(*args, **kw)
-        return (*out, 1 if len(calls) == 1 else info)
-
+    singular_first, _ = recorded_dgtsv(solver.dgtsv, 1)
     solved = []
     real_solve = solver._newton_solve
 
@@ -1446,9 +1753,9 @@ def test_scaled_coefficient_views_are_bitwise_the_five_formulas(manifold, cells,
     for dt in dts:
         work.scale(dt)
         cm, cp = dt * grid.coeff_minus, dt * grid.coeff_plus
-        assert same_bytes(work.cm, cm) and same_bytes(work.cp, cp)
+        assert same_bytes(work.whole.cm, cm) and same_bytes(work.whole.cp, cp)
         assert same_bytes(work.c_diag, cp + cm)
-        assert same_bytes(work.c_upper, -cp[:-1]) and same_bytes(work.c_lower, -cm[1:])
+        assert same_bytes(work.whole.c_upper, -cp[:-1]) and same_bytes(work.whole.c_lower, -cm[1:])
 
 
 def two_steps_on_20_cells():
