@@ -101,12 +101,13 @@ v_b is +0.0, the old field and the start end in zeros, the start holds no
 ``JACOBIAN_EPS`` (``Integrator.coupling``) is at most 1/4.  w is the
 larger ``end`` of the two fields plus a margin (``_window_margin``), the
 cells in which a right-hand side entry up to 2^64 decays below half the
-smallest subnormal at the rate r = q/(1-q) per cell.  The residual, the Jacobian, ``dgtsv`` and the line search then work
-on a ``Window``: views of the integrator's buffers over those cells, made
-when w changes and kept for the next solve.  The returned field is +0.0
-past the window.  The window is off, at the cost of one scalar compare,
-when v_b is not +0.0 (every blow-up stage), when the last cell of either
-field is nonzero, when the start holds a -0.0 cell and when q > 1/4.
+smallest subnormal at the rate r = q/(1-q) per cell.  The residual, the
+Jacobian, ``dgtsv`` and the line search then work on a ``Window``: views
+of the integrator's buffers over those cells, made when w changes and kept
+for the next solve.  The returned field is +0.0 past the window.  The
+window is off, at the cost of one scalar compare, when v_b is not +0.0
+(every blow-up stage), when the last cell of either field is nonzero,
+when the start holds a -0.0 cell and when q > 1/4.
 
 The window gives the whole grid's floats, bit for bit.  Say the iterate u
 and the old field are +0.0 (u) and zero (u_old) on the window's last row
@@ -484,7 +485,8 @@ class Integrator:
         """The number of leading cells a solve from ``u_old`` with boundary
         value ``v_b``, beginning at ``start`` (``u_old`` if None), runs on:
         the window margin past the ``end`` of either; all cells when the
-        window is off (module docstring)."""
+        window is off (module docstring).  Both fields are native float64,
+        as ``step`` makes every field it solves from."""
         n = self.grid.cells
         first = u_old if start is None else start
         if not (v_b == 0.0 and u_old[-1] == 0.0 and first[-1] == 0.0):
@@ -493,8 +495,6 @@ class Integrator:
         if (
             not margin
             or math.copysign(1.0, v_b) < 0.0
-            or first.dtype is not _FLOAT
-            or u_old.dtype is not _FLOAT
             or np.minimum.reduce(first.view(np.int64)) == _NEGATIVE_ZERO_BITS
         ):
             return n
@@ -571,7 +571,6 @@ class Integrator:
         return self.start
 
 
-_FLOAT = np.dtype(np.float64)
 # -0.0 read as an int64: the smallest int64, below the bits of every other float
 _NEGATIVE_ZERO_BITS = np.int64(-(2**63))
 # 2^-1075, half the smallest subnormal, rounds to zero; a window's margin

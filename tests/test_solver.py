@@ -260,15 +260,19 @@ def signed_newton_cases(draw):
 def zero_tail_newton_cases(draw, clean=False):
     """Newton solves from a field that is +0.0 on a tail longer than the
     window margin of the drawn step, so that the solve can run on a window
-    of the grid.  The zero cells' Jacobian coupling q = dt coeff m eps runs
-    up to about 1/4, above which there is no window.  Unless ``clean``, the
-    boundary value may be -0.0, and the field may hold -0.0 cells, in its
-    tail too, or a cell of +-1e200.  The "pivoting" kind makes coeff_minus
-    grow outward up to 1000-fold, as if the cell volumes shrank, so that
-    LAPACK swaps rows in the support."""
+    of the grid, and the number of the solve's first LAPACK calls that
+    report a singular system.  The zero cells' Jacobian coupling
+    q = dt coeff m eps runs up to about 1/4, above which there is no window.
+    Unless ``clean``, the boundary value may be -0.0, and the field may hold
+    -0.0 cells, in its tail too, or a cell of +-1e200.  The "pivoting" kind
+    makes coeff_minus grow outward up to 1000-fold, as if the cell volumes
+    shrank, so that LAPACK swaps rows in the support.  The "singular" kind,
+    never ``clean``, has its first one or two LAPACK calls report a
+    singular system; the other kinds none."""
     manifold = draw(st.sampled_from(FAMILIES))
     m = draw(st.floats(min_value=1.2, max_value=4.0))
-    kind = draw(st.sampled_from(["plain", "pivoting"]))
+    kinds = ["plain", "pivoting"] if clean else ["plain", "pivoting", "singular"]
+    kind = draw(st.sampled_from(kinds))
     support = draw(st.integers(min_value=1, max_value=30))
     tail = draw(st.integers(min_value=40, max_value=800))
     cells = support + tail
@@ -296,10 +300,8 @@ def zero_tail_newton_cases(draw, clean=False):
         )
     v_b = 0.0 if clean else draw(st.sampled_from([0.0, 0.0, -0.0]))
     max_iter = draw(st.integers(min_value=1, max_value=30))
-    return grid, u_old, m, dt, v_b, max_iter
-
-
-NEWTON_CASES = st.one_of(signed_newton_cases(), zero_tail_newton_cases())
+    singular = draw(st.integers(min_value=1, max_value=2)) if kind == "singular" else 0
+    return grid, u_old, m, dt, v_b, max_iter, singular
 
 
 def same_bytes(a, b):
@@ -319,29 +321,41 @@ def recorded_dgtsv(real_dgtsv, singular=0):
     return call, rows
 
 
-@given(NEWTON_CASES, st.integers(min_value=0, max_value=2))
-@settings(max_examples=500, deadline=None)
-def test_newton_solve_is_bitwise_the_plain_kernel(case, singular):
-    # the first ``singular`` LAPACK calls of each kernel report a singular
-    # system, which fails the solve at its start
+def assert_newton_solve_is_the_plain_kernel(case, singular=0, start=None):
+    """The Newton solve of ``case`` from ``start`` gives the plain kernel's
+    bytes, when the first ``singular`` LAPACK calls of each kernel report a
+    singular system, which fails the solve at its start."""
     grid, u_old, m, dt, v_b, max_iter = case
     args = (u_old, v_b, dt, grid, m, 1e-10, max_iter)
     real_dgtsv = solver.dgtsv
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(solver, "dgtsv", recorded_dgtsv(real_dgtsv, singular)[0])
-        u, ok, res = solver._newton_solve(*args)
+        u, ok, res = solver._newton_solve(*args, start=start)
         mp.setattr(solver, "dgtsv", recorded_dgtsv(real_dgtsv, singular)[0])
-        u_ref, ok_ref, res_ref = plain_newton_solve(*args)
+        u_ref, ok_ref, res_ref = plain_newton_solve(*args, start=start)
     assert same_bytes(u, u_ref)
     assert ok == ok_ref
     assert same_bytes(res, res_ref)
 
 
-@given(NEWTON_CASES, st.integers(min_value=1, max_value=3))
-@settings(max_examples=100, deadline=None)
-def test_step_through_halvings_is_bitwise_the_plain_kernel(case, singular):
-    # the first ``singular`` LAPACK calls of each run report a singular
-    # system, so ``step`` halves whenever its first solve needs an iteration
+@given(signed_newton_cases())
+@settings(max_examples=300, deadline=None)
+def test_newton_solve_is_bitwise_the_plain_kernel(case):
+    assert_newton_solve_is_the_plain_kernel(case)
+
+
+@given(zero_tail_newton_cases())
+@settings(max_examples=300, deadline=None)
+def test_zero_tail_newton_solve_is_bitwise_the_plain_kernel(case):
+    *case, singular = case
+    assert_newton_solve_is_the_plain_kernel(case, singular)
+
+
+def assert_step_through_halvings_is_the_plain_kernel(case, singular):
+    """``step`` on ``case`` gives the plain kernel's bytes, or its error,
+    when the first ``singular`` LAPACK calls of each run report a singular
+    system, so that ``step`` halves whenever its first solve needs an
+    iteration."""
     grid, u_old, m, dt, _, _ = case
     cfg = small_cfg(1.0, m=m)
     real_dgtsv = solver.dgtsv
@@ -363,6 +377,19 @@ def test_step_through_halvings_is_bitwise_the_plain_kernel(case, singular):
         assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
 
 
+@given(signed_newton_cases(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_step_through_halvings_is_bitwise_the_plain_kernel(case, singular):
+    assert_step_through_halvings_is_the_plain_kernel(case, singular)
+
+
+@given(zero_tail_newton_cases(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_zero_tail_step_through_halvings_is_bitwise_the_plain_kernel(case, singular):
+    # every case is run through halvings, whatever its own kind
+    assert_step_through_halvings_is_the_plain_kernel(case[:-1], singular)
+
+
 @given(zero_tail_newton_cases(clean=True))
 @settings(max_examples=100, deadline=None)
 def test_zero_tail_solves_run_on_fewer_rows_than_cells(case):
@@ -370,7 +397,7 @@ def test_zero_tail_solves_run_on_fewer_rows_than_cells(case):
     # whose tail is longer than the margin: every LAPACK call until the
     # first on the whole grid solves fewer rows, and only a window's
     # direction reaching its last row sends the solve to the whole grid
-    grid, u_old, m, dt, v_b, max_iter = case
+    grid, u_old, m, dt, v_b, max_iter, _ = case
     counting, rows = recorded_dgtsv(solver.dgtsv)
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(solver, "dgtsv", counting)
@@ -392,16 +419,11 @@ def test_newton_solve_from_a_start_on_a_window_is_bitwise_the_plain_kernel(case,
     # the leading share ``kept`` of its support and +0.0 past it, so that the
     # old field may reach past the start.  The window is set by both, and
     # -0.0 cells of the old field do not matter
-    grid, u_old, m, dt, v_b, max_iter = case
+    *case, singular = case
+    u_old = case[1]
     start = np.where(u_old != 0.0, u_old * (1.0 + shift), 0.0)
     start[int(kept * (np.flatnonzero(u_old).max(initial=-1) + 1)) :] = 0.0
-    args = (u_old, v_b, dt, grid, m, 1e-10, max_iter)
-    with np.errstate(all="ignore"):
-        u, ok, res = solver._newton_solve(*args, start=start)
-        u_ref, ok_ref, res_ref = plain_newton_solve(*args, start=start)
-    assert same_bytes(u, u_ref)
-    assert ok == ok_ref
-    assert same_bytes(res, res_ref)
+    assert_newton_solve_is_the_plain_kernel(case, singular, start)
 
 
 def test_a_window_whose_direction_reaches_its_last_row_goes_on_on_the_whole_grid(
