@@ -73,6 +73,11 @@ from .solver import (
 )
 from .xlog import LogNorm, RadialDatum, norm_limit
 
+# the numpy functions of the per-stage audit, bound once as in ``solver``;
+# a reduction over axis None takes every entry of a stacked array
+_absolute, _divide, _subtract = np.absolute, np.divide, np.subtract
+_all, _max = np.logical_and.reduce, np.maximum.reduce
+
 DELTA_BISECT_TOL = 1e-6
 S_MIN_FACTOR = 1e-8  # stall cutoff S_n < factor * T_1
 
@@ -145,10 +150,10 @@ def stage_delta(u: np.ndarray, wm: np.ndarray, m: float) -> float:
     every cell: 0 when it passes, and otherwise the bisection's upper end,
     which moves only to a shift that passed.
     """
-    hi = float(np.max(wm))
+    hi = float(_max(wm))
 
     def admissible(delta):
-        return bool(np.all(u >= shift_root(wm, delta, m) - 1e-14))
+        return bool(_all(u >= shift_root(wm, delta, m) - 1e-14))
 
     if admissible(0.0):
         return 0.0
@@ -257,7 +262,8 @@ class BlowupConfig:
 
 def _recorded_lognorm(u: np.ndarray, weight: np.ndarray, tail_est: float) -> float:
     """Norm of the extended field: grid part plus analytic tail part."""
-    return max(float((np.abs(u) / weight).max()), tail_est)
+    ratio = _absolute(u)
+    return max(float(_max(_divide(ratio, weight, ratio))), tail_est)
 
 
 def sandwich_gaps(traj: Trajectory, m, horizon, v_base, s_super, norm_far, far_weight) -> tuple:
@@ -268,12 +274,13 @@ def sandwich_gaps(traj: Trajectory, m, horizon, v_base, s_super, norm_far, far_w
     Recorded times increase, so those early records are a prefix of the
     trajectory, and its length is a bisection of the times."""
     fields = traj.stacked
-    lower_gap = float((separable_envelopes(traj.times, horizon, m, 1.0, v_base) - fields).max())
+    low = separable_envelopes(traj.times, horizon, m, 1.0, v_base)
+    lower_gap = float(_max(_subtract(low, fields, low), None))
     early = bisect_left(traj.times, 0.95 * s_super)
     if not early:
         return lower_gap, -math.inf
     up = separable_envelopes(traj.times[:early], s_super, m, norm_far, far_weight)
-    return lower_gap, float((fields[:early] - up).max())
+    return lower_gap, float(_max(_subtract(fields[:early], up, up), None))
 
 
 def run_blowup(

@@ -92,18 +92,54 @@ def _indented(obj, newline: str) -> str:
     indentation of its items, and gets its brackets placed at its depth.
     """
     inner = newline + "  "
+    flat = _flat_encoder(inner)
     if isinstance(obj, dict):
         if not any(isinstance(val, (dict, list)) for val in obj.values()):
-            flat = json.dumps(obj, separators=("," + inner, ": "), sort_keys=True, allow_nan=False)
-            return flat if not obj else "{" + inner + flat[1:-1] + newline + "}"
+            text = flat(obj)
+            return text if not obj else "{" + inner + text[1:-1] + newline + "}"
         items = [f"{json.dumps(key)}: {_indented(obj[key], inner)}" for key in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, list):
         if not any(isinstance(val, (dict, list)) for val in obj):
-            flat = json.dumps(obj, separators=("," + inner, ": "), allow_nan=False)
-            return flat if not obj else "[" + inner + flat[1:-1] + newline + "]"
+            text = flat(obj)
+            return text if not obj else "[" + inner + text[1:-1] + newline + "]"
         return "[" + inner + ("," + inner).join(_indented(val, inner) for val in obj) + newline + "]"
-    return json.dumps(obj, allow_nan=False)
+    return flat(obj)
+
+
+# ``_flat_encoder`` of each line start, built on first use
+_FLAT_ENCODERS: dict = {}
+
+
+def _flat_encoder(inner: str):
+    """``json.dumps(obj, separators=("," + inner, ": "), sort_keys=True,
+    allow_nan=False)`` as a function of a scalar or a container of scalars
+    (a list's items are not sorted), kept in ``_FLAT_ENCODERS``.
+
+    ``json.dumps`` builds a ``JSONEncoder`` and its C encoder on every call,
+    which took about as long as encoding a ledger stage.  A container of
+    scalars cannot hold itself, so the C encoder is made without the
+    circular-reference markers.  Without the C extension, ``json``'s own
+    encoder does the work.
+    """
+    encode = _FLAT_ENCODERS.get(inner)
+    if encode is not None:
+        return encode
+    encoder = json.JSONEncoder(separators=("," + inner, ": "), sort_keys=True, allow_nan=False)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        encode = encoder.encode
+    else:
+        c_encode = make(
+            None, encoder.default, json.encoder.encode_basestring_ascii, None,
+            encoder.key_separator, encoder.item_separator, True, False, False,
+        )
+
+        def encode(obj) -> str:
+            return "".join(c_encode(obj, 0))
+
+    _FLAT_ENCODERS[inner] = encode
+    return encode
 
 
 def write_json(path, obj):

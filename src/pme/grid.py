@@ -25,7 +25,16 @@ import numpy as np
 from .errors import DomainError
 from .geometry import ModelManifold, log_sphere_area
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# 5-point Gauss-Legendre nodes and weights on [-1, 1], the float64 values of
+# ``numpy.polynomial.legendre.leggauss(5)`` (tests/test_grid.py checks them),
+# written out because importing ``numpy.polynomial`` slows every ``pme`` start
+_GL_NODES = np.array(
+    [-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664]
+)
+_GL_WEIGHTS = np.array(
+    [0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
+     0.23692688505618928]
+)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,10 +31,11 @@ a ``-0.0`` cell (odd data make them), could change.  At ``lam == 1`` the
 step skips the multiply, because ``1.0 * x`` is exact.
 
 A run's state is one ``Integrator`` on its grid and exponent m.  It holds
-the work arrays of a solve (the Jacobian, |u|, v and its face jumps, the
-residual and the line-search trial), so a solve allocates only the copy of
-the field it returns; no returned or recorded field is one of its buffers,
-and ``Trajectory.record`` stores the array it is given.  It keeps the
+the work arrays of a solve (the Jacobian and the flags of its finite test,
+|u|, v and its face jumps, the residual and the line-search trial), so a
+solve allocates only the copy of the field it returns; no returned or
+recorded field is one of its buffers, and ``Trajectory.record`` stores the
+array it is given.  It keeps the
 dt-scaled face coefficients and Jacobian factors until the step size
 changes, and v_b - v[-1] of the last residual evaluated, the accepted
 field's boundary jump, from which ``step`` sums the boundary outflow.  The
@@ -172,6 +173,20 @@ passed positionally, because f2py parses keyword arguments on every call:
 at 250 cells a call took 6.8 us with keywords and 5.6 us without (Python
 3.11, scipy 1.17, one core of a Xeon VM).
 
+The numpy functions of the step kernel are called the same way: through
+names bound once at import (``_multiply = np.multiply``, ``_max =
+np.maximum.reduce``), each with its output passed positionally, the
+in-place operators included (``dv += eps`` is ``_add(dv, eps, dv)``).  A
+keyword ``out=`` is parsed on every call, and ``np.multiply`` or
+``np.maximum.reduce`` is looked up on the module, and the bound method made,
+on every call.  At 250 cells a ufunc call took 785 ns as
+``np.multiply(a, b, out=o)`` and 678 ns as ``_multiply(a, b, o)``, and a
+residual evaluation 10.3 us against 9.2 us (medians of 40 alternating
+batches; Python 3.11, numpy 2.4, one core of a Xeon VM).  It is the same
+ufunc on the same operands with the same casting, so every float is the
+same; ``tests/test_solver.py`` pins the calls of a residual evaluation and
+of a Newton iteration.
+
 Boundary conditions at rho = R: homogeneous Dirichlet, or the time-dependent
 trace of a shifted separable subsolution (used by the blow-up iteration);
 values are imposed at the new time level.
@@ -246,6 +261,12 @@ def _load_dgtsv():
 
 
 dgtsv = _load_dgtsv()
+
+# the numpy functions of the step kernel, bound once (module docstring)
+_absolute, _add, _multiply, _negative = np.absolute, np.add, np.multiply, np.negative
+_power, _sign, _subtract = np.power, np.sign, np.subtract
+_isfinite, _not_equal, _copyto = np.isfinite, np.not_equal, np.copyto
+_all, _max, _min = np.logical_and.reduce, np.maximum.reduce, np.minimum.reduce
 
 
 def tau_h(h: float, scale: float = 1.0) -> float:
@@ -407,23 +428,26 @@ class Window:
         self.u, self.u_abs, self.g = work.u[:w], work.u_abs[:w], work.g[:w]
         self.trial, self.trial_abs = work.trial[:w], work.trial_abs[:w]
         self.g_trial = work.g_trial[:w]
+        # which entries of the Jacobian, and of a Newton direction, are finite
+        self.jac_finite = work.finite[: 3 * w - 2]
+        self.finite = self.jac_finite[:w]
         self.m = work.m
 
     def residual(self, u_old, u, u_abs, g) -> float:
         """Write |u| to ``u_abs`` and the residual of the step from ``u_old``
         to ``g``; return max|g|."""
         v, flux, scratch = self.v, self.flux, self.scratch
-        np.absolute(u, out=u_abs)
-        np.power(u_abs, self.m, out=v)
-        np.sign(u, out=scratch)
-        np.multiply(scratch, v, out=v)
-        np.subtract(self.v_right, self.v_left, out=self.jump)
-        np.multiply(self.cp, self.jump_out, out=flux)
-        np.multiply(self.cm, self.jump_in, out=scratch)
-        np.subtract(flux, scratch, out=flux)
-        np.subtract(u, u_old, out=g)
-        np.subtract(g, flux, out=g)
-        return float(np.maximum.reduce(np.absolute(g, out=scratch)))
+        _absolute(u, u_abs)
+        _power(u_abs, self.m, v)
+        _sign(u, scratch)
+        _multiply(scratch, v, v)
+        _subtract(self.v_right, self.v_left, self.jump)
+        _multiply(self.cp, self.jump_out, flux)
+        _multiply(self.cm, self.jump_in, scratch)
+        _subtract(flux, scratch, flux)
+        _subtract(u, u_old, g)
+        _subtract(g, flux, g)
+        return float(_max(_absolute(g, scratch)))
 
 
 class Integrator:
@@ -450,7 +474,7 @@ class Integrator:
         self.coeff_pm = np.concatenate([grid.coeff_plus, grid.coeff_minus])
         self.coeff_max = float(np.max(self.coeff_pm))
         self.coeffs, self.neg, self.c_diag = np.empty(2 * n), np.empty(2 * n), np.empty(n)
-        self.jac = np.empty(3 * n - 2)
+        self.jac, self.finite = np.empty(3 * n - 2), np.empty(3 * n - 2, dtype=np.bool_)
         self.dv, self.vpad, self.jump = np.empty(n), np.zeros(n + 2), np.zeros(n + 1)
         self.flux, self.scratch = np.empty(n), np.empty(n)
         # the current point u with |u| and its residual g, and the same three
@@ -473,9 +497,9 @@ class Integrator:
         and set ``coupling``, the q of the window margin, for that step
         size."""
         if dt != self.dt:
-            np.multiply(dt, self.coeff_pm, out=self.coeffs)
-            np.add(self.whole.cp, self.whole.cm, out=self.c_diag)
-            np.negative(self.coeffs, out=self.neg)
+            _multiply(dt, self.coeff_pm, self.coeffs)
+            _add(self.whole.cp, self.whole.cm, self.c_diag)
+            _negative(self.coeffs, self.neg)
             self.dt = dt
             # the largest off-diagonal Jacobian entry of a zero cell, where
             # dv = m (0 + eps)
@@ -495,7 +519,7 @@ class Integrator:
         if (
             not margin
             or math.copysign(1.0, v_b) < 0.0
-            or np.minimum.reduce(first.view(np.int64)) == _NEGATIVE_ZERO_BITS
+            or _min(first.view(np.int64)) == _NEGATIVE_ZERO_BITS
         ):
             return n
         end = self.end(first)
@@ -517,7 +541,7 @@ class Integrator:
         n = self.grid.cells
         if u[-1] != 0.0:
             return n
-        np.not_equal(u.view(np.int64), 0, out=self.nonzero)
+        _not_equal(u.view(np.int64), 0, self.nonzero)
         k = int(self.nonzero_from_end.argmax())  # 0 when every cell is +0.0
         return n - k if self.nonzero_from_end[k] else 0
 
@@ -552,22 +576,21 @@ class Integrator:
             and levels[4][0] == d
         ):
             (_, u4, _), (_, u3, _), (_, u2, _), (_, u1, _), (_, u0, _) = levels
-            np.multiply(5.0, u0, out=out)
-            out -= np.multiply(10.0, u1, out=tmp)
-            out += np.multiply(10.0, u2, out=tmp)
-            out -= np.multiply(5.0, u3, out=tmp)
-            out += u4
+            _multiply(5.0, u0, out)
+            _subtract(out, _multiply(10.0, u1, tmp), out)
+            _add(out, _multiply(10.0, u2, tmp), out)
+            _subtract(out, _multiply(5.0, u3, tmp), out)
+            _add(out, u4, out)
         elif len(levels) == 2:
             (_, u1, _), (a, u0, _) = levels
-            np.subtract(u0, u1, out=tmp)
-            tmp *= d / a
-            np.add(u0, tmp, out=out)
+            _multiply(_subtract(u0, u1, tmp), d / a, tmp)
+            _add(u0, tmp, out)
         else:
             (_, u2, _), (b, u1, _), (a, u0, _) = levels[-3:]
             ab = a + b
-            np.multiply((d + a) * (d + ab) / (a * ab), u0, out=out)
-            out += np.multiply(-d * (d + ab) / (a * b), u1, out=tmp)
-            out += np.multiply(d * (d + a) / (ab * b), u2, out=tmp)
+            _multiply((d + a) * (d + ab) / (a * ab), u0, out)
+            _add(out, _multiply(-d * (d + ab) / (a * b), u1, tmp), out)
+            _add(out, _multiply(d * (d + a) / (ab * b), u2, tmp), out)
         return self.start
 
 
@@ -627,6 +650,7 @@ def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None)
             win = work.window = work.whole if w == n else Window(work, w)
         c_diag, c_upper, c_lower = win.c_diag, win.c_upper, win.c_lower
         jac, diag, upper, lower = win.jac, win.diag, win.upper, win.lower
+        jac_finite, finite = win.jac_finite, win.finite
         dv, dv_upper, dv_lower = win.dv, win.dv_upper, win.dv_lower
         win.vpad[-1] = v_b
         residual = win.residual
@@ -635,7 +659,7 @@ def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None)
         u, u_abs, g = win.u, win.u_abs, win.g
         trial, trial_abs, g_trial = win.trial, win.trial_abs, win.g_trial
         if start is not work.u:
-            np.copyto(work.u, u_old if start is None else start)
+            _copyto(work.u, u_old if start is None else start)
         old = u_old
         if w < n:
             # the cells past the window stay +0.0 in both buffers the field
@@ -645,36 +669,36 @@ def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None)
             work.jump[-1] = 0.0
         g_norm = residual(old, u, u_abs, g)
         # the target is set by u_old; trial_abs is free until the first trial
-        old_abs = u_abs if start is None else np.absolute(old, out=trial_abs)
-        target = _newton_target(float(np.maximum.reduce(old_abs)), v_b, m, tol)
+        old_abs = u_abs if start is None else _absolute(old, trial_abs)
+        target = _newton_target(float(_max(old_abs)), v_b, m, tol)
         for done in range(max_iter):
             if g_norm <= target:
                 return u.base.copy(), True, g_norm
             if not math.isfinite(g_norm):
                 return u.base.copy(), False, g_norm
-            np.power(u_abs, m - 1.0, out=dv)
-            dv += JACOBIAN_EPS
-            dv *= m
-            np.multiply(c_diag, dv, out=diag)
-            diag += 1.0
-            np.multiply(c_upper, dv_upper, out=upper)
-            np.multiply(c_lower, dv_lower, out=lower)
-            if not np.logical_and.reduce(np.isfinite(jac)):
+            _power(u_abs, m - 1.0, dv)
+            _add(dv, JACOBIAN_EPS, dv)
+            _multiply(dv, m, dv)
+            _multiply(c_diag, dv, diag)
+            _add(diag, 1.0, diag)
+            _multiply(c_upper, dv_upper, upper)
+            _multiply(c_lower, dv_lower, lower)
+            if not _all(_isfinite(jac, jac_finite)):
                 return u.base.copy(), False, g_norm
             # overwrite_dl, overwrite_d, overwrite_du, overwrite_b
-            _, d, _, delta, info = dgtsv(lower, diag, upper, np.negative(g, out=g), 1, 1, 1, 1)
+            _, d, _, delta, info = dgtsv(lower, diag, upper, _negative(g, g), 1, 1, 1, 1)
             if w < n and not _window_holds(info, w, delta, d):
                 break
-            if info != 0 or not np.logical_and.reduce(np.isfinite(delta)):
+            if info != 0 or not _all(_isfinite(delta, finite)):
                 return u.base.copy(), False, g_norm
             # Armijo backtracking; a non-finite trial norm fails the test too.
             # The accepted trial point and its residual become the next iterate.
             lam = 1.0
             while lam > 2.0**-30:
                 if lam == 1.0:
-                    np.add(u, delta, out=trial)
+                    _add(u, delta, trial)
                 else:
-                    np.add(u, np.multiply(lam, delta, out=trial), out=trial)
+                    _add(u, _multiply(lam, delta, trial), trial)
                 g_trial_norm = residual(old, trial, trial_abs, g_trial)
                 if g_trial_norm < (1.0 - 0.25 * lam) * g_norm or g_trial_norm <= target:
                     u, trial = trial, u
@@ -685,7 +709,7 @@ def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None)
                 lam *= 0.5
             else:
                 # no trial accepted: take the smallest step, not yet evaluated
-                np.add(u, np.multiply(lam, delta, out=trial), out=trial)
+                _add(u, _multiply(lam, delta, trial), trial)
                 u, trial = trial, u
                 g_norm = residual(old, u, u_abs, g)
         else:
@@ -769,7 +793,7 @@ def _check_shape(u, grid: RadialGrid, what: str):
 
 
 def _check_finite(u):
-    if not np.logical_and.reduce(np.isfinite(u)):
+    if not _all(_isfinite(u)):
         raise SolverError("non-finite field entering step")
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import stat
@@ -1074,3 +1075,48 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_json_text_is_the_indented_json_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_json_text_without_the_c_encoder_is_the_indented_json_dumps(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(cli, "_FLAT_ENCODERS", {})
+    obj = {"a": [1.5, None, True, "xé"], "b": {"c": 2, "d": []}, "e": [[], {"f": -0.0}], "g": 1e300}
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    # the flat containers went to json's pure-Python encoder
+    assert cli._FLAT_ENCODERS
+    assert all(isinstance(f.__self__, json.JSONEncoder) for f in cli._FLAT_ENCODERS.values())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_json_text_refuses_a_non_finite_float_it_is_handed_directly(value):
+    # _json_text writes non-finite floats as null; the encoders below it
+    # still refuse one, as json.dumps(..., allow_nan=False) does
+    with pytest.raises(ValueError):
+        cli._indented([1.0, value], "\n")
+
+
+STARTUP_PROBE = """
+import sys
+import numpy
+before = set(sys.modules)
+import pme.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_starting_pme_loads_neither_numpy_polynomial_nor_scipy_linalg():
+    # every pme command pays for its imports first: the grid's Gauss-Legendre
+    # rule is written out instead of computed by numpy.polynomial, and the
+    # solver loads dgtsv from scipy's LAPACK extension without scipy.linalg.
+    # Modules that ``import numpy`` loads itself (numpy.polynomial before
+    # numpy 2) are not pme's doing.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "pme.cli" in loaded
+    assert "numpy.polynomial" not in loaded
+    assert "scipy.linalg" not in loaded

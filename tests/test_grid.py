@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pme import geometry
+from pme import geometry, grid
 from pme.errors import DomainError
 from pme.grid import RadialGrid
 
@@ -85,3 +85,9 @@ def test_ratios_may_underflow_to_zero(c):
     assert (g.coeff_minus[-1] == 0.0) == (c == 100.0)
     assert np.all(g.coeff_plus > 0)
     assert np.all(np.isfinite(g.coeff_minus)) and np.all(np.isfinite(g.coeff_plus))
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert grid._GL_NODES.tobytes() == nodes.tobytes()
+    assert grid._GL_WEIGHTS.tobytes() == weights.tobytes()

@@ -1166,6 +1166,62 @@ def test_positional_flags_overwrite_in_place_as_the_keywords_do(system):
         assert same_bytes(got, want) and same_bytes(a, ref_a)
 
 
+# The numpy calls of the step kernel, by their names in ``solver``: one
+# residual evaluation, and one Newton iteration from the Jacobian to the
+# trial point at lam = 1 (its LAPACK call included).  A call written as
+# ``np.<ufunc>(...)`` again, or one made with a keyword argument, or one
+# more call, changes these lists.
+RESIDUAL_CALLS = [
+    "_absolute", "_power", "_sign", "_multiply", "_subtract", "_multiply", "_multiply",
+    "_subtract", "_subtract", "_subtract", "_absolute", "_max",
+]
+NEWTON_ITERATION_CALLS = [
+    "_power", "_add", "_multiply", "_multiply", "_add", "_multiply", "_multiply",
+    "_isfinite", "_all", "_negative", "dgtsv", "_isfinite", "_all", "_add",
+]
+KERNEL_NAMES = [
+    "_absolute", "_add", "_all", "_copyto", "_isfinite", "_max", "_min", "_multiply",
+    "_negative", "_not_equal", "_power", "_sign", "_subtract", "dgtsv",
+]
+
+
+def test_a_blowup_step_makes_the_pinned_kernel_calls(monkeypatch):
+    # one barrier-Dirichlet step of the blow-up run's shape (quad-critical,
+    # R = 25, 250 cells) from a field that starts a history: the field is
+    # checked, the coefficients scaled and the field copied in; then the
+    # residual, the target's max|u_old|, and per Newton iteration the
+    # Jacobian, LAPACK and the trial point with its residual
+    grid = RadialGrid.uniform(geometry.quad_critical(0.5, 3), 25.0, 250)
+    params = barriers.BarrierParams(1.0, 2.0, horizon=1.0, m=2.0)
+    cfg = small_cfg(1.0, boundary=solver.BarrierDirichlet(params))
+    u0 = barriers.shifted_subsolution(params, 0.0, grid.centers)
+    want, want_outflow = solver.step(u0, 0.0, 1e-3, grid, cfg)
+
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kw):
+            calls.append(f"{name} with {sorted(kw)}" if kw else name)
+            return fn(*args, **kw)
+
+        return call
+
+    for name in KERNEL_NAMES:
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    got, outflow = solver.step(u0, 0.0, 1e-3, grid, cfg)
+    monkeypatch.undo()
+    assert same_bytes(got, want) and same_bytes(outflow, want_outflow)
+
+    iterations = calls.count("dgtsv")
+    assert iterations >= 1
+    assert calls == (
+        ["_isfinite", "_all", "_multiply", "_add", "_negative", "_copyto"]
+        + RESIDUAL_CALLS
+        + ["_max"]
+        + (NEWTON_ITERATION_CALLS + RESIDUAL_CALLS) * iterations
+    )
+
+
 SOLVE_DIGEST = """
 import hashlib
 import numpy as np
