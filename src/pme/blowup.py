@@ -59,7 +59,7 @@ from .barriers import (
     subsolution_params,
     supersolution_amplitude,
 )
-from .errors import CertificateError, DomainError, NotApplicableError, StageError
+from .errors import CertificateError, DomainError, NotApplicableError, StageError, is_count
 from .geometry import ComparisonConstants
 from .grid import RadialGrid
 from .solver import (
@@ -254,8 +254,8 @@ class BlowupConfig:
             raise DomainError("blow-up run needs a finite m > 1")
         if not 1.0 < self.threshold_factor < math.inf:
             raise DomainError("blow-up threshold factor must be > 1 and finite")
-        if self.max_stages < 1 or self.steps_per_stage < 5:
-            raise DomainError("max_stages must be >= 1 and steps_per_stage >= 5")
+        if not (is_count(self.max_stages, 1) and is_count(self.steps_per_stage, 5)):
+            raise DomainError("max_stages and steps_per_stage must be integers, >= 1 and >= 5")
         if not (0 < self.newton_tol < math.inf and 2.0 <= self.norm_r < math.inf):
             raise DomainError("newton_tol must be positive, norm_r >= 2, and both finite")
 

@@ -437,11 +437,13 @@ def cmd_sweep(args) -> int:
     cfgs = [{**base, key: form.format(tok)} for tok in tokens]
     for cfg in cfgs:
         _blowup_setup(cfg)  # every row's config and ball are valid before any run starts
-    if args.workers > 1:
+    # a pool starts all its workers at once, so it gets no more than the rows
+    workers = min(args.workers, len(cfgs))
+    if workers > 1:
         # imported here: it costs every other command about 10 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, cfgs))
     else:
         rows = [_sweep_row(cfg) for cfg in cfgs]

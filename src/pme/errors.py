@@ -5,8 +5,11 @@ when it escapes a subcommand: 2 for bad input (``ConfigError``,
 ``DomainError``, ``TailMismatchError``), 3 for a failed certificate
 (``CertificateError``, ``NotApplicableError``) and 4 for a solver breakdown
 (``SolverError``, ``StageError``).  ``EXIT_LABELS`` names each code in the
-CLI's stderr line.
+CLI's stderr line.  ``is_count`` is the test each count the library takes
+(cells, iterations, stages, steps) must pass.
 """
+
+import operator
 
 EXIT_LABELS = {2: "configuration error", 3: "certificate failure", 4: "solver failure"}
 
@@ -50,3 +53,12 @@ class StageError(PMEError):
 class ConfigError(PMEError):
     """Configuration file is malformed or violates a declared constraint."""
     exit_code = 2
+
+
+def is_count(value, minimum: int) -> bool:
+    """Whether ``value`` is an integer that ``operator.index`` takes (an int
+    or a numpy integer, not a float) and is at least ``minimum``."""
+    try:
+        return operator.index(value) >= minimum
+    except TypeError:
+        return False

@@ -30,12 +30,13 @@ exact zero, so the sign of a zero direction entry, and with it the sign of
 a ``-0.0`` cell (odd data make them), could change.  At ``lam == 1`` the
 step skips the multiply, because ``1.0 * x`` is exact.
 
-A run's state is one ``Integrator`` on its grid and exponent m.  It holds
-the work arrays of a solve (the Jacobian and the flags of its finite test,
-|u|, v and its face jumps, the residual and the line-search trial), so a
-solve allocates only the copy of the field it returns; no returned or
-recorded field is one of its buffers, and ``Trajectory.record`` stores the
-array it is given.  It keeps the
+A run's state is one ``Integrator``, the owner of its grid and exponent m:
+the Newton kernel reads both from it, and ``step`` refuses another's with
+DomainError (exit code 2).  It holds the work arrays of a solve (the
+Jacobian and the flags of its finite test, |u|, v and its face jumps, the
+residual and the line-search trial), so a solve allocates only the copy of
+the field it returns; no returned or recorded field is one of its buffers,
+and ``Trajectory.record`` stores the array it is given.  It keeps the
 dt-scaled face coefficients and Jacobian factors until the step size
 changes, and v_b - v[-1] of the last residual evaluated, the accepted
 field's boundary jump, from which ``step`` sums the boundary outflow.  The
@@ -217,7 +218,7 @@ from .barriers import (
     shifted_subsolution,
     supersolution_amplitude,
 )
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, is_count
 from .geometry import ComparisonConstants, ModelManifold
 from .grid import RadialGrid
 from .xlog import LogNorm, RadialDatum, log_norm, norm_limit
@@ -332,8 +333,8 @@ class SolverConfig:
             raise DomainError("newton_tol and t_end must be positive and finite")
         if not 2.0 <= self.norm_r < math.inf:
             raise DomainError(f"norm_r must be finite and >= 2, got {self.norm_r!r}")
-        if self.newton_max_iter < 1 or self.snapshot_stride < 1:
-            raise DomainError("newton_max_iter and snapshot_stride must be >= 1")
+        if not (is_count(self.newton_max_iter, 1) and is_count(self.snapshot_stride, 1)):
+            raise DomainError("newton_max_iter and snapshot_stride must be integers >= 1")
 
 
 @dataclass
@@ -506,14 +507,14 @@ class Integrator:
             self.coupling = dt * self.coeff_max * (JACOBIAN_EPS * self.m)
 
     def window_end(self, u_old, start, v_b) -> int:
-        """The number of leading cells a solve from ``u_old`` with boundary
-        value ``v_b``, beginning at ``start`` (``u_old`` if None), runs on:
-        the window margin past the ``end`` of either; all cells when the
-        window is off (module docstring).  Both fields are native float64,
-        as ``step`` makes every field it solves from."""
+        """The number of leading cells a solve from ``u_old`` with the zero
+        boundary value ``v_b``, beginning at ``start`` (``u_old`` if None),
+        runs on: the window margin past the ``end`` of either; all cells
+        when the window is off (module docstring).  Both fields are native
+        float64, as ``step`` makes every field it solves from."""
         n = self.grid.cells
         first = u_old if start is None else start
-        if not (v_b == 0.0 and u_old[-1] == 0.0 and first[-1] == 0.0):
+        if not (u_old[-1] == 0.0 and first[-1] == 0.0):
             return n
         margin = _window_margin(self.coupling)
         if (
@@ -623,26 +624,24 @@ def _window_holds(info, w, delta, d) -> bool:
     return delta[-1] == 0.0 and 0.5 <= abs(d[-1]) < 2.0
 
 
-def _newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None):
+def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None):
     """Solve the implicit cell balance; returns (u, converged, residual).
 
     The iteration starts from ``start`` (default ``u_old``), which may be
     the integrator's own ``start`` buffer; the target residual comes from
-    ``u_old`` either way.  ``work`` is the run's ``Integrator`` on ``grid``
-    and ``m`` (a new one if None); the returned field is a copy, never one
-    of its buffers.  Fails (``converged`` False) on a singular Jacobian or
-    on any non-finite diagonal, Newton direction or residual, so that
-    ``step`` halves the step instead of letting NaN or inf into the field.
+    ``u_old`` either way.  ``work`` is the run's ``Integrator``, whose grid
+    and m the solve reads; the returned field is a copy, never one of its
+    buffers.  Fails (``converged`` False) on a singular Jacobian or on any
+    non-finite diagonal, Newton direction or residual, so that ``step``
+    halves the step instead of letting NaN or inf into the field.
 
     The solve runs on the leading ``work.window_end`` cells (module
     docstring).  On a window every LAPACK call is checked, and when a check
     fails the solve goes on from the same point on the whole grid, with
     the iterations it has left.
     """
-    if work is None:
-        work = Integrator(grid, m)
     work.scale(dt)
-    n = grid.cells
+    n, m = work.grid.cells, work.m
     w = n if v_b != 0.0 else work.window_end(u_old, start, v_b)
     while True:
         win = work.window
@@ -729,13 +728,13 @@ def step(
 ) -> tuple[np.ndarray, float]:
     """Advance exactly dt, splitting into half steps when Newton stalls.
 
-    ``integrator`` is the run's ``Integrator`` on ``grid`` and ``cfg.m``;
-    without one the step takes a fresh one.  A step from its newest field
-    itself continues its history: the full-step solve starts from
-    ``integrator.guess(dt)``, and from ``u`` once more if that fails, before
-    any halving.  A step from any other field checks that it is finite and
-    starts a new history.  The returned field is read-only and becomes the
-    newest level.
+    ``integrator`` is the run's ``Integrator``, on ``grid`` itself and
+    ``cfg.m`` (DomainError otherwise); without one the step takes a fresh
+    one.  A step from its newest field itself continues its history: the
+    full-step solve starts from ``integrator.guess(dt)``, and from ``u``
+    once more if that fails, before any halving.  A step from any other
+    field checks that it is finite and starts a new history.  The returned
+    field is read-only and becomes the newest level.
 
     Returns the new field and the accumulated boundary outflow (in the
     grid's scaled mass units) over the increment.
@@ -744,6 +743,10 @@ def step(
         raise DomainError(f"dt must be positive and finite, got {dt!r}")
     if integrator is None:
         integrator = Integrator(grid, cfg.m)
+    elif integrator.grid is not grid:
+        raise DomainError("the integrator runs on another grid")
+    elif cfg.m != integrator.m:
+        raise DomainError(f"the integrator solves m={integrator.m}, the config has m={cfg.m}")
     if integrator.continues(u):
         levels, start = integrator.levels, integrator.guess(dt)
     else:
@@ -770,10 +773,10 @@ def step(
         solves += 1
         ub = cfg.boundary.value(t0 + d, grid.radius)
         v_b = math.copysign(abs(ub) ** cfg.m, ub)
-        args = (u, v_b, d, grid, cfg.m, cfg.newton_tol, cfg.newton_max_iter)
-        u_new, ok, res = _newton_solve(*args, start, integrator)
+        args = (integrator, u, v_b, d, cfg.newton_tol, cfg.newton_max_iter)
+        u_new, ok, res = _newton_solve(*args, start)
         if not ok and start is not None:
-            u_new, ok, res = _newton_solve(*args, None, integrator)
+            u_new, ok, res = _newton_solve(*args)
         start = None
         if not ok:
             failed = (u, v_b, res)
@@ -835,10 +838,6 @@ def solve_ball(
     """
     if integrator is None:
         integrator = Integrator(grid, cfg.m)
-    elif integrator.grid is not grid:
-        raise DomainError("the integrator runs on another grid")
-    elif cfg.m != integrator.m:
-        raise DomainError(f"the integrator solves m={integrator.m}, the config has m={cfg.m}")
     if barrier_horizon is not None and not barrier_horizon > 0:
         raise DomainError(f"barrier_horizon must be positive, got {barrier_horizon!r}")
     horizons = [] if barrier_horizon is None else [barrier_horizon]
@@ -896,9 +895,9 @@ def exhaust(
     radii = list(radii)
     if len(radii) < 3 or any(not b > a for a, b in zip(radii, radii[1:])):
         raise DomainError("need at least 3 strictly increasing radii")
-    if not (0 < radii[0] and radii[-1] < math.inf) or cells_first < 3:
+    if not (0 < radii[0] and radii[-1] < math.inf and is_count(cells_first, 3)):
         raise DomainError(
-            "need finite radii, a positive first radius and >= 3 cells, "
+            "need finite radii, a positive first radius and an integer number of cells >= 3, "
             f"got {radii} and {cells_first}"
         )
     h = radii[0] / cells_first

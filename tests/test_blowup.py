@@ -326,8 +326,9 @@ def stage_run(carried):
     solve_ball = blowup.solve_ball
     fields, solves, moves, first_step_solves, lapack = [], [], [0.0], [], [0]
 
-    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None, work=None):
-        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start, work)
+    def recording_solve(work, u_old, v_b, d, tol, max_iter, start=None):
+        out = newton_solve(work, u_old, v_b, d, tol, max_iter, start)
+        grid, m = work.grid, work.m
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
             coeff = float(np.max(d * (grid.coeff_plus + grid.coeff_minus)))
@@ -487,6 +488,8 @@ def test_validate_checks_the_total_duration_exactly(desk_ledger, change, message
         ("max_stages", 0),
         ("steps_per_stage", 4),
         ("steps_per_stage", 0),
+        ("max_stages", 2.5),
+        ("steps_per_stage", 40.0),
         ("newton_tol", 0.0),
         ("norm_r", 1.5),
     ],

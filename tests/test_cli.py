@@ -529,6 +529,37 @@ steps_per_stage = 10
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("values, pools", [("1,2", [2]), ("1", [])])
+def test_sweep_starts_at_most_one_worker_per_row(tmp_path, monkeypatch, values, pools):
+    # a pool starts all its workers on its first task, so --workers 64 on two
+    # rows must ask for two, and one row must run without a pool.  The fake
+    # pool records its size and runs the rows here, starting no process
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = write_cfg(tmp_path, R12_BLOWUP_CFG)
+    out = tmp_path / "sweep.csv"
+    argv = ["--param", "b", "--values", values, "--workers", "64", "--out", str(out)]
+    assert run_cli("sweep", "--config", cfg, *argv) == 0
+    assert sizes == pools
+    assert len(out.read_text().splitlines()) == 1 + len(values.split(","))
+
+
 def test_sweep_empty_grid(tmp_path):
     cfg = write_cfg(tmp_path, BASE_CFG)
     rc = run_cli("sweep", "--config", cfg, "--param", "b", "--values", "", "--out", str(tmp_path / "s.csv"))

@@ -66,6 +66,10 @@ def test_grid_validation():
         RadialGrid.uniform(M, -1.0, 10)
     with pytest.raises(DomainError):
         RadialGrid.uniform(M, 1.0, 2)
+    # a float count, whole or not, is no integer (numpy integers are)
+    for cells in (10.5, 10.0):
+        with pytest.raises(DomainError, match="integer"):
+            RadialGrid.uniform(M, 1.0, cells)
 
 
 def test_ball_whose_volume_ratios_overflow_is_a_domain_error():

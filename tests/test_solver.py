@@ -70,6 +70,15 @@ def odd_power(u, m):
     return np.sign(u) * np.abs(u) ** m
 
 
+def newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None):
+    """``solver._newton_solve`` called with the plain kernels' arguments:
+    on ``work``, an integrator on ``grid`` and ``m``, or a new one."""
+    if work is None:
+        work = solver.Integrator(grid, m)
+    assert work.grid is grid and work.m == m
+    return solver._newton_solve(work, u_old, v_b, dt, tol, max_iter, start)
+
+
 def reference_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
     """The kernel as it was before the direct LAPACK call and residual reuse."""
     cm = dt * grid.coeff_minus
@@ -142,7 +151,7 @@ def newton_cases(draw):
 def test_newton_solve_matches_reference_kernel(case):
     grid, u_old, m, dt, v_b, max_iter = case
     args = (u_old, v_b, dt, grid, m, 1e-10, max_iter)
-    u, ok, res = solver._newton_solve(*args)
+    u, ok, res = newton_solve(*args)
     u_ref, ok_ref, res_ref = reference_newton_solve(*args)
     assert np.array_equal(u, u_ref)
     assert ok == ok_ref
@@ -210,10 +219,12 @@ def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
     return u, g_norm <= target, g_norm
 
 
-def plain_step_kernel(u_old, v_b, dt, grid, m, tol, max_iter, start, work):
-    """``plain_newton_solve`` as ``step`` calls it: it also leaves in the
-    workspace the boundary jump that ``step`` reads, computed from the
-    returned field as v_b - sign(u)|u|^m at its last cell."""
+def plain_step_kernel(work, u_old, v_b, dt, tol, max_iter, start=None):
+    """``plain_newton_solve`` as ``step`` calls it, on the grid and m of
+    ``work``: it also leaves in the workspace the boundary jump that
+    ``step`` reads, computed from the returned field as v_b - sign(u)|u|^m
+    at its last cell."""
+    grid, m = work.grid, work.m
     u, ok, res = plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start)
     work.jump[-1] = v_b - float(odd_power(u[-1:], m)[0])
     return u, ok, res
@@ -284,7 +295,12 @@ def zero_tail_newton_cases(draw, clean=False):
     # the largest q whose margin ends the window 3 cells before the grid's
     r = 2.0 ** (-solver._TAIL_BITS / (tail - 6))
     q = min(0.25, r / (1.0 + r)) * 10.0 ** draw(st.floats(min_value=-6.0, max_value=0.0))
-    dt = q / (float(np.max(np.concatenate([grid.coeff_plus, grid.coeff_minus]))) * m * 1e-12)
+    coeff_max = float(np.max(np.concatenate([grid.coeff_plus, grid.coeff_minus])))
+    dt = q / (coeff_max * m * 1e-12)
+    # the q the integrator computes from dt (``Integrator.coupling``) may
+    # round to just above 1/4, where there is no window
+    while dt * coeff_max * (solver.JACOBIAN_EPS * m) > 0.25:
+        dt = math.nextafter(dt, 0.0)
     flavour = "clean" if clean else draw(st.sampled_from(["clean", "signed zeros", "huge"]))
     value = st.floats(min_value=-3.0, max_value=3.0).map(lambda x: x + 0.0)  # no -0.0
     if flavour == "signed zeros":
@@ -330,7 +346,7 @@ def assert_newton_solve_is_the_plain_kernel(case, singular=0, start=None):
     real_dgtsv = solver.dgtsv
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(solver, "dgtsv", recorded_dgtsv(real_dgtsv, singular)[0])
-        u, ok, res = solver._newton_solve(*args, start=start)
+        u, ok, res = newton_solve(*args, start=start)
         mp.setattr(solver, "dgtsv", recorded_dgtsv(real_dgtsv, singular)[0])
         u_ref, ok_ref, res_ref = plain_newton_solve(*args, start=start)
     assert same_bytes(u, u_ref)
@@ -401,7 +417,7 @@ def test_zero_tail_solves_run_on_fewer_rows_than_cells(case):
     counting, rows = recorded_dgtsv(solver.dgtsv)
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(solver, "dgtsv", counting)
-        solver._newton_solve(u_old, v_b, dt, grid, m, 1e-10, max_iter)
+        newton_solve(u_old, v_b, dt, grid, m, 1e-10, max_iter)
     windows = rows[: rows.index(grid.cells)] if grid.cells in rows else rows
     assert all(w < grid.cells for w in windows)
     assert rows[len(windows) :] == [grid.cells] * (len(rows) - len(windows))
@@ -437,7 +453,7 @@ def test_a_window_whose_direction_reaches_its_last_row_goes_on_on_the_whole_grid
     args = (u_old, 0.0, 1e-31, grid, 2.0, 1e-10, 30)
     counting, rows = recorded_dgtsv(solver.dgtsv)
     monkeypatch.setattr(solver, "dgtsv", counting)
-    u, ok, res = solver._newton_solve(*args)
+    u, ok, res = newton_solve(*args)
     monkeypatch.undo()
     u_ref, ok_ref, res_ref = plain_newton_solve(*args)
     assert same_bytes(u, u_ref) and ok == ok_ref and same_bytes(res, res_ref)
@@ -460,7 +476,7 @@ def first_call_rows(args, start=None):
     counting, rows = recorded_dgtsv(solver.dgtsv)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "dgtsv", counting)
-        solver._newton_solve(*args, start=start)
+        newton_solve(*args, start=start)
     return rows[0]
 
 
@@ -488,7 +504,7 @@ def test_an_old_field_reaching_past_the_start_widens_the_window():
     start = np.where(np.arange(400) < 10, u_old, 0.0)
     args = (u_old, *rest)
     assert 120 < first_call_rows(args, start=start) < 400
-    got = solver._newton_solve(*args, start=start)
+    got = newton_solve(*args, start=start)
     want = plain_newton_solve(*args, start=start)
     assert same_bytes(got[0], want[0]) and got[1] == want[1] and same_bytes(got[2], want[2])
 
@@ -517,9 +533,9 @@ def test_a_guess_shorter_than_the_old_field_widens_the_window():
 def test_a_window_after_a_whole_grid_solve_reports_a_zero_boundary_jump():
     args = front_args()
     work = solver.Integrator(args[3], 2.0)
-    solver._newton_solve(args[0] + 1.0, 4.0, *args[2:], work=work)
+    newton_solve(args[0] + 1.0, 4.0, *args[2:], work=work)
     assert work.boundary_jump != 0.0
-    u, ok, _ = solver._newton_solve(*args, work=work)
+    u, ok, _ = newton_solve(*args, work=work)
     assert ok and u[-1] == 0.0
     assert same_bytes(work.boundary_jump, 0.0)
 
@@ -547,7 +563,7 @@ def test_a_window_whose_last_pivot_fails_the_check_goes_on_on_the_whole_grid(mon
         return dl, d, du, x, info
 
     monkeypatch.setattr(solver, "dgtsv", faulty)
-    got = solver._newton_solve(*args)
+    got = newton_solve(*args)
     monkeypatch.undo()
     want = plain_newton_solve(*args)
     assert rows[0] < 200 and rows[1:] == [200] * (len(rows) - 1)
@@ -590,10 +606,10 @@ def test_newton_solve_from_a_copy_of_the_old_field_is_the_default_start(case):
     # buffer, which the solve begins from without copying it
     work = solver.Integrator(grid, m)
     with np.errstate(all="ignore"):
-        copied = solver._newton_solve(*args, start=u_old.copy())
+        copied = newton_solve(*args, start=u_old.copy())
         np.copyto(work.start, u_old)
-        in_place = solver._newton_solve(*args, start=work.start, work=work)
-        u_ref, ok_ref, res_ref = solver._newton_solve(*args)
+        in_place = newton_solve(*args, start=work.start, work=work)
+        u_ref, ok_ref, res_ref = newton_solve(*args)
     for u, ok, res in (copied, in_place):
         assert same_bytes(u, u_ref)
         assert ok == ok_ref
@@ -808,11 +824,12 @@ def recorded_run(u0, cfg, grid, handed="integrator"):
     integrator, so that the step makes the run's guess in new arrays.
     """
     eps = np.finfo(float).eps
-    newton_solve, step = solver._newton_solve, solver.step
+    real_solve, step = solver._newton_solve, solver.step
     run = SimpleNamespace(solves=[], moves=[0.0], works=[], outflows=[])
 
-    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None, work=None):
-        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start, work)
+    def recording_solve(work, u_old, v_b, d, tol, max_iter, start=None):
+        out = real_solve(work, u_old, v_b, d, tol, max_iter, start)
+        grid, m = work.grid, work.m
         run.works.append(work)
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
@@ -973,7 +990,7 @@ def test_a_converged_solve_from_a_finite_field_is_finite(case):
     # not check their fields again
     *args, start = case
     with np.errstate(all="ignore"):
-        u, ok, res = solver._newton_solve(*args, start=start)
+        u, ok, res = newton_solve(*args, start=start)
     if ok:
         assert np.logical_and.reduce(np.isfinite(u))
         assert math.isfinite(res)
@@ -1044,6 +1061,17 @@ def test_integrator_rejects_another_grid_or_exponent():
     other = RadialGrid.uniform(geometry.euclidean(2), 1.0, 10)
     with pytest.raises(DomainError, match="another grid"):
         solver.solve_ball(np.zeros(10), small_cfg(0.01), other, integrator=integrator)
+    # step itself: an equal grid that is another object, a grid of another
+    # cell count and another m each raise before any solve, naming the mismatch
+    longer = RadialGrid.uniform(geometry.euclidean(2), 1.0, 20)
+    for g, cfg, match in [
+        (other, small_cfg(0.01), "another grid"),
+        (longer, small_cfg(0.01), "another grid"),
+        (grid, small_cfg(0.01, m=3.0), "the integrator solves m=2.0, the config has m=3.0"),
+    ]:
+        with pytest.raises(DomainError, match=match):
+            solver.step(np.linspace(1.0, 0.1, g.cells), 0.0, 0.01, g, cfg, integrator)
+    assert integrator.levels == []
 
 
 
@@ -1284,7 +1312,7 @@ def newton_args(J=20):
 def test_newton_solve_fails_on_singular_or_nonfinite_system(monkeypatch, stub):
     monkeypatch.setattr(solver, "dgtsv", stub)
     u_old = newton_args()[0]
-    u, ok, res = solver._newton_solve(*newton_args())
+    u, ok, res = newton_solve(*newton_args())
     assert not ok
     assert np.array_equal(u, u_old)  # nothing non-finite reached the iterate
     assert math.isfinite(res)
@@ -1295,7 +1323,7 @@ def test_newton_solve_fails_on_overflowing_field():
     u_old = u_old.copy()
     u_old[5] = 1e200  # |u|^2 overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        u, ok, res = solver._newton_solve(u_old, v_b, dt, g, m, tol, max_iter)
+        u, ok, res = newton_solve(u_old, v_b, dt, g, m, tol, max_iter)
     assert not ok
     assert not math.isfinite(res)
 
@@ -1311,8 +1339,8 @@ def test_step_halves_after_a_singular_system(monkeypatch):
     solved = []
     real_solve = solver._newton_solve
 
-    def recording_solve(u, v_b, d, *rest):
-        out = real_solve(u, v_b, d, *rest)
+    def recording_solve(work, u, v_b, d, *rest):
+        out = real_solve(work, u, v_b, d, *rest)
         solved.append((d, out[1]))
         return out
 
@@ -1328,7 +1356,7 @@ def test_step_spends_at_most_the_substep_budget(monkeypatch):
     calls = []
 
     def fails_above(threshold):
-        def stub(u, v_b, d, *rest):
+        def stub(work, u, v_b, d, *rest):
             calls.append(d)
             return u, d <= threshold, 0.0
 
@@ -1355,7 +1383,7 @@ def test_halving_failure_names_the_last_residual_and_its_target(monkeypatch):
     u0, dt = 100.0 * u_old, 10.0
     monkeypatch.setattr(solver, "dgtsv", fake_dgtsv(info=3))
     d = dt / 2.0**solver.MAX_HALVINGS
-    _, ok, res = solver._newton_solve(u0, v_b, d, g, m, tol, max_iter)
+    _, ok, res = newton_solve(u0, v_b, d, g, m, tol, max_iter)
     target = tol * 100.0
     assert not ok and res > target
     with pytest.raises(SolverError) as exc:
@@ -1371,7 +1399,7 @@ def test_budget_failure_names_the_last_residual_and_its_target(monkeypatch):
     u0 = np.full(10, -3.0)
     failed = []
 
-    def fails_above_1e9(u, v_b, d, *rest):
+    def fails_above_1e9(work, u, v_b, d, *rest):
         if d <= 1e-9:
             return u, True, 0.0
         failed.append(7.0 * d)
@@ -1395,10 +1423,27 @@ def test_dt_policy_rejects_nonpositive_dt_max(dt_max):
 
 
 @pytest.mark.parametrize("key", ["snapshot_stride", "newton_max_iter"])
-@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("value", [0, -1, 1.5, 2.5, 3.0])
 def test_solver_config_rejects_counts_below_one(key, value):
+    # a float count, whole or not, is refused too: the kernel's range() raised
+    # a bare TypeError on 2.5, and a stride of 1.5 recorded other steps
     with pytest.raises(DomainError, match=key):
         small_cfg(1.0, **{key: value})
+
+
+def test_library_counts_accept_numpy_integers():
+    # operator.index takes numpy integers, and the run is the int run's bytes
+    M = geometry.euclidean(2)
+    runs = []
+    for count in (int, np.int64):
+        cfg = small_cfg(0.01, newton_max_iter=count(30), snapshot_stride=count(2))
+        grid = RadialGrid.uniform(M, 1.0, count(10))
+        runs.append(solver.solve_ball(np.linspace(1.0, 0.1, 10), cfg, grid).stacked)
+        radii = (4.0, 8.0, 16.0)
+        rep = solver.exhaust(lambda r: np.ones_like(r), small_cfg(0.01), M, radii, count(20))
+        runs.append(np.array([rep.monotonicity_gap, *rep.inner_increments]))
+        blowup.BlowupConfig(m=2.0, max_stages=count(3), steps_per_stage=count(5))
+    assert same_bytes(runs[0], runs[2]) and same_bytes(runs[1], runs[3])
 
 
 # -- Barenblatt oracle --------------------------------------------------------------
@@ -1518,10 +1563,10 @@ def test_mass_balance_per_recorded_interval(run):
     # the masses and in the flux sums.
     grid, u0, cfg = run
     solves = []  # accepted Newton solves of each step, one step per record
-    newton_solve, step = solver._newton_solve, solver.step
+    real_solve, step = solver._newton_solve, solver.step
 
     def counting_newton_solve(*args):
-        out = newton_solve(*args)
+        out = real_solve(*args)
         solves[-1] += out[1]
         return out
 
@@ -1566,10 +1611,11 @@ def test_scaling_group(manifold, m, lam):
     cfg = small_cfg(1.0, m=m)
     eps = np.finfo(float).eps
     moves = []  # [run from u0, run from lam u0]
-    newton_solve = solver._newton_solve
+    real_solve = solver._newton_solve
 
-    def recording_solve(u_old, v_b, d, grid, m, tol, max_iter, start=None, work=None):
-        out = newton_solve(u_old, v_b, d, grid, m, tol, max_iter, start, work)
+    def recording_solve(work, u_old, v_b, d, tol, max_iter, start=None):
+        out = real_solve(work, u_old, v_b, d, tol, max_iter, start)
+        grid, m = work.grid, work.m
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
             coeff = float(np.max(d * (grid.coeff_plus + grid.coeff_minus)))
@@ -1735,6 +1781,8 @@ def test_exhaust_validates_radii():
         ((4.0, 8.0, 16.0), 0),
         ((4.0, math.nan, 16.0), 20),
         ((4.0, 8.0, math.inf), 20),
+        ((4.0, 8.0, 16.0), 20.5),
+        ((4.0, 8.0, 16.0), 20.0),
     ]:
         with pytest.raises(DomainError):
             solver.exhaust(lambda r: np.zeros_like(r), small_cfg(0.1), M, radii, cells)
