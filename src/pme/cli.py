@@ -6,11 +6,12 @@ Subcommands: ``geometry`` (comparison constants report), ``barrier-check``
 (uniqueness-side decay product) and ``sweep`` (parameter sweeps).
 
 Run objects come from the builders in ``pme.config``; ``blowup`` and each
-``sweep`` row share one path from a config dict to a validated ledger, whose
-setup builds the ball, so ``sweep`` checks every row's config and ball before
-any run starts.  Each run checks, after its builders and before any solve or
-output, that it read every config key (``barrier-check``: every optional
-flag) it was given.
+``sweep`` row share one path from a config dict to a ledger, whose setup
+builds the ball, so ``sweep`` checks every row's config and ball before any
+run starts; ``blowup`` validates the ledger after writing it, so a failed
+check leaves the file to inspect.  Each run checks, after its builders and
+before any solve or output, that it read every config key
+(``barrier-check``: every optional flag) it was given.
 ``sweep --param`` takes ``b`` (log-growth amplitude) or a config key the
 blow-up run reads; each ``--values`` token enters the config as typed.
 
@@ -200,15 +201,13 @@ def _blowup_setup(cfg: dict):
 
 
 def _blowup_ledger(cfg: dict, stage_hook=None) -> blowup.BlowupLedger:
-    """Run the staged blow-up construction for ``cfg`` and validate its ledger."""
+    """Run the staged blow-up construction for ``cfg``; the caller validates its ledger."""
     grid, spec, bcfg = _blowup_setup(cfg)
     consts = geometry.fit_comparison_constants(grid.manifold)
     datum = spec.datum(bcfg.m, np.geomspace(1e-3, 1e6, 4001))
-    ledger = blowup.run_blowup(
+    return blowup.run_blowup(
         datum, spec.profile(bcfg.m), grid, consts, bcfg, stage_hook=stage_hook
     )
-    ledger.validate()
-    return ledger
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -291,10 +290,6 @@ def cmd_solve(args) -> int:
     horizon = None
     if not et.global_flag and not math.isinf(et.time):
         horizon = et.time
-        if scfg.t_end >= horizon:
-            raise ConfigError(
-                f"t_end={scfg.t_end:g} reaches the certified horizon T={horizon:g}"
-            )
 
     traj = solver.solve_ball(spec.profile(m), scfg, grid, barrier_horizon=horizon)
     write_trajectory(args.out, traj)
@@ -346,6 +341,7 @@ def cmd_blowup(args) -> int:
 
     ledger = _blowup_ledger(cfg, stage_hook=hook)
     write_json(args.ledger, ledger)
+    ledger.validate()
     logger.info(
         "blow-up run: %s after %d stages, tau=%.6g",
         ledger.status,
@@ -412,6 +408,7 @@ def _sweep_row(cfg: dict) -> list:
     """Sweep CSV columns from ``status`` on: the run's ledger, or its failure."""
     try:
         ledger = _blowup_ledger(cfg)
+        ledger.validate()
     except PMEError as exc:
         nan = float("nan")
         return ["failed", nan, nan, 0, nan, nan, str(exc)]

@@ -6,9 +6,10 @@ unreadable config or table file too), DomainError from the manifold and grid
 constructors.  The built-in manifolds are valid for every admissible key, so
 ``manifold_from`` builds one without probing it; ``grid_from`` builds the
 ball, which fails when its volume ratios overflow the double range.  The initial
-datum is one of ``log-growth(b)``, ``bounded(B)`` or ``table(path.csv)``;
-tables are two-column CSV ``rho,value`` with a header row, interpolated
-linearly onto the solver grid and held at the last value beyond the last row.
+datum is one of ``log-growth(b)``, ``bounded(B)`` or ``table(path.csv)``, with
+finite numbers; tables are two-column CSV ``rho,value`` with a header row,
+interpolated linearly onto the solver grid and held at the last value beyond
+the last row.
 
 ``solver_config_from``, ``blowup_config_from`` and ``grid_from`` map a config
 to run objects for every subcommand and ``sweep`` row; ``grid_from`` is the
@@ -256,8 +257,8 @@ def datum_from(cfg: dict) -> DatumSpec:
         amp = float(arg)
     except ValueError as exc:
         raise ConfigError(f"u0 amplitude is not a number: {arg!r}") from exc
-    if amp < 0:
-        raise ConfigError("u0 amplitude must be nonnegative")
+    if not 0 <= amp < math.inf:
+        raise ConfigError(f"u0 amplitude must be nonnegative and finite, got {arg!r}")
     return DatumSpec(kind=kind, amplitude=amp)
 
 
@@ -274,6 +275,8 @@ def _read_table(path):
             rows.append((float(row[0]), float(row[1])))
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad table row {row!r}") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise ConfigError(f"{path}:{lineno}: table entries must be finite, got {row!r}")
     if len(rows) < 2:
         raise ConfigError(f"{path}: table needs at least two rows")
     rho = np.array([r[0] for r in rows])

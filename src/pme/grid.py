@@ -121,11 +121,3 @@ class RadialGrid:
     def mass(self, u: np.ndarray) -> float:
         """Integral of u over the ball in units of exp(log_scale)."""
         return float(np.dot(self.weights_scaled, u))
-
-    def restriction_slice(self, sub_radius: float) -> slice:
-        """Cells shared with a nested grid of the same spacing on B_sub."""
-        n = sub_radius / self.h
-        if abs(n - round(n)) > 1e-9:
-            raise DomainError("radii are not nested for this spacing")
-        return slice(0, int(round(n)))
-

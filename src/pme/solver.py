@@ -280,6 +280,8 @@ def tau_h(h: float, scale: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class HomogeneousDirichlet:
+    horizon = math.inf  # the boundary datum never blows up
+
     def value(self, t: float, radius: float) -> float:
         return 0.0
 
@@ -293,6 +295,10 @@ class BarrierDirichlet:
     # radius -> shifted subsolution there; the trace's time-free factor,
     # computed once per radius instead of on every Newton solve
     _base: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def horizon(self) -> float:  # the boundary datum blows up at T
+        return self.params.horizon
 
     def value(self, t: float, radius: float) -> float:
         p = self.params
@@ -827,24 +833,26 @@ def solve_ball(
 ) -> Trajectory:
     """Integrate on the ball up to t_end with the configured step policy.
 
-    ``barrier_horizon`` caps the step near a barrier blow-up time T > 0 (inf
-    caps nothing); when the boundary mode is a barrier, its own horizon is
-    enforced as well.  ``integrator`` carries the arrays and the predictor's
-    history from one call to the next; without one the call takes a fresh
-    one.  A call from the integrator's newest field itself continues that
-    history (see ``step``).  Any other datum is copied, so that the run owns
-    every field it records.  Recorded fields are never written afterwards,
-    so the next call may start from one of them.
+    The run ends before T, the smaller of ``barrier_horizon`` (a barrier
+    blow-up time > 0; None or inf caps nothing) and the boundary mode's own
+    ``horizon``: a ``t_end`` at or past T raises DomainError naming both,
+    and each step is capped at BARRIER_CAP * (T - t).  ``integrator``
+    carries the arrays and the predictor's history from one call to the
+    next; without one the call takes a fresh one.  A call from the
+    integrator's newest field itself continues that history (see
+    ``step``).  Any other datum is copied, so that the run owns every field
+    it records.  Recorded fields are never written afterwards, so the next
+    call may start from one of them.
     """
     if integrator is None:
         integrator = Integrator(grid, cfg.m)
-    if barrier_horizon is not None and not barrier_horizon > 0:
+    if barrier_horizon is None:
+        barrier_horizon = math.inf
+    elif not barrier_horizon > 0:
         raise DomainError(f"barrier_horizon must be positive, got {barrier_horizon!r}")
-    horizons = [] if barrier_horizon is None else [barrier_horizon]
-    if isinstance(cfg.boundary, BarrierDirichlet):
-        horizons.append(cfg.boundary.params.horizon)
-    if horizons and cfg.t_end >= min(horizons):
-        raise DomainError("t_end must stay below the barrier horizon")
+    horizon = min(barrier_horizon, cfg.boundary.horizon)
+    if not cfg.t_end < horizon:
+        raise DomainError(f"t_end={cfg.t_end:g} reaches the barrier horizon T={horizon:g}")
 
     u = u0 if integrator.continues(u0) else _initial_values(u0, grid)
     traj = Trajectory(grid=grid, norm=LogNorm(cfg.norm_r, cfg.m))
@@ -855,9 +863,7 @@ def solve_ball(
     k = 0
     pending_outflow = 0.0
     while t < cfg.t_end - 1e-14 * cfg.t_end:
-        d = min(dt, cfg.t_end - t)
-        for T in horizons:
-            d = min(d, BARRIER_CAP * (T - t))
+        d = min(dt, cfg.t_end - t, BARRIER_CAP * (horizon - t))
         u, out = step(u, t, d, grid, cfg, integrator)
         t += d
         k += 1
@@ -887,7 +893,8 @@ def exhaust(
     """Solve on nested balls and report the exhaustion monotonicity gap.
 
     All levels share the cell width of the first radius, so grids are nested
-    cell-by-cell and time grids coincide (the growth policy is a function of
+    cell-by-cell (level k is the first ``grids[k].cells`` cells of level k + 1)
+    and time grids coincide (the growth policy is a function of
     the step index only; internal halvings do not alter recorded times).
     The increments are taken on the inner ball of the first ``cells_first // 2``
     cells.
@@ -919,8 +926,7 @@ def exhaust(
     fields = [tr.stacked for tr in trajs]
     levels = range(len(radii) - 1)
     gap = max(
-        float(np.max(fields[k] - fields[k + 1][:, grids[k + 1].restriction_slice(radii[k])]))
-        for k in levels
+        float(np.max(fields[k] - fields[k + 1][:, : grids[k].cells])) for k in levels
     )
     inner = slice(0, cells_first // 2)
     increments = [

@@ -89,7 +89,7 @@ class RadialDatum:
             raise DomainError("empty grid")
         if rho.shape != vals.shape:
             raise DomainError("rho and values must have matching shapes")
-        if np.any(np.diff(rho) <= 0):
+        if not np.all(np.diff(rho) > 0):  # a NaN node fails this too
             raise DomainError("nodes must be strictly increasing")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "values", vals)

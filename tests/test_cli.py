@@ -397,6 +397,34 @@ steps_per_stage = 10
     assert files == ["stage_0000.csv", "stage_0001.csv", "stage_0002.csv"]
 
 
+def test_blowup_writes_its_ledger_before_validating_it(tmp_path, monkeypatch):
+    checked = []
+
+    def fails(ledger):
+        checked.append(ledger)
+        raise errors.CertificateError("sandwich gap over the tolerance")
+
+    monkeypatch.setattr(blowup.BlowupLedger, "validate", fails)
+    ledger = tmp_path / "ledger.json"
+    rc = run_cli("blowup", "--config", write_cfg(tmp_path, R12_BLOWUP_CFG), "--ledger", str(ledger))
+    assert rc == 3
+    (run,) = checked
+    led = json.loads(ledger.read_text())
+    assert led["status"] == run.status and len(led["stages"]) == len(run.stages) > 0
+
+
+def test_a_sweep_row_whose_ledger_fails_its_check_reports_failed(tmp_path, monkeypatch):
+    def fails(ledger):
+        raise errors.CertificateError("sandwich gap over the tolerance")
+
+    monkeypatch.setattr(blowup.BlowupLedger, "validate", fails)
+    cfg = R12_BLOWUP_CFG.replace("cells = 120", "cells = 60") + "blowup_max_stages = 2\n"
+    rc, _ = run_sweep(tmp_path, "b", "1", cfg)
+    assert rc == 4  # every row failed
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[1].split(",")[2] == "failed" and lines[1].endswith("sandwich gap over the tolerance")
+
+
 def test_blowup_rejects_bounded_datum(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -956,6 +984,38 @@ def check_args(tmp_path, *extra):
     return quad_args("barrier-check", *extra, "--out", str(tmp_path / "c.json"))
 
 
+EUCLIDEAN_BALL_CFG = """
+manifold = euclidean
+dim = 3
+m = 2
+R = 5
+cells = 20
+"""
+
+
+def datum_args(tmp_path, command, u0):
+    """Arguments of a ``command`` run on a small Euclidean ball from ``u0``;
+    ``table(rho,value)`` is a table whose middle row is that one."""
+    if u0.startswith("table"):
+        table = tmp_path / "u0.csv"
+        table.write_text(f"rho,value\n1,1\n{u0[6:-1]}\n3,1\n")
+        u0 = f"table({table})"
+    cfg = EUCLIDEAN_BALL_CFG + f"u0 = {u0}\n"
+    if command == "solve":
+        return solve_args(tmp_path, write_cfg(tmp_path, cfg + "t_end = 0.01\ndt0 = 1e-3\n"))
+    return ["blowup", "--config", write_cfg(tmp_path, cfg), "--ledger", str(tmp_path / "l.json")]
+
+
+NON_FINITE_DATA = [
+    ("log-growth(nan)", "u0 amplitude must be nonnegative and finite, got 'nan'"),
+    ("log-growth(inf)", "u0 amplitude must be nonnegative and finite, got 'inf'"),
+    ("bounded(nan)", "u0 amplitude must be nonnegative and finite, got 'nan'"),
+    ("bounded(inf)", "u0 amplitude must be nonnegative and finite, got 'inf'"),
+    ("table(nan,1)", "u0.csv:3: table entries must be finite"),
+    ("table(2,nan)", "u0.csv:3: table entries must be finite"),
+]
+
+
 # exp(drift * h) between neighbouring cells of this ball overflows
 OVERFLOW_SOLVE_CFG = """
 manifold = quad-critical
@@ -1069,6 +1129,20 @@ dt0 = 1e-5
             lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG.replace("c = 0.5", "c = -1"))),
             "c > 0",
             id="solve-negative-curvature-parameter",
+        ),
+        pytest.param(
+            lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG.replace("t_end = 0.02", "t_end = 100"))),
+            "t_end=100 reaches the barrier horizon T=",
+            id="solve-t-end-past-the-certified-horizon",
+        ),
+        *(
+            pytest.param(
+                lambda tmp, command=command, u0=u0: datum_args(tmp, command, u0),
+                needle,
+                id=f"{command}-u0-{u0}",
+            )
+            for command in ("solve", "blowup")
+            for u0, needle in NON_FINITE_DATA
         ),
     ],
 )

@@ -51,15 +51,6 @@ def test_origin_face_area_vanishes():
         assert g.log_faces[0] == -math.inf
 
 
-def test_restriction_slice_nesting():
-    M = geometry.euclidean(2)
-    g = RadialGrid.uniform(M, 50.0, 500)
-    sl = g.restriction_slice(25.0)
-    assert sl == slice(0, 250)
-    with pytest.raises(DomainError):
-        g.restriction_slice(25.03)
-
-
 def test_grid_validation():
     M = geometry.euclidean(2)
     with pytest.raises(DomainError):

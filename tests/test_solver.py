@@ -380,6 +380,10 @@ def assert_step_through_halvings_is_the_plain_kernel(case, singular):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "dgtsv", recorded_dgtsv(real_dgtsv, singular)[0])
             mp.setattr(solver, "_newton_solve", kernel)
+            # both kernels face one budget, small enough that a draw which
+            # halves its way to the budget ends in seconds, not minutes;
+            # test_step_spends_at_most_the_substep_budget covers the real one
+            mp.setattr(solver, "MAX_SUBSTEPS", 200)
             try:
                 with np.errstate(all="ignore"):
                     return solver.step(u_old, 0.0, dt, grid, cfg)
@@ -1713,6 +1717,37 @@ def test_an_infinite_horizon_caps_no_step():
     assert len(free.times) == 8  # seven steps
     assert capped.times == free.times
     assert same_bytes(capped.stacked, free.stacked)
+
+
+@pytest.mark.parametrize("own, given", [(0.05, 0.06), (0.06, 0.05)])
+def test_steps_are_capped_at_the_nearer_of_two_horizons(own, given):
+    # a barrier boundary's own horizon and barrier_horizon both apply: each
+    # step is the one that capping at each horizon in turn gives, bit for bit
+    g = RadialGrid.uniform(geometry.euclidean(2), 2.0, 10)
+    bc = solver.BarrierDirichlet(barriers.BarrierParams(1.0, 2.0, horizon=own, m=2.0))
+    cfg = small_cfg(0.03, boundary=bc)
+    traj = solver.solve_ball(np.zeros(10), cfg, g, barrier_horizon=given)
+    want, t, dt = [0.0], 0.0, cfg.dt.dt0
+    while t < cfg.t_end - 1e-14 * cfg.t_end:
+        d = min(dt, cfg.t_end - t)
+        for T in (given, own):
+            d = min(d, solver.BARRIER_CAP * (T - t))
+        t += d
+        want.append(t)
+        dt = min(dt * cfg.dt.growth, cfg.dt.dt_max)
+    assert traj.times == want
+    assert len(want) > 80  # the cap binds: without it the run takes 11 steps
+
+
+@pytest.mark.parametrize("t_end", [1.0, 1.5])
+@pytest.mark.parametrize("own, given", [(1.0, None), (1.0, 3.0), (3.0, 1.0), (None, 1.0)])
+def test_a_t_end_reaching_either_horizon_is_rejected(own, given, t_end):
+    g = RadialGrid.uniform(geometry.euclidean(2), 2.0, 10)
+    bc = solver.HomogeneousDirichlet()
+    if own is not None:
+        bc = solver.BarrierDirichlet(barriers.BarrierParams(1.0, 2.0, horizon=own, m=2.0))
+    with pytest.raises(DomainError, match=rf"^t_end={t_end:g} reaches the barrier horizon T=1$"):
+        solver.solve_ball(np.ones(10), small_cfg(t_end, boundary=bc), g, barrier_horizon=given)
 
 
 # -- exhaustion -------------------------------------------------------------------------

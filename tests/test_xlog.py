@@ -58,6 +58,14 @@ def test_norm_empty_grid_rejected():
         xlog.RadialDatum(np.array([]), np.array([]))
 
 
+@pytest.mark.parametrize("node", [0, 1, 2])
+def test_a_nan_node_fails_the_ordering(node):
+    rho = np.array([1.0, 2.0, 3.0])
+    rho[node] = np.nan
+    with pytest.raises(DomainError, match="strictly increasing"):
+        xlog.RadialDatum(rho, np.ones(3))
+
+
 def test_tail_mismatch_detected():
     rho = GRID[1:]
     vals = xlog.log_growth_profile(1.0, 2.0)(rho)
