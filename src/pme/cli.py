@@ -11,7 +11,10 @@ builds the ball, so ``sweep`` checks every row's config and ball before any
 run starts; ``blowup`` validates the ledger after writing it, so a failed
 check leaves the file to inspect.  Each run checks, after its builders and
 before any solve or output, that it read every config key
-(``barrier-check``: every optional flag) it was given.
+(``barrier-check``: every optional flag) it was given.  Every number flag
+is typed by the config reader (``get_float``, ``get_int`` with its
+minimum), so a malformed, non-finite or out-of-range number is a
+ConfigError that names the flag as typed.
 ``sweep --param`` takes ``b`` (log-growth amplitude) or a config key the
 blow-up run reads; each ``--values`` token enters the config as typed.
 
@@ -177,17 +180,22 @@ def _numbers(text: str, option: str) -> list:
     return tokens
 
 
+def _float(parser, flag: str, **kwargs):
+    """Add a float ``flag``, its text read as ``config.get_float`` reads a key."""
+    parser.add_argument(flag, type=lambda text: cfgmod.get_float({flag: text}, flag), **kwargs)
+
+
+def _int(parser, flag: str, minimum: int, **kwargs):
+    """Add an integer ``flag`` of at least ``minimum``, read as ``config.get_int`` reads a key."""
+    parser.add_argument(
+        flag, type=lambda text: cfgmod.get_int({flag: text}, flag, minimum=minimum), **kwargs
+    )
+
+
 def _manifold_args(parser):
     parser.add_argument("--manifold", required=True, choices=sorted(geometry.BUILTIN_FAMILIES))
-    parser.add_argument("--dim", type=int, required=True)
-    parser.add_argument("--c", type=float, default=None)
-
-
-def _manifold_from_args(args):
-    cfg = {"manifold": args.manifold, "dim": str(args.dim)}
-    if args.c is not None:
-        cfg["c"] = str(args.c)
-    return cfgmod.manifold_from(cfg)
+    _int(parser, "--dim", 2, required=True)
+    _float(parser, "--c", default=None)
 
 
 def _blowup_setup(cfg: dict):
@@ -214,7 +222,7 @@ def _blowup_ledger(cfg: dict, stage_hook=None) -> blowup.BlowupLedger:
 
 
 def cmd_geometry(args) -> int:
-    manifold = _manifold_from_args(args)
+    manifold = geometry.make_manifold(args.manifold, args.dim, args.c)
     consts = geometry.fit_comparison_constants(
         manifold, rho_max=args.rho_max, n_probe=args.n_probe
     )
@@ -225,7 +233,7 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_barrier_check(args) -> int:
-    manifold = _manifold_from_args(args)
+    manifold = geometry.make_manifold(args.manifold, args.dim, args.c)
     # the optional flags given, as a config keyed by flag: a flag this --which
     # does not read exits 2, and every message names the flag
     opts = cfgmod.RunConfig(
@@ -244,8 +252,6 @@ def cmd_barrier_check(args) -> int:
     else:
         m = cfgmod.exponent_from(opts, "--m")
         nodes = opts.get("--nodes", 10**4)
-        if nodes < 1:
-            raise ConfigError("--nodes must be >= 1")
         cfgmod.reject_unread(opts, f"--which {args.which}")
         grid = geometry.probe_grid(args.rho_max, nodes)
         consts = geometry.fit_comparison_constants(manifold, rho_max=max(10.0, args.rho_max))
@@ -352,11 +358,8 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_uniq_check(args) -> int:
-    if args.table_points is not None:
-        if not args.out:
-            raise ConfigError("--table-points sizes the --out table; it needs --out")
-        if args.table_points < 1:
-            raise ConfigError("--table-points must be >= 1")
+    if args.table_points is not None and not args.out:
+        raise ConfigError("--table-points sizes the --out table; it needs --out")
     if args.k is None:
         k = barriers.select_K(args.c2, args.r0)
     else:
@@ -424,8 +427,6 @@ def _sweep_row(cfg: dict) -> list:
 
 
 def cmd_sweep(args) -> int:
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
     base = cfgmod.parse_config(args.config)
     tokens = sorted(_numbers(args.values, "--values"), key=float)
     if not tokens:
@@ -475,19 +476,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("geometry", help="fit and report comparison constants")
     _manifold_args(g)
-    g.add_argument("--rho-max", type=float, default=1e3)
-    g.add_argument("--n-probe", type=int, default=4096)
+    _float(g, "--rho-max", default=1e3)
+    _int(g, "--n-probe", geometry.MIN_PROBES, default=4096)
     g.add_argument("--report", required=True)
     g.set_defaults(func=cmd_geometry)
 
     b = sub.add_parser("barrier-check", help="certify a barrier inequality")
     _manifold_args(b)
-    b.add_argument("--m", type=float, default=None, help="super/sub: PME exponent (required)")
+    _float(b, "--m", default=None, help="super/sub: PME exponent (required)")
     b.add_argument("--which", choices=("super", "sub", "eta"), required=True)
-    b.add_argument("--rho-max", type=float, default=1e3)
-    b.add_argument("--nodes", type=int, default=None, help="super/sub: nodes (default 10000)")
-    b.add_argument("--c2", type=float, default=None, help="eta: coefficient bound (default 1)")
-    b.add_argument("--r0", type=float, default=None, help="eta: inner radius (default 2)")
+    _float(b, "--rho-max", default=1e3)
+    _int(b, "--nodes", 1, default=None, help="super/sub: nodes (default 10000)")
+    _float(b, "--c2", default=None, help="eta: coefficient bound (default 1)")
+    _float(b, "--r0", default=None, help="eta: inner radius (default 2)")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_barrier_check)
 
@@ -510,14 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
     bl.set_defaults(func=cmd_blowup)
 
     u = sub.add_parser("uniq-check", help="uniqueness-side decay certificates")
-    u.add_argument("--T", type=float, required=True)
-    u.add_argument("--c_m", type=float, required=True)
-    u.add_argument("--k", type=float, default=None, help="decay constant; derived from --c2 when omitted")
-    u.add_argument("--c2", type=float, default=1.0)
-    u.add_argument("--r0", type=float, default=2.0)
-    u.add_argument("--m", type=float, default=2.0)
-    u.add_argument("--dim", type=int, default=2)
-    u.add_argument("--table-points", type=int, default=None, help="rows of the --out table (default 60)")
+    _float(u, "--T", required=True)
+    _float(u, "--c_m", required=True)
+    _float(u, "--k", default=None, help="decay constant; derived from --c2 when omitted")
+    _float(u, "--c2", default=1.0)
+    _float(u, "--r0", default=2.0)
+    _float(u, "--m", default=2.0)
+    _int(u, "--dim", 2, default=2)
+    _int(u, "--table-points", 1, default=None, help="rows of the --out table (default 60)")
     u.add_argument("--out", default=None)
     u.set_defaults(func=cmd_uniq_check)
 
@@ -525,35 +526,21 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--config", required=True)
     w.add_argument("--param", required=True, help="'b' (log-growth amplitude) or a key blowup reads")
     w.add_argument("--values", required=True, help="comma-separated values")
-    w.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    _int(w, "--workers", 1, default=os.cpu_count() or 1)
     w.add_argument("--out", required=True)
     w.set_defaults(func=cmd_sweep)
 
     return ap
 
 
-def _check_float_options(parser, args):
-    """Every float option is finite, as a config key read by ``get_float`` is;
-    the message names the option by its flag."""
-    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {
-        a.dest: a.option_strings[0] for a in subparsers.choices[args.command]._actions if a.option_strings
-    }
-    for name, value in vars(args).items():
-        if isinstance(value, float):
-            cfgmod.get_float({flags[name]: value}, flags[name])
-
-
 def main(argv=None) -> int:
     """Run one subcommand; a PMEError exits with its class's ``exit_code``."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
-        _check_float_options(parser, args)
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
     except PMEError as exc:
         print(f"pme: {EXIT_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)

@@ -33,6 +33,8 @@ from .errors import DomainError
 
 # Safety margin applied to grid extrema when certifying constants.
 FIT_MARGIN = 1e-3
+# Fewest probe radii a constant fit accepts.
+MIN_PROBES = 1000
 
 
 def log_sphere_area(dim: int) -> float:
@@ -287,8 +289,8 @@ def fit_comparison_constants(
     """
     if rho_max < 10.0:
         raise DomainError("rho_max must be >= 10")
-    if n_probe < 1000:
-        raise DomainError("n_probe must be >= 1000")
+    if n_probe < MIN_PROBES:
+        raise DomainError(f"n_probe must be >= {MIN_PROBES}")
     rho = probe_grid(rho_max, n_probe)
     nm1 = manifold.dim - 1
     tails = manifold.tail_limits

@@ -281,6 +281,7 @@ def tau_h(h: float, scale: float = 1.0) -> float:
 @dataclass(frozen=True)
 class HomogeneousDirichlet:
     horizon = math.inf  # the boundary datum never blows up
+    m = None  # zero is a boundary datum of every exponent
 
     def value(self, t: float, radius: float) -> float:
         return 0.0
@@ -296,9 +297,17 @@ class BarrierDirichlet:
     # computed once per radius instead of on every Newton solve
     _base: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if not 0.0 <= self.delta < math.inf:
+            raise DomainError(f"barrier shift delta must be finite and >= 0, got {self.delta!r}")
+
     @property
     def horizon(self) -> float:  # the boundary datum blows up at T
         return self.params.horizon
+
+    @property
+    def m(self) -> float:  # the exponent of the barrier that gives the datum
+        return self.params.m
 
     def value(self, t: float, radius: float) -> float:
         p = self.params
@@ -335,6 +344,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 1.0 < self.m < math.inf:
             raise DomainError(f"m must be finite and > 1, got {self.m!r}")
+        if self.boundary.m not in (None, self.m):
+            raise DomainError(
+                f"the boundary datum is a barrier of exponent m={self.boundary.m!r}, "
+                f"the scheme's is m={self.m!r}"
+            )
         if not (0 < self.newton_tol < math.inf and 0 < self.t_end < math.inf):
             raise DomainError("newton_tol and t_end must be positive and finite")
         if not 2.0 <= self.norm_r < math.inf:

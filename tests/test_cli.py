@@ -1016,6 +1016,39 @@ NON_FINITE_DATA = [
 ]
 
 
+def number_args(tmp_path, command, flag, text):
+    """Valid ``command`` arguments followed by ``flag text``."""
+    if command == "sweep":
+        return sweep_args(tmp_path, flag, text)
+    valid = {
+        "geometry": ["--manifold", "euclidean", "--dim", "3", "--report", str(tmp_path / "g.json")],
+        "barrier-check": ["--manifold", "euclidean", "--dim", "2", "--m", "2", "--which", "super",
+                          "--out", str(tmp_path / "c.json")],
+        "uniq-check": ["--T", "0.05", "--c_m", "1", "--k", "0.2", "--out", str(tmp_path / "u.json")],
+    }
+    return [command, *valid[command], flag, text]
+
+
+# malformed and below-minimum text of each integer flag, and malformed text
+# of a float flag: the flag's reader names it as typed
+BAD_NUMBERS = [
+    ("geometry", "--dim", "abc", "option '--dim': not an integer ('abc')"),
+    ("geometry", "--dim", "1", "option '--dim' must be >= 2"),
+    ("barrier-check", "--dim", "2.5", "option '--dim': not an integer ('2.5')"),
+    ("barrier-check", "--dim", "1", "option '--dim' must be >= 2"),
+    ("uniq-check", "--dim", "abc", "option '--dim': not an integer ('abc')"),
+    ("uniq-check", "--dim", "1", "option '--dim' must be >= 2"),
+    ("geometry", "--n-probe", "abc", "option '--n-probe': not an integer ('abc')"),
+    ("geometry", "--n-probe", "999", "option '--n-probe' must be >= 1000"),
+    ("barrier-check", "--nodes", "abc", "option '--nodes': not an integer ('abc')"),
+    ("barrier-check", "--nodes", "0", "option '--nodes' must be >= 1"),
+    ("uniq-check", "--table-points", "abc", "option '--table-points': not an integer ('abc')"),
+    ("uniq-check", "--table-points", "0", "option '--table-points' must be >= 1"),
+    ("sweep", "--workers", "abc", "option '--workers': not an integer ('abc')"),
+    ("uniq-check", "--T", "abc", "option '--T': not a number ('abc')"),
+]
+
+
 # exp(drift * h) between neighbouring cells of this ball overflows
 OVERFLOW_SOLVE_CFG = """
 manifold = quad-critical
@@ -1098,8 +1131,16 @@ dt0 = 1e-5
             "--table-points",
             id="uniq-check-table-points-without-out",
         ),
-        pytest.param(lambda tmp: sweep_args(tmp, "--workers", "0"), "--workers", id="sweep-zero-workers"),
-        pytest.param(lambda tmp: sweep_args(tmp, "--workers", "-3"), "--workers", id="sweep-negative-workers"),
+        pytest.param(
+            lambda tmp: sweep_args(tmp, "--workers", "0"),
+            "option '--workers' must be >= 1",
+            id="sweep-zero-workers",
+        ),
+        pytest.param(
+            lambda tmp: sweep_args(tmp, "--workers", "-3"),
+            "option '--workers' must be >= 1",
+            id="sweep-negative-workers",
+        ),
         pytest.param(lambda tmp: solve_args(tmp, str(tmp / "missing.cfg")), "missing.cfg", id="solve-missing-config"),
         pytest.param(
             lambda tmp: ["sweep", "--config", str(tmp / "missing.cfg"), "--param", "b",
@@ -1143,6 +1184,14 @@ dt0 = 1e-5
             )
             for command in ("solve", "blowup")
             for u0, needle in NON_FINITE_DATA
+        ),
+        *(
+            pytest.param(
+                lambda tmp, args=args: number_args(tmp, *args),
+                needle,
+                id=f"{args[0]}-{args[1].lstrip('-')}-{args[2]}",
+            )
+            for *args, needle in BAD_NUMBERS
         ),
     ],
 )

@@ -1426,6 +1426,23 @@ def test_dt_policy_rejects_nonpositive_dt_max(dt_max):
         solver.DtPolicy(dt0=1e-3, dt_max=dt_max)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -1.0])
+def test_barrier_boundary_rejects_a_shift_outside_0_inf(delta):
+    # a nan shift fails every Newton solve, an infinite one clips the trace
+    # to the homogeneous boundary, and a negative one has no trace: each is
+    # refused when the boundary is built, before any step
+    params = barriers.BarrierParams(1.0, 2.0, horizon=1.0, m=2.0)
+    with pytest.raises(DomainError, match="delta"):
+        solver.BarrierDirichlet(params, delta)
+
+
+def test_solver_config_rejects_a_barrier_boundary_of_another_exponent():
+    # the boundary trace would follow the m = 3 barrier while the scheme solves m = 2
+    bc = solver.BarrierDirichlet(barriers.BarrierParams(1.0, 2.0, horizon=1.0, m=3.0))
+    with pytest.raises(DomainError, match=r"exponent m=3\.0, the scheme's is m=2\.0"):
+        small_cfg(0.01, m=2.0, boundary=bc)
+
+
 @pytest.mark.parametrize("key", ["snapshot_stride", "newton_max_iter"])
 @pytest.mark.parametrize("value", [0, -1, 1.5, 2.5, 3.0])
 def test_solver_config_rejects_counts_below_one(key, value):
