@@ -66,12 +66,12 @@ class BarrierParams:
     m: float
 
     def __post_init__(self):
-        if self.amplitude <= 0 or self.horizon <= 0:
-            raise DomainError("amplitude and horizon must be positive")
-        if self.r < 2.0:
-            raise DomainError("weight offset r must be >= 2")
-        if self.m <= 1.0:
-            raise DomainError("m must be > 1")
+        if not (0.0 < self.amplitude < math.inf and 0.0 < self.horizon < math.inf):
+            raise DomainError("amplitude and horizon must be positive and finite")
+        if not 2.0 <= self.r < math.inf:
+            raise DomainError("weight offset r must be finite and >= 2")
+        if not 1.0 < self.m < math.inf:
+            raise DomainError("m must be finite and > 1")
 
     def log_weight(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -287,12 +287,12 @@ class EtaBarrierParams:
     coeff_bound: float  # C2
 
     def __post_init__(self):
-        if self.decay <= 0 or self.scale <= 0 or self.horizon <= 0:
-            raise DomainError("decay, scale and horizon must be positive")
-        if self.inner_radius < 2.0:
-            raise DomainError("inner radius must be >= 2")
-        if self.coeff_bound <= 0:
-            raise DomainError("coefficient bound must be positive")
+        if not all(0.0 < x < math.inf for x in (self.decay, self.scale, self.horizon)):
+            raise DomainError("decay, scale and horizon must be positive and finite")
+        if not 2.0 <= self.inner_radius < math.inf:
+            raise DomainError("inner radius must be finite and >= 2")
+        if not 0.0 < self.coeff_bound < math.inf:
+            raise DomainError("coefficient bound must be positive and finite")
 
 
 def select_K(c2: float, inner_radius: float = 2.0) -> float:

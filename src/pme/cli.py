@@ -14,13 +14,16 @@ before any solve or output, that it read every config key
 (``barrier-check``: every optional flag) it was given.  Every number flag
 is typed by the config reader (``get_float``, ``get_int`` with its
 minimum), so a malformed, non-finite or out-of-range number is a
-ConfigError that names the flag as typed.
+ConfigError that names the flag as typed.  Flags are not abbreviated, and
+argparse's own errors (a missing or unknown flag, a bad choice) are
+ConfigErrors too.
 ``sweep --param`` takes ``b`` (log-growth amplitude) or a config key the
 blow-up run reads; each ``--values`` token enters the config as typed.
 
 Outputs are deterministic (identical bytes for identical config and build)
-and written atomically; ``write_json`` writes a report dataclass by its field
-names.  Exit codes: 0 success, else the ``exit_code`` of the ``PMEError``
+and written atomically.  JSON is ``json.dumps(indent=2, sort_keys=True)`` of
+the report, a dataclass written by its field names and non-finite floats as
+null.  Exit codes: 0 success, else the ``exit_code`` of the ``PMEError``
 raised (``pme.errors``: 2 bad input, 3 certificate, 4 solver).
 """
 
@@ -82,68 +85,7 @@ def _finite_or_null(obj):
 
 def _json_text(obj) -> str:
     """Strict JSON: no ``Infinity`` or ``NaN`` tokens, non-finite values are null."""
-    return _indented(_finite_or_null(obj), "\n") + "\n"
-
-
-def _indented(obj, newline: str) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` for
-    ``obj`` nested where ``newline`` (a line break and its indentation)
-    starts a line; dict keys are strings.
-
-    ``indent`` alone makes ``json`` use its pure-Python encoder, so only a
-    container that holds containers is laid out here.  One of scalars goes
-    to the C encoder whole, its item separator carrying the line break and
-    indentation of its items, and gets its brackets placed at its depth.
-    """
-    inner = newline + "  "
-    flat = _flat_encoder(inner)
-    if isinstance(obj, dict):
-        if not any(isinstance(val, (dict, list)) for val in obj.values()):
-            text = flat(obj)
-            return text if not obj else "{" + inner + text[1:-1] + newline + "}"
-        items = [f"{json.dumps(key)}: {_indented(obj[key], inner)}" for key in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, list):
-        if not any(isinstance(val, (dict, list)) for val in obj):
-            text = flat(obj)
-            return text if not obj else "[" + inner + text[1:-1] + newline + "]"
-        return "[" + inner + ("," + inner).join(_indented(val, inner) for val in obj) + newline + "]"
-    return flat(obj)
-
-
-# ``_flat_encoder`` of each line start, built on first use
-_FLAT_ENCODERS: dict = {}
-
-
-def _flat_encoder(inner: str):
-    """``json.dumps(obj, separators=("," + inner, ": "), sort_keys=True,
-    allow_nan=False)`` as a function of a scalar or a container of scalars
-    (a list's items are not sorted), kept in ``_FLAT_ENCODERS``.
-
-    ``json.dumps`` builds a ``JSONEncoder`` and its C encoder on every call,
-    which took about as long as encoding a ledger stage.  A container of
-    scalars cannot hold itself, so the C encoder is made without the
-    circular-reference markers.  Without the C extension, ``json``'s own
-    encoder does the work.
-    """
-    encode = _FLAT_ENCODERS.get(inner)
-    if encode is not None:
-        return encode
-    encoder = json.JSONEncoder(separators=("," + inner, ": "), sort_keys=True, allow_nan=False)
-    make = json.encoder.c_make_encoder
-    if make is None:
-        encode = encoder.encode
-    else:
-        c_encode = make(
-            None, encoder.default, json.encoder.encode_basestring_ascii, None,
-            encoder.key_separator, encoder.item_separator, True, False, False,
-        )
-
-        def encode(obj) -> str:
-            return "".join(c_encode(obj, 0))
-
-    _FLAT_ENCODERS[inner] = encode
-    return encode
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, obj):
@@ -360,6 +302,8 @@ def cmd_blowup(args) -> int:
 def cmd_uniq_check(args) -> int:
     if args.table_points is not None and not args.out:
         raise ConfigError("--table-points sizes the --out table; it needs --out")
+    if args.out and Path(args.out).suffix == ".csv":
+        raise ConfigError(f"--out {args.out} ends in .csv, the name of its R,F,logF table")
     if args.k is None:
         k = barriers.select_K(args.c2, args.r0)
     else:
@@ -465,8 +409,19 @@ def cmd_sweep(args) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """No flag abbreviations, and an input error is a ConfigError, not a usage block;
+    ``add_subparsers`` builds every subcommand's parser with this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pme",
         description="Radial porous-medium-equation runs and certificates "
         "on negatively curved model manifolds",

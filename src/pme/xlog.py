@@ -61,12 +61,14 @@ class TailDescriptor:
         if self.form not in TAIL_FORMS:
             raise DomainError(f"unknown tail form '{self.form}'")
         if self.form == "log-growth":
-            if self.m is None or self.m <= 1.0:
-                raise DomainError("log-growth tail requires m > 1")
-            if self.rho_start < 2.0:
-                raise DomainError("log-growth tail must start at rho >= 2")
-        if self.amplitude < 0:
-            raise DomainError("tail amplitude must be nonnegative")
+            if not (self.m is not None and 1.0 < self.m < math.inf):
+                raise DomainError("log-growth tail requires a finite m > 1")
+            if not 2.0 <= self.rho_start < math.inf:
+                raise DomainError("log-growth tail must start at a finite rho >= 2")
+        elif not -math.inf < self.rho_start < math.inf:
+            raise DomainError("bounded tail must start at a finite rho")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise DomainError("tail amplitude must be nonnegative and finite")
 
     def evaluate(self, rho):
         if self.form == "bounded":

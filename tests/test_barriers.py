@@ -345,6 +345,27 @@ def test_eta_domain_checks():
         barriers.certify_eta(p, dim=1)
 
 
+VALID_PARAMS = {
+    barriers.BarrierParams: {"amplitude": 1.0, "r": 2.0, "horizon": 1.0, "m": 2.0},
+    barriers.EtaBarrierParams: {
+        "decay": 0.2, "scale": 1.0, "horizon": 1.0, "inner_radius": 2.0, "coeff_bound": 1.0
+    },
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, field",
+    [(cls, field) for cls, valid in VALID_PARAMS.items() for field in valid],
+    ids=lambda arg: getattr(arg, "__name__", None),
+)
+def test_barrier_params_reject_a_non_finite_field(cls, field, value):
+    valid = VALID_PARAMS[cls]
+    cls(**valid)
+    with pytest.raises(DomainError):
+        cls(**{**valid, field: value})
+
+
 # -- decay product -----------------------------------------------------------------------
 
 

@@ -1132,6 +1132,38 @@ dt0 = 1e-5
             id="uniq-check-table-points-without-out",
         ),
         pytest.param(
+            lambda tmp: ["uniq-check", "--T", "0.05", "--c_m", "1", "--out", str(tmp / "u.csv")],
+            "ends in .csv, the name of its R,F,logF table",
+            id="uniq-check-out-is-its-table",
+        ),
+        # argparse's own errors: one configuration-error line, not a usage block
+        pytest.param(
+            lambda tmp: ["geometry", "--manifold", "euclidean", "--report", str(tmp / "g.json")],
+            "the following arguments are required: --dim",
+            id="geometry-missing-dim",
+        ),
+        pytest.param(
+            lambda tmp: ["geometry", "--manifold", "bogus", "--dim", "3", "--report", str(tmp / "g.json")],
+            "argument --manifold: invalid choice: 'bogus'",
+            id="geometry-unknown-manifold",
+        ),
+        pytest.param(
+            lambda tmp: quad_args("geometry", "--bogus", "1", "--report", str(tmp / "g.json")),
+            "unrecognized arguments: --bogus 1",
+            id="geometry-unknown-flag",
+        ),
+        # flags are not abbreviated: --rho is not --rho-max, nor --sum --summary
+        pytest.param(
+            lambda tmp: quad_args("geometry", "--rho", "20", "--report", str(tmp / "g.json")),
+            "unrecognized arguments: --rho 20",
+            id="geometry-abbreviated-flag",
+        ),
+        pytest.param(
+            lambda tmp: [*solve_args(tmp, write_cfg(tmp, BASE_CFG)), "--sum", str(tmp / "c.json")],
+            "unrecognized arguments: --sum",
+            id="solve-abbreviated-flag",
+        ),
+        pytest.param(
             lambda tmp: sweep_args(tmp, "--workers", "0"),
             "option '--workers' must be >= 1",
             id="sweep-zero-workers",
@@ -1208,6 +1240,17 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_argv, needle
     assert sorted(tmp_path.iterdir()) == inputs  # no output file
 
 
+@pytest.mark.parametrize(
+    "command", ["", "geometry", "barrier-check", "solve", "exhaust", "blowup", "uniq-check", "sweep"]
+)
+def test_help_prints_usage_and_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*command.split(), "--help")
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: pme {command}".rstrip()) and not err, (out, err)
+
+
 JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -1231,22 +1274,52 @@ def test_json_text_is_the_indented_json_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def test_json_text_without_the_c_encoder_is_the_indented_json_dumps(monkeypatch):
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    monkeypatch.setattr(cli, "_FLAT_ENCODERS", {})
-    obj = {"a": [1.5, None, True, "xé"], "b": {"c": 2, "d": []}, "e": [[], {"f": -0.0}], "g": 1e300}
-    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    # the flat containers went to json's pure-Python encoder
-    assert cli._FLAT_ENCODERS
-    assert all(isinstance(f.__self__, json.JSONEncoder) for f in cli._FLAT_ENCODERS.values())
+@dataclasses.dataclass
+class Pair:
+    first: object
+    second: object
+
+
+def _nested_with_json(inner):
+    """(object, what JSON reads back) pairs of containers of ``inner`` pairs."""
+    lists = st.lists(inner, max_size=4)
+    return st.one_of(
+        lists.map(lambda pairs: ([o for o, _ in pairs], [j for _, j in pairs])),
+        lists.map(lambda pairs: (tuple(o for o, _ in pairs), [j for _, j in pairs])),
+        st.dictionaries(st.text(), inner, max_size=4).map(
+            lambda d: ({k: o for k, (o, _) in d.items()}, {k: j for k, (_, j) in d.items()})
+        ),
+        st.tuples(inner, inner).map(
+            lambda ab: (Pair(ab[0][0], ab[1][0]), {"first": ab[0][1], "second": ab[1][1]})
+        ),
+    )
+
+
+OBJECTS_WITH_JSON = st.recursive(
+    st.one_of(
+        st.floats().map(lambda x: (x, x if math.isfinite(x) else None)),
+        JSON_SCALARS.map(lambda x: (x, x)),
+    ),
+    _nested_with_json,
+    max_leaves=30,
+)
+
+
+@given(OBJECTS_WITH_JSON)
+@example((Pair(math.nan, [math.inf, (-math.inf, 1.5)]), {"first": None, "second": [None, [None, 1.5]]}))
+@settings(max_examples=300, deadline=None)
+def test_json_text_writes_non_finite_floats_as_null_and_containers_as_json(pair):
+    obj, expected = pair
+    assert json.loads(cli._json_text(obj)) == expected
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_json_text_refuses_a_non_finite_float_it_is_handed_directly(value):
-    # _json_text writes non-finite floats as null; the encoders below it
-    # still refuse one, as json.dumps(..., allow_nan=False) does
+def test_json_text_refuses_a_non_finite_float_it_is_handed_directly(monkeypatch, value):
+    # _finite_or_null writes non-finite floats as null; a float that gets
+    # past it still yields no Infinity or NaN token, the encoder refuses it
+    monkeypatch.setattr(cli, "_finite_or_null", lambda obj: obj)
     with pytest.raises(ValueError):
-        cli._indented([1.0, value], "\n")
+        cli._json_text([1.0, value])
 
 
 STARTUP_PROBE = """

@@ -7,6 +7,8 @@ log(r^2 + rho^2) ~ 2 log rho, so the norm family decreases to
 2^(-1/(m-1)) times the ratio, not to the ratio itself.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,19 @@ def test_a_nan_node_fails_the_ordering(node):
     rho[node] = np.nan
     with pytest.raises(DomainError, match="strictly increasing"):
         xlog.RadialDatum(rho, np.ones(3))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "form, field",
+    [("log-growth", "amplitude"), ("log-growth", "rho_start"), ("log-growth", "m"),
+     ("bounded", "amplitude"), ("bounded", "rho_start")],
+)
+def test_tail_descriptor_rejects_a_non_finite_field(form, field, value):
+    valid = {"amplitude": 1.0, "rho_start": 3.0, "m": 2.0 if form == "log-growth" else None}
+    xlog.TailDescriptor(form, **valid)
+    with pytest.raises(DomainError):
+        xlog.TailDescriptor(form, **{**valid, field: value})
 
 
 def test_tail_mismatch_detected():
