@@ -15,6 +15,7 @@ from .barriers import (
     shifted_subsolution,
     subsolution_params,
     supersolution_amplitude,
+    uniqueness_report,
 )
 from .blowup import BlowupConfig, BlowupLedger, run_blowup, stage_T, stage_delta, stage_epsilon, stage_schedule
 from .geometry import (
@@ -39,6 +40,7 @@ from .solver import (
     exhaust,
     existence_time,
     solve_ball,
+    solve_report,
     step,
     tau_h,
 )

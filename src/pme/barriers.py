@@ -10,7 +10,10 @@ uniqueness-side certificates.
 
 Certificates evaluate the relevant differential inequality in closed form on
 a radius grid and report the worst residual relative to the local magnitude,
-since the profiles span many orders of magnitude.
+since the profiles span many orders of magnitude.  A ``CertificateReport``
+and the ``UniquenessReport`` of ``uniqueness_report`` each own their
+verdict: ``validate`` raises CertificateError (exit code 3) when a check
+fails.
 
 The blow-up stages use the shifted subsolutions V = (W_T^m - delta)_+^(1/m),
 and no certificate is run per stage: the unit-profile certificate of
@@ -31,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NotApplicableError
+from .errors import CertificateError, DomainError, NotApplicableError
 from .geometry import ComparisonConstants, ModelManifold, probe_grid
 
 RESIDUAL_TOL = 1e-10
@@ -133,6 +136,7 @@ def laplacian_wm(p: BarrierParams, manifold: ModelManifold, rho):
 class CertificateReport:
     """Outcome of a grid certificate: worst scaled residual and location."""
 
+    kind: str  # super | sub | eta, the certificate's name in messages; not written
     passed: bool
     min_residual: float
     argmin_rho: float
@@ -151,6 +155,15 @@ class CertificateReport:
             "details": self.details,
         }
 
+    def validate(self):
+        """CertificateError naming the worst residual when the certificate failed."""
+        if not self.passed:
+            raise CertificateError(
+                f"{self.kind} certificate failed: residual {self.min_residual:.3e} "
+                f"at rho={self.argmin_rho:.6g}"
+            )
+        return True
+
 
 def _certificate_grid(rho_grid) -> np.ndarray:
     rho = probe_grid(1e3, 10**4) if rho_grid is None else np.asarray(rho_grid)
@@ -159,10 +172,11 @@ def _certificate_grid(rho_grid) -> np.ndarray:
     return rho
 
 
-def _report(res, rho, params: dict, details: dict, ok: bool = True) -> CertificateReport:
+def _report(kind, res, rho, params: dict, details: dict, ok: bool = True) -> CertificateReport:
     """Report of the worst scaled residual ``res`` on the nodes ``rho``."""
     i = int(np.argmin(res))
     return CertificateReport(
+        kind=kind,
         passed=ok and bool(res[i] >= -RESIDUAL_TOL),
         min_residual=float(res[i]),
         argmin_rho=float(rho[i]),
@@ -199,7 +213,7 @@ def certify_supersolution(
     details = {"amplitude_condition_ok": ok, "amplitude_condition_min_margin": float(margin[j])}
     res = (w - lap) / (np.abs(w) + np.abs(lap))
     params = {"a": p.amplitude, "r": p.r, "m": p.m}
-    return _report(res, rho, params, details, ok)
+    return _report("super", res, rho, params, details, ok)
 
 
 def certify_subsolution(
@@ -212,7 +226,7 @@ def certify_subsolution(
     w = p.profile_unit(rho)
     lap = (p.m - 1.0) * laplacian_wm(p, manifold, rho)
     res = (lap - w) / (np.abs(w) + np.abs(lap))
-    return _report(res, rho, {"a": p.amplitude, "r": p.r, "m": p.m}, {})
+    return _report("sub", res, rho, {"a": p.amplitude, "r": p.r, "m": p.m}, {})
 
 
 def _lower_envelope_min(c_dd: float, r: float) -> float:
@@ -379,6 +393,7 @@ def certify_eta(
     i, j = np.unravel_index(int(np.argmin(res)), res.shape)
     signs_ok = bool(np.all(e_t[live] < 0) and np.all(e_r[live] < 0))
     return CertificateReport(
+        kind="eta",
         passed=bool(res[i, j] >= -ETA_TOL),
         min_residual=float(res[i, j]),
         argmin_rho=float(R[i, j]),
@@ -433,3 +448,61 @@ def decay_regime(c_m: float, decay: float, horizon: float) -> str:
     if abs(horizon - critical) <= 1e-12 * critical:
         return "boundary"
     return "decay" if horizon < critical else "growth"
+
+
+@dataclass
+class UniquenessReport:
+    """The uniqueness-side certificates at horizon T: the eta barrier, the
+    decay regime of T against K/(2 C_M) and the decay product at R = 100."""
+
+    K: float
+    C_M: float
+    T: float
+    critical_T: float  # K/(2 C_M)
+    regime: str  # decay | growth | boundary
+    eta_certificate: dict  # CertificateReport.as_json_dict() of the eta barrier
+    F_at_100: float
+    logF_at_100: float
+
+    def validate(self):
+        """CertificateError unless the eta barrier holds and T < K/(2 C_M)."""
+        if not self.eta_certificate["pass"]:
+            raise CertificateError("eta barrier inequality failed on the verification grid")
+        if self.regime == "growth":
+            raise CertificateError(
+                f"smallness condition fails: T={self.T:g} >= K/(2 C_M)={self.critical_T:g}"
+            )
+        if self.regime == "boundary":
+            raise CertificateError("T sits exactly at K/(2 C_M): decay test inconclusive")
+        return True
+
+
+def uniqueness_report(
+    c_m: float,
+    decay: Optional[float],
+    horizon: float,
+    m: float,
+    coeff_bound: float,
+    inner_radius: float,
+    dim: int,
+) -> UniquenessReport:
+    """Certify the eta barrier of ``EtaBarrierParams`` (scale 1) on the
+    ``dim``-dimensional verification grid, and classify the decay regime.
+    ``decay`` None takes ``select_K(coeff_bound, inner_radius)``."""
+    if decay is None:
+        decay = select_K(coeff_bound, inner_radius)
+    eta_params = EtaBarrierParams(
+        decay=decay, scale=1.0, horizon=horizon, inner_radius=inner_radius, coeff_bound=coeff_bound
+    )
+    eta_report = certify_eta(eta_params, dim=dim)
+    regime = decay_regime(c_m, decay, horizon)  # rejects C_M <= 0 before critical_T divides by it
+    return UniquenessReport(
+        K=decay,
+        C_M=c_m,
+        T=horizon,
+        critical_T=decay / (2.0 * c_m),
+        regime=regime,
+        eta_certificate=eta_report.as_json_dict(),
+        F_at_100=decay_product(c_m, decay, horizon, m, 100.0),
+        logF_at_100=log_decay_product(c_m, decay, horizon, m, 100.0),
+    )

@@ -8,15 +8,23 @@ Subcommands: ``geometry`` (comparison constants report), ``barrier-check``
 Run objects come from the builders in ``pme.config``; ``blowup`` and each
 ``sweep`` row share one path from a config dict to a ledger, whose setup
 builds the ball, so ``sweep`` checks every row's config and ball before any
-run starts; ``blowup`` validates the ledger after writing it, so a failed
-check leaves the file to inspect.  Each run checks, after its builders and
-before any solve or output, that it read every config key
+run starts.  Each report type owns its verdict: ``solve``, ``exhaust``,
+``blowup``, ``uniq-check`` and ``barrier-check`` build their report
+(``solver.SolveReport``, ``solver.ExhaustReport``, ``blowup.BlowupLedger``,
+``barriers.UniquenessReport``, ``barriers.CertificateReport``), write it,
+then call its ``validate``, so a failed check leaves the output to inspect;
+this module raises no CertificateError of its own.  Each run checks, after
+its builders and before any solve or output, that it read every config key
 (``barrier-check``: every optional flag) it was given.  Every number flag
 is typed by the config reader (``get_float``, ``get_int`` with its
-minimum), so a malformed, non-finite or out-of-range number is a
+minimum), and a float flag whose range the library checks carries that
+range too, so a malformed, non-finite or out-of-range number is a
 ConfigError that names the flag as typed.  Flags are not abbreviated, and
 argparse's own errors (a missing or unknown flag, a bad choice) are
-ConfigErrors too.
+ConfigErrors too.  An output path that cannot be written (a directory, a
+path under a regular file, a directory without write permission) is a
+ConfigError that names it.  Under ``--verbose``, a successful ``geometry``,
+``barrier-check`` or ``blowup`` prints one ``INFO pme:`` line on stderr.
 ``sweep --param`` takes ``b`` (log-growth amplitude) or a config key the
 blow-up run reads; each ``--values`` token enters the config as typed.
 
@@ -32,7 +40,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import math
 import os
 import sys
@@ -42,32 +49,36 @@ from pathlib import Path
 import numpy as np
 
 from . import barriers, blowup, config as cfgmod, geometry, solver
-from .errors import EXIT_LABELS, CertificateError, ConfigError, PMEError, SolverError
-
-logger = logging.getLogger("pme")
+from .errors import EXIT_LABELS, ConfigError, PMEError, SolverError
 
 
 # -- deterministic atomic output ------------------------------------------------
 
 
 def _atomic_write(path, text: str):
+    """Write ``text`` to ``path`` through a temporary file beside it; a path
+    that cannot be written is a ConfigError that names it."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
+        if not path.parent.exists():  # a parent that is a file fails in mkstemp: "Not a directory"
+            path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _finite_or_null(obj):
@@ -122,9 +133,19 @@ def _numbers(text: str, option: str) -> list:
     return tokens
 
 
-def _float(parser, flag: str, **kwargs):
-    """Add a float ``flag``, its text read as ``config.get_float`` reads a key."""
-    parser.add_argument(flag, type=lambda text: cfgmod.get_float({flag: text}, flag), **kwargs)
+def _float(parser, flag: str, minimum=None, above=None, **kwargs):
+    """Add a float ``flag``, its text read as ``config.get_float`` reads a key,
+    that is at least ``minimum`` and more than ``above`` where given."""
+
+    def read(text):
+        val = cfgmod.get_float({flag: text}, flag)
+        if minimum is not None and val < minimum:
+            raise ConfigError(f"option '{flag}' must be >= {minimum:g}")
+        if above is not None and not val > above:
+            raise ConfigError(f"option '{flag}' must be > {above:g}")
+        return val
+
+    parser.add_argument(flag, type=read, **kwargs)
 
 
 def _int(parser, flag: str, minimum: int, **kwargs):
@@ -163,6 +184,12 @@ def _blowup_ledger(cfg: dict, stage_hook=None) -> blowup.BlowupLedger:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _info(args, message: str):
+    """Under ``--verbose``, ``message`` as one ``INFO pme:`` line on stderr."""
+    if args.verbose:
+        print(f"INFO pme: {message}", file=sys.stderr)
+
+
 def cmd_geometry(args) -> int:
     manifold = geometry.make_manifold(args.manifold, args.dim, args.c)
     consts = geometry.fit_comparison_constants(
@@ -170,7 +197,7 @@ def cmd_geometry(args) -> int:
     )
     manifold_key = {"kind": manifold.kind, "dim": manifold.dim, "c": manifold.c}
     write_json(args.report, {**dataclasses.asdict(consts), "manifold": manifold_key})
-    logger.info("geometry constants written to %s", args.report)
+    _info(args, f"geometry constants written to {args.report}")
     return 0
 
 
@@ -196,7 +223,9 @@ def cmd_barrier_check(args) -> int:
         nodes = opts.get("--nodes", 10**4)
         cfgmod.reject_unread(opts, f"--which {args.which}")
         grid = geometry.probe_grid(args.rho_max, nodes)
-        consts = geometry.fit_comparison_constants(manifold, rho_max=max(10.0, args.rho_max))
+        consts = geometry.fit_comparison_constants(
+            manifold, rho_max=max(geometry.MIN_RHO_MAX, args.rho_max)
+        )
         if args.which == "super":
             a = barriers.supersolution_amplitude(consts.c_prime, m)
             barrier = barriers.BarrierParams(amplitude=a, r=2.0, horizon=1.0, m=m)
@@ -206,12 +235,8 @@ def cmd_barrier_check(args) -> int:
             report = barriers.certify_subsolution(barrier, manifold, grid)
         params = {"a": barrier.amplitude, "r": barrier.r, "K": None}
     write_json(args.out, {**report.as_json_dict(), "params": params})
-    if not report.passed:
-        raise CertificateError(
-            f"{args.which} certificate failed: residual {report.min_residual:.3e} "
-            f"at rho={report.argmin_rho:.6g}"
-        )
-    logger.info("%s certificate passed (min residual %.3e)", args.which, report.min_residual)
+    report.validate()
+    _info(args, f"{args.which} certificate passed (min residual {report.min_residual:.3e})")
     return 0
 
 
@@ -235,31 +260,11 @@ def cmd_solve(args) -> int:
         top = max(top, float(spec.table_rho[-1]))
     datum = spec.datum(m, np.geomspace(1e-3, top, 4001))
     et = solver.existence_time(datum, consts, m, r=scfg.norm_r)
-    horizon = None
-    if not et.global_flag and not math.isinf(et.time):
-        horizon = et.time
-
-    traj = solver.solve_ball(spec.profile(m), scfg, grid, barrier_horizon=horizon)
+    traj = solver.solve_ball(spec.profile(m), scfg, grid, barrier_horizon=et.horizon)
     write_trajectory(args.out, traj)
-
-    tol = solver.tau_h(grid.h, float(np.max(np.abs(traj.stacked))))
-    excess = None
-    if horizon is not None:  # a finite horizon implies a positive norm
-        excess = solver.barrier_excess(traj, et.norm, horizon, scfg.norm_r, m)
-    summary = {
-        "log_norm_series": traj.lognorms,
-        "tail_ratio_series": traj.tail_ratios,
-        "mass_series": traj.masses,
-        "times": traj.times,
-        "max_barrier_violation": excess,
-        "existence_time": et.time,
-        "existence_time_limit": et.limit_time,
-        "global_existence": et.global_flag,
-        "tau_h": tol,
-    }
-    write_json(args.summary, summary)
-    if excess is not None and excess > tol:
-        raise CertificateError(f"barrier sandwich violated by {excess:.3e} (tolerance {tol:.3e})")
+    report = solver.solve_report(traj, et)
+    write_json(args.summary, report)
+    report.validate()
     return 0
 
 
@@ -269,12 +274,9 @@ def cmd_exhaust(args) -> int:
     cells = cfgmod.get_int(cfg, "cells", minimum=3)
     scfg = cfgmod.solver_config_from(cfg, m)
     cfgmod.reject_unread(cfg, "an exhaust run")
-    rep = solver.exhaust(spec.profile(m), scfg, manifold, radii, cells)
-    write_json(args.out, rep)
-    if rep.monotonicity_gap > rep.tau_h:
-        raise CertificateError(
-            f"exhaustion monotonicity violated: gap {rep.monotonicity_gap:.3e} > {rep.tau_h:.3e}"
-        )
+    report = solver.exhaust(spec.profile(m), scfg, manifold, radii, cells)
+    write_json(args.out, report)
+    report.validate()
     return 0
 
 
@@ -290,12 +292,7 @@ def cmd_blowup(args) -> int:
     ledger = _blowup_ledger(cfg, stage_hook=hook)
     write_json(args.ledger, ledger)
     ledger.validate()
-    logger.info(
-        "blow-up run: %s after %d stages, tau=%.6g",
-        ledger.status,
-        len(ledger.stages),
-        ledger.tau,
-    )
+    _info(args, f"blow-up run: {ledger.status} after {len(ledger.stages)} stages, tau={ledger.tau:.6g}")
     return 0
 
 
@@ -304,47 +301,19 @@ def cmd_uniq_check(args) -> int:
         raise ConfigError("--table-points sizes the --out table; it needs --out")
     if args.out and Path(args.out).suffix == ".csv":
         raise ConfigError(f"--out {args.out} ends in .csv, the name of its R,F,logF table")
-    if args.k is None:
-        k = barriers.select_K(args.c2, args.r0)
-    else:
-        k = args.k
-    eta_params = barriers.EtaBarrierParams(
-        decay=k,
-        scale=1.0,
-        horizon=args.T,
-        inner_radius=args.r0,
-        coeff_bound=args.c2,
-    )
-    eta_report = barriers.certify_eta(eta_params, dim=args.dim)
-    regime = barriers.decay_regime(args.c_m, k, args.T)
-    out = {
-        "K": k,
-        "C_M": args.c_m,
-        "T": args.T,
-        "critical_T": k / (2.0 * args.c_m),
-        "regime": regime,
-        "eta_certificate": eta_report.as_json_dict(),
-        "F_at_100": barriers.decay_product(args.c_m, k, args.T, args.m, 100.0),
-        "logF_at_100": barriers.log_decay_product(args.c_m, k, args.T, args.m, 100.0),
-    }
+    report = barriers.uniqueness_report(args.c_m, args.k, args.T, args.m, args.c2, args.r0, args.dim)
     if args.out:
+        k = report.K
         rows = [
             (r, barriers.decay_product(args.c_m, k, args.T, args.m, r),
              barriers.log_decay_product(args.c_m, k, args.T, args.m, r))
             for r in np.geomspace(10.0, 1000.0, args.table_points or 60).tolist()
         ]
-        write_json(args.out, out)
+        write_json(args.out, report)
         write_csv(Path(args.out).with_suffix(".csv"), ["R", "F", "logF"], rows)
     else:
-        sys.stdout.write(_json_text(out))
-    if not eta_report.passed:
-        raise CertificateError("eta barrier inequality failed on the verification grid")
-    if regime == "growth":
-        raise CertificateError(
-            f"smallness condition fails: T={args.T:g} >= K/(2 C_M)={k / (2 * args.c_m):g}"
-        )
-    if regime == "boundary":
-        raise CertificateError("T sits exactly at K/(2 C_M): decay test inconclusive")
+        sys.stdout.write(_json_text(report))
+    report.validate()
     return 0
 
 
@@ -431,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("geometry", help="fit and report comparison constants")
     _manifold_args(g)
-    _float(g, "--rho-max", default=1e3)
+    _float(g, "--rho-max", minimum=geometry.MIN_RHO_MAX, default=1e3)
     _int(g, "--n-probe", geometry.MIN_PROBES, default=4096)
     g.add_argument("--report", required=True)
     g.set_defaults(func=cmd_geometry)
 
     b = sub.add_parser("barrier-check", help="certify a barrier inequality")
     _manifold_args(b)
-    _float(b, "--m", default=None, help="super/sub: PME exponent (required)")
+    _float(b, "--m", above=1.0, default=None, help="super/sub: PME exponent (required)")
     b.add_argument("--which", choices=("super", "sub", "eta"), required=True)
     _float(b, "--rho-max", default=1e3)
     _int(b, "--nodes", 1, default=None, help="super/sub: nodes (default 10000)")
@@ -466,12 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     bl.set_defaults(func=cmd_blowup)
 
     u = sub.add_parser("uniq-check", help="uniqueness-side decay certificates")
-    _float(u, "--T", required=True)
+    _float(u, "--T", above=0.0, required=True)
     _float(u, "--c_m", required=True)
     _float(u, "--k", default=None, help="decay constant; derived from --c2 when omitted")
-    _float(u, "--c2", default=1.0)
+    _float(u, "--c2", above=0.0, default=1.0)
     _float(u, "--r0", default=2.0)
-    _float(u, "--m", default=2.0)
+    _float(u, "--m", above=1.0, default=2.0)
     _int(u, "--dim", 2, default=2)
     _int(u, "--table-points", 1, default=None, help="rows of the --out table (default 60)")
     u.add_argument("--out", default=None)
@@ -492,10 +461,6 @@ def main(argv=None) -> int:
     """Run one subcommand; a PMEError exits with its class's ``exit_code``."""
     try:
         args = build_parser().parse_args(argv)
-        logging.basicConfig(
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
         return args.func(args)
     except PMEError as exc:
         print(f"pme: {EXIT_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)

@@ -33,8 +33,9 @@ from .errors import DomainError
 
 # Safety margin applied to grid extrema when certifying constants.
 FIT_MARGIN = 1e-3
-# Fewest probe radii a constant fit accepts.
+# Fewest probe radii, and smallest outermost probe, a constant fit accepts.
 MIN_PROBES = 1000
+MIN_RHO_MAX = 10.0
 
 
 def log_sphere_area(dim: int) -> float:
@@ -287,8 +288,8 @@ def fit_comparison_constants(
     Grid extrema are widened by FIT_MARGIN and merged with the family's
     analytic limits, so the certified inequalities hold beyond the probes.
     """
-    if rho_max < 10.0:
-        raise DomainError("rho_max must be >= 10")
+    if rho_max < MIN_RHO_MAX:
+        raise DomainError(f"rho_max must be >= {MIN_RHO_MAX:g}")
     if n_probe < MIN_PROBES:
         raise DomainError(f"n_probe must be >= {MIN_PROBES}")
     rho = probe_grid(rho_max, n_probe)

@@ -197,6 +197,14 @@ fields and the boundary outflow of each recorded interval.  Its norm,
 tail-ratio and mass series are computed from the stacked fields when read,
 and ``barrier_excess`` checks the stacked fields against the separable
 envelopes of ``barriers.separable_envelopes`` in one array operation.
+
+A run's report owns its verdict.  ``solve_report`` builds a single-ball
+run's ``SolveReport`` from its trajectory and existence time, with the
+run's policies: the sandwich audit runs only under a finite horizon, and
+its tolerance ``tau_h`` is scaled by the largest recorded |u|.
+``exhaust`` builds an ``ExhaustReport``, whose ``tau_h`` is scaled by
+max(1, largest final |u|).  Each report's ``validate`` raises
+CertificateError (exit code 3) when its check fails.
 """
 
 from __future__ import annotations
@@ -218,7 +226,7 @@ from .barriers import (
     shifted_subsolution,
     supersolution_amplitude,
 )
-from .errors import DomainError, SolverError, is_count
+from .errors import CertificateError, DomainError, SolverError, is_count
 from .geometry import ComparisonConstants, ModelManifold
 from .grid import RadialGrid
 from .xlog import LogNorm, RadialDatum, log_norm, norm_limit
@@ -896,6 +904,15 @@ class ExhaustReport:
     inner_increments: list  # sup on the inner ball of successive differences
     tau_h: float  # discretization tolerance used
 
+    def validate(self):
+        """CertificateError unless the nested solutions increase with the
+        radius up to ``tau_h``."""
+        if self.monotonicity_gap > self.tau_h:
+            raise CertificateError(
+                f"exhaustion monotonicity violated: gap {self.monotonicity_gap:.3e} > {self.tau_h:.3e}"
+            )
+        return True
+
 
 def exhaust(
     u0,
@@ -968,6 +985,14 @@ class ExistenceTime:
     global_flag: bool
     norm: float  # ||u0|| in the weighted norm of offset r
 
+    @property
+    def horizon(self) -> Optional[float]:
+        """The finite horizon that caps a run and its sandwich audit; None
+        under global existence.  A finite horizon implies a positive norm."""
+        if self.global_flag or math.isinf(self.time):
+            return None
+        return self.time
+
 
 def existence_time(
     u0: RadialDatum,
@@ -1000,6 +1025,47 @@ def barrier_excess(
     w = LogNorm(r, m).weight(traj.grid.centers)
     bound = separable_envelopes(traj.times, horizon, m, norm0, w)
     return float(np.max(np.abs(traj.stacked) - bound))
+
+
+@dataclass
+class SolveReport:
+    """Summary of a single-ball run: its recorded series, the existence time
+    behind its horizon and the barrier sandwich audit."""
+
+    times: list
+    log_norm_series: list
+    tail_ratio_series: list
+    mass_series: list
+    existence_time: float
+    existence_time_limit: float
+    global_existence: bool
+    max_barrier_violation: Optional[float]  # None without a finite horizon
+    tau_h: float  # tolerance of the audit, scaled by the largest recorded |u|
+
+    def validate(self):
+        """CertificateError when |u| leaves the barrier envelope by more than ``tau_h``."""
+        excess, tol = self.max_barrier_violation, self.tau_h
+        if excess is not None and excess > tol:
+            raise CertificateError(f"barrier sandwich violated by {excess:.3e} (tolerance {tol:.3e})")
+        return True
+
+
+def solve_report(traj: Trajectory, et: ExistenceTime) -> SolveReport:
+    """The report of a run recorded in ``traj`` up to ``et.horizon``."""
+    excess = None
+    if et.horizon is not None:
+        excess = barrier_excess(traj, et.norm, et.horizon, traj.norm.r, traj.norm.m)
+    return SolveReport(
+        times=traj.times,
+        log_norm_series=traj.lognorms,
+        tail_ratio_series=traj.tail_ratios,
+        mass_series=traj.masses,
+        existence_time=et.time,
+        existence_time_limit=et.limit_time,
+        global_existence=et.global_flag,
+        max_barrier_violation=excess,
+        tau_h=tau_h(traj.grid.h, float(np.max(np.abs(traj.stacked)))),
+    )
 
 
 # -- classical self-similar oracle ---------------------------------------------

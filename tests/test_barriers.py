@@ -5,6 +5,7 @@ the subsolution parameter search against a brute-force scan; the decay
 product against direct evaluation in log space.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pme import barriers, geometry
-from pme.errors import DomainError, NotApplicableError
+from pme.errors import CertificateError, DomainError, NotApplicableError
 
 
 def fd_laplacian(p, manifold, rho, h=1e-5):
@@ -384,3 +385,53 @@ def test_decay_regime_boundary():
     assert barriers.decay_regime(1.0, 0.2, 0.05) == "decay"
     assert barriers.decay_regime(1.0, 0.2, 0.2) == "growth"
     assert barriers.decay_regime(1.0, 0.2, 0.1) == "boundary"
+
+
+# -- each report's own verdict ----------------------------------------------------------
+
+
+def assert_certificate_error(rep, message):
+    with pytest.raises(CertificateError) as info:
+        rep.validate()
+    assert str(info.value) == message and info.value.exit_code == 3
+
+
+def test_certificate_report_validate_names_the_failed_certificate(quad_manifold, quad_constants):
+    a = barriers.supersolution_amplitude(quad_constants.c_prime, 2.0)
+    p = barriers.BarrierParams(amplitude=10 * a, r=2.0, horizon=1.0, m=2.0)
+    rep = barriers.certify_supersolution(p, quad_manifold, quad_constants)
+    assert_certificate_error(
+        rep, f"super certificate failed: residual {rep.min_residual:.3e} at rho={rep.argmin_rho:.6g}"
+    )
+    rep = barriers.certify_eta(barriers.EtaBarrierParams(5.0, 1.0, 1.0, 2.0, 1.0), dim=2)
+    assert_certificate_error(
+        rep, f"eta certificate failed: residual {rep.min_residual:.3e} at rho={rep.argmin_rho:.6g}"
+    )
+    sub = barriers.certify_subsolution(barriers.subsolution_params(quad_constants, 2.0), quad_manifold)
+    assert sub.kind == "sub" and sub.validate()
+    assert "kind" not in sub.as_json_dict()
+
+
+def test_uniqueness_report_derives_K_and_passes_in_the_decay_regime():
+    rep = barriers.uniqueness_report(1.0, None, 0.05, 2.0, 1.0, 2.0, 2)
+    assert rep.K == barriers.select_K(1.0, 2.0)
+    assert rep.critical_T == rep.K / 2.0 and rep.regime == "decay"
+    assert rep.logF_at_100 == barriers.log_decay_product(1.0, rep.K, 0.05, 2.0, 100.0)
+    assert rep.eta_certificate["pass"] and rep.validate()
+
+
+@pytest.mark.parametrize(
+    "decay, horizon, message",
+    [
+        # K = 5 breaks the eta inequality while T = 1 < K/(2 C_M) = 2.5
+        (5.0, 1.0, "eta barrier inequality failed on the verification grid"),
+        (0.2, 0.2, "smallness condition fails: T=0.2 >= K/(2 C_M)=0.1"),
+        (0.2, 0.1, "T sits exactly at K/(2 C_M): decay test inconclusive"),
+    ],
+)
+def test_uniqueness_report_validate_raises_outside_its_certificates(decay, horizon, message):
+    rep = barriers.uniqueness_report(1.0, decay, horizon, 2.0, 1.0, 2.0, 2)
+    assert_certificate_error(rep, message)
+    if decay == 5.0:
+        assert rep.regime == "decay"
+        assert dataclasses.replace(rep, eta_certificate={**rep.eta_certificate, "pass": True}).validate()

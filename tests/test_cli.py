@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pme import blowup, cli, errors, geometry, solver
+from pme import barriers, blowup, cli, errors, geometry, solver
 
 
 def run_cli(*argv):
@@ -496,7 +496,7 @@ def test_uniq_check_certifies_at_the_given_horizon(capsys, T):
 def test_uniq_check_nonpositive_horizon_exits_2(capsys, T):
     rc = run_cli("uniq-check", "--T", T, "--c_m", "1", "--k", "0.2")
     err = assert_one_configuration_error(rc, capsys)
-    assert "horizon must be positive" in err, err
+    assert "option '--T' must be > 0" in err, err
 
 
 @pytest.mark.parametrize(
@@ -815,6 +815,73 @@ def test_write_json_is_strict(tmp_path):
     }
 
 
+@pytest.mark.parametrize("target", ["directory", "cwd", "under-a-file", "unwritable-parent"])
+def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, target):
+    out = tmp_path / "u.json"
+    if target == "directory":
+        out.mkdir()
+    elif target == "cwd":  # os.replace onto the working directory itself
+        monkeypatch.chdir(tmp_path)
+        out = Path(".")
+    elif target == "under-a-file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "u.json"
+    else:
+        if os.geteuid() == 0:
+            pytest.skip("root writes into a directory without write permission")
+        out = tmp_path / "ro" / "u.json"
+        out.parent.mkdir(mode=0o500)
+    inputs = sorted(tmp_path.iterdir())
+    try:
+        rc = run_cli("uniq-check", "--T", "0.05", "--c_m", "1", "--k", "0.2", "--out", str(out))
+    finally:
+        if target == "unwritable-parent":
+            out.parent.chmod(0o700)
+    err = assert_one_configuration_error(rc, capsys)
+    assert err.startswith(f"{PREFIXES[2]}cannot write {out}: "), err
+    assert sorted(tmp_path.iterdir()) == inputs  # the temporary file is gone too
+
+
+def verbose_runs(tmp_path):
+    """{command: (argv, the INFO line its output implies)}."""
+    geometry_out, cert, ledger = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "l.json"
+    cfg = write_cfg(tmp_path, R12_BLOWUP_CFG.replace("cells = 120", "cells = 60") + "blowup_max_stages = 2\n")
+
+    def ledger_line():
+        led = json.loads(ledger.read_text())
+        return f"blow-up run: {led['status']} after {len(led['stages'])} stages, tau={led['tau']:.6g}"
+
+    return {
+        "geometry": (
+            ["geometry", "--manifold", "euclidean", "--dim", "3", "--report", str(geometry_out)],
+            lambda: f"geometry constants written to {geometry_out}",
+        ),
+        "barrier-check": (
+            ["barrier-check", "--manifold", "euclidean", "--dim", "2", "--m", "2", "--which", "super",
+             "--out", str(cert)],
+            lambda: f"super certificate passed (min residual {json.loads(cert.read_text())['min_residual']:.3e})",
+        ),
+        "blowup": (["blowup", "--config", cfg, "--ledger", str(ledger)], ledger_line),
+    }
+
+
+@pytest.mark.parametrize("command", ["geometry", "barrier-check", "blowup"])
+def test_verbose_prints_one_info_line_after_a_plain_run_in_the_same_process(tmp_path, capsys, command):
+    argv, line = verbose_runs(tmp_path)[command]
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr() == ("", "")
+    assert run_cli("--verbose", *argv) == 0
+    assert capsys.readouterr() == ("", f"INFO pme: {line()}\n")
+
+
+def test_solve_and_uniq_check_reports_have_their_dataclass_fields_as_keys(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, EUCLIDEAN_BALL_CFG + "u0 = log-growth(1.0)\nt_end = 0.01\ndt0 = 1e-3\n")
+    assert run_cli(*solve_args(tmp_path, cfg)) == 0
+    assert set(json.loads((tmp_path / "s.json").read_text())) == field_names(solver.SolveReport)
+    assert run_cli("uniq-check", "--T", "0.05", "--c_m", "1", "--k", "0.2") == 0
+    assert set(json.loads(capsys.readouterr().out)) == field_names(barriers.UniquenessReport)
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o007], ids=oct)
 def test_outputs_take_the_mode_a_new_file_gets(tmp_path, umask):
     previous = os.umask(umask)
@@ -1029,8 +1096,9 @@ def number_args(tmp_path, command, flag, text):
     return [command, *valid[command], flag, text]
 
 
-# malformed and below-minimum text of each integer flag, and malformed text
-# of a float flag: the flag's reader names it as typed
+# malformed and below-minimum text of each integer flag, malformed text of
+# a float flag, and each float flag out of the range the library checks:
+# the flag's reader names it as typed
 BAD_NUMBERS = [
     ("geometry", "--dim", "abc", "option '--dim': not an integer ('abc')"),
     ("geometry", "--dim", "1", "option '--dim' must be >= 2"),
@@ -1046,6 +1114,11 @@ BAD_NUMBERS = [
     ("uniq-check", "--table-points", "0", "option '--table-points' must be >= 1"),
     ("sweep", "--workers", "abc", "option '--workers': not an integer ('abc')"),
     ("uniq-check", "--T", "abc", "option '--T': not a number ('abc')"),
+    ("geometry", "--rho-max", "5", "option '--rho-max' must be >= 10"),
+    ("uniq-check", "--m", "1", "option '--m' must be > 1"),
+    ("barrier-check", "--m", "1", "option '--m' must be > 1"),
+    ("uniq-check", "--c2", "0", "option '--c2' must be > 0"),
+    ("uniq-check", "--T", "0", "option '--T' must be > 0"),
 ]
 
 
@@ -1347,3 +1420,4 @@ def test_starting_pme_loads_neither_numpy_polynomial_nor_scipy_linalg():
     assert "pme.cli" in loaded
     assert "numpy.polynomial" not in loaded
     assert "scipy.linalg" not in loaded
+    assert "logging" not in loaded  # --verbose writes its lines itself

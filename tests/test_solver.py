@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack, solve_banded
 
 from pme import barriers, blowup, geometry, solver, xlog
-from pme.errors import DomainError, NotApplicableError, SolverError
+from pme.errors import CertificateError, DomainError, NotApplicableError, SolverError
 from pme.grid import RadialGrid
 
 
@@ -1840,6 +1840,28 @@ def test_exhaust_validates_radii():
             solver.exhaust(lambda r: np.zeros_like(r), small_cfg(0.1), M, radii, cells)
 
 
+def test_exhaust_report_validate_raises_on_a_gap_over_its_tolerance():
+    rep = solver.ExhaustReport(
+        radii=[1.0, 2.0, 4.0], monotonicity_gap=0.25, inner_increments=[0.0, 0.0], tau_h=0.125
+    )
+    with pytest.raises(CertificateError) as info:
+        rep.validate()
+    assert str(info.value) == "exhaustion monotonicity violated: gap 2.500e-01 > 1.250e-01"
+    assert info.value.exit_code == 3
+    assert dataclasses.replace(rep, monotonicity_gap=0.125).validate()
+
+
+def test_exhaust_of_a_negative_datum_fails_its_own_check():
+    # under zero boundary data, comparison runs the other way for u0 < 0: the
+    # solution on a larger ball lies below, so the gap is the size of the
+    # mirrored positive run's increments, far above tau_h
+    cfg = solver.SolverConfig(m=2.0, dt=solver.DtPolicy(dt0=1e-2, dt_max=0.1), t_end=1.0)
+    rep = solver.exhaust(lambda r: -np.ones_like(r), cfg, geometry.euclidean(3), (1.0, 2.0, 4.0), 10)
+    assert rep.monotonicity_gap > 4 * rep.tau_h
+    with pytest.raises(CertificateError, match="^exhaustion monotonicity violated: gap "):
+        rep.validate()
+
+
 # -- existence time ------------------------------------------------------------------------
 
 
@@ -1893,6 +1915,41 @@ def test_existence_time_zero_datum():
     datum = xlog.RadialDatum(rho, np.ones_like(rho))
     with pytest.raises(NotApplicableError):
         solver.existence_time(datum, FakeConsts(), 2.0)
+
+
+def solve_report(excess, tol):
+    return solver.SolveReport(
+        times=[0.0], log_norm_series=[1.0], tail_ratio_series=[1.0], mass_series=[1.0],
+        existence_time=1.0, existence_time_limit=1.0, global_existence=False,
+        max_barrier_violation=excess, tau_h=tol,
+    )
+
+
+def test_solve_report_validate_raises_when_the_sandwich_is_left():
+    with pytest.raises(CertificateError) as info:
+        solve_report(0.2, 0.1).validate()
+    assert str(info.value) == "barrier sandwich violated by 2.000e-01 (tolerance 1.000e-01)"
+    assert info.value.exit_code == 3
+    assert solve_report(0.1, 0.1).validate() and solve_report(None, 0.1).validate()
+
+
+def test_solve_report_audits_only_under_a_finite_horizon(quad_manifold, quad_constants):
+    m = 2.0
+    g = RadialGrid.uniform(quad_manifold, 10.0, 40)
+    datum = xlog.log_growth_datum(1.0, m, np.geomspace(1e-3, 1e5, 4000))
+    et = solver.existence_time(datum, quad_constants, m)
+    assert et.horizon == et.time < math.inf
+    traj = solver.solve_ball(xlog.log_growth_profile(1.0, m), small_cfg(0.01), g, barrier_horizon=et.horizon)
+    rep = solver.solve_report(traj, et)
+    assert rep.max_barrier_violation == solver.barrier_excess(traj, et.norm, et.time, 2.0, m)
+    # the run's tau_h scale is its largest recorded |u|
+    assert rep.tau_h == solver.tau_h(g.h, max(float(np.max(np.abs(f))) for f in traj.fields))
+    assert (rep.times, rep.log_norm_series, rep.mass_series) == (traj.times, traj.lognorms, traj.masses)
+    assert (rep.existence_time, rep.global_existence) == (et.time, False)
+    assert rep.validate()
+    global_et = dataclasses.replace(et, global_flag=True)
+    assert global_et.horizon is None
+    assert solver.solve_report(traj, global_et).max_barrier_violation is None
 
 
 # -- step policies agree -----------------------------------------------------------------
