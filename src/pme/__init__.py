@@ -9,6 +9,7 @@ from .barriers import (
     decay_product,
     decay_regime,
     eta,
+    eta_certificate,
     laplacian_wm,
     log_decay_product,
     select_K,

@@ -38,6 +38,7 @@ from .errors import CertificateError, DomainError, NotApplicableError
 from .geometry import ComparisonConstants, ModelManifold, probe_grid
 
 RESIDUAL_TOL = 1e-10
+CERTIFICATE_NODES = 10**4  # default nodes of the super/sub certificates
 ETA_TOL = 1e-12
 K_MARGIN = 0.1
 
@@ -166,7 +167,7 @@ class CertificateReport:
 
 
 def _certificate_grid(rho_grid) -> np.ndarray:
-    rho = probe_grid(1e3, 10**4) if rho_grid is None else np.asarray(rho_grid)
+    rho = probe_grid(1e3, CERTIFICATE_NODES) if rho_grid is None else np.asarray(rho_grid)
     if rho.size == 0:
         raise DomainError("a certificate needs at least one grid node")
     return rho
@@ -409,6 +410,20 @@ def certify_eta(
     )
 
 
+def eta_certificate(
+    coeff_bound: float, inner_radius: float, horizon: float, dim: int, decay=None, rho_max=1e4
+) -> tuple:
+    """``(K, report)``: the eta barrier of decay K (scale 1) certified on the
+    ``dim``-dimensional grid up to ``rho_max``; ``decay`` None takes
+    ``select_K(coeff_bound, inner_radius)``."""
+    if decay is None:
+        decay = select_K(coeff_bound, inner_radius)
+    p = EtaBarrierParams(
+        decay=decay, scale=1.0, horizon=horizon, inner_radius=inner_radius, coeff_bound=coeff_bound
+    )
+    return decay, certify_eta(p, dim=dim, rho_max=rho_max)
+
+
 # -- uniqueness decay product ---------------------------------------------------
 
 
@@ -486,15 +501,9 @@ def uniqueness_report(
     inner_radius: float,
     dim: int,
 ) -> UniquenessReport:
-    """Certify the eta barrier of ``EtaBarrierParams`` (scale 1) on the
-    ``dim``-dimensional verification grid, and classify the decay regime.
-    ``decay`` None takes ``select_K(coeff_bound, inner_radius)``."""
-    if decay is None:
-        decay = select_K(coeff_bound, inner_radius)
-    eta_params = EtaBarrierParams(
-        decay=decay, scale=1.0, horizon=horizon, inner_radius=inner_radius, coeff_bound=coeff_bound
-    )
-    eta_report = certify_eta(eta_params, dim=dim)
+    """Certify the eta barrier of ``eta_certificate`` at ``horizon``, and
+    classify the decay regime."""
+    decay, eta_report = eta_certificate(coeff_bound, inner_radius, horizon, dim, decay)
     regime = decay_regime(c_m, decay, horizon)  # rejects C_M <= 0 before critical_T divides by it
     return UniquenessReport(
         K=decay,

@@ -246,8 +246,8 @@ class BlowupConfig:
     threshold_factor: float = 1e3
     max_stages: int = 600
     steps_per_stage: int = 40
-    newton_tol: float = 1e-10
-    norm_r: float = 2.0
+    newton_tol: float = SolverConfig.newton_tol
+    norm_r: float = SolverConfig.norm_r
 
     def __post_init__(self):
         if not 1.0 < self.m < math.inf:

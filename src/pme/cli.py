@@ -5,12 +5,15 @@ Subcommands: ``geometry`` (comparison constants report), ``barrier-check``
 (nested-ball monotonicity), ``blowup`` (staged norm blow-up), ``uniq-check``
 (uniqueness-side decay product) and ``sweep`` (parameter sweeps).
 
-Run objects come from the builders in ``pme.config``; ``blowup`` and each
-``sweep`` row share one path from a config dict to a ledger, whose setup
-builds the ball, so ``sweep`` checks every row's config and ball before any
-run starts.  Each report type owns its verdict: ``solve``, ``exhaust``,
-``blowup``, ``uniq-check`` and ``barrier-check`` build their report
-(``solver.SolveReport``, ``solver.ExhaustReport``, ``blowup.BlowupLedger``,
+Run inputs come from library builders: run objects from ``pme.config``,
+the datum's probe grid from ``config.DatumSpec.datum`` and the eta barrier
+certificate from ``barriers.eta_certificate``, so this module only parses,
+writes and validates.  ``blowup`` and each ``sweep`` row share one path from
+a config dict to a ledger, whose setup builds the ball, so ``sweep`` checks
+every row's config and ball before any run starts.  Each report type owns
+its verdict: ``solve``, ``exhaust``, ``blowup``, ``uniq-check`` and
+``barrier-check`` build their report (``solver.SolveReport``,
+``solver.ExhaustReport``, ``blowup.BlowupLedger``,
 ``barriers.UniquenessReport``, ``barriers.CertificateReport``), write it,
 then call its ``validate``, so a failed check leaves the output to inspect;
 this module raises no CertificateError of its own.  Each run checks, after
@@ -175,10 +178,8 @@ def _blowup_ledger(cfg: dict, stage_hook=None) -> blowup.BlowupLedger:
     """Run the staged blow-up construction for ``cfg``; the caller validates its ledger."""
     grid, spec, bcfg = _blowup_setup(cfg)
     consts = geometry.fit_comparison_constants(grid.manifold)
-    datum = spec.datum(bcfg.m, np.geomspace(1e-3, 1e6, 4001))
-    return blowup.run_blowup(
-        datum, spec.profile(bcfg.m), grid, consts, bcfg, stage_hook=stage_hook
-    )
+    datum, profile = spec.datum(bcfg.m, grid.radius), spec.profile(bcfg.m)
+    return blowup.run_blowup(datum, profile, grid, consts, bcfg, stage_hook=stage_hook)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -212,15 +213,11 @@ def cmd_barrier_check(args) -> int:
         c2 = cfgmod.get_float(opts, "--c2", default=1.0)
         r0 = cfgmod.get_float(opts, "--r0", default=2.0)
         cfgmod.reject_unread(opts, "--which eta")
-        k = barriers.select_K(c2, r0)
-        eta_params = barriers.EtaBarrierParams(
-            decay=k, scale=1.0, horizon=1.0, inner_radius=r0, coeff_bound=c2
-        )
-        report = barriers.certify_eta(eta_params, dim=manifold.dim, rho_max=args.rho_max)
+        k, report = barriers.eta_certificate(c2, r0, 1.0, manifold.dim, rho_max=args.rho_max)
         params = {"a": None, "r": None, "K": k}
     else:
         m = cfgmod.exponent_from(opts, "--m")
-        nodes = opts.get("--nodes", 10**4)
+        nodes = opts.get("--nodes", barriers.CERTIFICATE_NODES)
         cfgmod.reject_unread(opts, f"--which {args.which}")
         grid = geometry.probe_grid(args.rho_max, nodes)
         consts = geometry.fit_comparison_constants(
@@ -255,11 +252,7 @@ def cmd_solve(args) -> int:
     cfgmod.reject_unread(cfg, "a solve run")
 
     consts = geometry.fit_comparison_constants(manifold)
-    top = max(1e3, 10 * grid.radius)
-    if spec.kind == "table":  # the norm sees the sampled rows and the tail past the last row
-        top = max(top, float(spec.table_rho[-1]))
-    datum = spec.datum(m, np.geomspace(1e-3, top, 4001))
-    et = solver.existence_time(datum, consts, m, r=scfg.norm_r)
+    et = solver.existence_time(spec.datum(m, grid.radius), consts, m, r=scfg.norm_r)
     traj = solver.solve_ball(spec.profile(m), scfg, grid, barrier_horizon=et.horizon)
     write_trajectory(args.out, traj)
     report = solver.solve_report(traj, et)
@@ -358,17 +351,7 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_row, cfgs))
     else:
         rows = [_sweep_row(cfg) for cfg in cfgs]
-    header = [
-        "param",
-        "value",
-        "status",
-        "tau",
-        "T1",
-        "stages",
-        "initial_lognorm",
-        "final_lognorm",
-        "error",
-    ]
+    header = "param,value,status,tau,T1,stages,initial_lognorm,final_lognorm,error".split(",")
     write_csv(args.out, header, [[args.param, float(tok), *row] for tok, row in zip(tokens, rows)])
     if all(row[0] == "failed" for row in rows):
         raise SolverError("every sweep row failed")
@@ -410,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     _float(b, "--m", above=1.0, default=None, help="super/sub: PME exponent (required)")
     b.add_argument("--which", choices=("super", "sub", "eta"), required=True)
     _float(b, "--rho-max", default=1e3)
-    _int(b, "--nodes", 1, default=None, help="super/sub: nodes (default 10000)")
-    _float(b, "--c2", default=None, help="eta: coefficient bound (default 1)")
-    _float(b, "--r0", default=None, help="eta: inner radius (default 2)")
+    _int(b, "--nodes", 1, default=None, help=f"super/sub: nodes (default {barriers.CERTIFICATE_NODES})")
+    _float(b, "--c2", above=0.0, default=None, help="eta: coefficient bound (default 1)")
+    _float(b, "--r0", minimum=2.0, default=None, help="eta: inner radius (default 2)")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_barrier_check)
 
@@ -436,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     u = sub.add_parser("uniq-check", help="uniqueness-side decay certificates")
     _float(u, "--T", above=0.0, required=True)
-    _float(u, "--c_m", required=True)
-    _float(u, "--k", default=None, help="decay constant; derived from --c2 when omitted")
+    _float(u, "--c_m", above=0.0, required=True)
+    _float(u, "--k", above=0.0, default=None, help="decay constant; derived from --c2 when omitted")
     _float(u, "--c2", above=0.0, default=1.0)
-    _float(u, "--r0", default=2.0)
+    _float(u, "--r0", minimum=2.0, default=2.0)
     _float(u, "--m", above=1.0, default=2.0)
     _int(u, "--dim", 2, default=2)
     _int(u, "--table-points", 1, default=None, help="rows of the --out table (default 60)")

@@ -13,10 +13,11 @@ the last row.
 
 ``solver_config_from``, ``blowup_config_from`` and ``grid_from`` map a config
 to run objects for every subcommand and ``sweep`` row; ``grid_from`` is the
-one reader of ``R``.  An absent optional key keeps its dataclass field
-default.  A ``RunConfig`` records the keys its builders read, and
-``reject_unread`` makes any other key a ConfigError: a run accepts exactly
-the keys it reads.
+one reader of ``R``.  ``DatumSpec.datum`` builds the one probe grid of a
+run's datum, for ``solve``, ``blowup`` and ``sweep``.  An absent optional
+key keeps its dataclass field default.  A ``RunConfig`` records the keys
+its builders read, and ``reject_unread`` makes any other key a ConfigError:
+a run accepts exactly the keys it reads.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .barriers import BarrierParams
 from .blowup import BlowupConfig
 from .errors import ConfigError
-from .geometry import ModelManifold, make_manifold
+from .geometry import ModelManifold, make_manifold, probe_grid
 from .grid import RadialGrid
 from .solver import BarrierDirichlet, DtPolicy, HomogeneousDirichlet, SolverConfig
 from .xlog import (
@@ -227,7 +228,14 @@ class DatumSpec:
 
         return interp
 
-    def datum(self, m: float, rho) -> RadialDatum:
+    def datum(self, m: float, radius: float) -> RadialDatum:
+        """The datum for a ball of ``radius``, probed on 4001 geometric radii
+        up to max(1e3, 10 radius) and, for a table, its last row, so the
+        norm sees the sampled rows and the tail past them."""
+        top = max(1e3, 10 * radius)
+        if self.kind == "table":
+            top = max(top, float(self.table_rho[-1]))
+        rho = probe_grid(top, 4001)
         if self.kind == "log-growth":
             return log_growth_datum(self.amplitude, m, rho)
         if self.kind == "bounded":
@@ -236,7 +244,6 @@ class DatumSpec:
         tail = TailDescriptor(
             "bounded", abs(float(self.table_values[-1])), rho_start=float(self.table_rho[-1])
         )
-        rho = np.asarray(rho, dtype=float)
         return RadialDatum(rho, self.profile(m)(rho), tail=tail)
 
 

@@ -421,6 +421,18 @@ def test_uniqueness_report_derives_K_and_passes_in_the_decay_regime():
 
 
 @pytest.mark.parametrize(
+    "c2, r0, horizon, dim, decay",
+    [(1.0, 2.0, 0.05, 2, None), (0.5, 3.0, 1.0, 4, None), (1.0, 2.0, 0.2, 3, 0.2), (1.0, 2.0, 1.0, 2, 5.0)],
+)
+def test_eta_certificate_is_the_uniqueness_reports(c2, r0, horizon, dim, decay):
+    k, rep = barriers.eta_certificate(c2, r0, horizon, dim, decay)
+    assert k == (barriers.select_K(c2, r0) if decay is None else decay)
+    assert rep.params == {"K": k, "lambda": 1.0, "T": horizon, "R0": r0, "C2": c2}
+    uniq = barriers.uniqueness_report(1.0, decay, horizon, 2.0, c2, r0, dim)
+    assert uniq.K == k and uniq.eta_certificate == rep.as_json_dict()
+
+
+@pytest.mark.parametrize(
     "decay, horizon, message",
     [
         # K = 5 breaks the eta inequality while T = 1 < K/(2 C_M) = 2.5

@@ -145,6 +145,18 @@ def test_barrier_check_eta(tmp_path):
     assert cert["params"]["K"] == pytest.approx(1 / 4.4, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "dim, flags, c2, r0, rho_max",
+    [("2", [], 1.0, 2.0, 1e3), ("3", ["--c2", "0.5", "--r0", "3", "--rho-max", "500"], 0.5, 3.0, 500.0)],
+)
+def test_barrier_check_eta_writes_the_eta_certificate_at_horizon_one(tmp_path, dim, flags, c2, r0, rho_max):
+    out = tmp_path / "cert.json"
+    args = ["--manifold", "euclidean", "--dim", dim, "--which", "eta", *flags, "--out", str(out)]
+    assert run_cli("barrier-check", *args) == 0
+    k, rep = barriers.eta_certificate(c2, r0, 1.0, int(dim), rho_max=rho_max)
+    want = {**rep.as_json_dict(), "params": {"a": None, "r": None, "K": k}}
+    assert out.read_text() == cli._json_text(want)
+
 
 @pytest.mark.parametrize("nodes", ["0", "-1"])
 def test_barrier_check_rejects_empty_grid(tmp_path, nodes):
@@ -1119,6 +1131,11 @@ BAD_NUMBERS = [
     ("barrier-check", "--m", "1", "option '--m' must be > 1"),
     ("uniq-check", "--c2", "0", "option '--c2' must be > 0"),
     ("uniq-check", "--T", "0", "option '--T' must be > 0"),
+    ("uniq-check", "--k", "0", "option '--k' must be > 0"),
+    ("uniq-check", "--c_m", "-1", "option '--c_m' must be > 0"),
+    ("uniq-check", "--r0", "1", "option '--r0' must be >= 2"),
+    ("barrier-check", "--c2", "0", "option '--c2' must be > 0"),
+    ("barrier-check", "--r0", "1.5", "option '--r0' must be >= 2"),
 ]
 
 
@@ -1179,7 +1196,7 @@ dt0 = 1e-5
         ),
         pytest.param(
             lambda tmp: ["uniq-check", "--T", "0.05", "--c_m", "0", "--k", "0.2", "--out", str(tmp / "u.json")],
-            "C_M",
+            "option '--c_m' must be > 0",
             id="uniq-check-zero-c_m",
         ),
         pytest.param(

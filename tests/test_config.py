@@ -87,6 +87,9 @@ def test_absent_keys_keep_dataclass_defaults():
         m=2.0, dt=solver.DtPolicy(dt0=1e-3), t_end=0.5
     )
     assert config.blowup_config_from(cfg, 2.0) == blowup.BlowupConfig(m=2.0)
+    # a blow-up run's solve settings default to a single solve's
+    bcfg, scfg = config.blowup_config_from(cfg, 2.0), config.solver_config_from(cfg, 2.0)
+    assert (bcfg.newton_tol, bcfg.norm_r) == (scfg.newton_tol, scfg.norm_r)
 
 
 def test_present_keys_reach_their_fields():
@@ -141,10 +144,12 @@ def test_messages_name_a_dashed_key_as_an_option(read, cfg, message, key, named)
 
 
 @pytest.mark.parametrize("u0", ["log-growth(1.5)", "bounded(0.7)"])
-@pytest.mark.parametrize("rho_max", [2.0, 1e6])
-def test_datum_matches_xlog_constructors(u0, rho_max):
-    rho = np.geomspace(1e-3, rho_max, 200)
-    got = config.datum_from({"u0": u0}).datum(2.0, rho)
+@pytest.mark.parametrize("radius", [2.0, 1e6])
+def test_datum_matches_xlog_constructors(u0, radius):
+    # probed on 4001 geometric radii up to max(1e3, 10 R): 1e3 and 1e7 here
+    rho = geometry.probe_grid(max(1e3, 10 * radius), 4001)
+    got = config.datum_from({"u0": u0}).datum(2.0, radius)
+    assert np.array_equal(got.rho, rho)
     if u0.startswith("log"):
         want = xlog.log_growth_datum(1.5, 2.0, rho)
     else:
@@ -156,11 +161,23 @@ def test_datum_matches_xlog_constructors(u0, rho_max):
 def test_table_datum_is_bounded_beyond_its_last_row(tmp_path):
     table = tmp_path / "u0.csv"
     table.write_text("rho,value\n0.5,2.0\n4.0,-0.25\n")
-    rho = np.geomspace(1e-3, 1e3, 400)
-    datum = config.datum_from({"u0": f"table({table})"}).datum(2.0, rho)
+    datum = config.datum_from({"u0": f"table({table})"}).datum(2.0, 10.0)
     assert datum.tail == xlog.TailDescriptor("bounded", 0.25, rho_start=4.0)
-    assert np.all(datum.values[rho >= 4.0] == -0.25)
+    assert np.all(datum.values[datum.rho >= 4.0] == -0.25)
     assert xlog.limsup_ratio(datum) == 0.0
+
+
+@pytest.mark.parametrize(
+    "last_row, radius, top",
+    [(5e4, 100.0, 5e4), (5e4, 1e4, 1e5), (4.0, 10.0, 1e3), (4.0, 500.0, 5e3)],
+)
+def test_table_datum_is_probed_up_to_its_last_row_or_ten_radii(tmp_path, last_row, radius, top):
+    # a last row past max(1e3, 10 R) moves the top of the probe grid to it
+    table = tmp_path / "u0.csv"
+    table.write_text(f"rho,value\n0.5,2.0\n{last_row!r},1.5\n")
+    datum = config.datum_from({"u0": f"table({table})"}).datum(2.0, radius)
+    assert np.array_equal(datum.rho, geometry.probe_grid(top, 4001))
+    assert datum.rho[-1] == top
 
 
 def test_log_sphere_area_matches_closed_form():

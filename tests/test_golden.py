@@ -1,24 +1,41 @@
 """Golden outputs: fixed CLI runs whose output files are committed.
 
 ``tests/golden`` holds the inputs of the runs (``solve.cfg``,
-``exhaust.cfg``), every file they write and ``MANIFEST.json``: the sha256
-of each output, the bound its values are compared with, and the
-fingerprint of the numpy/scipy build that wrote them.
+``exhaust.cfg``, ``blowup.cfg``), every file they write and
+``MANIFEST.json``: the sha256 of each output, the bound its values are
+compared with, and the fingerprint of the numpy/scipy build that wrote
+them.
 
 Values are compared on any machine: a number ``a`` matches the golden ``b``
 when |a - b| <= bound * max(1, |b|), so values below 1 in magnitude (the
 scaled certificate residuals, which sit at rounding level) are compared
 absolutely; text, booleans, nulls, keys, CSV headers and row counts match
-exactly.  Each output has one of two bounds:
+exactly.  Each output has one of three bounds:
 
-- closed-form outputs (``barrier-check``, ``uniq-check``): 1e-12;
+- closed-form outputs (``geometry``, ``barrier-check``, ``uniq-check``):
+  1e-12;
 - outputs of solves (``solve``, ``exhaust``): the Newton-tolerance bound
   1e-7.  Each accepted Newton solve of these runs meets the residual
   target 1e-10 * max(1, |u|) with |u| <= 10, and the implicit step's
   Jacobian is an M-matrix whose diagonal dominates by at least one, so a
   solve moves its field by at most its residual: over at most 100 steps a
   field value, or a norm, mass or gap built from the fields, moves by at
-  most 100 * 1e-10 * 10 = 1e-7 relative to max(1, |value|).
+  most 100 * 1e-10 * 10 = 1e-7 relative to max(1, |value|);
+- outputs of staged runs (``blowup``, ``sweep --param b``): 2e-5.  The
+  stage schedule (T_n, S_n, eps_n, t_n, the growth ratio, tau, T_1) has
+  no solve, so only delta_n and the norms and gaps built from the fields
+  move with the solves.  Each run of ``blowup.cfg`` takes 160 stages of
+  12 accepted steps, 1,920 solves, and every field and boundary value of
+  the b = 2 sweep row, the largest, stays below 81, so a solve's target
+  is at most 1e-10 * 81 and the argument above gives
+  1920 * 1e-10 * 81 = 1.6e-5.  The weight of the recorded norm is at
+  least log 4 > 1, so a norm moves by no more than the fields.  The
+  bound assumes that no admissibility test of ``blowup.stage_delta``
+  changes its outcome: a test that flips moves delta_n by a whole
+  bisection step, 1e-6 of max W^m (up to 6e-3 in these runs), and the
+  boundary datum with it, which this comparison reports as a failure.
+  Runs with ``newton_tol`` 1e-9 and 1e-11 flipped no test and moved no
+  value by more than 2.2e-10.
 
 The sha256 of each file is asserted only where the fingerprint (numpy
 version, scipy version, ``__cpu_features__`` of numpy's core extension)
@@ -48,6 +65,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CLOSED_FORM = 1e-12
 NEWTON = 1e-7
+STAGED = 2e-5
 QUAD = ["--manifold", "quad-critical", "--dim", "3", "--c", "0.5"]
 UNIQ = ["uniq-check", "--T", "0.05", "--c_m", "1", "--k", "0.2"]
 
@@ -77,6 +95,27 @@ RUNS = {
     },
     "uniq-check": (UNIQ, ["uniq-check.stdout"], CLOSED_FORM),
     "uniq-check-out": ([*UNIQ, "--out", "{out}/uniq.json"], ["uniq.json", "uniq.csv"], CLOSED_FORM),
+    **{
+        f"geometry-{kind}": (
+            ["geometry", "--manifold", kind, "--dim", "3",
+             *(["--c", "0.5"] if kind.endswith("-critical") else []),
+             "--report", f"{{out}}/geometry_{kind}.json"],
+            [f"geometry_{kind}.json"],
+            CLOSED_FORM,
+        )
+        for kind in ("euclidean", "hyperbolic", "quad-critical", "log-critical")
+    },
+    "blowup": (
+        ["blowup", "--config", "{in}/blowup.cfg", "--ledger", "{out}/blowup.json"],
+        ["blowup.json"],
+        STAGED,
+    ),
+    "sweep": (
+        ["sweep", "--config", "{in}/blowup.cfg", "--param", "b", "--values", "0.5,1,2",
+         "--workers", "1", "--out", "{out}/sweep.csv"],
+        ["sweep.csv"],
+        STAGED,
+    ),
 }
 
 
@@ -109,12 +148,20 @@ def run(name: str, out: Path) -> dict:
     }
 
 
+def cell(text: str):
+    """A CSV cell: its float, or its text where it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def parsed(name: str, data: bytes):
-    """A CSV file's header and rows of floats, or a JSON output's value."""
+    """A CSV file's header and rows of cells, or a JSON output's value."""
     if not name.endswith(".csv"):
         return json.loads(data)
     header, *rows = csv.reader(io.StringIO(data.decode()))
-    return {"header": header, "rows": [[float(x) for x in row] for row in rows]}
+    return {"header": header, "rows": [[cell(x) for x in row] for row in rows]}
 
 
 def assert_close(got, want, bound, where):
