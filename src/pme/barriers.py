@@ -359,6 +359,11 @@ def eta_derivatives(p: EtaBarrierParams, rho, t):
     return e, e_t, e_r, e_rr
 
 
+def eta_first_node(inner_radius: float) -> float:
+    """The innermost radial node of ``certify_eta``, just past R0."""
+    return inner_radius * (1.0 + 1e-6)
+
+
 def certify_eta(
     p: EtaBarrierParams,
     dim: int = 2,
@@ -374,7 +379,7 @@ def certify_eta(
     """
     if dim < 2:
         raise DomainError("dimension must be >= 2")
-    first = p.inner_radius * (1.0 + 1e-6)
+    first = eta_first_node(p.inner_radius)
     if not rho_max > first:
         raise DomainError(f"rho_max must exceed the first node {first:g}, got {rho_max:g}")
     rho = np.geomspace(first, rho_max, n_rho)

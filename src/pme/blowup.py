@@ -74,9 +74,15 @@ from .solver import (
 from .xlog import LogNorm, RadialDatum, norm_limit
 
 # the numpy functions of the per-stage audit, bound once as in ``solver``;
-# a reduction over axis None takes every entry of a stacked array
+# a reduction over axis None takes every entry of a stacked array.  A
+# maximum of entries that hold no -0.0 is taken by arg-index as in
+# ``solver``; the signed maxima that reach the ledger (``stage_delta``'s
+# ``hi`` and the sandwich gaps) stay on ``_max``, because
+# ``np.maximum.reduce([0.0, -0.0])`` is -0.0 while argmax picks the first
+# maximal entry, +0.0
 _absolute, _divide, _subtract = np.absolute, np.divide, np.subtract
-_all, _max = np.logical_and.reduce, np.maximum.reduce
+_max = np.maximum.reduce
+_argmax, _argmin, _item = np.ndarray.argmax, np.ndarray.argmin, np.ndarray.item
 
 DELTA_BISECT_TOL = 1e-6
 S_MIN_FACTOR = 1e-8  # stall cutoff S_n < factor * T_1
@@ -150,10 +156,11 @@ def stage_delta(u: np.ndarray, wm: np.ndarray, m: float) -> float:
     every cell: 0 when it passes, and otherwise the bisection's upper end,
     which moves only to a shift that passed.
     """
-    hi = float(_max(wm))
+    hi = float(_max(wm))  # signed, so on _max: see the bindings above
 
     def admissible(delta):
-        return bool(_all(u >= shift_root(wm, delta, m) - 1e-14))
+        above = u >= shift_root(wm, delta, m) - 1e-14
+        return _item(above, _argmin(above))
 
     if admissible(0.0):
         return 0.0
@@ -263,7 +270,8 @@ class BlowupConfig:
 def _recorded_lognorm(u: np.ndarray, weight: np.ndarray, tail_est: float) -> float:
     """Norm of the extended field: grid part plus analytic tail part."""
     ratio = _absolute(u)
-    return max(float(_max(_divide(ratio, weight, ratio))), tail_est)
+    _divide(ratio, weight, ratio)  # |u|/w >= +0.0, with no -0.0 among them
+    return max(_item(ratio, _argmax(ratio)), tail_est)
 
 
 def sandwich_gaps(traj: Trajectory, m, horizon, v_base, s_super, norm_far, far_weight) -> tuple:
@@ -275,6 +283,7 @@ def sandwich_gaps(traj: Trajectory, m, horizon, v_base, s_super, norm_far, far_w
     trajectory, and its length is a bisection of the times."""
     fields = traj.stacked
     low = separable_envelopes(traj.times, horizon, m, 1.0, v_base)
+    # the gaps are signed maxima, so on _max: see the bindings above
     lower_gap = float(_max(_subtract(low, fields, low), None))
     early = bisect_left(traj.times, 0.95 * s_super)
     if not early:

@@ -22,11 +22,13 @@ its builders and before any solve or output, that it read every config key
 is typed by the config reader (``get_float``, ``get_int`` with its
 minimum), and a float flag whose range the library checks carries that
 range too, so a malformed, non-finite or out-of-range number is a
-ConfigError that names the flag as typed.  Flags are not abbreviated, and
-argparse's own errors (a missing or unknown flag, a bad choice) are
-ConfigErrors too.  An output path that cannot be written (a directory, a
-path under a regular file, a directory without write permission) is a
-ConfigError that names it.  Under ``--verbose``, a successful ``geometry``,
+ConfigError that names the flag as typed.  ``barrier-check --rho-max``,
+whose bound is the first node of the certificate ``--which`` picks (past
+``--r0`` for eta), is checked in ``cmd_barrier_check``.  Flags are not
+abbreviated, and argparse's own errors (a missing or unknown flag, a bad
+choice) are ConfigErrors too.  An output path that cannot be written (a
+directory, a path under a regular file, a directory without write
+permission) is a ConfigError that names it.  Under ``--verbose``, a successful ``geometry``,
 ``barrier-check`` or ``blowup`` prints one ``INFO pme:`` line on stderr.
 ``sweep --param`` takes ``b`` (log-growth amplitude) or a config key the
 blow-up run reads; each ``--values`` token enters the config as typed.
@@ -202,6 +204,12 @@ def cmd_geometry(args) -> int:
     return 0
 
 
+def _rho_max_above(rho_max: float, first: float, what: str):
+    """ConfigError naming ``--rho-max`` unless it exceeds ``first``, ``what``."""
+    if not rho_max > first:
+        raise ConfigError(f"option '--rho-max' must be > {first:.10g} ({what}), got {rho_max:.10g}")
+
+
 def cmd_barrier_check(args) -> int:
     manifold = geometry.make_manifold(args.manifold, args.dim, args.c)
     # the optional flags given, as a config keyed by flag: a flag this --which
@@ -213,12 +221,14 @@ def cmd_barrier_check(args) -> int:
         c2 = cfgmod.get_float(opts, "--c2", default=1.0)
         r0 = cfgmod.get_float(opts, "--r0", default=2.0)
         cfgmod.reject_unread(opts, "--which eta")
-        k, report = barriers.eta_certificate(c2, r0, 1.0, manifold.dim, rho_max=args.rho_max)
-        params = {"a": None, "r": None, "K": k}
+        _rho_max_above(args.rho_max, barriers.eta_first_node(r0), "the first eta node, just past --r0")
+        _, report = barriers.eta_certificate(c2, r0, 1.0, manifold.dim, rho_max=args.rho_max)
+        params = report.params  # K, lambda, T, R0 and C2
     else:
         m = cfgmod.exponent_from(opts, "--m")
         nodes = opts.get("--nodes", barriers.CERTIFICATE_NODES)
         cfgmod.reject_unread(opts, f"--which {args.which}")
+        _rho_max_above(args.rho_max, geometry.FIRST_PROBE, "the first probe radius")
         grid = geometry.probe_grid(args.rho_max, nodes)
         consts = geometry.fit_comparison_constants(
             manifold, rho_max=max(geometry.MIN_RHO_MAX, args.rho_max)

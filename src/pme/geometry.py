@@ -36,6 +36,8 @@ FIT_MARGIN = 1e-3
 # Fewest probe radii, and smallest outermost probe, a constant fit accepts.
 MIN_PROBES = 1000
 MIN_RHO_MAX = 10.0
+# The innermost radius of every probe grid.
+FIRST_PROBE = 1e-3
 
 
 def log_sphere_area(dim: int) -> float:
@@ -262,11 +264,13 @@ class ComparisonConstants:
 
 
 def probe_grid(rho_max: float, n_probe: int) -> np.ndarray:
-    """Geometric radii on [1e-3, rho_max]: the probes of the constant fits
-    and the nodes of the barrier certificates."""
-    if not rho_max > 1e-3:
-        raise DomainError(f"rho_max must exceed the first probe radius 1e-3, got {rho_max:g}")
-    return np.geomspace(1e-3, rho_max, n_probe)
+    """Geometric radii on [FIRST_PROBE, rho_max]: the probes of the constant
+    fits and the nodes of the barrier certificates."""
+    if not rho_max > FIRST_PROBE:
+        raise DomainError(
+            f"rho_max must exceed the first probe radius {FIRST_PROBE:g}, got {rho_max:g}"
+        )
+    return np.geomspace(FIRST_PROBE, rho_max, n_probe)
 
 
 def _extremum_with_limits(vals, rho, head, tail, sign=1.0):

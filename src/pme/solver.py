@@ -175,18 +175,44 @@ at 250 cells a call took 6.8 us with keywords and 5.6 us without (Python
 3.11, scipy 1.17, one core of a Xeon VM).
 
 The numpy functions of the step kernel are called the same way: through
-names bound once at import (``_multiply = np.multiply``, ``_max =
-np.maximum.reduce``), each with its output passed positionally, the
-in-place operators included (``dv += eps`` is ``_add(dv, eps, dv)``).  A
-keyword ``out=`` is parsed on every call, and ``np.multiply`` or
-``np.maximum.reduce`` is looked up on the module, and the bound method made,
-on every call.  At 250 cells a ufunc call took 785 ns as
-``np.multiply(a, b, out=o)`` and 678 ns as ``_multiply(a, b, o)``, and a
-residual evaluation 10.3 us against 9.2 us (medians of 40 alternating
-batches; Python 3.11, numpy 2.4, one core of a Xeon VM).  It is the same
-ufunc on the same operands with the same casting, so every float is the
-same; ``tests/test_solver.py`` pins the calls of a residual evaluation and
-of a Newton iteration.
+names bound once at import (``_multiply = np.multiply``), each with its
+output passed positionally, the in-place operators included (``dv += eps``
+is ``_add(dv, eps, dv)``).  A keyword ``out=`` is parsed on every call, and
+``np.multiply`` is looked up on the module on every call.  At 250 cells a
+ufunc call took 785 ns as ``np.multiply(a, b, out=o)`` and 678 ns as
+``_multiply(a, b, o)``, and a residual evaluation 10.3 us against 9.2 us
+(medians of 40 alternating batches; Python 3.11, numpy 2.4, one core of a
+Xeon VM).  It is the same ufunc on the same operands with the same
+casting, so every float is the same; ``tests/test_solver.py`` pins the
+calls of a residual evaluation and of a Newton iteration.
+
+The kernel's reductions go by arg-index, through the methods
+``_argmax = np.ndarray.argmax``, ``_argmin = np.ndarray.argmin`` and
+``_item = np.ndarray.item``: max|g| and the target's max|u_old| are
+``_item(x, _argmax(x))``, each finite test ``_item(flags, _argmin(flags))``,
+and ``window_end``'s -0.0 scan the same argmin of the field's int64 bits.
+A ufunc reduction sets up numpy's reduction machinery on every call, which
+at these sizes costs more than the reduction: at 250 cells
+``float(np.maximum.reduce(x))`` took 0.94 us and
+``x.item(x.argmax())`` 0.35 us, over 748 flags
+``np.logical_and.reduce(b)`` took 0.96 us and ``b.item(b.argmin())``
+0.31 us, and over 250 int64 ``np.minimum.reduce`` 1.40 us against 0.52 us
+(best of 5 timeit batches; Python 3.11, numpy 2.4, one core of a Xeon VM;
+an elementwise ufunc call takes about 0.37 us).  Each gives the float,
+bool or int the reduction gave, as a Python scalar:
+
+- The entries maximized hold no -0.0, since |.| clears the sign bit.  A
+  maximum of them is then one of them, and argmax selects an entry equal
+  to it: the same float.  (A tie of +0.0 and -0.0 is where the two differ:
+  ``np.maximum.reduce([0.0, -0.0])`` is -0.0, argmax picks the first
+  maximal entry, +0.0.  So ``blowup`` keeps its signed maxima on the
+  reduction.)
+- A NaN entry gives NaN either way: the reduction propagates it and
+  argmax takes NaN as maximal.  Only ``math.isfinite`` and the ``:.3g``
+  of a failure note read it, and both see nan.
+- argmin of bool flags is the first False, and 0 when every flag is True,
+  so the flag there is all(flags); the minimum of integers is a
+  selection, the entry argmin finds.
 
 Boundary conditions at rho = R: homogeneous Dirichlet, or the time-dependent
 trace of a shifted separable subsolution (used by the blow-up iteration);
@@ -275,7 +301,9 @@ dgtsv = _load_dgtsv()
 _absolute, _add, _multiply, _negative = np.absolute, np.add, np.multiply, np.negative
 _power, _sign, _subtract = np.power, np.sign, np.subtract
 _isfinite, _not_equal, _copyto = np.isfinite, np.not_equal, np.copyto
-_all, _max, _min = np.logical_and.reduce, np.maximum.reduce, np.minimum.reduce
+# the reductions, by arg-index: ``_item(x, _argmax(x))`` is max(x) and
+# ``_item(flags, _argmin(flags))`` all(flags) (module docstring)
+_argmax, _argmin, _item = np.ndarray.argmax, np.ndarray.argmin, np.ndarray.item
 
 
 def tau_h(h: float, scale: float = 1.0) -> float:
@@ -476,7 +504,8 @@ class Window:
         _subtract(flux, scratch, flux)
         _subtract(u, u_old, g)
         _subtract(g, flux, g)
-        return float(_max(_absolute(g, scratch)))
+        _absolute(g, scratch)
+        return _item(scratch, _argmax(scratch))
 
 
 class Integrator:
@@ -545,11 +574,10 @@ class Integrator:
         if not (u_old[-1] == 0.0 and first[-1] == 0.0):
             return n
         margin = _window_margin(self.coupling)
-        if (
-            not margin
-            or math.copysign(1.0, v_b) < 0.0
-            or _min(first.view(np.int64)) == _NEGATIVE_ZERO_BITS
-        ):
+        if not margin or math.copysign(1.0, v_b) < 0.0:
+            return n
+        bits = first.view(np.int64)
+        if _item(bits, _argmin(bits)) == _NEGATIVE_ZERO_BITS:
             return n
         end = self.end(first)
         if first is not u_old:
@@ -570,9 +598,10 @@ class Integrator:
         n = self.grid.cells
         if u[-1] != 0.0:
             return n
+        nonzero = self.nonzero_from_end
         _not_equal(u.view(np.int64), 0, self.nonzero)
-        k = int(self.nonzero_from_end.argmax())  # 0 when every cell is +0.0
-        return n - k if self.nonzero_from_end[k] else 0
+        k = int(_argmax(nonzero))  # 0 when every cell is +0.0
+        return n - k if _item(nonzero, k) else 0
 
     def guess(self, d: float) -> Optional[np.ndarray]:
         """The field ``d`` past the newest level, written into ``start``
@@ -624,7 +653,7 @@ class Integrator:
 
 
 # -0.0 read as an int64: the smallest int64, below the bits of every other float
-_NEGATIVE_ZERO_BITS = np.int64(-(2**63))
+_NEGATIVE_ZERO_BITS = -(2**63)
 # 2^-1075, half the smallest subnormal, rounds to zero; a window's margin
 # lets a right-hand side entry up to 2^64 decay below it
 _TAIL_BITS = 64 + 1075
@@ -697,7 +726,7 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None):
         g_norm = residual(old, u, u_abs, g)
         # the target is set by u_old; trial_abs is free until the first trial
         old_abs = u_abs if start is None else _absolute(old, trial_abs)
-        target = _newton_target(float(_max(old_abs)), v_b, m, tol)
+        target = _newton_target(_item(old_abs, _argmax(old_abs)), v_b, m, tol)
         for done in range(max_iter):
             if g_norm <= target:
                 return u.base.copy(), True, g_norm
@@ -710,13 +739,14 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None):
             _add(diag, 1.0, diag)
             _multiply(c_upper, dv_upper, upper)
             _multiply(c_lower, dv_lower, lower)
-            if not _all(_isfinite(jac, jac_finite)):
+            # arguments evaluate left to right: the flags, then their argmin
+            if not _item(_isfinite(jac, jac_finite), _argmin(jac_finite)):
                 return u.base.copy(), False, g_norm
             # overwrite_dl, overwrite_d, overwrite_du, overwrite_b
             _, d, _, delta, info = dgtsv(lower, diag, upper, _negative(g, g), 1, 1, 1, 1)
             if w < n and not _window_holds(info, w, delta, d):
                 break
-            if info != 0 or not _all(_isfinite(delta, finite)):
+            if info != 0 or not _item(_isfinite(delta, finite), _argmin(finite)):
                 return u.base.copy(), False, g_norm
             # Armijo backtracking; a non-finite trial norm fails the test too.
             # The accepted trial point and its residual become the next iterate.
@@ -824,7 +854,8 @@ def _check_shape(u, grid: RadialGrid, what: str):
 
 
 def _check_finite(u):
-    if not _all(_isfinite(u)):
+    finite = _isfinite(u)
+    if not _item(finite, _argmin(finite)):
         raise SolverError("non-finite field entering step")
 
 

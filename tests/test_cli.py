@@ -147,15 +147,22 @@ def test_barrier_check_eta(tmp_path):
 
 @pytest.mark.parametrize(
     "dim, flags, c2, r0, rho_max",
-    [("2", [], 1.0, 2.0, 1e3), ("3", ["--c2", "0.5", "--r0", "3", "--rho-max", "500"], 0.5, 3.0, 500.0)],
+    [
+        ("2", [], 1.0, 2.0, 1e3),
+        ("3", ["--c2", "0.5", "--r0", "3", "--rho-max", "500"], 0.5, 3.0, 500.0),
+        ("2", ["--c2", "3", "--r0", "4"], 3.0, 4.0, 1e3),
+    ],
 )
 def test_barrier_check_eta_writes_the_eta_certificate_at_horizon_one(tmp_path, dim, flags, c2, r0, rho_max):
     out = tmp_path / "cert.json"
     args = ["--manifold", "euclidean", "--dim", dim, "--which", "eta", *flags, "--out", str(out)]
     assert run_cli("barrier-check", *args) == 0
-    k, rep = barriers.eta_certificate(c2, r0, 1.0, int(dim), rho_max=rho_max)
-    want = {**rep.as_json_dict(), "params": {"a": None, "r": None, "K": k}}
-    assert out.read_text() == cli._json_text(want)
+    _, rep = barriers.eta_certificate(c2, r0, 1.0, int(dim), rho_max=rho_max)
+    assert out.read_text() == cli._json_text(rep.as_json_dict())
+    # the written params are the certified barrier's: --c2 and --r0 as
+    # given, horizon and scale one, and the decay select_K chose for them
+    params = json.loads(out.read_text())["params"]
+    assert params == {"C2": c2, "R0": r0, "T": 1.0, "lambda": 1.0, "K": barriers.select_K(c2, r0)}
 
 
 @pytest.mark.parametrize("nodes", ["0", "-1"])
@@ -1169,30 +1176,47 @@ dt0 = 1e-5
         pytest.param(
             lambda tmp: check_args(tmp, "--which", "super"), "'--m'", id="barrier-check-super-without-m"
         ),
+        # --rho-max is bounded by the first node of the certificate --which
+        # picks: the first probe radius, or the first eta node past --r0
         pytest.param(
             lambda tmp: check_args(tmp, "--m", "2", "--which", "super", "--rho-max", "0"),
-            "rho_max",
+            "option '--rho-max' must be > 0.001 (the first probe radius), got 0",
             id="barrier-check-super-rho-max-zero",
         ),
         pytest.param(
             lambda tmp: check_args(tmp, "--m", "2", "--which", "super", "--rho-max", "-1"),
-            "rho_max",
+            "option '--rho-max' must be > 0.001",
             id="barrier-check-super-rho-max-negative",
         ),
         pytest.param(
             lambda tmp: check_args(tmp, "--m", "2", "--which", "super", "--rho-max", "1e-5"),
-            "rho_max",
+            "option '--rho-max' must be > 0.001",
             id="barrier-check-super-rho-max-below-first-probe",
         ),
         pytest.param(
+            lambda tmp: check_args(tmp, "--m", "2", "--which", "sub", "--rho-max", "0"),
+            "option '--rho-max' must be > 0.001",
+            id="barrier-check-sub-rho-max-zero",
+        ),
+        pytest.param(
             lambda tmp: check_args(tmp, "--which", "eta", "--rho-max", "0"),
-            "rho_max",
+            "option '--rho-max' must be > 2.000002",
             id="barrier-check-eta-rho-max-zero",
         ),
         pytest.param(
             lambda tmp: check_args(tmp, "--which", "eta", "--rho-max", "-1"),
-            "rho_max",
+            "option '--rho-max' must be > 2.000002",
             id="barrier-check-eta-rho-max-negative",
+        ),
+        pytest.param(
+            lambda tmp: check_args(tmp, "--which", "eta", "--rho-max", "1"),
+            "option '--rho-max' must be > 2.000002 (the first eta node, just past --r0), got 1",
+            id="barrier-check-eta-rho-max-below-first-node",
+        ),
+        pytest.param(
+            lambda tmp: check_args(tmp, "--which", "eta", "--r0", "4", "--rho-max", "4"),
+            "option '--rho-max' must be > 4.000004",
+            id="barrier-check-eta-rho-max-at-r0",
         ),
         pytest.param(
             lambda tmp: ["uniq-check", "--T", "0.05", "--c_m", "0", "--k", "0.2", "--out", str(tmp / "u.json")],
