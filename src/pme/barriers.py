@@ -35,11 +35,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateError, DomainError, NotApplicableError
-from .geometry import ComparisonConstants, ModelManifold, probe_grid
+from .geometry import MAX_RHO_MAX, ComparisonConstants, ModelManifold, probe_grid
 
 RESIDUAL_TOL = 1e-10
 CERTIFICATE_NODES = 10**4  # default nodes of the super/sub certificates
 ETA_TOL = 1e-12
+ETA_RADII, ETA_TIMES = 100, 100  # the (rho, t) grid of ``certify_eta``
 K_MARGIN = 0.1
 
 
@@ -364,14 +365,10 @@ def eta_first_node(inner_radius: float) -> float:
     return inner_radius * (1.0 + 1e-6)
 
 
-def certify_eta(
-    p: EtaBarrierParams,
-    dim: int = 2,
-    rho_max: float = 1e4,
-    n_rho: int = 100,
-    n_t: int = 100,
-) -> CertificateReport:
-    """Verify eta_t + C2 log(2+rho) * Laplacian(eta) <= 0 on a (rho, t) grid.
+def certify_eta(p: EtaBarrierParams, dim: int = 2, rho_max: float = 1e4) -> CertificateReport:
+    """Verify eta_t + C2 log(2+rho) * Laplacian(eta) <= 0 on the
+    ETA_RADII x ETA_TIMES grid of geometric radii up to ``rho_max`` (at most
+    ``geometry.MAX_RHO_MAX``) and times in [0, T).
 
     The Laplacian uses the worst-case drift floor (N-1)/rho; since
     eta_rho < 0, any larger drift only helps.  Only nodes where the
@@ -382,8 +379,10 @@ def certify_eta(
     first = eta_first_node(p.inner_radius)
     if not rho_max > first:
         raise DomainError(f"rho_max must exceed the first node {first:g}, got {rho_max:g}")
-    rho = np.geomspace(first, rho_max, n_rho)
-    ts = np.linspace(0.0, p.horizon * (1.0 - 1e-6), n_t)
+    if rho_max > MAX_RHO_MAX:
+        raise DomainError(f"rho_max must be at most {MAX_RHO_MAX:g}, got {rho_max:g}")
+    rho = np.geomspace(first, rho_max, ETA_RADII)
+    ts = np.linspace(0.0, p.horizon * (1.0 - 1e-6), ETA_TIMES)
     R, T = np.meshgrid(rho, ts, indexing="ij")
     e, e_t, e_r, e_rr = eta_derivatives(p, R, T)
     lap = e_rr + (dim - 1.0) / R * e_r

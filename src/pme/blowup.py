@@ -71,7 +71,7 @@ from .solver import (
     solve_ball,
     tau_h,
 )
-from .xlog import LogNorm, RadialDatum, norm_limit
+from .xlog import NORM_R, LogNorm, RadialDatum, norm_limit
 
 # the numpy functions of the per-stage audit, bound once as in ``solver``;
 # a reduction over axis None takes every entry of a stacked array.  A
@@ -254,7 +254,7 @@ class BlowupConfig:
     max_stages: int = 600
     steps_per_stage: int = 40
     newton_tol: float = SolverConfig.newton_tol
-    norm_r: float = SolverConfig.norm_r
+    norm_r: float = NORM_R
 
     def __post_init__(self):
         if not 1.0 < self.m < math.inf:
@@ -293,8 +293,7 @@ def sandwich_gaps(traj: Trajectory, m, horizon, v_base, s_super, norm_far, far_w
 
 
 def run_blowup(
-    u0_datum: RadialDatum,
-    u0_profile,
+    u0: RadialDatum,
     grid: RadialGrid,
     consts: ComparisonConstants,
     cfg: BlowupConfig,
@@ -302,23 +301,25 @@ def run_blowup(
 ) -> BlowupLedger:
     """Run the staged blow-up construction and return the filled ledger.
 
-    The run is solved on ``grid``; ``u0_profile`` evaluates the initial
-    datum on its cell centers and ``u0_datum`` carries its tail descriptor.
-    ``stage_hook(n, traj)`` is called after each stage solve (used by the
-    CLI to dump trajectories).
+    The run is solved on ``grid``, from ``u0.profile`` on its cell centers;
+    the growth ratio comes from ``u0``'s tail descriptor, and a datum
+    without a profile is a DomainError.  ``stage_hook(n, traj)`` is called
+    after each stage solve (used by the CLI to dump trajectories).
     """
     m = cfg.m
+    if u0.profile is None:
+        raise DomainError("the blow-up run needs a datum that carries its profile")
     if consts.c_double_prime is None:
         raise NotApplicableError("model carries no lower quadratic drift bound")
     sub = subsolution_params(consts, m)
     a_hat, r_hat = sub.amplitude, sub.r
     a_tilde = supersolution_amplitude(consts.c_prime, m)
 
-    ratio = norm_limit(u0_datum, m)  # in the norm-limit normalization
+    ratio = norm_limit(u0, m)  # in the norm-limit normalization
     weight = LogNorm(cfg.norm_r, m).weight(grid.centers)
     # weight of the audit's upper envelope, offset far beyond the ball
     far_weight = LogNorm(20.0 * grid.radius, m).weight(grid.centers)
-    u = np.asarray(u0_profile(grid.centers), dtype=float)
+    u = np.asarray(u0.profile(grid.centers), dtype=float)
     # the unit profile on the centers, once per run: each stage's W_T^m is
     # barrier.at_horizon(unit) ** m, the operations of barrier.profile
     unit = sub.profile_unit(grid.centers)
@@ -347,7 +348,6 @@ def run_blowup(
             t_end=S_n,
             boundary=BarrierDirichlet(barrier, delta),
             newton_tol=cfg.newton_tol,
-            norm_r=cfg.norm_r,
         )
         traj = solve_ball(u, scfg, grid, integrator=integrator)
         if stage_hook is not None:

@@ -5,12 +5,12 @@ Subcommands: ``geometry`` (comparison constants report), ``barrier-check``
 (nested-ball monotonicity), ``blowup`` (staged norm blow-up), ``uniq-check``
 (uniqueness-side decay product) and ``sweep`` (parameter sweeps).
 
-Run inputs come from library builders: run objects from ``pme.config``,
-the datum's probe grid from ``config.DatumSpec.datum`` and the eta barrier
-certificate from ``barriers.eta_certificate``, so this module only parses,
-writes and validates.  ``blowup`` and each ``sweep`` row share one path from
-a config dict to a ledger, whose setup builds the ball, so ``sweep`` checks
-every row's config and ball before any run starts.  Each report type owns
+Run inputs come from library builders: run objects and the datum, with the
+profile a run evaluates on its cells, from ``pme.config``, and the eta
+barrier certificate from ``barriers.eta_certificate``, so this module only
+parses, writes and validates.  ``blowup`` and each ``sweep`` row share one
+path from a config dict to a ledger, whose setup builds the ball, so
+``sweep`` checks every row's config and ball before any run starts.  Each report type owns
 its verdict: ``solve``, ``exhaust``, ``blowup``, ``uniq-check`` and
 ``barrier-check`` build their report (``solver.SolveReport``,
 ``solver.ExhaustReport``, ``blowup.BlowupLedger``,
@@ -22,11 +22,12 @@ its builders and before any solve or output, that it read every config key
 is typed by the config reader (``get_float``, ``get_int`` with its
 minimum), and a float flag whose range the library checks carries that
 range too, so a malformed, non-finite or out-of-range number is a
-ConfigError that names the flag as typed.  ``barrier-check --rho-max``,
-whose bound is the first node of the certificate ``--which`` picks (past
-``--r0`` for eta), is checked in ``cmd_barrier_check``.  Flags are not
-abbreviated, and argparse's own errors (a missing or unknown flag, a bad
-choice) are ConfigErrors too.  An output path that cannot be written (a
+ConfigError that names the flag as typed; ``--rho-max`` is at most
+``geometry.MAX_RHO_MAX``.  Its lower bound in ``barrier-check``, the first
+node of the certificate ``--which`` picks (past ``--r0`` for eta), is
+checked in ``cmd_barrier_check``.  Flags are not abbreviated, and
+argparse's own errors (a missing or unknown flag, a bad choice) are
+ConfigErrors too.  An output path that cannot be written (a
 directory, a path under a regular file, a directory without write
 permission) is a ConfigError that names it.  Under ``--verbose``, a successful ``geometry``,
 ``barrier-check`` or ``blowup`` prints one ``INFO pme:`` line on stderr.
@@ -138,9 +139,10 @@ def _numbers(text: str, option: str) -> list:
     return tokens
 
 
-def _float(parser, flag: str, minimum=None, above=None, **kwargs):
+def _float(parser, flag: str, minimum=None, above=None, maximum=None, **kwargs):
     """Add a float ``flag``, its text read as ``config.get_float`` reads a key,
-    that is at least ``minimum`` and more than ``above`` where given."""
+    that is at least ``minimum``, more than ``above`` and at most ``maximum``
+    where given."""
 
     def read(text):
         val = cfgmod.get_float({flag: text}, flag)
@@ -148,6 +150,8 @@ def _float(parser, flag: str, minimum=None, above=None, **kwargs):
             raise ConfigError(f"option '{flag}' must be >= {minimum:g}")
         if above is not None and not val > above:
             raise ConfigError(f"option '{flag}' must be > {above:g}")
+        if maximum is not None and val > maximum:
+            raise ConfigError(f"option '{flag}' must be <= {maximum:g}")
         return val
 
     parser.add_argument(flag, type=read, **kwargs)
@@ -167,21 +171,20 @@ def _manifold_args(parser):
 
 
 def _blowup_setup(cfg: dict):
-    """Validated inputs of a blow-up run: ball, datum spec and settings."""
+    """Validated inputs of a blow-up run: ball, datum and settings."""
     cfg = cfgmod.RunConfig(cfg)
     grid = cfgmod.grid_from(cfg, cfgmod.manifold_from(cfg))
     m = cfgmod.exponent_from(cfg)
-    spec, bcfg = cfgmod.datum_from(cfg), cfgmod.blowup_config_from(cfg, m)
+    datum, bcfg = cfgmod.datum_from(cfg, m, grid.radius), cfgmod.blowup_config_from(cfg, m)
     cfgmod.reject_unread(cfg, "the blow-up run")
-    return grid, spec, bcfg
+    return grid, datum, bcfg
 
 
 def _blowup_ledger(cfg: dict, stage_hook=None) -> blowup.BlowupLedger:
     """Run the staged blow-up construction for ``cfg``; the caller validates its ledger."""
-    grid, spec, bcfg = _blowup_setup(cfg)
+    grid, datum, bcfg = _blowup_setup(cfg)
     consts = geometry.fit_comparison_constants(grid.manifold)
-    datum, profile = spec.datum(bcfg.m, grid.radius), spec.profile(bcfg.m)
-    return blowup.run_blowup(datum, profile, grid, consts, bcfg, stage_hook=stage_hook)
+    return blowup.run_blowup(datum, grid, consts, bcfg, stage_hook=stage_hook)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -223,7 +226,6 @@ def cmd_barrier_check(args) -> int:
         cfgmod.reject_unread(opts, "--which eta")
         _rho_max_above(args.rho_max, barriers.eta_first_node(r0), "the first eta node, just past --r0")
         _, report = barriers.eta_certificate(c2, r0, 1.0, manifold.dim, rho_max=args.rho_max)
-        params = report.params  # K, lambda, T, R0 and C2
     else:
         m = cfgmod.exponent_from(opts, "--m")
         nodes = opts.get("--nodes", barriers.CERTIFICATE_NODES)
@@ -240,8 +242,7 @@ def cmd_barrier_check(args) -> int:
         else:
             barrier = barriers.subsolution_params(consts, m)
             report = barriers.certify_subsolution(barrier, manifold, grid)
-        params = {"a": barrier.amplitude, "r": barrier.r, "K": None}
-    write_json(args.out, {**report.as_json_dict(), "params": params})
+    write_json(args.out, report.as_json_dict())
     report.validate()
     _info(args, f"{args.which} certificate passed (min residual {report.min_residual:.3e})")
     return 0
@@ -249,21 +250,19 @@ def cmd_barrier_check(args) -> int:
 
 def _load_run(args):
     cfg = cfgmod.parse_config(args.config)
-    manifold = cfgmod.manifold_from(cfg)
-    m = cfgmod.exponent_from(cfg)
-    spec = cfgmod.datum_from(cfg)
-    return cfg, manifold, m, spec
+    return cfg, cfgmod.manifold_from(cfg), cfgmod.exponent_from(cfg)
 
 
 def cmd_solve(args) -> int:
-    cfg, manifold, m, spec = _load_run(args)
+    cfg, manifold, m = _load_run(args)
     grid = cfgmod.grid_from(cfg, manifold)
-    scfg = cfgmod.solver_config_from(cfg, m)
+    datum = cfgmod.datum_from(cfg, m, grid.radius)
+    scfg, r = cfgmod.solver_config_from(cfg, m), cfgmod.norm_r_from(cfg)
     cfgmod.reject_unread(cfg, "a solve run")
 
     consts = geometry.fit_comparison_constants(manifold)
-    et = solver.existence_time(spec.datum(m, grid.radius), consts, m, r=scfg.norm_r)
-    traj = solver.solve_ball(spec.profile(m), scfg, grid, barrier_horizon=et.horizon)
+    et = solver.existence_time(datum, consts, m, r=r)
+    traj = solver.solve_ball(datum.profile, scfg, grid, barrier_horizon=et.horizon)
     write_trajectory(args.out, traj)
     report = solver.solve_report(traj, et)
     write_json(args.summary, report)
@@ -272,12 +271,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exhaust(args) -> int:
-    cfg, manifold, m, spec = _load_run(args)
+    cfg, manifold, m = _load_run(args)
     radii = [float(x) for x in _numbers(args.radii, "--radii")]
     cells = cfgmod.get_int(cfg, "cells", minimum=3)
+    # probed for its largest ball; ``solver.exhaust`` rejects a short list
+    datum = cfgmod.datum_from(cfg, m, max(radii, default=0.0))
     scfg = cfgmod.solver_config_from(cfg, m)
     cfgmod.reject_unread(cfg, "an exhaust run")
-    report = solver.exhaust(spec.profile(m), scfg, manifold, radii, cells)
+    report = solver.exhaust(datum.profile, scfg, manifold, radii, cells)
     write_json(args.out, report)
     report.validate()
     return 0
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("geometry", help="fit and report comparison constants")
     _manifold_args(g)
-    _float(g, "--rho-max", minimum=geometry.MIN_RHO_MAX, default=1e3)
+    _float(g, "--rho-max", minimum=geometry.MIN_RHO_MAX, maximum=geometry.MAX_RHO_MAX, default=1e3)
     _int(g, "--n-probe", geometry.MIN_PROBES, default=4096)
     g.add_argument("--report", required=True)
     g.set_defaults(func=cmd_geometry)
@@ -402,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     _manifold_args(b)
     _float(b, "--m", above=1.0, default=None, help="super/sub: PME exponent (required)")
     b.add_argument("--which", choices=("super", "sub", "eta"), required=True)
-    _float(b, "--rho-max", default=1e3)
+    _float(b, "--rho-max", maximum=geometry.MAX_RHO_MAX, default=1e3)
     _int(b, "--nodes", 1, default=None, help=f"super/sub: nodes (default {barriers.CERTIFICATE_NODES})")
     _float(b, "--c2", above=0.0, default=None, help="eta: coefficient bound (default 1)")
     _float(b, "--r0", minimum=2.0, default=None, help="eta: inner radius (default 2)")

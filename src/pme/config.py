@@ -11,10 +11,11 @@ finite numbers; tables are two-column CSV ``rho,value`` with a header row,
 interpolated linearly onto the solver grid and held at the last value beyond
 the last row.
 
-``solver_config_from``, ``blowup_config_from`` and ``grid_from`` map a config
-to run objects for every subcommand and ``sweep`` row; ``grid_from`` is the
-one reader of ``R``.  ``DatumSpec.datum`` builds the one probe grid of a
-run's datum, for ``solve``, ``blowup`` and ``sweep``.  An absent optional
+``solver_config_from``, ``blowup_config_from``, ``grid_from``,
+``datum_from`` and ``norm_r_from`` map a config to run objects for every
+subcommand and ``sweep`` row; ``grid_from`` is the one reader of ``R``.
+``datum_from`` builds the run's datum on the one probe grid of its ball,
+carrying the profile the run evaluates on its cells.  An absent optional
 key keeps its dataclass field default.  A ``RunConfig`` records the keys
 its builders read, and ``reject_unread`` makes any other key a ConfigError:
 a run accepts exactly the keys it reads.
@@ -25,27 +26,18 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .barriers import BarrierParams
 from .blowup import BlowupConfig
 from .errors import ConfigError
-from .geometry import ModelManifold, make_manifold, probe_grid
+from .geometry import MAX_RHO_MAX, ModelManifold, make_manifold, probe_grid
 from .grid import RadialGrid
 from .solver import BarrierDirichlet, DtPolicy, HomogeneousDirichlet, SolverConfig
-from .xlog import (
-    RadialDatum,
-    TailDescriptor,
-    bounded_datum,
-    bounded_profile,
-    log_growth_datum,
-    log_growth_profile,
-)
+from .xlog import NORM_R, RadialDatum, bounded_datum, log_growth_datum, table_datum
 
 _U0_RE = re.compile(r"^(log-growth|bounded|table)\(([^)]*)\)$")
 
@@ -142,7 +134,7 @@ def _fields(cfg: dict, readers: dict) -> dict:
 
 
 _DT_FIELDS = {"dt_growth": ("growth", get_float), "dt_max": ("dt_max", get_float)}
-_RUN_FIELDS = {"newton_tol": ("newton_tol", _positive), "norm_r": ("norm_r", get_float)}
+_RUN_FIELDS = {"newton_tol": ("newton_tol", _positive)}
 _SOLVER_FIELDS = {
     **_RUN_FIELDS,
     "newton_max_iter": ("newton_max_iter", partial(get_int, minimum=1)),
@@ -150,6 +142,7 @@ _SOLVER_FIELDS = {
 }
 _BLOWUP_FIELDS = {
     **_RUN_FIELDS,
+    "norm_r": ("norm_r", get_float),
     "blowup_threshold": ("threshold_factor", get_float),
     "blowup_max_stages": ("max_stages", partial(get_int, minimum=1)),
     "steps_per_stage": ("steps_per_stage", partial(get_int, minimum=5)),
@@ -182,6 +175,14 @@ def solver_config_from(cfg: dict, m: float) -> SolverConfig:
     )
 
 
+def norm_r_from(cfg: dict) -> float:
+    """Weight offset r >= 2 of the norm a ``solve`` run reports."""
+    r = get_float(cfg, "norm_r", default=NORM_R)
+    if r < 2.0:
+        raise ConfigError(f"key 'norm_r' must be >= 2, got {r!r}")
+    return r
+
+
 def blowup_config_from(cfg: dict, m: float) -> BlowupConfig:
     """Settings of the staged blow-up run (``blowup`` and each ``sweep`` row)."""
     return BlowupConfig(m=m, **_fields(cfg, _BLOWUP_FIELDS))
@@ -208,46 +209,10 @@ def exponent_from(cfg: dict, key: str = "m") -> float:
     return m
 
 
-@dataclass(frozen=True)
-class DatumSpec:
-    """Parsed ``u0``: canonical family or a sampled table."""
-
-    kind: str  # log-growth | bounded | table
-    amplitude: float = 0.0
-    table_rho: Optional[np.ndarray] = None
-    table_values: Optional[np.ndarray] = None
-
-    def profile(self, m: float):
-        if self.kind == "log-growth":
-            return log_growth_profile(self.amplitude, m)
-        if self.kind == "bounded":
-            return bounded_profile(self.amplitude)
-
-        def interp(rho):
-            return np.interp(rho, self.table_rho, self.table_values)
-
-        return interp
-
-    def datum(self, m: float, radius: float) -> RadialDatum:
-        """The datum for a ball of ``radius``, probed on 4001 geometric radii
-        up to max(1e3, 10 radius) and, for a table, its last row, so the
-        norm sees the sampled rows and the tail past them."""
-        top = max(1e3, 10 * radius)
-        if self.kind == "table":
-            top = max(top, float(self.table_rho[-1]))
-        rho = probe_grid(top, 4001)
-        if self.kind == "log-growth":
-            return log_growth_datum(self.amplitude, m, rho)
-        if self.kind == "bounded":
-            return bounded_datum(self.amplitude, rho)
-        # np.interp holds the last value beyond the last row: the table is bounded
-        tail = TailDescriptor(
-            "bounded", abs(float(self.table_values[-1])), rho_start=float(self.table_rho[-1])
-        )
-        return RadialDatum(rho, self.profile(m)(rho), tail=tail)
-
-
-def datum_from(cfg: dict) -> DatumSpec:
+def datum_from(cfg: dict, m: float, radius: float) -> RadialDatum:
+    """The run's ``u0`` for a ball of ``radius``, probed on 4001 geometric
+    radii up to max(1e3, 10 radius) and, for a table, its last row, so the
+    norm sees the sampled rows and the tail past them."""
     raw = cfg.get("u0")
     if raw is None:
         raise ConfigError("missing required key 'u0'")
@@ -257,16 +222,20 @@ def datum_from(cfg: dict) -> DatumSpec:
             f"u0 must be log-growth(b), bounded(B) or table(path); got {raw!r}"
         )
     kind, arg = match.group(1), match.group(2).strip()
+    top = max(1e3, 10 * radius)
     if kind == "table":
-        rho, vals = _read_table(arg)
-        return DatumSpec(kind="table", table_rho=rho, table_values=vals)
+        rows, vals = _read_table(arg)
+        return table_datum(rows, vals, probe_grid(max(top, float(rows[-1])), 4001))
     try:
         amp = float(arg)
     except ValueError as exc:
         raise ConfigError(f"u0 amplitude is not a number: {arg!r}") from exc
     if not 0 <= amp < math.inf:
         raise ConfigError(f"u0 amplitude must be nonnegative and finite, got {arg!r}")
-    return DatumSpec(kind=kind, amplitude=amp)
+    rho = probe_grid(top, 4001)
+    if kind == "log-growth":
+        return log_growth_datum(amp, m, rho)
+    return bounded_datum(amp, rho)
 
 
 def _read_table(path):
@@ -290,4 +259,6 @@ def _read_table(path):
     vals = np.array([r[1] for r in rows])
     if np.any(np.diff(rho) <= 0):
         raise ConfigError(f"{path}: table rho column must be strictly increasing")
+    if rho[-1] > MAX_RHO_MAX:  # the datum is probed up to its last row
+        raise ConfigError(f"{path}: table rho must be at most {MAX_RHO_MAX:g}")
     return rho, vals

@@ -38,6 +38,12 @@ MIN_PROBES = 1000
 MIN_RHO_MAX = 10.0
 # The innermost radius of every probe grid.
 FIRST_PROBE = 1e-3
+# The largest outermost radius of a probe grid.  The widest term a probe
+# evaluates is log-critical's s^2 (log s)^3, s = e + rho, in psi''/psi:
+# 4.1e307 at rho = 1e150, under the double maximum 1.8e308 (at 1e151 it
+# overflows).  The certificates' widest, rho^2 (2 log rho - 1)^2 in eta's
+# e_rr and (r^2 + rho^2) log(r^2 + rho^2) in W^m's, are 4.8e305 and 6.9e302.
+MAX_RHO_MAX = 1e150
 
 
 def log_sphere_area(dim: int) -> float:
@@ -270,6 +276,8 @@ def probe_grid(rho_max: float, n_probe: int) -> np.ndarray:
         raise DomainError(
             f"rho_max must exceed the first probe radius {FIRST_PROBE:g}, got {rho_max:g}"
         )
+    if rho_max > MAX_RHO_MAX:
+        raise DomainError(f"rho_max must be at most {MAX_RHO_MAX:g}, got {rho_max:g}")
     return np.geomspace(FIRST_PROBE, rho_max, n_probe)
 
 

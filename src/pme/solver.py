@@ -225,9 +225,10 @@ and ``barrier_excess`` checks the stacked fields against the separable
 envelopes of ``barriers.separable_envelopes`` in one array operation.
 
 A run's report owns its verdict.  ``solve_report`` builds a single-ball
-run's ``SolveReport`` from its trajectory and existence time, with the
-run's policies: the sandwich audit runs only under a finite horizon, and
-its tolerance ``tau_h`` is scaled by the largest recorded |u|.
+run's ``SolveReport`` from its trajectory and existence time, in whose
+norm of u0 its series are taken, with the run's policies: the sandwich
+audit runs only under a finite horizon, its ``tau_h`` scaled by the
+largest recorded |u|.
 ``exhaust`` builds an ``ExhaustReport``, whose ``tau_h`` is scaled by
 max(1, largest final |u|).  Each report's ``validate`` raises
 CertificateError (exit code 3) when its check fails.
@@ -255,7 +256,7 @@ from .barriers import (
 from .errors import CertificateError, DomainError, SolverError, is_count
 from .geometry import ComparisonConstants, ModelManifold
 from .grid import RadialGrid
-from .xlog import LogNorm, RadialDatum, log_norm, norm_limit
+from .xlog import NORM_R, LogNorm, RadialDatum, log_norm, norm_limit
 
 JACOBIAN_EPS = 1e-12
 MAX_HALVINGS = 40
@@ -374,7 +375,6 @@ class SolverConfig:
     boundary: Union[HomogeneousDirichlet, BarrierDirichlet] = HomogeneousDirichlet()
     newton_tol: float = 1e-10
     newton_max_iter: int = 30
-    norm_r: float = 2.0
     snapshot_stride: int = 1
 
     def __post_init__(self):
@@ -387,8 +387,6 @@ class SolverConfig:
             )
         if not (0 < self.newton_tol < math.inf and 0 < self.t_end < math.inf):
             raise DomainError("newton_tol and t_end must be positive and finite")
-        if not 2.0 <= self.norm_r < math.inf:
-            raise DomainError(f"norm_r must be finite and >= 2, got {self.norm_r!r}")
         if not (is_count(self.newton_max_iter, 1) and is_count(self.snapshot_stride, 1)):
             raise DomainError("newton_max_iter and snapshot_stride must be integers >= 1")
 
@@ -400,7 +398,6 @@ class Trajectory:
     from the stacked fields when read."""
 
     grid: RadialGrid
-    norm: LogNorm
     times: list = field(default_factory=list)
     fields: list = field(default_factory=list)
     boundary_outflow: list = field(default_factory=list)  # per recorded interval
@@ -418,21 +415,19 @@ class Trajectory:
         """The recorded fields as one (records, cells) array."""
         return np.array(self.fields)
 
-    @property
-    def lognorms(self) -> list:
+    def lognorms(self, norm: LogNorm) -> list:
         """Weighted sup-norm ``norm`` of each recorded field."""
-        w = self.norm.weight(self.grid.centers)
+        w = norm.weight(self.grid.centers)
         return (np.abs(self.stacked) / w).max(axis=1).tolist()
 
-    @property
-    def tail_ratios(self) -> list:
+    def tail_ratios(self, m: float) -> list:
         """Grid-window estimate of |u|/(log rho)^(1/(m-1)) over the outer half
         of the ball; a proxy for the asymptotic ratio, not a true limit."""
         rho = self.grid.centers
         outer = rho >= max(self.grid.radius / 2.0, 2.0)
         if not outer.any():
             return [0.0] * len(self.fields)
-        tail = np.log(rho[outer]) ** (1.0 / (self.norm.m - 1.0))
+        tail = np.log(rho[outer]) ** (1.0 / (m - 1.0))
         return (np.abs(self.stacked[:, outer]) / tail).max(axis=1).tolist()
 
     @property
@@ -908,7 +903,7 @@ def solve_ball(
         raise DomainError(f"t_end={cfg.t_end:g} reaches the barrier horizon T={horizon:g}")
 
     u = u0 if integrator.continues(u0) else _initial_values(u0, grid)
-    traj = Trajectory(grid=grid, norm=LogNorm(cfg.norm_r, cfg.m))
+    traj = Trajectory(grid=grid)
     traj.record(0.0, u, 0.0)
 
     t = 0.0
@@ -1014,7 +1009,8 @@ class ExistenceTime:
     time: float  # may be inf
     limit_time: float  # horizon from the norm limit (inf for bounded data)
     global_flag: bool
-    norm: float  # ||u0|| in the weighted norm of offset r
+    norm: float  # ||u0|| in the weighted norm ``lognorm``
+    lognorm: LogNorm
 
     @property
     def horizon(self) -> Optional[float]:
@@ -1029,17 +1025,18 @@ def existence_time(
     u0: RadialDatum,
     consts: ComparisonConstants,
     m: float,
-    r: float = 2.0,
+    r: float = NORM_R,
 ) -> ExistenceTime:
     a = supersolution_amplitude(consts.c_prime, m)
-    norm = log_norm(u0, LogNorm(r, m))
+    lognorm = LogNorm(r, m)
+    norm = log_norm(u0, lognorm)
     if norm == 0.0:
-        return ExistenceTime(math.inf, math.inf, True, norm)
+        return ExistenceTime(math.inf, math.inf, True, norm, lognorm)
     lim_norm = norm_limit(u0, m)
     time = horizon_time(a, norm, m)
     if lim_norm == 0.0:
-        return ExistenceTime(time, math.inf, True, norm)
-    return ExistenceTime(time, horizon_time(a, lim_norm, m), False, norm)
+        return ExistenceTime(time, math.inf, True, norm, lognorm)
+    return ExistenceTime(time, horizon_time(a, lim_norm, m), False, norm, lognorm)
 
 
 # -- barrier sandwich audit -----------------------------------------------------
@@ -1082,14 +1079,16 @@ class SolveReport:
 
 
 def solve_report(traj: Trajectory, et: ExistenceTime) -> SolveReport:
-    """The report of a run recorded in ``traj`` up to ``et.horizon``."""
+    """The report of a run recorded in ``traj`` up to ``et.horizon``, its
+    series in the norm ``et`` measured u0 in."""
+    norm = et.lognorm
     excess = None
     if et.horizon is not None:
-        excess = barrier_excess(traj, et.norm, et.horizon, traj.norm.r, traj.norm.m)
+        excess = barrier_excess(traj, et.norm, et.horizon, norm.r, norm.m)
     return SolveReport(
         times=traj.times,
-        log_norm_series=traj.lognorms,
-        tail_ratio_series=traj.tail_ratios,
+        log_norm_series=traj.lognorms(norm),
+        tail_ratio_series=traj.tail_ratios(norm.m),
         mass_series=traj.masses,
         existence_time=et.time,
         existence_time_limit=et.limit_time,

@@ -16,7 +16,7 @@ limsup |f| / (log rho)^(1/(m-1)); ``norm_limit`` returns that limit and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DomainError, NotApplicableError, TailMismatchError
 
 TAIL_FORMS = ("log-growth", "bounded")
+NORM_R = 2.0  # the weight offset r of a run that sets none
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,15 @@ class TailDescriptor:
 
 @dataclass(frozen=True)
 class RadialDatum:
-    """A radial function sampled on increasing nodes, plus optional tail."""
+    """A radial function sampled on increasing nodes, plus optional tail
+    and the profile the samples were taken from."""
 
     rho: np.ndarray
     values: np.ndarray
     tail: Optional[TailDescriptor] = None
+    profile: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=float)
@@ -193,7 +198,8 @@ def log_growth_datum(b: float, m: float, rho) -> RadialDatum:
     tail = TailDescriptor("log-growth", b, rho_start=max(RAMP_EDGE, 2.0), m=m)
     if rho[-1] < tail.rho_start:
         tail = None
-    return RadialDatum(rho, log_growth_profile(b, m)(rho), tail=tail)
+    profile = log_growth_profile(b, m)
+    return RadialDatum(rho, profile(rho), tail=tail, profile=profile)
 
 
 def bounded_profile(bound: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -206,4 +212,18 @@ def bounded_profile(bound: float) -> Callable[[np.ndarray], np.ndarray]:
 def bounded_datum(bound: float, rho) -> RadialDatum:
     rho = np.asarray(rho, dtype=float)
     tail = TailDescriptor("bounded", bound, rho_start=float(rho[0]))
-    return RadialDatum(rho, bounded_profile(bound)(rho), tail=tail)
+    profile = bounded_profile(bound)
+    return RadialDatum(rho, profile(rho), tail=tail, profile=profile)
+
+
+def table_datum(table_rho: np.ndarray, table_values: np.ndarray, rho) -> RadialDatum:
+    """The rows (table_rho, table_values) interpolated linearly and held at
+    the last value beyond the last row, sampled at ``rho``: bounded by
+    |last value| past the last row."""
+
+    def profile(x):
+        return np.interp(x, table_rho, table_values)
+
+    rho = np.asarray(rho, dtype=float)
+    tail = TailDescriptor("bounded", abs(float(table_values[-1])), rho_start=float(table_rho[-1]))
+    return RadialDatum(rho, profile(rho), tail=tail, profile=profile)

@@ -127,7 +127,7 @@ def test_criterion_4_barrier_sandwich(quad_manifold, quad_constants):
         # zero violating cells: worst excess over the envelope below tau_h
         excess = solver.barrier_excess(traj, norm0, T, 2.0, m)
         assert excess <= tol
-        for t, ln in zip(traj.times, traj.lognorms):
+        for t, ln in zip(traj.times, traj.lognorms(xlog.LogNorm(2.0, m))):
             bound = (1.0 - t / T) ** (-1.0 / (m - 1.0)) * norm0
             assert ln <= bound * (1.0 + 1e-3)
         assert time.monotonic() - start < 120.0
@@ -155,9 +155,8 @@ def test_criterion_5_exhaustion_monotonicity():
 def _blowup_ledger(b, quad_manifold, quad_constants):
     cfg = blowup.BlowupConfig(m=2.0, steps_per_stage=30)
     datum = xlog.log_growth_datum(b, 2.0, np.geomspace(1e-3, 1e6, 4000))
-    prof = xlog.log_growth_profile(b, 2.0)
     grid = RadialGrid.uniform(quad_manifold, 25.0, 250)
-    return blowup.run_blowup(datum, prof, grid, quad_constants, cfg)
+    return blowup.run_blowup(datum, grid, quad_constants, cfg)
 
 
 def test_criterion_6_blowup_ledger(quad_manifold, quad_constants):
@@ -192,7 +191,7 @@ def test_criterion_7_uniqueness_certificates(quad_manifold):
     with criterion(7, "uniqueness-side decay certificates"):
         k = barriers.select_K(1.0, 2.0)
         p = barriers.EtaBarrierParams(k, 1.0, 1.0, 2.0, 1.0)
-        rep = barriers.certify_eta(p, dim=2, n_rho=100, n_t=100)
+        rep = barriers.certify_eta(p, dim=2)
         assert rep.passed and rep.nodes == 10**4
 
         c_m = 1.0

@@ -344,6 +344,8 @@ def test_eta_domain_checks():
         barriers.eta(p, 3.0, 2.0)
     with pytest.raises(DomainError):
         barriers.certify_eta(p, dim=1)
+    with pytest.raises(DomainError, match="at most 1e\\+150"):
+        barriers.certify_eta(p, rho_max=math.nextafter(geometry.MAX_RHO_MAX, math.inf))
 
 
 VALID_PARAMS = {

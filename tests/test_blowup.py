@@ -257,8 +257,7 @@ def desk_run():
     cc = geometry.fit_comparison_constants(M)
     cfg = blowup.BlowupConfig(m=2.0, threshold_factor=50.0, max_stages=400, steps_per_stage=25)
     datum = xlog.log_growth_datum(1.0, 2.0, RHO_REF)
-    prof = xlog.log_growth_profile(1.0, 2.0)
-    return blowup.run_blowup(datum, prof, RadialGrid.uniform(M, 12.0, 120), cc, cfg)
+    return blowup.run_blowup(datum, RadialGrid.uniform(M, 12.0, 120), cc, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -505,7 +504,7 @@ def test_bounded_datum_rejected():
     datum = xlog.bounded_datum(1.0, RHO_REF)
     grid, cfg = RadialGrid.uniform(M, 12.0, 60), blowup.BlowupConfig(m=2.0)
     with pytest.raises(NotApplicableError):
-        blowup.run_blowup(datum, xlog.bounded_profile(1.0), grid, cc, cfg)
+        blowup.run_blowup(datum, grid, cc, cfg)
 
 
 def test_model_without_lower_bound_rejected():
@@ -514,16 +513,26 @@ def test_model_without_lower_bound_rejected():
     datum = xlog.log_growth_datum(1.0, 2.0, RHO_REF)
     grid, cfg = RadialGrid.uniform(M, 12.0, 60), blowup.BlowupConfig(m=2.0)
     with pytest.raises(NotApplicableError):
-        blowup.run_blowup(datum, xlog.log_growth_profile(1.0, 2.0), grid, cc, cfg)
+        blowup.run_blowup(datum, grid, cc, cfg)
+
+
+def test_a_datum_without_its_profile_is_rejected():
+    M = geometry.quad_critical(0.5, 3)
+    cc = geometry.fit_comparison_constants(M)
+    sampled = xlog.log_growth_datum(1.0, 2.0, RHO_REF)
+    datum = xlog.RadialDatum(sampled.rho, sampled.values, tail=sampled.tail)
+    grid, cfg = RadialGrid.uniform(M, 12.0, 60), blowup.BlowupConfig(m=2.0)
+    with pytest.raises(DomainError, match="profile"):
+        blowup.run_blowup(datum, grid, cc, cfg)
 
 
 # -- trajectory series and sandwich audits against the record loops --------------------
 
 
-def reference_series(traj):
+def reference_series(traj, norm):
     """Norm, tail-ratio and mass series as ``Trajectory.record`` used to
     compute them, one record at a time."""
-    grid, norm = traj.grid, traj.norm
+    grid = traj.grid
     centers = grid.centers
     outer = slice(int(np.searchsorted(centers, max(grid.radius / 2.0, 2.0))), None)
     tail = np.log(centers[outer]) ** (1.0 / (norm.m - 1.0))
@@ -567,7 +576,7 @@ def audited_trajectories(draw):
     m = draw(st.floats(min_value=1.05, max_value=4.0))
     horizon = draw(st.floats(min_value=1e-4, max_value=10.0))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    traj = solver.Trajectory(grid=grid, norm=xlog.LogNorm(2.0, m))
+    traj = solver.Trajectory(grid=grid)
     # the recorded times lie in [0, horizon); t = 0 is left out at random so
     # that a stage can also have no record before 0.95 s_super
     for t in np.sort(rng.uniform(0.0, horizon, draw(st.integers(min_value=1, max_value=12)))):
@@ -579,7 +588,8 @@ def audited_trajectories(draw):
 @settings(max_examples=150, deadline=None)
 def test_vectorised_reads_equal_the_record_loops(case, s_super, r):
     traj, m, horizon, rng = case
-    assert (traj.lognorms, traj.tail_ratios, traj.masses) == reference_series(traj)
+    norm = xlog.LogNorm(r, m)
+    assert (traj.lognorms(norm), traj.tail_ratios(m), traj.masses) == reference_series(traj, norm)
     norm0 = float(rng.uniform(1e-3, 5.0))
     got = solver.barrier_excess(traj, norm0, horizon, r, m)
     assert got == reference_barrier_excess(traj, norm0, horizon, r, m)

@@ -165,6 +165,36 @@ def test_barrier_check_eta_writes_the_eta_certificate_at_horizon_one(tmp_path, d
     assert params == {"C2": c2, "R0": r0, "T": 1.0, "lambda": 1.0, "K": barriers.select_K(c2, r0)}
 
 
+@pytest.mark.parametrize("which", ["super", "sub"])
+def test_barrier_check_writes_the_certificate_params(tmp_path, which):
+    out = tmp_path / "cert.json"
+    assert run_cli(*quad_args("barrier-check", "--m", "3", "--which", which, "--out", str(out))) == 0
+    manifold = geometry.quad_critical(0.5, 3)
+    consts = geometry.fit_comparison_constants(manifold)
+    if which == "super":
+        a = barriers.supersolution_amplitude(consts.c_prime, 3.0)
+        rep = barriers.certify_supersolution(barriers.BarrierParams(a, 2.0, 1.0, 3.0), manifold, consts)
+    else:
+        rep = barriers.certify_subsolution(barriers.subsolution_params(consts, 3.0), manifold)
+    assert out.read_text() == cli._json_text(rep.as_json_dict())
+    params = json.loads(out.read_text())["params"]
+    assert params == rep.params and params["m"] == 3.0
+
+
+@pytest.mark.parametrize("kind", sorted(geometry.BUILTIN_FAMILIES))
+def test_rho_max_at_its_bound_runs_without_a_warning(tmp_path, kind):
+    c = ["--c", "0.5"] if kind.endswith("-critical") else []
+    base = ["--manifold", kind, "--dim", "3", *c, "--rho-max", repr(geometry.MAX_RHO_MAX)]
+    runs = [["geometry", *base, "--report", str(tmp_path / "g.json")]]
+    for which in ["super", "eta"] + (["sub"] if kind == "quad-critical" else []):
+        m = [] if which == "eta" else ["--m", "2"]
+        runs.append(["barrier-check", *base, *m, "--which", which, "--out", str(tmp_path / f"{which}.json")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the run
+        for argv in runs:
+            assert run_cli(*argv) == 0, argv
+
+
 @pytest.mark.parametrize("nodes", ["0", "-1"])
 def test_barrier_check_rejects_empty_grid(tmp_path, nodes):
     rc = run_cli(
@@ -792,6 +822,7 @@ def test_json_reports_have_their_dataclass_fields_as_keys(tmp_path):
         ("solve", "blowup_threshold = 30"),
         ("exhaust", "steps_per_stage = 7"),
         ("exhaust", "R = 24"),
+        ("exhaust", "norm_r = 2"),
         ("blowup", "barrier_a = 3"),
         ("solve", "whatever = 3"),
     ],
@@ -1079,6 +1110,10 @@ cells = 20
 """
 
 
+# its last row lies past geometry.MAX_RHO_MAX, the top of the datum's probe grid
+FAR_TABLE = "rho,value\n1,1\n1e151,1\n"
+
+
 def datum_args(tmp_path, command, u0):
     """Arguments of a ``command`` run on a small Euclidean ball from ``u0``;
     ``table(rho,value)`` is a table whose middle row is that one."""
@@ -1115,6 +1150,8 @@ def number_args(tmp_path, command, flag, text):
     return [command, *valid[command], flag, text]
 
 
+PAST_RHO_MAX = repr(math.nextafter(geometry.MAX_RHO_MAX, math.inf))
+
 # malformed and below-minimum text of each integer flag, malformed text of
 # a float flag, and each float flag out of the range the library checks:
 # the flag's reader names it as typed
@@ -1134,6 +1171,7 @@ BAD_NUMBERS = [
     ("sweep", "--workers", "abc", "option '--workers': not an integer ('abc')"),
     ("uniq-check", "--T", "abc", "option '--T': not a number ('abc')"),
     ("geometry", "--rho-max", "5", "option '--rho-max' must be >= 10"),
+    ("geometry", "--rho-max", PAST_RHO_MAX, "option '--rho-max' must be <= 1e+150"),
     ("uniq-check", "--m", "1", "option '--m' must be > 1"),
     ("barrier-check", "--m", "1", "option '--m' must be > 1"),
     ("uniq-check", "--c2", "0", "option '--c2' must be > 0"),
@@ -1163,15 +1201,32 @@ dt0 = 1e-5
 @pytest.mark.parametrize(
     "make_argv, needle",
     [
+        # psi'/psi = (1 + 2 c rho^2)/rho overflows at c = 1e10 and the largest --rho-max
         pytest.param(
-            lambda tmp: quad_args("geometry", "--rho-max", "1e200", "--report", str(tmp / "g.json")),
+            lambda tmp: ["geometry", "--manifold", "quad-critical", "--dim", "3", "--c", "1e10",
+                         "--rho-max", "1e150", "--report", str(tmp / "g.json")],
             "psi'/psi is not finite",
             id="geometry-psi-overflow",
         ),
         pytest.param(
-            lambda tmp: check_args(tmp, "--m", "2", "--which", "super", "--rho-max", "1e200"),
+            lambda tmp: ["barrier-check", "--manifold", "quad-critical", "--dim", "3", "--c", "1e10",
+                         "--m", "2", "--which", "super", "--rho-max", "1e150", "--out", str(tmp / "c.json")],
             "psi'/psi is not finite",
             id="barrier-check-psi-overflow",
+        ),
+        # --rho-max is at most geometry.MAX_RHO_MAX, for every --which
+        *(
+            pytest.param(
+                lambda tmp, which=which, m=m: check_args(tmp, *m, "--which", which, "--rho-max", PAST_RHO_MAX),
+                "option '--rho-max' must be <= 1e+150",
+                id=f"barrier-check-{which}-rho-max-past-the-bound",
+            )
+            for which, m in (("super", ["--m", "2"]), ("sub", ["--m", "2"]), ("eta", []))
+        ),
+        pytest.param(
+            lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG + "norm_r = 1.5\n")),
+            "key 'norm_r' must be >= 2, got 1.5",
+            id="solve-norm-r-below-two",
         ),
         pytest.param(
             lambda tmp: check_args(tmp, "--which", "super"), "'--m'", id="barrier-check-super-without-m"
@@ -1311,6 +1366,12 @@ dt0 = 1e-5
             ),
             "no.csv",
             id="solve-missing-table",
+        ),
+        pytest.param(
+            lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG.replace(
+                "log-growth(1.0)", f"table({write_cfg(tmp, FAR_TABLE, name='u0.csv')})"))),
+            "u0.csv: table rho must be at most 1e+150",
+            id="solve-table-past-the-largest-probe-radius",
         ),
         pytest.param(
             lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG.replace("c = 0.5", "c = -1"))),

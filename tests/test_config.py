@@ -1,6 +1,7 @@
 """Config -> run-object builders: defaults, key coverage, datum tails."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from pme import blowup, config, geometry, solver, xlog
 from pme.errors import ConfigError
 from pme.geometry import log_sphere_area
+from pme.grid import RadialGrid
 
 # every key some run reads, each with a valid value (barrier boundary, so that
 # a solve run reads the barrier_* keys)
@@ -49,7 +51,7 @@ def keys_read(build):
     run = config.RunConfig(FULL_CFG)
     m = config.exponent_from(run)
     manifold = config.manifold_from(run)
-    config.datum_from(run)
+    config.datum_from(run, m, 12.0)
     build(run, m, manifold)
     return run.read
 
@@ -58,6 +60,7 @@ def test_a_solve_build_reads_exactly_the_solve_keys():
     def solve_build(run, m, manifold):  # as cli.cmd_solve builds its run
         config.grid_from(run, manifold)
         config.solver_config_from(run, m)
+        config.norm_r_from(run)
 
     assert keys_read(solve_build) == set(SOLVE_CFG)
 
@@ -89,14 +92,15 @@ def test_absent_keys_keep_dataclass_defaults():
     assert config.blowup_config_from(cfg, 2.0) == blowup.BlowupConfig(m=2.0)
     # a blow-up run's solve settings default to a single solve's
     bcfg, scfg = config.blowup_config_from(cfg, 2.0), config.solver_config_from(cfg, 2.0)
-    assert (bcfg.newton_tol, bcfg.norm_r) == (scfg.newton_tol, scfg.norm_r)
+    assert (bcfg.newton_tol, bcfg.norm_r) == (scfg.newton_tol, config.norm_r_from(cfg))
+    assert bcfg.norm_r == xlog.NORM_R
 
 
 def test_present_keys_reach_their_fields():
     scfg = config.solver_config_from(SOLVE_CFG, 2.0)
     assert scfg.dt == solver.DtPolicy(dt0=2e-4, growth=1.1, dt_max=1e-3)
     assert (scfg.t_end, scfg.newton_tol, scfg.newton_max_iter) == (0.01, 1e-9, 20)
-    assert (scfg.norm_r, scfg.snapshot_stride) == (3.0, 2)
+    assert (config.norm_r_from(SOLVE_CFG), scfg.snapshot_stride) == (3.0, 2)
     assert scfg.boundary.delta == 0.12
     assert (scfg.boundary.params.amplitude, scfg.boundary.params.r) == (1.001, 2.5)
     assert scfg.boundary.params.horizon == 4.0
@@ -143,25 +147,36 @@ def test_messages_name_a_dashed_key_as_an_option(read, cfg, message, key, named)
     assert str(exc.value) == message.format(named)
 
 
-@pytest.mark.parametrize("u0", ["log-growth(1.5)", "bounded(0.7)"])
+@pytest.mark.parametrize("u0", ["log-growth(1.5)", "bounded(0.7)", "table"])
 @pytest.mark.parametrize("radius", [2.0, 1e6])
-def test_datum_matches_xlog_constructors(u0, radius):
+def test_datum_matches_xlog_constructors(tmp_path, u0, radius):
     # probed on 4001 geometric radii up to max(1e3, 10 R): 1e3 and 1e7 here
     rho = geometry.probe_grid(max(1e3, 10 * radius), 4001)
-    got = config.datum_from({"u0": u0}).datum(2.0, radius)
+    rows, vals = np.array([0.5, 1.0, 40.0]), np.array([2.0, -1.0, 0.25])
+    if u0 == "table":
+        table = tmp_path / "u0.csv"
+        table.write_text("rho,value\n0.5,2.0\n1.0,-1.0\n40.0,0.25\n")
+        u0 = f"table({table})"
+    got = config.datum_from({"u0": u0}, 2.0, radius)
     assert np.array_equal(got.rho, rho)
     if u0.startswith("log"):
-        want = xlog.log_growth_datum(1.5, 2.0, rho)
+        want, profile = xlog.log_growth_datum(1.5, 2.0, rho), xlog.log_growth_profile(1.5, 2.0)
+    elif u0.startswith("bounded"):
+        want, profile = xlog.bounded_datum(0.7, rho), xlog.bounded_profile(0.7)
     else:
-        want = xlog.bounded_datum(0.7, rho)
+        want = xlog.table_datum(rows, vals, rho)
+        profile = partial(np.interp, xp=rows, fp=vals)
     assert np.array_equal(got.values, want.values)
     assert got.tail == want.tail
+    # the profile a run evaluates on its cells is the one sampled here
+    centers = RadialGrid.uniform(geometry.euclidean(3), radius, 50).centers
+    assert got.profile(centers).tobytes() == profile(centers).tobytes()
 
 
 def test_table_datum_is_bounded_beyond_its_last_row(tmp_path):
     table = tmp_path / "u0.csv"
     table.write_text("rho,value\n0.5,2.0\n4.0,-0.25\n")
-    datum = config.datum_from({"u0": f"table({table})"}).datum(2.0, 10.0)
+    datum = config.datum_from({"u0": f"table({table})"}, 2.0, 10.0)
     assert datum.tail == xlog.TailDescriptor("bounded", 0.25, rho_start=4.0)
     assert np.all(datum.values[datum.rho >= 4.0] == -0.25)
     assert xlog.limsup_ratio(datum) == 0.0
@@ -175,7 +190,7 @@ def test_table_datum_is_probed_up_to_its_last_row_or_ten_radii(tmp_path, last_ro
     # a last row past max(1e3, 10 R) moves the top of the probe grid to it
     table = tmp_path / "u0.csv"
     table.write_text(f"rho,value\n0.5,2.0\n{last_row!r},1.5\n")
-    datum = config.datum_from({"u0": f"table({table})"}).datum(2.0, radius)
+    datum = config.datum_from({"u0": f"table({table})"}, 2.0, radius)
     assert np.array_equal(datum.rho, geometry.probe_grid(top, 4001))
     assert datum.rho[-1] == top
 

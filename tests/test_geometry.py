@@ -259,6 +259,9 @@ def test_fit_preconditions():
         geometry.fit_comparison_constants(M, rho_max=5.0)
     with pytest.raises(DomainError):
         geometry.fit_comparison_constants(M, n_probe=10)
+    geometry.probe_grid(geometry.MAX_RHO_MAX, 10)
+    with pytest.raises(DomainError, match="at most 1e\\+150"):
+        geometry.fit_comparison_constants(M, rho_max=math.nextafter(geometry.MAX_RHO_MAX, math.inf))
 
 
 def test_make_manifold_dispatch():

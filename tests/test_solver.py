@@ -1117,7 +1117,6 @@ NON_FINITE_FIELDS = {
     "SolverConfig.m": lambda x: small_cfg(1.0, m=x),
     "SolverConfig.t_end": lambda x: small_cfg(x),
     "SolverConfig.newton_tol": lambda x: small_cfg(1.0, newton_tol=x),
-    "SolverConfig.norm_r": lambda x: small_cfg(1.0, norm_r=x),
     "DtPolicy.dt0": lambda x: solver.DtPolicy(dt0=x),
     "DtPolicy.growth": lambda x: solver.DtPolicy(dt0=1e-3, growth=x),
     "DtPolicy.dt_max": lambda x: solver.DtPolicy(dt0=1e-3, dt_max=x),
@@ -1616,8 +1615,9 @@ def test_odd_symmetry_is_exact(run):
     assert all(np.array_equal(fb, -fa) for fa, fb in zip(a.fields, b.fields, strict=True))
     assert b.masses == [-x for x in a.masses]
     assert b.boundary_outflow == [-x for x in a.boundary_outflow]
-    assert b.lognorms == a.lognorms
-    assert b.tail_ratios == a.tail_ratios
+    norm = xlog.LogNorm(xlog.NORM_R, cfg.m)
+    assert b.lognorms(norm) == a.lognorms(norm)
+    assert b.tail_ratios(cfg.m) == a.tail_ratios(cfg.m)
 
 
 @given(symmetric_runs())
@@ -2022,7 +2022,10 @@ def test_solve_report_audits_only_under_a_finite_horizon(quad_manifold, quad_con
     assert rep.max_barrier_violation == solver.barrier_excess(traj, et.norm, et.time, 2.0, m)
     # the run's tau_h scale is its largest recorded |u|
     assert rep.tau_h == solver.tau_h(g.h, max(float(np.max(np.abs(f))) for f in traj.fields))
-    assert (rep.times, rep.log_norm_series, rep.mass_series) == (traj.times, traj.lognorms, traj.masses)
+    # every series is in the norm that measured u0
+    assert et.lognorm == xlog.LogNorm(2.0, m)
+    assert (rep.times, rep.mass_series) == (traj.times, traj.masses)
+    assert (rep.log_norm_series, rep.tail_ratio_series) == (traj.lognorms(et.lognorm), traj.tail_ratios(m))
     assert (rep.existence_time, rep.global_existence) == (et.time, False)
     assert rep.validate()
     global_et = dataclasses.replace(et, global_flag=True)
