@@ -35,13 +35,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateError, DomainError, NotApplicableError
-from .geometry import MAX_RHO_MAX, ComparisonConstants, ModelManifold, probe_grid
+from .geometry import MAX_RHO_MAX, PROBE_COUNT, PROBE_RHO_MAX, probe_grid
+from .geometry import ComparisonConstants, ModelManifold
 
 RESIDUAL_TOL = 1e-10
 CERTIFICATE_NODES = 10**4  # default nodes of the super/sub certificates
 ETA_TOL = 1e-12
 ETA_RADII, ETA_TIMES = 100, 100  # the (rho, t) grid of ``certify_eta``
 K_MARGIN = 0.1
+NO_LIVE_ETA_NODE = "eta is 0 on every node, so nothing was checked"
 
 
 def blowup_factor(t, horizon, m):
@@ -113,11 +115,9 @@ def wm_radial_derivatives(p: BarrierParams, rho):
     s = p.r**2 + rho**2
     base = p.amplitude**m * (2.0 * m / (m - 1.0)) * L ** (1.0 / (m - 1.0)) / s
     first = base * rho
-    bracket = (
-        1.0
-        - 2.0 * rho**2 / s
-        + 2.0 * rho**2 / ((m - 1.0) * s * L)
-    )
+    # rho^2/s <= 1 is formed first: (m-1) s L overflows for m of 1e6 at rho = 1e150
+    q = rho**2 / s
+    bracket = 1.0 - 2.0 * q + 2.0 * q / ((m - 1.0) * L)
     second = base * bracket
     return first, second
 
@@ -158,17 +158,20 @@ class CertificateReport:
         }
 
     def validate(self):
-        """CertificateError naming the worst residual when the certificate failed."""
+        """CertificateError naming the worst residual when the certificate failed,
+        or, for an eta certificate with no live node, that nothing was checked."""
         if not self.passed:
-            raise CertificateError(
-                f"{self.kind} certificate failed: residual {self.min_residual:.3e} "
-                f"at rho={self.argmin_rho:.6g}"
+            cause = (
+                NO_LIVE_ETA_NODE
+                if self.min_residual == math.inf
+                else f"residual {self.min_residual:.3e} at rho={self.argmin_rho:.6g}"
             )
+            raise CertificateError(f"{self.kind} certificate failed: {cause}")
         return True
 
 
 def _certificate_grid(rho_grid) -> np.ndarray:
-    rho = probe_grid(1e3, CERTIFICATE_NODES) if rho_grid is None else np.asarray(rho_grid)
+    rho = probe_grid(PROBE_RHO_MAX, CERTIFICATE_NODES) if rho_grid is None else np.asarray(rho_grid)
     if rho.size == 0:
         raise DomainError("a certificate needs at least one grid node")
     return rho
@@ -231,42 +234,26 @@ def certify_subsolution(
     return _report("sub", res, rho, {"a": p.amplitude, "r": p.r, "m": p.m}, {})
 
 
-def _lower_envelope_min(c_dd: float, r: float) -> float:
-    """Min over rho >= 0 of (C''/2)(1+rho^2) + 1 - 2 rho^2/(r^2+rho^2)."""
-    # Critical point of h(x) = (C''/2)(1+x) + 1 - 2x/(r^2+x), x = rho^2.
-    x_star = math.sqrt(4.0 * r * r / c_dd) - r * r
-    candidates = [0.0]
-    if x_star > 0:
-        candidates.append(x_star)
-    vals = [
-        c_dd / 2.0 * (1.0 + x) + 1.0 - 2.0 * x / (r * r + x) for x in candidates
-    ]
-    # The function grows linearly in x, so the tail cannot undercut.
-    return min(vals)
-
-
 def subsolution_params(consts: ComparisonConstants, m: float) -> BarrierParams:
-    """Smallest integer weight offset and matching large amplitude.
+    """Smallest integer weight offset r >= 2 with h(x) = (C''/2)(1+x) + 1 -
+    2x/(r^2+x) >= 0 for all x = rho^2 >= 0, and the large amplitude a =
+    (r^2 / (C'' m))^(1/(m-1)); horizon 1.
 
-    Scans r = 2, 3, ..., 1024 for the first offset with
-    C''(1+rho^2) + 1 - 2 rho^2/(r^2+rho^2) >= (C''/2)(1+rho^2) for all rho
-    (closed-form minimum double-checked on the probe grid), then sets
-    a = (r^2 / (C'' m))^(1/(m-1)) exactly.  Horizon is left at 1.
+    h is convex with h'(x*) = 0 at x* = 2r/sqrt(C'') - r^2.  If r sqrt(C'')
+    >= 2, x* <= 0 and min h = h(0) = 1 + C''/2 > 0; otherwise min h = h(x*)
+    = 1 + C''/2 - (2 - r sqrt(C''))^2/2, which is >= 0 iff r >= (2 - sqrt(2
+    + C''))/sqrt(C'').  r rises past that bound while the probe grid finds
+    h < 0 in floats.
     """
     if consts.c_double_prime is None:
-        raise NotApplicableError(
-            "model carries no lower quadratic drift certificate"
-        )
+        raise NotApplicableError("model carries no lower quadratic drift certificate")
     c_dd = consts.c_double_prime
-    x = probe_grid(1e3, 4096) ** 2
-    for r in range(2, 1025):
-        if _lower_envelope_min(c_dd, float(r)) < 0.0:
-            continue
-        vals = c_dd / 2.0 * (1.0 + x) + 1.0 - 2.0 * x / (r * r + x)
-        if np.min(vals) >= 0.0:
-            a = (r * r / (c_dd * m)) ** (1.0 / (m - 1.0))
-            return BarrierParams(amplitude=a, r=float(r), horizon=1.0, m=m)
-    raise NotApplicableError("no admissible weight offset r found")
+    x = probe_grid(PROBE_RHO_MAX, PROBE_COUNT) ** 2
+    r = max(2, math.ceil((2.0 - math.sqrt(2.0 + c_dd)) / math.sqrt(c_dd)))
+    while np.min(c_dd / 2.0 * (1.0 + x) + 1.0 - 2.0 * x / (r * r + x)) < 0.0:
+        r += 1
+    a = (r * r / (c_dd * m)) ** (1.0 / (m - 1.0))
+    return BarrierParams(amplitude=a, r=float(r), horizon=1.0, m=m)
 
 
 def shifted_subsolution(p: BarrierParams, delta: float, rho):
@@ -311,21 +298,16 @@ class EtaBarrierParams:
             raise DomainError("coefficient bound must be positive and finite")
 
 
-def select_K(c2: float, inner_radius: float = 2.0) -> float:
-    """Largest safe decay constant: K = 1 / ((1+K_MARGIN) C2 G*).
+def select_K(c2: float) -> float:
+    """Largest safe decay constant K = 1 / ((1+K_MARGIN) C2 G*) for every R0 >= 2.
 
-    G* = sup_{rho >= R0} log(2+rho) (2 log rho - 1)^2 / (log rho)^3 is taken
-    as the max of a scan of [R0, 1e6] and its analytic limit 4 at infinity
-    (the supremum is approached from below along the tail).
+    G* = sup_{rho >= R0} log(2+rho) (2L-1)^2 / L^3, L = log rho, is 4: for
+    rho >= 2, L > 1/3 and log(2+rho) <= L + log 2 < L + 1, so the bracket is
+    below (L+1)(2L-1)^2/L^3 = 4 - (3L-1)/L^3 < 4, and it tends to 4.
     """
     if c2 <= 0:
         raise DomainError("C2 must be positive")
-    if inner_radius < 2.0:
-        raise DomainError("inner radius must be >= 2")
-    rho = np.geomspace(inner_radius, 1e6, 20001)
-    g = np.log(2.0 + rho) * (2.0 * np.log(rho) - 1.0) ** 2 / np.log(rho) ** 3
-    g_star = max(float(np.max(g)), 4.0)
-    return 1.0 / ((1.0 + K_MARGIN) * c2 * g_star)
+    return 1.0 / ((1.0 + K_MARGIN) * c2 * 4.0)
 
 
 def eta(p: EtaBarrierParams, rho, t):
@@ -336,28 +318,35 @@ def eta(p: EtaBarrierParams, rho, t):
         raise DomainError("eta is defined for rho > inner_radius")
     if np.any(t_arr < 0) or np.any(t_arr > p.horizon):
         raise DomainError("t must lie in [0, T]")
-    arg = -p.decay / (2.0 * p.horizon - t_arr) * rho_arr**2 / np.log(rho_arr)
+    with np.errstate(over="ignore"):  # an exponent of -inf gives the 0 it underflows to
+        arg = -p.decay / (2.0 * p.horizon - t_arr) * rho_arr**2 / np.log(rho_arr)
     val = p.scale * np.exp(arg)
     return float(val) if (np.isscalar(rho) and np.isscalar(t)) else val
 
 
 def eta_derivatives(p: EtaBarrierParams, rho, t):
-    """(eta, eta_t, eta_rho, eta_rhorho) in closed form."""
+    """(eta, eta_t, eta_rho, eta_rhorho) in closed form; each derivative is
+    eta times a factor, and is 0 where eta underflows to 0.  Only there does
+    e_rr's factor y L (2L-1)^2 overflow: for the exponent y = K rho^2 /
+    ((2T-t) L) and L = log rho <= 346 that needs y > 1e300, and eta is 0 for
+    y > 746."""
     rho = np.asarray(rho, dtype=float)
     t = np.asarray(t, dtype=float)
     e = eta(p, rho, t)
     tau = 2.0 * p.horizon - t
     L = np.log(rho)
-    e_t = -p.decay / tau**2 * rho**2 / L * e
-    e_r = -p.decay / tau * rho * (2.0 * L - 1.0) / L**2 * e
-    poly = 2.0 * L**3 - 3.0 * L**2 + 2.0 * L
-    e_rr = (
-        -p.decay
-        * e
-        / (tau * L**4)
-        * (poly - p.decay / tau * rho**2 * (2.0 * L - 1.0) ** 2)
-    )
-    return e, e_t, e_r, e_rr
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_t = -p.decay / tau**2 * rho**2 / L * e
+        e_r = -p.decay / tau * rho * (2.0 * L - 1.0) / L**2 * e
+        poly = 2.0 * L**3 - 3.0 * L**2 + 2.0 * L
+        e_rr = (
+            -p.decay
+            * e
+            / (tau * L**4)
+            * (poly - p.decay / tau * rho**2 * (2.0 * L - 1.0) ** 2)
+        )
+    live = e > 0.0
+    return (e, *(np.where(live, d, 0.0) for d in (e_t, e_r, e_rr)))
 
 
 def eta_first_node(inner_radius: float) -> float:
@@ -373,6 +362,8 @@ def certify_eta(p: EtaBarrierParams, dim: int = 2, rho_max: float = 1e4) -> Cert
     The Laplacian uses the worst-case drift floor (N-1)/rho; since
     eta_rho < 0, any larger drift only helps.  Only nodes where the
     Laplacian is positive are binding (elsewhere eta_t < 0 settles it).
+    Nodes where eta underflows to 0 carry no information and are skipped;
+    a grid with no other node fails, since it checked nothing.
     """
     if dim < 2:
         raise DomainError("dimension must be >= 2")
@@ -391,15 +382,13 @@ def certify_eta(p: EtaBarrierParams, dim: int = 2, rho_max: float = 1e4) -> Cert
     scale = np.abs(e_t) + coeff * (np.abs(e_rr) + (dim - 1.0) / R * np.abs(e_r))
     scale = np.maximum(scale, 1e-300)
     res = -lhs / scale
-    # Nodes where eta underflowed to zero carry no information; the
-    # inequality holds there trivially.
     live = e > 0.0
-    res = np.where(live, res, np.inf)
+    res = np.where(live, res, np.inf)  # a dead node's residual is +inf
     i, j = np.unravel_index(int(np.argmin(res)), res.shape)
     signs_ok = bool(np.all(e_t[live] < 0) and np.all(e_r[live] < 0))
     return CertificateReport(
         kind="eta",
-        passed=bool(res[i, j] >= -ETA_TOL),
+        passed=bool(-ETA_TOL <= res[i, j] < math.inf),
         min_residual=float(res[i, j]),
         argmin_rho=float(R[i, j]),
         nodes=res.size,
@@ -419,9 +408,9 @@ def eta_certificate(
 ) -> tuple:
     """``(K, report)``: the eta barrier of decay K (scale 1) certified on the
     ``dim``-dimensional grid up to ``rho_max``; ``decay`` None takes
-    ``select_K(coeff_bound, inner_radius)``."""
+    ``select_K(coeff_bound)``."""
     if decay is None:
-        decay = select_K(coeff_bound, inner_radius)
+        decay = select_K(coeff_bound)
     p = EtaBarrierParams(
         decay=decay, scale=1.0, horizon=horizon, inner_radius=inner_radius, coeff_bound=coeff_bound
     )
@@ -486,6 +475,8 @@ class UniquenessReport:
     def validate(self):
         """CertificateError unless the eta barrier holds and T < K/(2 C_M)."""
         if not self.eta_certificate["pass"]:
+            if self.eta_certificate["min_residual"] == math.inf:
+                raise CertificateError(f"eta barrier: {NO_LIVE_ETA_NODE}")
             raise CertificateError("eta barrier inequality failed on the verification grid")
         if self.regime == "growth":
             raise CertificateError(

@@ -84,7 +84,6 @@ _absolute, _divide, _subtract = np.absolute, np.divide, np.subtract
 _max = np.maximum.reduce
 _argmax, _argmin, _item = np.ndarray.argmax, np.ndarray.argmin, np.ndarray.item
 
-DELTA_BISECT_TOL = 1e-6
 S_MIN_FACTOR = 1e-8  # stall cutoff S_n < factor * T_1
 
 
@@ -148,13 +147,14 @@ def stage_schedule(ratio: float, a_hat: float, a_tilde: float, m: float, max_sta
 
 
 def stage_delta(u: np.ndarray, wm: np.ndarray, m: float) -> float:
-    """Smallest shift with u >= (W^m - delta)_+^(1/m) at every cell, given
-    the values ``wm`` of W^m on the cells.
+    """Smallest shift with u >= (W^m - delta)_+^(1/m) - 1e-14 at every cell,
+    given the values ``wm`` of W^m on the cells: 0 if delta = 0 passes.
 
-    Bisection on [0, max W^m] at relative tolerance 1e-6.  The returned
-    shift is one that passed the test u >= (W^m - delta)_+^(1/m) - 1e-14 at
-    every cell: 0 when it passes, and otherwise the bisection's upper end,
-    which moves only to a shift that passed.
+    A field below -1e-14 fails at every delta (the test at max W^m), a
+    StageError.  Otherwise both sides of u_i + 1e-14 >= (W^m_i - delta)_+^(1/m)
+    are >= 0, so cell i passes iff delta >= W^m_i - (u_i + 1e-14)^m: the
+    shift is the max of these, raised by doubling steps from one ulp of max
+    W^m until the test passes in floats (within about 1e-13 max W^m of the least).
     """
     hi = float(_max(wm))  # signed, so on _max: see the bindings above
 
@@ -166,14 +166,10 @@ def stage_delta(u: np.ndarray, wm: np.ndarray, m: float) -> float:
         return 0.0
     if not admissible(hi):
         raise StageError("no admissible shift: field is negative under the barrier")
-    lo, tol = 0.0, DELTA_BISECT_TOL * hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    delta, step = max(float(_max(wm - (u + 1e-14) ** m)), 0.0), math.ulp(hi)
+    while not admissible(delta):
+        delta, step = min(delta + step, hi), 2.0 * step
+    return delta
 
 
 @dataclass(frozen=True)

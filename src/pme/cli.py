@@ -394,8 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("geometry", help="fit and report comparison constants")
     _manifold_args(g)
-    _float(g, "--rho-max", minimum=geometry.MIN_RHO_MAX, maximum=geometry.MAX_RHO_MAX, default=1e3)
-    _int(g, "--n-probe", geometry.MIN_PROBES, default=4096)
+    _float(
+        g, "--rho-max", minimum=geometry.MIN_RHO_MAX, maximum=geometry.MAX_RHO_MAX, default=geometry.PROBE_RHO_MAX
+    )
+    _int(g, "--n-probe", geometry.MIN_PROBES, default=geometry.PROBE_COUNT)
     g.add_argument("--report", required=True)
     g.set_defaults(func=cmd_geometry)
 
@@ -403,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     _manifold_args(b)
     _float(b, "--m", above=1.0, default=None, help="super/sub: PME exponent (required)")
     b.add_argument("--which", choices=("super", "sub", "eta"), required=True)
-    _float(b, "--rho-max", maximum=geometry.MAX_RHO_MAX, default=1e3)
+    _float(b, "--rho-max", maximum=geometry.MAX_RHO_MAX, default=geometry.PROBE_RHO_MAX)
     _int(b, "--nodes", 1, default=None, help=f"super/sub: nodes (default {barriers.CERTIFICATE_NODES})")
     _float(b, "--c2", above=0.0, default=None, help="eta: coefficient bound (default 1)")
     _float(b, "--r0", minimum=2.0, default=None, help="eta: inner radius (default 2)")

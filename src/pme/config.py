@@ -142,7 +142,6 @@ _SOLVER_FIELDS = {
 }
 _BLOWUP_FIELDS = {
     **_RUN_FIELDS,
-    "norm_r": ("norm_r", get_float),
     "blowup_threshold": ("threshold_factor", get_float),
     "blowup_max_stages": ("max_stages", partial(get_int, minimum=1)),
     "steps_per_stage": ("steps_per_stage", partial(get_int, minimum=5)),
@@ -176,7 +175,7 @@ def solver_config_from(cfg: dict, m: float) -> SolverConfig:
 
 
 def norm_r_from(cfg: dict) -> float:
-    """Weight offset r >= 2 of the norm a ``solve`` run reports."""
+    """Weight offset r >= 2 of the norm a ``solve``, ``blowup`` or ``sweep`` run reports."""
     r = get_float(cfg, "norm_r", default=NORM_R)
     if r < 2.0:
         raise ConfigError(f"key 'norm_r' must be >= 2, got {r!r}")
@@ -185,7 +184,7 @@ def norm_r_from(cfg: dict) -> float:
 
 def blowup_config_from(cfg: dict, m: float) -> BlowupConfig:
     """Settings of the staged blow-up run (``blowup`` and each ``sweep`` row)."""
-    return BlowupConfig(m=m, **_fields(cfg, _BLOWUP_FIELDS))
+    return BlowupConfig(m=m, norm_r=norm_r_from(cfg), **_fields(cfg, _BLOWUP_FIELDS))
 
 
 def grid_from(cfg: dict, manifold: ModelManifold) -> RadialGrid:

@@ -36,13 +36,16 @@ FIT_MARGIN = 1e-3
 # Fewest probe radii, and smallest outermost probe, a constant fit accepts.
 MIN_PROBES = 1000
 MIN_RHO_MAX = 10.0
-# The innermost radius of every probe grid.
+# The innermost radius of every probe grid; the default outermost radius and size.
 FIRST_PROBE = 1e-3
+PROBE_RHO_MAX = 1e3
+PROBE_COUNT = 4096
 # The largest outermost radius of a probe grid.  The widest term a probe
 # evaluates is log-critical's s^2 (log s)^3, s = e + rho, in psi''/psi:
 # 4.1e307 at rho = 1e150, under the double maximum 1.8e308 (at 1e151 it
 # overflows).  The certificates' widest, rho^2 (2 log rho - 1)^2 in eta's
-# e_rr and (r^2 + rho^2) log(r^2 + rho^2) in W^m's, are 4.8e305 and 6.9e302.
+# e_rr and r^2 + rho^2 in W^m's, are 4.8e305 and 1e300; eta's, times
+# K/(2T-t), overflows only where eta is 0.
 MAX_RHO_MAX = 1e150
 
 
@@ -293,7 +296,7 @@ def _extremum_with_limits(vals, rho, head, tail, sign=1.0):
 
 
 def fit_comparison_constants(
-    manifold: ModelManifold, rho_max: float = 1e3, n_probe: int = 4096
+    manifold: ModelManifold, rho_max: float = PROBE_RHO_MAX, n_probe: int = PROBE_COUNT
 ) -> ComparisonConstants:
     """Fit all drift/curvature/volume comparison constants on a probe grid.
 

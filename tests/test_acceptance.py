@@ -189,7 +189,7 @@ def test_criterion_6_blowup_ledger(quad_manifold, quad_constants):
 
 def test_criterion_7_uniqueness_certificates(quad_manifold):
     with criterion(7, "uniqueness-side decay certificates"):
-        k = barriers.select_K(1.0, 2.0)
+        k = barriers.select_K(1.0)
         p = barriers.EtaBarrierParams(k, 1.0, 1.0, 2.0, 1.0)
         rep = barriers.certify_eta(p, dim=2)
         assert rep.passed and rep.nodes == 10**4

@@ -1,13 +1,16 @@
 """Barrier profiles and certificates against independent oracles.
 
 The closed-form radial Laplacian is checked against central differences;
-the subsolution parameter search against a brute-force scan; the decay
-product against direct evaluation in log space.
+the closed-form subsolution offset and eta decay constant against the scans
+they replaced and a brute-force scan; the decay product against direct
+evaluation in log space.
 """
 
 import dataclasses
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -168,6 +171,45 @@ def test_subsolution_params_match_brute_force(c_dd):
     assert p.amplitude == pytest.approx((p.r**2 / (c_dd * 2.0)) ** 1.0, rel=1e-15)
 
 
+def old_subsolution_scan(c_dd, m):
+    """The search the closed-form offset replaced: the first r = 2, 3, ...
+    whose float minimum of h at 0 and at the critical point is >= 0 and
+    whose probe grid finds no negative value."""
+    x = geometry.probe_grid(1e3, 4096) ** 2
+    for r in range(2, 1025):
+        x_star = math.sqrt(4.0 * r * r / c_dd) - r * r
+        candidates = [0.0, x_star] if x_star > 0 else [0.0]
+        if min(c_dd / 2.0 * (1.0 + y) + 1.0 - 2.0 * y / (r * r + y) for y in candidates) < 0.0:
+            continue
+        if np.min(c_dd / 2.0 * (1.0 + x) + 1.0 - 2.0 * x / (r * r + x)) >= 0.0:
+            return barriers.BarrierParams((r * r / (c_dd * m)) ** (1.0 / (m - 1.0)), float(r), 1.0, m)
+    return None
+
+
+@given(
+    log_c=st.floats(min_value=math.log(1e-6), max_value=math.log(100.0)),
+    m=st.floats(min_value=1.05, max_value=6.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_subsolution_params_are_the_old_scans(log_c, m):
+    c_dd = math.exp(log_c)
+    assert barriers.subsolution_params(FakeConsts(c_dd), m) == old_subsolution_scan(c_dd, m)
+
+
+@pytest.mark.parametrize("c_dd", [1e-7, 1e-9, 1e-12])
+def test_subsolution_params_reach_offsets_past_the_old_cap(c_dd):
+    # the scan stopped at r = 1024, about C'' = 3.3e-7; the closed form has
+    # no cap, and its r is the smallest with h >= 0 at the critical point
+    p = barriers.subsolution_params(FakeConsts(c_dd), 2.0)
+    r, sq = p.r, math.sqrt(c_dd)
+
+    def h_min(r):
+        return 1.0 + c_dd / 2.0 - (2.0 - r * sq) ** 2 / 2.0 if r * sq < 2.0 else 1.0 + c_dd / 2.0
+
+    assert r > 1024 and h_min(r) >= 0.0 > h_min(r - 1)
+    assert p.amplitude == (r * r / (c_dd * 2.0)) ** 1.0
+
+
 def test_subsolution_params_require_lower_bound():
     consts = geometry.fit_comparison_constants(geometry.hyperbolic(2))
     with pytest.raises(NotApplicableError):
@@ -306,11 +348,41 @@ def test_supersolution_dominates_subsolution_for_canonical_datum(
 
 def test_select_K_reference_value():
     # G* = 4 approached from below; margin 0.1 gives K = 1/4.4
-    k = barriers.select_K(1.0, 2.0)
+    k = barriers.select_K(1.0)
     assert k == pytest.approx(1.0 / 4.4, rel=1e-12)
     # the bracket function starts near 0.62 at rho = 2
     g2 = math.log(4.0) * (2 * math.log(2.0) - 1) ** 2 / math.log(2.0) ** 3
     assert g2 == pytest.approx(0.62, abs=0.01)
+
+
+def old_select_K(c2, inner_radius):
+    """The search G* = 4 replaced: the max of g on 20,001 geometric radii of
+    [R0, 1e6] and its limit 4 at infinity."""
+    rho = np.geomspace(inner_radius, 1e6, 20001)
+    g = np.log(2.0 + rho) * (2.0 * np.log(rho) - 1.0) ** 2 / np.log(rho) ** 3
+    return 1.0 / ((1.0 + barriers.K_MARGIN) * c2 * max(float(np.max(g)), 4.0))
+
+
+@given(
+    log_c2=st.floats(min_value=math.log(1e-8), max_value=math.log(1e8)),
+    log_r0=st.floats(min_value=math.log(2.0), max_value=math.log(1e5)),
+)
+@settings(max_examples=100, deadline=None)
+def test_select_K_is_the_old_scan_bit_for_bit(log_c2, log_r0):
+    c2 = math.exp(log_c2)
+    assert barriers.select_K(c2).hex() == old_select_K(c2, math.exp(log_r0)).hex()
+
+
+def test_eta_bracket_stays_below_four_on_the_whole_range():
+    # g(rho) = log(2+rho) (2L-1)^2 / L^3 < 4 - (3L-1)/L^3 < 4, L = log rho,
+    # in 50-digit arithmetic on [2, 1e300], where double logs would lose it
+    with mpmath.workdps(50):
+        for k in range(3001):
+            rho = mpmath.mpf(2) * mpmath.power(10, mpmath.mpf(k) / 10)
+            L = mpmath.log(rho)
+            g = mpmath.log(2 + rho) * (2 * L - 1) ** 2 / L**3
+            assert g < 4 - (3 * L - 1) / L**3 < 4, rho
+        assert 4 - g < mpmath.mpf("1e-2")  # and it tends to 4
 
 
 def test_eta_signs_and_scaling():
@@ -334,6 +406,37 @@ def test_eta_certificate_fails_for_oversized_K():
     p = barriers.EtaBarrierParams(5.0, 1.0, 1.0, 2.0, 1.0)
     rep = barriers.certify_eta(p, dim=2)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("c2, rho_max", [(1e-4, 1e4), (1e-6, 1e150), (1e-12, 1e150)])
+def test_an_eta_grid_with_no_live_node_fails(c2, rho_max):
+    # K = 1/(4.4 C2) makes eta underflow to 0 on every node: no node was
+    # checked, so the certificate fails, and the products that overflow at
+    # those nodes give no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k, rep = barriers.eta_certificate(c2, 2.0, 1.0, 2, rho_max=rho_max)
+        e, *derivatives = barriers.eta_derivatives(
+            barriers.EtaBarrierParams(k, 1.0, 1.0, 2.0, c2), np.array([3.0, rho_max]), np.array([0.0, 0.5])
+        )
+    assert not rep.passed and rep.min_residual == math.inf
+    assert_certificate_error(rep, "eta certificate failed: eta is 0 on every node, so nothing was checked")
+    assert np.all(e == 0.0) and all(np.all(d == 0.0) for d in derivatives)
+
+
+def test_eta_derivatives_are_unchanged_where_eta_lives():
+    # zeroing the dead nodes moves no live node's derivative
+    p = barriers.EtaBarrierParams(0.2, 1.0, 1.0, 2.0, 1.0)
+    rho, t = np.geomspace(2.5, 1e150, 400), np.linspace(0.0, 0.9, 400)
+    e, e_t, e_r, e_rr = barriers.eta_derivatives(p, rho, t)
+    live = e > 0.0
+    assert 0 < live.sum() < live.size
+    tau, L = 2.0 - t[live], np.log(rho[live])
+    r, k, el = rho[live], p.decay, e[live]
+    assert np.array_equal(e_t[live], -k / tau**2 * r**2 / L * el)
+    assert np.array_equal(e_r[live], -k / tau * r * (2.0 * L - 1.0) / L**2 * el)
+    poly = 2.0 * L**3 - 3.0 * L**2 + 2.0 * L
+    assert np.array_equal(e_rr[live], -k * el / (tau * L**4) * (poly - k / tau * r**2 * (2.0 * L - 1.0) ** 2))
 
 
 def test_eta_domain_checks():
@@ -416,7 +519,7 @@ def test_certificate_report_validate_names_the_failed_certificate(quad_manifold,
 
 def test_uniqueness_report_derives_K_and_passes_in_the_decay_regime():
     rep = barriers.uniqueness_report(1.0, None, 0.05, 2.0, 1.0, 2.0, 2)
-    assert rep.K == barriers.select_K(1.0, 2.0)
+    assert rep.K == barriers.select_K(1.0)
     assert rep.critical_T == rep.K / 2.0 and rep.regime == "decay"
     assert rep.logF_at_100 == barriers.log_decay_product(1.0, rep.K, 0.05, 2.0, 100.0)
     assert rep.eta_certificate["pass"] and rep.validate()
@@ -428,7 +531,7 @@ def test_uniqueness_report_derives_K_and_passes_in_the_decay_regime():
 )
 def test_eta_certificate_is_the_uniqueness_reports(c2, r0, horizon, dim, decay):
     k, rep = barriers.eta_certificate(c2, r0, horizon, dim, decay)
-    assert k == (barriers.select_K(c2, r0) if decay is None else decay)
+    assert k == (barriers.select_K(c2) if decay is None else decay)
     assert rep.params == {"K": k, "lambda": 1.0, "T": horizon, "R0": r0, "C2": c2}
     uniq = barriers.uniqueness_report(1.0, decay, horizon, 2.0, c2, r0, dim)
     assert uniq.K == k and uniq.eta_certificate == rep.as_json_dict()
@@ -441,6 +544,8 @@ def test_eta_certificate_is_the_uniqueness_reports(c2, r0, horizon, dim, decay):
         (5.0, 1.0, "eta barrier inequality failed on the verification grid"),
         (0.2, 0.2, "smallness condition fails: T=0.2 >= K/(2 C_M)=0.1"),
         (0.2, 0.1, "T sits exactly at K/(2 C_M): decay test inconclusive"),
+        # K = 1e4 at T = 0.05 is in the decay regime, but eta is 0 on every node
+        (1e4, 0.05, "eta barrier: eta is 0 on every node, so nothing was checked"),
     ],
 )
 def test_uniqueness_report_validate_raises_outside_its_certificates(decay, horizon, message):

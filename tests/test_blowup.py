@@ -162,6 +162,19 @@ def test_stage_delta_zero_when_field_dominates():
     assert blowup.stage_delta(u, p.profile(rho) ** p.m, p.m) == 0.0
 
 
+def passes(u, v):
+    """The admissibility test of ``stage_delta``: u >= v - 1e-14 at every cell."""
+    return bool(np.all(u >= v - 1e-14))
+
+
+def assert_smallest_shift(delta, u, p, rho):
+    """``delta`` passes the test and, when positive, fails it 1e-13 max W^m lower."""
+    assert passes(u, barriers.shifted_subsolution(p, delta, rho))
+    if delta > 0.0:
+        lower = delta - 1e-13 * float(np.max(p.profile(rho) ** p.m))
+        assert not passes(u, barriers.shifted_subsolution(p, max(lower, 0.0), rho))
+
+
 def test_stage_delta_matches_closed_form():
     # smallest admissible shift is max(W^m - u^m) for nonnegative fields
     p = _barrier()
@@ -170,8 +183,8 @@ def test_stage_delta_matches_closed_form():
     wm = p.profile(rho) ** p.m
     exact = float(np.max(wm - np.sign(u) * u**p.m))
     got = blowup.stage_delta(u, wm, p.m)
-    assert got == pytest.approx(exact, abs=blowup.DELTA_BISECT_TOL * float(np.max(wm)) * 1.01)
-    assert np.all(u >= barriers.shifted_subsolution(p, got, rho) - 1e-12)
+    assert got == pytest.approx(exact, abs=1e-12 * float(np.max(wm)))
+    assert_smallest_shift(got, u, p, rho)
 
 
 def test_stage_delta_failure_for_negative_field():
@@ -190,29 +203,6 @@ def reference_wm(p, rho):
 
 def reference_shifted_subsolution(p, delta, rho):
     return np.maximum(reference_wm(p, rho) - delta, 0.0) ** (1.0 / p.m)
-
-
-def reference_stage_delta(u, p, rho):
-    """``stage_delta`` as each stage once ran it: the shifted subsolution of
-    ``p`` evaluated on the grid on every pass of the bisection."""
-    wm = reference_wm(p, rho)
-    hi = float(np.max(wm))
-
-    def admissible(delta):
-        return bool(np.all(u >= reference_shifted_subsolution(p, delta, rho) - 1e-14))
-
-    if admissible(0.0):
-        return 0.0
-    if not admissible(hi):
-        raise StageError("no admissible shift")
-    lo = 0.0
-    while hi - lo > blowup.DELTA_BISECT_TOL * float(np.max(wm)):
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 @given(
@@ -235,18 +225,19 @@ def test_unit_profile_cache_is_bitwise_the_per_stage_profile(T, delta, m, amplit
     want_v = reference_shifted_subsolution(p, delta, rho)
     assert barriers.shifted_subsolution(p, delta, rho).tobytes() == want_v.tobytes()
     assert barriers.shift_root(wm, delta, m).tobytes() == want_v.tobytes()
-    # a field around the shifted subsolution, below it where mix < 0
+    # a field around the shifted subsolution, below it where mix < 0; the
+    # shift must be the smallest that passes the test on the per-stage profile
     u = want_v * (1.0 + np.array(mix))
-    try:
-        want = reference_stage_delta(u, p, rho)
-    except StageError:
+    if not np.all(u >= -1e-14):
         with pytest.raises(StageError):
             blowup.stage_delta(u, wm, m)
         return
     got = blowup.stage_delta(u, wm, m)
-    assert got.hex() == want.hex()
-    want_v = reference_shifted_subsolution(p, want, rho)
-    assert barriers.shift_root(wm, got, m).tobytes() == want_v.tobytes()
+    assert passes(u, reference_shifted_subsolution(p, got, rho))
+    if got > 0.0:
+        lower = max(got - 1e-13 * float(np.max(reference_wm(p, rho))), 0.0)
+        assert not passes(u, reference_shifted_subsolution(p, lower, rho))
+    assert barriers.shift_root(wm, got, m).tobytes() == reference_shifted_subsolution(p, got, rho).tobytes()
 
 
 # -- full run (desk scale) -------------------------------------------------------------

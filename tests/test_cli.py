@@ -162,7 +162,46 @@ def test_barrier_check_eta_writes_the_eta_certificate_at_horizon_one(tmp_path, d
     # the written params are the certified barrier's: --c2 and --r0 as
     # given, horizon and scale one, and the decay select_K chose for them
     params = json.loads(out.read_text())["params"]
-    assert params == {"C2": c2, "R0": r0, "T": 1.0, "lambda": 1.0, "K": barriers.select_K(c2, r0)}
+    assert params == {"C2": c2, "R0": r0, "T": 1.0, "lambda": 1.0, "K": barriers.select_K(c2)}
+
+
+NO_LIVE_NODE = "eta is 0 on every node, so nothing was checked"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["barrier-check", "--manifold", "euclidean", "--dim", "2", "--which", "eta", "--c2", "1e-4"],
+         f"eta certificate failed: {NO_LIVE_NODE}"),
+        (["uniq-check", "--T", "0.05", "--c_m", "1", "--c2", "1e-4"], f"eta barrier: {NO_LIVE_NODE}"),
+    ],
+)
+def test_an_eta_grid_with_no_live_node_exits_3(tmp_path, capsys, argv, message):
+    # K = 1/(4.4e-4) = 2,272.7: eta underflows to 0 on every node, so the
+    # certificate checked nothing and fails instead of passing vacuously
+    out = ["--out", str(tmp_path / "eta.json")] if argv[0] == "barrier-check" else []
+    assert run_cli(*argv, *out) == 3
+    err = capsys.readouterr().err
+    assert err == f"{PREFIXES[3]}{message}\n", err
+
+
+@pytest.mark.parametrize(
+    "flags, rc",
+    [
+        # K = 2.3e5: every node is dead, and the products past the double
+        # range there gave overflow and invalid-value warnings
+        (["--which", "eta", "--c2", "1e-6"], 3),
+        # (m - 1) (r^2 + rho^2) log(r^2 + rho^2) overflowed at rho = 1e150
+        (["--which", "super", "--m", "1e6"], 0),
+    ],
+)
+def test_certificates_at_the_largest_radius_give_no_warning(tmp_path, flags, rc):
+    argv = ["barrier-check", "--manifold", "euclidean", "--dim", "2", *flags, "--rho-max", "1e150",
+            "--out", str(tmp_path / "cert.json")]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pme.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == rc and len(proc.stderr.splitlines()) == (rc != 0), proc.stderr
 
 
 @pytest.mark.parametrize("which", ["super", "sub"])
@@ -533,12 +572,17 @@ def test_uniq_check_table_points_sizes_the_table(tmp_path):
 
 
 
-@pytest.mark.parametrize("T", ["1e-7", "1e-12"])
-def test_uniq_check_certifies_at_the_given_horizon(capsys, T):
-    rc = run_cli("uniq-check", "--T", T, "--c_m", "1", "--k", "0.2")
+@pytest.mark.parametrize("T, k", [("1e-7", "1e-6"), ("1e-12", "1e-11")], ids=["1e-7", "1e-12"])
+def test_uniq_check_certifies_at_the_given_horizon(capsys, T, k):
+    # K/T = 10 leaves eta positive at the first node (exponent about 29);
+    # at K = 0.2 it is 0 on every node, and the certificate checks nothing
+    rc = run_cli("uniq-check", "--T", T, "--c_m", "1", "--k", k)
     assert rc == 0  # the eta certificate passed at this horizon
     data = json.loads(capsys.readouterr().out)
     assert data["T"] == data["eta_certificate"]["params"]["T"] == float(T)
+    assert data["eta_certificate"]["min_residual"] is not None
+    assert run_cli("uniq-check", "--T", T, "--c_m", "1", "--k", "0.2") == 3
+    assert capsys.readouterr().err == f"{PREFIXES[3]}eta barrier: {NO_LIVE_NODE}\n"
 
 
 @pytest.mark.parametrize("T", ["0", "-1"])
@@ -1227,6 +1271,18 @@ dt0 = 1e-5
             lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG + "norm_r = 1.5\n")),
             "key 'norm_r' must be >= 2, got 1.5",
             id="solve-norm-r-below-two",
+        ),
+        pytest.param(
+            lambda tmp: ["blowup", "--ledger", str(tmp / "l.json"), "--config",
+                         write_cfg(tmp, R12_BLOWUP_CFG + "norm_r = 1.5\n")],
+            "key 'norm_r' must be >= 2, got 1.5",
+            id="blowup-norm-r-below-two",
+        ),
+        pytest.param(
+            lambda tmp: ["sweep", "--config", write_cfg(tmp, R12_BLOWUP_CFG + "norm_r = 1.5\n"), "--param", "b",
+                         "--values", "1", "--workers", "1", "--out", str(tmp / "s.csv")],
+            "key 'norm_r' must be >= 2, got 1.5",
+            id="sweep-norm-r-below-two",
         ),
         pytest.param(
             lambda tmp: check_args(tmp, "--which", "super"), "'--m'", id="barrier-check-super-without-m"

@@ -30,12 +30,13 @@ exactly.  Each output has one of three bounds:
   is at most 1e-10 * 81 and the argument above gives
   1920 * 1e-10 * 81 = 1.6e-5.  The weight of the recorded norm is at
   least log 4 > 1, so a norm moves by no more than the fields.  The
-  bound assumes that no admissibility test of ``blowup.stage_delta``
-  changes its outcome: a test that flips moves delta_n by a whole
-  bisection step, 1e-6 of max W^m (up to 6e-3 in these runs), and the
-  boundary datum with it, which this comparison reports as a failure.
-  Runs with ``newton_tol`` 1e-9 and 1e-11 flipped no test and moved no
-  value by more than 2.2e-10.
+  shift delta_n = max(W^m - (u + 1e-14)^m) of ``blowup.stage_delta``,
+  raised by a few ulps of max W^m to pass its test in floats, is a
+  continuous function of the field: a small move of the field moves
+  delta_n, and the boundary datum (W^m - delta_n)_+^(1/m) with it, by a
+  small amount, with no jump of a whole search step.  Runs with
+  ``newton_tol`` 1e-9 and 1e-11 moved no value by more than 2.2e-10 and
+  2.7e-11.
 
 The sha256 of each file is asserted only where the fingerprint (numpy
 version, scipy version, ``__cpu_features__`` of numpy's core extension)
