@@ -336,7 +336,7 @@ def eta_derivatives(p: EtaBarrierParams, rho, t):
     tau = 2.0 * p.horizon - t
     L = np.log(rho)
     with np.errstate(over="ignore", invalid="ignore"):
-        e_t = -p.decay / tau**2 * rho**2 / L * e
+        e_t = -(p.decay / tau) / tau * rho**2 / L * e
         e_r = -p.decay / tau * rho * (2.0 * L - 1.0) / L**2 * e
         poly = 2.0 * L**3 - 3.0 * L**2 + 2.0 * L
         e_rr = (

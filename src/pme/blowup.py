@@ -298,13 +298,11 @@ def run_blowup(
     """Run the staged blow-up construction and return the filled ledger.
 
     The run is solved on ``grid``, from ``u0.profile`` on its cell centers;
-    the growth ratio comes from ``u0``'s tail descriptor, and a datum
-    without a profile is a DomainError.  ``stage_hook(n, traj)`` is called
-    after each stage solve (used by the CLI to dump trajectories).
+    the growth ratio comes from ``u0``'s tail descriptor.  ``stage_hook(n,
+    traj)`` is called after each stage solve (used by the CLI to dump
+    trajectories).
     """
     m = cfg.m
-    if u0.profile is None:
-        raise DomainError("the blow-up run needs a datum that carries its profile")
     if consts.c_double_prime is None:
         raise NotApplicableError("model carries no lower quadratic drift bound")
     sub = subsolution_params(consts, m)

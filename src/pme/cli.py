@@ -175,7 +175,7 @@ def _blowup_setup(cfg: dict):
     cfg = cfgmod.RunConfig(cfg)
     grid = cfgmod.grid_from(cfg, cfgmod.manifold_from(cfg))
     m = cfgmod.exponent_from(cfg)
-    datum, bcfg = cfgmod.datum_from(cfg, m, grid.radius), cfgmod.blowup_config_from(cfg, m)
+    datum, bcfg = cfgmod.datum_from(cfg, m), cfgmod.blowup_config_from(cfg, m)
     cfgmod.reject_unread(cfg, "the blow-up run")
     return grid, datum, bcfg
 
@@ -256,7 +256,7 @@ def _load_run(args):
 def cmd_solve(args) -> int:
     cfg, manifold, m = _load_run(args)
     grid = cfgmod.grid_from(cfg, manifold)
-    datum = cfgmod.datum_from(cfg, m, grid.radius)
+    datum = cfgmod.datum_from(cfg, m)
     scfg, r = cfgmod.solver_config_from(cfg, m), cfgmod.norm_r_from(cfg)
     cfgmod.reject_unread(cfg, "a solve run")
 
@@ -274,8 +274,7 @@ def cmd_exhaust(args) -> int:
     cfg, manifold, m = _load_run(args)
     radii = [float(x) for x in _numbers(args.radii, "--radii")]
     cells = cfgmod.get_int(cfg, "cells", minimum=3)
-    # probed for its largest ball; ``solver.exhaust`` rejects a short list
-    datum = cfgmod.datum_from(cfg, m, max(radii, default=0.0))
+    datum = cfgmod.datum_from(cfg, m)
     scfg = cfgmod.solver_config_from(cfg, m)
     cfgmod.reject_unread(cfg, "an exhaust run")
     report = solver.exhaust(datum.profile, scfg, manifold, radii, cells)

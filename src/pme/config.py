@@ -7,15 +7,15 @@ constructors.  The built-in manifolds are valid for every admissible key, so
 ``manifold_from`` builds one without probing it; ``grid_from`` builds the
 ball, which fails when its volume ratios overflow the double range.  The initial
 datum is one of ``log-growth(b)``, ``bounded(B)`` or ``table(path.csv)``, with
-finite numbers; tables are two-column CSV ``rho,value`` with a header row,
-interpolated linearly onto the solver grid and held at the last value beyond
-the last row.
+finite numbers; tables are two-column CSV ``rho,value`` with a header row and
+radii from 0 to 1e150, interpolated linearly onto the solver grid and held at
+the first value below the first row and at the last beyond the last row.
 
 ``solver_config_from``, ``blowup_config_from``, ``grid_from``,
 ``datum_from`` and ``norm_r_from`` map a config to run objects for every
 subcommand and ``sweep`` row; ``grid_from`` is the one reader of ``R``.
-``datum_from`` builds the run's datum on the one probe grid of its ball,
-carrying the profile the run evaluates on its cells.  An absent optional
+``datum_from`` builds the run's datum, the profile the run evaluates on its
+cells and the tail its norm reads, with no sampling.  An absent optional
 key keeps its dataclass field default.  A ``RunConfig`` records the keys
 its builders read, and ``reject_unread`` makes any other key a ConfigError:
 a run accepts exactly the keys it reads.
@@ -34,7 +34,7 @@ import numpy as np
 from .barriers import BarrierParams
 from .blowup import BlowupConfig
 from .errors import ConfigError
-from .geometry import MAX_RHO_MAX, ModelManifold, make_manifold, probe_grid
+from .geometry import MAX_RHO_MAX, ModelManifold, make_manifold
 from .grid import RadialGrid
 from .solver import BarrierDirichlet, DtPolicy, HomogeneousDirichlet, SolverConfig
 from .xlog import NORM_R, RadialDatum, bounded_datum, log_growth_datum, table_datum
@@ -208,10 +208,8 @@ def exponent_from(cfg: dict, key: str = "m") -> float:
     return m
 
 
-def datum_from(cfg: dict, m: float, radius: float) -> RadialDatum:
-    """The run's ``u0`` for a ball of ``radius``, probed on 4001 geometric
-    radii up to max(1e3, 10 radius) and, for a table, its last row, so the
-    norm sees the sampled rows and the tail past them."""
+def datum_from(cfg: dict, m: float) -> RadialDatum:
+    """The run's ``u0``: its profile and tail, and a table's rows."""
     raw = cfg.get("u0")
     if raw is None:
         raise ConfigError("missing required key 'u0'")
@@ -221,20 +219,17 @@ def datum_from(cfg: dict, m: float, radius: float) -> RadialDatum:
             f"u0 must be log-growth(b), bounded(B) or table(path); got {raw!r}"
         )
     kind, arg = match.group(1), match.group(2).strip()
-    top = max(1e3, 10 * radius)
     if kind == "table":
-        rows, vals = _read_table(arg)
-        return table_datum(rows, vals, probe_grid(max(top, float(rows[-1])), 4001))
+        return table_datum(*_read_table(arg))
     try:
         amp = float(arg)
     except ValueError as exc:
         raise ConfigError(f"u0 amplitude is not a number: {arg!r}") from exc
     if not 0 <= amp < math.inf:
         raise ConfigError(f"u0 amplitude must be nonnegative and finite, got {arg!r}")
-    rho = probe_grid(top, 4001)
     if kind == "log-growth":
-        return log_growth_datum(amp, m, rho)
-    return bounded_datum(amp, rho)
+        return log_growth_datum(amp, m)
+    return bounded_datum(amp)
 
 
 def _read_table(path):
@@ -252,12 +247,14 @@ def _read_table(path):
             raise ConfigError(f"{path}:{lineno}: bad table row {row!r}") from exc
         if not all(map(math.isfinite, rows[-1])):
             raise ConfigError(f"{path}:{lineno}: table entries must be finite, got {row!r}")
+        if rows[-1][0] < 0:
+            raise ConfigError(f"{path}:{lineno}: table rho must be >= 0, got {row[0]!r}")
     if len(rows) < 2:
         raise ConfigError(f"{path}: table needs at least two rows")
     rho = np.array([r[0] for r in rows])
     vals = np.array([r[1] for r in rows])
     if np.any(np.diff(rho) <= 0):
         raise ConfigError(f"{path}: table rho column must be strictly increasing")
-    if rho[-1] > MAX_RHO_MAX:  # the datum is probed up to its last row
+    if rho[-1] > MAX_RHO_MAX:  # the norm's w(rho_N) forms rho^2, infinite past 1.3e154
         raise ConfigError(f"{path}: table rho must be at most {MAX_RHO_MAX:g}")
     return rho, vals

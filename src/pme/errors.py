@@ -2,7 +2,7 @@
 
 Every concrete error class declares the ``exit_code`` that ``pme`` returns
 when it escapes a subcommand: 2 for bad input (``ConfigError``,
-``DomainError``, ``TailMismatchError``), 3 for a failed certificate
+``DomainError``), 3 for a failed certificate
 (``CertificateError``, ``NotApplicableError``) and 4 for a solver breakdown
 (``SolverError``, ``StageError``).  ``EXIT_LABELS`` names each code in the
 CLI's stderr line.  ``is_count`` is the test each count the library takes
@@ -28,11 +28,6 @@ class DomainError(PMEError, ValueError):
 class NotApplicableError(PMEError):
     """A certificate prerequisite (e.g. lower quadratic drift bound) is missing."""
     exit_code = 3
-
-
-class TailMismatchError(PMEError):
-    """Sampled values disagree with the declared tail descriptor."""
-    exit_code = 2
 
 
 class CertificateError(PMEError):

@@ -1,11 +1,12 @@
 """Weighted sup-norms for data with logarithmic growth.
 
-The norm family is ||f||_r = sup |f(rho)| / [log(r^2 + rho^2)]^(1/(m-1)),
-r >= 2.  Finite grids cannot see the rho -> infinity behaviour, so data carry
-a *tail descriptor* (exact analytic form beyond a stated radius).  Every
-rho -> infinity quantity, the tail supremum and the asymptotic growth ratio,
-is read off that descriptor; nothing is extrapolated from the grid, and a
-datum without one has no asymptotic ratio (``NotApplicableError``).
+The norm family is ||f||_r = sup |f(rho)| / w(rho), w(rho) =
+[log(r^2 + rho^2)]^(1/(m-1)), r >= 2.  A datum is its profile and its tail
+descriptor (the exact analytic form beyond a stated radius), plus the rows
+of a table datum; ``log_norm`` takes the supremum over the whole half-line
+in closed form, and every rho -> infinity quantity, the tail supremum and
+the asymptotic growth ratio, is read off the tail descriptor.  Nothing is
+sampled.
 
 Note on the r -> infinity limit: since log(r^2 + rho^2) ~ 2 log rho, the
 norms decrease to 2^(-1/(m-1)) times the asymptotic ratio
@@ -16,15 +17,17 @@ limsup |f| / (log rho)^(1/(m-1)); ``norm_limit`` returns that limit and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NotApplicableError, TailMismatchError
+from .errors import DomainError
 
 TAIL_FORMS = ("log-growth", "bounded")
 NORM_R = 2.0  # the weight offset r of a run that sets none
+RAMP_EDGE = float(np.e)  # log-growth data ramp linearly up to rho = e
 
 
 @dataclass(frozen=True)
@@ -66,89 +69,95 @@ class TailDescriptor:
                 raise DomainError("log-growth tail requires a finite m > 1")
             if not 2.0 <= self.rho_start < math.inf:
                 raise DomainError("log-growth tail must start at a finite rho >= 2")
-        elif not -math.inf < self.rho_start < math.inf:
-            raise DomainError("bounded tail must start at a finite rho")
+        elif not 0.0 <= self.rho_start < math.inf:
+            raise DomainError("bounded tail must start at a finite rho >= 0")
         if not 0.0 <= self.amplitude < math.inf:
             raise DomainError("tail amplitude must be nonnegative and finite")
-
-    def evaluate(self, rho):
-        if self.form == "bounded":
-            return np.full_like(np.asarray(rho, dtype=float), self.amplitude)
-        return self.amplitude * np.log(rho) ** (1.0 / (self.m - 1.0))
 
 
 @dataclass(frozen=True)
 class RadialDatum:
-    """A radial function sampled on increasing nodes, plus optional tail
-    and the profile the samples were taken from."""
+    """A radial datum: the ``profile`` a run evaluates on its cells, its
+    ``tail`` and, for a table, the ``rows`` (rho, value) the profile
+    interpolates.  ``log_norm`` reads the part below the tail from the
+    builder's kind: ``log_growth_datum`` (the ramp b rho/e below e),
+    ``bounded_datum`` (none: the tail starts at 0) or ``table_datum``."""
 
-    rho: np.ndarray
-    values: np.ndarray
-    tail: Optional[TailDescriptor] = None
-    profile: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, compare=False, repr=False
-    )
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if rho.size == 0:
-            raise DomainError("empty grid")
-        if rho.shape != vals.shape:
-            raise DomainError("rho and values must have matching shapes")
-        if not np.all(np.diff(rho) > 0):  # a NaN node fails this too
-            raise DomainError("nodes must be strictly increasing")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "values", vals)
-        if self.tail is not None:
-            self._check_tail()
-
-    def _check_tail(self):
-        t = self.tail
-        sel = self.rho >= t.rho_start
-        idx = np.nonzero(sel)[0][-3:]
-        if idx.size == 0:
-            return
-        sampled = self.values[idx]
-        if t.form == "bounded":
-            if np.any(np.abs(sampled) > t.amplitude * (1.0 + 1e-8) + 1e-300):
-                raise TailMismatchError("samples exceed the declared bound")
-            return
-        expect = t.evaluate(self.rho[idx])
-        scale = np.maximum(np.abs(expect), 1e-300)
-        if np.any(np.abs(sampled - expect) > 1e-8 * scale):
-            raise TailMismatchError(
-                "outermost samples do not match the log-growth tail form"
-            )
+    profile: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
+    tail: TailDescriptor
+    rows: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def log_norm(datum: RadialDatum, norm: LogNorm) -> float:
-    """Weighted sup-norm over the sampled nodes plus the exact tail part.
+    """The weighted sup-norm over the whole half-line, in closed form, as
+    max(part below the tail, tail part); w is increasing in rho.
 
-    For a log-growth tail the ratio (log rho / log(r^2+rho^2))^(1/(m-1)) is
-    increasing beyond rho >= 2, so its supremum is the limit
-    2^(-1/(m-1)) * amplitude; for a bounded tail the weight is increasing, so
-    the supremum sits at the tail start.
+    - bounded(B): the tail starts at 0, so the norm is B / w(0).
+    - table: the upper bound max over segments of max(|f_i|, |f_{i+1}|) /
+      w(rho_i), with |f_0| / w(0) for the hold below the first row and
+      |f_N| / w(rho_N) past the last row.
+    - log-growth(b): the tail ratio b (log rho / log(r^2 + rho^2))^(1/(m-1))
+      increases on rho >= e, since (r^2+rho^2) log(r^2+rho^2) > rho^2 log
+      rho^2, so its supremum is the limit 2^(-1/(m-1)) b; the ramp below e
+      is ``_ramp_part``.
     """
-    w = norm.weight(datum.rho)
-    grid_part = float(np.max(np.abs(datum.values) / w))
     t = datum.tail
-    if t is None:
-        return grid_part
     if t.form == "log-growth":
         if t.m != norm.m:
             raise DomainError("tail descriptor exponent disagrees with the norm")
-        tail_part = t.amplitude * 2.0 ** (-1.0 / (norm.m - 1.0))
-    else:
-        tail_part = t.amplitude / float(norm.weight(t.rho_start))
-    return max(grid_part, tail_part)
+        return max(_ramp_part(t.amplitude, norm), t.amplitude * 2.0 ** (-1.0 / (norm.m - 1.0)))
+    tail_part = t.amplitude / float(norm.weight(t.rho_start))
+    if datum.rows is None:
+        return tail_part
+    rho, values = datum.rows
+    size = np.abs(values)
+    head = np.maximum(size[:-1], size[1:]) / norm.weight(rho[:-1])
+    return max(float(size[0] / norm.weight(0.0)), float(np.max(head, initial=0.0)), tail_part)
+
+
+def _ramp_part(b: float, norm: LogNorm) -> float:
+    """An upper bound of sup g on [0, e], g(rho) = (b rho/e) / w(rho), or 0
+    where that supremum is g(e) = b / log(r^2 + e^2)^p < b 2^-p, the tail limit.
+
+    With s = r^2 + rho^2 and p = 1/(m-1), g' has the sign of h(s) = s log s
+    - 2p (s - r^2).  h is convex (h'' = 1/s), h(r^2) = r^2 log r^2 > 0, and
+    h falls until its minimum at s* = e^(2p-1).  So with end = s* clipped to
+    [r^2, r^2 + e^2], h has a root below e exactly when h(end) <= 0; if not,
+    g increases on [0, e].  Otherwise bisection keeps h(lo) > 0 >= h(hi)
+    around h's first root s1 until lo and hi are adjacent doubles.  Then g
+    increases on [r^2, lo] (h > 0 there, since h falls on [r^2, s*]), and
+    on [hi, r^2 + e^2] h changes sign at most once, from - to +, so sup g
+    there is max(g(hi), g(e)).  Since rho and w increase, every g on [lo,
+    hi] is at most (b/e) rho(hi) / w(rho(lo)), and sup g on [0, e] is at
+    most the larger of that bound and g(e).  The signs of h are float
+    signs: a wrong one can only fall within the rounding of h near s1,
+    where g is flat.  The bound is evaluated as (b/e) q^p, q = rho(hi)^(m-1)
+    / log(lo), which neither overflows nor loses a factor to a huge w; its
+    rounding is below ``slack``: p times the few roundings of q and of p,
+    and the cancellation in hi - r^2.
+    """
+    m, r2 = norm.m, norm.r * norm.r
+    p = 1.0 / (m - 1.0)
+    top = r2 + RAMP_EDGE * RAMP_EDGE
+
+    def h(s):
+        return s * math.log(s) - 2.0 * p * (s - r2)
+
+    # s* capped at e^700: for s past it h > 700 s - 2p e^2 > 0, as p < 1/eps
+    lo, hi = r2, min(max(math.exp(min(2.0 * p - 1.0, 700.0)), r2), top)
+    if not h(hi) <= 0.0:  # NaN (an r^2 that overflows) too: no root below e
+        return 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if h(mid) > 0.0 else (lo, mid)
+    q = math.sqrt(hi - r2) ** (m - 1.0) / math.log(lo)
+    eps = sys.float_info.epsilon
+    slack = 2.0 * eps * ((4.0 + abs(math.log(q))) * p + 4.0 + (hi + r2) / (hi - r2))
+    return b / RAMP_EDGE * q**p * (1.0 + slack)
 
 
 def limsup_ratio(datum: RadialDatum) -> float:
     """limsup |f|/(log rho)^(1/(m-1)), read off the tail descriptor."""
     t = datum.tail
-    if t is None:
-        raise NotApplicableError("the asymptotic ratio needs a tail descriptor")
     return 0.0 if t.form == "bounded" else t.amplitude
 
 
@@ -166,8 +175,6 @@ def norm_limit(datum: RadialDatum, m: float | None = None) -> float:
 
 
 # -- canonical data generators -------------------------------------------------
-
-RAMP_EDGE = float(np.e)  # log-growth data ramp linearly up to rho = e
 
 
 def log_growth_profile(b: float, m: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -193,13 +200,9 @@ def log_growth_profile(b: float, m: float) -> Callable[[np.ndarray], np.ndarray]
     return profile
 
 
-def log_growth_datum(b: float, m: float, rho) -> RadialDatum:
-    rho = np.asarray(rho, dtype=float)
-    tail = TailDescriptor("log-growth", b, rho_start=max(RAMP_EDGE, 2.0), m=m)
-    if rho[-1] < tail.rho_start:
-        tail = None
-    profile = log_growth_profile(b, m)
-    return RadialDatum(rho, profile(rho), tail=tail, profile=profile)
+def log_growth_datum(b: float, m: float) -> RadialDatum:
+    tail = TailDescriptor("log-growth", b, rho_start=RAMP_EDGE, m=m)
+    return RadialDatum(log_growth_profile(b, m), tail)
 
 
 def bounded_profile(bound: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -209,21 +212,26 @@ def bounded_profile(bound: float) -> Callable[[np.ndarray], np.ndarray]:
     return profile
 
 
-def bounded_datum(bound: float, rho) -> RadialDatum:
-    rho = np.asarray(rho, dtype=float)
-    tail = TailDescriptor("bounded", bound, rho_start=float(rho[0]))
-    profile = bounded_profile(bound)
-    return RadialDatum(rho, profile(rho), tail=tail, profile=profile)
+def bounded_datum(bound: float) -> RadialDatum:
+    return RadialDatum(bounded_profile(bound), TailDescriptor("bounded", bound, rho_start=0.0))
 
 
-def table_datum(table_rho: np.ndarray, table_values: np.ndarray, rho) -> RadialDatum:
-    """The rows (table_rho, table_values) interpolated linearly and held at
-    the last value beyond the last row, sampled at ``rho``: bounded by
-    |last value| past the last row."""
+def table_datum(table_rho, table_values) -> RadialDatum:
+    """The rows (table_rho, table_values) interpolated linearly, held at the
+    first value below the first row and at the last beyond the last row:
+    bounded by |last value| past the last row.  The rows are finite, with
+    strictly increasing radii from rho >= 0."""
+    rho = np.array(table_rho, dtype=float)
+    values = np.array(table_values, dtype=float)
+    if rho.size == 0 or rho.shape != values.shape or rho.ndim != 1:
+        raise DomainError("a table needs one nonempty row of values per radius")
+    if not np.all(np.diff(rho) > 0):  # a NaN radius fails this too
+        raise DomainError("table radii must be strictly increasing")
+    if not (0.0 <= rho[0] and math.isfinite(rho[-1]) and np.all(np.isfinite(values))):
+        raise DomainError("table entries must be finite, with radii >= 0")
 
     def profile(x):
-        return np.interp(x, table_rho, table_values)
+        return np.interp(x, rho, values)
 
-    rho = np.asarray(rho, dtype=float)
-    tail = TailDescriptor("bounded", abs(float(table_values[-1])), rho_start=float(table_rho[-1]))
-    return RadialDatum(rho, profile(rho), tail=tail, profile=profile)
+    tail = TailDescriptor("bounded", abs(float(values[-1])), rho_start=float(rho[-1]))
+    return RadialDatum(profile, tail, rows=(rho, values))

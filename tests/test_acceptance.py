@@ -113,7 +113,7 @@ def test_criterion_4_barrier_sandwich(quad_manifold, quad_constants):
         start = time.monotonic()
         m, b, R, cells = 2.0, 1.0, 50.0, 1000
         g = RadialGrid.uniform(quad_manifold, R, cells)
-        datum = xlog.log_growth_datum(b, m, np.geomspace(1e-3, 1e6, 5000))
+        datum = xlog.log_growth_datum(b, m)
         norm0 = xlog.log_norm(datum, xlog.LogNorm(2.0, m))
         T = solver.existence_time(datum, quad_constants, m, r=2.0).time
         cfg = solver.SolverConfig(
@@ -154,7 +154,7 @@ def test_criterion_5_exhaustion_monotonicity():
 
 def _blowup_ledger(b, quad_manifold, quad_constants):
     cfg = blowup.BlowupConfig(m=2.0, steps_per_stage=30)
-    datum = xlog.log_growth_datum(b, 2.0, np.geomspace(1e-3, 1e6, 4000))
+    datum = xlog.log_growth_datum(b, 2.0)
     grid = RadialGrid.uniform(quad_manifold, 25.0, 250)
     return blowup.run_blowup(datum, grid, quad_constants, cfg)
 

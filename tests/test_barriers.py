@@ -312,10 +312,10 @@ def test_separable_norm_growth_is_exact():
     p = barriers.BarrierParams(amplitude=0.05, r=2.0, horizon=0.1, m=2.0)
     rho = np.geomspace(1e-3, 1e3, 2000)
     n = xlog.LogNorm(2.0, 2.0)
-    base = xlog.log_norm(xlog.RadialDatum(rho, p.profile(rho)), n)
+    base = xlog.log_norm(xlog.table_datum(rho, p.profile(rho)), n)
     for t in (0.0, 0.03, 0.09):
         vals = barriers.blowup_factor(t, p.horizon, p.m) * p.profile(rho)
-        got = xlog.log_norm(xlog.RadialDatum(rho, vals), n)
+        got = xlog.log_norm(xlog.table_datum(rho, vals), n)
         factor = (1 - t / p.horizon) ** -1.0
         assert got == pytest.approx(factor * base, rel=1e-13)
 
@@ -328,18 +328,19 @@ def test_supersolution_dominates_subsolution_for_canonical_datum(
     m = 2.0
     b = 1.0
     rho = np.geomspace(1e-3, 1e3, 4000)
-    datum = xlog.log_growth_datum(b, m, rho)
+    datum = xlog.log_growth_datum(b, m)
+    u0 = datum.profile(rho)
     norm0 = xlog.log_norm(datum, xlog.LogNorm(2.0, m))
     a_sup = barriers.supersolution_amplitude(quad_constants.c_prime, m)
     T = a_sup ** (m - 1.0) * norm0 ** (1.0 - m)
     upper = barriers.BarrierParams(a_sup, 2.0, T, m)
     sub = barriers.subsolution_params(quad_constants, m)
     lower = barriers.BarrierParams(sub.amplitude, sub.r, horizon=4.0, m=m)
-    delta = float(np.max(lower.profile(rho) ** m - np.abs(datum.values) ** m))
+    delta = float(np.max(lower.profile(rho) ** m - np.abs(u0) ** m))
     up0 = barriers.blowup_factor(0.0, upper.horizon, upper.m) * upper.profile(rho)
     low0 = barriers.shifted_subsolution(lower, max(delta, 0.0), rho)
-    assert np.all(up0 >= datum.values - 1e-12)
-    assert np.all(datum.values >= low0 - 1e-12)
+    assert np.all(up0 >= u0 - 1e-12)
+    assert np.all(u0 >= low0 - 1e-12)
     assert np.all(up0 >= low0 - 1e-12)
 
 
@@ -433,7 +434,7 @@ def test_eta_derivatives_are_unchanged_where_eta_lives():
     assert 0 < live.sum() < live.size
     tau, L = 2.0 - t[live], np.log(rho[live])
     r, k, el = rho[live], p.decay, e[live]
-    assert np.array_equal(e_t[live], -k / tau**2 * r**2 / L * el)
+    assert np.array_equal(e_t[live], -(k / tau) / tau * r**2 / L * el)
     assert np.array_equal(e_r[live], -k / tau * r * (2.0 * L - 1.0) / L**2 * el)
     poly = 2.0 * L**3 - 3.0 * L**2 + 2.0 * L
     assert np.array_equal(e_rr[live], -k * el / (tau * L**4) * (poly - k / tau * r**2 * (2.0 * L - 1.0) ** 2))

@@ -6,6 +6,7 @@ runs the production-size configuration.
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,6 @@ from hypothesis import strategies as st
 from pme import barriers, blowup, geometry, solver, xlog
 from pme.errors import CertificateError, DomainError, NotApplicableError, StageError
 from pme.grid import RadialGrid
-
-RHO_REF = np.geomspace(1e-3, 1e6, 3000)
 
 
 # -- stage horizon -----------------------------------------------------------------
@@ -247,7 +246,7 @@ def desk_run():
     M = geometry.quad_critical(0.5, 3)
     cc = geometry.fit_comparison_constants(M)
     cfg = blowup.BlowupConfig(m=2.0, threshold_factor=50.0, max_stages=400, steps_per_stage=25)
-    datum = xlog.log_growth_datum(1.0, 2.0, RHO_REF)
+    datum = xlog.log_growth_datum(1.0, 2.0)
     return blowup.run_blowup(datum, RadialGrid.uniform(M, 12.0, 120), cc, cfg)
 
 
@@ -407,7 +406,7 @@ def test_ledger_is_the_stage_schedule(desk_ledger):
     cc = geometry.fit_comparison_constants(M)
     a_hat = barriers.subsolution_params(cc, 2.0).amplitude
     a_tilde = barriers.supersolution_amplitude(cc.c_prime, 2.0)
-    ratio = xlog.norm_limit(xlog.log_growth_datum(1.0, 2.0, RHO_REF), 2.0)
+    ratio = xlog.norm_limit(xlog.log_growth_datum(1.0, 2.0), 2.0)
     rows = blowup.stage_schedule(ratio, a_hat, a_tilde, 2.0, len(led.stages))
     recorded = [(s.eps_n, s.T_n, s.S_n, s.t_n, s.liminf_est) for s in led.stages]
     assert recorded == list(rows)
@@ -468,6 +467,39 @@ def test_validate_checks_the_total_duration_exactly(desk_ledger, change, message
     assert dataclasses.replace(led, tau_bound=led.tau).validate()  # equality passes
 
 
+def _edit_stage(led, k, **change):
+    """``led`` with its stage ``k`` changed by ``change``."""
+    stages = list(led.stages)
+    stages[k] = dataclasses.replace(stages[k], **change)
+    return dataclasses.replace(led, stages=stages)
+
+
+# id: (an edit of a valid ledger at its last stage k, the error's text)
+LEDGER_EDITS = {
+    "empty": (lambda led, k: dataclasses.replace(led, stages=[]), "empty ledger"),
+    "eps-out-of-range": (lambda led, k: _edit_stage(led, k, eps_n=1.0), "eps out of range at stage {n}"),
+    "S-not-below-T": (lambda led, k: _edit_stage(led, k, S_n=led.stages[k].T_n), "S >= T at stage {n}"),
+    "times-not-increasing": (
+        lambda led, k: _edit_stage(led, k, t_n=led.stages[k - 1].t_n), "stage times not increasing at {n}"
+    ),
+    "telescoping": (
+        lambda led, k: _edit_stage(led, k, T_n=2.0 * led.stages[k].T_n), "telescoping bound violated at {n}"
+    ),
+    "norm-series": (
+        lambda led, k: _edit_stage(led, k, lognorm=led.stages[k - 1].lognorm),
+        "norm series not strictly increasing past the onset",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", LEDGER_EDITS.values(), ids=LEDGER_EDITS.keys())
+def test_validate_rejects_each_broken_invariant(desk_ledger, edit, message):
+    led, k = desk_ledger, len(desk_ledger.stages) - 1
+    assert led.validate() and led.growth_onset < k
+    with pytest.raises(StageError, match=f"^{re.escape(message.format(n=led.stages[k].n))}$"):
+        edit(led, k).validate()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -492,7 +524,7 @@ def test_blowup_config_rejects_values_outside_its_domain(field, value):
 def test_bounded_datum_rejected():
     M = geometry.quad_critical(0.5, 3)
     cc = geometry.fit_comparison_constants(M)
-    datum = xlog.bounded_datum(1.0, RHO_REF)
+    datum = xlog.bounded_datum(1.0)
     grid, cfg = RadialGrid.uniform(M, 12.0, 60), blowup.BlowupConfig(m=2.0)
     with pytest.raises(NotApplicableError):
         blowup.run_blowup(datum, grid, cc, cfg)
@@ -501,19 +533,9 @@ def test_bounded_datum_rejected():
 def test_model_without_lower_bound_rejected():
     M = geometry.hyperbolic(2)
     cc = geometry.fit_comparison_constants(M)
-    datum = xlog.log_growth_datum(1.0, 2.0, RHO_REF)
+    datum = xlog.log_growth_datum(1.0, 2.0)
     grid, cfg = RadialGrid.uniform(M, 12.0, 60), blowup.BlowupConfig(m=2.0)
     with pytest.raises(NotApplicableError):
-        blowup.run_blowup(datum, grid, cc, cfg)
-
-
-def test_a_datum_without_its_profile_is_rejected():
-    M = geometry.quad_critical(0.5, 3)
-    cc = geometry.fit_comparison_constants(M)
-    sampled = xlog.log_growth_datum(1.0, 2.0, RHO_REF)
-    datum = xlog.RadialDatum(sampled.rho, sampled.values, tail=sampled.tail)
-    grid, cfg = RadialGrid.uniform(M, 12.0, 60), blowup.BlowupConfig(m=2.0)
-    with pytest.raises(DomainError, match="profile"):
         blowup.run_blowup(datum, grid, cc, cfg)
 
 

@@ -572,6 +572,19 @@ def test_uniq_check_table_points_sizes_the_table(tmp_path):
 
 
 
+def test_uniq_check_where_the_horizon_squared_underflows(capsys):
+    # (2T - t)^2 underflows to 0 below T of about 1e-154; eta's time
+    # derivative divides by 2T - t twice instead, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("uniq-check", "--T", "1e-300", "--c_m", "1", "--k", "1e-299") == 0
+        capsys.readouterr()
+        rc = run_cli("uniq-check", "--T", "1e-300", "--c_m", "1", "--k", "1e-301")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.strip().endswith("smallness condition fails: T=1e-300 >= K/(2 C_M)=5e-302"), err
+
+
 @pytest.mark.parametrize("T, k", [("1e-7", "1e-6"), ("1e-12", "1e-11")], ids=["1e-7", "1e-12"])
 def test_uniq_check_certifies_at_the_given_horizon(capsys, T, k):
     # K/T = 10 leaves eta positive at the first node (exponent about 29);
@@ -1154,8 +1167,36 @@ cells = 20
 """
 
 
-# its last row lies past geometry.MAX_RHO_MAX, the top of the datum's probe grid
+# its last row lies past geometry.MAX_RHO_MAX: the norm's weight there forms rho^2
 FAR_TABLE = "rho,value\n1,1\n1e151,1\n"
+
+# (id, a line of BASE_CFG, its replacement, the error's text)
+CONFIG_ERRORS = [
+    ("missing-u0", "u0 = log-growth(1.0)\n", "", "missing required key 'u0'"),
+    ("missing-manifold", "manifold = quad-critical\n", "", "missing required key 'manifold'"),
+    ("duplicate-key", "R = 20\n", "R = 20\nR = 30\n", "run.cfg:8: duplicate key 'R'"),
+    ("line-without-equals", "R = 20\n", "R 20\n", "run.cfg:7: expected 'key = value'"),
+    ("u0-of-no-form", "log-growth(1.0)", "gaussian(1.0)",
+     "u0 must be log-growth(b), bounded(B) or table(path); got 'gaussian(1.0)'"),
+    ("u0-amplitude-not-a-number", "log-growth(1.0)", "log-growth(one)", "u0 amplitude is not a number: 'one'"),
+]
+
+# (id, the u0 table file, the error's text)
+TABLE_ERRORS = [
+    ("without-header", "1,1\n2,1\n", "u0.csv: table needs a 'rho,value' header row"),
+    ("bad-row", "rho,value\n1,1\n2\n", "u0.csv:3: bad table row ['2']"),
+    # the blank line 3 is skipped, and still counted
+    ("blank-row-skipped", "rho,value\n1,1\n\n3,x\n", "u0.csv:4: bad table row ['3', 'x']"),
+    ("one-row", "rho,value\n1,1\n", "u0.csv: table needs at least two rows"),
+    ("radii-not-increasing", "rho,value\n2,1\n1,1\n", "u0.csv: table rho column must be strictly increasing"),
+    ("negative-radius", "rho,value\n-1,1\n2,1\n", "u0.csv:2: table rho must be >= 0, got '-1'"),
+]
+
+
+def table_args(tmp_path, table):
+    """Arguments of a ``solve`` run of BASE_CFG from the u0 table file ``table``."""
+    u0 = f"table({write_cfg(tmp_path, table, name='u0.csv')})"
+    return solve_args(tmp_path, write_cfg(tmp_path, BASE_CFG.replace("log-growth(1.0)", u0)))
 
 
 def datum_args(tmp_path, command, u0):
@@ -1424,10 +1465,21 @@ dt0 = 1e-5
             id="solve-missing-table",
         ),
         pytest.param(
-            lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG.replace(
-                "log-growth(1.0)", f"table({write_cfg(tmp, FAR_TABLE, name='u0.csv')})"))),
+            lambda tmp: table_args(tmp, FAR_TABLE),
             "u0.csv: table rho must be at most 1e+150",
             id="solve-table-past-the-largest-probe-radius",
+        ),
+        *(
+            pytest.param(
+                lambda tmp, old=old, new=new: solve_args(tmp, write_cfg(tmp, BASE_CFG.replace(old, new))),
+                needle,
+                id=f"solve-{name}",
+            )
+            for name, old, new, needle in CONFIG_ERRORS
+        ),
+        *(
+            pytest.param(lambda tmp, table=table: table_args(tmp, table), needle, id=f"solve-table-{name}")
+            for name, table, needle in TABLE_ERRORS
         ),
         pytest.param(
             lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG.replace("c = 0.5", "c = -1"))),

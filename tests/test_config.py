@@ -51,7 +51,7 @@ def keys_read(build):
     run = config.RunConfig(FULL_CFG)
     m = config.exponent_from(run)
     manifold = config.manifold_from(run)
-    config.datum_from(run, m, 12.0)
+    config.datum_from(run, m)
     build(run, m, manifold)
     return run.read
 
@@ -150,25 +150,23 @@ def test_messages_name_a_dashed_key_as_an_option(read, cfg, message, key, named)
 @pytest.mark.parametrize("u0", ["log-growth(1.5)", "bounded(0.7)", "table"])
 @pytest.mark.parametrize("radius", [2.0, 1e6])
 def test_datum_matches_xlog_constructors(tmp_path, u0, radius):
-    # probed on 4001 geometric radii up to max(1e3, 10 R): 1e3 and 1e7 here
-    rho = geometry.probe_grid(max(1e3, 10 * radius), 4001)
     rows, vals = np.array([0.5, 1.0, 40.0]), np.array([2.0, -1.0, 0.25])
     if u0 == "table":
         table = tmp_path / "u0.csv"
         table.write_text("rho,value\n0.5,2.0\n1.0,-1.0\n40.0,0.25\n")
         u0 = f"table({table})"
-    got = config.datum_from({"u0": u0}, 2.0, radius)
-    assert np.array_equal(got.rho, rho)
+    got = config.datum_from({"u0": u0}, 2.0)
     if u0.startswith("log"):
-        want, profile = xlog.log_growth_datum(1.5, 2.0, rho), xlog.log_growth_profile(1.5, 2.0)
+        want, profile = xlog.log_growth_datum(1.5, 2.0), xlog.log_growth_profile(1.5, 2.0)
     elif u0.startswith("bounded"):
-        want, profile = xlog.bounded_datum(0.7, rho), xlog.bounded_profile(0.7)
+        want, profile = xlog.bounded_datum(0.7), xlog.bounded_profile(0.7)
     else:
-        want = xlog.table_datum(rows, vals, rho)
+        want = xlog.table_datum(rows, vals)
         profile = partial(np.interp, xp=rows, fp=vals)
-    assert np.array_equal(got.values, want.values)
+        assert all(np.array_equal(a, b) for a, b in zip(got.rows, (rows, vals)))
     assert got.tail == want.tail
-    # the profile a run evaluates on its cells is the one sampled here
+    assert xlog.log_norm(got, xlog.LogNorm(3.0, 2.0)) == xlog.log_norm(want, xlog.LogNorm(3.0, 2.0))
+    # the profile a run evaluates on its cells, whatever the ball's radius
     centers = RadialGrid.uniform(geometry.euclidean(3), radius, 50).centers
     assert got.profile(centers).tobytes() == profile(centers).tobytes()
 
@@ -176,23 +174,10 @@ def test_datum_matches_xlog_constructors(tmp_path, u0, radius):
 def test_table_datum_is_bounded_beyond_its_last_row(tmp_path):
     table = tmp_path / "u0.csv"
     table.write_text("rho,value\n0.5,2.0\n4.0,-0.25\n")
-    datum = config.datum_from({"u0": f"table({table})"}, 2.0, 10.0)
+    datum = config.datum_from({"u0": f"table({table})"}, 2.0)
     assert datum.tail == xlog.TailDescriptor("bounded", 0.25, rho_start=4.0)
-    assert np.all(datum.values[datum.rho >= 4.0] == -0.25)
+    assert np.all(datum.profile(np.geomspace(4.0, 1e6, 50)) == -0.25)
     assert xlog.limsup_ratio(datum) == 0.0
-
-
-@pytest.mark.parametrize(
-    "last_row, radius, top",
-    [(5e4, 100.0, 5e4), (5e4, 1e4, 1e5), (4.0, 10.0, 1e3), (4.0, 500.0, 5e3)],
-)
-def test_table_datum_is_probed_up_to_its_last_row_or_ten_radii(tmp_path, last_row, radius, top):
-    # a last row past max(1e3, 10 R) moves the top of the probe grid to it
-    table = tmp_path / "u0.csv"
-    table.write_text(f"rho,value\n0.5,2.0\n{last_row!r},1.5\n")
-    datum = config.datum_from({"u0": f"table({table})"}, 2.0, radius)
-    assert np.array_equal(datum.rho, geometry.probe_grid(top, 4001))
-    assert datum.rho[-1] == top
 
 
 def test_log_sphere_area_matches_closed_form():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack, solve_banded
 
 from pme import barriers, blowup, geometry, solver, xlog
-from pme.errors import CertificateError, DomainError, NotApplicableError, SolverError
+from pme.errors import CertificateError, DomainError, SolverError
 from pme.grid import RadialGrid
 
 
@@ -1783,8 +1783,7 @@ def test_comparison_with_ordered_barrier_boundaries(quad_manifold, quad_constant
 def test_sign_changing_datum_bounded_by_barrier(quad_manifold, quad_constants):
     m = 2.0
     g = RadialGrid.uniform(quad_manifold, 20.0, 200)
-    rho_ref = np.geomspace(1e-3, 1e5, 4000)
-    datum = xlog.log_growth_datum(1.0, m, rho_ref)
+    datum = xlog.log_growth_datum(1.0, m)
     norm0 = xlog.log_norm(datum, xlog.LogNorm(2.0, m))
     et = solver.existence_time(datum, quad_constants, m)
     prof = xlog.log_growth_profile(1.0, m)
@@ -1947,10 +1946,8 @@ def test_existence_time_closed_form():
     class FakeConsts:
         c_prime = 3.0
 
-    rho = np.geomspace(1e-3, 1e6, 2000)
-    w = xlog.LogNorm(2.0, 2.0).weight(rho)
-    # norm exactly 1; the weight's tail 2 log rho matches the rows past 1e5 to 2e-11
-    datum = xlog.RadialDatum(rho, w, tail=xlog.TailDescriptor("log-growth", 2.0, 1e5, m=2.0))
+    # norm exactly 1: the tail limit 2 * 2^-1 of 2 log rho
+    datum = xlog.log_growth_datum(2.0, 2.0)
     et = solver.existence_time(datum, FakeConsts(), 2.0)
     assert et.time == pytest.approx(1.0 / 24, rel=1e-12)
     assert not et.global_flag
@@ -1960,10 +1957,9 @@ def test_existence_time_doubling_scales():
     class FakeConsts:
         c_prime = 2.0
 
-    rho = np.geomspace(1e-3, 1e6, 2000)
     m = 2.0
-    d1 = xlog.log_growth_datum(1.0, m, rho)
-    d2 = xlog.log_growth_datum(2.0, m, rho)
+    d1 = xlog.log_growth_datum(1.0, m)
+    d2 = xlog.log_growth_datum(2.0, m)
     t1 = solver.existence_time(d1, FakeConsts(), m).time
     t2 = solver.existence_time(d2, FakeConsts(), m).time
     assert t2 / t1 == pytest.approx(2.0 ** (1 - m), rel=1e-12)
@@ -1973,8 +1969,7 @@ def test_existence_time_bounded_datum_global():
     class FakeConsts:
         c_prime = 2.0
 
-    rho = np.geomspace(1e-3, 1e6, 2000)
-    datum = xlog.bounded_datum(5.0, rho)
+    datum = xlog.bounded_datum(5.0)
     et = solver.existence_time(datum, FakeConsts(), 2.0)
     assert et.global_flag
     assert et.limit_time == math.inf
@@ -1986,13 +1981,9 @@ def test_existence_time_zero_datum():
         c_prime = 2.0
 
     rho = np.geomspace(1e-3, 1e6, 2000)
-    datum = xlog.RadialDatum(rho, np.zeros_like(rho))
+    datum = xlog.table_datum(rho, np.zeros_like(rho))
     et = solver.existence_time(datum, FakeConsts(), 2.0)
     assert et.global_flag and et.time == math.inf
-    # a positive datum has no limit horizon without a tail descriptor
-    datum = xlog.RadialDatum(rho, np.ones_like(rho))
-    with pytest.raises(NotApplicableError):
-        solver.existence_time(datum, FakeConsts(), 2.0)
 
 
 def solve_report(excess, tol):
@@ -2014,7 +2005,7 @@ def test_solve_report_validate_raises_when_the_sandwich_is_left():
 def test_solve_report_audits_only_under_a_finite_horizon(quad_manifold, quad_constants):
     m = 2.0
     g = RadialGrid.uniform(quad_manifold, 10.0, 40)
-    datum = xlog.log_growth_datum(1.0, m, np.geomspace(1e-3, 1e5, 4000))
+    datum = xlog.log_growth_datum(1.0, m)
     et = solver.existence_time(datum, quad_constants, m)
     assert et.horizon == et.time < math.inf
     traj = solver.solve_ball(xlog.log_growth_profile(1.0, m), small_cfg(0.01), g, barrier_horizon=et.horizon)

@@ -1,42 +1,48 @@
 """Weighted norm family: definition-level examples plus invariants.
 
 Property tests cover monotonicity in the weight offset, homogeneity, the
-reproducing bound and the ordering against the asymptotic ratio.  Note the
+reproducing bound, the ordering against the asymptotic ratio, and the closed
+forms of ``log_norm`` against dense samples of each datum.  Note the
 asymptotic ratio is measured against (log rho)^(1/(m-1)) while the norms use
 log(r^2 + rho^2) ~ 2 log rho, so the norm family decreases to
 2^(-1/(m-1)) times the ratio, not to the ratio itself.
 """
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pme import xlog
-from pme.errors import DomainError, NotApplicableError, TailMismatchError
+from pme import geometry, xlog
+from pme.errors import DomainError
 
 GRID = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 3000)))
+EPS = sys.float_info.epsilon
 
 
-def _datum_from_list(values, rho=None):
-    rho = GRID[: len(values)] if rho is None else rho
-    return xlog.RadialDatum(rho, np.asarray(values, dtype=float))
+def _datum_from_list(values):
+    return xlog.table_datum(GRID[: len(values)], values)
 
 
 # -- log_norm examples ------------------------------------------------------------
 
 
 def test_norm_of_weight_itself_is_one():
+    # up to the table bound: segment i contributes max(w_i, w_{i+1}) / w_i
     n = xlog.LogNorm(3.0, 2.5)
-    d = xlog.RadialDatum(GRID, n.weight(GRID))
-    assert xlog.log_norm(d, n) == pytest.approx(1.0, abs=0)
+    w = n.weight(GRID)
+    got = xlog.log_norm(xlog.table_datum(GRID, w), n)
+    assert got == np.max(w[1:] / w[:-1])
+    assert got == pytest.approx(1.0, rel=2e-3)
 
 
 def test_norm_of_constant_log4_attained_at_origin():
     n = xlog.LogNorm(2.0, 2.0)
-    d = xlog.RadialDatum(GRID, np.full_like(GRID, np.log(4.0)))
+    d = xlog.table_datum(GRID, np.full_like(GRID, np.log(4.0)))
     # sup at rho = 0 where the weight equals log 4
     assert xlog.log_norm(d, n) == pytest.approx(1.0, rel=1e-15)
 
@@ -45,19 +51,13 @@ def test_norm_with_log_growth_tail_reaches_half_amplitude():
     # the tail ratio (log rho / log(r^2+rho^2))^(1/(m-1)) increases to 1/2
     # for m = 2, so the exact tail supremum contributes b/2
     b = 3.0
-    d = xlog.log_growth_datum(b, 2.0, GRID[1:])
-    n = xlog.LogNorm(2.0, 2.0)
-    got = xlog.log_norm(d, n)
-    assert got == pytest.approx(b / 2.0, rel=1e-12)
-    # grid-only sup approaches the same value from below as the grid extends
-    bare = xlog.RadialDatum(d.rho, d.values)
-    assert xlog.log_norm(bare, n) < got
-    assert xlog.log_norm(bare, n) == pytest.approx(got, rel=1e-3)
+    d = xlog.log_growth_datum(b, 2.0)
+    assert xlog.log_norm(d, xlog.LogNorm(2.0, 2.0)) == b / 2.0
 
 
 def test_norm_empty_grid_rejected():
     with pytest.raises(DomainError):
-        xlog.RadialDatum(np.array([]), np.array([]))
+        xlog.table_datum(np.array([]), np.array([]))
 
 
 @pytest.mark.parametrize("node", [0, 1, 2])
@@ -65,7 +65,17 @@ def test_a_nan_node_fails_the_ordering(node):
     rho = np.array([1.0, 2.0, 3.0])
     rho[node] = np.nan
     with pytest.raises(DomainError, match="strictly increasing"):
-        xlog.RadialDatum(rho, np.ones(3))
+        xlog.table_datum(rho, np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "rho, values",
+    [([-1.0, 2.0], [1.0, 1.0]), ([0.0, math.inf], [1.0, 1.0]), ([0.0, 2.0], [1.0, math.nan])],
+    ids=["negative-radius", "infinite-radius", "nan-value"],
+)
+def test_table_rows_are_finite_from_rho_zero(rho, values):
+    with pytest.raises(DomainError, match="finite, with radii >= 0"):
+        xlog.table_datum(rho, values)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -81,50 +91,21 @@ def test_tail_descriptor_rejects_a_non_finite_field(form, field, value):
         xlog.TailDescriptor(form, **{**valid, field: value})
 
 
-def test_tail_mismatch_detected():
-    rho = GRID[1:]
-    vals = xlog.log_growth_profile(1.0, 2.0)(rho)
-    vals[-1] *= 1.001
-    with pytest.raises(TailMismatchError):
-        xlog.RadialDatum(rho, vals, tail=xlog.TailDescriptor("log-growth", 1.0, 3.0, m=2.0))
-
-
 # -- limsup ratio -----------------------------------------------------------------
 
 
 def test_limsup_bounded_data_is_zero():
-    d = xlog.bounded_datum(7.0, GRID[1:])
+    d = xlog.bounded_datum(7.0)
     assert xlog.limsup_ratio(d) == 0.0
 
 
 def test_limsup_log_growth_is_amplitude():
-    d = xlog.log_growth_datum(0.7, 2.0, GRID[1:])
+    d = xlog.log_growth_datum(0.7, 2.0)
     assert xlog.limsup_ratio(d) == 0.7
 
 
-def test_limsup_of_shifted_weight_without_descriptor():
-    # f = log(4 + rho^2) grows like 2 log rho, but no grid reaches rho -> inf:
-    # without a tail descriptor there is no ratio, however far the samples go
-    rho = np.geomspace(1.0, 1e6, 4000)
-    d = xlog.RadialDatum(rho, np.log(4.0 + rho**2))
-    with pytest.raises(NotApplicableError):
-        xlog.limsup_ratio(d)
-    for m in (None, 2.0):
-        with pytest.raises(NotApplicableError):
-            xlog.norm_limit(d, m)
-
-
-def test_limsup_requires_reach_or_descriptor():
-    rho = np.geomspace(1.0, 100.0, 50)
-    d = xlog.RadialDatum(rho, np.ones_like(rho))
-    with pytest.raises(NotApplicableError):
-        xlog.limsup_ratio(d)
-    with pytest.raises(NotApplicableError):
-        xlog.norm_limit(d, 2.0)
-
-
 def test_norm_limit_is_half_ratio_for_m2():
-    d = xlog.log_growth_datum(1.0, 2.0, GRID[1:])
+    d = xlog.log_growth_datum(1.0, 2.0)
     assert xlog.norm_limit(d) == pytest.approx(0.5, rel=1e-14)
     assert xlog.norm_limit(d, 2.0) == xlog.norm_limit(d)
     with pytest.raises(DomainError):
@@ -160,7 +141,8 @@ def test_norm_nonincreasing_in_r(d, r1, r2):
 @settings(max_examples=200, deadline=None)
 def test_norm_homogeneity(d, lam):
     n = xlog.LogNorm(2.0, 3.0)
-    scaled = xlog.RadialDatum(d.rho, lam * d.values)
+    rho, values = d.rows
+    scaled = xlog.table_datum(rho, lam * values)
     a, b = xlog.log_norm(scaled, n), lam * xlog.log_norm(d, n)
     assert a == pytest.approx(b, rel=1e-13, abs=1e-300)
 
@@ -170,15 +152,16 @@ def test_norm_homogeneity(d, lam):
 def test_reproducing_bound(d):
     n = xlog.LogNorm(2.0, 2.0)
     norm = xlog.log_norm(d, n)
-    bound = norm * n.weight(d.rho)
-    assert np.all(np.abs(d.values) <= bound * (1 + 1e-12) + 1e-12)
+    rho, values = d.rows
+    bound = norm * n.weight(rho)
+    assert np.all(np.abs(values) <= bound * (1 + 1e-12) + 1e-12)
 
 
 def test_reproducing_bound_absolute_at_unit_scale():
     n = xlog.LogNorm(2.0, 2.0)
     rho = GRID
     vals = np.sin(rho / (1.0 + rho)) + 0.3 * np.log1p(rho)
-    d = xlog.RadialDatum(rho, vals)
+    d = xlog.table_datum(rho, vals)
     norm = xlog.log_norm(d, n)
     assert np.all(np.abs(vals) <= norm * n.weight(rho) + 1e-12)
 
@@ -186,7 +169,7 @@ def test_reproducing_bound_absolute_at_unit_scale():
 @pytest.mark.parametrize("b", [0.25, 1.0, 5.0])
 @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
 def test_ratio_scaled_by_half_power_below_every_norm(b, m):
-    d = xlog.log_growth_datum(b, m, GRID[1:])
+    d = xlog.log_growth_datum(b, m)
     ratio = xlog.limsup_ratio(d)
     scaled = ratio * 2.0 ** (-1.0 / (m - 1.0))
     for r in (2.0, 4.0, 16.0, 256.0):
@@ -194,9 +177,94 @@ def test_ratio_scaled_by_half_power_below_every_norm(b, m):
 
 
 def test_norm_family_decreases_to_norm_limit():
-    d = xlog.log_growth_datum(2.0, 2.0, GRID[1:])
+    d = xlog.log_growth_datum(2.0, 2.0)
     limit = xlog.norm_limit(d)
     norms = [xlog.log_norm(d, xlog.LogNorm(r, 2.0)) for r in (2.0, 8.0, 64.0, 1024.0)]
     assert all(a >= b * (1 - 1e-12) for a, b in zip(norms, norms[1:]))
     assert norms[-1] == pytest.approx(limit, rel=1e-6)
     assert all(n >= limit * (1 - 1e-12) for n in norms)
+
+
+# -- closed forms against dense samples -----------------------------------------------
+
+
+def test_bounded_norm_is_the_bound_over_w_at_zero():
+    n = xlog.LogNorm(3.0, 1.5)
+    assert xlog.log_norm(xlog.bounded_datum(5.0), n) == 5.0 / float(n.weight(0.0))
+
+
+def test_a_spike_between_two_grid_radii_sets_the_table_norm():
+    # a spike of height 100 strictly between the neighbouring radii of a
+    # 4,001-point geometric grid next to rho = 50, zero on every grid radius
+    grid = geometry.probe_grid(1e3, 4001)
+    k = int(np.searchsorted(grid, 50.0))
+    lo, hi = grid[k - 1], grid[k]
+    spike = 0.5 * (lo + hi)
+    rows = [0.0, lo + 0.1 * (hi - lo), spike, hi - 0.1 * (hi - lo), 2e3]
+    d = xlog.table_datum(rows, [0.0, 0.0, 100.0, 0.0, 0.0])
+    assert not np.any(d.profile(grid))
+    n = xlog.LogNorm(2.0, 2.0)
+    assert xlog.log_norm(d, n) >= 100.0 / float(n.weight(spike)) > 12.7
+
+
+def _dense_table_ratio(d, n, per_segment=200):
+    """sup |f| / w over dense samples of every segment, below the first row
+    and past the last."""
+    rho = d.rows[0]
+    edges = np.concatenate(([0.0], rho, [10.0 * rho[-1] + 10.0]))
+    x = np.concatenate([np.linspace(a, b, per_segment) for a, b in zip(edges, edges[1:])])
+    return float(np.max(np.abs(d.profile(x)) / n.weight(x)))
+
+
+@st.composite
+def tables(draw):
+    size = draw(st.integers(min_value=1, max_value=12))
+    # radii on a 0.01 lattice: np.interp's slopes stay finite
+    radii = draw(st.lists(st.integers(0, 10**6), min_size=size, max_size=size, unique=True))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size))
+    return xlog.table_datum(np.sort(radii) / 100.0, values)
+
+
+@given(tables(), st.floats(2.0, 50.0), st.floats(1.1, 4.0))
+@settings(max_examples=200, deadline=None)
+def test_table_norm_is_at_least_the_dense_supremum(d, r, m):
+    n = xlog.LogNorm(r, m)
+    # each sample rounds its interpolation and its weight: a few ulps
+    assert xlog.log_norm(d, n) >= _dense_table_ratio(d, n) * (1.0 - 8.0 * EPS)
+
+
+def _dense_log_growth_ratio(b, r, m):
+    """sup of the log-growth datum's ratio f / w: 10^6 geometric samples of
+    the ramp b rho/e on [1e-3, e], and the tail limit b 2^(-1/(m-1)), the
+    supremum of the tail ratio, which rises on rho >= e.  Returns it and
+    whether h(s) = s log s - 2p (s - r^2) stays positive on the samples."""
+    p = 1.0 / (m - 1.0)
+    rho = np.geomspace(1e-3, xlog.RAMP_EDGE, 10**6)
+    s = r * r + rho * rho
+    ramp = b / xlog.RAMP_EDGE * (rho ** (m - 1.0) / np.log(s)) ** p
+    no_root = bool(np.all(s * np.log(s) - 2.0 * p * (s - r * r) > 0.0))
+    return max(float(np.max(ramp)), b * 2.0 ** (-1.0 / (m - 1.0))), no_root
+
+
+@given(st.floats(1e-3, 1e3), st.floats(2.0, 1e3), st.floats(1.003, 4.0))
+@settings(max_examples=40, deadline=None)
+def test_log_growth_norm_is_the_dense_supremum(b, r, m):
+    got = xlog.log_norm(xlog.log_growth_datum(b, m), xlog.LogNorm(r, m))
+    dense, no_root = _dense_log_growth_ratio(b, r, m)
+    assert dense <= got <= dense * (1.0 + 1e-9)
+    if no_root:  # the ramp rises up to e: the norm is the tail limit
+        assert got == b * 2.0 ** (-1.0 / (m - 1.0))
+
+
+@pytest.mark.parametrize("m, r", [(1.15, 2.0), (1.002, 2.0), (1.01, 2.5), (1.2, 2.0)])
+def test_log_growth_norm_in_the_ramp(m, r):
+    # below m of about 1.22 at r = 2 the supremum sits in the ramp, past the
+    # tail limit, and no weight of the ramp overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = xlog.log_norm(xlog.log_growth_datum(1.0, m), xlog.LogNorm(r, m))
+    dense, no_root = _dense_log_growth_ratio(1.0, r, m)
+    assert not no_root and dense <= got <= dense * (1.0 + 1e-9)
+    assert got > 2.0 ** (-1.0 / (m - 1.0))
+    if (m, r) == (1.15, 2.0):
+        assert got == pytest.approx(0.0171166865, rel=1e-9)
