@@ -101,15 +101,29 @@ runs on a window, the leading w cells of the grid, when its boundary value
 v_b is +0.0, the old field and the start end in zeros, the start holds no
 -0.0 and the zero cells' Jacobian coupling q = dt max(coeff) m
 ``JACOBIAN_EPS`` (``Integrator.coupling``) is at most 1/4.  w is the
-larger ``end`` of the two fields plus a margin (``_window_margin``), the
-cells in which a right-hand side entry up to 2^64 decays below half the
-smallest subnormal at the rate r = q/(1-q) per cell.  The residual, the
-Jacobian, ``dgtsv`` and the line search then work on a ``Window``: views
-of the integrator's buffers over those cells, made when w changes and kept
-for the next solve.  The returned field is +0.0 past the window.  The
-window is off, at the cost of one scalar compare, when v_b is not +0.0
-(every blow-up stage), when the last cell of either field is nonzero,
-when the start holds a -0.0 cell and when q > 1/4.
+larger ``end`` of the two fields plus a margin (``_window_margin``, which
+``scale`` sets once per step size), the cells in which a right-hand side
+entry up to 2^64 decays below half the smallest subnormal at the rate
+r = q/(1-q) per cell.  The residual, the Jacobian, ``dgtsv`` and the line
+search then work on a ``Window``: views of the integrator's buffers over
+those cells, made when w changes and kept for the next solve.  The
+returned field is +0.0 past the window.  The window is off, at the cost of
+one scalar compare, when v_b is not +0.0 (every blow-up stage), when the
+last cell of either field is nonzero, when the start holds a -0.0 cell and
+when q > 1/4.
+
+The bookkeeping of a solve stays on its window.  The ends come without a
+scan of the whole grid: the old field's is its level's when it is the
+newest level; a guessed start's is the bound ``guess`` returns, the
+largest end of the levels, past which it wrote +0.0, and the -0.0 scan
+reads only the cells before that bound; and ``step`` takes the returned
+field's ``end`` over the cells of the solve that produced it, past which
+the field is +0.0 (``Integrator.end`` scans a window's cells only).  The
+bound may exceed the guess's own end, and then so does w; any w at or
+above the one the scanned end gives keeps the whole grid's floats, since
+the argument below needs only that both fields are +0.0 from the window's
+last row on.  A start that ``guess`` did not write comes without a bound
+and is scanned.
 
 The window gives the whole grid's floats, bit for bit.  Say the iterate u
 and the old field are +0.0 (u) and zero (u_old) on the window's last row
@@ -185,6 +199,21 @@ ufunc call took 785 ns as ``np.multiply(a, b, out=o)`` and 678 ns as
 Xeon VM).  It is the same ufunc on the same operands with the same
 casting, so every float is the same; ``tests/test_solver.py`` pins the
 calls of a residual evaluation and of a Newton iteration.
+
+Their scalar operands are 0-d float64 arrays, never Python floats or
+ints: m and m - 1 (``Integrator.m_op``, ``m1_op``), ``JACOBIAN_EPS`` and
+1.0 (``_EPS``, ``_ONE``), the quartic's 5 and 10, and the int64 zero
+``end`` compares the field's bits with, bound once; the step size, the
+line search's lam and the guess's weights, written into 0-d arrays of
+the integrator before each use.  A ufunc converts a Python scalar into a
+0-d array on every call: at 250 cells ``_multiply(2.0, x, out)`` took
+0.54 us and ``_multiply(two, x, out)``, ``two`` a 0-d array, 0.34 us, and
+``_power(x, 2.0, out)`` 0.63 us against 0.44 us (best of 5 timeit
+batches; Python 3.11, numpy 2.4, one core of a Xeon VM).  The float64
+array and the 0-d float64 array select the float64 loop that the Python
+float does, under NEP 50 on numpy 2 and under value-based casting on
+numpy 1.24, and the loop sees the same operand, so every float is the
+same.
 
 The kernel's reductions go by arg-index, through the methods
 ``_argmax = np.ndarray.argmax``, ``_argmin = np.ndarray.argmin`` and
@@ -305,6 +334,19 @@ _isfinite, _not_equal, _copyto = np.isfinite, np.not_equal, np.copyto
 # the reductions, by arg-index: ``_item(x, _argmax(x))`` is max(x) and
 # ``_item(flags, _argmin(flags))`` all(flags) (module docstring)
 _argmax, _argmin, _item = np.ndarray.argmax, np.ndarray.argmin, np.ndarray.item
+
+
+def _operand(x, dtype=np.float64) -> np.ndarray:
+    """A read-only 0-d array holding ``x``: the kernel's constant ufunc
+    operands, which a Python scalar would pass more slowly (module
+    docstring)."""
+    op = np.array(x, dtype=dtype)
+    op.flags.writeable = False
+    return op
+
+
+_ONE, _FIVE, _TEN, _EPS = _operand(1.0), _operand(5.0), _operand(10.0), _operand(JACOBIAN_EPS)
+_ZERO_BITS = _operand(0, np.int64)  # +0.0 read as an int64
 
 
 def tau_h(h: float, scale: float = 1.0) -> float:
@@ -483,7 +525,10 @@ class Window:
         # which entries of the Jacobian, and of a Newton direction, are finite
         self.jac_finite = work.finite[: 3 * w - 2]
         self.finite = self.jac_finite[:w]
-        self.m = work.m
+        # which cells of a field are not +0.0, and the same from the last back
+        self.nonzero = work.nonzero[:w]
+        self.nonzero_from_end = self.nonzero[::-1]
+        self.m = work.m_op
 
     def residual(self, u_old, u, u_abs, g) -> float:
         """Write |u| to ``u_abs`` and the residual of the step from ``u_old``
@@ -508,19 +553,27 @@ class Integrator:
     their Newton solves and ``levels``, the last five accepted (step size,
     field, ``end`` of the field) triples, oldest first.
 
-    ``scale`` sets the dt-scaled coefficients and the zero cells'
-    ``coupling``, recomputing them only when the step size changes.  ``window_end`` gives
-    the cells a solve runs on.  After a solve, ``boundary_jump`` is
-    v_b - v[-1] of the last residual it evaluated: the returned field's when
-    the solve converged.  ``guess`` extrapolates ``levels`` to the next
-    step.  The fields in ``levels`` are the ones ``step`` was handed and
-    returned; they are read, never written.
+    ``scale`` sets the dt-scaled coefficients, the zero cells'
+    ``coupling`` and the window ``margin``, recomputing them only when the
+    step size changes.  ``window_end`` gives the cells a solve runs on, and
+    ``window`` holds the views over them after the solve.  After a solve,
+    ``boundary_jump`` is v_b - v[-1] of the last residual it evaluated: the
+    returned field's when the solve converged.  ``guess`` extrapolates
+    ``levels`` to the next step.  The fields in ``levels`` are the ones
+    ``step`` was handed and returned; they are read, never written.
     """
 
     def __init__(self, grid: RadialGrid, m: float):
         n = grid.cells
         self.grid, self.m = grid, m
         self.dt = self.coupling = math.nan  # the step size of the coefficients below
+        self.margin = 0
+        # the scalar operands of the kernel's ufunc calls, as 0-d arrays: m
+        # and m - 1, and the step size, the line search's lam and the
+        # guess's weights, written before each use
+        self.m_op, self.m1_op = _operand(m), _operand(m - 1.0)
+        self.dt_op, self.lam_op = np.empty(()), np.empty(())
+        self.weights = np.empty(()), np.empty(()), np.empty(())
         # [coeff_plus | coeff_minus], scaled by dt into ``coeffs`` and negated
         # into ``neg``; a ``Window``'s cp, cm and Jacobian off-diagonal
         # factors -cp[:-1] and -cm[1:] are views of those two buffers
@@ -537,9 +590,8 @@ class Integrator:
         # a solve handed this buffer as its start begins from its contents
         # without copying them; every solve begins by filling it
         self.start = self.u
-        # which cells of a field are not +0.0, and the same from the last back
+        # which cells of a field are not +0.0 (``end``)
         self.nonzero = self.scratch.view(np.bool_)[:n]
-        self.nonzero_from_end = self.nonzero[::-1]
         # the views over all cells, and those of the last solve, which the
         # next one reuses when it runs on the same cells
         self.whole = self.window = Window(self, n)
@@ -547,37 +599,48 @@ class Integrator:
 
     def scale(self, dt: float):
         """Scale the face coefficients and the Jacobian factors by ``dt``,
-        and set ``coupling``, the q of the window margin, for that step
-        size."""
+        and set ``coupling``, the q of the window margin, and the
+        ``margin`` for that step size."""
         if dt != self.dt:
-            _multiply(dt, self.coeff_pm, self.coeffs)
+            self.dt_op[()] = dt
+            _multiply(self.dt_op, self.coeff_pm, self.coeffs)
             _add(self.whole.cp, self.whole.cm, self.c_diag)
             _negative(self.coeffs, self.neg)
             self.dt = dt
             # the largest off-diagonal Jacobian entry of a zero cell, where
             # dv = m (0 + eps)
             self.coupling = dt * self.coeff_max * (JACOBIAN_EPS * self.m)
+            self.margin = _window_margin(self.coupling)
 
-    def window_end(self, u_old, start, v_b) -> int:
+    def window_end(self, u_old, start, v_b, bound=None) -> int:
         """The number of leading cells a solve from ``u_old`` with the zero
         boundary value ``v_b``, beginning at ``start`` (``u_old`` if None),
         runs on: the window margin past the ``end`` of either; all cells
-        when the window is off (module docstring).  Both fields are native
-        float64, as ``step`` makes every field it solves from."""
+        when the window is off (module docstring).  ``bound``, given with a
+        start, is a cell past which the start is +0.0 (the one ``guess``
+        returns) and stands in for its ``end``; a start without one is
+        scanned.  Both fields are native float64, as ``step`` makes every
+        field it solves from."""
         n = self.grid.cells
         first = u_old if start is None else start
         if not (u_old[-1] == 0.0 and first[-1] == 0.0):
             return n
-        margin = _window_margin(self.coupling)
+        margin = self.margin
         if not margin or math.copysign(1.0, v_b) < 0.0:
             return n
-        bits = first.view(np.int64)
-        if _item(bits, _argmin(bits)) == _NEGATIVE_ZERO_BITS:
+        end = self.levels[-1][2] if self.continues(u_old) else self.end(u_old)
+        if start is None:
+            bound = end
+        elif bound is None:
+            bound = self.end(start)
+        w = max(end, bound) + margin
+        if w >= n:
             return n
-        end = self.end(first)
-        if first is not u_old:
-            end = max(end, self.levels[-1][2] if self.continues(u_old) else self.end(u_old))
-        return min(n, end + margin)
+        if bound:  # the start is +0.0 from ``bound`` on, so -0.0 only before it
+            bits = first[:bound].view(np.int64)
+            if _item(bits, _argmin(bits)) == _NEGATIVE_ZERO_BITS:
+                return n
+        return w
 
     @property
     def boundary_jump(self) -> float:
@@ -587,20 +650,24 @@ class Integrator:
         """Whether ``u`` is the newest level's field itself."""
         return bool(self.levels) and u is self.levels[-1][1]
 
-    def end(self, u) -> int:
+    def end(self, u, win: Optional[Window] = None) -> int:
         """One past the last cell of the float64 field ``u`` whose bits are
-        not those of +0.0."""
-        n = self.grid.cells
-        if u[-1] != 0.0:
-            return n
-        nonzero = self.nonzero_from_end
-        _not_equal(u.view(np.int64), 0, self.nonzero)
-        k = int(_argmax(nonzero))  # 0 when every cell is +0.0
-        return n - k if _item(nonzero, k) else 0
+        not those of +0.0.  Only the cells of ``win`` (default all) are
+        scanned: ``u`` must be +0.0 past them."""
+        if win is None:
+            win = self.whole
+        w = win.w
+        if u[w - 1] != 0.0:
+            return w
+        nonzero = win.nonzero_from_end
+        _not_equal(u[:w].view(np.int64), _ZERO_BITS, win.nonzero)
+        k = _argmax(nonzero)  # 0 when every cell is +0.0
+        return w - int(k) if _item(nonzero, k) else 0
 
-    def guess(self, d: float) -> Optional[np.ndarray]:
+    def guess(self, d: float) -> tuple[Optional[np.ndarray], Optional[int]]:
         """The field ``d`` past the newest level, written into ``start``
-        through ``scratch``; None from one level.
+        through ``scratch``, and a cell past which it is +0.0; (None, None)
+        from one level.
 
         When ``d`` and the last four steps have one size, the guess is the
         quartic through the last five levels, with the constant
@@ -609,11 +676,12 @@ class Integrator:
         steps) from three or more.  Each form is evaluated left to right, as
         the expression ``w0 * u0 + w1 * u1 + ...`` would be, on the cells
         before the largest ``end`` of the levels; past it every form gives
-        +0.0, which is written there.
+        +0.0, which is written there, and that ``end`` is the cell returned.
+        The weights are 0-d arrays (module docstring).
         """
         levels = self.levels
         if len(levels) < 2:
-            return None
+            return None, None
         out, tmp = self.start, self.scratch
         e = levels[-1][2]
         if e < self.grid.cells:
@@ -629,22 +697,28 @@ class Integrator:
             and levels[4][0] == d
         ):
             (_, u4, _), (_, u3, _), (_, u2, _), (_, u1, _), (_, u0, _) = levels
-            _multiply(5.0, u0, out)
-            _subtract(out, _multiply(10.0, u1, tmp), out)
-            _add(out, _multiply(10.0, u2, tmp), out)
-            _subtract(out, _multiply(5.0, u3, tmp), out)
+            _multiply(_FIVE, u0, out)
+            _subtract(out, _multiply(_TEN, u1, tmp), out)
+            _add(out, _multiply(_TEN, u2, tmp), out)
+            _subtract(out, _multiply(_FIVE, u3, tmp), out)
             _add(out, u4, out)
-        elif len(levels) == 2:
+            return self.start, e
+        w0, w1, w2 = self.weights
+        if len(levels) == 2:
             (_, u1, _), (a, u0, _) = levels
-            _multiply(_subtract(u0, u1, tmp), d / a, tmp)
+            w0[()] = d / a
+            _multiply(_subtract(u0, u1, tmp), w0, tmp)
             _add(u0, tmp, out)
         else:
             (_, u2, _), (b, u1, _), (a, u0, _) = levels[-3:]
             ab = a + b
-            _multiply((d + a) * (d + ab) / (a * ab), u0, out)
-            _add(out, _multiply(-d * (d + ab) / (a * b), u1, tmp), out)
-            _add(out, _multiply(d * (d + a) / (ab * b), u2, tmp), out)
-        return self.start
+            w0[()] = (d + a) * (d + ab) / (a * ab)
+            w1[()] = -d * (d + ab) / (a * b)
+            w2[()] = d * (d + a) / (ab * b)
+            _multiply(w0, u0, out)
+            _add(out, _multiply(w1, u1, tmp), out)
+            _add(out, _multiply(w2, u2, tmp), out)
+        return self.start, e
 
 
 # -0.0 read as an int64: the smallest int64, below the bits of every other float
@@ -676,11 +750,12 @@ def _window_holds(info, w, delta, d) -> bool:
     return delta[-1] == 0.0 and 0.5 <= abs(d[-1]) < 2.0
 
 
-def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None):
+def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None, bound=None):
     """Solve the implicit cell balance; returns (u, converged, residual).
 
     The iteration starts from ``start`` (default ``u_old``), which may be
-    the integrator's own ``start`` buffer; the target residual comes from
+    the integrator's own ``start`` buffer, and ``bound``, if given, is a
+    cell past which the start is +0.0; the target residual comes from
     ``u_old`` either way.  ``work`` is the run's ``Integrator``, whose grid
     and m the solve reads; the returned field is a copy, never one of its
     buffers.  Fails (``converged`` False) on a singular Jacobian or on any
@@ -690,11 +765,13 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None):
     The solve runs on the leading ``work.window_end`` cells (module
     docstring).  On a window every LAPACK call is checked, and when a check
     fails the solve goes on from the same point on the whole grid, with
-    the iterations it has left.
+    the iterations it has left.  ``work.window`` is left on the cells of
+    the last iteration, past which the returned field is +0.0.
     """
     work.scale(dt)
     n, m = work.grid.cells, work.m
-    w = n if v_b != 0.0 else work.window_end(u_old, start, v_b)
+    m_op, m1_op, lam_op = work.m_op, work.m1_op, work.lam_op
+    w = n if v_b != 0.0 else work.window_end(u_old, start, v_b, bound)
     while True:
         win = work.window
         if win.w != w:
@@ -727,11 +804,11 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None):
                 return u.base.copy(), True, g_norm
             if not math.isfinite(g_norm):
                 return u.base.copy(), False, g_norm
-            _power(u_abs, m - 1.0, dv)
-            _add(dv, JACOBIAN_EPS, dv)
-            _multiply(dv, m, dv)
+            _power(u_abs, m1_op, dv)
+            _add(dv, _EPS, dv)
+            _multiply(dv, m_op, dv)
             _multiply(c_diag, dv, diag)
-            _add(diag, 1.0, diag)
+            _add(diag, _ONE, diag)
             _multiply(c_upper, dv_upper, upper)
             _multiply(c_lower, dv_lower, lower)
             # arguments evaluate left to right: the flags, then their argmin
@@ -750,7 +827,8 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None):
                 if lam == 1.0:
                     _add(u, delta, trial)
                 else:
-                    _add(u, _multiply(lam, delta, trial), trial)
+                    lam_op[()] = lam
+                    _add(u, _multiply(lam_op, delta, trial), trial)
                 g_trial_norm = residual(old, trial, trial_abs, g_trial)
                 if g_trial_norm < (1.0 - 0.25 * lam) * g_norm or g_trial_norm <= target:
                     u, trial = trial, u
@@ -761,7 +839,8 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None):
                 lam *= 0.5
             else:
                 # no trial accepted: take the smallest step, not yet evaluated
-                _add(u, _multiply(lam, delta, trial), trial)
+                lam_op[()] = lam
+                _add(u, _multiply(lam_op, delta, trial), trial)
                 u, trial = trial, u
                 g_norm = residual(old, u, u_abs, g)
         else:
@@ -801,12 +880,13 @@ def step(
     elif cfg.m != integrator.m:
         raise DomainError(f"the integrator solves m={integrator.m}, the config has m={cfg.m}")
     if integrator.continues(u):
-        levels, start = integrator.levels, integrator.guess(dt)
+        levels = integrator.levels
+        start, bound = integrator.guess(dt)
     else:
         u = np.asarray(u, dtype=float)
         _check_shape(u, grid, "field entering step")
         _check_finite(u)
-        levels, start = [(0.0, u, integrator.end(u))], None
+        levels, start, bound = [(0.0, u, integrator.end(u))], None, None
     pending = [(t, dt, 0)]
     outflow = 0.0
     solves = 0
@@ -827,10 +907,10 @@ def step(
         ub = cfg.boundary.value(t0 + d, grid.radius)
         v_b = math.copysign(abs(ub) ** cfg.m, ub)
         args = (integrator, u, v_b, d, cfg.newton_tol, cfg.newton_max_iter)
-        u_new, ok, res = _newton_solve(*args, start)
+        u_new, ok, res = _newton_solve(*args, start, bound)
         if not ok and start is not None:
             u_new, ok, res = _newton_solve(*args)
-        start = None
+        start = bound = None
         if not ok:
             failed = (u, v_b, res)
             pending.append((t0 + d / 2.0, d / 2.0, depth + 1))
@@ -839,7 +919,8 @@ def step(
         outflow += -d * grid.boundary_flux_coeff * integrator.boundary_jump
         u = u_new
     u.flags.writeable = False
-    integrator.levels = [*levels[-4:], (dt, u, integrator.end(u))]
+    # u is +0.0 past the cells of the solve that returned it
+    integrator.levels = [*levels[-4:], (dt, u, integrator.end(u, integrator.window))]
     return u, outflow
 
 
@@ -1027,13 +1108,22 @@ def existence_time(
     m: float,
     r: float = NORM_R,
 ) -> ExistenceTime:
+    """The horizon of ``u0`` in the norm ``LogNorm(r, m)`` and its r -> inf
+    limit.  DomainError, naming m, where the arithmetic underflows (m near
+    1): a norm of 0.0 for a datum that is not 0, or a horizon of 0.0, would
+    report global existence or no time at all.  (The norm limit cannot
+    underflow where the horizon does not: a^(m-1) underflows first.)"""
     a = supersolution_amplitude(consts.c_prime, m)
     lognorm = LogNorm(r, m)
     norm = log_norm(u0, lognorm)
     if norm == 0.0:
+        if not u0.vanishes:
+            raise DomainError(f"the weighted norm of u0 underflows to 0 at m={m!r}")
         return ExistenceTime(math.inf, math.inf, True, norm, lognorm)
     lim_norm = norm_limit(u0, m)
     time = horizon_time(a, norm, m)
+    if time == 0.0:
+        raise DomainError(f"the existence time underflows to 0 at m={m!r}")
     if lim_norm == 0.0:
         return ExistenceTime(time, math.inf, True, norm, lognorm)
     return ExistenceTime(time, horizon_time(a, lim_norm, m), False, norm, lognorm)

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
+from .geometry import MAX_RHO_MAX
 
 TAIL_FORMS = ("log-growth", "bounded")
 NORM_R = 2.0  # the weight offset r of a run that sets none
@@ -86,6 +87,12 @@ class RadialDatum:
     profile: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     tail: TailDescriptor
     rows: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    @property
+    def vanishes(self) -> bool:
+        """Whether the datum is 0 everywhere: its tail amplitude and every
+        table value are 0 (each builder's profile scales with them)."""
+        return self.tail.amplitude == 0.0 and (self.rows is None or not np.any(self.rows[1]))
 
 
 def log_norm(datum: RadialDatum, norm: LogNorm) -> float:
@@ -220,7 +227,9 @@ def table_datum(table_rho, table_values) -> RadialDatum:
     """The rows (table_rho, table_values) interpolated linearly, held at the
     first value below the first row and at the last beyond the last row:
     bounded by |last value| past the last row.  The rows are finite, with
-    strictly increasing radii from rho >= 0."""
+    strictly increasing radii from rho >= 0 up to ``geometry.MAX_RHO_MAX``,
+    past which the norm's w(rho_N) would form an infinite rho^2 (from
+    about 1.3e154)."""
     rho = np.array(table_rho, dtype=float)
     values = np.array(table_values, dtype=float)
     if rho.size == 0 or rho.shape != values.shape or rho.ndim != 1:
@@ -229,6 +238,8 @@ def table_datum(table_rho, table_values) -> RadialDatum:
         raise DomainError("table radii must be strictly increasing")
     if not (0.0 <= rho[0] and math.isfinite(rho[-1]) and np.all(np.isfinite(values))):
         raise DomainError("table entries must be finite, with radii >= 0")
+    if rho[-1] > MAX_RHO_MAX:
+        raise DomainError(f"table radii must be at most {MAX_RHO_MAX:g}, got {rho[-1]:g}")
 
     def profile(x):
         return np.interp(x, rho, values)

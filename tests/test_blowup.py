@@ -315,8 +315,8 @@ def stage_run(carried):
     solve_ball = blowup.solve_ball
     fields, solves, moves, first_step_solves, lapack = [], [], [0.0], [], [0]
 
-    def recording_solve(work, u_old, v_b, d, tol, max_iter, start=None):
-        out = newton_solve(work, u_old, v_b, d, tol, max_iter, start)
+    def recording_solve(work, u_old, v_b, d, tol, max_iter, start=None, bound=None):
+        out = newton_solve(work, u_old, v_b, d, tol, max_iter, start, bound)
         grid, m = work.grid, work.m
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))

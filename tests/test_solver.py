@@ -219,14 +219,17 @@ def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
     return u, g_norm <= target, g_norm
 
 
-def plain_step_kernel(work, u_old, v_b, dt, tol, max_iter, start=None):
+def plain_step_kernel(work, u_old, v_b, dt, tol, max_iter, start=None, bound=None):
     """``plain_newton_solve`` as ``step`` calls it, on the grid and m of
     ``work``: it also leaves in the workspace the boundary jump that
     ``step`` reads, computed from the returned field as v_b - sign(u)|u|^m
-    at its last cell."""
+    at its last cell, and the whole grid as the cells of the solve, past
+    which ``step`` takes the field to be +0.0.  The start's ``bound`` is
+    not read."""
     grid, m = work.grid, work.m
     u, ok, res = plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start)
     work.jump[-1] = v_b - float(odd_power(u[-1:], m)[0])
+    work.window = work.whole
     return u, ok, res
 
 
@@ -686,8 +689,8 @@ def test_guess_reproduces_polynomial_fields(case):
     levels, d, exact, weights = case
     integrator = solver.Integrator(RadialGrid.uniform(geometry.euclidean(2), 1.0, len(exact)), 2.0)
     integrator.levels = [(s, u, integrator.end(u)) for s, u in levels]
-    guess = integrator.guess(d)
-    assert guess is integrator.start
+    guess, bound = integrator.guess(d)
+    assert guess is integrator.start and integrator.end(guess) <= bound
     used = [u for _, u in levels[-len(weights) :]]
     underflow = (sum(map(abs, weights)) + 4) * Fraction(2) ** -1074
     for i, want in enumerate(exact):
@@ -726,7 +729,11 @@ def test_guess_before_the_levels_ends_is_bitwise_the_guess_on_every_cell(case):
     whole.levels = [(s, u, grid.cells) for s, u in levels]
     np.copyto(windowed.start, np.nan)  # the guess writes every cell
     with np.errstate(all="ignore"):
-        assert same_bytes(windowed.guess(d), whole.guess(d))
+        (got, bound), (want, whole_bound) = windowed.guess(d), whole.guess(d)
+    assert same_bytes(got, want)
+    # the bound is the largest end of the levels, past which the guess is +0.0
+    assert bound == max(end for _, _, end in windowed.levels) and whole_bound == grid.cells
+    assert windowed.end(got) <= bound
 
 
 def test_end_is_one_past_the_last_cell_that_is_not_plus_zero():
@@ -745,7 +752,7 @@ def test_end_is_one_past_the_last_cell_that_is_not_plus_zero():
 def test_one_level_gives_no_guess():
     integrator = solver.Integrator(RadialGrid.uniform(geometry.euclidean(2), 1.0, 4), 2.0)
     integrator.levels = [(0.0, np.ones(4))]
-    assert integrator.guess(0.1) is None
+    assert integrator.guess(0.1) == (None, None)
 
 
 def test_uniform_steps_take_the_quartic_and_fewer_newton_iterations():
@@ -806,7 +813,8 @@ def test_step_after_a_failed_prediction_is_the_start_free_step(case):
     integrator.levels = [(0.0, u_old, grid.cells)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "dgtsv", singular_first)
-        mp.setattr(solver.Integrator, "guess", lambda self, d: np.full(grid.cells, 0.5))
+        # a start the guess did not write comes without a bound
+        mp.setattr(solver.Integrator, "guess", lambda self, d: (np.full(grid.cells, 0.5), None))
         got = run_step(u_old, dt, grid, cfg, integrator)
     assert calls
     if isinstance(want, str):
@@ -831,8 +839,8 @@ def recorded_run(u0, cfg, grid, handed="integrator"):
     real_solve, step = solver._newton_solve, solver.step
     run = SimpleNamespace(solves=[], moves=[0.0], works=[], outflows=[])
 
-    def recording_solve(work, u_old, v_b, d, tol, max_iter, start=None):
-        out = real_solve(work, u_old, v_b, d, tol, max_iter, start)
+    def recording_solve(work, u_old, v_b, d, tol, max_iter, start=None, bound=None):
+        out = real_solve(work, u_old, v_b, d, tol, max_iter, start, bound)
         grid, m = work.grid, work.m
         run.works.append(work)
         if out[1]:
@@ -1217,6 +1225,22 @@ KERNEL_NAMES = [
 ]
 
 
+def counted(name, fn, calls):
+    """``fn`` appending its name, and the keywords it gets, to ``calls``.  It
+    fails on a positional Python float or int, which a ufunc would convert
+    on every call: the kernel's scalar operands are 0-d arrays (module
+    docstring).  ``dgtsv``'s overwrite flags are f2py integer arguments,
+    not ufunc operands."""
+
+    def call(*args, **kw):
+        calls.append(f"{name} with {sorted(kw)}" if kw else name)
+        scalars = [a for a in args if type(a) in (bool, int, float)]
+        assert name == "dgtsv" or not scalars, f"{name} got Python scalars {scalars}"
+        return fn(*args, **kw)
+
+    return call
+
+
 def test_a_blowup_step_makes_the_pinned_kernel_calls(monkeypatch):
     # one barrier-Dirichlet step of the blow-up run's shape (quad-critical,
     # R = 25, 250 cells) from a field that starts a history: the field is
@@ -1230,16 +1254,8 @@ def test_a_blowup_step_makes_the_pinned_kernel_calls(monkeypatch):
     want, want_outflow = solver.step(u0, 0.0, 1e-3, grid, cfg)
 
     calls = []
-
-    def counted(name, fn):
-        def call(*args, **kw):
-            calls.append(f"{name} with {sorted(kw)}" if kw else name)
-            return fn(*args, **kw)
-
-        return call
-
     for name in KERNEL_NAMES:
-        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name), calls))
     got, outflow = solver.step(u0, 0.0, 1e-3, grid, cfg)
     monkeypatch.undo()
     assert same_bytes(got, want) and same_bytes(outflow, want_outflow)
@@ -1252,6 +1268,83 @@ def test_a_blowup_step_makes_the_pinned_kernel_calls(monkeypatch):
         + ["_argmax", "_item"]
         + (NEWTON_ITERATION_CALLS + RESIDUAL_CALLS) * iterations
     )
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5], ids=["linear", "quadratic", "quartic"])
+def test_a_windowed_step_scans_only_its_window(monkeypatch, steps):
+    # a step of the J = 4000 Barenblatt run after ``steps`` steps, so that
+    # its guess takes each form: the -0.0 scan of the guess (the int64
+    # argmin) reads only the cells before the guess's bound, and the end of
+    # the returned field (``_not_equal``) only the window's cells; no call
+    # of the kernel gets a Python scalar, and every float is the whole
+    # grid's
+    grid = RadialGrid.uniform(geometry.euclidean(2), 6.0, 4000)
+    dt = 0.5 * grid.h
+    cfg = solver.SolverConfig(m=2.0, dt=solver.DtPolicy(dt0=dt, growth=1.0), t_end=steps * dt)
+    u0 = solver.barenblatt(grid.centers, 1.0, 2, 2.0, 0.25)
+    integrator = solver.Integrator(grid, 2.0)
+    u = solver.solve_ball(u0, cfg, grid, integrator=integrator).final
+    levels = list(integrator.levels)
+    plain = solver.Integrator(grid, 2.0)
+    plain.levels = list(levels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton_solve", plain_step_kernel)
+        want, want_outflow = solver.step(u, steps * dt, dt, grid, cfg, plain)
+
+    calls, scanned = [], []
+
+    def scanning(name, fn):
+        def call(*args):
+            scanned.append((name, *[(a.size, a.dtype) for a in args if isinstance(a, np.ndarray)]))
+            return fn(*args)
+
+        return call
+
+    for name in KERNEL_NAMES:
+        fn = getattr(solver, name)
+        if name in ("_not_equal", "_argmin"):
+            fn = scanning(name, fn)
+        monkeypatch.setattr(solver, name, counted(name, fn, calls))
+    counting, rows = recorded_dgtsv(solver.dgtsv)
+    monkeypatch.setattr(solver, "dgtsv", counting)
+    got, outflow = solver.step(u, steps * dt, dt, grid, cfg, integrator)
+    monkeypatch.undo()
+    assert same_bytes(got, want) and same_bytes(outflow, want_outflow)
+
+    w = rows[0]
+    assert w < 4000 and rows == [w] * len(rows)
+    bound = max(end for _, _, end in levels)
+    bits = [a[0][0] for name, *a in scanned if name == "_argmin" and a[0][1] == np.int64]
+    assert bits == [bound] and bound < w
+    not_equal = [a for name, *a in scanned if name == "_not_equal"]
+    assert len(not_equal) == 1 and {size for size, _ in not_equal[0]} <= {w, 1}
+    assert integrator.levels[-1][2] == integrator.end(got) < w
+
+
+@given(
+    st.integers(min_value=3, max_value=80).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.sampled_from([0.0, 0.0, -0.0, 5e-324, 1.0, -2.5]), min_size=n, max_size=n
+            ),
+            st.integers(min_value=1, max_value=n),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+@example(([0.0] * 5, 1))
+@example(([0.0] * 5, 5))
+@example(([-0.0, 0.0, 0.0], 1))
+def test_end_over_a_window_is_the_end_over_the_grid(case):
+    # ``end`` scans only the window's cells, past which the field is +0.0:
+    # all-zero fields, a window of one cell and -0.0 or subnormal last cells
+    values, w = case
+    u = np.array(values)
+    u[w:] = 0.0
+    integrator = solver.Integrator(RadialGrid.uniform(geometry.euclidean(2), 1.0, u.size), 2.0)
+    want = integrator.end(u)
+    assert integrator.end(u, solver.Window(integrator, w)) == want
+    assert type(want) is int and want == max(np.flatnonzero(u.view(np.int64)) + 1, default=0)
 
 
 # The kernel reduces by arg-index (module docstring): a maximum of entries
@@ -1682,8 +1775,8 @@ def test_scaling_group(manifold, m, lam):
     moves = []  # [run from u0, run from lam u0]
     real_solve = solver._newton_solve
 
-    def recording_solve(work, u_old, v_b, d, tol, max_iter, start=None):
-        out = real_solve(work, u_old, v_b, d, tol, max_iter, start)
+    def recording_solve(work, u_old, v_b, d, tol, max_iter, start=None, bound=None):
+        out = real_solve(work, u_old, v_b, d, tol, max_iter, start, bound)
         grid, m = work.grid, work.m
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
@@ -1984,6 +2077,23 @@ def test_existence_time_zero_datum():
     datum = xlog.table_datum(rho, np.zeros_like(rho))
     et = solver.existence_time(datum, FakeConsts(), 2.0)
     assert et.global_flag and et.time == math.inf
+
+
+@pytest.mark.parametrize(
+    "m, what",
+    [(1.0003, "weighted norm of u0"), (1.001, "existence time")],
+    ids=["norm-underflows", "time-underflows"],
+)
+def test_existence_time_refuses_an_m_whose_arithmetic_underflows(m, what):
+    # at m = 1.0003 the norm of log-growth(1), the tail limit 2^-3333 and the
+    # ramp bound, is 0.0, which read as the zero datum's would certify global
+    # existence; at m = 1.001 the norm is 1.6e-144 but a^(m-1) underflows, so
+    # the horizon would be 0.0
+    class FakeConsts:
+        c_prime = 2.0
+
+    with pytest.raises(DomainError, match=f"^the {what} underflows to 0 at m={m!r}$"):
+        solver.existence_time(xlog.log_growth_datum(1.0, m), FakeConsts(), m)
 
 
 def solve_report(excess, tol):

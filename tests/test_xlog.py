@@ -78,6 +78,17 @@ def test_table_rows_are_finite_from_rho_zero(rho, values):
         xlog.table_datum(rho, values)
 
 
+def test_a_table_past_the_largest_radius_is_refused_without_a_warning():
+    # w(rho_N) forms rho^2, infinite past about 1.3e154: the table is refused
+    # before the norm, and at the largest radius the norm is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^table radii must be at most 1e\+150, got 1e\+200$"):
+            xlog.table_datum([0.0, 1e200], [1.0, 5.0])
+        datum = xlog.table_datum([0.0, geometry.MAX_RHO_MAX], [1.0, 5.0])
+        assert math.isfinite(xlog.log_norm(datum, xlog.LogNorm(2.0, 2.0)))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "form, field",
