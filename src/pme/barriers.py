@@ -57,9 +57,11 @@ def horizon_time(a, norm, m):
 
 
 def separable_envelopes(times, horizon, m, scale, profile) -> np.ndarray:
-    """One row blowup_factor(t, horizon, m) * scale * profile per time; each
-    factor is a Python float, as when the envelope is evaluated at one time."""
-    factors = np.array([blowup_factor(float(t), horizon, m) * scale for t in times])
+    """One row blowup_factor(t, horizon, m) * scale * profile per time.  The
+    times are Python floats (``Trajectory.times``), and each factor is the
+    Python float ``blowup_factor`` gives, its exponent -1/(m-1) computed once."""
+    e = -1.0 / (m - 1.0)
+    factors = np.array([(1.0 - t / horizon) ** e * scale for t in times])
     return factors[:, None] * profile
 
 

@@ -23,13 +23,17 @@ and the ratio without a solve.  Total duration tau = sum S_k stays below
 ``stage_epsilon`` enforces and the ledger re-checks on its recorded values.
 
 ``run_blowup`` adds what needs the field: the shift delta_n, the stage
-solve, the sandwich audit and the recorded norm.  One ``solver.Integrator``
-runs every stage, so each stage's first step is predicted from the last
-stage's levels, and the unit profile is evaluated on the cells once per
-run: each stage's W_T^m, delta_n and audit profile come from it.  It stops
-when that norm exceeds the blow-up threshold (default 1000x the initial
-norm) or the schedule ends (S_n below S_MIN_FACTOR * T_1, or the stage
-cap).
+solve, the sandwich audit and the recorded norm.  It stops when that norm
+exceeds the blow-up threshold (default 1000x the initial norm) or the
+schedule ends (S_n below S_MIN_FACTOR * T_1, or the stage cap).  So that a
+stage costs its Newton solves and little else, the run computes once the
+amplitudes, both weights and the unit profile W_1 on the cells, and one
+``solver.Integrator`` runs every stage (each stage's first step is predicted
+from the last stage's levels).  Each stage computes once W_T^m from W_1, the
+shift delta_n and its root V_n = (W_T^m - delta_n)_+^(1/m), which
+``stage_delta`` returns and the audit reads, its config objects, the
+boundary datum's time-free factor (cached by ``solver.BarrierDirichlet``)
+and its stacked fields; each envelope its exponent -1/(m-1).
 
 Each stage is audited by ``sandwich_gaps``: the stacked stage fields are
 compared at once with the separable envelopes of the shifted subsolution
@@ -146,9 +150,10 @@ def stage_schedule(ratio: float, a_hat: float, a_tilde: float, m: float, max_sta
         eps = stage_epsilon(n, T_n, S_n, T1, m)
 
 
-def stage_delta(u: np.ndarray, wm: np.ndarray, m: float) -> float:
-    """Smallest shift with u >= (W^m - delta)_+^(1/m) - 1e-14 at every cell,
-    given the values ``wm`` of W^m on the cells: 0 if delta = 0 passes.
+def stage_delta(u: np.ndarray, wm: np.ndarray, m: float) -> tuple:
+    """Smallest shift delta with u >= (W^m - delta)_+^(1/m) - 1e-14 at every
+    cell, given the values ``wm`` of W^m on the cells, and the accepted root
+    ``shift_root(wm, delta, m)``: (0, root) if delta = 0 passes.
 
     A field below -1e-14 fails at every delta (the test at max W^m), a
     StageError.  Otherwise both sides of u_i + 1e-14 >= (W^m_i - delta)_+^(1/m)
@@ -156,20 +161,22 @@ def stage_delta(u: np.ndarray, wm: np.ndarray, m: float) -> float:
     shift is the max of these, raised by doubling steps from one ulp of max
     W^m until the test passes in floats (within about 1e-13 max W^m of the least).
     """
-    hi = float(_max(wm))  # signed, so on _max: see the bindings above
 
     def admissible(delta):
-        above = u >= shift_root(wm, delta, m) - 1e-14
-        return _item(above, _argmin(above))
+        root = shift_root(wm, delta, m)
+        above = u >= root - 1e-14
+        return root if _item(above, _argmin(above)) else None
 
-    if admissible(0.0):
-        return 0.0
-    if not admissible(hi):
+    root = admissible(0.0)
+    if root is not None:
+        return 0.0, root
+    hi = float(_max(wm))  # signed, so on _max: see the bindings above
+    if admissible(hi) is None:
         raise StageError("no admissible shift: field is negative under the barrier")
     delta, step = max(float(_max(wm - (u + 1e-14) ** m)), 0.0), math.ulp(hi)
-    while not admissible(delta):
+    while (root := admissible(delta)) is None:
         delta, step = min(delta + step, hi), 2.0 * step
-    return delta
+    return delta, root
 
 
 @dataclass(frozen=True)
@@ -325,24 +332,16 @@ def run_blowup(
     status = "stalled"
     schedule = stage_schedule(ratio, a_hat, a_tilde, m, cfg.max_stages)
     for n, (eps, T_n, S_n, t_n, next_ratio) in enumerate(schedule):
-        barrier = BarrierParams(amplitude=a_hat, r=r_hat, horizon=T_n, m=m)
+        # positional fields, in the order each class declares them
+        barrier = BarrierParams(a_hat, r_hat, T_n, m)
         wm = barrier.at_horizon(unit) ** m
         try:
-            delta = stage_delta(u, wm, m)
+            delta, v_base = stage_delta(u, wm, m)
         except StageError as exc:
             raise StageError(f"stage {n}: {exc}") from exc
 
-        scfg = SolverConfig(
-            m=m,
-            dt=DtPolicy(
-                dt0=S_n / cfg.steps_per_stage,
-                growth=1.3,
-                dt_max=S_n / 10.0,
-            ),
-            t_end=S_n,
-            boundary=BarrierDirichlet(barrier, delta),
-            newton_tol=cfg.newton_tol,
-        )
+        policy = DtPolicy(S_n / cfg.steps_per_stage, 1.3, S_n / 10.0)
+        scfg = SolverConfig(m, policy, S_n, BarrierDirichlet(barrier, delta), cfg.newton_tol)
         traj = solve_ball(u, scfg, grid, integrator=integrator)
         if stage_hook is not None:
             stage_hook(n, traj)
@@ -352,27 +351,16 @@ def run_blowup(
         # The upper envelope uses a weight offset far beyond the ball, where
         # the bulk contribution to the norm washes out and only the tail
         # ratio counts (the construction lets that offset grow arbitrarily).
-        v_base = shift_root(wm, delta, m)
         norm_far = _recorded_lognorm(u, far_weight, ratio)
         s_super = horizon_time(a_tilde, norm_far, m)
         lower_gap, upper_gap = sandwich_gaps(traj, m, T_n, v_base, s_super, norm_far, far_weight)
 
         u, ratio = traj.final, next_ratio
         lognorm = _recorded_lognorm(u, weight, ratio)
-        stages.append(
-            StageRecord(
-                n=n + 1,
-                T_n=T_n,
-                S_n=S_n,
-                eps_n=eps,
-                delta_n=delta,
-                t_n=t_n,
-                liminf_est=ratio,
-                lognorm=lognorm,
-                lower_gap=lower_gap,
-                upper_gap=upper_gap,
-            )
-        )
+        stages.append(StageRecord(
+            n=n + 1, T_n=T_n, S_n=S_n, eps_n=eps, delta_n=delta, t_n=t_n, liminf_est=ratio,
+            lognorm=lognorm, lower_gap=lower_gap, upper_gap=upper_gap,
+        ))
         if lognorm >= threshold:
             status = "blown-up"
             break

@@ -113,13 +113,15 @@ def log_norm(datum: RadialDatum, norm: LogNorm) -> float:
         if t.m != norm.m:
             raise DomainError("tail descriptor exponent disagrees with the norm")
         return max(_ramp_part(t.amplitude, norm), t.amplitude * 2.0 ** (-1.0 / (norm.m - 1.0)))
-    tail_part = t.amplitude / float(norm.weight(t.rho_start))
-    if datum.rows is None:
-        return tail_part
-    rho, values = datum.rows
-    size = np.abs(values)
-    head = np.maximum(size[:-1], size[1:]) / norm.weight(rho[:-1])
-    return max(float(size[0] / norm.weight(0.0)), float(np.max(head, initial=0.0)), tail_part)
+    # a weight past the float range (m near 1) is inf, its part 0.0, refused by existence_time
+    with np.errstate(over="ignore"):
+        tail_part = t.amplitude / float(norm.weight(t.rho_start))
+        if datum.rows is None:
+            return tail_part
+        rho, values = datum.rows
+        size = np.abs(values)
+        head = np.maximum(size[:-1], size[1:]) / norm.weight(rho[:-1])
+        return max(float(size[0] / norm.weight(0.0)), float(np.max(head, initial=0.0)), tail_part)
 
 
 def _ramp_part(b: float, norm: LogNorm) -> float:

@@ -158,7 +158,9 @@ def test_stage_delta_zero_when_field_dominates():
     p = _barrier()
     rho = np.linspace(0.05, 25.0, 300)
     u = p.profile(rho) + 0.5
-    assert blowup.stage_delta(u, p.profile(rho) ** p.m, p.m) == 0.0
+    wm = p.profile(rho) ** p.m
+    delta, root = blowup.stage_delta(u, wm, p.m)
+    assert delta == 0.0 and root.tobytes() == barriers.shift_root(wm, 0.0, p.m).tobytes()
 
 
 def passes(u, v):
@@ -181,8 +183,9 @@ def test_stage_delta_matches_closed_form():
     u = np.maximum(p.profile(rho) - 0.3 * np.exp(-rho), 0.0)
     wm = p.profile(rho) ** p.m
     exact = float(np.max(wm - np.sign(u) * u**p.m))
-    got = blowup.stage_delta(u, wm, p.m)
+    got, root = blowup.stage_delta(u, wm, p.m)
     assert got == pytest.approx(exact, abs=1e-12 * float(np.max(wm)))
+    assert root.tobytes() == barriers.shift_root(wm, got, p.m).tobytes()
     assert_smallest_shift(got, u, p, rho)
 
 
@@ -231,12 +234,13 @@ def test_unit_profile_cache_is_bitwise_the_per_stage_profile(T, delta, m, amplit
         with pytest.raises(StageError):
             blowup.stage_delta(u, wm, m)
         return
-    got = blowup.stage_delta(u, wm, m)
+    got, root = blowup.stage_delta(u, wm, m)
     assert passes(u, reference_shifted_subsolution(p, got, rho))
     if got > 0.0:
         lower = max(got - 1e-13 * float(np.max(reference_wm(p, rho))), 0.0)
         assert not passes(u, reference_shifted_subsolution(p, lower, rho))
-    assert barriers.shift_root(wm, got, m).tobytes() == reference_shifted_subsolution(p, got, rho).tobytes()
+    want_root = reference_shifted_subsolution(p, got, rho).tobytes()
+    assert root.tobytes() == barriers.shift_root(wm, got, m).tobytes() == want_root
 
 
 # -- full run (desk scale) -------------------------------------------------------------
@@ -643,3 +647,111 @@ def test_early_records_as_a_prefix_equal_the_mask(case, early):
     assert got == mask_sandwich_gaps(traj, *args)
     if early == "none":
         assert got[1] == -math.inf
+
+
+def previous_separable_envelopes(times, horizon, m, scale, profile):
+    """``barriers.separable_envelopes`` with one ``blowup_factor`` call per
+    record, as it was before its exponent was computed once per call."""
+    factors = np.array([barriers.blowup_factor(float(t), horizon, m) * scale for t in times])
+    return factors[:, None] * profile
+
+
+def previous_sandwich_gaps(traj, m, horizon, v_base, s_super, norm_far, far_weight):
+    """``blowup.sandwich_gaps`` on ``previous_separable_envelopes``."""
+    fields = traj.stacked
+    low = previous_separable_envelopes(traj.times, horizon, m, 1.0, v_base)
+    lower_gap = float(np.maximum.reduce(low - fields, None))
+    early = sum(t < 0.95 * s_super for t in traj.times)
+    if not early:
+        return lower_gap, -math.inf
+    up = previous_separable_envelopes(traj.times[:early], s_super, m, norm_far, far_weight)
+    return lower_gap, float(np.maximum.reduce(fields[:early] - up, None))
+
+
+def previous_barrier_excess(traj, norm0, horizon, r, m):
+    """``solver.barrier_excess`` on ``previous_separable_envelopes``."""
+    w = xlog.LogNorm(r, m).weight(traj.grid.centers)
+    bound = previous_separable_envelopes(traj.times, horizon, m, norm0, w)
+    return float(np.max(np.abs(traj.stacked) - bound))
+
+
+def float_bytes(*xs):
+    return np.array(xs, dtype=float).tobytes()
+
+
+@given(
+    st.integers(min_value=3, max_value=40),
+    st.lists(st.floats(min_value=0.0, max_value=0.999), min_size=1, max_size=14),
+    st.floats(min_value=1e-4, max_value=10.0),
+    st.floats(min_value=1.05, max_value=4.0),
+    st.floats(min_value=1e-3, max_value=5.0),
+    st.sampled_from(["none", "all", "some"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_separable_envelopes_equal_the_per_record_factors(cells, shares, horizon, m, scale, early, seed):
+    # the factors with the exponent computed once are the per-record
+    # blowup_factor floats, so each envelope and both of its callers, the
+    # stage audit and the solve audit, give the same bytes; with no record
+    # before 0.95 s_super, every record before it, and some
+    rng = np.random.default_rng(seed)
+    grid = RadialGrid.uniform(geometry.euclidean(3), float(rng.uniform(1.0, 25.0)), cells)
+    traj = solver.Trajectory(grid=grid)
+    for share in sorted(shares):
+        traj.record(share * horizon, rng.uniform(-3.0, 3.0, cells) * rng.uniform(0.0, 1.0), 0.0)
+    profile = rng.uniform(0.0, 3.0, cells)
+    profile[rng.random(cells) < 0.2] = 0.0
+    for times in (traj.times, []):
+        got = barriers.separable_envelopes(times, horizon, m, scale, profile)
+        assert got.tobytes() == previous_separable_envelopes(times, horizon, m, scale, profile).tobytes()
+    times = traj.times
+    s_super = {
+        "none": times[0] / 0.95 / 2.0,
+        "all": 2.0 * times[-1] / 0.95 + 1e-3,
+        "some": float(rng.uniform(0.1, 2.0)) * horizon,
+    }[early]
+    args = (m, horizon, profile, s_super, scale, rng.uniform(0.5, 5.0, cells))
+    got = blowup.sandwich_gaps(traj, *args)
+    assert float_bytes(*got) == float_bytes(*previous_sandwich_gaps(traj, *args))
+    assert (got[1] == -math.inf) == (early == "none" or s_super * 0.95 <= times[0])
+    r = float(rng.uniform(2.0, 50.0))
+    got = solver.barrier_excess(traj, scale, horizon, r, m)
+    assert float_bytes(got) == float_bytes(previous_barrier_excess(traj, scale, horizon, r, m))
+
+
+def test_each_stage_audits_the_root_its_shift_accepted(monkeypatch):
+    # run_blowup audits each stage against the shifted subsolution that
+    # stage_delta accepted, which is shift_root(W^m, delta_n, m), bit for bit
+    shifts, audits = [], []
+    stage_delta, sandwich_gaps = blowup.stage_delta, blowup.sandwich_gaps
+
+    def recording_delta(u, wm, m):
+        shifts.append((wm, m))
+        return stage_delta(u, wm, m)
+
+    def recording_gaps(traj, m, horizon, v_base, *rest):
+        audits.append(v_base)
+        return sandwich_gaps(traj, m, horizon, v_base, *rest)
+
+    monkeypatch.setattr(blowup, "stage_delta", recording_delta)
+    monkeypatch.setattr(blowup, "sandwich_gaps", recording_gaps)
+    ledger = desk_run()
+    assert len(shifts) == len(audits) == len(ledger.stages)
+    assert any(s.delta_n > 0.0 for s in ledger.stages)
+    for (wm, m), v_base, stage in zip(shifts, audits, ledger.stages):
+        assert v_base.tobytes() == barriers.shift_root(wm, stage.delta_n, m).tobytes()
+
+
+def test_a_blowup_stage_never_computes_the_window_margin(monkeypatch):
+    # every stage's boundary value is not +0.0, so no solve runs on a window
+    # and no step size needs its margin
+    calls = []
+    margin = solver._window_margin
+    monkeypatch.setattr(solver, "_window_margin", lambda q: calls.append(q) or margin(q))
+    M = geometry.quad_critical(0.5, 3)
+    cfg = blowup.BlowupConfig(m=2.0, max_stages=3, steps_per_stage=25)
+    ledger = blowup.run_blowup(
+        xlog.log_growth_datum(1.0, 2.0), RadialGrid.uniform(M, 12.0, 120),
+        geometry.fit_comparison_constants(M), cfg,
+    )
+    assert len(ledger.stages) == 3 and calls == []

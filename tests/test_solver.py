@@ -5,6 +5,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -541,10 +542,10 @@ def test_a_window_after_a_whole_grid_solve_reports_a_zero_boundary_jump():
     args = front_args()
     work = solver.Integrator(args[3], 2.0)
     newton_solve(args[0] + 1.0, 4.0, *args[2:], work=work)
-    assert work.boundary_jump != 0.0
+    assert work.jump[-1] != 0.0
     u, ok, _ = newton_solve(*args, work=work)
     assert ok and u[-1] == 0.0
-    assert same_bytes(work.boundary_jump, 0.0)
+    assert same_bytes(work.jump[-1], 0.0)
 
 
 @pytest.mark.parametrize(
@@ -1312,13 +1313,37 @@ def test_a_windowed_step_scans_only_its_window(monkeypatch, steps):
     assert same_bytes(got, want) and same_bytes(outflow, want_outflow)
 
     w = rows[0]
-    assert w < 4000 and rows == [w] * len(rows)
+    assert w < 4000 and w % solver.WINDOW_QUANTUM == 0 and rows == [w] * len(rows)
     bound = max(end for _, _, end in levels)
     bits = [a[0][0] for name, *a in scanned if name == "_argmin" and a[0][1] == np.int64]
     assert bits == [bound] and bound < w
     not_equal = [a for name, *a in scanned if name == "_not_equal"]
     assert len(not_equal) == 1 and {size for size, _ in not_equal[0]} <= {w, 1}
     assert integrator.levels[-1][2] == integrator.end(got) < w
+
+
+def test_a_windowed_run_computes_its_margin_once_per_step_size(monkeypatch):
+    # ``window_end`` computes the margin of a step size when a solve first
+    # asks for it, from the integrator's coupling: in a fixed-step Barenblatt
+    # run once for dt and once for the last step, which rounding shortens.
+    # Each window is a multiple of WINDOW_QUANTUM cells, so it is rebuilt
+    # only when the support crosses one
+    grid = RadialGrid.uniform(geometry.euclidean(2), 6.0, 1000)
+    dt = 0.5 * grid.h
+    cfg = solver.SolverConfig(m=2.0, dt=solver.DtPolicy(dt0=dt, growth=1.0), t_end=40 * dt)
+    calls = []
+    margin = solver._window_margin
+    monkeypatch.setattr(solver, "_window_margin", lambda q: calls.append(q) or margin(q))
+    counting, rows = recorded_dgtsv(solver.dgtsv)
+    monkeypatch.setattr(solver, "dgtsv", counting)
+    integrator = solver.Integrator(grid, 2.0)
+    u0 = solver.barenblatt(grid.centers, 1.0, 2, 2.0, 0.25)
+    solver.solve_ball(u0, cfg, grid, integrator=integrator)
+    assert len(calls) == len(set(calls)) == 2 and calls[-1] == integrator.coupling
+    assert integrator.margin == margin(integrator.coupling) > 0
+    windows = sorted(set(rows))
+    assert windows[-1] < 1000 and all(w % solver.WINDOW_QUANTUM == 0 for w in windows)
+    assert 1 < len(windows) < 10
 
 
 @given(
@@ -2094,6 +2119,24 @@ def test_existence_time_refuses_an_m_whose_arithmetic_underflows(m, what):
 
     with pytest.raises(DomainError, match=f"^the {what} underflows to 0 at m={m!r}$"):
         solver.existence_time(xlog.log_growth_datum(1.0, m), FakeConsts(), m)
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [xlog.bounded_datum(1.0), xlog.table_datum([0.0, 1.0, 50.0], [1.0, -2.0, 0.5])],
+    ids=["bounded", "table"],
+)
+def test_a_weight_past_the_float_range_gives_only_the_domain_error(datum):
+    # at m = 1.0003 the weight log(r^2 + rho^2)^(1/(m-1)) is past the float
+    # range from rho = 0 on, so every part of the norm is 0.0: the refusal
+    # that names m is the one thing raised, with warnings as errors
+    class FakeConsts:
+        c_prime = 2.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^the weighted norm of u0 underflows to 0 at m=1\.0003$"):
+            solver.existence_time(datum, FakeConsts(), 1.0003)
 
 
 def solve_report(excess, tol):
