@@ -32,8 +32,11 @@ amplitudes, both weights and the unit profile W_1 on the cells, and one
 from the last stage's levels).  Each stage computes once W_T^m from W_1, the
 shift delta_n and its root V_n = (W_T^m - delta_n)_+^(1/m), which
 ``stage_delta`` returns and the audit reads, its config objects, the
-boundary datum's time-free factor (cached by ``solver.BarrierDirichlet``)
-and its stacked fields; each envelope its exponent -1/(m-1).
+boundary trace (read by the integrator once per stage) and its stacked
+fields; each envelope its exponent -1/(m-1), and the recorded norms in both
+weights share one |u|.  Outside ``solver.step`` a traced seed-0
+``blowup-j250`` run spent 8.6 ms in ``solve_ball``'s own code and 34.8 ms
+in ``run_blowup``'s, on a 2-vCPU VM whose speed drifts by tens of percent.
 
 Each stage is audited by ``sandwich_gaps``: the stacked stage fields are
 compared at once with the separable envelopes of the shifted subsolution
@@ -270,11 +273,13 @@ class BlowupConfig:
             raise DomainError("newton_tol must be positive, norm_r >= 2, and both finite")
 
 
-def _recorded_lognorm(u: np.ndarray, weight: np.ndarray, tail_est: float) -> float:
-    """Norm of the extended field: grid part plus analytic tail part."""
-    ratio = _absolute(u)
-    _divide(ratio, weight, ratio)  # |u|/w >= +0.0, with no -0.0 among them
-    return max(_item(ratio, _argmax(ratio)), tail_est)
+def _recorded_lognorms(u: np.ndarray, weight, far_weight, tail_est: float) -> tuple:
+    """Norms of the extended field, grid part plus analytic tail part, in
+    ``weight`` and in ``far_weight``, from one |u|."""
+    u_abs = _absolute(u)
+    ratio = _divide(u_abs, weight)  # |u|/w >= +0.0, with no -0.0 among them
+    far = _divide(u_abs, far_weight, u_abs)
+    return max(_item(ratio, _argmax(ratio)), tail_est), max(_item(far, _argmax(far)), tail_est)
 
 
 def sandwich_gaps(traj: Trajectory, m, horizon, v_base, s_super, norm_far, far_weight) -> tuple:
@@ -326,10 +331,13 @@ def run_blowup(
     unit = sub.profile_unit(grid.centers)
     integrator = Integrator(grid, m)
 
-    lognorm0 = _recorded_lognorm(u, weight, ratio)
+    # the norm of each stage's start in the run's weight and in the far
+    # weight of the audit's upper envelope, both at the stage's growth ratio
+    lognorm0, norm_far = _recorded_lognorms(u, weight, far_weight, ratio)
     threshold = cfg.threshold_factor * lognorm0
     stages: list = []
     status = "stalled"
+    steps, newton_tol = cfg.steps_per_stage, cfg.newton_tol
     schedule = stage_schedule(ratio, a_hat, a_tilde, m, cfg.max_stages)
     for n, (eps, T_n, S_n, t_n, next_ratio) in enumerate(schedule):
         # positional fields, in the order each class declares them
@@ -340,8 +348,8 @@ def run_blowup(
         except StageError as exc:
             raise StageError(f"stage {n}: {exc}") from exc
 
-        policy = DtPolicy(S_n / cfg.steps_per_stage, 1.3, S_n / 10.0)
-        scfg = SolverConfig(m, policy, S_n, BarrierDirichlet(barrier, delta), cfg.newton_tol)
+        policy = DtPolicy(S_n / steps, 1.3, S_n / 10.0)
+        scfg = SolverConfig(m, policy, S_n, BarrierDirichlet(barrier, delta), newton_tol)
         traj = solve_ball(u, scfg, grid, integrator=integrator)
         if stage_hook is not None:
             stage_hook(n, traj)
@@ -351,12 +359,11 @@ def run_blowup(
         # The upper envelope uses a weight offset far beyond the ball, where
         # the bulk contribution to the norm washes out and only the tail
         # ratio counts (the construction lets that offset grow arbitrarily).
-        norm_far = _recorded_lognorm(u, far_weight, ratio)
         s_super = horizon_time(a_tilde, norm_far, m)
         lower_gap, upper_gap = sandwich_gaps(traj, m, T_n, v_base, s_super, norm_far, far_weight)
 
         u, ratio = traj.final, next_ratio
-        lognorm = _recorded_lognorm(u, weight, ratio)
+        lognorm, norm_far = _recorded_lognorms(u, weight, far_weight, ratio)
         stages.append(StageRecord(
             n=n + 1, T_n=T_n, S_n=S_n, eps_n=eps, delta_n=delta, t_n=t_n, liminf_est=ratio,
             lognorm=lognorm, lower_gap=lower_gap, upper_gap=upper_gap,

@@ -277,7 +277,9 @@ def cmd_exhaust(args) -> int:
     datum = cfgmod.datum_from(cfg, m)
     scfg = cfgmod.solver_config_from(cfg, m)
     cfgmod.reject_unread(cfg, "an exhaust run")
-    report = solver.exhaust(datum.profile, scfg, manifold, radii, cells)
+    # the horizon ``solve`` certifies, at the default norm radius, caps every ball
+    et = solver.existence_time(datum, geometry.fit_comparison_constants(manifold), m)
+    report = solver.exhaust(datum.profile, scfg, manifold, radii, cells, barrier_horizon=et.horizon)
     write_json(args.out, report)
     report.validate()
     return 0

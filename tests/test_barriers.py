@@ -303,6 +303,44 @@ def test_shift_rejects_negative_delta(quad_constants):
         barriers.shifted_subsolution(p, -1.0, 3.0)
 
 
+def previous_scalar_shifted_subsolution(p, delta, rho):
+    """``shifted_subsolution`` at one radius as it was before its scalar path:
+    the array path's operations on a 0-d array."""
+    val = barriers.shift_root(p.profile(np.asarray(rho, dtype=float)) ** p.m, delta, p.m)
+    return float(val)
+
+
+barrier_params = st.builds(
+    barriers.BarrierParams,
+    amplitude=st.floats(1e-3, 50.0),
+    r=st.floats(2.0, 30.0),
+    horizon=st.floats(1e-4, 100.0),
+    m=st.sampled_from([2.0, 3.0]) | st.floats(1.05, 6.0),
+)
+
+
+@given(
+    barrier_params,
+    st.just(0.0) | st.floats(0.0, 5.0) | st.floats(1e-3, 1e6),
+    st.floats(0.0, 200.0) | st.integers(0, 50),
+)
+@settings(max_examples=400, deadline=None)
+def test_the_scalar_radius_path_is_the_previous_scalar_floats(p, delta, rho):
+    # one radius takes Python arithmetic, one log ufunc call and numpy scalar
+    # powers: the floats of the 0-d array path it replaced, shifts that clip
+    # to 0 included.  The array path's entry agrees to rounding only: numpy's
+    # array power loop and libm's pow (the scalar powers) can round a power
+    # differently by an ulp, so at delta = 0 the two are within 8 ulp
+    with np.errstate(all="ignore"):
+        got = barriers.shifted_subsolution(p, delta, rho)
+        want = previous_scalar_shifted_subsolution(p, delta, rho)
+        entry = barriers.shifted_subsolution(p, delta, np.array([rho, 1.0]))[0]
+    assert type(got) is float
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+    if delta == 0.0 and math.isfinite(entry):
+        assert abs(got - entry) <= 8 * math.ulp(entry)
+
+
 # -- separable structure and ordering ---------------------------------------------------
 
 

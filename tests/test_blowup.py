@@ -755,3 +755,32 @@ def test_a_blowup_stage_never_computes_the_window_margin(monkeypatch):
         geometry.fit_comparison_constants(M), cfg,
     )
     assert len(ledger.stages) == 3 and calls == []
+
+
+def previous_recorded_lognorm(u, weight, tail_est):
+    """``blowup``'s recorded norm in one weight, as it was taken before both
+    weights shared one |u|."""
+    ratio = np.abs(u)
+    np.divide(ratio, weight, ratio)
+    return max(ratio.item(ratio.argmax()), tail_est)
+
+
+@given(
+    st.integers(min_value=1, max_value=60).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]), min_size=n, max_size=n),
+            st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+            st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+        )
+    ),
+    st.floats(0.0, 1e3),
+)
+@settings(max_examples=200, deadline=None)
+def test_recorded_lognorms_are_the_previous_per_weight_norms(case, tail_est):
+    u, weight, far_weight = (np.array(x) for x in case)
+    want = (
+        previous_recorded_lognorm(u, weight, tail_est),
+        previous_recorded_lognorm(u, far_weight, tail_est),
+    )
+    got = blowup._recorded_lognorms(u, weight, far_weight, tail_est)
+    assert float_bytes(*got) == float_bytes(*want)

@@ -432,6 +432,18 @@ def test_exhaust_cli_with_an_odd_cell_count(tmp_path):
     assert rep["monotonicity_gap"] <= rep["tau_h"]
 
 
+def test_exhaust_refuses_a_t_end_past_the_certified_horizon(tmp_path, capsys):
+    # log-growth(1) on quad-critical c = 0.5 exists up to T = 0.09996, the
+    # horizon ``solve`` certifies; every ball of the exhaustion stops there too
+    text = BASE_CFG.replace("R = 20\n", "").replace("cells = 200", "cells = 20")
+    cfg = write_cfg(tmp_path, text.replace("t_end = 0.02", "t_end = 5"))
+    out = tmp_path / "exhaust.json"
+    rc = run_cli("exhaust", "--config", cfg, "--radii", "8,16,32", "--out", str(out))
+    err = assert_one_configuration_error(rc, capsys)
+    assert "t_end=5 " in err and "T=0.09996" in err
+    assert not out.exists()
+
+
 # -- blowup ------------------------------------------------------------------------------
 
 

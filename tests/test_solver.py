@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack, solve_banded
 
@@ -1599,6 +1599,266 @@ def test_barrier_boundary_rejects_a_shift_outside_0_inf(delta):
     params = barriers.BarrierParams(1.0, 2.0, horizon=1.0, m=2.0)
     with pytest.raises(DomainError, match="delta"):
         solver.BarrierDirichlet(params, delta)
+
+
+@given(
+    st.builds(
+        barriers.BarrierParams,
+        amplitude=st.floats(1e-3, 50.0),
+        r=st.floats(2.0, 30.0),
+        horizon=st.floats(1e-4, 100.0),
+        m=st.floats(1.5, 6.0),
+    ),
+    st.just(0.0) | st.floats(0.0, 5.0),
+    st.floats(0.5, 100.0),
+    st.floats(0.0, 1.0, exclude_max=True) | st.just(1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_barrier_trace_is_the_blowup_factor_times_the_shifted_subsolution(p, delta, radius, share):
+    # from t = 0 up to the last float below T; the trace computes its
+    # exponent and time-free factor once, and gives the same float per time
+    t = math.nextafter(p.horizon, 0.0) if share == 1.0 else share * p.horizon
+    bc = solver.BarrierDirichlet(p, delta)
+    want = barriers.blowup_factor(t, p.horizon, p.m) * barriers.shifted_subsolution(p, delta, radius)
+    assert float_bits(bc.value(t, radius)) == float_bits(want)
+    assert float_bits(bc.trace(radius)(t)) == float_bits(want)
+
+
+def float_bits(x):
+    return np.array([x], dtype=float).tobytes()
+
+
+@given(
+    st.floats(min_value=0.0) | st.sampled_from([math.nan, math.inf]),
+    st.floats(-1e30, 1e30) | st.sampled_from([0.0, -0.0, math.inf]),
+    st.floats(1.01, 10.0),
+    st.floats(1e-14, 1e-2),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_newton_target_is_the_max_of_its_three_terms(u_old_max, v_b, m, tol):
+    # the two comparisons take the maximum as ``max`` does: a NaN norm stays NaN
+    want = tol * max(u_old_max, 1.0, abs(v_b) ** (1.0 / m))
+    assert float_bits(solver._newton_target(u_old_max, v_b, m, tol)) == float_bits(want)
+
+
+def previous_step(u, t, dt, grid, cfg, integrator):
+    """``solver.step`` before it read its config once per config and kept its
+    pending halves only once a solve failed: a list of pending sub-steps
+    from the start, the boundary value per solve, the levels rebuilt.  The
+    boundary value is the trace's, which the barrier's ``value`` is."""
+    levels = integrator.levels
+    if levels and u is levels[-1][1]:
+        start, bound = integrator.guess(dt)
+    else:
+        u = np.asarray(u, dtype=float)
+        levels, start, bound = [(0.0, u, integrator.end(u))], None, None
+    value, m, tol = cfg.boundary.trace(grid.radius), cfg.m, cfg.newton_tol
+    max_iter, flux, jump = cfg.newton_max_iter, grid.boundary_flux_coeff, integrator.jump
+    pending = [(t, dt, 0)]
+    outflow, solves = 0.0, 0
+    failed = None
+    while pending:
+        t0, d, depth = pending.pop()
+        if depth > solver.MAX_HALVINGS:
+            raise SolverError(
+                f"Newton failed after {solver.MAX_HALVINGS} halvings at t={t0:.6g}"
+                + solver._failure_note(failed, cfg)
+            )
+        if solves == solver.MAX_SUBSTEPS:
+            raise SolverError(
+                f"step from t={t:.6g} spent its budget of {solver.MAX_SUBSTEPS} Newton solves"
+                f" at t={t0:.6g}" + solver._failure_note(failed, cfg)
+            )
+        solves += 1
+        ub = value(t0 + d)
+        v_b = math.copysign(abs(ub) ** m, ub)
+        args = (integrator, u, v_b, d, tol, max_iter)
+        u_new, ok, res = solver._newton_solve(*args, start, bound)
+        if not ok and start is not None:
+            u_new, ok, res = solver._newton_solve(*args)
+        start = bound = None
+        if not ok:
+            failed = (u, v_b, res)
+            pending.append((t0 + d / 2.0, d / 2.0, depth + 1))
+            pending.append((t0, d / 2.0, depth + 1))
+            continue
+        outflow += -d * flux * float(jump[-1])
+        u = u_new
+    u.setflags(write=False)
+    integrator.levels = [*levels[-4:], (dt, u, integrator.end(u, integrator.window))]
+    return u, outflow
+
+
+@given(
+    st.lists(st.booleans(), max_size=30),
+    st.booleans(),
+    st.sampled_from(["homogeneous", "barrier"]),
+    st.floats(1e-4, 0.05),
+)
+@settings(max_examples=300, deadline=None)
+def test_step_makes_the_solves_of_the_previous_halving_loop(fails, continued, boundary, dt):
+    # each Newton solve fails or converges as the drawn list says, in call
+    # order, so the two loops meet the same outcomes only if they make the
+    # same solves: same times, sizes, boundary values and starts, the same
+    # field, outflow and levels, or the same error at a small depth and
+    # budget (MAX_HALVINGS 3, MAX_SUBSTEPS 12)
+    grid = RadialGrid.uniform(geometry.quad_critical(0.5, 3), 5.0, 12)
+    params = barriers.BarrierParams(2.0, 2.0, horizon=0.2, m=2.0)
+    bc = solver.BarrierDirichlet(params) if boundary == "barrier" else solver.HomogeneousDirichlet()
+    cfg = small_cfg(0.1, boundary=bc)
+    u_prev, u = np.linspace(1.0, 2.0, 12), np.linspace(1.1, 2.1, 12)
+
+    def run(stepper):
+        calls = []
+
+        def solve(work, u_old, v_b, d, tol, max_iter, start=None, bound=None):
+            k = len(calls)
+            calls.append((float_bits(d), float_bits(v_b), start is None, bound, tol, max_iter))
+            work.jump[-1] = 3.0 * d + k
+            return u_old + d, not (k < len(fails) and fails[k]), float(k)
+
+        integrator = solver.Integrator(grid, 2.0)
+        if continued:
+            integrator.levels = [(0.01, u_prev, 12), (0.01, u, 12)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_newton_solve", solve)
+            mp.setattr(solver, "MAX_HALVINGS", 3)
+            mp.setattr(solver, "MAX_SUBSTEPS", 12)
+            try:
+                got, outflow = stepper(u, 0.3, dt, grid, cfg, integrator)
+            except SolverError as exc:
+                return calls, str(exc)
+        return calls, (got.tobytes(), float_bits(outflow), [(s, e) for s, _, e in integrator.levels])
+
+    assert run(solver.step) == run(previous_step)
+
+
+def previous_step_sizes(cfg, barrier_horizon):
+    """The step sizes and recorded times of ``solve_ball`` before its two
+    ``min`` calls became comparisons and the barrier cap a per-run test."""
+    horizon = min(barrier_horizon, cfg.boundary.horizon)
+    stop = cfg.t_end - 1e-14 * cfg.t_end
+    t, dt, k, sizes, times = 0.0, cfg.dt.dt0, 0, [], [0.0]
+    while t < stop:
+        d = min(dt, cfg.t_end - t, solver.BARRIER_CAP * (horizon - t))
+        sizes.append(d)
+        t += d
+        k += 1
+        if k % cfg.snapshot_stride == 0 or t >= stop:
+            times.append(t)
+        dt = min(dt * cfg.dt.growth, cfg.dt.dt_max)
+    return sizes, times
+
+
+@given(
+    st.floats(1e-4, 0.1),
+    st.floats(1.0, 2.0),
+    st.floats(1e-4, 0.2) | st.just(math.inf),
+    st.floats(0.05, 1.0),
+    st.floats(1.0001, 3.0) | st.just(math.inf),
+    st.integers(1, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_solve_ball_takes_the_step_sizes_of_the_previous_loop(dt0, growth, dt_max, t_end, over, stride):
+    # a horizon just past t_end caps the last steps; none caps none
+    grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, 4)
+    cfg = solver.SolverConfig(2.0, solver.DtPolicy(dt0, growth, dt_max), t_end, snapshot_stride=stride)
+    sizes = []
+
+    def counting_step(u, t, d, grid, cfg, integrator=None):
+        sizes.append(d)
+        return u, 0.0
+
+    want_sizes, want_times = previous_step_sizes(cfg, over * t_end)
+    assume(len(want_sizes) < 2000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "step", counting_step)
+        traj = solver.solve_ball(np.zeros(4), cfg, grid, barrier_horizon=over * t_end)
+    assert float_bits(sizes) == float_bits(want_sizes) and float_bits(traj.times) == float_bits(want_times)
+
+
+def previous_guess(integrator, d):
+    """``Integrator.guess`` before it took the levels' largest end in a loop,
+    with both forms written out as they were."""
+    levels = integrator.levels
+    if len(levels) < 2:
+        return None, None
+    out, tmp = integrator.start, integrator.scratch
+    e = levels[-1][2]
+    if e < integrator.grid.cells:
+        e = max([end for _, _, end in levels])
+        out[e:] = 0.0
+        out, tmp = out[:e], tmp[:e]
+        levels = [(s, u[:e], end) for s, u, end in levels]
+    if len(levels) == 5 and all(levels[k][0] == d for k in (1, 2, 3, 4)):
+        (_, u4, _), (_, u3, _), (_, u2, _), (_, u1, _), (_, u0, _) = levels
+        np.multiply(5.0, u0, out)
+        np.subtract(out, np.multiply(10.0, u1, tmp), out)
+        np.add(out, np.multiply(10.0, u2, tmp), out)
+        np.subtract(out, np.multiply(5.0, u3, tmp), out)
+        np.add(out, u4, out)
+        return integrator.start, e
+    if len(levels) == 2:
+        (_, u1, _), (a, u0, _) = levels
+        np.multiply(np.subtract(u0, u1, tmp), d / a, tmp)
+        np.add(u0, tmp, out)
+    else:
+        (_, u2, _), (b, u1, _), (a, u0, _) = levels[-3:]
+        ab = a + b
+        da, dab = d + a, d + ab
+        np.multiply(da * dab / (a * ab), u0, out)
+        np.add(out, np.multiply(-d * dab / (a * b), u1, tmp), out)
+        np.add(out, np.multiply(d * da / (ab * b), u2, tmp), out)
+    return integrator.start, e
+
+
+@given(
+    st.integers(3, 40).flatmap(
+        lambda n: st.lists(
+            st.tuples(
+                st.sampled_from([0.1, 0.2, 0.3]),
+                st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+                st.integers(0, n),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    ),
+    st.sampled_from([0.1, 0.2, 0.3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_guess_is_the_previous_guess(drawn, d):
+    # one to six levels, on one step size or several, each field +0.0 from a
+    # drawn cell on: the same start, bit for bit, and the same bound
+    n = len(drawn[0][1])
+    grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, n)
+    levels = []
+    for s, values, cut in drawn:
+        u = np.array(values) + 0.0
+        u[cut:] = 0.0
+        levels.append((s, u, solver.Integrator(grid, 2.0).end(u)))
+    got, want = solver.Integrator(grid, 2.0), solver.Integrator(grid, 2.0)
+    got.levels, want.levels = list(levels), list(levels)
+    start, bound = got.guess(d)
+    want_start, want_bound = previous_guess(want, d)
+    assert bound == want_bound and (start is None) == (want_start is None)
+    if start is not None:
+        assert start.tobytes() == want_start.tobytes()
+
+
+def test_a_line_search_with_no_passing_trial_takes_the_smallest_step_as_the_plain_kernel():
+    # a direction of constant sign that raises the residual: no trial from
+    # lam = 1 down to 2^-29 passes, and each iteration takes lam = 2^-30
+    u_old, v_b, dt, g, m, tol, _ = newton_args()
+    rising = fake_dgtsv(delta_value=50.0)
+    args = (u_old, v_b, dt, g, m, tol, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "dgtsv", rising)
+        got = newton_solve(*args)
+        want = plain_newton_solve(*args)
+    assert not got[1] and not want[1]
+    assert same_bytes(got[0], want[0]) and same_bytes(got[2], want[2])
+    assert not same_bytes(got[0], u_old)
 
 
 def test_solver_config_rejects_a_barrier_boundary_of_another_exponent():
