@@ -56,20 +56,23 @@ requested increment or raises; ``MAX_HALVINGS`` bounds the depth and
 ``MAX_SUBSTEPS`` the total work.
 
 The integrator also keeps ``levels``, the last five accepted (step size,
-field, end) triples, where ``end`` is one past the field's last cell that
-is not +0.0 (``Integrator.end``), and a step's first, unhalved solve starts
-Newton from ``Integrator.guess``, their extrapolation to the new time,
-instead of from the old field u.  When this step and the last four have
+field) pairs, and a step's first, unhalved solve starts Newton from
+``Integrator.guess``, their extrapolation to the new time, instead of from
+the old field u.  When this step and the last four have
 exactly one size, as in a fixed-step run or a growing one that has reached
 ``dt_max``, the guess is the quartic through the last five levels,
 5u0 - 10u1 + 10u2 - 5u3 + u4 (u0 the newest).  Otherwise it is none from
 one level, u + (d/d_prev)(u - u_prev) from two, and from three on the
 quadratic through the last three levels, with Lagrange weights built from
 the actual step sizes.  The guess is written straight into the
-integrator's start buffer, which the solve begins from without a copy.  It
-is computed on the cells before the largest end of the levels; past it
-every level is +0.0, each form gives +0.0 there (a negative weight
-times +0.0 is -0.0, and +0.0 + -0.0 is +0.0), and that is written.
+integrator's ``u``, the buffer the solve iterates in, which a solve that is
+not predicted fills with a copy of u_old instead.  It is computed on the
+cells before the integrator's ``support``, a cell from which every field of
+the history is +0.0: the ``end`` (one past the last cell that is not +0.0,
+``Integrator.end``) of the field that started the history, then the largest
+end of every field accepted since.  Past it every level is +0.0, each form
+gives +0.0 there (a negative weight times +0.0 is -0.0, and +0.0 + -0.0 is
++0.0), and that is written.
 
 The guess is only a start.  The target residual stays
 tol * max(1, max|u_old|, |v_b|^(1/m)) of the old field, so an accepted
@@ -99,8 +102,8 @@ is exactly +0.0 after a step (37 at the J = 4000 Barenblatt run).  A solve
 runs on a window, the leading w cells of the grid, when its boundary value
 v_b is +0.0, the old field and the start end in zeros, the start holds no
 -0.0 and the zero cells' Jacobian coupling q = dt max(coeff) m
-``JACOBIAN_EPS`` (``Integrator.coupling``) is at most 1/4.  w is the
-larger ``end`` of the two fields plus a margin (``_window_margin``), the
+``JACOBIAN_EPS`` (``Integrator.coupling``) is at most 1/4.  w is a cell
+from which both fields are +0.0 plus a margin (``_window_margin``), the
 cells in which a right-hand side entry up to 2^64 decays below half the
 smallest subnormal at the rate r = q/(1-q) per cell, rounded up to a
 multiple of ``WINDOW_QUANTUM`` (8) cells short of the whole grid.  The
@@ -115,18 +118,18 @@ is off, at the cost of one scalar compare, when v_b is not +0.0, when the
 last cell of either field is nonzero, when the start holds a -0.0 cell and
 when q > 1/4.
 
-The bookkeeping of a solve stays on its window.  The ends come without a
-scan of the whole grid: the old field's is its level's when it is the
-newest level; a guessed start's is the bound ``guess`` returns, the
-largest end of the levels, past which it wrote +0.0, and the -0.0 scan
-reads only the cells before that bound; and ``step`` takes the returned
-field's ``end`` over the cells of the solve that produced it, past which
-the field is +0.0 (``Integrator.end`` scans a window's cells only).  The
-bound may exceed the guess's own end, and then so does w; any w at or
-above the one the scanned end gives keeps the whole grid's floats, since
-the argument below needs only that both fields are +0.0 from the window's
-last row on.  A start that ``guess`` did not write comes without a bound
-and is scanned.
+The bookkeeping of a solve stays on its window.  The cell from which both
+fields are +0.0 is ``support`` when the old field is the newest level, for
+a predicted solve and for its retry or first half step from that field,
+and the scanned ``end`` of any other old field, whose solve starts from a
+copy of it.  The -0.0 scan of the start reads only the cells before that
+cell, and ``step`` takes the returned field's ``end``, for ``support``,
+over the cells of the solve that produced it, past which the field is
++0.0 (``Integrator.end`` scans a window's cells only).  ``support`` may
+exceed either field's own end, and then so does w; any w at or above the
+one the scanned ends give keeps the whole grid's floats, since the
+argument below needs only that both fields are +0.0 from the window's last
+row on.
 
 The window gives the whole grid's floats, bit for bit.  Say the iterate u
 and the old field are +0.0 (u) and zero (u_old) on the window's last row
@@ -255,9 +258,9 @@ in place, and no step makes a ``min``, ``max`` or keyword call: the step
 sizes and the Newton target are compared out, and the field is made
 read-only by ``setflags(False)`` (0.13 us; 0.37 us with ``write=False``).
 On ``blowup-j250`` (seed 0) a ``sys.settrace`` count of opcode events in
-``pme`` frames gives 999 per step in ``solve_ball``'s loop (1,084 before),
-and the run's median wall time is 0.159 s against 0.168 s (10 alternating
-pairs of ``bench/run.py --seconds 5``; 2-vCPU Xeon VM, Python 3.11).
+``pme`` frames gave 999 per step in ``solve_ball``'s loop, and the run's
+median wall time was 0.159 s (10 alternating pairs of ``bench/run.py
+--seconds 5``; 2-vCPU Xeon VM, Python 3.11).
 
 Boundary conditions at rho = R: homogeneous Dirichlet, or the time-dependent
 trace of a shifted separable subsolution (used by the blow-up iteration);
@@ -405,9 +408,6 @@ class BarrierDirichlet:
     @property
     def m(self) -> float:  # the exponent of the barrier that gives the datum
         return self.params.m
-
-    def value(self, t: float, radius: float) -> float:
-        return self.trace(radius)(t)
 
     def trace(self, radius: float):
         """The datum at ``radius`` as a function of t, the float
@@ -587,8 +587,10 @@ class Window:
 
 class Integrator:
     """The state of runs on one grid with one exponent m: the arrays of
-    their Newton solves and ``levels``, the last five accepted (step size,
-    field, ``end`` of the field) triples, oldest first.
+    their Newton solves, ``levels``, the last five accepted (step size,
+    field) pairs, oldest first, and ``support``, a cell from which every
+    field of the history is +0.0: the ``end`` of the field that started
+    it, then the largest ``end`` of the fields ``step`` accepted since.
 
     ``configure`` takes a run's config: it checks its m and reads once its
     boundary ``trace`` and Newton settings, which ``step`` then finds in
@@ -596,12 +598,14 @@ class Integrator:
     ``scale`` sets the dt-scaled coefficients, recomputing them only when
     the step size changes, and ``window_end`` the zero cells' ``coupling``
     and the window ``margin`` of that step size, on first need.
-    ``window_end`` gives the cells a solve runs on, and ``window`` holds the
-    views over them after the solve.  After a solve, the boundary jump
-    ``jump[-1]`` is v_b - v[-1] of the last residual it evaluated: the
-    returned field's when the solve converged.  ``guess`` extrapolates
-    ``levels`` to the next step.  The fields in ``levels`` are the ones
-    ``step`` was handed and returned; they are read, never written.
+    ``guess`` extrapolates ``levels`` to the next step into ``u``, the
+    buffer a solve iterates in.  ``window_end`` gives the cells a solve runs
+    on, and ``window`` holds the views over them after the solve.  After a
+    solve, ``target`` is the residual it had to reach, and the boundary
+    jump ``jump[-1]`` is v_b - v[-1] of the last residual it evaluated: the
+    returned field's when the solve converged.  The fields in ``levels``
+    are the ones ``step`` was handed and returned; they are read, never
+    written.
     """
 
     def __init__(self, grid: RadialGrid, m: float):
@@ -629,15 +633,13 @@ class Integrator:
         # for the line-search trial
         self.u, self.u_abs, self.g = np.empty(n), np.empty(n), np.empty(n)
         self.trial, self.trial_abs, self.g_trial = np.empty(n), np.empty(n), np.empty(n)
-        # a solve handed this buffer as its start begins from its contents
-        # without copying them; every solve begins by filling it
-        self.start = self.u
+        self.target = math.nan  # the residual the last solve had to reach
         # which cells of a field are not +0.0 (``end``)
         self.nonzero = self.scratch.view(np.bool_)[:n]
         # the views over all cells, and those of the last solve, which the
         # next one reuses when it runs on the same cells
         self.whole = self.window = Window(self, n)
-        self.levels = []
+        self.levels, self.support = [], n
 
     def configure(self, cfg: SolverConfig):
         """Take ``cfg`` for the steps that follow (DomainError if its m is
@@ -665,17 +667,17 @@ class Integrator:
             self.dt = dt
             self.margin = None
 
-    def window_end(self, u_old, start, v_b, bound=None) -> int:
+    def window_end(self, u_old, predicted, v_b) -> int:
         """The number of leading cells a solve from ``u_old`` with the zero
-        boundary value ``v_b``, beginning at ``start`` (``u_old`` if None),
-        runs on: the window margin past the ``end`` of either; all cells
-        when the window is off (module docstring).  ``bound``, given with a
-        start, is a cell past which the start is +0.0 (the one ``guess``
-        returns) and stands in for its ``end``; a start without one is
-        scanned.  Both fields are native float64, as ``step`` makes every
+        boundary value ``v_b`` runs on, from the guess in ``u`` if
+        ``predicted``: the window margin past a cell from which both fields
+        are +0.0; all cells when the window is off (module docstring).  That
+        cell is ``support`` when ``u_old`` is the newest level, the field a
+        guess extrapolates from, and the scanned ``end`` of any other
+        ``u_old``.  ``u_old`` is native float64, as ``step`` makes every
         field it solves from."""
         n = self.cells
-        first = u_old if start is None else start
+        first = self.u if predicted else u_old
         if not (u_old[-1] == 0.0 and first[-1] == 0.0):
             return n
         margin = self.margin
@@ -686,16 +688,12 @@ class Integrator:
             margin = self.margin = _window_margin(self.coupling)
         if not margin or math.copysign(1.0, v_b) < 0.0:
             return n
-        end = self.levels[-1][2] if self.continues(u_old) else self.end(u_old)
-        if start is None:
-            bound = end
-        elif bound is None:
-            bound = self.end(start)
-        w = max(end, bound) + margin
+        end = self.support if self.continues(u_old) else self.end(u_old)
+        w = end + margin
         if w >= n:
             return n
-        if bound:  # the start is +0.0 from ``bound`` on, so -0.0 only before it
-            bits = first[:bound].view(np.int64)
+        if end:  # the start is +0.0 from ``end`` on, so -0.0 only before it
+            bits = first[:end].view(np.int64)
             if _item(bits, _argmin(bits)) == _NEGATIVE_ZERO_BITS:
                 return n
         # rounded up, so that a window is rebuilt only when w crosses a
@@ -720,10 +718,9 @@ class Integrator:
         k = _argmax(nonzero)  # 0 when every cell is +0.0
         return w - int(k) if _item(nonzero, k) else 0
 
-    def guess(self, d: float) -> tuple[Optional[np.ndarray], Optional[int]]:
-        """The field ``d`` past the newest level, written into ``start``
-        through ``scratch``, and a cell past which it is +0.0; (None, None)
-        from one level.
+    def guess(self, d: float) -> bool:
+        """Write the field ``d`` past the newest level into ``u``, through
+        ``scratch``; whether there was one to write (none from one level).
 
         When ``d`` and the last four steps have one size, the guess is the
         quartic through the last five levels, with the constant
@@ -731,22 +728,18 @@ class Integrator:
         linear from two levels and quadratic (Lagrange weights on the actual
         steps) from three or more.  Each form is evaluated left to right, as
         the expression ``w0 * u0 + w1 * u1 + ...`` would be, on the cells
-        before the largest ``end`` of the levels; past it every form gives
-        +0.0, which is written there, and that ``end`` is the cell returned.
-        The weights are 0-d arrays (module docstring).
+        before ``support``; past it every form gives +0.0, which is written
+        there.  The weights are 0-d arrays (module docstring).
         """
         levels = self.levels
         k = len(levels)
         if k < 2:
-            return None, None
-        out, tmp, e = self.start, self.scratch, levels[-1][2]
+            return False
+        out, tmp, e = self.u, self.scratch, self.support
         if e < self.cells:
-            for _, _, end in levels:
-                if end > e:
-                    e = end
             out[e:] = 0.0
             out, tmp = out[:e], tmp[:e]
-            levels = [(s, u[:e], end) for s, u, end in levels]
+            levels = [(s, u[:e]) for s, u in levels]
         if (
             k == 5
             and levels[1][0] == d
@@ -754,21 +747,21 @@ class Integrator:
             and levels[3][0] == d
             and levels[4][0] == d
         ):
-            (_, u4, _), (_, u3, _), (_, u2, _), (_, u1, _), (_, u0, _) = levels
+            (_, u4), (_, u3), (_, u2), (_, u1), (_, u0) = levels
             _multiply(_FIVE, u0, out)
             _subtract(out, _multiply(_TEN, u1, tmp), out)
             _add(out, _multiply(_TEN, u2, tmp), out)
             _subtract(out, _multiply(_FIVE, u3, tmp), out)
             _add(out, u4, out)
-            return self.start, e
+            return True
         w0, w1, w2 = self.weights
         if k == 2:
-            (_, u1, _), (a, u0, _) = levels
+            (_, u1), (a, u0) = levels
             w0[()] = d / a
             _multiply(_subtract(u0, u1, tmp), w0, tmp)
             _add(u0, tmp, out)
         else:
-            (_, u2, _), (b, u1, _), (a, u0, _) = levels[-3:]
+            (_, u2), (b, u1), (a, u0) = levels[-3:]
             ab = a + b
             da, dab = d + a, d + ab
             w0[()] = da * dab / (a * ab)
@@ -777,7 +770,7 @@ class Integrator:
             _multiply(w0, u0, out)
             _add(out, _multiply(w1, u1, tmp), out)
             _add(out, _multiply(w2, u2, tmp), out)
-        return self.start, e
+        return True
 
 
 # -0.0 read as an int64: the smallest int64, below the bits of every other float
@@ -811,16 +804,16 @@ def _window_holds(info, w, delta, d) -> bool:
     return delta[-1] == 0.0 and 0.5 <= abs(d[-1]) < 2.0
 
 
-def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None, bound=None):
+def _newton_solve(work, u_old, v_b, dt, tol, max_iter, predicted=False):
     """Solve the implicit cell balance; returns (u, converged, residual).
 
-    The iteration starts from ``start`` (default ``u_old``), which may be
-    the integrator's own ``start`` buffer, and ``bound``, if given, is a
-    cell past which the start is +0.0; the target residual comes from
-    ``u_old`` either way.  ``work`` is the run's ``Integrator``, whose grid
-    and m the solve reads; the returned field is a copy, never one of its
-    buffers.  Fails (``converged`` False) on a singular Jacobian or on any
-    non-finite diagonal, Newton direction or residual, so that ``step``
+    A ``predicted`` solve starts from the integrator's ``u`` as
+    ``Integrator.guess`` wrote it; any other starts from a copy of
+    ``u_old``.  The target residual comes from ``u_old`` either way and is
+    left in ``work.target``.  ``work`` is the run's ``Integrator``, whose
+    grid and m the solve reads; the returned field is a copy, never one of
+    its buffers.  Fails (``converged`` False) on a singular Jacobian or on
+    any non-finite diagonal, Newton direction or residual, so that ``step``
     halves the step instead of letting NaN or inf into the field.
 
     The solve runs on the leading ``work.window_end`` cells (module
@@ -832,7 +825,9 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None, bound=None):
     if dt != work.dt:
         work.scale(dt)
     n = work.cells
-    w = n if v_b != 0.0 else work.window_end(u_old, start, v_b, bound)
+    w = n if v_b != 0.0 else work.window_end(u_old, predicted, v_b)
+    if not predicted:
+        _copyto(work.u, u_old)
     while True:
         win = work.window
         if win.w != w:
@@ -845,8 +840,6 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None, bound=None):
         ) = win.kernel
         win.vpad[-1] = v_b
         residual = win.residual
-        if start is not work.u:
-            _copyto(work.u, u_old if start is None else start)
         old = u_old
         if w < n:
             # the cells past the window stay +0.0 in both buffers the field
@@ -856,8 +849,8 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None, bound=None):
             work.jump[-1] = 0.0
         g_norm = residual(old, u, u_abs, g)
         # the target is set by u_old; trial_abs is free until the first trial
-        old_abs = u_abs if start is None else _absolute(old, trial_abs)
-        target = _newton_target(_item(old_abs, _argmax(old_abs)), v_b, work.m, tol)
+        old_abs = _absolute(old, trial_abs) if predicted else u_abs
+        target = work.target = _newton_target(_item(old_abs, _argmax(old_abs)), v_b, work.m, tol)
         for done in range(max_iter):
             if g_norm <= target:
                 return u.base.copy(), True, g_norm
@@ -903,8 +896,11 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, start=None, bound=None):
         else:
             return u.base.copy(), g_norm <= target, g_norm
         # a check failed: the whole grid from the same point, whose cells
-        # past the window are +0.0
-        w, start, max_iter = n, u.base, max_iter - done
+        # past the window are +0.0, in ``work.u``; like a guess, that point
+        # is not u_old, so |u| is not |u_old|
+        if u.base is not work.u:
+            _copyto(work.u, u.base)
+        w, predicted, max_iter = n, True, max_iter - done
 
 
 def step(
@@ -941,24 +937,24 @@ def step(
         integrator.configure(cfg)
     levels = integrator.levels
     if levels and u is levels[-1][1]:  # ``integrator.continues(u)``
-        start, bound = integrator.guess(dt)
+        predicted, support = integrator.guess(dt), integrator.support
     else:
         u = np.asarray(u, dtype=float)
         _check_shape(u, grid, "field entering step")
         _check_finite(u)
-        levels, start, bound = [(0.0, u, integrator.end(u))], None, None
+        levels, predicted, support = [(0.0, u)], False, integrator.end(u)
     trace, m, tol, max_iter, flux, jump = integrator.settings
     t0, d, depth, solves, outflow = t, dt, 0, 1, 0.0
     # the stack of pending second halves, nested (t0, d, depth, rest)
-    # tuples, and the (field, v_b, residual) of the last failed solve
+    # tuples, and the (residual, target) of the last failed solve
     pending = failed = None
     while True:
         ub = trace(t0 + d)
         v_b = _copysign(abs(ub) ** m, ub)
-        u_new, ok, res = _newton_solve(integrator, u, v_b, d, tol, max_iter, start, bound)
-        if not ok and start is not None:
+        u_new, ok, res = _newton_solve(integrator, u, v_b, d, tol, max_iter, predicted)
+        if not ok and predicted:
             u_new, ok, res = _newton_solve(integrator, u, v_b, d, tol, max_iter)
-        start = bound = None
+        predicted = False
         if ok:
             outflow += -d * flux * float(jump[-1])
             u = u_new
@@ -966,26 +962,29 @@ def step(
                 break
             t0, d, depth, pending = pending
         else:
-            failed = (u, v_b, res)
+            failed = (res, integrator.target)
             d, depth = d / 2.0, depth + 1
             pending = (t0 + d, d, depth, pending)
         if depth > MAX_HALVINGS:
             raise SolverError(
                 f"Newton failed after {MAX_HALVINGS} halvings at t={t0:.6g}"
-                + _failure_note(failed, cfg)
+                + _failure_note(*failed)
             )
         if solves == MAX_SUBSTEPS:
             raise SolverError(
                 f"step from t={t:.6g} spent its budget of {MAX_SUBSTEPS} Newton solves"
-                f" at t={t0:.6g}" + _failure_note(failed, cfg)
+                f" at t={t0:.6g}" + _failure_note(*failed)
             )
         solves += 1
     u.setflags(False)  # write=False, positional: a keyword costs twice the call
     # u is +0.0 past the cells of the solve that returned it
-    levels.append((dt, u, integrator.end(u, integrator.window)))
+    end = integrator.end(u, integrator.window)
+    if end > support:
+        support = end
+    levels.append((dt, u))
     if len(levels) > 5:
         del levels[0]
-    integrator.levels = levels
+    integrator.levels, integrator.support = levels, support
     return u, outflow
 
 
@@ -1000,10 +999,8 @@ def _check_finite(u):
         raise SolverError("non-finite field entering step")
 
 
-def _failure_note(failed, cfg: SolverConfig) -> str:
-    u_old, v_b, res = failed
-    target = _newton_target(float(np.max(np.abs(u_old))), v_b, cfg.m, cfg.newton_tol)
-    return f" (last failed solve: residual {res:.3g}, target {target:.3g})"
+def _failure_note(residual: float, target: float) -> str:
+    return f" (last failed solve: residual {residual:.3g}, target {target:.3g})"
 
 
 # -- trajectories -------------------------------------------------------------

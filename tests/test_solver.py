@@ -73,11 +73,18 @@ def odd_power(u, m):
 
 def newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None):
     """``solver._newton_solve`` called with the plain kernels' arguments:
-    on ``work``, an integrator on ``grid`` and ``m``, or a new one."""
+    on ``work``, an integrator on ``grid`` and ``m``, or a new one.  A
+    ``start`` is written into the integrator's ``u`` as a guess is, with
+    ``u_old`` the newest level of a history whose ``support`` is the larger
+    ``end`` of the two fields, and the solve is predicted."""
     if work is None:
         work = solver.Integrator(grid, m)
     assert work.grid is grid and work.m == m
-    return solver._newton_solve(work, u_old, v_b, dt, tol, max_iter, start)
+    if start is None:
+        return solver._newton_solve(work, u_old, v_b, dt, tol, max_iter)
+    work.levels, work.support = [(0.0, u_old)], max(work.end(u_old), work.end(start))
+    np.copyto(work.u, start)
+    return solver._newton_solve(work, u_old, v_b, dt, tol, max_iter, predicted=True)
 
 
 def reference_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
@@ -220,15 +227,17 @@ def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
     return u, g_norm <= target, g_norm
 
 
-def plain_step_kernel(work, u_old, v_b, dt, tol, max_iter, start=None, bound=None):
+def plain_step_kernel(work, u_old, v_b, dt, tol, max_iter, predicted=False):
     """``plain_newton_solve`` as ``step`` calls it, on the grid and m of
-    ``work``: it also leaves in the workspace the boundary jump that
-    ``step`` reads, computed from the returned field as v_b - sign(u)|u|^m
-    at its last cell, and the whole grid as the cells of the solve, past
-    which ``step`` takes the field to be +0.0.  The start's ``bound`` is
-    not read."""
+    ``work``, from the guess in ``work.u`` if ``predicted``: it also leaves
+    in the workspace what ``step`` reads, the target and the boundary jump,
+    computed from the returned field as v_b - sign(u)|u|^m at its last
+    cell, and the whole grid as the cells of the solve, past which ``step``
+    takes the field to be +0.0."""
     grid, m = work.grid, work.m
+    start = work.u if predicted else None
     u, ok, res = plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start)
+    work.target = tol * max(1.0, float(np.abs(u_old).max()), abs(v_b) ** (1.0 / m))
     work.jump[-1] = v_b - float(odd_power(u[-1:], m)[0])
     work.window = work.whole
     return u, ok, res
@@ -328,6 +337,15 @@ def same_bytes(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
+def assert_same_step(got, want):
+    """Two results of ``step``, (field, outflow) or an error's message, are
+    the same bytes."""
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
 def recorded_dgtsv(real_dgtsv, singular=0):
     """``real_dgtsv`` reporting a singular system on its first ``singular``
     calls, and the list of the rows of every call."""
@@ -394,11 +412,7 @@ def assert_step_through_halvings_is_the_plain_kernel(case, singular):
             except SolverError as exc:
                 return str(exc)
 
-    got, want = run(solver._newton_solve), run(plain_step_kernel)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+    assert_same_step(run(solver._newton_solve), run(plain_step_kernel))
 
 
 @given(signed_newton_cases(), st.integers(min_value=1, max_value=3))
@@ -525,7 +539,7 @@ def test_a_guess_shorter_than_the_old_field_widens_the_window():
 
     def run(kernel):
         integrator = solver.Integrator(grid, m)
-        integrator.levels = [(dt, u_prev, 120), (dt, u_old, 120)]
+        integrator.levels, integrator.support = [(dt, u_prev), (dt, u_old)], 120
         counting, rows = recorded_dgtsv(solver.dgtsv)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "dgtsv", counting)
@@ -608,20 +622,17 @@ def test_barenblatt_run_on_windows_is_bitwise_the_plain_kernel():
 @given(signed_newton_cases())
 @settings(max_examples=150, deadline=None)
 def test_newton_solve_from_a_copy_of_the_old_field_is_the_default_start(case):
+    # a predicted solve whose guess, in the integrator's ``u``, is a copy of
+    # the old field: it takes |u_old| for the target from u_old itself, not
+    # from the start, and gives the floats of the solve that is not predicted
     grid, u_old, m, dt, v_b, max_iter = case
     args = (u_old, v_b, dt, grid, m, 1e-10, max_iter)
-    # the copy either in a new array or in the integrator's own start
-    # buffer, which the solve begins from without copying it
-    work = solver.Integrator(grid, m)
     with np.errstate(all="ignore"):
-        copied = newton_solve(*args, start=u_old.copy())
-        np.copyto(work.start, u_old)
-        in_place = newton_solve(*args, start=work.start, work=work)
+        u, ok, res = newton_solve(*args, start=u_old.copy())
         u_ref, ok_ref, res_ref = newton_solve(*args)
-    for u, ok, res in (copied, in_place):
-        assert same_bytes(u, u_ref)
-        assert ok == ok_ref
-        assert same_bytes(res, res_ref)
+    assert same_bytes(u, u_ref)
+    assert ok == ok_ref
+    assert same_bytes(res, res_ref)
 
 
 @st.composite
@@ -689,9 +700,11 @@ def test_guess_reproduces_polynomial_fields(case):
     # weights' own rounding.
     levels, d, exact, weights = case
     integrator = solver.Integrator(RadialGrid.uniform(geometry.euclidean(2), 1.0, len(exact)), 2.0)
-    integrator.levels = [(s, u, integrator.end(u)) for s, u in levels]
-    guess, bound = integrator.guess(d)
-    assert guess is integrator.start and integrator.end(guess) <= bound
+    integrator.levels = levels
+    integrator.support = max(integrator.end(u) for _, u in levels)
+    assert integrator.guess(d)
+    guess = integrator.u
+    assert integrator.end(guess) <= integrator.support
     used = [u for _, u in levels[-len(weights) :]]
     underflow = (sum(map(abs, weights)) + 4) * Fraction(2) ** -1074
     for i, want in enumerate(exact):
@@ -721,20 +734,20 @@ def zero_tail_levels(draw):
 @given(zero_tail_levels())
 @settings(max_examples=200, deadline=None)
 def test_guess_before_the_levels_ends_is_bitwise_the_guess_on_every_cell(case):
-    # the guess computes only the cells before the largest end of the levels
-    # it reads; past it each form of the guess gives +0.0 from +0.0 levels
+    # the guess computes only the cells before the support, here the largest
+    # end of the levels it reads; past it each form of the guess gives +0.0
+    # from +0.0 levels
     levels, d = case
     grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, levels[0][1].size)
     windowed, whole = solver.Integrator(grid, 2.0), solver.Integrator(grid, 2.0)
-    windowed.levels = [(s, u, windowed.end(u)) for s, u in levels]
-    whole.levels = [(s, u, grid.cells) for s, u in levels]
-    np.copyto(windowed.start, np.nan)  # the guess writes every cell
+    windowed.levels = whole.levels = levels
+    windowed.support = max(windowed.end(u) for _, u in levels)
+    assert whole.support == grid.cells  # a new integrator's
+    np.copyto(windowed.u, np.nan)  # the guess writes every cell
     with np.errstate(all="ignore"):
-        (got, bound), (want, whole_bound) = windowed.guess(d), whole.guess(d)
-    assert same_bytes(got, want)
-    # the bound is the largest end of the levels, past which the guess is +0.0
-    assert bound == max(end for _, _, end in windowed.levels) and whole_bound == grid.cells
-    assert windowed.end(got) <= bound
+        assert windowed.guess(d) and whole.guess(d)
+    assert same_bytes(windowed.u, whole.u)
+    assert windowed.end(windowed.u) <= windowed.support
 
 
 def test_end_is_one_past_the_last_cell_that_is_not_plus_zero():
@@ -753,7 +766,7 @@ def test_end_is_one_past_the_last_cell_that_is_not_plus_zero():
 def test_one_level_gives_no_guess():
     integrator = solver.Integrator(RadialGrid.uniform(geometry.euclidean(2), 1.0, 4), 2.0)
     integrator.levels = [(0.0, np.ones(4))]
-    assert integrator.guess(0.1) == (None, None)
+    assert integrator.guess(0.1) is False
 
 
 def test_uniform_steps_take_the_quartic_and_fewer_newton_iterations():
@@ -799,29 +812,101 @@ def run_step(u, dt, grid, cfg, integrator=None):
         return str(exc)
 
 
-@given(signed_newton_cases())
-@settings(max_examples=60, deadline=None)
-def test_step_after_a_failed_prediction_is_the_start_free_step(case):
-    # the guess, a constant, is no solution, so the predicted solve needs a
-    # Newton iteration, and its first LAPACK call reports a singular system
-    grid, u_old, m, dt, _, _ = case
+def failed_prediction_step(case, reach):
+    """``step`` from the newest field u_old of a real history, whose older
+    level u_prev is 1.0 on its first ``reach`` cells and +0.0 past them, and
+    the plain kernel's step from u_old with no history.  Every LAPACK call
+    of a predicted solve reports a singular system, so the guess
+    2 u_old - u_prev fails unless it needs no Newton iteration.  Returns
+    both steps (a field and outflow, or an error), a [predicted, converged,
+    LAPACK rows] list per solve of the step, and the history's support
+    before it."""
+    grid, u_old, m, dt = case[:4]
     cfg = small_cfg(1.0, m=m)
-    want = run_step(u_old, dt, grid, cfg)
-    singular_first, calls = recorded_dgtsv(solver.dgtsv, 1)
+    u_prev = np.zeros(grid.cells)
+    u_prev[:reach] = 1.0
+    history = solver.Integrator(grid, m)
+    history.levels = [(dt, u_prev), (dt, u_old)]
+    history.support = support = max(history.end(u_prev), history.end(u_old))
+    real_solve, real_dgtsv = solver._newton_solve, solver.dgtsv
+    solves = []
 
-    # a step from the integrator's newest field is predicted
-    integrator = solver.Integrator(grid, m)
-    integrator.levels = [(0.0, u_old, grid.cells)]
+    def lapack(dl, d, du, b, *flags):
+        predicted, _, rows = solves[-1]
+        rows.append(d.size)
+        *out, info = real_dgtsv(dl, d, du, b, *flags)
+        return (*out, 1 if predicted else info)
+
+    def solve(work, u_old, v_b, d, tol, max_iter, predicted=False):
+        solves.append([predicted, None, []])
+        out = real_solve(work, u_old, v_b, d, tol, max_iter, predicted)
+        solves[-1][1] = out[1]
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "dgtsv", singular_first)
-        # a start the guess did not write comes without a bound
-        mp.setattr(solver.Integrator, "guess", lambda self, d: (np.full(grid.cells, 0.5), None))
-        got = run_step(u_old, dt, grid, cfg, integrator)
-    assert calls
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+        # both runs face one small budget, as in
+        # assert_step_through_halvings_is_the_plain_kernel
+        mp.setattr(solver, "MAX_SUBSTEPS", 200)
+        mp.setattr(solver, "_newton_solve", plain_step_kernel)
+        want = run_step(u_old, dt, grid, cfg)
+        mp.setattr(solver, "_newton_solve", solve)
+        mp.setattr(solver, "dgtsv", lapack)
+        got = run_step(u_old, dt, grid, cfg, history)
+    return got, want, solves, support
+
+
+def window_rows(grid, u_old, dt, m, support):
+    """The rows of a solve from ``u_old`` with the boundary value +0.0 and
+    fields that are +0.0 from ``support`` on: ``support`` plus the margin of
+    dt, rounded up to a multiple of WINDOW_QUANTUM short of the whole grid;
+    all cells when that reaches the grid, the margin is 0 or a cell before
+    ``support`` is -0.0 (solver module docstring)."""
+    n, head = grid.cells, u_old[:support]
+    coeff_max = float(np.max(np.concatenate([grid.coeff_plus, grid.coeff_minus])))
+    margin = solver._window_margin(dt * coeff_max * (solver.JACOBIAN_EPS * m))
+    w = support + margin
+    if not margin or w >= n or np.any(np.signbit(head) & (head == 0.0)):
+        return n
+    quantum = solver.WINDOW_QUANTUM
+    return min(-(-w // quantum) * quantum, n - 1)
+
+
+@given(signed_newton_cases(), st.integers(min_value=0, max_value=80))
+@settings(max_examples=60, deadline=None)
+def test_step_after_a_failed_prediction_is_the_start_free_step(case, reach):
+    # the retry from u_old, and every solve after it, are those of the step
+    # that has no history to guess from
+    got, want, solves, _ = failed_prediction_step(case, reach)
+    assume(not solves[0][1])
+    assert solves[0][0] and not solves[1][0]
+    assert_same_step(got, want)
+
+
+@given(zero_tail_newton_cases(), st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=100, deadline=None)
+def test_zero_tail_retry_from_the_newest_field_is_bitwise_the_plain_kernel(case, share):
+    # the retry runs on the window past the history's support, which u_prev
+    # may take past u_old's own end, and still gives the plain kernel's
+    # floats on the whole grid
+    grid, u_old, m, dt = case[:4]
+    got, want, solves, support = failed_prediction_step(case, int(share * grid.cells))
+    assume(not solves[0][1])
+    assert_same_step(got, want)
+    retry_rows = solves[1][2]
+    if retry_rows:
+        assert retry_rows[0] == window_rows(grid, u_old, dt, m, support)
+
+
+def test_a_retry_from_the_newest_field_runs_on_the_support_window():
+    # u_old is nonzero on its first 10 of 400 cells and u_prev on its first
+    # 200: the retry's first LAPACK call has support + margin rows, rounded
+    # up, where a solve from u_old with no history has 10 + margin
+    u_old, _, dt, grid, m, *_ = front_args(cells=400)
+    got, want, solves, support = failed_prediction_step((grid, u_old, m, dt), 200)
+    assert support == 200 and solves[0][:2] == [True, False]
+    assert_same_step(got, want)
+    assert solves[1][2][0] == window_rows(grid, u_old, dt, m, 200) < 400
+    assert first_call_rows(front_args(cells=400)) == window_rows(grid, u_old, dt, m, 10) < 200
 
 
 def recorded_run(u0, cfg, grid, handed="integrator"):
@@ -840,8 +925,8 @@ def recorded_run(u0, cfg, grid, handed="integrator"):
     real_solve, step = solver._newton_solve, solver.step
     run = SimpleNamespace(solves=[], moves=[0.0], works=[], outflows=[])
 
-    def recording_solve(work, u_old, v_b, d, tol, max_iter, start=None, bound=None):
-        out = real_solve(work, u_old, v_b, d, tol, max_iter, start, bound)
+    def recording_solve(work, u_old, v_b, d, tol, max_iter, predicted=False):
+        out = real_solve(work, u_old, v_b, d, tol, max_iter, predicted)
         grid, m = work.grid, work.m
         run.works.append(work)
         if out[1]:
@@ -862,9 +947,9 @@ def recorded_run(u0, cfg, grid, handed="integrator"):
         if handed == "nothing":
             return step(u, t, dt, grid, cfg)
         fresh = solver.Integrator(grid, cfg.m)
-        fresh.levels = integrator.levels
+        fresh.levels, fresh.support = integrator.levels, integrator.support
         out = step(u, t, dt, grid, cfg, fresh)
-        integrator.levels = fresh.levels
+        integrator.levels, integrator.support = fresh.levels, fresh.support
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1100,13 +1185,13 @@ def test_step_continues_only_from_the_integrators_newest_field():
         assert integrator.levels[-1][0] == 0.01 and integrator.levels[-1][1] is u
     # an equal copy starts a new history: a fresh integrator's bytes
     fresh = solver.step(u.copy(), 0.07, 0.01, grid, cfg)
-    levels = list(integrator.levels)
+    levels, support = list(integrator.levels), integrator.support
     restarted = solver.step(u.copy(), 0.07, 0.01, grid, cfg, integrator)
     assert same_bytes(restarted[0], fresh[0]) and same_bytes(restarted[1], fresh[1])
     assert len(integrator.levels) == 2 and integrator.levels[-1][1] is restarted[0]
     # the newest field itself is predicted, which moves the iterates only
     # within the Newton tolerance
-    integrator.levels = levels
+    integrator.levels, integrator.support = levels, support
     predicted, _ = solver.step(u, 0.07, 0.01, grid, cfg, integrator)
     assert not same_bytes(predicted, fresh[0])
     assert np.max(np.abs(predicted - fresh[0])) < 1e-8
@@ -1117,7 +1202,7 @@ def test_step_continues_only_from_the_integrators_newest_field():
     bad[5] = math.nan
     with pytest.raises(SolverError, match="non-finite"):
         solver.step(bad, 0.08, 0.01, grid, cfg, integrator)
-    assert [id(f) for _, f, _ in integrator.levels] == [id(f) for _, f, _ in levels]
+    assert [id(f) for _, f in integrator.levels] == [id(f) for _, f in levels]
 
 
 # each field that takes a float, and how to build it; +inf means "no limit"
@@ -1275,9 +1360,9 @@ def test_a_blowup_step_makes_the_pinned_kernel_calls(monkeypatch):
 def test_a_windowed_step_scans_only_its_window(monkeypatch, steps):
     # a step of the J = 4000 Barenblatt run after ``steps`` steps, so that
     # its guess takes each form: the -0.0 scan of the guess (the int64
-    # argmin) reads only the cells before the guess's bound, and the end of
-    # the returned field (``_not_equal``) only the window's cells; no call
-    # of the kernel gets a Python scalar, and every float is the whole
+    # argmin) reads only the cells before the history's support, and the
+    # end of the returned field (``_not_equal``) only the window's cells; no
+    # call of the kernel gets a Python scalar, and every float is the whole
     # grid's
     grid = RadialGrid.uniform(geometry.euclidean(2), 6.0, 4000)
     dt = 0.5 * grid.h
@@ -1285,9 +1370,9 @@ def test_a_windowed_step_scans_only_its_window(monkeypatch, steps):
     u0 = solver.barenblatt(grid.centers, 1.0, 2, 2.0, 0.25)
     integrator = solver.Integrator(grid, 2.0)
     u = solver.solve_ball(u0, cfg, grid, integrator=integrator).final
-    levels = list(integrator.levels)
+    support = integrator.support
     plain = solver.Integrator(grid, 2.0)
-    plain.levels = list(levels)
+    plain.levels, plain.support = list(integrator.levels), support
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_newton_solve", plain_step_kernel)
         want, want_outflow = solver.step(u, steps * dt, dt, grid, cfg, plain)
@@ -1314,12 +1399,12 @@ def test_a_windowed_step_scans_only_its_window(monkeypatch, steps):
 
     w = rows[0]
     assert w < 4000 and w % solver.WINDOW_QUANTUM == 0 and rows == [w] * len(rows)
-    bound = max(end for _, _, end in levels)
     bits = [a[0][0] for name, *a in scanned if name == "_argmin" and a[0][1] == np.int64]
-    assert bits == [bound] and bound < w
+    assert bits == [support] and support < w
     not_equal = [a for name, *a in scanned if name == "_not_equal"]
     assert len(not_equal) == 1 and {size for size, _ in not_equal[0]} <= {w, 1}
-    assert integrator.levels[-1][2] == integrator.end(got) < w
+    # the support is the running maximum of the accepted fields' ends
+    assert integrator.support == max(support, integrator.end(got)) < w
 
 
 def test_a_windowed_run_computes_its_margin_once_per_step_size(monkeypatch):
@@ -1569,16 +1654,19 @@ def test_budget_failure_names_the_last_residual_and_its_target(monkeypatch):
     failed = []
 
     def fails_above_1e9(work, u, v_b, d, *rest):
+        # the target a solve leaves in its integrator, as the kernel does
+        work.target = 11.0 * d
         if d <= 1e-9:
             return u, True, 0.0
-        failed.append(7.0 * d)
-        return u, False, failed[-1]
+        failed.append((7.0 * d, work.target))
+        return u, False, failed[-1][0]
 
     monkeypatch.setattr(solver, "_newton_solve", fails_above_1e9)
     with pytest.raises(SolverError, match="budget") as exc:
         solver.step(u0, 0.0, 1.0, g, small_cfg(1.0))
+    residual, target = failed[-1]
     assert str(exc.value).endswith(
-        f" (last failed solve: residual {failed[-1]:.3g}, target {3e-10:.3g})"
+        f" (last failed solve: residual {residual:.3g}, target {target:.3g})"
     )
 
 
@@ -1620,7 +1708,6 @@ def test_a_barrier_trace_is_the_blowup_factor_times_the_shifted_subsolution(p, d
     t = math.nextafter(p.horizon, 0.0) if share == 1.0 else share * p.horizon
     bc = solver.BarrierDirichlet(p, delta)
     want = barriers.blowup_factor(t, p.horizon, p.m) * barriers.shifted_subsolution(p, delta, radius)
-    assert float_bits(bc.value(t, radius)) == float_bits(want)
     assert float_bits(bc.trace(radius)(t)) == float_bits(want)
 
 
@@ -1645,13 +1732,13 @@ def previous_step(u, t, dt, grid, cfg, integrator):
     """``solver.step`` before it read its config once per config and kept its
     pending halves only once a solve failed: a list of pending sub-steps
     from the start, the boundary value per solve, the levels rebuilt.  The
-    boundary value is the trace's, which the barrier's ``value`` is."""
-    levels = integrator.levels
+    boundary value is the trace's."""
+    levels, support = integrator.levels, integrator.support
     if levels and u is levels[-1][1]:
-        start, bound = integrator.guess(dt)
+        predicted = integrator.guess(dt)
     else:
         u = np.asarray(u, dtype=float)
-        levels, start, bound = [(0.0, u, integrator.end(u))], None, None
+        levels, predicted, support = [(0.0, u)], False, integrator.end(u)
     value, m, tol = cfg.boundary.trace(grid.radius), cfg.m, cfg.newton_tol
     max_iter, flux, jump = cfg.newton_max_iter, grid.boundary_flux_coeff, integrator.jump
     pending = [(t, dt, 0)]
@@ -1662,30 +1749,31 @@ def previous_step(u, t, dt, grid, cfg, integrator):
         if depth > solver.MAX_HALVINGS:
             raise SolverError(
                 f"Newton failed after {solver.MAX_HALVINGS} halvings at t={t0:.6g}"
-                + solver._failure_note(failed, cfg)
+                + solver._failure_note(*failed)
             )
         if solves == solver.MAX_SUBSTEPS:
             raise SolverError(
                 f"step from t={t:.6g} spent its budget of {solver.MAX_SUBSTEPS} Newton solves"
-                f" at t={t0:.6g}" + solver._failure_note(failed, cfg)
+                f" at t={t0:.6g}" + solver._failure_note(*failed)
             )
         solves += 1
         ub = value(t0 + d)
         v_b = math.copysign(abs(ub) ** m, ub)
         args = (integrator, u, v_b, d, tol, max_iter)
-        u_new, ok, res = solver._newton_solve(*args, start, bound)
-        if not ok and start is not None:
+        u_new, ok, res = solver._newton_solve(*args, predicted)
+        if not ok and predicted:
             u_new, ok, res = solver._newton_solve(*args)
-        start = bound = None
+        predicted = False
         if not ok:
-            failed = (u, v_b, res)
+            failed = (res, integrator.target)
             pending.append((t0 + d / 2.0, d / 2.0, depth + 1))
             pending.append((t0, d / 2.0, depth + 1))
             continue
         outflow += -d * flux * float(jump[-1])
         u = u_new
     u.setflags(write=False)
-    integrator.levels = [*levels[-4:], (dt, u, integrator.end(u, integrator.window))]
+    integrator.levels = [*levels[-4:], (dt, u)]
+    integrator.support = max(support, integrator.end(u, integrator.window))
     return u, outflow
 
 
@@ -1711,15 +1799,15 @@ def test_step_makes_the_solves_of_the_previous_halving_loop(fails, continued, bo
     def run(stepper):
         calls = []
 
-        def solve(work, u_old, v_b, d, tol, max_iter, start=None, bound=None):
+        def solve(work, u_old, v_b, d, tol, max_iter, predicted=False):
             k = len(calls)
-            calls.append((float_bits(d), float_bits(v_b), start is None, bound, tol, max_iter))
-            work.jump[-1] = 3.0 * d + k
+            calls.append((float_bits(d), float_bits(v_b), predicted, tol, max_iter))
+            work.jump[-1], work.target = 3.0 * d + k, 5.0 * d
             return u_old + d, not (k < len(fails) and fails[k]), float(k)
 
         integrator = solver.Integrator(grid, 2.0)
         if continued:
-            integrator.levels = [(0.01, u_prev, 12), (0.01, u, 12)]
+            integrator.levels = [(0.01, u_prev), (0.01, u)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_newton_solve", solve)
             mp.setattr(solver, "MAX_HALVINGS", 3)
@@ -1728,7 +1816,8 @@ def test_step_makes_the_solves_of_the_previous_halving_loop(fails, continued, bo
                 got, outflow = stepper(u, 0.3, dt, grid, cfg, integrator)
             except SolverError as exc:
                 return calls, str(exc)
-        return calls, (got.tobytes(), float_bits(outflow), [(s, e) for s, _, e in integrator.levels])
+        sizes = [s for s, _ in integrator.levels]
+        return calls, (got.tobytes(), float_bits(outflow), sizes, integrator.support)
 
     assert run(solver.step) == run(previous_step)
 
@@ -1777,13 +1866,13 @@ def test_solve_ball_takes_the_step_sizes_of_the_previous_loop(dt0, growth, dt_ma
     assert float_bits(sizes) == float_bits(want_sizes) and float_bits(traj.times) == float_bits(want_times)
 
 
-def previous_guess(integrator, d):
-    """``Integrator.guess`` before it took the levels' largest end in a loop,
+def previous_guess(integrator, levels, d):
+    """``Integrator.guess`` before it took the levels' largest end in a loop
+    and, later, the history's support: from (step size, field, end) triples,
     with both forms written out as they were."""
-    levels = integrator.levels
     if len(levels) < 2:
         return None, None
-    out, tmp = integrator.start, integrator.scratch
+    out, tmp = integrator.u, integrator.scratch
     e = levels[-1][2]
     if e < integrator.grid.cells:
         e = max([end for _, _, end in levels])
@@ -1797,7 +1886,7 @@ def previous_guess(integrator, d):
         np.add(out, np.multiply(10.0, u2, tmp), out)
         np.subtract(out, np.multiply(5.0, u3, tmp), out)
         np.add(out, u4, out)
-        return integrator.start, e
+        return integrator.u, e
     if len(levels) == 2:
         (_, u1, _), (a, u0, _) = levels
         np.multiply(np.subtract(u0, u1, tmp), d / a, tmp)
@@ -1809,7 +1898,7 @@ def previous_guess(integrator, d):
         np.multiply(da * dab / (a * ab), u0, out)
         np.add(out, np.multiply(-d * dab / (a * b), u1, tmp), out)
         np.add(out, np.multiply(d * da / (ab * b), u2, tmp), out)
-    return integrator.start, e
+    return integrator.u, e
 
 
 @given(
@@ -1829,21 +1918,23 @@ def previous_guess(integrator, d):
 @settings(max_examples=300, deadline=None)
 def test_guess_is_the_previous_guess(drawn, d):
     # one to six levels, on one step size or several, each field +0.0 from a
-    # drawn cell on: the same start, bit for bit, and the same bound
+    # drawn cell on, whose history's support is the levels' largest end: the
+    # same start, bit for bit, and +0.0 past the previous bound
     n = len(drawn[0][1])
     grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, n)
+    got, want = solver.Integrator(grid, 2.0), solver.Integrator(grid, 2.0)
     levels = []
     for s, values, cut in drawn:
         u = np.array(values) + 0.0
         u[cut:] = 0.0
-        levels.append((s, u, solver.Integrator(grid, 2.0).end(u)))
-    got, want = solver.Integrator(grid, 2.0), solver.Integrator(grid, 2.0)
-    got.levels, want.levels = list(levels), list(levels)
-    start, bound = got.guess(d)
-    want_start, want_bound = previous_guess(want, d)
-    assert bound == want_bound and (start is None) == (want_start is None)
-    if start is not None:
-        assert start.tobytes() == want_start.tobytes()
+        levels.append((s, u, got.end(u)))
+    got.levels = [(s, u) for s, u, _ in levels[-5:]]
+    got.support = max(end for _, _, end in levels)
+    want_start, want_bound = previous_guess(want, levels[-5:], d)
+    assert got.guess(d) == (want_start is not None)
+    if want_start is not None:
+        assert got.u.tobytes() == want_start.tobytes()
+        assert got.end(got.u) <= want_bound
 
 
 def test_a_line_search_with_no_passing_trial_takes_the_smallest_step_as_the_plain_kernel():
@@ -2060,8 +2151,8 @@ def test_scaling_group(manifold, m, lam):
     moves = []  # [run from u0, run from lam u0]
     real_solve = solver._newton_solve
 
-    def recording_solve(work, u_old, v_b, d, tol, max_iter, start=None, bound=None):
-        out = real_solve(work, u_old, v_b, d, tol, max_iter, start, bound)
+    def recording_solve(work, u_old, v_b, d, tol, max_iter, predicted=False):
+        out = real_solve(work, u_old, v_b, d, tol, max_iter, predicted)
         grid, m = work.grid, work.m
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
