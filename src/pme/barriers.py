@@ -60,12 +60,15 @@ def separable_envelopes(times, horizon, m, scale, profile) -> np.ndarray:
     """One row blowup_factor(t, horizon, m) * scale * profile per time.  The
     times are Python floats (``Trajectory.times``), and each factor is the
     Python float ``blowup_factor`` gives, its exponent -1/(m-1) computed once.
-    The rows are written into a new array by one broadcast multiply (at 13
-    times and 250 cells 4.4 us, against 6.0 us for ``factors[:, None] *
-    profile``, which allocates through the ufunc's iterator)."""
+    The rows are the K x 1 by 1 x n matrix product of the factors and the
+    profile: its inner dimension is 1, so each entry is one rounded product,
+    the bits of a broadcast multiply wherever that product is not -0.0
+    (BLAS writes +0.0 for it).  No product is -0.0 for the positive factors
+    and the profiles of the audits, which are >= +0.0.  At 13 times and 250
+    cells the product takes 1.5-2.4 us."""
     e = -1.0 / (m - 1.0)
     factors = np.array([(1.0 - t / horizon) ** e * scale for t in times])
-    return np.multiply(factors[:, None], profile, np.empty((factors.size, profile.size)))
+    return np.dot(factors[:, None], profile[None])
 
 
 @dataclass(frozen=True)

@@ -392,7 +392,13 @@ class HomogeneousDirichlet:
 
 @dataclass(frozen=True)
 class BarrierDirichlet:
-    """Trace of the shifted separable subsolution at the outer radius."""
+    """Trace at the outer radius of the separable barrier
+    blowup_factor(t, T, m) * (W^m - delta)_+^(1/m), W the profile of
+    ``params``, a subsolution or a supersolution as its amplitude makes it
+    (a solve config's ``barrier_a`` sets any amplitude).  With a
+    subsolution's amplitude and a stage's shift delta_n it is a
+    blow-up stage's boundary datum; with delta = 0 and the supersolution
+    amplitude it is W's own trace, but for the rounding of (W^m)^(1/m)."""
 
     params: BarrierParams
     delta: float = 0.0

@@ -587,31 +587,48 @@ def reference_sandwich_gaps(traj, m, T_next, v_base, s_super, norm_far, far_weig
 
 @st.composite
 def audited_trajectories(draw):
+    """A stage trajectory, its m, its subsolution horizon, a generator and the
+    profile ``v_base`` of its lower envelope, which holds exact +0.0 entries
+    where W^m <= delta, as ``shift_root`` gives them.  The fields are drawn
+    at random, or lie on or above the lower envelope and equal it on some
+    cells (a gap of exactly 0.0), or are zeros of either sign."""
     manifold = draw(st.sampled_from([geometry.euclidean(3), geometry.quad_critical(0.5, 3)]))
     cells = draw(st.integers(min_value=3, max_value=60))
     grid = RadialGrid.uniform(manifold, draw(st.floats(min_value=1.0, max_value=25.0)), cells)
     m = draw(st.floats(min_value=1.05, max_value=4.0))
     horizon = draw(st.floats(min_value=1e-4, max_value=10.0))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    v_base = barriers.shift_root(rng.uniform(0.0, 9.0, cells), float(rng.uniform(0.0, 6.0)), m)
+    kind = draw(st.sampled_from(["random", "on-envelope", "zeros"]))
+    # 1 to 40 records in [0, horizon); t = 0, where every stage starts, is
+    # left out at random so that a stage can also have no record before
+    # 0.95 s_super, and a lone record may be the t = 0 one
+    times = np.sort(rng.uniform(0.0, horizon, draw(st.integers(min_value=1, max_value=40)))).tolist()
+    if draw(st.booleans()):
+        times[0] = 0.0
     traj = solver.Trajectory(grid=grid)
-    # the recorded times lie in [0, horizon); t = 0 is left out at random so
-    # that a stage can also have no record before 0.95 s_super
-    for t in np.sort(rng.uniform(0.0, horizon, draw(st.integers(min_value=1, max_value=12)))):
-        traj.record(t, rng.uniform(-3.0, 3.0, cells) * rng.uniform(0.0, 1.0), 0.0)
-    return traj, m, horizon, rng
+    for t, low in zip(times, previous_separable_envelopes(times, horizon, m, 1.0, v_base)):
+        if kind == "random":
+            u = rng.uniform(-3.0, 3.0, cells) * rng.uniform(0.0, 1.0)
+        elif kind == "on-envelope":
+            u = low + rng.uniform(0.0, 1.0, cells) * (rng.random(cells) < 0.5)
+        else:
+            u = np.where(rng.random(cells) < 0.5, -0.0, 0.0)
+        traj.record(t, u, 0.0)
+    return traj, m, horizon, rng, v_base
 
 
 @given(audited_trajectories(), st.floats(min_value=1e-3, max_value=10.0), st.floats(2.0, 50.0))
 @settings(max_examples=150, deadline=None)
 def test_vectorised_reads_equal_the_record_loops(case, s_super, r):
-    traj, m, horizon, rng = case
+    traj, m, horizon, rng, v_base = case
     norm = xlog.LogNorm(r, m)
     assert (traj.lognorms(norm), traj.tail_ratios(m), traj.masses) == reference_series(traj, norm)
     norm0 = float(rng.uniform(1e-3, 5.0))
     got = solver.barrier_excess(traj, norm0, horizon, r, m)
     assert got == reference_barrier_excess(traj, norm0, horizon, r, m)
     n = traj.grid.cells
-    args = (m, horizon, rng.uniform(0.0, 3.0, n), s_super, norm0, rng.uniform(0.5, 5.0, n))
+    args = (m, horizon, v_base, s_super, norm0, rng.uniform(0.5, 5.0, n))
     assert blowup.sandwich_gaps(traj, *args) == reference_sandwich_gaps(traj, *args)
 
 
@@ -631,7 +648,7 @@ def mask_sandwich_gaps(traj, m, horizon, v_base, s_super, norm_far, far_weight):
 @given(audited_trajectories(), st.sampled_from(["none", "all", "some", "at-a-record"]))
 @settings(max_examples=150, deadline=None)
 def test_early_records_as_a_prefix_equal_the_mask(case, early):
-    traj, m, horizon, rng = case
+    traj, m, horizon, rng, v_base = case
     times = traj.times
     # 0.95 s_super below the first record, above the last, anywhere, or on a record
     s_super = {
@@ -641,7 +658,7 @@ def test_early_records_as_a_prefix_equal_the_mask(case, early):
         "at-a-record": times[int(rng.integers(len(times)))] / 0.95,
     }[early]
     n = traj.grid.cells
-    v_base, norm_far, far_weight = rng.uniform(0.0, 3.0, n), rng.uniform(1e-3, 5.0), rng.uniform(0.5, 5.0, n)
+    norm_far, far_weight = rng.uniform(1e-3, 5.0), rng.uniform(0.5, 5.0, n)
     args = (m, horizon, v_base, s_super, float(norm_far), far_weight)
     got = blowup.sandwich_gaps(traj, *args)
     assert got == mask_sandwich_gaps(traj, *args)
@@ -717,6 +734,33 @@ def test_separable_envelopes_equal_the_per_record_factors(cells, shares, horizon
     r = float(rng.uniform(2.0, 50.0))
     got = solver.barrier_excess(traj, scale, horizon, r, m)
     assert float_bytes(got) == float_bytes(previous_barrier_excess(traj, scale, horizon, r, m))
+
+
+@given(audited_trajectories(), st.sampled_from(["none", "all", "some"]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_the_audit_keeps_its_bits_signed_zeros_included(case, early, zero_weights):
+    # the envelopes as K x 1 by 1 x n products give the gaps' bytes of the
+    # broadcast multiplies, on profiles and weights with +0.0 entries, on
+    # fields that meet the lower envelope (a lower gap of exactly +0.0) and
+    # on fields of -0.0 and +0.0 (an upper gap entry of -0.0 over a weight
+    # of +0.0)
+    traj, m, horizon, rng, v_base = case
+    times = traj.times
+    s_super = {
+        "none": times[0] / 0.95 / 2.0,
+        "all": 2.0 * times[-1] / 0.95 + 1e-3,
+        "some": float(rng.uniform(0.1, 2.0)) * horizon,
+    }[early]
+    n = traj.grid.cells
+    far_weight = rng.uniform(0.5, 5.0, n)
+    if zero_weights:
+        far_weight[rng.random(n) < 0.3] = 0.0
+    args = (m, horizon, v_base, s_super, float(rng.uniform(1e-3, 5.0)), far_weight)
+    got = blowup.sandwich_gaps(traj, *args)
+    assert float_bytes(*got) == float_bytes(*previous_sandwich_gaps(traj, *args))
+    r, norm0 = float(rng.uniform(2.0, 50.0)), float(rng.uniform(1e-3, 5.0))
+    got = solver.barrier_excess(traj, norm0, horizon, r, m)
+    assert float_bytes(got) == float_bytes(previous_barrier_excess(traj, norm0, horizon, r, m))
 
 
 def test_each_stage_audits_the_root_its_shift_accepted(monkeypatch):

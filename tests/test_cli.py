@@ -17,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pme import barriers, blowup, cli, errors, geometry, solver
+from pme import config as cfgmod
+from pme.grid import RadialGrid
 
 
 def run_cli(*argv):
@@ -1546,6 +1548,57 @@ def test_help_prints_usage_and_exits_0(capsys, command):
     assert out.startswith(f"usage: pme {command}".rstrip()) and not err, (out, err)
 
 
+def previous_finite_or_null(obj):
+    """``obj`` with non-finite floats as None and dataclasses as field dicts:
+    the pass ``cli._json_text`` made before ``json.dumps`` until the writer
+    took over both."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if dataclasses.is_dataclass(obj):
+        return {f.name: previous_finite_or_null(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {key: previous_finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [previous_finite_or_null(val) for val in obj]
+    return obj
+
+
+def previous_json_text(obj) -> str:
+    return json.dumps(previous_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@dataclasses.dataclass
+class Pair:
+    first: object
+    second: object
+
+
+@dataclasses.dataclass(frozen=True)
+class Record:
+    """Fields declared out of name order, one of them named outside ASCII."""
+
+    zeta: object
+    alpha: object
+    Beta: object
+    é: object
+
+
+@dataclasses.dataclass
+class Empty:
+    pass
+
+
+# every character class the string encoder escapes: quote, backslash,
+# control, DEL, non-ASCII, line separator and astral characters
+ODD_TEXT = st.one_of(
+    st.text(),
+    st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\xe9", "\u2028", "\U0001f600", "\U0010ffff", "a"])),
+)
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308, 0.1, 1 / 3]
+)
+ALL_FLOATS = st.one_of(st.floats(), EDGE_FLOATS)
+BIG_INTS = st.one_of(st.integers(), st.integers(min_value=2**63 - 2, max_value=2**200), st.integers(max_value=-(2**63)))
 JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -1558,21 +1611,68 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=30,
 )
+# what the reports hold and more: dataclass trees, tuples, numpy floats,
+# non-finite floats, signed zeros, subnormals, ints past 2^63, odd strings,
+# and dicts keyed by strings, ints or finite floats
+REPORT_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), BIG_INTS, ALL_FLOATS, ALL_FLOATS.map(np.float64), ODD_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(ODD_TEXT, inner, max_size=4),
+        st.dictionaries(BIG_INTS, inner, max_size=3),
+        st.dictionaries(st.floats(allow_nan=False, allow_infinity=False), inner, max_size=3),
+        st.builds(Pair, inner, inner),
+        st.builds(Record, inner, inner, inner, inner),
+        st.just(Empty()),
+    ),
+    max_leaves=30,
+)
 
 
-@given(JSON_VALUES)
+@given(st.one_of(JSON_VALUES, REPORT_TREES))
 @example({})
 @example([])
 @example({"a": [], "b": {}, "c": [[], {}], "d": [1.5, None, True, "x"]})
-@settings(max_examples=300, deadline=None)
+@example(Record(-0.0, 5e-324, [1e-300, 1e300, np.float64(-0.0)], {'"\\\x00\xe9\U0001f600': 2**64}))
+@example(Pair(Empty(), ((), [Empty()])))
+@example({False: 1, True: [math.nan]})
+@example({None: -0.0})
+@example({2.5: math.inf, -1.0: 1, 1e300: [-0.0]})
+@settings(max_examples=400, deadline=None)
 def test_json_text_is_the_indented_json_dumps(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    # on plain JSON values, previous_json_text is json.dumps itself
+    assert cli._json_text(obj) == previous_json_text(obj)
 
 
-@dataclasses.dataclass
-class Pair:
-    first: object
-    second: object
+@pytest.mark.parametrize(
+    "obj",
+    [
+        object(),
+        [1.0, {1, 2}],
+        {"a": np.float32(1.0)},
+        Pair(np.int64(3), None),
+        {1: 0, "a": 1},
+        {(1,): 2},
+        {math.nan: 1},
+        {math.inf: 1},
+        {np.float64(-math.inf): 1},
+        Record(1, 2, 3, {b"bytes": 4}),
+    ],
+    ids=["object", "set", "float32", "int64", "mixed-keys", "tuple-key", "nan-key", "inf-key", "numpy-inf-key", "bytes-key"],
+)
+def test_json_text_raises_what_json_dumps_raises(obj):
+    with pytest.raises((TypeError, ValueError)) as want:
+        previous_json_text(obj)
+    with pytest.raises(want.type) as got:
+        cli._json_text(obj)
+    assert str(got.value) == str(want.value)
+
+
+def test_json_text_writes_the_golden_ledger_as_json_dumps():
+    cfg = cfgmod.parse_config(str(Path(__file__).parent / "golden" / "blowup.cfg"))
+    ledger = cli._blowup_ledger(cfg)
+    assert cli._json_text(ledger) == previous_json_text(ledger)
 
 
 def _nested_with_json(inner):
@@ -1608,13 +1708,56 @@ def test_json_text_writes_non_finite_floats_as_null_and_containers_as_json(pair)
     assert json.loads(cli._json_text(obj)) == expected
 
 
+def _no_constant(token):
+    raise AssertionError(f"{token} token written")
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_json_text_refuses_a_non_finite_float_it_is_handed_directly(monkeypatch, value):
-    # _finite_or_null writes non-finite floats as null; a float that gets
-    # past it still yields no Infinity or NaN token, the encoder refuses it
-    monkeypatch.setattr(cli, "_finite_or_null", lambda obj: obj)
-    with pytest.raises(ValueError):
-        cli._json_text([1.0, value])
+def test_json_text_refuses_a_non_finite_float_it_is_handed_directly(value):
+    # no NaN or Infinity token is ever written: a non-finite float of either
+    # sign, a Python or a numpy float, is null wherever it is a value, and as
+    # a dict key, the one place json.dumps would have to write it, the
+    # writer raises json's ValueError
+    for x in (value, -value, np.float64(value), np.float64(-value)):
+        text = cli._json_text([1.0, x, {"k": x}, Pair(x, (x, [x]))])
+        expected = [1.0, None, {"k": None}, {"first": None, "second": [None, [None]]}]
+        assert json.loads(text, parse_constant=_no_constant) == expected
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            cli._json_text({"a": [{x: 1.0}]})
+
+
+def previous_write_trajectory(path, traj):
+    """``cli.write_trajectory`` and ``cli.write_csv`` as they were: a tuple
+    per row, each value written with ``str``, the lines joined at the end."""
+    centers = traj.grid.centers.tolist()
+    rows = [(t, rho, val) for t, u in zip(traj.times, traj.fields) for rho, val in zip(centers, u.tolist())]
+    lines = [",".join(["t", "rho", "u"])]
+    for row in rows:
+        lines.append(",".join(map(str, row)))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@given(
+    st.integers(min_value=3, max_value=30),
+    st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_trajectory_csv_is_the_previous_writers_bytes(tmp_path_factory, cells, times, seed):
+    # a multi-record trajectory whose fields hold -0.0, the least subnormal,
+    # 1e-300 and 1e300 among random values of every magnitude
+    rng = np.random.default_rng(seed)
+    grid = RadialGrid.uniform(geometry.euclidean(3), float(rng.uniform(0.5, 50.0)), cells)
+    traj = solver.Trajectory(grid=grid)
+    edges = np.array([-0.0, 0.0, 5e-324, 1e-300, 1e300, -1e300, 0.1])
+    for t in sorted(times):
+        u = rng.standard_normal(cells) * 10.0 ** rng.integers(-300, 300, cells)
+        u[: len(edges)] = rng.permutation(edges)[:cells]
+        traj.record(t, u, 0.0)
+    out = tmp_path_factory.mktemp("csv")
+    cli.write_trajectory(out / "new.csv", traj)
+    previous_write_trajectory(out / "old.csv", traj)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
 
 STARTUP_PROBE = """
