@@ -24,6 +24,13 @@ The scaled residual (A - x)/(|A| + |x|) does not increase in x >= 0, so at
 every node V's residual is at least W_T's, and W_T's equals W_1's because
 the common factor T^(-1/(m-1)) cancels.
 ``tests/test_barriers.py`` checks this as a property on the four families.
+
+A float radius is the 0-d case of the array code: each function here has
+one body for both, and returns a numpy float64 (a ``float``) for a float.
+Every power of a radius-dependent value in W, W^m and V is an ``np.power``
+call, since a numpy float64's ``**`` runs libm's ``pow``, which can round
+otherwise than numpy's array loop; so a blow-up stage's boundary datum
+and its subsolution on the cells are the same function in floats.
 """
 
 from __future__ import annotations
@@ -94,7 +101,7 @@ class BarrierParams:
 
     def profile_unit(self, rho):
         """Unit-horizon profile W(rho) = a [log(r^2+rho^2)]^(1/(m-1))."""
-        return self.amplitude * self.log_weight(rho) ** (1.0 / (self.m - 1.0))
+        return self.amplitude * np.power(self.log_weight(rho), 1.0 / (self.m - 1.0))
 
     def profile(self, rho):
         """Horizon-scaled profile W / T^(1/(m-1))."""
@@ -121,7 +128,7 @@ def wm_radial_derivatives(p: BarrierParams, rho):
     m = p.m
     L = p.log_weight(rho)
     s = p.r**2 + rho**2
-    base = p.amplitude**m * (2.0 * m / (m - 1.0)) * L ** (1.0 / (m - 1.0)) / s
+    base = p.amplitude**m * (2.0 * m / (m - 1.0)) * np.power(L, 1.0 / (m - 1.0)) / s
     first = base * rho
     # rho^2/s <= 1 is formed first: (m-1) s L overflows for m of 1e6 at rho = 1e150
     q = rho**2 / s
@@ -136,10 +143,8 @@ def laplacian_wm(p: BarrierParams, manifold: ModelManifold, rho):
     The drift term stays bounded as rho -> 0 because (W^m)' vanishes
     linearly there.
     """
-    rho_arr = np.asarray(rho, dtype=float)
-    first, second = wm_radial_derivatives(p, rho_arr)
-    val = second + manifold.drift(rho_arr) * first
-    return float(val) if np.isscalar(rho) else val
+    first, second = wm_radial_derivatives(p, rho)
+    return second + manifold.drift(rho) * first
 
 
 @dataclass(frozen=True)
@@ -272,26 +277,18 @@ def shifted_subsolution(p: BarrierParams, delta: float, rho):
     unit profile's, for every T and delta >= 0: the shift leaves Lap(V^m) =
     Lap(W_T^m) = T^(-m/(m-1)) Lap(W_1^m) and only lowers V below W_T (see
     the module docstring), so ``certify_subsolution`` covers it.
+
+    One body for any shape of rho, its powers ``np.power`` calls: a float
+    radius gives the bits of the same radius's entry in an array.
     """
     if delta < 0:
         raise DomainError("delta must be nonnegative")
-    if not np.isscalar(rho):
-        return shift_root(p.profile(np.asarray(rho, dtype=float)) ** p.m, delta, p.m)
-    # one radius: the array path's formula on a 0-d array, where rho^2 is a
-    # square, the log a ufunc call, each power a numpy scalar's (libm's pow,
-    # inf on overflow) and the maximum a comparison (W^m - delta is no -0.0).
-    # Not its floats: the array path's powers run numpy's SIMD power loop,
-    # which rounds other than libm's pow in about 13% of draws, so a radius
-    # here may differ by an ulp from the same radius in an array
-    rho = float(rho)
-    e = 1.0 / (p.m - 1.0)
-    x = (p.amplitude * np.log(p.r**2 + rho * rho) ** e / p.horizon ** e) ** p.m - delta
-    return float((0.0 if x < 0.0 else x) ** (1.0 / p.m))
+    return shift_root(np.power(p.profile(rho), p.m), delta, p.m)
 
 
 def shift_root(wm, delta: float, m: float):
     """(max(wm - delta, 0))^(1/m): the shifted subsolution from W^m values."""
-    return np.maximum(wm - delta, 0.0) ** (1.0 / m)
+    return np.power(np.maximum(wm - delta, 0.0), 1.0 / m)
 
 
 # -- backward uniqueness barrier ----------------------------------------------
@@ -338,8 +335,7 @@ def eta(p: EtaBarrierParams, rho, t):
         raise DomainError("t must lie in [0, T]")
     with np.errstate(over="ignore"):  # an exponent of -inf gives the 0 it underflows to
         arg = -p.decay / (2.0 * p.horizon - t_arr) * rho_arr**2 / np.log(rho_arr)
-    val = p.scale * np.exp(arg)
-    return float(val) if (np.isscalar(rho) and np.isscalar(t)) else val
+    return p.scale * np.exp(arg)
 
 
 def eta_derivatives(p: EtaBarrierParams, rho, t):

@@ -334,7 +334,8 @@ def run_blowup(
     far_weight = LogNorm(20.0 * grid.radius, m).weight(grid.centers)
     u = np.asarray(u0.profile(grid.centers), dtype=float)
     # the unit profile on the centers, once per run: each stage's W_T^m is
-    # barrier.at_horizon(unit) ** m, the operations of barrier.profile
+    # np.power(barrier.at_horizon(unit), m), the operations by which
+    # shifted_subsolution forms W_T^m, at the boundary radius too
     unit = sub.profile_unit(grid.centers)
     integrator = Integrator(grid, m)
 
@@ -349,7 +350,7 @@ def run_blowup(
     for n, (eps, T_n, S_n, t_n, next_ratio) in enumerate(schedule):
         # positional fields, in the order each class declares them
         barrier = BarrierParams(a_hat, r_hat, T_n, m)
-        wm = barrier.at_horizon(unit) ** m
+        wm = np.power(barrier.at_horizon(unit), m)
         try:
             delta, v_base = stage_delta(u, wm, m)
         except StageError as exc:

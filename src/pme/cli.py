@@ -316,6 +316,8 @@ def cmd_solve(args) -> int:
 
 def cmd_exhaust(args) -> int:
     cfg, manifold, m = _load_run(args)
+    if "boundary" in cfg:  # its check is for increase in R, which only zero data give
+        raise ConfigError("an exhaust run does not read 'boundary': its balls take zero boundary data")
     radii = [float(x) for x in _numbers(args.radii, "--radii")]
     cells = cfgmod.get_int(cfg, "cells", minimum=3)
     datum = cfgmod.datum_from(cfg, m)

@@ -9,7 +9,8 @@ ball, which fails when its volume ratios overflow the double range.  The initial
 datum is one of ``log-growth(b)``, ``bounded(B)`` or ``table(path.csv)``, with
 finite numbers; tables are two-column CSV ``rho,value`` with a header row and
 radii from 0 to 1e150, interpolated linearly onto the solver grid and held at
-the first value below the first row and at the last beyond the last row.
+the first value below the first row and at the last beyond the last row.  A
+nonblank table line of other than two fields is refused, naming its line.
 
 ``solver_config_from``, ``blowup_config_from``, ``grid_from``,
 ``datum_from`` and ``norm_r_from`` map a config to run objects for every
@@ -238,12 +239,14 @@ def _read_table(path):
     if header is None or [h.strip().lower() for h in header[:2]] != ["rho", "value"]:
         raise ConfigError(f"{path}: table needs a 'rho,value' header row")
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
+    for lineno, row in enumerate([header, *reader], start=1):
+        if row and len(row) != 2:  # the header row too
+            raise ConfigError(f"{path}:{lineno}: bad table row {row!r}: {len(row)} fields, not 2")
+        if lineno == 1 or not row:
             continue
         try:
             rows.append((float(row[0]), float(row[1])))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad table row {row!r}") from exc
         if not all(map(math.isfinite, rows[-1])):
             raise ConfigError(f"{path}:{lineno}: table entries must be finite, got {row!r}")

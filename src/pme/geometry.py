@@ -98,7 +98,7 @@ class ModelManifold:
             val = (self.dim - 1) * np.asarray(self.ratio1(arr), dtype=float)
         if not np.all(np.isfinite(val)):
             raise DomainError("psi'/psi is not finite on the requested radii")
-        return float(val) if np.isscalar(rho) else val
+        return val
 
     def curvature(self, rho):
         """Sectional curvature -psi''/psi and radial Ricci (N-1) times it."""
@@ -107,10 +107,7 @@ class ModelManifold:
             sec = -np.asarray(self.ratio2(arr), dtype=float)
         if not np.all(np.isfinite(sec)):
             raise DomainError("psi''/psi is not finite on the requested radii")
-        ric = (self.dim - 1) * sec
-        if np.isscalar(rho):
-            return CurvatureSample(float(sec), float(ric))
-        return CurvatureSample(sec, ric)
+        return CurvatureSample(sec, (self.dim - 1) * sec)
 
     def log_surface_measure(self, radius):
         """log of the area of the geodesic sphere S_R, |S^{N-1}| psi(R)^{N-1}."""
@@ -191,10 +188,12 @@ def log_critical(c: float, dim: int = 2) -> ModelManifold:
         g = np.log(s)
         f = c * r * r / g
         f1 = 2.0 * c * r / g - c * r * r / (s * g * g)
+        # np.power, not g**3: for a float r, g is a numpy float64, whose **
+        # runs libm's pow and not the array loop of the same radius in an array
         f2 = (
             2.0 * c / g
             - 4.0 * c * r / (s * g * g)
-            + c * r * r * (g + 2.0) / (s * s * g**3)
+            + c * r * r * (g + 2.0) / (s * s * np.power(g, 3))
         )
         return f, f1, f2
 

@@ -427,7 +427,7 @@ class BarrierDirichlet:
         once, and a call costs one power."""
         p = self.params
         horizon, e = p.horizon, -1.0 / (p.m - 1.0)
-        base = shifted_subsolution(p, self.delta, radius)
+        base = float(shifted_subsolution(p, self.delta, radius))
         return lambda t: (1.0 - t / horizon) ** e * base
 
 

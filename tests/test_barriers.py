@@ -303,13 +303,6 @@ def test_shift_rejects_negative_delta(quad_constants):
         barriers.shifted_subsolution(p, -1.0, 3.0)
 
 
-def previous_scalar_shifted_subsolution(p, delta, rho):
-    """``shifted_subsolution`` at one radius as it was before its scalar path:
-    the array path's operations on a 0-d array."""
-    val = barriers.shift_root(p.profile(np.asarray(rho, dtype=float)) ** p.m, delta, p.m)
-    return float(val)
-
-
 barrier_params = st.builds(
     barriers.BarrierParams,
     amplitude=st.floats(1e-3, 50.0),
@@ -325,20 +318,45 @@ barrier_params = st.builds(
     st.floats(0.0, 200.0) | st.integers(0, 50),
 )
 @settings(max_examples=400, deadline=None)
-def test_the_scalar_radius_path_is_the_previous_scalar_floats(p, delta, rho):
-    # one radius takes Python arithmetic, one log ufunc call and numpy scalar
-    # powers: the floats of the 0-d array path it replaced, shifts that clip
-    # to 0 included.  The array path's entry agrees to rounding only: numpy's
-    # array power loop and libm's pow (the scalar powers) can round a power
-    # differently by an ulp, so at delta = 0 the two are within 8 ulp
+def test_a_float_radius_is_the_bits_of_its_array_entry(p, delta, rho):
+    # a float radius is the 0-d case of the array code, each power an
+    # np.power call, so a stage's boundary datum at R and its subsolution on
+    # the cells are one function in floats, shifts that clip to 0 included
     with np.errstate(all="ignore"):
         got = barriers.shifted_subsolution(p, delta, rho)
-        want = previous_scalar_shifted_subsolution(p, delta, rho)
         entry = barriers.shifted_subsolution(p, delta, np.array([rho, 1.0]))[0]
-    assert type(got) is float
-    assert np.array([got]).tobytes() == np.array([want]).tobytes()
-    if delta == 0.0 and math.isfinite(entry):
-        assert abs(got - entry) <= 8 * math.ulp(entry)
+    assert isinstance(got, float)
+    assert np.array([got]).tobytes() == np.array([entry]).tobytes()
+
+
+def _eta_of_radius(rho):
+    p = barriers.EtaBarrierParams(decay=0.2, scale=1.5, horizon=0.5, inner_radius=2.0, coeff_bound=1.0)
+    return barriers.eta(p, 2.0 + rho, 0.3)
+
+
+FLOAT_CASES = {
+    "drift": lambda rho: geometry.log_critical(0.3, 2).drift(rho),
+    "curvature": lambda rho: geometry.log_critical(0.3, 2).curvature(rho).sectional,
+    "laplacian_wm": lambda rho: barriers.laplacian_wm(
+        barriers.BarrierParams(0.3, 2.5, 1.0, 2.7), geometry.quad_critical(0.5, 3), rho
+    ),
+    "eta": _eta_of_radius,
+    "shifted_subsolution": lambda rho: barriers.shifted_subsolution(
+        barriers.BarrierParams(0.3, 2.5, 0.7, 2.7), 0.01, rho
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CASES))
+@given(rho=st.floats(1e-3, 300.0))
+@settings(max_examples=100, deadline=None)
+def test_a_float_argument_gives_the_bits_of_its_array_entry(name, rho):
+    # one body serves a float and an array: no cast branch, no scalar path
+    f = FLOAT_CASES[name]
+    got = f(rho)
+    entry = f(np.array([rho, 1.0]))[0]
+    assert isinstance(got, float)
+    assert np.array([got]).tobytes() == np.array([entry]).tobytes()
 
 
 # -- separable structure and ordering ---------------------------------------------------

@@ -446,6 +446,35 @@ def test_exhaust_refuses_a_t_end_past_the_certified_horizon(tmp_path, capsys):
     assert not out.exists()
 
 
+# the from-above exhaustion config: log-growth(1) on quad-critical c = 0.5,
+# its boundary the certified supersolution's trace, under which u_R
+# decreases with R
+FROM_ABOVE_EXHAUST_CFG = """
+manifold = quad-critical
+dim = 3
+c = 0.5
+m = 2
+u0 = log-growth(1.0)
+cells = 50
+t_end = 0.05
+dt0 = 1e-3
+barrier_a = 0.04998000799680127
+barrier_T = 0.09996001599360255
+"""
+
+
+@pytest.mark.parametrize("boundary", ["barrier-dirichlet", "homogeneous-dirichlet"])
+def test_exhaust_refuses_a_boundary_key(tmp_path, capsys, boundary):
+    # exhaust checks u_R for increase in R, which holds for zero boundary
+    # data only: a boundary key, even the default's, exits 2 naming it
+    cfg = write_cfg(tmp_path, FROM_ABOVE_EXHAUST_CFG + f"boundary = {boundary}\n")
+    out = tmp_path / "exhaust.json"
+    rc = run_cli("exhaust", "--config", cfg, "--radii", "20,40,80,160", "--out", str(out))
+    err = assert_one_configuration_error(rc, capsys)
+    assert "'boundary'" in err
+    assert not out.exists()
+
+
 # -- blowup ------------------------------------------------------------------------------
 
 
@@ -1204,6 +1233,7 @@ TABLE_ERRORS = [
     ("one-row", "rho,value\n1,1\n", "u0.csv: table needs at least two rows"),
     ("radii-not-increasing", "rho,value\n2,1\n1,1\n", "u0.csv: table rho column must be strictly increasing"),
     ("negative-radius", "rho,value\n-1,1\n2,1\n", "u0.csv:2: table rho must be >= 0, got '-1'"),
+    ("three-field-row", "rho,value\n1,1,9\n2,1,9\n", "u0.csv:2: bad table row ['1', '1', '9']: 3 fields, not 2"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Config -> run-object builders: defaults, key coverage, datum tails."""
 
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -169,6 +170,22 @@ def test_datum_matches_xlog_constructors(tmp_path, u0, radius):
     # the profile a run evaluates on its cells, whatever the ball's radius
     centers = RadialGrid.uniform(geometry.euclidean(3), radius, 50).centers
     assert got.profile(centers).tobytes() == profile(centers).tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("rho,value\n0.5,2.0\n4.0,-0.25,7\n", 3),
+        ("rho,value\n0.5,2.0,\n4.0,-0.25\n", 2),  # a trailing comma is a third field
+        ("rho,value,extra\n0.5,2.0\n4.0,-0.25\n", 1),
+    ],
+)
+def test_a_table_line_of_other_than_two_fields_is_refused(tmp_path, text, line):
+    # no column is silently dropped: the error names the file and the line
+    table = tmp_path / "u0.csv"
+    table.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(table))}:{line}: bad table row .* fields, not 2$"):
+        config.datum_from({"u0": f"table({table})"}, 2.0)
 
 
 def test_table_datum_is_bounded_beyond_its_last_row(tmp_path):
