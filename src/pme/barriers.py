@@ -11,9 +11,11 @@ uniqueness-side certificates.
 Certificates evaluate the relevant differential inequality in closed form on
 a radius grid and report the worst residual relative to the local magnitude,
 since the profiles span many orders of magnitude.  A ``CertificateReport``
-and the ``UniquenessReport`` of ``uniqueness_report`` each own their
-verdict: ``validate`` raises CertificateError (exit code 3) when a check
-fails.
+owns its verdict: ``validate`` raises CertificateError (exit code 3) when
+its check fails.  The ``UniquenessReport`` of ``uniqueness_report`` holds
+the eta ``CertificateReport`` itself and defers to its verdict, then checks
+the decay regime.  Both are written as their dataclasses (``cli._json_text``):
+a report's ``passed`` as ``pass``, and its ``kind`` not at all.
 
 The blow-up stages use the shifted subsolutions V = (W_T^m - delta)_+^(1/m),
 and no certificate is run per stage: the unit-profile certificate of
@@ -36,7 +38,7 @@ and its subsolution on the cells are the same function in floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -151,24 +153,13 @@ def laplacian_wm(p: BarrierParams, manifold: ModelManifold, rho):
 class CertificateReport:
     """Outcome of a grid certificate: worst scaled residual and location."""
 
-    kind: str  # super | sub | eta, the certificate's name in messages; not written
-    passed: bool
+    kind: str = field(metadata={"json": None})  # super | sub | eta, the name in messages
+    passed: bool = field(metadata={"json": "pass"})  # ``pass`` is a Python keyword
     min_residual: float
     argmin_rho: float
     nodes: int
     params: dict
     details: dict
-
-    # hand-written because its key "pass" is a Python keyword, not a field name
-    def as_json_dict(self) -> dict:
-        return {
-            "pass": bool(self.passed),
-            "min_residual": self.min_residual,
-            "argmin_rho": self.argmin_rho,
-            "nodes": self.nodes,
-            "params": self.params,
-            "details": self.details,
-        }
 
     def validate(self):
         """CertificateError naming the worst residual when the certificate failed,
@@ -343,7 +334,8 @@ def eta_derivatives(p: EtaBarrierParams, rho, t):
     eta times a factor, and is 0 where eta underflows to 0.  Only there does
     e_rr's factor y L (2L-1)^2 overflow: for the exponent y = K rho^2 /
     ((2T-t) L) and L = log rho <= 346 that needs y > 1e300, and eta is 0 for
-    y > 746."""
+    y > 746.  The powers of L are ``np.power`` calls (module docstring), and
+    a float radius and time give floats."""
     rho = np.asarray(rho, dtype=float)
     t = np.asarray(t, dtype=float)
     e = eta(p, rho, t)
@@ -351,16 +343,16 @@ def eta_derivatives(p: EtaBarrierParams, rho, t):
     L = np.log(rho)
     with np.errstate(over="ignore", invalid="ignore"):
         e_t = -(p.decay / tau) / tau * rho**2 / L * e
-        e_r = -p.decay / tau * rho * (2.0 * L - 1.0) / L**2 * e
-        poly = 2.0 * L**3 - 3.0 * L**2 + 2.0 * L
+        e_r = -p.decay / tau * rho * (2.0 * L - 1.0) / np.power(L, 2) * e
+        poly = 2.0 * np.power(L, 3) - 3.0 * np.power(L, 2) + 2.0 * L
         e_rr = (
             -p.decay
             * e
-            / (tau * L**4)
-            * (poly - p.decay / tau * rho**2 * (2.0 * L - 1.0) ** 2)
+            / (tau * np.power(L, 4))
+            * (poly - p.decay / tau * rho**2 * np.power(2.0 * L - 1.0, 2))
         )
     live = e > 0.0
-    return (e, *(np.where(live, d, 0.0) for d in (e_t, e_r, e_rr)))
+    return (e, *(np.where(live, d, 0.0)[()] for d in (e_t, e_r, e_rr)))
 
 
 def eta_first_node(inner_radius: float) -> float:
@@ -482,16 +474,14 @@ class UniquenessReport:
     T: float
     critical_T: float  # K/(2 C_M)
     regime: str  # decay | growth | boundary
-    eta_certificate: dict  # CertificateReport.as_json_dict() of the eta barrier
+    eta_certificate: CertificateReport
     F_at_100: float
     logF_at_100: float
 
     def validate(self):
-        """CertificateError unless the eta barrier holds and T < K/(2 C_M)."""
-        if not self.eta_certificate["pass"]:
-            if self.eta_certificate["min_residual"] == math.inf:
-                raise CertificateError(f"eta barrier: {NO_LIVE_ETA_NODE}")
-            raise CertificateError("eta barrier inequality failed on the verification grid")
+        """CertificateError unless the eta barrier holds and T < K/(2 C_M):
+        the eta certificate's own verdict, then the regime's."""
+        self.eta_certificate.validate()
         if self.regime == "growth":
             raise CertificateError(
                 f"smallness condition fails: T={self.T:g} >= K/(2 C_M)={self.critical_T:g}"
@@ -520,7 +510,7 @@ def uniqueness_report(
         T=horizon,
         critical_T=decay / (2.0 * c_m),
         regime=regime,
-        eta_certificate=eta_report.as_json_dict(),
+        eta_certificate=eta_report,
         F_at_100=decay_product(c_m, decay, horizon, m, 100.0),
         logF_at_100=log_decay_product(c_m, decay, horizon, m, 100.0),
     )

@@ -322,9 +322,7 @@ def run_blowup(
     trajectories).
     """
     m = cfg.m
-    if consts.c_double_prime is None:
-        raise NotApplicableError("model carries no lower quadratic drift bound")
-    sub = subsolution_params(consts, m)
+    sub = subsolution_params(consts, m)  # NotApplicableError without a lower drift bound
     a_hat, r_hat = sub.amplitude, sub.r
     a_tilde = supersolution_amplitude(consts.c_prime, m)
 

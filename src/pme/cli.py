@@ -38,7 +38,10 @@ Outputs are deterministic (identical bytes for identical config and build)
 and written atomically.  JSON is the text of ``json.dumps(indent=2,
 sort_keys=True, allow_nan=False)`` of the report, a dataclass written as the
 dict of its fields and a non-finite float as null, written in one pass by
-``_json_text`` with json's own leaf functions.  ``tests/test_cli.py``
+``_json_text`` with json's own leaf functions.  A field is keyed by its
+name, or by the ``json`` item of its metadata where it has one, and a
+``json`` of None leaves it out: ``barriers.CertificateReport`` writes
+``passed`` as ``pass`` and leaves ``kind`` out.  ``tests/test_cli.py``
 compares its text with that ``json.dumps`` call after a field and null
 pass of its own, for generated trees (dataclasses, numpy floats,
 signed zeros, subnormals, ints past 2^63, escaped strings), for the errors
@@ -103,18 +106,25 @@ def _json_text(obj) -> str:
     """Strict JSON, with no ``Infinity`` or ``NaN`` token: the text of
     ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
     with dataclasses as field dicts and non-finite floats as null, and the
-    errors it raises.  Leaves go through ``float.__repr__``, ``int.__repr__``
-    and ``encode_basestring_ascii``, as in json; each dataclass type's sorted,
-    encoded keys are cached.  The seed-0 ``blowup-j250`` ledger (92,819 bytes,
-    2,412 floats, whose ``repr`` alone takes 1.6 ms) takes about 3 ms."""
+    errors it raises.  A field's key is its name, or the ``json`` item of
+    its metadata (``dataclasses.field(metadata={"json": key})``), and a
+    ``json`` of None leaves the field out.  Leaves go through
+    ``float.__repr__``, ``int.__repr__`` and ``encode_basestring_ascii``, as
+    in json; each dataclass type's sorted, encoded keys are cached.  The
+    seed-0 ``blowup-j250`` ledger (92,819 bytes, 2,412 floats, whose
+    ``repr`` alone takes 1.6 ms) takes about 3 ms."""
     return _encode(obj, "\n") + "\n"
 
 
 @functools.cache
 def _field_keys(cls) -> tuple:
-    """(name, ``"name": ``) pairs of a dataclass's fields, sorted by name."""
-    names = sorted(f.name for f in dataclasses.fields(cls))
-    return tuple((n, encode_basestring_ascii(n) + ": ") for n in names)
+    """(name, ``"key": ``) pairs of a dataclass's written fields, sorted by
+    key.  A field's key is its name, or the ``json`` item of its metadata
+    where it has one; a ``json`` of None leaves the field out."""
+    keys = sorted(
+        (key, f.name) for f in dataclasses.fields(cls) if (key := f.metadata.get("json", f.name)) is not None
+    )
+    return tuple((n, encode_basestring_ascii(k) + ": ") for k, n in keys)
 
 
 def _key_text(key) -> str:
@@ -286,7 +296,7 @@ def cmd_barrier_check(args) -> int:
         else:
             barrier = barriers.subsolution_params(consts, m)
             report = barriers.certify_subsolution(barrier, manifold, grid)
-    write_json(args.out, report.as_json_dict())
+    write_json(args.out, report)
     report.validate()
     _info(args, f"{args.which} certificate passed (min residual {report.min_residual:.3e})")
     return 0

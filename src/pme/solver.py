@@ -70,9 +70,9 @@ not predicted fills with a copy of u_old instead.  It is computed on the
 cells before the integrator's ``support``, a cell from which every field of
 the history is +0.0: the ``end`` (one past the last cell that is not +0.0,
 ``Integrator.end``) of the field that started the history, then the largest
-end of every field accepted since.  Past it every level is +0.0, each form
-gives +0.0 there (a negative weight times +0.0 is -0.0, and +0.0 + -0.0 is
-+0.0), and that is written.
+end of every field a solve returned and a step accepted since.  Past it
+every level is +0.0, each form gives +0.0 there (a negative weight times
++0.0 is -0.0, and +0.0 + -0.0 is +0.0), and that is written.
 
 The guess is only a start.  The target residual stays
 tol * max(1, max|u_old|, |v_b|^(1/m)) of the old field, so an accepted
@@ -119,17 +119,17 @@ last cell of either field is nonzero, when the start holds a -0.0 cell and
 when q > 1/4.
 
 The bookkeeping of a solve stays on its window.  The cell from which both
-fields are +0.0 is ``support`` when the old field is the newest level, for
-a predicted solve and for its retry or first half step from that field,
-and the scanned ``end`` of any other old field, whose solve starts from a
-copy of it.  The -0.0 scan of the start reads only the cells before that
-cell, and ``step`` takes the returned field's ``end``, for ``support``,
-over the cells of the solve that produced it, past which the field is
-+0.0 (``Integrator.end`` scans a window's cells only).  ``support`` may
-exceed either field's own end, and then so does w; any w at or above the
-one the scanned ends give keeps the whole grid's floats, since the
-argument below needs only that both fields are +0.0 from the window's last
-row on.
+fields are +0.0 is the step's running ``support``, which ``step`` hands
+every solve as its ``bound``: it starts at the integrator's ``support``, or
+at the scanned ``end`` of the field that starts a new history, and takes
+in the ``end`` of each field a solve returns and the step accepts, scanned
+over the cells of that solve, past which the field is +0.0
+(``Integrator.end`` scans a window's cells only).  So a new history's field
+is the only one scanned over the whole grid, and the -0.0 scan of the
+start reads only the cells before ``bound``.  ``support`` may exceed
+either field's own end, and then so does w; any w at or above the one the
+fields' own ends give keeps the whole grid's floats, since the argument
+below needs only that both fields are +0.0 from the window's last row on.
 
 The window gives the whole grid's floats, bit for bit.  Say the iterate u
 and the old field are +0.0 (u) and zero (u_old) on the window's last row
@@ -601,7 +601,8 @@ class Integrator:
     their Newton solves, ``levels``, the last five accepted (step size,
     field) pairs, oldest first, and ``support``, a cell from which every
     field of the history is +0.0: the ``end`` of the field that started
-    it, then the largest ``end`` of the fields ``step`` accepted since.
+    it, then the largest ``end`` of the fields ``step``'s solves returned
+    and it accepted since.
 
     ``configure`` takes a run's config: it checks its m and reads once its
     boundary ``trace`` and Newton settings, which ``step`` then finds in
@@ -678,15 +679,13 @@ class Integrator:
             self.dt = dt
             self.margin = None
 
-    def window_end(self, u_old, predicted, v_b) -> int:
+    def window_end(self, u_old, predicted, v_b, bound) -> int:
         """The number of leading cells a solve from ``u_old`` with the zero
         boundary value ``v_b`` runs on, from the guess in ``u`` if
-        ``predicted``: the window margin past a cell from which both fields
-        are +0.0; all cells when the window is off (module docstring).  That
-        cell is ``support`` when ``u_old`` is the newest level, the field a
-        guess extrapolates from, and the scanned ``end`` of any other
-        ``u_old``.  ``u_old`` is native float64, as ``step`` makes every
-        field it solves from."""
+        ``predicted``: the window margin past ``bound``, a cell from which
+        both fields are +0.0 (the step's running support); all cells when
+        the window is off (module docstring).  ``u_old`` is native float64,
+        as ``step`` makes every field it solves from."""
         n = self.cells
         first = self.u if predicted else u_old
         if not (u_old[-1] == 0.0 and first[-1] == 0.0):
@@ -699,12 +698,11 @@ class Integrator:
             margin = self.margin = _window_margin(self.coupling)
         if not margin or math.copysign(1.0, v_b) < 0.0:
             return n
-        end = self.support if self.continues(u_old) else self.end(u_old)
-        w = end + margin
+        w = bound + margin
         if w >= n:
             return n
-        if end:  # the start is +0.0 from ``end`` on, so -0.0 only before it
-            bits = first[:end].view(np.int64)
+        if bound:  # the start is +0.0 from ``bound`` on, so -0.0 only before it
+            bits = first[:bound].view(np.int64)
             if _item(bits, _argmin(bits)) == _NEGATIVE_ZERO_BITS:
                 return n
         # rounded up, so that a window is rebuilt only when w crosses a
@@ -815,7 +813,7 @@ def _window_holds(info, w, delta, d) -> bool:
     return delta[-1] == 0.0 and 0.5 <= abs(d[-1]) < 2.0
 
 
-def _newton_solve(work, u_old, v_b, dt, tol, max_iter, predicted=False):
+def _newton_solve(work, u_old, v_b, dt, tol, max_iter, bound, predicted=False):
     """Solve the implicit cell balance; returns (u, converged, residual).
 
     A ``predicted`` solve starts from the integrator's ``u`` as
@@ -827,16 +825,17 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, predicted=False):
     any non-finite diagonal, Newton direction or residual, so that ``step``
     halves the step instead of letting NaN or inf into the field.
 
-    The solve runs on the leading ``work.window_end`` cells (module
-    docstring).  On a window every LAPACK call is checked, and when a check
-    fails the solve goes on from the same point on the whole grid, with
-    the iterations it has left.  ``work.window`` is left on the cells of
+    The solve runs on the leading ``work.window_end`` cells past ``bound``,
+    a cell from which ``u_old`` and the start are +0.0 (module docstring).
+    On a window every LAPACK call is checked, and when a check fails the
+    solve goes on from the same point on the whole grid, with the
+    iterations it has left.  ``work.window`` is left on the cells of
     the last iteration, past which the returned field is +0.0.
     """
     if dt != work.dt:
         work.scale(dt)
     n = work.cells
-    w = n if v_b != 0.0 else work.window_end(u_old, predicted, v_b)
+    w = n if v_b != 0.0 else work.window_end(u_old, predicted, v_b, bound)
     if not predicted:
         _copyto(work.u, u_old)
     while True:
@@ -962,13 +961,17 @@ def step(
     while True:
         ub = trace(t0 + d)
         v_b = _copysign(abs(ub) ** m, ub)
-        u_new, ok, res = _newton_solve(integrator, u, v_b, d, tol, max_iter, predicted)
+        u_new, ok, res = _newton_solve(integrator, u, v_b, d, tol, max_iter, support, predicted)
         if not ok and predicted:
-            u_new, ok, res = _newton_solve(integrator, u, v_b, d, tol, max_iter)
+            u_new, ok, res = _newton_solve(integrator, u, v_b, d, tol, max_iter, support)
         predicted = False
         if ok:
             outflow += -d * flux * float(jump[-1])
             u = u_new
+            # u is +0.0 past the cells of the solve that returned it
+            end = integrator.end(u, integrator.window)
+            if end > support:
+                support = end
             if pending is None:
                 break
             t0, d, depth, pending = pending
@@ -988,10 +991,6 @@ def step(
             )
         solves += 1
     u.setflags(False)  # write=False, positional: a keyword costs twice the call
-    # u is +0.0 past the cells of the solve that returned it
-    end = integrator.end(u, integrator.window)
-    if end > support:
-        support = end
     levels.append((dt, u))
     if len(levels) > 5:
         del levels[0]

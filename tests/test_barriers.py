@@ -7,6 +7,7 @@ evaluation in log space.
 """
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pme import barriers, geometry
+from pme import barriers, cli, geometry
 from pme.errors import CertificateError, DomainError, NotApplicableError
 
 
@@ -329,9 +330,17 @@ def test_a_float_radius_is_the_bits_of_its_array_entry(p, delta, rho):
     assert np.array([got]).tobytes() == np.array([entry]).tobytes()
 
 
+ETA_PARAMS = barriers.EtaBarrierParams(decay=0.2, scale=1.5, horizon=0.5, inner_radius=2.0, coeff_bound=1.0)
+
+
 def _eta_of_radius(rho):
-    p = barriers.EtaBarrierParams(decay=0.2, scale=1.5, horizon=0.5, inner_radius=2.0, coeff_bound=1.0)
-    return barriers.eta(p, 2.0 + rho, 0.3)
+    return barriers.eta(ETA_PARAMS, 2.0 + rho, 0.3)
+
+
+def _eta_derivative(k):
+    """The k-th of ``eta_derivatives`` (eta, eta_t, eta_rho, eta_rhorho) at
+    the radius 2 + rho."""
+    return lambda rho: barriers.eta_derivatives(ETA_PARAMS, 2.0 + rho, 0.3)[k]
 
 
 FLOAT_CASES = {
@@ -341,6 +350,7 @@ FLOAT_CASES = {
         barriers.BarrierParams(0.3, 2.5, 1.0, 2.7), geometry.quad_critical(0.5, 3), rho
     ),
     "eta": _eta_of_radius,
+    **{f"eta_derivatives[{k}]": _eta_derivative(k) for k in range(4)},
     "shifted_subsolution": lambda rho: barriers.shifted_subsolution(
         barriers.BarrierParams(0.3, 2.5, 0.7, 2.7), 0.01, rho
     ),
@@ -571,7 +581,7 @@ def test_certificate_report_validate_names_the_failed_certificate(quad_manifold,
     )
     sub = barriers.certify_subsolution(barriers.subsolution_params(quad_constants, 2.0), quad_manifold)
     assert sub.kind == "sub" and sub.validate()
-    assert "kind" not in sub.as_json_dict()
+    assert "kind" not in json.loads(cli._json_text(sub))
 
 
 def test_uniqueness_report_derives_K_and_passes_in_the_decay_regime():
@@ -579,7 +589,7 @@ def test_uniqueness_report_derives_K_and_passes_in_the_decay_regime():
     assert rep.K == barriers.select_K(1.0)
     assert rep.critical_T == rep.K / 2.0 and rep.regime == "decay"
     assert rep.logF_at_100 == barriers.log_decay_product(1.0, rep.K, 0.05, 2.0, 100.0)
-    assert rep.eta_certificate["pass"] and rep.validate()
+    assert rep.eta_certificate.passed and rep.validate()
 
 
 @pytest.mark.parametrize(
@@ -591,18 +601,30 @@ def test_eta_certificate_is_the_uniqueness_reports(c2, r0, horizon, dim, decay):
     assert k == (barriers.select_K(c2) if decay is None else decay)
     assert rep.params == {"K": k, "lambda": 1.0, "T": horizon, "R0": r0, "C2": c2}
     uniq = barriers.uniqueness_report(1.0, decay, horizon, 2.0, c2, r0, dim)
-    assert uniq.K == k and uniq.eta_certificate == rep.as_json_dict()
+    assert uniq.K == k and uniq.eta_certificate == rep
+
+
+def test_a_uniqueness_report_holds_its_eta_certificate_and_defers_to_it(monkeypatch):
+    # the report keeps the very report eta_certificate returned, and its
+    # validate raises that report's error, message and all
+    k, rep = barriers.eta_certificate(1.0, 2.0, 0.05, 2, decay=5.0)
+    monkeypatch.setattr(barriers, "eta_certificate", lambda *args: (k, rep))
+    uniq = barriers.uniqueness_report(1.0, 5.0, 0.05, 2.0, 1.0, 2.0, 2)
+    assert uniq.eta_certificate is rep and uniq.regime == "decay"
+    with pytest.raises(CertificateError) as want:
+        rep.validate()
+    assert_certificate_error(uniq, str(want.value))
 
 
 @pytest.mark.parametrize(
     "decay, horizon, message",
     [
         # K = 5 breaks the eta inequality while T = 1 < K/(2 C_M) = 2.5
-        (5.0, 1.0, "eta barrier inequality failed on the verification grid"),
+        (5.0, 1.0, "eta certificate failed: residual -8.717e-01 at rho=28.7934"),
         (0.2, 0.2, "smallness condition fails: T=0.2 >= K/(2 C_M)=0.1"),
         (0.2, 0.1, "T sits exactly at K/(2 C_M): decay test inconclusive"),
         # K = 1e4 at T = 0.05 is in the decay regime, but eta is 0 on every node
-        (1e4, 0.05, "eta barrier: eta is 0 on every node, so nothing was checked"),
+        (1e4, 0.05, "eta certificate failed: eta is 0 on every node, so nothing was checked"),
     ],
 )
 def test_uniqueness_report_validate_raises_outside_its_certificates(decay, horizon, message):
@@ -610,4 +632,5 @@ def test_uniqueness_report_validate_raises_outside_its_certificates(decay, horiz
     assert_certificate_error(rep, message)
     if decay == 5.0:
         assert rep.regime == "decay"
-        assert dataclasses.replace(rep, eta_certificate={**rep.eta_certificate, "pass": True}).validate()
+        passed = dataclasses.replace(rep.eta_certificate, passed=True)
+        assert dataclasses.replace(rep, eta_certificate=passed).validate()

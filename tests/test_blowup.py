@@ -319,8 +319,8 @@ def stage_run(carried):
     solve_ball = blowup.solve_ball
     fields, solves, moves, first_step_solves, lapack = [], [], [0.0], [], [0]
 
-    def recording_solve(work, u_old, v_b, d, tol, max_iter, predicted=False):
-        out = newton_solve(work, u_old, v_b, d, tol, max_iter, predicted)
+    def recording_solve(work, u_old, v_b, d, tol, max_iter, bound, predicted=False):
+        out = newton_solve(work, u_old, v_b, d, tol, max_iter, bound, predicted)
         grid, m = work.grid, work.m
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))

@@ -160,7 +160,7 @@ def test_barrier_check_eta_writes_the_eta_certificate_at_horizon_one(tmp_path, d
     args = ["--manifold", "euclidean", "--dim", dim, "--which", "eta", *flags, "--out", str(out)]
     assert run_cli("barrier-check", *args) == 0
     _, rep = barriers.eta_certificate(c2, r0, 1.0, int(dim), rho_max=rho_max)
-    assert out.read_text() == cli._json_text(rep.as_json_dict())
+    assert out.read_text() == cli._json_text(previous_report_dict(rep))
     # the written params are the certified barrier's: --c2 and --r0 as
     # given, horizon and scale one, and the decay select_K chose for them
     params = json.loads(out.read_text())["params"]
@@ -170,12 +170,57 @@ def test_barrier_check_eta_writes_the_eta_certificate_at_horizon_one(tmp_path, d
 NO_LIVE_NODE = "eta is 0 on every node, so nothing was checked"
 
 
+def previous_report_dict(rep: barriers.CertificateReport) -> dict:
+    """The dict that ``CertificateReport``'s hand-written method gave the
+    writer before the report was written as its dataclass: ``passed`` as
+    ``pass``, and no ``kind``."""
+    return {
+        "pass": bool(rep.passed),
+        "min_residual": rep.min_residual,
+        "argmin_rho": rep.argmin_rho,
+        "nodes": rep.nodes,
+        "params": rep.params,
+        "details": rep.details,
+    }
+
+
+def certificate_reports(manifold, consts) -> dict:
+    """A passing and a failing report of each certificate, and an eta
+    report with no live node, by name."""
+    a = barriers.supersolution_amplitude(consts.c_prime, 2.0)
+    sup = barriers.BarrierParams(a, 2.0, 1.0, 2.0)
+    sub = barriers.subsolution_params(consts, 2.0)
+    return {
+        "super-pass": barriers.certify_supersolution(sup, manifold, consts),
+        "super-fail": barriers.certify_supersolution(dataclasses.replace(sup, amplitude=10 * a), manifold, consts),
+        "sub-pass": barriers.certify_subsolution(sub, manifold),
+        "sub-fail": barriers.certify_subsolution(dataclasses.replace(sub, amplitude=sub.amplitude / 100), manifold),
+        "eta-pass": barriers.eta_certificate(1.0, 2.0, 1.0, 2)[1],
+        "eta-fail": barriers.eta_certificate(1.0, 2.0, 1.0, 2, decay=5.0)[1],
+        "eta-dead": barriers.eta_certificate(1e-4, 2.0, 1.0, 2)[1],
+    }
+
+
+def test_a_certificate_report_is_written_as_its_previous_dict(tmp_path, quad_manifold, quad_constants):
+    reports = certificate_reports(quad_manifold, quad_constants)
+    for name, rep in reports.items():
+        assert rep.passed == name.endswith("pass"), name
+        out = tmp_path / f"{name}.json"
+        cli.write_json(out, rep)
+        text = out.read_text()
+        assert text == cli._json_text(previous_report_dict(rep)), name
+        written = json.loads(text)
+        assert "kind" not in written and written["pass"] is rep.passed, name
+    assert reports["eta-dead"].min_residual == math.inf
+    assert json.loads(cli._json_text(reports["eta-dead"]))["min_residual"] is None
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["barrier-check", "--manifold", "euclidean", "--dim", "2", "--which", "eta", "--c2", "1e-4"],
          f"eta certificate failed: {NO_LIVE_NODE}"),
-        (["uniq-check", "--T", "0.05", "--c_m", "1", "--c2", "1e-4"], f"eta barrier: {NO_LIVE_NODE}"),
+        (["uniq-check", "--T", "0.05", "--c_m", "1", "--c2", "1e-4"], f"eta certificate failed: {NO_LIVE_NODE}"),
     ],
 )
 def test_an_eta_grid_with_no_live_node_exits_3(tmp_path, capsys, argv, message):
@@ -217,7 +262,7 @@ def test_barrier_check_writes_the_certificate_params(tmp_path, which):
         rep = barriers.certify_supersolution(barriers.BarrierParams(a, 2.0, 1.0, 3.0), manifold, consts)
     else:
         rep = barriers.certify_subsolution(barriers.subsolution_params(consts, 3.0), manifold)
-    assert out.read_text() == cli._json_text(rep.as_json_dict())
+    assert out.read_text() == cli._json_text(previous_report_dict(rep))
     params = json.loads(out.read_text())["params"]
     assert params == rep.params and params["m"] == 3.0
 
@@ -638,7 +683,7 @@ def test_uniq_check_certifies_at_the_given_horizon(capsys, T, k):
     assert data["T"] == data["eta_certificate"]["params"]["T"] == float(T)
     assert data["eta_certificate"]["min_residual"] is not None
     assert run_cli("uniq-check", "--T", T, "--c_m", "1", "--k", "0.2") == 3
-    assert capsys.readouterr().err == f"{PREFIXES[3]}eta barrier: {NO_LIVE_NODE}\n"
+    assert capsys.readouterr().err == f"{PREFIXES[3]}eta certificate failed: {NO_LIVE_NODE}\n"
 
 
 @pytest.mark.parametrize("T", ["0", "-1"])
@@ -1581,11 +1626,13 @@ def test_help_prints_usage_and_exits_0(capsys, command):
 def previous_finite_or_null(obj):
     """``obj`` with non-finite floats as None and dataclasses as field dicts:
     the pass ``cli._json_text`` made before ``json.dumps`` until the writer
-    took over both."""
+    took over both.  A field is keyed by the ``json`` item of its metadata
+    where it has one, and left out where that is None."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if dataclasses.is_dataclass(obj):
-        return {f.name: previous_finite_or_null(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        keys = {f.name: f.metadata.get("json", f.name) for f in dataclasses.fields(obj)}
+        return {k: previous_finite_or_null(getattr(obj, n)) for n, k in keys.items() if k is not None}
     if isinstance(obj, dict):
         return {key: previous_finite_or_null(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -1616,6 +1663,17 @@ class Record:
 @dataclasses.dataclass
 class Empty:
     pass
+
+
+@dataclasses.dataclass
+class Keyed:
+    """Fields keyed by their ``json`` metadata, out of their names' order,
+    one of them not written."""
+
+    alpha: object = dataclasses.field(metadata={"json": "zeta"})
+    omega: object = dataclasses.field(metadata={"json": "beta"})
+    hidden: object = dataclasses.field(metadata={"json": None})
+    gamma: object
 
 
 # every character class the string encoder escapes: quote, backslash,
@@ -1654,6 +1712,7 @@ REPORT_TREES = st.recursive(
         st.dictionaries(st.floats(allow_nan=False, allow_infinity=False), inner, max_size=3),
         st.builds(Pair, inner, inner),
         st.builds(Record, inner, inner, inner, inner),
+        st.builds(Keyed, inner, inner, inner, inner),
         st.just(Empty()),
     ),
     max_leaves=30,
@@ -1666,6 +1725,7 @@ REPORT_TREES = st.recursive(
 @example({"a": [], "b": {}, "c": [[], {}], "d": [1.5, None, True, "x"]})
 @example(Record(-0.0, 5e-324, [1e-300, 1e300, np.float64(-0.0)], {'"\\\x00\xe9\U0001f600': 2**64}))
 @example(Pair(Empty(), ((), [Empty()])))
+@example(Keyed(1, [2.0], object(), Keyed(None, -0.0, {1, 2}, math.inf)))
 @example({False: 1, True: [math.nan]})
 @example({None: -0.0})
 @example({2.5: math.inf, -1.0: 1, 1e300: [-0.0]})

@@ -73,18 +73,19 @@ def odd_power(u, m):
 
 def newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None):
     """``solver._newton_solve`` called with the plain kernels' arguments:
-    on ``work``, an integrator on ``grid`` and ``m``, or a new one.  A
-    ``start`` is written into the integrator's ``u`` as a guess is, with
-    ``u_old`` the newest level of a history whose ``support`` is the larger
-    ``end`` of the two fields, and the solve is predicted."""
+    on ``work``, an integrator on ``grid`` and ``m``, or a new one, bounded
+    by the ``end`` of ``u_old``.  A ``start`` is written into the
+    integrator's ``u`` as a guess is, with ``u_old`` the newest level of a
+    history whose ``support``, the solve's bound, is the larger ``end`` of
+    the two fields, and the solve is predicted."""
     if work is None:
         work = solver.Integrator(grid, m)
     assert work.grid is grid and work.m == m
     if start is None:
-        return solver._newton_solve(work, u_old, v_b, dt, tol, max_iter)
+        return solver._newton_solve(work, u_old, v_b, dt, tol, max_iter, work.end(u_old))
     work.levels, work.support = [(0.0, u_old)], max(work.end(u_old), work.end(start))
     np.copyto(work.u, start)
-    return solver._newton_solve(work, u_old, v_b, dt, tol, max_iter, predicted=True)
+    return solver._newton_solve(work, u_old, v_b, dt, tol, max_iter, work.support, predicted=True)
 
 
 def reference_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
@@ -227,7 +228,7 @@ def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
     return u, g_norm <= target, g_norm
 
 
-def plain_step_kernel(work, u_old, v_b, dt, tol, max_iter, predicted=False):
+def plain_step_kernel(work, u_old, v_b, dt, tol, max_iter, bound, predicted=False):
     """``plain_newton_solve`` as ``step`` calls it, on the grid and m of
     ``work``, from the guess in ``work.u`` if ``predicted``: it also leaves
     in the workspace what ``step`` reads, the target and the boundary jump,
@@ -837,9 +838,9 @@ def failed_prediction_step(case, reach):
         *out, info = real_dgtsv(dl, d, du, b, *flags)
         return (*out, 1 if predicted else info)
 
-    def solve(work, u_old, v_b, d, tol, max_iter, predicted=False):
+    def solve(work, u_old, v_b, d, tol, max_iter, bound, predicted=False):
         solves.append([predicted, None, []])
-        out = real_solve(work, u_old, v_b, d, tol, max_iter, predicted)
+        out = real_solve(work, u_old, v_b, d, tol, max_iter, bound, predicted)
         solves[-1][1] = out[1]
         return out
 
@@ -925,8 +926,8 @@ def recorded_run(u0, cfg, grid, handed="integrator"):
     real_solve, step = solver._newton_solve, solver.step
     run = SimpleNamespace(solves=[], moves=[0.0], works=[], outflows=[])
 
-    def recording_solve(work, u_old, v_b, d, tol, max_iter, predicted=False):
-        out = real_solve(work, u_old, v_b, d, tol, max_iter, predicted)
+    def recording_solve(work, u_old, v_b, d, tol, max_iter, bound, predicted=False):
+        out = real_solve(work, u_old, v_b, d, tol, max_iter, bound, predicted)
         grid, m = work.grid, work.m
         run.works.append(work)
         if out[1]:
@@ -1407,6 +1408,45 @@ def test_a_windowed_step_scans_only_its_window(monkeypatch, steps):
     assert integrator.support == max(support, integrator.end(got)) < w
 
 
+def test_a_new_history_is_the_only_whole_grid_scan_of_its_step(monkeypatch):
+    # ``step`` scans the end of the field that starts a new history over the
+    # whole grid, and every solve of the step, a halved step's second half
+    # included, takes its window from the step's running support; so a new
+    # history's step makes one whole-grid ``Integrator.end`` call and a
+    # continuing step none, with or without halvings.  The halved steps
+    # report a singular system on their first LAPACK calls: the new
+    # history's first solve, and the continuing step's prediction and retry
+    grid = RadialGrid.uniform(geometry.euclidean(2), 6.0, 1000)
+    dt = 0.5 * grid.h
+    cfg = solver.SolverConfig(m=2.0, dt=solver.DtPolicy(dt0=dt, growth=1.0), t_end=1.0)
+    u0 = solver.barenblatt(grid.centers, 1.0, 2, 2.0, 0.25)
+    integrator = solver.Integrator(grid, 2.0)
+    real_end, real_solve, real_dgtsv = solver.Integrator.end, solver._newton_solve, solver.dgtsv
+    scans, sizes = [], []
+
+    def counting_end(self, u, win=None):
+        scans[-1] += (win or self.whole).w == self.cells
+        return real_end(self, u, win)
+
+    def recording_solve(work, u_old, v_b, d, *rest):
+        out = real_solve(work, u_old, v_b, d, *rest)
+        sizes[-1].append((d, out[1]))
+        return out
+
+    monkeypatch.setattr(solver.Integrator, "end", counting_end)
+    monkeypatch.setattr(solver, "_newton_solve", recording_solve)
+    u = u0
+    for k, (new, singular) in enumerate([(True, 0), (False, 0), (False, 2), (True, 1)]):
+        scans.append(0)
+        sizes.append([])
+        monkeypatch.setattr(solver, "dgtsv", recorded_dgtsv(real_dgtsv, singular)[0])
+        u, _ = solver.step(u.copy() if new else u, k * dt, dt, grid, cfg, integrator)
+        assert integrator.window.w < grid.cells
+    assert scans == [1, 0, 0, 1]
+    halved = [(dt / 2, True), (dt / 2, True)]
+    assert sizes == [[(dt, True)], [(dt, True)], [(dt, False), (dt, False), *halved], [(dt, False), *halved]]
+
+
 def test_a_windowed_run_computes_its_margin_once_per_step_size(monkeypatch):
     # ``window_end`` computes the margin of a step size when a solve first
     # asks for it, from the integrator's coupling: in a fixed-step Barenblatt
@@ -1732,7 +1772,8 @@ def previous_step(u, t, dt, grid, cfg, integrator):
     """``solver.step`` before it read its config once per config and kept its
     pending halves only once a solve failed: a list of pending sub-steps
     from the start, the boundary value per solve, the levels rebuilt.  The
-    boundary value is the trace's."""
+    boundary value is the trace's, and each solve's bound the running
+    support."""
     levels, support = integrator.levels, integrator.support
     if levels and u is levels[-1][1]:
         predicted = integrator.guess(dt)
@@ -1759,7 +1800,7 @@ def previous_step(u, t, dt, grid, cfg, integrator):
         solves += 1
         ub = value(t0 + d)
         v_b = math.copysign(abs(ub) ** m, ub)
-        args = (integrator, u, v_b, d, tol, max_iter)
+        args = (integrator, u, v_b, d, tol, max_iter, support)
         u_new, ok, res = solver._newton_solve(*args, predicted)
         if not ok and predicted:
             u_new, ok, res = solver._newton_solve(*args)
@@ -1771,9 +1812,10 @@ def previous_step(u, t, dt, grid, cfg, integrator):
             continue
         outflow += -d * flux * float(jump[-1])
         u = u_new
+        support = max(support, integrator.end(u, integrator.window))
     u.setflags(write=False)
     integrator.levels = [*levels[-4:], (dt, u)]
-    integrator.support = max(support, integrator.end(u, integrator.window))
+    integrator.support = support
     return u, outflow
 
 
@@ -1799,9 +1841,9 @@ def test_step_makes_the_solves_of_the_previous_halving_loop(fails, continued, bo
     def run(stepper):
         calls = []
 
-        def solve(work, u_old, v_b, d, tol, max_iter, predicted=False):
+        def solve(work, u_old, v_b, d, tol, max_iter, bound, predicted=False):
             k = len(calls)
-            calls.append((float_bits(d), float_bits(v_b), predicted, tol, max_iter))
+            calls.append((float_bits(d), float_bits(v_b), predicted, tol, max_iter, bound))
             work.jump[-1], work.target = 3.0 * d + k, 5.0 * d
             return u_old + d, not (k < len(fails) and fails[k]), float(k)
 
@@ -2151,8 +2193,8 @@ def test_scaling_group(manifold, m, lam):
     moves = []  # [run from u0, run from lam u0]
     real_solve = solver._newton_solve
 
-    def recording_solve(work, u_old, v_b, d, tol, max_iter, predicted=False):
-        out = real_solve(work, u_old, v_b, d, tol, max_iter, predicted)
+    def recording_solve(work, u_old, v_b, d, tol, max_iter, bound, predicted=False):
+        out = real_solve(work, u_old, v_b, d, tol, max_iter, bound, predicted)
         grid, m = work.grid, work.m
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
