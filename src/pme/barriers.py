@@ -92,8 +92,8 @@ class BarrierParams:
     def __post_init__(self):
         if not (0.0 < self.amplitude < math.inf and 0.0 < self.horizon < math.inf):
             raise DomainError("amplitude and horizon must be positive and finite")
-        if not 2.0 <= self.r < math.inf:
-            raise DomainError("weight offset r must be finite and >= 2")
+        if not 2.0 <= self.r <= MAX_RHO_MAX:
+            raise DomainError(f"weight offset r must be in [2, {MAX_RHO_MAX:g}]")
         if not 1.0 < self.m < math.inf:
             raise DomainError("m must be finite and > 1")
 

@@ -11,7 +11,7 @@ supersolution caps the growth from above.
 Asymptotic bookkeeping: the tail of the solution outside the ball follows
 the imposed boundary datum, so the stage-to-stage growth ratio is updated in
 closed form (per-stage factor (1-eps_n)(1 - S/T)^(-1/(m-1))).  One ratio
-suffices: the datum's tail descriptor fixes its exact log-growth form, so
+suffices: the datum's form and amplitude fix its exact log-growth tail, so
 its liminf and limsup ratios are equal and every stage multiplies both by
 the same factor.  The ratio is kept in the "norm limit" normalization, i.e.
 against the r -> infinity limit of the weight, [log(rho^2)]^(1/(m-1)); the
@@ -69,7 +69,7 @@ from .barriers import (
     supersolution_amplitude,
 )
 from .errors import CertificateError, DomainError, NotApplicableError, StageError, is_count
-from .geometry import ComparisonConstants
+from .geometry import MAX_RHO_MAX, ComparisonConstants
 from .grid import RadialGrid
 from .solver import (
     BarrierDirichlet,
@@ -271,8 +271,8 @@ class BlowupConfig:
             raise DomainError("blow-up threshold factor must be > 1 and finite")
         if not (is_count(self.max_stages, 1) and is_count(self.steps_per_stage, 5)):
             raise DomainError("max_stages and steps_per_stage must be integers, >= 1 and >= 5")
-        if not (0 < self.newton_tol < math.inf and 2.0 <= self.norm_r < math.inf):
-            raise DomainError("newton_tol must be positive, norm_r >= 2, and both finite")
+        if not (0 < self.newton_tol < math.inf and 2.0 <= self.norm_r <= MAX_RHO_MAX):
+            raise DomainError(f"newton_tol must be positive and finite, norm_r in [2, {MAX_RHO_MAX:g}]")
 
 
 def _recorded_lognorms(u: np.ndarray, weight, far_weight, tail_est: float) -> tuple:
@@ -317,7 +317,7 @@ def run_blowup(
     """Run the staged blow-up construction and return the filled ledger.
 
     The run is solved on ``grid``, from ``u0.profile`` on its cell centers;
-    the growth ratio comes from ``u0``'s tail descriptor.  ``stage_hook(n,
+    the growth ratio from ``u0``'s form and amplitude.  ``stage_hook(n,
     traj)`` is called after each stage solve (used by the CLI to dump
     trajectories).
     """

@@ -199,13 +199,11 @@ def _float(parser, flag: str, minimum=None, above=None, maximum=None, **kwargs):
     where given."""
 
     def read(text):
-        val = cfgmod.get_float({flag: text}, flag)
+        val = cfgmod.get_float({flag: text}, flag, maximum=maximum)
         if minimum is not None and val < minimum:
             raise ConfigError(f"option '{flag}' must be >= {minimum:g}")
         if above is not None and not val > above:
             raise ConfigError(f"option '{flag}' must be > {above:g}")
-        if maximum is not None and val > maximum:
-            raise ConfigError(f"option '{flag}' must be <= {maximum:g}")
         return val
 
     parser.add_argument(flag, type=read, **kwargs)

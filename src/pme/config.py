@@ -96,8 +96,9 @@ def _named(key: str) -> str:
     return f"option '{key}'" if key.startswith("--") else f"key '{key}'"
 
 
-def get_float(cfg: dict, key: str, default=None, positive=False) -> float:
-    """Finite float value of ``key``; required unless a default is given."""
+def get_float(cfg: dict, key: str, default=None, positive=False, maximum=None) -> float:
+    """Finite float value of ``key``, at most ``maximum`` where given;
+    required unless a default is given."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required {_named(key)}")
@@ -110,6 +111,8 @@ def get_float(cfg: dict, key: str, default=None, positive=False) -> float:
         raise ConfigError(f"{_named(key)} must be positive")
     if not math.isfinite(val):
         raise ConfigError(f"{_named(key)} must be finite")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{_named(key)} must be <= {maximum:g}")
     return val
 
 
@@ -157,7 +160,7 @@ def _boundary_from(cfg: dict, m: float):
         raise ConfigError(f"unknown boundary mode {name!r}")
     params = BarrierParams(
         amplitude=_positive(cfg, "barrier_a"),
-        r=get_float(cfg, "barrier_r", default=2.0),
+        r=get_float(cfg, "barrier_r", default=2.0, maximum=MAX_RHO_MAX),
         horizon=_positive(cfg, "barrier_T"),
         m=m,
     )
@@ -176,8 +179,9 @@ def solver_config_from(cfg: dict, m: float) -> SolverConfig:
 
 
 def norm_r_from(cfg: dict) -> float:
-    """Weight offset r >= 2 of the norm a ``solve``, ``blowup`` or ``sweep`` run reports."""
-    r = get_float(cfg, "norm_r", default=NORM_R)
+    """Weight offset r in [2, ``geometry.MAX_RHO_MAX``] of the norm a
+    ``solve``, ``blowup`` or ``sweep`` run reports."""
+    r = get_float(cfg, "norm_r", default=NORM_R, maximum=MAX_RHO_MAX)
     if r < 2.0:
         raise ConfigError(f"key 'norm_r' must be >= 2, got {r!r}")
     return r
@@ -190,7 +194,7 @@ def blowup_config_from(cfg: dict, m: float) -> BlowupConfig:
 
 def grid_from(cfg: dict, manifold: ModelManifold) -> RadialGrid:
     """The ball of a ``solve``, ``blowup`` or ``sweep`` run: radius ``R``, ``cells`` cells."""
-    return RadialGrid.uniform(manifold, _positive(cfg, "R"), get_int(cfg, "cells", minimum=3))
+    return RadialGrid.uniform(manifold, _positive(cfg, "R", maximum=MAX_RHO_MAX), get_int(cfg, "cells", minimum=3))
 
 
 def manifold_from(cfg: dict) -> ModelManifold:
@@ -210,7 +214,8 @@ def exponent_from(cfg: dict, key: str = "m") -> float:
 
 
 def datum_from(cfg: dict, m: float) -> RadialDatum:
-    """The run's ``u0``: its profile and tail, and a table's rows."""
+    """The run's ``u0``: its profile, form and amplitude, its m for log-growth
+    and a table's rows."""
     raw = cfg.get("u0")
     if raw is None:
         raise ConfigError("missing required key 'u0'")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, is_count
-from .geometry import ModelManifold, log_sphere_area
+from .geometry import MAX_RHO_MAX, ModelManifold, log_sphere_area
 
 # 5-point Gauss-Legendre nodes and weights on [-1, 1], the float64 values of
 # ``numpy.polynomial.legendre.leggauss(5)`` (tests/test_grid.py checks them),
@@ -59,8 +59,8 @@ class RadialGrid:
     @classmethod
     @np.errstate(over="ignore", invalid="ignore")  # reported by the range check below
     def uniform(cls, manifold: ModelManifold, radius: float, cells: int) -> "RadialGrid":
-        if radius <= 0 or not is_count(cells, 3):
-            raise DomainError("need radius > 0 and an integer number of cells >= 3")
+        if radius <= 0 or radius > MAX_RHO_MAX or not is_count(cells, 3):
+            raise DomainError(f"need 0 < radius <= {MAX_RHO_MAX:g} and an integer number of cells >= 3")
         edges = np.linspace(0.0, radius, cells + 1)
         h = radius / cells
         centers = 0.5 * (edges[:-1] + edges[1:])

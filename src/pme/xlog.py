@@ -1,12 +1,12 @@
 """Weighted sup-norms for data with logarithmic growth.
 
 The norm family is ||f||_r = sup |f(rho)| / w(rho), w(rho) =
-[log(r^2 + rho^2)]^(1/(m-1)), r >= 2.  A datum is its profile and its tail
-descriptor (the exact analytic form beyond a stated radius), plus the rows
-of a table datum; ``log_norm`` takes the supremum over the whole half-line
-in closed form, and every rho -> infinity quantity, the tail supremum and
-the asymptotic growth ratio, is read off the tail descriptor.  Nothing is
-sampled.
+[log(r^2 + rho^2)]^(1/(m-1)), r >= 2.  A datum is one record: its profile,
+its closed form (log-growth, bounded or table) with its amplitude, its
+exponent m for log-growth and its rows for a table.  ``log_norm`` takes the
+supremum over the whole half-line in closed form, and every rho -> infinity
+quantity, the tail supremum and the asymptotic growth ratio, is read off the
+form and the amplitude.  Nothing is sampled.
 
 Note on the r -> infinity limit: since log(r^2 + rho^2) ~ 2 log rho, the
 norms decrease to 2^(-1/(m-1)) times the asymptotic ratio
@@ -26,21 +26,22 @@ import numpy as np
 from .errors import DomainError
 from .geometry import MAX_RHO_MAX
 
-TAIL_FORMS = ("log-growth", "bounded")
 NORM_R = 2.0  # the weight offset r of a run that sets none
 RAMP_EDGE = float(np.e)  # log-growth data ramp linearly up to rho = e
 
 
 @dataclass(frozen=True)
 class LogNorm:
-    """Norm parameters: weight offset r >= 2 and PME exponent m > 1."""
+    """Norm parameters: weight offset r in [2, ``geometry.MAX_RHO_MAX``], where
+    r^2 + rho^2 <= 2e300 stays finite for every radius up to that bound, and
+    PME exponent m > 1."""
 
     r: float
     m: float
 
     def __post_init__(self):
-        if not 2.0 <= self.r < math.inf:
-            raise DomainError(f"norm parameter r must be finite and >= 2, got {self.r!r}")
+        if not 2.0 <= self.r <= MAX_RHO_MAX:
+            raise DomainError(f"norm parameter r must be in [2, {MAX_RHO_MAX:g}], got {self.r!r}")
         if not 1.0 < self.m < math.inf:
             raise DomainError(f"PME exponent m must be finite and > 1, got {self.m!r}")
 
@@ -50,56 +51,45 @@ class LogNorm:
 
 
 @dataclass(frozen=True)
-class TailDescriptor:
-    """Closed-form behaviour of a datum beyond ``rho_start``.
+class RadialDatum:
+    """A radial datum: the ``profile`` a run evaluates on its cells and its
+    closed form, ``form`` with its ``amplitude``:
 
-    form 'log-growth': f(rho) = amplitude * (log rho)^(1/(m-1)) exactly.
-    form 'bounded':    |f(rho)| <= amplitude.
+    - 'log-growth': f(rho) = amplitude (log rho)^(1/(m-1)) exactly on rho
+      >= e, the ramp amplitude rho/e below (``log_growth_datum``);
+    - 'bounded': f = amplitude everywhere (``bounded_datum``);
+    - 'table': the ``rows`` (rho, value) interpolated, |f| = amplitude past
+      the last row (``table_datum``).
     """
 
+    profile: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     form: str
     amplitude: float
-    rho_start: float
     m: Optional[float] = None
+    rows: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.form not in TAIL_FORMS:
-            raise DomainError(f"unknown tail form '{self.form}'")
-        if self.form == "log-growth":
-            if not (self.m is not None and 1.0 < self.m < math.inf):
-                raise DomainError("log-growth tail requires a finite m > 1")
-            if not 2.0 <= self.rho_start < math.inf:
-                raise DomainError("log-growth tail must start at a finite rho >= 2")
-        elif not 0.0 <= self.rho_start < math.inf:
-            raise DomainError("bounded tail must start at a finite rho >= 0")
+        if self.form not in ("log-growth", "bounded", "table"):
+            raise DomainError(f"unknown datum form '{self.form}'")
         if not 0.0 <= self.amplitude < math.inf:
-            raise DomainError("tail amplitude must be nonnegative and finite")
-
-
-@dataclass(frozen=True)
-class RadialDatum:
-    """A radial datum: the ``profile`` a run evaluates on its cells, its
-    ``tail`` and, for a table, the ``rows`` (rho, value) the profile
-    interpolates.  ``log_norm`` reads the part below the tail from the
-    builder's kind: ``log_growth_datum`` (the ramp b rho/e below e),
-    ``bounded_datum`` (none: the tail starts at 0) or ``table_datum``."""
-
-    profile: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
-    tail: TailDescriptor
-    rows: Optional[tuple] = field(default=None, compare=False, repr=False)
+            raise DomainError("datum amplitude must be nonnegative and finite")
+        if self.form == "log-growth" and not (self.m is not None and 1.0 < self.m < math.inf):
+            raise DomainError("a log-growth datum requires a finite m > 1")
+        if (self.rows is None) == (self.form == "table"):
+            raise DomainError("a datum has rows if and only if it is a table")
 
     @property
     def vanishes(self) -> bool:
-        """Whether the datum is 0 everywhere: its tail amplitude and every
-        table value are 0 (each builder's profile scales with them)."""
-        return self.tail.amplitude == 0.0 and (self.rows is None or not np.any(self.rows[1]))
+        """Whether the datum is 0 everywhere: its amplitude and every table
+        value are 0 (each builder's profile scales with them)."""
+        return self.amplitude == 0.0 and (self.rows is None or not np.any(self.rows[1]))
 
 
 def log_norm(datum: RadialDatum, norm: LogNorm) -> float:
-    """The weighted sup-norm over the whole half-line, in closed form, as
-    max(part below the tail, tail part); w is increasing in rho.
+    """The weighted sup-norm over the whole half-line, in closed form; w is
+    increasing in rho.
 
-    - bounded(B): the tail starts at 0, so the norm is B / w(0).
+    - bounded(B): the norm is B / w(0).
     - table: the upper bound max over segments of max(|f_i|, |f_{i+1}|) /
       w(rho_i), with |f_0| / w(0) for the hold below the first row and
       |f_N| / w(rho_N) past the last row.
@@ -108,19 +98,19 @@ def log_norm(datum: RadialDatum, norm: LogNorm) -> float:
       rho^2, so its supremum is the limit 2^(-1/(m-1)) b; the ramp below e
       is ``_ramp_part``.
     """
-    t = datum.tail
-    if t.form == "log-growth":
-        if t.m != norm.m:
-            raise DomainError("tail descriptor exponent disagrees with the norm")
-        return max(_ramp_part(t.amplitude, norm), t.amplitude * 2.0 ** (-1.0 / (norm.m - 1.0)))
+    b = datum.amplitude
+    if datum.form == "log-growth":
+        if datum.m != norm.m:
+            raise DomainError("datum exponent disagrees with the norm")
+        return max(_ramp_part(b, norm), b * 2.0 ** (-1.0 / (norm.m - 1.0)))
     # a weight past the float range (m near 1) is inf, its part 0.0, refused by existence_time
     with np.errstate(over="ignore"):
-        tail_part = t.amplitude / float(norm.weight(t.rho_start))
         if datum.rows is None:
-            return tail_part
+            return b / float(norm.weight(0.0))
         rho, values = datum.rows
         size = np.abs(values)
         head = np.maximum(size[:-1], size[1:]) / norm.weight(rho[:-1])
+        tail_part = b / float(norm.weight(float(rho[-1])))
         return max(float(size[0] / norm.weight(0.0)), float(np.max(head, initial=0.0)), tail_part)
 
 
@@ -165,22 +155,16 @@ def _ramp_part(b: float, norm: LogNorm) -> float:
 
 
 def limsup_ratio(datum: RadialDatum) -> float:
-    """limsup |f|/(log rho)^(1/(m-1)), read off the tail descriptor."""
-    t = datum.tail
-    return 0.0 if t.form == "bounded" else t.amplitude
+    """limsup |f|/(log rho)^(1/(m-1)): the amplitude of a log-growth datum, 0
+    for a bounded one or a table."""
+    return datum.amplitude if datum.form == "log-growth" else 0.0
 
 
-def norm_limit(datum: RadialDatum, m: float | None = None) -> float:
+def norm_limit(datum: RadialDatum, m: float) -> float:
     """lim_{r->inf} ||f||_r = 2^(-1/(m-1)) * limsup_ratio."""
-    ratio = limsup_ratio(datum)
-    t = datum.tail
-    if t.form == "log-growth":
-        if m not in (None, t.m):
-            raise DomainError("tail descriptor exponent disagrees with m")
-        m = t.m
-    if m is None:
-        raise DomainError("m is required to take the norm limit")
-    return ratio * 2.0 ** (-1.0 / (m - 1.0))
+    if datum.form == "log-growth" and datum.m != m:
+        raise DomainError("datum exponent disagrees with m")
+    return limsup_ratio(datum) * 2.0 ** (-1.0 / (m - 1.0))
 
 
 # -- canonical data generators -------------------------------------------------
@@ -210,8 +194,7 @@ def log_growth_profile(b: float, m: float) -> Callable[[np.ndarray], np.ndarray]
 
 
 def log_growth_datum(b: float, m: float) -> RadialDatum:
-    tail = TailDescriptor("log-growth", b, rho_start=RAMP_EDGE, m=m)
-    return RadialDatum(log_growth_profile(b, m), tail)
+    return RadialDatum(log_growth_profile(b, m), "log-growth", b, m=m)
 
 
 def bounded_profile(bound: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -222,7 +205,7 @@ def bounded_profile(bound: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def bounded_datum(bound: float) -> RadialDatum:
-    return RadialDatum(bounded_profile(bound), TailDescriptor("bounded", bound, rho_start=0.0))
+    return RadialDatum(bounded_profile(bound), "bounded", bound)
 
 
 def table_datum(table_rho, table_values) -> RadialDatum:
@@ -246,5 +229,4 @@ def table_datum(table_rho, table_values) -> RadialDatum:
     def profile(x):
         return np.interp(x, rho, values)
 
-    tail = TailDescriptor("bounded", abs(float(values[-1])), rho_start=float(rho[-1]))
-    return RadialDatum(profile, tail, rows=(rho, values))
+    return RadialDatum(profile, "table", abs(float(values[-1])), rows=(rho, values))

@@ -1242,6 +1242,18 @@ def sweep_args(tmp_path, *extra):
     return ["sweep", "--config", cfg, "--param", "b", "--values", "1", *extra, "--out", str(tmp_path / "s.csv")]
 
 
+def blowup_args(tmp_path, cfg):
+    return ["blowup", "--ledger", str(tmp_path / "l.json"), "--config", cfg]
+
+
+def sweep_cfg_args(tmp_path, cfg):
+    return ["sweep", "--config", cfg, "--param", "b", "--values", "1", "--workers", "1",
+            "--out", str(tmp_path / "s.csv")]
+
+
+BARRIER_CFG = BASE_CFG + "boundary = barrier-dirichlet\nbarrier_a = 1.001\nbarrier_T = 4.0\n"
+
+
 def check_args(tmp_path, *extra):
     return quad_args("barrier-check", *extra, "--out", str(tmp_path / "c.json"))
 
@@ -1397,22 +1409,28 @@ dt0 = 1e-5
             )
             for which, m in (("super", ["--m", "2"]), ("sub", ["--m", "2"]), ("eta", []))
         ),
-        pytest.param(
-            lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG + "norm_r = 1.5\n")),
-            "key 'norm_r' must be >= 2, got 1.5",
-            id="solve-norm-r-below-two",
-        ),
-        pytest.param(
-            lambda tmp: ["blowup", "--ledger", str(tmp / "l.json"), "--config",
-                         write_cfg(tmp, R12_BLOWUP_CFG + "norm_r = 1.5\n")],
-            "key 'norm_r' must be >= 2, got 1.5",
-            id="blowup-norm-r-below-two",
-        ),
-        pytest.param(
-            lambda tmp: ["sweep", "--config", write_cfg(tmp, R12_BLOWUP_CFG + "norm_r = 1.5\n"), "--param", "b",
-                         "--values", "1", "--workers", "1", "--out", str(tmp / "s.csv")],
-            "key 'norm_r' must be >= 2, got 1.5",
-            id="sweep-norm-r-below-two",
+        # norm_r is at least 2, and every radius a weight reads is at most
+        # geometry.MAX_RHO_MAX: past it r^2 + rho^2 overflows
+        *(
+            pytest.param(lambda tmp, argv=argv, text=text: argv(tmp, write_cfg(tmp, text)), needle, id=name)
+            for name, argv, text, needle in (
+                ("solve-norm-r-below-two", solve_args, BASE_CFG + "norm_r = 1.5\n",
+                 "key 'norm_r' must be >= 2, got 1.5"),
+                ("blowup-norm-r-below-two", blowup_args, R12_BLOWUP_CFG + "norm_r = 1.5\n",
+                 "key 'norm_r' must be >= 2, got 1.5"),
+                ("sweep-norm-r-below-two", sweep_cfg_args, R12_BLOWUP_CFG + "norm_r = 1.5\n",
+                 "key 'norm_r' must be >= 2, got 1.5"),
+                ("solve-norm-r-past-the-largest-radius", solve_args, BASE_CFG + "norm_r = 1e160\n",
+                 "key 'norm_r' must be <= 1e+150"),
+                ("blowup-norm-r-past-the-largest-radius", blowup_args, R12_BLOWUP_CFG + "norm_r = 1e160\n",
+                 "key 'norm_r' must be <= 1e+150"),
+                ("sweep-norm-r-past-the-largest-radius", sweep_cfg_args, R12_BLOWUP_CFG + "norm_r = 1e160\n",
+                 "key 'norm_r' must be <= 1e+150"),
+                ("solve-barrier-r-past-the-largest-radius", solve_args, BARRIER_CFG + "barrier_r = 1e160\n",
+                 "key 'barrier_r' must be <= 1e+150"),
+                ("solve-R-past-the-largest-radius", solve_args, BASE_CFG.replace("R = 20", "R = 1e160"),
+                 "key 'R' must be <= 1e+150"),
+            )
         ),
         pytest.param(
             lambda tmp: check_args(tmp, "--which", "super"), "'--m'", id="barrier-check-super-without-m"
@@ -1610,6 +1628,25 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, make_argv, needle
     err = assert_one_configuration_error(rc, capsys)
     assert needle in err, err
     assert sorted(tmp_path.iterdir()) == inputs  # no output file
+
+
+@pytest.mark.parametrize(
+    "make_argv, text, code",
+    [
+        (solve_args, BASE_CFG + "norm_r = 1e150\n", 0),
+        (blowup_args, R12_BLOWUP_CFG + "norm_r = 1e150\n", 0),
+        # the barrier's trace at R = 20 is not below the solution's: a certificate failure
+        (solve_args, BARRIER_CFG + "barrier_r = 1e150\n", 3),
+        (solve_args, EUCLIDEAN_BALL_CFG.replace("R = 5", "R = 1e150") + "u0 = bounded(1.0)\nt_end = 1e-3\ndt0 = 1e-4\n",
+         0),
+    ],
+    ids=["solve-norm-r", "blowup-norm-r", "solve-barrier-r", "solve-R"],
+)
+def test_the_largest_radius_runs_without_a_warning(tmp_path, capsys, make_argv, text, code):
+    # r^2 + rho^2 <= 2e300 stays finite at geometry.MAX_RHO_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*make_argv(tmp_path, write_cfg(tmp_path, text))) == code, capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -165,7 +165,7 @@ def test_datum_matches_xlog_constructors(tmp_path, u0, radius):
         want = xlog.table_datum(rows, vals)
         profile = partial(np.interp, xp=rows, fp=vals)
         assert all(np.array_equal(a, b) for a, b in zip(got.rows, (rows, vals)))
-    assert got.tail == want.tail
+    assert got == want  # form, amplitude and m
     assert xlog.log_norm(got, xlog.LogNorm(3.0, 2.0)) == xlog.log_norm(want, xlog.LogNorm(3.0, 2.0))
     # the profile a run evaluates on its cells, whatever the ball's radius
     centers = RadialGrid.uniform(geometry.euclidean(3), radius, 50).centers
@@ -192,7 +192,8 @@ def test_table_datum_is_bounded_beyond_its_last_row(tmp_path):
     table = tmp_path / "u0.csv"
     table.write_text("rho,value\n0.5,2.0\n4.0,-0.25\n")
     datum = config.datum_from({"u0": f"table({table})"}, 2.0)
-    assert datum.tail == xlog.TailDescriptor("bounded", 0.25, rho_start=4.0)
+    assert (datum.form, datum.amplitude, datum.m) == ("table", 0.25, None)
+    assert all(np.array_equal(a, b) for a, b in zip(datum.rows, ([0.5, 4.0], [2.0, -0.25])))
     assert np.all(datum.profile(np.geomspace(4.0, 1e6, 50)) == -0.25)
     assert xlog.limsup_ratio(datum) == 0.0
 

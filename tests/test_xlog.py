@@ -11,6 +11,8 @@ log(r^2 + rho^2) ~ 2 log rho, so the norm family decreases to
 import math
 import sys
 import warnings
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -92,14 +94,36 @@ def test_a_table_past_the_largest_radius_is_refused_without_a_warning():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "form, field",
-    [("log-growth", "amplitude"), ("log-growth", "rho_start"), ("log-growth", "m"),
-     ("bounded", "amplitude"), ("bounded", "rho_start")],
+    [("log-growth", "amplitude"), ("log-growth", "m"), ("bounded", "amplitude"), ("table", "amplitude")],
 )
 def test_tail_descriptor_rejects_a_non_finite_field(form, field, value):
-    valid = {"amplitude": 1.0, "rho_start": 3.0, "m": 2.0 if form == "log-growth" else None}
-    xlog.TailDescriptor(form, **valid)
+    # the datum's closed form beyond its rows: its amplitude and, for log-growth, its m
+    valid = {
+        "amplitude": 1.0,
+        "m": 2.0 if form == "log-growth" else None,
+        "rows": (np.array([0.0, 1.0]), np.array([2.0, 1.0])) if form == "table" else None,
+    }
+    xlog.RadialDatum(np.abs, form, **valid)
     with pytest.raises(DomainError):
-        xlog.TailDescriptor(form, **{**valid, field: value})
+        xlog.RadialDatum(np.abs, form, **{**valid, field: value})
+
+
+@pytest.mark.parametrize(
+    "form, amplitude, m, match",
+    [("tail", 1.0, None, "unknown datum form 'tail'"), ("bounded", -1.0, None, "nonnegative and finite"),
+     ("log-growth", 1.0, None, "finite m > 1"), ("log-growth", 1.0, 1.0, "finite m > 1")],
+)
+def test_radial_datum_rejects_an_unknown_form_a_negative_amplitude_or_an_m_of_at_most_one(form, amplitude, m, match):
+    with pytest.raises(DomainError, match=match):
+        xlog.RadialDatum(np.abs, form, amplitude, m=m)
+
+
+@pytest.mark.parametrize("form", ["log-growth", "bounded", "table"])
+def test_a_datum_has_rows_if_and_only_if_it_is_a_table(form):
+    m = 2.0 if form == "log-growth" else None
+    rows = (np.array([0.0, 1.0]), np.array([2.0, 1.0]))
+    with pytest.raises(DomainError, match="^a datum has rows if and only if it is a table$"):
+        xlog.RadialDatum(np.abs, form, 1.0, m=m, rows=None if form == "table" else rows)
 
 
 # -- limsup ratio -----------------------------------------------------------------
@@ -117,10 +141,9 @@ def test_limsup_log_growth_is_amplitude():
 
 def test_norm_limit_is_half_ratio_for_m2():
     d = xlog.log_growth_datum(1.0, 2.0)
-    assert xlog.norm_limit(d) == pytest.approx(0.5, rel=1e-14)
-    assert xlog.norm_limit(d, 2.0) == xlog.norm_limit(d)
-    with pytest.raises(DomainError):
-        xlog.norm_limit(d, 3.0)  # the tail's own exponent is 2
+    assert xlog.norm_limit(d, 2.0) == pytest.approx(0.5, rel=1e-14)
+    with pytest.raises(DomainError, match="^datum exponent disagrees with m$"):
+        xlog.norm_limit(d, 3.0)  # the datum's own exponent is 2
 
 
 # -- invariants (property tests) ----------------------------------------------------
@@ -189,7 +212,7 @@ def test_ratio_scaled_by_half_power_below_every_norm(b, m):
 
 def test_norm_family_decreases_to_norm_limit():
     d = xlog.log_growth_datum(2.0, 2.0)
-    limit = xlog.norm_limit(d)
+    limit = xlog.norm_limit(d, 2.0)
     norms = [xlog.log_norm(d, xlog.LogNorm(r, 2.0)) for r in (2.0, 8.0, 64.0, 1024.0)]
     assert all(a >= b * (1 - 1e-12) for a, b in zip(norms, norms[1:]))
     assert norms[-1] == pytest.approx(limit, rel=1e-6)
@@ -279,3 +302,75 @@ def test_log_growth_norm_in_the_ramp(m, r):
     assert got > 2.0 ** (-1.0 / (m - 1.0))
     if (m, r) == (1.15, 2.0):
         assert got == pytest.approx(0.0171166865, rel=1e-9)
+
+
+# -- the one-record datum against the two-record design it replaced ----------------
+
+
+@dataclass(frozen=True)
+class _Tail:
+    """The separate tail record of the two-record design: the datum's closed
+    form beyond its ``start`` radius."""
+
+    form: str
+    amplitude: float
+    start: float
+    m: Optional[float] = None
+
+
+def _two_record_log_norm(tail, rows, norm):
+    if tail.form == "log-growth":
+        return max(xlog._ramp_part(tail.amplitude, norm), tail.amplitude * 2.0 ** (-1.0 / (norm.m - 1.0)))
+    with np.errstate(over="ignore"):
+        tail_part = tail.amplitude / float(norm.weight(tail.start))
+        if rows is None:
+            return tail_part
+        rho, values = rows
+        size = np.abs(values)
+        head = np.maximum(size[:-1], size[1:]) / norm.weight(rho[:-1])
+        return max(float(size[0] / norm.weight(0.0)), float(np.max(head, initial=0.0)), tail_part)
+
+
+def _two_record_limsup_ratio(tail):
+    return 0.0 if tail.form == "bounded" else tail.amplitude
+
+
+def _two_record_norm_limit(tail, m):
+    return _two_record_limsup_ratio(tail) * 2.0 ** (-1.0 / ((tail.m or m) - 1.0))
+
+
+def _two_record_vanishes(tail, rows):
+    return tail.amplitude == 0.0 and (rows is None or not np.any(rows[1]))
+
+
+@st.composite
+def data_with_tails(draw):
+    """(datum, m, tail, rows): a log-growth datum of its own m, or a bounded
+    or table datum and any m, with the tail record and rows that the
+    two-record design built for the same builder input."""
+    m = draw(st.floats(1.0, 6.0, exclude_min=True))
+    amplitude = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+    form = draw(st.sampled_from(["log-growth", "bounded", "table"]))
+    if form == "log-growth":
+        return xlog.log_growth_datum(amplitude, m), m, _Tail(form, amplitude, xlog.RAMP_EDGE, m), None
+    if form == "bounded":
+        return xlog.bounded_datum(amplitude), m, _Tail(form, amplitude, 0.0), None
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)), min_size=3, max_size=40))
+    rows = (GRID[: len(values)], np.array(values))
+    tail = _Tail("bounded", abs(float(rows[1][-1])), float(rows[0][-1]))
+    return xlog.table_datum(*rows), m, tail, rows
+
+
+@given(data_with_tails(), st.floats(2.0, 1e3))
+@settings(max_examples=300, deadline=None)
+def test_the_datum_record_reads_every_float_as_the_two_record_design(datum_tail, r):
+    datum, m, tail, rows = datum_tail
+    norm = xlog.LogNorm(r, m)
+    got = (xlog.log_norm(datum, norm), xlog.limsup_ratio(datum), xlog.norm_limit(datum, m), datum.vanishes)
+    want = (
+        _two_record_log_norm(tail, rows, norm),
+        _two_record_limsup_ratio(tail),
+        _two_record_norm_limit(tail, m),
+        _two_record_vanishes(tail, rows),
+    )
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
