@@ -34,11 +34,7 @@ shift delta_n and its root V_n = (W_T^m - delta_n)_+^(1/m), which
 ``stage_delta`` returns and the audit reads, its config objects, the
 boundary trace (read by the integrator once per stage) and its stacked
 fields; each envelope its exponent -1/(m-1), and the recorded norms in both
-weights share one |u|.  Outside ``solver.step`` a traced seed-0
-``blowup-j250`` run spent 7.3 ms in ``solve_ball``'s own code and 21.6 ms
-in ``run_blowup``'s, on a 2-vCPU VM whose speed drifts by tens of percent;
-timed inside the untraced run, the stage audits took about 28 us a stage
-(7.6 ms of 268 stages) and the ledger's JSON text 3 ms.
+weights share one |u|.
 
 Each stage is audited by ``sandwich_gaps``: the stacked stage fields are
 compared at once with the separable envelopes of the shifted subsolution
@@ -292,10 +288,7 @@ def sandwich_gaps(traj: Trajectory, m, horizon, v_base, s_super, norm_far, far_w
     Recorded times increase, so those early records are a prefix of the
     trajectory, and its length is a bisection of the times.  The fields are
     stacked once, each envelope is one matrix product of its factors and
-    profile, and each gap a subtract in place and a signed maximum.  Inside
-    a seed-0 ``blowup-j250`` run a stage's audit takes about 28 us; the
-    first call of each numpy function in a stage costs about twice what it
-    does in a loop."""
+    profile, and each gap a subtract in place and a signed maximum."""
     fields = traj.stacked
     low = separable_envelopes(traj.times, horizon, m, 1.0, v_base)
     # the gaps are signed maxima, so on _max: see the bindings above

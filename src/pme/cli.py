@@ -110,9 +110,7 @@ def _json_text(obj) -> str:
     its metadata (``dataclasses.field(metadata={"json": key})``), and a
     ``json`` of None leaves the field out.  Leaves go through
     ``float.__repr__``, ``int.__repr__`` and ``encode_basestring_ascii``, as
-    in json; each dataclass type's sorted, encoded keys are cached.  The
-    seed-0 ``blowup-j250`` ledger (92,819 bytes, 2,412 floats, whose
-    ``repr`` alone takes 1.6 ms) takes about 3 ms."""
+    in json; each dataclass type's sorted, encoded keys are cached."""
     return _encode(obj, "\n") + "\n"
 
 
@@ -410,7 +408,7 @@ def cmd_sweep(args) -> int:
     # a pool starts all its workers at once, so it gets no more than the rows
     workers = min(args.workers, len(cfgs))
     if workers > 1:
-        # imported here: it costs every other command about 10 ms of start-up
+        # imported here, so that only a sweep with a pool pays for its import
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

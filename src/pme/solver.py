@@ -110,8 +110,8 @@ multiple of ``WINDOW_QUANTUM`` (8) cells short of the whole grid.  The
 margin is computed once per step size, when ``window_end`` first needs it;
 a blow-up run (v_b is never +0.0) computes none.  The residual, the
 Jacobian, ``dgtsv`` and the line search then work on a ``Window``: views of
-the integrator's buffers over those cells, made when w changes (about
-5 us) and kept for the next solve; with the rounding, the benchmark's
+the integrator's buffers over those cells, made when w changes and kept
+for the next solve; with the rounding, the benchmark's
 Barenblatt runs make 55 windows in 2,001 steps instead of 389, for 0.3%
 more LAPACK rows.  The returned field is +0.0 past the window.  The window
 is off, at the cost of one scalar compare, when v_b is not +0.0, when the
@@ -187,39 +187,31 @@ LAPACK extension ``scipy/linalg/_flapack``, the module behind
 ``scipy.linalg.lapack.dgtsv``, so the same binary solves every system.  The
 extension is loaded straight from its file, because importing
 ``scipy.linalg`` pulls in ``numpy.f2py``, ``numpy.testing`` and scipy's
-array-API layer and about doubles the start-up time of every ``pme``
-command.  Its four overwrite flags (``overwrite_dl``, ``overwrite_d``,
+array-API layer, which every ``pme`` command would then import at
+start-up.  Its four overwrite flags (``overwrite_dl``, ``overwrite_d``,
 ``overwrite_du``, ``overwrite_b``, in that order in the f2py signature) are
-passed positionally, because f2py parses keyword arguments on every call:
-at 250 cells a call took 6.8 us with keywords and 5.6 us without (Python
-3.11, scipy 1.17, one core of a Xeon VM).
+passed positionally, because f2py parses keyword arguments on every call.
 
 The numpy functions of the step kernel are called the same way: through
 names bound once at import (``_multiply = np.multiply``), each with its
 output passed positionally, the in-place operators included (``dv += eps``
 is ``_add(dv, eps, dv)``).  A keyword ``out=`` is parsed on every call, and
-``np.multiply`` is looked up on the module on every call.  At 250 cells a
-ufunc call took 785 ns as ``np.multiply(a, b, out=o)`` and 678 ns as
-``_multiply(a, b, o)``, and a residual evaluation 10.3 us against 9.2 us
-(medians of 40 alternating batches; Python 3.11, numpy 2.4, one core of a
-Xeon VM).  It is the same ufunc on the same operands with the same
-casting, so every float is the same; ``tests/test_solver.py`` pins the
-calls of a residual evaluation and of a Newton iteration.
+``np.multiply`` is looked up on the module on every call.  It is the same
+ufunc on the same operands with the same casting, so every float is the
+same; ``tests/test_solver.py`` pins the calls of a residual evaluation and
+of a Newton iteration.
 
 Their scalar operands are 0-d float64 arrays, never Python floats or
 ints: m and m - 1 (``Integrator.m_op``, ``m1_op``), ``JACOBIAN_EPS`` and
 1.0 (``_EPS``, ``_ONE``), the quartic's 5 and 10, and the int64 zero
 ``end`` compares the field's bits with, bound once; the step size, the
 line search's lam and the guess's weights, written into 0-d arrays of
-the integrator before each use.  A ufunc converts a Python scalar into a
-0-d array on every call: at 250 cells ``_multiply(2.0, x, out)`` took
-0.54 us and ``_multiply(two, x, out)``, ``two`` a 0-d array, 0.34 us, and
-``_power(x, 2.0, out)`` 0.63 us against 0.44 us (best of 5 timeit
-batches; Python 3.11, numpy 2.4, one core of a Xeon VM).  The float64
-array and the 0-d float64 array select the float64 loop that the Python
-float does, under NEP 50 on numpy 2 and under value-based casting on
-numpy 1.24, and the loop sees the same operand, so every float is the
-same.
+the integrator before each use.  A ufunc converts a Python scalar
+operand into a 0-d array on every call; a 0-d array it uses as it is.
+The float64 array and the 0-d float64 array select the float64 loop that
+the Python float does, under NEP 50 on numpy 2 and under value-based
+casting on numpy 1.24, and the loop sees the same operand, so every float
+is the same.
 
 The kernel's reductions go by arg-index, through the methods
 ``_argmax = np.ndarray.argmax``, ``_argmin = np.ndarray.argmin`` and
@@ -227,14 +219,8 @@ The kernel's reductions go by arg-index, through the methods
 ``_item(x, _argmax(x))``, each finite test ``_item(flags, _argmin(flags))``,
 and ``window_end``'s -0.0 scan the same argmin of the field's int64 bits.
 A ufunc reduction sets up numpy's reduction machinery on every call, which
-at these sizes costs more than the reduction: at 250 cells
-``float(np.maximum.reduce(x))`` took 0.94 us and
-``x.item(x.argmax())`` 0.35 us, over 748 flags
-``np.logical_and.reduce(b)`` took 0.96 us and ``b.item(b.argmin())``
-0.31 us, and over 250 int64 ``np.minimum.reduce`` 1.40 us against 0.52 us
-(best of 5 timeit batches; Python 3.11, numpy 2.4, one core of a Xeon VM;
-an elementwise ufunc call takes about 0.37 us).  Each gives the float,
-bool or int the reduction gave, as a Python scalar:
+at these sizes costs more than the reduction itself.  Each gives the
+float, bool or int the reduction gave, as a Python scalar:
 
 - The entries maximized hold no -0.0, since |.| clears the sign bit.  A
   maximum of them is then one of them, and argmax selects an entry equal
@@ -256,11 +242,7 @@ the boundary ``trace``, whose exponent and time-free factor are taken once.
 A step that does not halve stacks no pending sub-step and appends its level
 in place, and no step makes a ``min``, ``max`` or keyword call: the step
 sizes and the Newton target are compared out, and the field is made
-read-only by ``setflags(False)`` (0.13 us; 0.37 us with ``write=False``).
-On ``blowup-j250`` (seed 0) a ``sys.settrace`` count of opcode events in
-``pme`` frames gave 999 per step in ``solve_ball``'s loop, and the run's
-median wall time was 0.159 s (10 alternating pairs of ``bench/run.py
---seconds 5``; 2-vCPU Xeon VM, Python 3.11).
+read-only by ``setflags(False)``, its flag passed positionally.
 
 Boundary conditions at rho = R: homogeneous Dirichlet, or the time-dependent
 trace of a shifted separable subsolution (used by the blow-up iteration);

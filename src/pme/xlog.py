@@ -92,7 +92,12 @@ def log_norm(datum: RadialDatum, norm: LogNorm) -> float:
     - bounded(B): the norm is B / w(0).
     - table: the upper bound max over segments of max(|f_i|, |f_{i+1}|) /
       w(rho_i), with |f_0| / w(0) for the hold below the first row and
-      |f_N| / w(rho_N) past the last row.
+      |f_N| / w(rho_N) past the last row.  The last segment's part bounds
+      that tail part in exact arithmetic, but not in floats: w(rho_N) goes
+      through the scalar path of ``LogNorm.weight`` and the segments'
+      weights through its array path, whose powers may round apart, so on
+      a base shared by the last two radii the tail part can be an ulp
+      larger (``tests/test_xlog.py``).
     - log-growth(b): the tail ratio b (log rho / log(r^2 + rho^2))^(1/(m-1))
       increases on rho >= e, since (r^2+rho^2) log(r^2+rho^2) > rho^2 log
       rho^2, so its supremum is the limit 2^(-1/(m-1)) b; the ramp below e

@@ -379,6 +379,21 @@ def test_stages_carry_the_predictor_history_across_their_boundaries():
     assert diff.max() > 0.0  # the carried history did change the iterates
 
 
+@pytest.mark.parametrize("steps_per_stage, steps", [(5, 9), (30, 12), (40, 13), (120, 17)])
+def test_a_stage_takes_the_steps_of_its_policy(steps_per_stage, steps):
+    # the README's step policy: a stage's first step is S_n / steps_per_stage,
+    # each next one 1.3 times the last, capped at S_n / 10, and the last one
+    # ends the stage (at 5: S_n / 5, then eight of S_n / 10)
+    M = geometry.quad_critical(0.5, 3)
+    counts = []
+    blowup.run_blowup(
+        xlog.log_growth_datum(1.0, 2.0), RadialGrid.uniform(M, 12.0, 60), geometry.fit_comparison_constants(M),
+        blowup.BlowupConfig(m=2.0, max_stages=3, steps_per_stage=steps_per_stage),
+        stage_hook=lambda n, traj: counts.append(len(traj.times) - 1),
+    )
+    assert counts == [steps] * 3
+
+
 def test_run_reaches_threshold(desk_ledger):
     led = desk_ledger
     assert led.status == "blown-up"
@@ -568,26 +583,35 @@ def certificate(horizon, norm0, r, m):
     return solver.ExistenceTime(horizon, math.inf, False, norm0, xlog.LogNorm(r, m))
 
 
+def signed_max(rows):
+    """The largest entry of the stacked ``rows``, by numpy's signed maximum,
+    the reduction ``blowup`` and ``barrier_excess`` keep: so a maximum of
+    zeros carries the sign that reduction gives it."""
+    return float(np.maximum.reduce(np.array(rows), None))
+
+
 def reference_barrier_excess(traj, norm0, horizon, r, m):
-    """``solver.barrier_excess`` as it was: one Python loop over the records."""
+    """``solver.barrier_excess`` written as one Python loop over the
+    records, each envelope from its own time factor: its one oracle."""
     w = xlog.LogNorm(r, m).weight(traj.grid.centers)
-    worst = -math.inf
+    rows = []
     for t, u in zip(traj.times, traj.fields):
         bound = (1.0 - t / horizon) ** (-1.0 / (m - 1.0)) * norm0 * w
-        worst = max(worst, float(np.max(np.abs(u) - bound)))
-    return worst
+        rows.append(np.abs(u) - bound)
+    return signed_max(rows)
 
 
 def reference_sandwich_gaps(traj, m, T_next, v_base, s_super, norm_far, far_weight):
-    """The stage audit of ``run_blowup`` as it was: one loop over the records."""
-    lower_gap = upper_gap = -math.inf
+    """``blowup.sandwich_gaps`` written as one Python loop over the records,
+    each envelope from its own time factor: its one oracle."""
+    lower, upper = [], []
     for t, f in zip(traj.times, traj.fields):
         low = (1.0 - t / T_next) ** (-1.0 / (m - 1.0)) * v_base
-        lower_gap = max(lower_gap, float(np.max(low - f)))
+        lower.append(low - f)
         if t < 0.95 * s_super:
             up = (1.0 - t / s_super) ** (-1.0 / (m - 1.0)) * norm_far * far_weight
-            upper_gap = max(upper_gap, float(np.max(f - up)))
-    return lower_gap, upper_gap
+            upper.append(f - up)
+    return signed_max(lower), signed_max(upper) if upper else -math.inf
 
 
 @st.composite
@@ -612,7 +636,8 @@ def audited_trajectories(draw):
     if draw(st.booleans()):
         times[0] = 0.0
     traj = solver.Trajectory(grid=grid)
-    for t, low in zip(times, previous_separable_envelopes(times, horizon, m, 1.0, v_base)):
+    for t in times:
+        low = barriers.blowup_factor(t, horizon, m) * v_base
         if kind == "random":
             u = rng.uniform(-3.0, 3.0, cells) * rng.uniform(0.0, 1.0)
         elif kind == "on-envelope":
@@ -623,31 +648,23 @@ def audited_trajectories(draw):
     return traj, m, horizon, rng, v_base
 
 
+def float_bytes(*xs):
+    return np.array(xs, dtype=float).tobytes()
+
+
 @given(audited_trajectories(), st.floats(min_value=1e-3, max_value=10.0), st.floats(2.0, 50.0))
 @settings(max_examples=150, deadline=None)
 def test_vectorised_reads_equal_the_record_loops(case, s_super, r):
+    # the series, and the solve and stage audits bit for bit
     traj, m, horizon, rng, v_base = case
     norm = xlog.LogNorm(r, m)
     assert (traj.lognorms(norm), traj.tail_ratios(m), traj.masses) == reference_series(traj, norm)
     norm0 = float(rng.uniform(1e-3, 5.0))
     got = solver.barrier_excess(traj, certificate(horizon, norm0, r, m))
-    assert got == reference_barrier_excess(traj, norm0, horizon, r, m)
+    assert float_bytes(got) == float_bytes(reference_barrier_excess(traj, norm0, horizon, r, m))
     n = traj.grid.cells
     args = (m, horizon, v_base, s_super, norm0, rng.uniform(0.5, 5.0, n))
-    assert blowup.sandwich_gaps(traj, *args) == reference_sandwich_gaps(traj, *args)
-
-
-def mask_sandwich_gaps(traj, m, horizon, v_base, s_super, norm_far, far_weight):
-    """The stage audit with the early records picked by a boolean mask."""
-    envelopes = barriers.separable_envelopes
-    fields = traj.stacked
-    lower_gap = float(np.max(envelopes(traj.times, horizon, m, 1.0, v_base) - fields))
-    times = np.array(traj.times)
-    early = times < 0.95 * s_super
-    if not early.any():
-        return lower_gap, -math.inf
-    up = envelopes(times[early], s_super, m, norm_far, far_weight)
-    return lower_gap, float(np.max(fields[early] - up))
+    assert float_bytes(*blowup.sandwich_gaps(traj, *args)) == float_bytes(*reference_sandwich_gaps(traj, *args))
 
 
 @given(audited_trajectories(), st.sampled_from(["none", "all", "some", "at-a-record"]))
@@ -666,89 +683,21 @@ def test_early_records_as_a_prefix_equal_the_mask(case, early):
     norm_far, far_weight = rng.uniform(1e-3, 5.0), rng.uniform(0.5, 5.0, n)
     args = (m, horizon, v_base, s_super, float(norm_far), far_weight)
     got = blowup.sandwich_gaps(traj, *args)
-    assert got == mask_sandwich_gaps(traj, *args)
+    # the record loop tests t < 0.95 s_super record by record, a mask
+    assert float_bytes(*got) == float_bytes(*reference_sandwich_gaps(traj, *args))
     if early == "none":
         assert got[1] == -math.inf
-
-
-def previous_separable_envelopes(times, horizon, m, scale, profile):
-    """``barriers.separable_envelopes`` with one ``blowup_factor`` call per
-    record, as it was before its exponent was computed once per call."""
-    factors = np.array([barriers.blowup_factor(float(t), horizon, m) * scale for t in times])
-    return factors[:, None] * profile
-
-
-def previous_sandwich_gaps(traj, m, horizon, v_base, s_super, norm_far, far_weight):
-    """``blowup.sandwich_gaps`` on ``previous_separable_envelopes``."""
-    fields = traj.stacked
-    low = previous_separable_envelopes(traj.times, horizon, m, 1.0, v_base)
-    lower_gap = float(np.maximum.reduce(low - fields, None))
-    early = sum(t < 0.95 * s_super for t in traj.times)
-    if not early:
-        return lower_gap, -math.inf
-    up = previous_separable_envelopes(traj.times[:early], s_super, m, norm_far, far_weight)
-    return lower_gap, float(np.maximum.reduce(fields[:early] - up, None))
-
-
-def previous_barrier_excess(traj, norm0, horizon, r, m):
-    """``solver.barrier_excess`` on ``previous_separable_envelopes``."""
-    w = xlog.LogNorm(r, m).weight(traj.grid.centers)
-    bound = previous_separable_envelopes(traj.times, horizon, m, norm0, w)
-    return float(np.max(np.abs(traj.stacked) - bound))
-
-
-def float_bytes(*xs):
-    return np.array(xs, dtype=float).tobytes()
-
-
-@given(
-    st.integers(min_value=3, max_value=40),
-    st.lists(st.floats(min_value=0.0, max_value=0.999), min_size=1, max_size=14),
-    st.floats(min_value=1e-4, max_value=10.0),
-    st.floats(min_value=1.05, max_value=4.0),
-    st.floats(min_value=1e-3, max_value=5.0),
-    st.sampled_from(["none", "all", "some"]),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=150, deadline=None)
-def test_separable_envelopes_equal_the_per_record_factors(cells, shares, horizon, m, scale, early, seed):
-    # the factors with the exponent computed once are the per-record
-    # blowup_factor floats, so each envelope and both of its callers, the
-    # stage audit and the solve audit, give the same bytes; with no record
-    # before 0.95 s_super, every record before it, and some
-    rng = np.random.default_rng(seed)
-    grid = RadialGrid.uniform(geometry.euclidean(3), float(rng.uniform(1.0, 25.0)), cells)
-    traj = solver.Trajectory(grid=grid)
-    for share in sorted(shares):
-        traj.record(share * horizon, rng.uniform(-3.0, 3.0, cells) * rng.uniform(0.0, 1.0), 0.0)
-    profile = rng.uniform(0.0, 3.0, cells)
-    profile[rng.random(cells) < 0.2] = 0.0
-    for times in (traj.times, []):
-        got = barriers.separable_envelopes(times, horizon, m, scale, profile)
-        assert got.tobytes() == previous_separable_envelopes(times, horizon, m, scale, profile).tobytes()
-    times = traj.times
-    s_super = {
-        "none": times[0] / 0.95 / 2.0,
-        "all": 2.0 * times[-1] / 0.95 + 1e-3,
-        "some": float(rng.uniform(0.1, 2.0)) * horizon,
-    }[early]
-    args = (m, horizon, profile, s_super, scale, rng.uniform(0.5, 5.0, cells))
-    got = blowup.sandwich_gaps(traj, *args)
-    assert float_bytes(*got) == float_bytes(*previous_sandwich_gaps(traj, *args))
-    assert (got[1] == -math.inf) == (early == "none" or s_super * 0.95 <= times[0])
-    r = float(rng.uniform(2.0, 50.0))
-    got = solver.barrier_excess(traj, certificate(horizon, scale, r, m))
-    assert float_bytes(got) == float_bytes(previous_barrier_excess(traj, scale, horizon, r, m))
 
 
 @given(audited_trajectories(), st.sampled_from(["none", "all", "some"]), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_the_audit_keeps_its_bits_signed_zeros_included(case, early, zero_weights):
     # the envelopes as K x 1 by 1 x n products give the gaps' bytes of the
-    # broadcast multiplies, on profiles and weights with +0.0 entries, on
+    # per-record envelopes, on profiles and weights with +0.0 entries, on
     # fields that meet the lower envelope (a lower gap of exactly +0.0) and
     # on fields of -0.0 and +0.0 (an upper gap entry of -0.0 over a weight
-    # of +0.0)
+    # of +0.0); with no record before 0.95 s_super, every record before it,
+    # and some
     traj, m, horizon, rng, v_base = case
     times = traj.times
     s_super = {
@@ -762,10 +711,11 @@ def test_the_audit_keeps_its_bits_signed_zeros_included(case, early, zero_weight
         far_weight[rng.random(n) < 0.3] = 0.0
     args = (m, horizon, v_base, s_super, float(rng.uniform(1e-3, 5.0)), far_weight)
     got = blowup.sandwich_gaps(traj, *args)
-    assert float_bytes(*got) == float_bytes(*previous_sandwich_gaps(traj, *args))
+    assert float_bytes(*got) == float_bytes(*reference_sandwich_gaps(traj, *args))
+    assert (got[1] == -math.inf) == (s_super * 0.95 <= times[0])
     r, norm0 = float(rng.uniform(2.0, 50.0)), float(rng.uniform(1e-3, 5.0))
     got = solver.barrier_excess(traj, certificate(horizon, norm0, r, m))
-    assert float_bytes(got) == float_bytes(previous_barrier_excess(traj, norm0, horizon, r, m))
+    assert float_bytes(got) == float_bytes(reference_barrier_excess(traj, norm0, horizon, r, m))
 
 
 def test_each_stage_audits_the_root_its_shift_accepted(monkeypatch):
@@ -807,8 +757,8 @@ def test_a_blowup_stage_never_computes_the_window_margin(monkeypatch):
 
 
 def previous_recorded_lognorm(u, weight, tail_est):
-    """``blowup``'s recorded norm in one weight, as it was taken before both
-    weights shared one |u|."""
+    """``blowup``'s recorded norm in one weight, the one oracle of
+    ``_recorded_lognorms``: the largest |u|/w, or the tail estimate."""
     ratio = np.abs(u)
     np.divide(ratio, weight, ratio)
     return max(ratio.item(ratio.argmax()), tail_est)

@@ -160,7 +160,7 @@ def test_barrier_check_eta_writes_the_eta_certificate_at_horizon_one(tmp_path, d
     args = ["--manifold", "euclidean", "--dim", dim, "--which", "eta", *flags, "--out", str(out)]
     assert run_cli("barrier-check", *args) == 0
     _, rep = barriers.eta_certificate(c2, r0, 1.0, int(dim), rho_max=rho_max)
-    assert out.read_text() == cli._json_text(previous_report_dict(rep))
+    assert out.read_text() == previous_json_text(rep)
     # the written params are the certified barrier's: --c2 and --r0 as
     # given, horizon and scale one, and the decay select_K chose for them
     params = json.loads(out.read_text())["params"]
@@ -168,20 +168,6 @@ def test_barrier_check_eta_writes_the_eta_certificate_at_horizon_one(tmp_path, d
 
 
 NO_LIVE_NODE = "eta is 0 on every node, so nothing was checked"
-
-
-def previous_report_dict(rep: barriers.CertificateReport) -> dict:
-    """The dict that ``CertificateReport``'s hand-written method gave the
-    writer before the report was written as its dataclass: ``passed`` as
-    ``pass``, and no ``kind``."""
-    return {
-        "pass": bool(rep.passed),
-        "min_residual": rep.min_residual,
-        "argmin_rho": rep.argmin_rho,
-        "nodes": rep.nodes,
-        "params": rep.params,
-        "details": rep.details,
-    }
 
 
 def certificate_reports(manifold, consts) -> dict:
@@ -208,7 +194,7 @@ def test_a_certificate_report_is_written_as_its_previous_dict(tmp_path, quad_man
         out = tmp_path / f"{name}.json"
         cli.write_json(out, rep)
         text = out.read_text()
-        assert text == cli._json_text(previous_report_dict(rep)), name
+        assert text == previous_json_text(rep), name
         written = json.loads(text)
         assert "kind" not in written and written["pass"] is rep.passed, name
     assert reports["eta-dead"].min_residual == math.inf
@@ -262,7 +248,7 @@ def test_barrier_check_writes_the_certificate_params(tmp_path, which):
         rep = barriers.certify_supersolution(barriers.BarrierParams(a, 2.0, 1.0, 3.0), manifold, consts)
     else:
         rep = barriers.certify_subsolution(barriers.subsolution_params(consts, 3.0), manifold)
-    assert out.read_text() == cli._json_text(previous_report_dict(rep))
+    assert out.read_text() == previous_json_text(rep)
     params = json.loads(out.read_text())["params"]
     assert params == rep.params and params["m"] == 3.0
 
@@ -1766,6 +1752,7 @@ REPORT_TREES = st.recursive(
 @example({False: 1, True: [math.nan]})
 @example({None: -0.0})
 @example({2.5: math.inf, -1.0: 1, 1e300: [-0.0]})
+@example(Pair(math.nan, [math.inf, (-math.inf, 1.5)]))
 @settings(max_examples=400, deadline=None)
 def test_json_text_is_the_indented_json_dumps(obj):
     # on plain JSON values, previous_json_text is json.dumps itself
@@ -1800,39 +1787,6 @@ def test_json_text_writes_the_golden_ledger_as_json_dumps():
     cfg = cfgmod.parse_config(str(Path(__file__).parent / "golden" / "blowup.cfg"))
     ledger = cli._blowup_ledger(cfg)
     assert cli._json_text(ledger) == previous_json_text(ledger)
-
-
-def _nested_with_json(inner):
-    """(object, what JSON reads back) pairs of containers of ``inner`` pairs."""
-    lists = st.lists(inner, max_size=4)
-    return st.one_of(
-        lists.map(lambda pairs: ([o for o, _ in pairs], [j for _, j in pairs])),
-        lists.map(lambda pairs: (tuple(o for o, _ in pairs), [j for _, j in pairs])),
-        st.dictionaries(st.text(), inner, max_size=4).map(
-            lambda d: ({k: o for k, (o, _) in d.items()}, {k: j for k, (_, j) in d.items()})
-        ),
-        st.tuples(inner, inner).map(
-            lambda ab: (Pair(ab[0][0], ab[1][0]), {"first": ab[0][1], "second": ab[1][1]})
-        ),
-    )
-
-
-OBJECTS_WITH_JSON = st.recursive(
-    st.one_of(
-        st.floats().map(lambda x: (x, x if math.isfinite(x) else None)),
-        JSON_SCALARS.map(lambda x: (x, x)),
-    ),
-    _nested_with_json,
-    max_leaves=30,
-)
-
-
-@given(OBJECTS_WITH_JSON)
-@example((Pair(math.nan, [math.inf, (-math.inf, 1.5)]), {"first": None, "second": [None, [None, 1.5]]}))
-@settings(max_examples=300, deadline=None)
-def test_json_text_writes_non_finite_floats_as_null_and_containers_as_json(pair):
-    obj, expected = pair
-    assert json.loads(cli._json_text(obj)) == expected
 
 
 def _no_constant(token):

@@ -71,25 +71,29 @@ def odd_power(u, m):
     return np.sign(u) * np.abs(u) ** m
 
 
-def newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None):
-    """``solver._newton_solve`` called with the plain kernels' arguments:
-    on ``work``, an integrator on ``grid`` and ``m``, or a new one, bounded
-    by the ``end`` of ``u_old``.  A ``start`` is written into the
-    integrator's ``u`` as a guess is, with ``u_old`` the newest level of a
-    history whose ``support``, the solve's bound, is the larger ``end`` of
-    the two fields, and the solve is predicted."""
+def newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None, kernel=None):
+    """``kernel`` (default ``solver._newton_solve``) called with the plain
+    kernels' arguments: on ``work``, an integrator on ``grid`` and ``m``,
+    or a new one, bounded by the ``end`` of ``u_old``.  A ``start`` is
+    written into the integrator's ``u`` as a guess is, with ``u_old`` the
+    newest level of a history whose ``support``, the solve's bound, is the
+    larger ``end`` of the two fields, and the solve is predicted."""
+    kernel = kernel or solver._newton_solve
     if work is None:
         work = solver.Integrator(grid, m)
     assert work.grid is grid and work.m == m
     if start is None:
-        return solver._newton_solve(work, u_old, v_b, dt, tol, max_iter, work.end(u_old))
+        return kernel(work, u_old, v_b, dt, tol, max_iter, work.end(u_old))
     work.levels, work.support = [(0.0, u_old)], max(work.end(u_old), work.end(start))
     np.copyto(work.u, start)
-    return solver._newton_solve(work, u_old, v_b, dt, tol, max_iter, work.support, predicted=True)
+    return kernel(work, u_old, v_b, dt, tol, max_iter, work.support, predicted=True)
 
 
 def reference_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
-    """The kernel as it was before the direct LAPACK call and residual reuse."""
+    """What the kernel means: damped Newton on the cell balance from the old
+    field, with an Armijo line search, each system through ``solve_banded``
+    and each residual evaluated anew.  ``_newton_solve`` must give its
+    numbers."""
     cm = dt * grid.coeff_minus
     cp = dt * grid.coeff_plus
     n = u_old.size
@@ -167,17 +171,25 @@ def test_newton_solve_matches_reference_kernel(case):
     assert res == res_ref
 
 
-def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
-    """The kernel before its per-call trimming: |u| recomputed for the
-    Jacobian, ``-g`` and each trial point new arrays.  ``_newton_solve`` must
-    reproduce it byte for byte."""
+def plain_newton_solve(work, u_old, v_b, dt, tol, max_iter, bound=None, predicted=False):
+    """The kernel written plainly on the whole grid, with new arrays for
+    |u|^m, |u|^{m-1}, ``-g`` and each trial point: the bitwise oracle of
+    ``_newton_solve``.  A window must give the whole grid's floats, signed
+    zeros included, also where a stubbed ``dgtsv`` fails a call, and
+    ``reference_newton_solve`` (``solve_banded``) takes neither a start nor
+    a stub.  It takes ``_newton_solve``'s arguments (``bound`` unread), so
+    that ``step`` runs on it, and leaves in ``work`` what ``step`` reads:
+    the target, the last residual's boundary jump and the whole grid as
+    the solve's window."""
     dgtsv = solver.dgtsv  # resolved per call, so that a stub reaches both kernels
+    grid, m = work.grid, work.m
     cm = dt * grid.coeff_minus
     cp = dt * grid.coeff_plus
     n = u_old.size
-    u = (u_old if start is None else start).copy()
+    u = (work.u if predicted else u_old).copy()
     uscale = max(1.0, float(np.abs(u_old).max()), abs(v_b) ** (1.0 / m))
-    target = tol * uscale
+    target = work.target = tol * uscale
+    work.window = work.whole
     c_diag = cp + cm
     c_upper = -cp[:-1]
     c_lower = -cm[1:]
@@ -189,7 +201,7 @@ def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
         jump = np.empty(n + 1)
         jump[0] = v[0]
         np.subtract(v[1:], v[:-1], out=jump[1:-1])
-        jump[-1] = v_b - v[-1]
+        jump[-1] = work.jump[-1] = v_b - v[-1]
         return (u - u_old) - (cp * jump[1:] - cm * jump[:-1])
 
     g = residual(u)
@@ -226,22 +238,6 @@ def plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None):
             g = residual(u)
             g_norm = float(np.abs(g).max())
     return u, g_norm <= target, g_norm
-
-
-def plain_step_kernel(work, u_old, v_b, dt, tol, max_iter, bound, predicted=False):
-    """``plain_newton_solve`` as ``step`` calls it, on the grid and m of
-    ``work``, from the guess in ``work.u`` if ``predicted``: it also leaves
-    in the workspace what ``step`` reads, the target and the boundary jump,
-    computed from the returned field as v_b - sign(u)|u|^m at its last
-    cell, and the whole grid as the cells of the solve, past which ``step``
-    takes the field to be +0.0."""
-    grid, m = work.grid, work.m
-    start = work.u if predicted else None
-    u, ok, res = plain_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start)
-    work.target = tol * max(1.0, float(np.abs(u_old).max()), abs(v_b) ** (1.0 / m))
-    work.jump[-1] = v_b - float(odd_power(u[-1:], m)[0])
-    work.window = work.whole
-    return u, ok, res
 
 
 FAMILIES = [
@@ -371,7 +367,7 @@ def assert_newton_solve_is_the_plain_kernel(case, singular=0, start=None):
         mp.setattr(solver, "dgtsv", recorded_dgtsv(real_dgtsv, singular)[0])
         u, ok, res = newton_solve(*args, start=start)
         mp.setattr(solver, "dgtsv", recorded_dgtsv(real_dgtsv, singular)[0])
-        u_ref, ok_ref, res_ref = plain_newton_solve(*args, start=start)
+        u_ref, ok_ref, res_ref = newton_solve(*args, start=start, kernel=plain_newton_solve)
     assert same_bytes(u, u_ref)
     assert ok == ok_ref
     assert same_bytes(res, res_ref)
@@ -413,7 +409,7 @@ def assert_step_through_halvings_is_the_plain_kernel(case, singular):
             except SolverError as exc:
                 return str(exc)
 
-    assert_same_step(run(solver._newton_solve), run(plain_step_kernel))
+    assert_same_step(run(solver._newton_solve), run(plain_newton_solve))
 
 
 @given(signed_newton_cases(), st.integers(min_value=1, max_value=3))
@@ -478,7 +474,7 @@ def test_a_window_whose_direction_reaches_its_last_row_goes_on_on_the_whole_grid
     monkeypatch.setattr(solver, "dgtsv", counting)
     u, ok, res = newton_solve(*args)
     monkeypatch.undo()
-    u_ref, ok_ref, res_ref = plain_newton_solve(*args)
+    u_ref, ok_ref, res_ref = newton_solve(*args, kernel=plain_newton_solve)
     assert same_bytes(u, u_ref) and ok == ok_ref and same_bytes(res, res_ref)
     assert ok
     whole = rows.index(200)
@@ -528,7 +524,7 @@ def test_an_old_field_reaching_past_the_start_widens_the_window():
     args = (u_old, *rest)
     assert 120 < first_call_rows(args, start=start) < 400
     got = newton_solve(*args, start=start)
-    want = plain_newton_solve(*args, start=start)
+    want = newton_solve(*args, start=start, kernel=plain_newton_solve)
     assert same_bytes(got[0], want[0]) and got[1] == want[1] and same_bytes(got[2], want[2])
 
 
@@ -548,7 +544,7 @@ def test_a_guess_shorter_than_the_old_field_widens_the_window():
             out = solver.step(u_old, 0.0, dt, grid, small_cfg(1.0, m=m), integrator)
         return out, rows
 
-    (got, rows), (want, _) = run(solver._newton_solve), run(plain_step_kernel)
+    (got, rows), (want, _) = run(solver._newton_solve), run(plain_newton_solve)
     assert 120 < rows[0] < 400
     assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
 
@@ -588,7 +584,7 @@ def test_a_window_whose_last_pivot_fails_the_check_goes_on_on_the_whole_grid(mon
     monkeypatch.setattr(solver, "dgtsv", faulty)
     got = newton_solve(*args)
     monkeypatch.undo()
-    want = plain_newton_solve(*args)
+    want = newton_solve(*args, kernel=plain_newton_solve)
     assert rows[0] < 200 and rows[1:] == [200] * (len(rows) - 1)
     assert same_bytes(got[0], want[0]) and got[1] == want[1] and same_bytes(got[2], want[2])
 
@@ -609,7 +605,7 @@ def test_barenblatt_run_on_windows_is_bitwise_the_plain_kernel():
             mp.setattr(solver, "_newton_solve", kernel)
             return solver.solve_ball(u0, cfg, grid), sum(rows)
 
-    (got, rows), (want, whole_rows) = run(solver._newton_solve), run(plain_step_kernel)
+    (got, rows), (want, whole_rows) = run(solver._newton_solve), run(plain_newton_solve)
     assert len(got.fields) == len(want.fields) == 15
     assert got.times == want.times
     assert same_bytes(got.stacked, want.stacked)
@@ -848,7 +844,7 @@ def failed_prediction_step(case, reach):
         # both runs face one small budget, as in
         # assert_step_through_halvings_is_the_plain_kernel
         mp.setattr(solver, "MAX_SUBSTEPS", 200)
-        mp.setattr(solver, "_newton_solve", plain_step_kernel)
+        mp.setattr(solver, "_newton_solve", plain_newton_solve)
         want = run_step(u_old, dt, grid, cfg)
         mp.setattr(solver, "_newton_solve", solve)
         mp.setattr(solver, "dgtsv", lapack)
@@ -1375,7 +1371,7 @@ def test_a_windowed_step_scans_only_its_window(monkeypatch, steps):
     plain = solver.Integrator(grid, 2.0)
     plain.levels, plain.support = list(integrator.levels), support
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_newton_solve", plain_step_kernel)
+        mp.setattr(solver, "_newton_solve", plain_newton_solve)
         want, want_outflow = solver.step(u, steps * dt, dt, grid, cfg, plain)
 
     calls, scanned = [], []
@@ -1769,11 +1765,11 @@ def test_the_newton_target_is_the_max_of_its_three_terms(u_old_max, v_b, m, tol)
 
 
 def previous_step(u, t, dt, grid, cfg, integrator):
-    """``solver.step`` before it read its config once per config and kept its
-    pending halves only once a solve failed: a list of pending sub-steps
-    from the start, the boundary value per solve, the levels rebuilt.  The
-    boundary value is the trace's, and each solve's bound the running
-    support."""
+    """``solver.step``'s halving loop written plainly, the one oracle of its
+    solves: a list of pending sub-steps from the start, the boundary value
+    read from the trace per solve, a failed predicted solve retried once
+    from the old field, each solve bounded by the running support, and the
+    levels rebuilt."""
     levels, support = integrator.levels, integrator.support
     if levels and u is levels[-1][1]:
         predicted = integrator.guess(dt)
@@ -1865,8 +1861,9 @@ def test_step_makes_the_solves_of_the_previous_halving_loop(fails, continued, bo
 
 
 def previous_step_sizes(cfg, barrier_horizon):
-    """The step sizes and recorded times of ``solve_ball`` before its two
-    ``min`` calls became comparisons and the barrier cap a per-run test."""
+    """The step sizes and recorded times of ``solve_ball`` written with
+    ``min``, the one oracle of its step sequence: each step the least of the
+    policy's size, the time left and the barrier cap."""
     horizon = min(barrier_horizon, cfg.boundary.horizon)
     stop = cfg.t_end - 1e-14 * cfg.t_end
     t, dt, k, sizes, times = 0.0, cfg.dt.dt0, 0, [], [0.0]
@@ -1908,39 +1905,37 @@ def test_solve_ball_takes_the_step_sizes_of_the_previous_loop(dt0, growth, dt_ma
     assert float_bits(sizes) == float_bits(want_sizes) and float_bits(traj.times) == float_bits(want_times)
 
 
-def previous_guess(integrator, levels, d):
-    """``Integrator.guess`` before it took the levels' largest end in a loop
-    and, later, the history's support: from (step size, field, end) triples,
-    with both forms written out as they were."""
+def previous_guess(integrator, levels, support, d):
+    """``Integrator.guess`` written plainly, with Python floats for its
+    weights and constants: the one pin of the guess's bits.  The guess is
+    only a Newton start, whose bits reach an output only through a solve,
+    so the golden digests miss some of them: d * (1 / a) for the linear
+    weight d / a moves no golden output and fails this test alone."""
     if len(levels) < 2:
-        return None, None
+        return None
     out, tmp = integrator.u, integrator.scratch
-    e = levels[-1][2]
-    if e < integrator.grid.cells:
-        e = max([end for _, _, end in levels])
-        out[e:] = 0.0
-        out, tmp = out[:e], tmp[:e]
-        levels = [(s, u[:e], end) for s, u, end in levels]
+    out[support:] = 0.0
+    out, tmp = out[:support], tmp[:support]
+    levels = [(s, u[:support]) for s, u in levels]
     if len(levels) == 5 and all(levels[k][0] == d for k in (1, 2, 3, 4)):
-        (_, u4, _), (_, u3, _), (_, u2, _), (_, u1, _), (_, u0, _) = levels
+        (_, u4), (_, u3), (_, u2), (_, u1), (_, u0) = levels
         np.multiply(5.0, u0, out)
         np.subtract(out, np.multiply(10.0, u1, tmp), out)
         np.add(out, np.multiply(10.0, u2, tmp), out)
         np.subtract(out, np.multiply(5.0, u3, tmp), out)
         np.add(out, u4, out)
-        return integrator.u, e
-    if len(levels) == 2:
-        (_, u1, _), (a, u0, _) = levels
+    elif len(levels) == 2:
+        (_, u1), (a, u0) = levels
         np.multiply(np.subtract(u0, u1, tmp), d / a, tmp)
         np.add(u0, tmp, out)
     else:
-        (_, u2, _), (b, u1, _), (a, u0, _) = levels[-3:]
+        (_, u2), (b, u1), (a, u0) = levels[-3:]
         ab = a + b
         da, dab = d + a, d + ab
         np.multiply(da * dab / (a * ab), u0, out)
         np.add(out, np.multiply(-d * dab / (a * b), u1, tmp), out)
         np.add(out, np.multiply(d * da / (ab * b), u2, tmp), out)
-    return integrator.u, e
+    return integrator.u
 
 
 @given(
@@ -1961,7 +1956,7 @@ def previous_guess(integrator, levels, d):
 def test_guess_is_the_previous_guess(drawn, d):
     # one to six levels, on one step size or several, each field +0.0 from a
     # drawn cell on, whose history's support is the levels' largest end: the
-    # same start, bit for bit, and +0.0 past the previous bound
+    # same start, bit for bit, and +0.0 from the support on
     n = len(drawn[0][1])
     grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, n)
     got, want = solver.Integrator(grid, 2.0), solver.Integrator(grid, 2.0)
@@ -1969,14 +1964,14 @@ def test_guess_is_the_previous_guess(drawn, d):
     for s, values, cut in drawn:
         u = np.array(values) + 0.0
         u[cut:] = 0.0
-        levels.append((s, u, got.end(u)))
-    got.levels = [(s, u) for s, u, _ in levels[-5:]]
-    got.support = max(end for _, _, end in levels)
-    want_start, want_bound = previous_guess(want, levels[-5:], d)
+        levels.append((s, u))
+    got.levels = levels[-5:]
+    got.support = support = max(got.end(u) for _, u in levels)
+    want_start = previous_guess(want, levels[-5:], support, d)
     assert got.guess(d) == (want_start is not None)
     if want_start is not None:
         assert got.u.tobytes() == want_start.tobytes()
-        assert got.end(got.u) <= want_bound
+        assert got.end(got.u) <= support
 
 
 def test_a_line_search_with_no_passing_trial_takes_the_smallest_step_as_the_plain_kernel():
@@ -1988,7 +1983,7 @@ def test_a_line_search_with_no_passing_trial_takes_the_smallest_step_as_the_plai
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "dgtsv", rising)
         got = newton_solve(*args)
-        want = plain_newton_solve(*args)
+        want = newton_solve(*args, kernel=plain_newton_solve)
     assert not got[1] and not want[1]
     assert same_bytes(got[0], want[0]) and same_bytes(got[2], want[2])
     assert not same_bytes(got[0], u_old)

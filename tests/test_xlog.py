@@ -241,6 +241,19 @@ def test_a_spike_between_two_grid_radii_sets_the_table_norm():
     assert xlog.log_norm(d, n) >= 100.0 / float(n.weight(spike)) > 12.7
 
 
+def test_a_table_norm_keeps_its_tail_part_where_the_scalar_weight_rounds_lower():
+    # r^2 + rho^2 rounds to r^2 at the last two radii, so the last segment's
+    # part, over the array path of LogNorm.weight, and the tail part, over
+    # its scalar path, divide by powers of one base.  Numpy's array power
+    # and libm's scalar power may round apart; here (numpy 2.4 with AVX-512)
+    # the scalar one is an ulp lower, so the tail part is the norm, one ulp
+    # above the segment's, and dropping it would move the last bit
+    rho_n = math.nextafter(1e-9, 1.0)
+    n = xlog.LogNorm(3.1726190444325244, 1.2428406062229587)
+    d = xlog.table_datum([0.0, 1e-9, rho_n], [0.5, 1.0, 1.0])
+    assert xlog.log_norm(d, n) == 1.0 / float(n.weight(rho_n))
+
+
 def _dense_table_ratio(d, n, per_segment=200):
     """sup |f| / w over dense samples of every segment, below the first row
     and past the last."""
