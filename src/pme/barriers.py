@@ -1,7 +1,10 @@
 """Explicit super/subsolution profiles and their grid certificates.
 
-All barriers share the radial profile W(rho) = a [log(r^2 + rho^2)]^(1/(m-1))
+All barriers share the radial profile W(rho) = a w_r(rho), a times the
+norm's weight w_r(rho) = [log(r^2 + rho^2)]^(1/(m-1)) of ``xlog.LogNorm``,
 and the separable time factor (1 - t/T)^(-1/(m-1)), which blows up at t = T.
+A ``BarrierParams`` holds the ``LogNorm`` of its r and m and reads w_r from
+it: the weight has that one body.
 A small amplitude (from the upper drift bound) makes the separable function a
 supersolution; a large amplitude (from the lower drift bound, available on
 quadratically pinched models) makes it a subsolution.  The backward-in-time
@@ -29,15 +32,17 @@ the common factor T^(-1/(m-1)) cancels.
 
 A float radius is the 0-d case of the array code: each function here has
 one body for both, and returns a numpy float64 (a ``float``) for a float.
-Every power of a radius-dependent value in W, W^m and V is an ``np.power``
-call, since a numpy float64's ``**`` runs libm's ``pow``, which can round
-otherwise than numpy's array loop; so a blow-up stage's boundary datum
-and its subsolution on the cells are the same function in floats.
+Every power of a radius-dependent value in W (``LogNorm.weight``), W^m and
+V is an ``np.power`` call, since a numpy float64's ``**`` runs libm's
+``pow``, which can round otherwise than numpy's array loop; so a blow-up
+stage's boundary datum and its subsolution on the cells are the same
+function in floats.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,12 +51,14 @@ import numpy as np
 from .errors import CertificateError, DomainError, NotApplicableError
 from .geometry import MAX_RHO_MAX, PROBE_COUNT, PROBE_RHO_MAX, probe_grid
 from .geometry import ComparisonConstants, ModelManifold
+from .xlog import LogNorm
 
 RESIDUAL_TOL = 1e-10
 CERTIFICATE_NODES = 10**4  # default nodes of the super/sub certificates
 ETA_TOL = 1e-12
 ETA_RADII, ETA_TIMES = 100, 100  # the (rho, t) grid of ``certify_eta``
 K_MARGIN = 0.1
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # 709.78: math.exp raises OverflowError past it
 NO_LIVE_ETA_NODE = "eta is 0 on every node, so nothing was checked"
 
 
@@ -81,28 +88,24 @@ def separable_envelopes(times, horizon, m, scale, profile) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BarrierParams:
-    """Separable barrier data: amplitude, weight offset, blow-up horizon."""
+    """Separable barrier data: amplitude, weight offset, blow-up horizon,
+    exponent, and the ``norm`` of that offset and exponent, built once here
+    (its ``LogNorm`` checks r and m)."""
 
     amplitude: float
     r: float
     horizon: float
     m: float
+    norm: LogNorm = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.amplitude < math.inf and 0.0 < self.horizon < math.inf):
             raise DomainError("amplitude and horizon must be positive and finite")
-        if not 2.0 <= self.r <= MAX_RHO_MAX:
-            raise DomainError(f"weight offset r must be in [2, {MAX_RHO_MAX:g}]")
-        if not 1.0 < self.m < math.inf:
-            raise DomainError("m must be finite and > 1")
-
-    def log_weight(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return np.log(self.r**2 + rho**2)
+        object.__setattr__(self, "norm", LogNorm(self.r, self.m))
 
     def profile_unit(self, rho):
-        """Unit-horizon profile W(rho) = a [log(r^2+rho^2)]^(1/(m-1))."""
-        return self.amplitude * np.power(self.log_weight(rho), 1.0 / (self.m - 1.0))
+        """Unit-horizon profile W(rho) = a w_r(rho) = a [log(r^2+rho^2)]^(1/(m-1))."""
+        return self.amplitude * self.norm.weight(rho)
 
     def profile(self, rho):
         """Horizon-scaled profile W / T^(1/(m-1))."""
@@ -127,9 +130,9 @@ def wm_radial_derivatives(p: BarrierParams, rho):
     """First and second radial derivatives of W^m for the unit profile."""
     rho = np.asarray(rho, dtype=float)
     m = p.m
-    L = p.log_weight(rho)
     s = p.r**2 + rho**2
-    base = p.amplitude**m * (2.0 * m / (m - 1.0)) * np.power(L, 1.0 / (m - 1.0)) / s
+    L = np.log(s)
+    base = p.amplitude**m * (2.0 * m / (m - 1.0)) * p.norm.weight(rho) / s
     first = base * rho
     # rho^2/s <= 1 is formed first: (m-1) s L overflows for m of 1e6 at rho = 1e150
     q = rho**2 / s
@@ -173,15 +176,18 @@ class CertificateReport:
         return True
 
 
-def _certificate_grid(rho_grid) -> np.ndarray:
+def _unit_terms(p: BarrierParams, manifold: ModelManifold, rho_grid):
+    """The nodes of a super/sub certificate, ``rho_grid`` or by default the
+    probe grid, with the unit profile W and (m-1) Lap(W^m) on them."""
     rho = probe_grid(PROBE_RHO_MAX, CERTIFICATE_NODES) if rho_grid is None else np.asarray(rho_grid)
     if rho.size == 0:
         raise DomainError("a certificate needs at least one grid node")
-    return rho
+    return rho, p.profile_unit(rho), (p.m - 1.0) * laplacian_wm(p, manifold, rho)
 
 
-def _report(kind, res, rho, params: dict, details: dict, ok: bool = True) -> CertificateReport:
-    """Report of the worst scaled residual ``res`` on the nodes ``rho``."""
+def _report(kind, res, rho, p: BarrierParams, details: dict, ok: bool = True) -> CertificateReport:
+    """Report of the worst scaled residual ``res`` of the barrier ``p`` on
+    the nodes ``rho``."""
     i = int(np.argmin(res))
     return CertificateReport(
         kind=kind,
@@ -189,7 +195,7 @@ def _report(kind, res, rho, params: dict, details: dict, ok: bool = True) -> Cer
         min_residual=float(res[i]),
         argmin_rho=float(rho[i]),
         nodes=rho.size,
-        params=params,
+        params={"a": p.amplitude, "r": p.r, "m": p.m},
         details=details,
     )
 
@@ -206,9 +212,7 @@ def certify_supersolution(
     amplitude condition 2m a^(m-1) [C'(1+rho^2) + (m+1)/(m-1)] <= r^2 + rho^2
     is checked too.
     """
-    rho = _certificate_grid(rho_grid)
-    w = p.profile_unit(rho)
-    lap = (p.m - 1.0) * laplacian_wm(p, manifold, rho)
+    rho, w, lap = _unit_terms(p, manifold, rho_grid)
     lhs = (
         2.0
         * p.m
@@ -220,8 +224,7 @@ def certify_supersolution(
     ok = bool(margin[j] >= 0.0)
     details = {"amplitude_condition_ok": ok, "amplitude_condition_min_margin": float(margin[j])}
     res = (w - lap) / (np.abs(w) + np.abs(lap))
-    params = {"a": p.amplitude, "r": p.r, "m": p.m}
-    return _report("super", res, rho, params, details, ok)
+    return _report("super", res, rho, p, details, ok)
 
 
 def certify_subsolution(
@@ -230,11 +233,10 @@ def certify_subsolution(
     rho_grid: Optional[np.ndarray] = None,
 ) -> CertificateReport:
     """Certify W <= (m-1) Laplacian(W^m) for the unit-horizon profile."""
-    rho = _certificate_grid(rho_grid)
-    w = p.profile_unit(rho)
-    lap = (p.m - 1.0) * laplacian_wm(p, manifold, rho)
+    rho, w, lap = _unit_terms(p, manifold, rho_grid)
+    # not the negated super residual: (lap - w) keeps its own signed zeros
     res = (lap - w) / (np.abs(w) + np.abs(lap))
-    return _report("sub", res, rho, {"a": p.amplitude, "r": p.r, "m": p.m}, {})
+    return _report("sub", res, rho, p, {})
 
 
 def subsolution_params(consts: ComparisonConstants, m: float) -> BarrierParams:
@@ -442,25 +444,28 @@ def log_decay_product(c_m: float, decay: float, horizon: float, m: float, radius
     )
 
 
-def decay_product(c_m: float, decay: float, horizon: float, m: float, radius: float) -> float:
-    """F(R); overflows to inf / underflows to 0 outside float range."""
+def decay_product(c_m: float, decay: float, horizon: float, m: float, radius: float) -> tuple:
+    """(F(R), log F(R)), F formed from its own log: inf past the log of the
+    largest double, where ``math.exp`` would raise OverflowError, and 0.0
+    where ``math.exp`` underflows."""
     lf = log_decay_product(c_m, decay, horizon, m, radius)
-    if lf > 745.0:
-        return float("inf")
-    if lf < -745.0:
-        return 0.0
-    return math.exp(lf)
+    return (math.inf if lf > LOG_FLOAT_MAX else math.exp(lf)), lf
 
 
 def decay_regime(c_m: float, decay: float, horizon: float) -> str:
     """'decay' when T < K/(2 C_M), 'growth' when above, 'boundary' within a
-    relative 1e-12 of the knife edge."""
-    if c_m <= 0:
-        raise DomainError("C_M must be positive")
-    critical = decay / (2.0 * c_m)
-    if abs(horizon - critical) <= 1e-12 * critical:
+    relative 1e-12 of the knife edge: |2 C_M T - K| <= 1e-12 K.  The sides
+    are exact rationals, so neither end of the float range misclassifies:
+    K/(2 C_M) would overflow to inf for a tiny C_M, 2 C_M for a huge one."""
+    if not 0.0 < c_m < math.inf:
+        raise DomainError("C_M must be positive and finite")
+    # imported here, so that only a uniqueness check pays for its import
+    from fractions import Fraction
+
+    gap = 2 * Fraction(c_m) * Fraction(horizon) - Fraction(decay)
+    if abs(gap) <= Fraction(1e-12) * Fraction(decay):
         return "boundary"
-    return "decay" if horizon < critical else "growth"
+    return "decay" if gap < 0 else "growth"
 
 
 @dataclass
@@ -503,13 +508,14 @@ def uniqueness_report(
     classify the decay regime."""
     decay, eta_report = eta_certificate(coeff_bound, inner_radius, horizon, dim, decay)
     regime = decay_regime(c_m, decay, horizon)  # rejects C_M <= 0 before critical_T divides by it
+    F, log_f = decay_product(c_m, decay, horizon, m, 100.0)
     return UniquenessReport(
         K=decay,
         C_M=c_m,
         T=horizon,
-        critical_T=decay / (2.0 * c_m),
+        critical_T=0.5 * decay / c_m,  # 2 C_M would overflow for a huge C_M
         regime=regime,
         eta_certificate=eta_report,
-        F_at_100=decay_product(c_m, decay, horizon, m, 100.0),
-        logF_at_100=log_decay_product(c_m, decay, horizon, m, 100.0),
+        F_at_100=F,
+        logF_at_100=log_f,
     )

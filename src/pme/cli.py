@@ -362,8 +362,7 @@ def cmd_uniq_check(args) -> int:
     if args.out:
         k = report.K
         rows = [
-            (r, barriers.decay_product(args.c_m, k, args.T, args.m, r),
-             barriers.log_decay_product(args.c_m, k, args.T, args.m, r))
+            (r, *barriers.decay_product(args.c_m, k, args.T, args.m, r))
             for r in np.geomspace(10.0, 1000.0, args.table_points or 60).tolist()
         ]
         write_json(args.out, report)

@@ -8,6 +8,11 @@ supremum over the whole half-line in closed form, and every rho -> infinity
 quantity, the tail supremum and the asymptotic growth ratio, is read off the
 form and the amplitude.  Nothing is sampled.
 
+The weight w_r has one body, ``LogNorm.weight``, which the separable
+barriers' profiles read too (``barriers.BarrierParams``).  Its power is an
+``np.power`` call, so a float radius gets the bits of its entry in an array,
+and every weight of a table's norm takes one path.
+
 Note on the r -> infinity limit: since log(r^2 + rho^2) ~ 2 log rho, the
 norms decrease to 2^(-1/(m-1)) times the asymptotic ratio
 limsup |f| / (log rho)^(1/(m-1)); ``norm_limit`` returns that limit and
@@ -46,8 +51,12 @@ class LogNorm:
             raise DomainError(f"PME exponent m must be finite and > 1, got {self.m!r}")
 
     def weight(self, rho):
+        """w_r(rho) = [log(r^2 + rho^2)]^(1/(m-1)), the one body of the weight
+        that the norms and the barriers' profiles share.  Its power is an
+        ``np.power`` call: a float radius is the 0-d case of the array code,
+        and gets the bits of its entry in an array."""
         rho = np.asarray(rho, dtype=float)
-        return np.log(self.r**2 + rho**2) ** (1.0 / (self.m - 1.0))
+        return np.power(np.log(self.r**2 + rho**2), 1.0 / (self.m - 1.0))
 
 
 @dataclass(frozen=True)
@@ -91,13 +100,12 @@ def log_norm(datum: RadialDatum, norm: LogNorm) -> float:
 
     - bounded(B): the norm is B / w(0).
     - table: the upper bound max over segments of max(|f_i|, |f_{i+1}|) /
-      w(rho_i), with |f_0| / w(0) for the hold below the first row and
-      |f_N| / w(rho_N) past the last row.  The last segment's part bounds
-      that tail part in exact arithmetic, but not in floats: w(rho_N) goes
-      through the scalar path of ``LogNorm.weight`` and the segments'
-      weights through its array path, whose powers may round apart, so on
-      a base shared by the last two radii the tail part can be an ulp
-      larger (``tests/test_xlog.py``).
+      w(rho_i), with |f_0| / w(0) for the hold below the first row.  The
+      hold past the last row adds nothing: its part |f_N| / w(rho_N) is at
+      most the last segment's, |f_N| / w(rho_{N-1}), or for a single row
+      |f_0| / w(0), since every weight takes the one path of
+      ``LogNorm.weight`` and w(rho_{N-1}) <= w(rho_N) holds in its floats,
+      on a base shared by the last two radii too (``tests/test_xlog.py``).
     - log-growth(b): the tail ratio b (log rho / log(r^2 + rho^2))^(1/(m-1))
       increases on rho >= e, since (r^2+rho^2) log(r^2+rho^2) > rho^2 log
       rho^2, so its supremum is the limit 2^(-1/(m-1)) b; the ramp below e
@@ -115,8 +123,7 @@ def log_norm(datum: RadialDatum, norm: LogNorm) -> float:
         rho, values = datum.rows
         size = np.abs(values)
         head = np.maximum(size[:-1], size[1:]) / norm.weight(rho[:-1])
-        tail_part = b / float(norm.weight(float(rho[-1])))
-        return max(float(size[0] / norm.weight(0.0)), float(np.max(head, initial=0.0)), tail_part)
+        return max(float(size[0] / norm.weight(0.0)), float(np.max(head, initial=0.0)))
 
 
 def _ramp_part(b: float, norm: LogNorm) -> float:
@@ -175,42 +182,33 @@ def norm_limit(datum: RadialDatum, m: float) -> float:
 # -- canonical data generators -------------------------------------------------
 
 
-def log_growth_profile(b: float, m: float) -> Callable[[np.ndarray], np.ndarray]:
+def log_growth_datum(b: float, m: float) -> RadialDatum:
     """b (log rho)^(1/(m-1)) beyond rho = e, linear ramp b rho/e inside.
 
     The ramp keeps the datum nonnegative and continuous while leaving both
-    the asymptotic ratio and the norm tail exactly b-scaled.
+    the asymptotic ratio and the norm tail exactly b-scaled.  The power is
+    an ``np.power`` call, as in ``LogNorm.weight``.
     """
-    if b < 0:
-        raise DomainError("amplitude must be nonnegative")
-    if m <= 1:
-        raise DomainError("m must be > 1")
 
     def profile(rho):
         rho = np.asarray(rho, dtype=float)
         out = np.where(
             rho >= RAMP_EDGE,
-            np.log(np.maximum(rho, RAMP_EDGE)) ** (1.0 / (m - 1.0)),
+            np.power(np.log(np.maximum(rho, RAMP_EDGE)), 1.0 / (m - 1.0)),
             rho / RAMP_EDGE,
         )
         return b * out
 
-    return profile
-
-
-def log_growth_datum(b: float, m: float) -> RadialDatum:
-    return RadialDatum(log_growth_profile(b, m), "log-growth", b, m=m)
-
-
-def bounded_profile(bound: float) -> Callable[[np.ndarray], np.ndarray]:
-    def profile(rho):
-        return np.full_like(np.asarray(rho, dtype=float), bound)
-
-    return profile
+    return RadialDatum(profile, "log-growth", b, m=m)
 
 
 def bounded_datum(bound: float) -> RadialDatum:
-    return RadialDatum(bounded_profile(bound), "bounded", bound)
+    """f = bound everywhere."""
+
+    def profile(rho):
+        return np.full_like(np.asarray(rho, dtype=float), bound)
+
+    return RadialDatum(profile, "bounded", bound)
 
 
 def table_datum(table_rho, table_values) -> RadialDatum:
@@ -218,8 +216,8 @@ def table_datum(table_rho, table_values) -> RadialDatum:
     first value below the first row and at the last beyond the last row:
     bounded by |last value| past the last row.  The rows are finite, with
     strictly increasing radii from rho >= 0 up to ``geometry.MAX_RHO_MAX``,
-    past which the norm's w(rho_N) would form an infinite rho^2 (from
-    about 1.3e154)."""
+    past which the norm's weight at a row would form an infinite rho^2
+    (from about 1.3e154)."""
     rho = np.array(table_rho, dtype=float)
     values = np.array(table_values, dtype=float)
     if rho.size == 0 or rho.shape != values.shape or rho.ndim != 1:

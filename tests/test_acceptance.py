@@ -123,7 +123,7 @@ def test_criterion_4_barrier_sandwich(quad_manifold, quad_constants):
             dt=solver.DtPolicy(dt0=1e-4, growth=1.25, dt_max=5e-4),
             t_end=0.5 * T,
         )
-        traj = solver.solve_ball(xlog.log_growth_profile(b, m), cfg, g, barrier_horizon=T)
+        traj = solver.solve_ball(xlog.log_growth_datum(b, m).profile, cfg, g, barrier_horizon=T)
         scale = max(float(np.max(np.abs(f))) for f in traj.fields)
         tol = solver.tau_h(g.h, scale)
         # zero violating cells: worst excess over the envelope below tau_h
@@ -198,8 +198,8 @@ def test_criterion_7_uniqueness_certificates(quad_manifold):
 
         c_m = 1.0
         critical = k / (2.0 * c_m)
-        assert barriers.decay_product(c_m, k, 0.45 * critical, 2.0, 100.0) < 1e-30
-        assert barriers.decay_product(c_m, k, 2.0 * critical, 2.0, 100.0) > 1e10
+        assert barriers.decay_product(c_m, k, 0.45 * critical, 2.0, 100.0)[0] < 1e-30
+        assert barriers.decay_product(c_m, k, 2.0 * critical, 2.0, 100.0)[0] > 1e10
 
         # grid-refinement uniqueness proxy: halving h shrinks the change at
         # matched interior points by >= 1.8x.  Matched points exclude the
@@ -210,7 +210,7 @@ def test_criterion_7_uniqueness_certificates(quad_manifold):
         prev = None
         for cells in (100, 200, 400):
             g = RadialGrid.uniform(quad_manifold, 10.0, cells)
-            u0 = xlog.log_growth_profile(1.0, m)(g.centers)
+            u0 = xlog.log_growth_datum(1.0, m).profile(g.centers)
             cfg = solver.SolverConfig(
                 m=m,
                 dt=solver.DtPolicy(dt0=0.5 * g.h * 1e-2, growth=1.0),

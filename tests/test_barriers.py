@@ -9,6 +9,7 @@ evaluation in log space.
 import dataclasses
 import json
 import math
+import sys
 import warnings
 
 import mpmath
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pme import barriers, cli, geometry
+from pme import barriers, cli, geometry, xlog
 from pme.errors import CertificateError, DomainError, NotApplicableError
 
 
@@ -322,12 +323,19 @@ barrier_params = st.builds(
 def test_a_float_radius_is_the_bits_of_its_array_entry(p, delta, rho):
     # a float radius is the 0-d case of the array code, each power an
     # np.power call, so a stage's boundary datum at R and its subsolution on
-    # the cells are one function in floats, shifts that clip to 0 included
-    with np.errstate(all="ignore"):
-        got = barriers.shifted_subsolution(p, delta, rho)
-        entry = barriers.shifted_subsolution(p, delta, np.array([rho, 1.0]))[0]
-    assert isinstance(got, float)
-    assert np.array([got]).tobytes() == np.array([entry]).tobytes()
+    # the cells are one function in floats, shifts that clip to 0 included;
+    # and so are the one weight w_r and the log-growth datum of p's m
+    functions = (
+        lambda x: barriers.shifted_subsolution(p, delta, x),
+        p.norm.weight,
+        xlog.log_growth_datum(delta, p.m).profile,
+    )
+    for f in functions:
+        with np.errstate(all="ignore"):
+            got = f(rho)
+            entry = f(np.array([rho, 1.0]))[0]
+        assert isinstance(got, float)
+        assert np.array([got]).tobytes() == np.array([entry]).tobytes()
 
 
 ETA_PARAMS = barriers.EtaBarrierParams(decay=0.2, scale=1.5, horizon=0.5, inner_radius=2.0, coeff_bound=1.0)
@@ -373,8 +381,6 @@ def test_a_float_argument_gives_the_bits_of_its_array_entry(name, rho):
 
 
 def test_separable_norm_growth_is_exact():
-    from pme import xlog
-
     p = barriers.BarrierParams(amplitude=0.05, r=2.0, horizon=0.1, m=2.0)
     rho = np.geomspace(1e-3, 1e3, 2000)
     n = xlog.LogNorm(2.0, 2.0)
@@ -389,8 +395,6 @@ def test_separable_norm_growth_is_exact():
 def test_supersolution_dominates_subsolution_for_canonical_datum(
     quad_manifold, quad_constants
 ):
-    from pme import xlog
-
     m = 2.0
     b = 1.0
     rho = np.geomspace(1e-3, 1e3, 4000)
@@ -543,20 +547,56 @@ def test_barrier_params_reject_a_non_finite_field(cls, field, value):
 
 
 def test_decay_product_small_horizon_decays():
-    f100 = barriers.decay_product(1.0, 0.2, 0.05, 2.0, 100.0)
-    assert f100 < 1e-30
+    f100, log_f = barriers.decay_product(1.0, 0.2, 0.05, 2.0, 100.0)
+    assert f100 < 1e-30 and log_f == barriers.log_decay_product(1.0, 0.2, 0.05, 2.0, 100.0)
     logs = [barriers.log_decay_product(1.0, 0.2, 0.05, 2.0, R) for R in np.geomspace(10, 1e3, 40)]
     assert all(a > b for a, b in zip(logs, logs[1:]))
 
 
 def test_decay_product_large_horizon_grows():
-    assert barriers.decay_product(1.0, 0.2, 0.2, 2.0, 100.0) > 1e10
+    assert barriers.decay_product(1.0, 0.2, 0.2, 2.0, 100.0)[0] > 1e10
+
+
+def test_decay_product_is_inf_past_the_log_of_the_largest_double():
+    # log F(100) = 719.6 lies between log(max double) = 709.78, past which
+    # math.exp raises OverflowError, and 745
+    f, log_f = barriers.decay_product(0.33, 1e-6, 0.05, 2.0, 100.0)
+    assert 719.5 < log_f < 719.7 and f == math.inf
+    assert math.isfinite(math.exp(barriers.LOG_FLOAT_MAX))
+    with pytest.raises(OverflowError):
+        math.exp(math.nextafter(barriers.LOG_FLOAT_MAX, math.inf))
+    # below -745 math.exp returns 0.0 itself
+    f, log_f = barriers.decay_product(1.0, 0.2, 0.01, 2.0, 100.0)
+    assert f == 0.0 and log_f < -745.0
 
 
 def test_decay_regime_boundary():
     assert barriers.decay_regime(1.0, 0.2, 0.05) == "decay"
     assert barriers.decay_regime(1.0, 0.2, 0.2) == "growth"
     assert barriers.decay_regime(1.0, 0.2, 0.1) == "boundary"
+
+
+@pytest.mark.parametrize(
+    "c_m, decay, horizon, regime",
+    [
+        # K/(2 C_M) = 1e309 overflows to inf, where |T - inf| <= 1e-12 inf held
+        (1e-310, 0.2, 0.05, "decay"),
+        (5e-324, 1.0, 1e308, "decay"),
+        # 2 C_M overflows to inf, so K/(2 C_M) would be 0.0, below every T
+        (1e308, 0.2, 1e-310, "decay"),
+        (1e308, 0.2, 1e-300, "growth"),
+        (sys.float_info.max, 1.0, 2.0**-1025, "boundary"),
+    ],
+)
+def test_decay_regime_at_both_ends_of_the_float_range(c_m, decay, horizon, regime):
+    assert barriers.decay_regime(c_m, decay, horizon) == regime
+
+
+def test_a_report_at_a_huge_C_M_writes_the_critical_horizon_its_regime_reads():
+    # 2 C_M overflows to inf, K/(2 C_M) = 1e-309 does not: critical_T lies
+    # above T, as the decay regime says, not at 0.0
+    rep = barriers.uniqueness_report(1e308, 0.2, 1e-310, 2.0, 1.0, 2.0, 2)
+    assert rep.regime == "decay" and rep.critical_T > rep.T > 0.0
 
 
 # -- each report's own verdict ----------------------------------------------------------

@@ -627,6 +627,32 @@ def test_uniq_check_boundary_case_inconclusive(capsys):
     assert "inconclusive" in capsys.readouterr().err
 
 
+def test_uniq_check_whose_decay_product_leaves_the_float_range(tmp_path, capsys):
+    # log F(100) = 719.6 lies past log(max double) = 709.78, where math.exp
+    # raises OverflowError: F is inf, written as null, and the smallness
+    # condition fails as it should
+    assert run_cli("uniq-check", "--T", "0.05", "--c_m", "0.33", "--k", "1e-6") == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "smallness condition fails" in captured.err
+    data = json.loads(captured.out)
+    assert data["F_at_100"] is None and 719.5 < data["logF_at_100"] < 719.7
+    # the table row at R = 194.1 has log F = 718.7: F is inf, from its own log F
+    out = tmp_path / "u.json"
+    assert run_cli("uniq-check", "--T", "0.05", "--c_m", "0.1", "--k", "1e-6", "--out", str(out)) == 3
+    assert capsys.readouterr().err.count("\n") == 1 and out.exists()
+    rows = [line.split(",") for line in (tmp_path / "u.csv").read_text().splitlines()[1:]]
+    assert all(f == str(barriers.decay_product(0.1, 1e-6, 0.05, 2.0, float(r))[0]) for r, f, _ in rows)
+    assert ["194.14919457438816", "inf"] in [row[:2] for row in rows]
+
+
+def test_uniq_check_whose_critical_horizon_overflows_is_in_the_decay_regime(capsys):
+    # K/(2 C_M) = 1e309 overflows to inf, which no finite T reaches: the
+    # regime is decay, not the knife edge, and critical_T is written as null
+    assert run_cli("uniq-check", "--T", "0.05", "--c_m", "1e-310", "--k", "0.2") == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["regime"] == "decay" and data["critical_T"] is None and data["F_at_100"] == 0.0
+
+
 def test_uniq_check_writes_table(tmp_path):
     out = tmp_path / "uniq.json"
     rc = run_cli("uniq-check", "--T", "0.05", "--c_m", "1", "--out", str(out))

@@ -158,9 +158,11 @@ def test_datum_matches_xlog_constructors(tmp_path, u0, radius):
         u0 = f"table({table})"
     got = config.datum_from({"u0": u0}, 2.0)
     if u0.startswith("log"):
-        want, profile = xlog.log_growth_datum(1.5, 2.0), xlog.log_growth_profile(1.5, 2.0)
+        want = xlog.log_growth_datum(1.5, 2.0)
+        profile = want.profile
     elif u0.startswith("bounded"):
-        want, profile = xlog.bounded_datum(0.7), xlog.bounded_profile(0.7)
+        want = xlog.bounded_datum(0.7)
+        profile = want.profile
     else:
         want = xlog.table_datum(rows, vals)
         profile = partial(np.interp, xp=rows, fp=vals)

@@ -809,6 +809,16 @@ def run_step(u, dt, grid, cfg, integrator=None):
         return str(exc)
 
 
+# The solves of a step after a failed prediction: the retry from the newest
+# field and the first halvings.  A zero-tail case drawn near the coupling
+# q = 1/4 fails every solve, each iteration's line search running down to
+# lam = 2^-30, so each run spends its whole budget; 200 solves cost a drawn
+# case seconds.  Deep halvings are the part of
+# test_step_through_halvings_is_bitwise_the_plain_kernel (and of its
+# zero-tail twin), at a budget of 200.
+RETRY_BUDGET = 8
+
+
 def failed_prediction_step(case, reach):
     """``step`` from the newest field u_old of a real history, whose older
     level u_prev is 1.0 on its first ``reach`` cells and +0.0 past them, and
@@ -841,9 +851,9 @@ def failed_prediction_step(case, reach):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        # both runs face one small budget, as in
-        # assert_step_through_halvings_is_the_plain_kernel
-        mp.setattr(solver, "MAX_SUBSTEPS", 200)
+        # both runs face one budget of RETRY_BUDGET solves, which bounds
+        # the cost of a draw whose every solve fails
+        mp.setattr(solver, "MAX_SUBSTEPS", RETRY_BUDGET)
         mp.setattr(solver, "_newton_solve", plain_newton_solve)
         want = run_step(u_old, dt, grid, cfg)
         mp.setattr(solver, "_newton_solve", solve)
@@ -2088,7 +2098,7 @@ def test_mass_audit_tracks_boundary_flux():
 def test_mass_audit_on_warped_model():
     M = geometry.quad_critical(0.5, 3)
     g = RadialGrid.uniform(M, 10.0, 150)
-    u0 = xlog.log_growth_profile(1.0, 2.0)(g.centers)
+    u0 = xlog.log_growth_datum(1.0, 2.0).profile(g.centers)
     traj = solver.solve_ball(u0, small_cfg(0.02, dt0=2e-4), g)
     dm = np.diff(traj.masses)
     outflow = np.array(traj.boundary_outflow[1:])
@@ -2271,7 +2281,7 @@ def test_comparison_with_ordered_barrier_boundaries(quad_manifold, quad_constant
     sub = barriers.subsolution_params(quad_constants, m)
     params = barriers.BarrierParams(sub.amplitude, sub.r, horizon=4.0, m=m)
     g = RadialGrid.uniform(quad_manifold, 10.0, 100)
-    u0 = xlog.log_growth_profile(1.0, m)(g.centers)
+    u0 = xlog.log_growth_datum(1.0, m).profile(g.centers)
     worst = -math.inf
     for d_lo, d_hi in ((0.0, 0.3), (0.1, 1.0)):
         cfg_hi = small_cfg(0.05, dt0=1e-3, boundary=solver.BarrierDirichlet(params, d_lo))
@@ -2292,7 +2302,7 @@ def test_sign_changing_datum_bounded_by_barrier(quad_manifold, quad_constants):
     datum = xlog.log_growth_datum(1.0, m)
     norm0 = xlog.log_norm(datum, xlog.LogNorm(2.0, m))
     et = solver.existence_time(datum, quad_constants, m)
-    prof = xlog.log_growth_profile(1.0, m)
+    prof = xlog.log_growth_datum(1.0, m).profile
     cfg = solver.SolverConfig(
         m=m, dt=solver.DtPolicy(dt0=2e-4, growth=1.2, dt_max=1e-3), t_end=0.4 * et.time
     )
@@ -2416,7 +2426,7 @@ def test_nested_balls_record_one_time_sequence(capped_by):
     if capped_by == "boundary":
         bc = solver.BarrierDirichlet(barriers.BarrierParams(1.0, 2.0, horizon=T, m=m), 0.5)
         horizon = None
-    u0 = xlog.log_growth_profile(1.0, m)
+    u0 = xlog.log_growth_datum(1.0, m).profile
     cfg = small_cfg(0.09, m=m, dt0=1e-4, boundary=bc, snapshot_stride=3)
     times = [
         solver.solve_ball(u0, cfg, RadialGrid.uniform(M, R, 10 * k), barrier_horizon=horizon).times
@@ -2575,7 +2585,7 @@ def test_solve_report_audits_only_under_a_finite_horizon(quad_manifold, quad_con
     datum = xlog.log_growth_datum(1.0, m)
     et = solver.existence_time(datum, quad_constants, m)
     assert et.horizon == et.time < math.inf
-    traj = solver.solve_ball(xlog.log_growth_profile(1.0, m), small_cfg(0.01), g, barrier_horizon=et.horizon)
+    traj = solver.solve_ball(xlog.log_growth_datum(1.0, m).profile, small_cfg(0.01), g, barrier_horizon=et.horizon)
     rep = solver.solve_report(traj, et)
     # the audit's envelope is the certificate's: its time, its norm of u0 and
     # that norm's m and weight

@@ -241,17 +241,55 @@ def test_a_spike_between_two_grid_radii_sets_the_table_norm():
     assert xlog.log_norm(d, n) >= 100.0 / float(n.weight(spike)) > 12.7
 
 
-def test_a_table_norm_keeps_its_tail_part_where_the_scalar_weight_rounds_lower():
+def test_a_table_norm_needs_no_tail_part_where_the_last_radii_share_a_base():
     # r^2 + rho^2 rounds to r^2 at the last two radii, so the last segment's
-    # part, over the array path of LogNorm.weight, and the tail part, over
-    # its scalar path, divide by powers of one base.  Numpy's array power
-    # and libm's scalar power may round apart; here (numpy 2.4 with AVX-512)
-    # the scalar one is an ulp lower, so the tail part is the norm, one ulp
-    # above the segment's, and dropping it would move the last bit
+    # part and the tail part past the last row divide by powers of one base.
+    # LogNorm.weight has one path, a float radius the bits of its array
+    # entry, so the two weights are one float and the last segment's part is
+    # the norm.  On this base libm's scalar power rounds an ulp below
+    # numpy's array power (numpy 2.4 with AVX-512)
     rho_n = math.nextafter(1e-9, 1.0)
     n = xlog.LogNorm(3.1726190444325244, 1.2428406062229587)
     d = xlog.table_datum([0.0, 1e-9, rho_n], [0.5, 1.0, 1.0])
-    assert xlog.log_norm(d, n) == 1.0 / float(n.weight(rho_n))
+    w = n.weight(np.array([1e-9, rho_n]))
+    assert n.weight(1e-9) == n.weight(rho_n) == w[0] == w[1]
+    assert xlog.log_norm(d, n) == 1.0 / w[0]
+
+
+def _norm_with_the_tail_part(d, n):
+    """``log_norm`` of a table with the hold past its last row included: the
+    part |f_N| / w(rho_N) that the last segment's part bounds."""
+    with np.errstate(over="ignore"):
+        return max(xlog.log_norm(d, n), d.amplitude / float(n.weight(d.rows[0][-1])))
+
+
+@st.composite
+def tables_at_their_tails(draw):
+    """Tables whose tail part comes closest to the norm: a single row; last
+    radii below 1e-8, whose squares vanish beside r^2 >= 4, so that they
+    share one base; or last radii of adjacent doubles up to MAX_RHO_MAX."""
+    kind = draw(st.sampled_from(["one row", "shared base", "far"]))
+    if kind == "one row":
+        rho = [draw(st.floats(0.0, geometry.MAX_RHO_MAX))]
+    else:
+        top = 1e-8 if kind == "shared base" else geometry.MAX_RHO_MAX
+        last = draw(st.floats(top / 2.0, top))
+        rho = [last]
+        for _ in range(draw(st.integers(1, 4))):
+            rho.insert(0, math.nextafter(rho[0], 0.0))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(rho), max_size=len(rho)))
+    return xlog.table_datum(rho, values)
+
+
+@given(
+    tables_at_their_tails(),
+    st.floats(2.0, 1e3) | st.floats(1e149, geometry.MAX_RHO_MAX),
+    st.floats(1.0, 1.01, exclude_min=True) | st.floats(1.0, 7.0, exclude_min=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_table_norm_is_its_maximum_with_the_tail_part(d, r, m):
+    n = xlog.LogNorm(r, m)
+    assert xlog.log_norm(d, n).hex() == _norm_with_the_tail_part(d, n).hex()
 
 
 def _dense_table_ratio(d, n, per_segment=200):
