@@ -3,8 +3,11 @@
 All barriers share the radial profile W(rho) = a w_r(rho), a times the
 norm's weight w_r(rho) = [log(r^2 + rho^2)]^(1/(m-1)) of ``xlog.LogNorm``,
 and the separable time factor (1 - t/T)^(-1/(m-1)), which blows up at t = T.
-A ``BarrierParams`` holds the ``LogNorm`` of its r and m and reads w_r from
-it: the weight has that one body.
+Each closed form has one body, which every caller reads: the weight is
+``LogNorm.weight`` (a ``BarrierParams`` holds the ``LogNorm`` of its r and
+m), the time factor ``blowup_factor`` and W_T^m from unit-profile values
+``BarrierParams.wm_at_horizon``.  So a blow-up stage's boundary datum and
+its audit envelope agree bit for bit by construction.
 A small amplitude (from the upper drift bound) makes the separable function a
 supersolution; a large amplitude (from the lower drift bound, available on
 quadratically pinched models) makes it a subsolution.  The backward-in-time
@@ -62,9 +65,13 @@ LOG_FLOAT_MAX = math.log(sys.float_info.max)  # 709.78: math.exp raises Overflow
 NO_LIVE_ETA_NODE = "eta is 0 on every node, so nothing was checked"
 
 
-def blowup_factor(t, horizon, m):
-    """Separable time factor (1 - t/T)^(-1/(m-1)), which blows up at t = T."""
-    return (1.0 - t / horizon) ** (-1.0 / (m - 1.0))
+def blowup_factor(horizon, m, scale=1.0):
+    """The separable time factor of horizon T times ``scale``, as the function
+    t -> (1 - t/T)^(-1/(m-1)) * scale, which blows up at t = T.  Its exponent
+    is computed once, here; a call costs one power and gives a Python float
+    for a float t.  ``x * 1.0`` is exact, so the default scale moves no bit."""
+    e = -1.0 / (m - 1.0)
+    return lambda t: (1.0 - t / horizon) ** e * scale
 
 
 def horizon_time(a, norm, m):
@@ -73,16 +80,15 @@ def horizon_time(a, norm, m):
 
 
 def separable_envelopes(times, horizon, m, scale, profile) -> np.ndarray:
-    """One row blowup_factor(t, horizon, m) * scale * profile per time.  The
+    """One row blowup_factor(horizon, m, scale)(t) * profile per time.  The
     times are Python floats (``Trajectory.times``), and each factor is the
-    Python float ``blowup_factor`` gives, its exponent -1/(m-1) computed once.
+    Python float of the one ``blowup_factor`` of the envelope.
     The rows are the K x 1 by 1 x n matrix product of the factors and the
     profile: its inner dimension is 1, so each entry is one rounded product,
     the bits of a broadcast multiply wherever that product is not -0.0
     (BLAS writes +0.0 for it).  No product is -0.0 for the positive factors
     and the profiles of the audits, which are >= +0.0."""
-    e = -1.0 / (m - 1.0)
-    factors = np.array([(1.0 - t / horizon) ** e * scale for t in times])
+    factors = np.array(list(map(blowup_factor(horizon, m, scale), times)))
     return np.dot(factors[:, None], profile[None])
 
 
@@ -99,21 +105,24 @@ class BarrierParams:
     norm: LogNorm = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (0.0 < self.amplitude < math.inf and 0.0 < self.horizon < math.inf):
-            raise DomainError("amplitude and horizon must be positive and finite")
+        a, T = self.amplitude, self.horizon
+        if not (0.0 < a < math.inf and 0.0 < T < math.inf):
+            raise DomainError(f"amplitude {a!r} and horizon {T!r} at m={self.m!r} must be positive and finite")
         object.__setattr__(self, "norm", LogNorm(self.r, self.m))
 
     def profile_unit(self, rho):
         """Unit-horizon profile W(rho) = a w_r(rho) = a [log(r^2+rho^2)]^(1/(m-1))."""
         return self.amplitude * self.norm.weight(rho)
 
-    def profile(self, rho):
-        """Horizon-scaled profile W / T^(1/(m-1))."""
-        return self.at_horizon(self.profile_unit(rho))
-
     def at_horizon(self, unit):
         """The horizon-scaled profile from unit-profile values W: W / T^(1/(m-1))."""
         return unit / self.horizon ** (1.0 / (self.m - 1.0))
+
+    def wm_at_horizon(self, unit):
+        """W_T^m from unit-profile values W, its power an ``np.power`` call:
+        the one body of W_T^m, which ``shifted_subsolution`` and each
+        blow-up stage read."""
+        return np.power(self.at_horizon(unit), self.m)
 
 
 def supersolution_amplitude(c_prime: float, m: float) -> float:
@@ -132,7 +141,7 @@ def wm_radial_derivatives(p: BarrierParams, rho):
     m = p.m
     s = p.r**2 + rho**2
     L = np.log(s)
-    base = p.amplitude**m * (2.0 * m / (m - 1.0)) * p.norm.weight(rho) / s
+    base = p.amplitude**m * (2.0 * m / (m - 1.0)) * p.norm.weight_from_log(L) / s
     first = base * rho
     # rho^2/s <= 1 is formed first: (m-1) s L overflows for m of 1e6 at rho = 1e150
     q = rho**2 / s
@@ -275,7 +284,7 @@ def shifted_subsolution(p: BarrierParams, delta: float, rho):
     """
     if delta < 0:
         raise DomainError("delta must be nonnegative")
-    return shift_root(np.power(p.profile(rho), p.m), delta, p.m)
+    return shift_root(p.wm_at_horizon(p.profile_unit(rho)), delta, p.m)
 
 
 def shift_root(wm, delta: float, m: float):

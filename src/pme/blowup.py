@@ -29,18 +29,20 @@ schedule ends (S_n below S_MIN_FACTOR * T_1, or the stage cap).  So that a
 stage costs its Newton solves and little else, the run computes once the
 amplitudes, both weights and the unit profile W_1 on the cells, and one
 ``solver.Integrator`` runs every stage (each stage's first step is predicted
-from the last stage's levels).  Each stage computes once W_T^m from W_1, the
-shift delta_n and its root V_n = (W_T^m - delta_n)_+^(1/m), which
-``stage_delta`` returns and the audit reads, its config objects, the
-boundary trace (read by the integrator once per stage) and its stacked
-fields; each envelope its exponent -1/(m-1), and the recorded norms in both
-weights share one |u|.
+from the last stage's levels).  Each stage computes once W_T^m from W_1
+(``BarrierParams.wm_at_horizon``, the body by which
+``barriers.shifted_subsolution`` forms the boundary datum), the shift
+delta_n and its root V_n = (W_T^m - delta_n)_+^(1/m), which ``stage_delta``
+returns and the audit reads, its config objects, the boundary trace (read by
+the integrator once per stage) and its stacked fields; each envelope its
+time factor, and the recorded norms in both weights share one |u|.
 
 Each stage is audited by ``sandwich_gaps``: the stacked stage fields are
 compared at once with the separable envelopes of the shifted subsolution
 and of the small-amplitude supersolution (``barriers.separable_envelopes``),
-giving the ledger's lower and upper gaps.  Horizons, durations and growth
-factors all come from ``barriers.horizon_time`` and
+giving the ledger's lower and upper gaps.  Horizons and durations come from
+``barriers.horizon_time``; the growth factors of the schedule, the
+envelopes' factors and the boundary trace all from the one time factor
 ``barriers.blowup_factor``.
 
 ``pme blowup`` writes the ledger JSON straight from the ``BlowupLedger`` and
@@ -144,7 +146,7 @@ def stage_schedule(ratio: float, a_hat: float, a_tilde: float, m: float, max_sta
         if not S_n < T_n:
             raise StageError(f"stage duration reached the horizon at n={n}")
         t_n += S_n
-        ratio *= (1.0 - eps) * blowup_factor(S_n, T_n, m)
+        ratio *= (1.0 - eps) * blowup_factor(T_n, m)(S_n)
         yield eps, T_n, S_n, t_n, ratio
         if S_n < S_MIN_FACTOR * T1:
             return
@@ -281,9 +283,10 @@ def _recorded_lognorms(u: np.ndarray, weight, far_weight, tail_est: float) -> tu
 
 
 def sandwich_gaps(traj: Trajectory, m, horizon, v_base, s_super, norm_far, far_weight) -> tuple:
-    """Worst excess of the subsolution blowup_factor(t, horizon) * v_base over
-    u, and of u over the supersolution blowup_factor(t, s_super) * norm_far *
-    far_weight at the recorded times t < 0.95 s_super (-inf if there is none).
+    """Worst excess of the subsolution blowup_factor(horizon, m)(t) * v_base
+    over u, and of u over the supersolution blowup_factor(s_super, m,
+    norm_far)(t) * far_weight at the recorded times t < 0.95 s_super (-inf if
+    there is none).
 
     Recorded times increase, so those early records are a prefix of the
     trajectory, and its length is a bisection of the times.  The fields are
@@ -324,10 +327,7 @@ def run_blowup(
     # weight of the audit's upper envelope, offset far beyond the ball
     far_weight = LogNorm(20.0 * grid.radius, m).weight(grid.centers)
     u = np.asarray(u0.profile(grid.centers), dtype=float)
-    # the unit profile on the centers, once per run: each stage's W_T^m is
-    # np.power(barrier.at_horizon(unit), m), the operations by which
-    # shifted_subsolution forms W_T^m, at the boundary radius too
-    unit = sub.profile_unit(grid.centers)
+    unit = sub.profile_unit(grid.centers)  # once per run; each stage scales it
     integrator = Integrator(grid, m)
 
     # the norm of each stage's start in the run's weight and in the far
@@ -341,9 +341,8 @@ def run_blowup(
     for n, (eps, T_n, S_n, t_n, next_ratio) in enumerate(schedule):
         # positional fields, in the order each class declares them
         barrier = BarrierParams(a_hat, r_hat, T_n, m)
-        wm = np.power(barrier.at_horizon(unit), m)
         try:
-            delta, v_base = stage_delta(u, wm, m)
+            delta, v_base = stage_delta(u, barrier.wm_at_horizon(unit), m)
         except StageError as exc:
             raise StageError(f"stage {n}: {exc}") from exc
 

@@ -282,6 +282,7 @@ import numpy as np
 
 from .barriers import (
     BarrierParams,
+    blowup_factor,
     horizon_time,
     separable_envelopes,
     shifted_subsolution,
@@ -380,7 +381,7 @@ class HomogeneousDirichlet:
 @dataclass(frozen=True)
 class BarrierDirichlet:
     """Trace at the outer radius of the separable barrier
-    blowup_factor(t, T, m) * (W^m - delta)_+^(1/m), W the profile of
+    blowup_factor(T, m)(t) * (W^m - delta)_+^(1/m), W the profile of
     ``params``, a subsolution or a supersolution as its amplitude makes it
     (a solve config's ``barrier_a`` sets any amplitude).  With a
     subsolution's amplitude and a stage's shift delta_n it is a
@@ -403,14 +404,12 @@ class BarrierDirichlet:
         return self.params.m
 
     def trace(self, radius: float):
-        """The datum at ``radius`` as a function of t, the float
-        ``blowup_factor(t, T, m) * shifted_subsolution(params, delta, radius)``:
-        the time-free factor and the exponent -1/(m-1) are computed here,
-        once, and a call costs one power."""
-        p = self.params
-        horizon, e = p.horizon, -1.0 / (p.m - 1.0)
-        base = float(shifted_subsolution(p, self.delta, radius))
-        return lambda t: (1.0 - t / horizon) ** e * base
+        """The datum at ``radius`` as a function of t: the time factor
+        ``barriers.blowup_factor`` of the barrier, scaled by the float
+        ``shifted_subsolution(params, delta, radius)``.  That time-free
+        factor and the exponent -1/(m-1) are computed once per trace, and a
+        call costs one power."""
+        return blowup_factor(self.horizon, self.m, float(shifted_subsolution(self.params, self.delta, radius)))
 
 
 @dataclass(frozen=True)

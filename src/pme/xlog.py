@@ -9,9 +9,13 @@ quantity, the tail supremum and the asymptotic growth ratio, is read off the
 form and the amplitude.  Nothing is sampled.
 
 The weight w_r has one body, ``LogNorm.weight``, which the separable
-barriers' profiles read too (``barriers.BarrierParams``).  Its power is an
-``np.power`` call, so a float radius gets the bits of its entry in an array,
-and every weight of a table's norm takes one path.
+barriers' profiles read too (``barriers.BarrierParams``); it raises its log
+L = log(r^2 + rho^2) to 1/(m-1) in ``LogNorm.weight_from_log``, which a
+caller that has L already reads directly.  The power is an ``np.power``
+call, so a float radius gets the bits of its entry in an array, and every
+weight of a table's norm takes one path.  The tail limit 2^(-1/(m-1)) b of
+a log-growth datum has one body too, ``norm_limit``, which ``log_norm``
+reads.
 
 Note on the r -> infinity limit: since log(r^2 + rho^2) ~ 2 log rho, the
 norms decrease to 2^(-1/(m-1)) times the asymptotic ratio
@@ -56,7 +60,12 @@ class LogNorm:
         ``np.power`` call: a float radius is the 0-d case of the array code,
         and gets the bits of its entry in an array."""
         rho = np.asarray(rho, dtype=float)
-        return np.power(np.log(self.r**2 + rho**2), 1.0 / (self.m - 1.0))
+        return self.weight_from_log(np.log(self.r**2 + rho**2))
+
+    def weight_from_log(self, L):
+        """L^(1/(m-1)) for L = log(r^2 + rho^2): the weight from its log, for a
+        caller that has L already (``barriers.wm_radial_derivatives``)."""
+        return np.power(L, 1.0 / (self.m - 1.0))
 
 
 @dataclass(frozen=True)
@@ -108,14 +117,14 @@ def log_norm(datum: RadialDatum, norm: LogNorm) -> float:
       on a base shared by the last two radii too (``tests/test_xlog.py``).
     - log-growth(b): the tail ratio b (log rho / log(r^2 + rho^2))^(1/(m-1))
       increases on rho >= e, since (r^2+rho^2) log(r^2+rho^2) > rho^2 log
-      rho^2, so its supremum is the limit 2^(-1/(m-1)) b; the ramp below e
-      is ``_ramp_part``.
+      rho^2, so its supremum is the limit 2^(-1/(m-1)) b, read from
+      ``norm_limit``; the ramp below e is ``_ramp_part``.
     """
     b = datum.amplitude
     if datum.form == "log-growth":
         if datum.m != norm.m:
             raise DomainError("datum exponent disagrees with the norm")
-        return max(_ramp_part(b, norm), b * 2.0 ** (-1.0 / (norm.m - 1.0)))
+        return max(_ramp_part(b, norm), norm_limit(datum, norm.m))
     # a weight past the float range (m near 1) is inf, its part 0.0, refused by existence_time
     with np.errstate(over="ignore"):
         if datum.rows is None:

@@ -9,6 +9,7 @@ evaluation in log space.
 import dataclasses
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -237,6 +238,30 @@ def test_certificates_reject_an_empty_grid(quad_manifold, quad_constants):
             certify()
 
 
+def test_the_sub_residual_is_plus_zero_where_the_laplacian_term_equals_w(monkeypatch, quad_manifold, quad_constants):
+    # (lap - w) / (|w| + |lap|) is +0.0 at a node where (m-1) Lap(W^m) == W
+    # in floats; the negated super residual, -((w - lap) / ...), is -0.0
+    # there, and a written min_residual would change sign
+    p = barriers.subsolution_params(quad_constants, 2.0)  # m - 1 = 1: the patched Lap is the term
+    rho, k = np.geomspace(0.1, 100.0, 50), 17
+
+    def laplacian_wm(params, manifold, nodes):
+        w = params.profile_unit(nodes)
+        return np.where(np.arange(nodes.size) == k, w, 2.0 * w)
+
+    monkeypatch.setattr(barriers, "laplacian_wm", laplacian_wm)
+    rep = barriers.certify_subsolution(p, quad_manifold, rho)
+    assert rep.argmin_rho == rho[k] and rep.passed
+    assert rep.min_residual == 0.0 and math.copysign(1.0, rep.min_residual) == 1.0
+
+
+@pytest.mark.parametrize("amplitude, horizon", [(0.0, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+def test_barrier_params_name_the_amplitude_horizon_and_m_they_reject(amplitude, horizon):
+    want = f"amplitude {amplitude!r} and horizon {horizon!r} at m=1.001 must be positive and finite"
+    with pytest.raises(DomainError, match=re.escape(want)):
+        barriers.BarrierParams(amplitude, 2.0, horizon, 1.001)
+
+
 # -- shifted subsolution -------------------------------------------------------------
 
 
@@ -244,14 +269,14 @@ def test_shift_zero_is_identity(quad_constants):
     p = barriers.subsolution_params(quad_constants, 2.0)
     p = barriers.BarrierParams(p.amplitude, p.r, horizon=4.0, m=2.0)
     rho = np.geomspace(0.01, 50, 200)
-    assert np.allclose(barriers.shifted_subsolution(p, 0.0, rho), p.profile(rho), rtol=0)
+    assert np.allclose(barriers.shifted_subsolution(p, 0.0, rho), p.at_horizon(p.profile_unit(rho)), rtol=0)
 
 
 def test_shift_flattens_at_matching_level(quad_constants):
     p = barriers.subsolution_params(quad_constants, 2.0)
     p = barriers.BarrierParams(p.amplitude, p.r, horizon=4.0, m=2.0)
     rho_star = 3.0
-    delta = float(p.profile(rho_star) ** p.m)
+    delta = float(p.at_horizon(p.profile_unit(rho_star)) ** p.m)
     assert barriers.shifted_subsolution(p, delta, rho_star) == 0.0
     assert barriers.shifted_subsolution(p, delta, 2 * rho_star) > 0.0
 
@@ -272,7 +297,7 @@ def shifted_profiles(draw):
         horizon=10 ** draw(st.floats(-4.0, 2.0)),
         m=draw(st.floats(1.05, 4.0)),
     )
-    top = float(np.max(p.profile(SHIFT_RHO) ** p.m))
+    top = float(np.max(p.at_horizon(p.profile_unit(SHIFT_RHO)) ** p.m))
     delta = draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True).map(lambda f: f * top))
     return manifold, p, delta
 
@@ -287,7 +312,7 @@ def test_shift_keeps_the_unit_profile_residual(case):
     # reports.  At delta = 0 the two are one quantity rounded two ways; the
     # allowance of 32 eps is about three times the worst gap seen (2.5e-15).
     manifold, p, delta = case
-    rho = SHIFT_RHO[p.profile(SHIFT_RHO) ** p.m > delta]
+    rho = SHIFT_RHO[p.at_horizon(p.profile_unit(SHIFT_RHO)) ** p.m > delta]
     assume(rho.size > 0)
     lap = barriers.laplacian_wm(p, manifold, rho)  # of the unit profile W_1^m
     w = p.profile_unit(rho)
@@ -384,9 +409,9 @@ def test_separable_norm_growth_is_exact():
     p = barriers.BarrierParams(amplitude=0.05, r=2.0, horizon=0.1, m=2.0)
     rho = np.geomspace(1e-3, 1e3, 2000)
     n = xlog.LogNorm(2.0, 2.0)
-    base = xlog.log_norm(xlog.table_datum(rho, p.profile(rho)), n)
+    base = xlog.log_norm(xlog.table_datum(rho, p.at_horizon(p.profile_unit(rho))), n)
     for t in (0.0, 0.03, 0.09):
-        vals = barriers.blowup_factor(t, p.horizon, p.m) * p.profile(rho)
+        vals = barriers.blowup_factor(p.horizon, p.m)(t) * p.at_horizon(p.profile_unit(rho))
         got = xlog.log_norm(xlog.table_datum(rho, vals), n)
         factor = (1 - t / p.horizon) ** -1.0
         assert got == pytest.approx(factor * base, rel=1e-13)
@@ -406,8 +431,8 @@ def test_supersolution_dominates_subsolution_for_canonical_datum(
     upper = barriers.BarrierParams(a_sup, 2.0, T, m)
     sub = barriers.subsolution_params(quad_constants, m)
     lower = barriers.BarrierParams(sub.amplitude, sub.r, horizon=4.0, m=m)
-    delta = float(np.max(lower.profile(rho) ** m - np.abs(u0) ** m))
-    up0 = barriers.blowup_factor(0.0, upper.horizon, upper.m) * upper.profile(rho)
+    delta = float(np.max(lower.at_horizon(lower.profile_unit(rho)) ** m - np.abs(u0) ** m))
+    up0 = barriers.blowup_factor(upper.horizon, upper.m)(0.0) * upper.at_horizon(upper.profile_unit(rho))
     low0 = barriers.shifted_subsolution(lower, max(delta, 0.0), rho)
     assert np.all(up0 >= u0 - 1e-12)
     assert np.all(u0 >= low0 - 1e-12)

@@ -157,8 +157,8 @@ def _barrier(horizon=4.0):
 def test_stage_delta_zero_when_field_dominates():
     p = _barrier()
     rho = np.linspace(0.05, 25.0, 300)
-    u = p.profile(rho) + 0.5
-    wm = p.profile(rho) ** p.m
+    u = p.at_horizon(p.profile_unit(rho)) + 0.5
+    wm = p.at_horizon(p.profile_unit(rho)) ** p.m
     delta, root = blowup.stage_delta(u, wm, p.m)
     assert delta == 0.0 and root.tobytes() == barriers.shift_root(wm, 0.0, p.m).tobytes()
 
@@ -172,7 +172,7 @@ def assert_smallest_shift(delta, u, p, rho):
     """``delta`` passes the test and, when positive, fails it 1e-13 max W^m lower."""
     assert passes(u, barriers.shifted_subsolution(p, delta, rho))
     if delta > 0.0:
-        lower = delta - 1e-13 * float(np.max(p.profile(rho) ** p.m))
+        lower = delta - 1e-13 * float(np.max(p.at_horizon(p.profile_unit(rho)) ** p.m))
         assert not passes(u, barriers.shifted_subsolution(p, max(lower, 0.0), rho))
 
 
@@ -180,8 +180,8 @@ def test_stage_delta_matches_closed_form():
     # smallest admissible shift is max(W^m - u^m) for nonnegative fields
     p = _barrier()
     rho = np.linspace(0.05, 25.0, 500)
-    u = np.maximum(p.profile(rho) - 0.3 * np.exp(-rho), 0.0)
-    wm = p.profile(rho) ** p.m
+    u = np.maximum(p.at_horizon(p.profile_unit(rho)) - 0.3 * np.exp(-rho), 0.0)
+    wm = p.at_horizon(p.profile_unit(rho)) ** p.m
     exact = float(np.max(wm - np.sign(u) * u**p.m))
     got, root = blowup.stage_delta(u, wm, p.m)
     assert got == pytest.approx(exact, abs=1e-12 * float(np.max(wm)))
@@ -194,7 +194,7 @@ def test_stage_delta_failure_for_negative_field():
     rho = np.linspace(0.05, 25.0, 100)
     u = np.full_like(rho, -1.0)
     with pytest.raises(StageError):
-        blowup.stage_delta(u, p.profile(rho) ** p.m, p.m)
+        blowup.stage_delta(u, p.at_horizon(p.profile_unit(rho)) ** p.m, p.m)
 
 
 def reference_wm(p, rho):
@@ -540,6 +540,29 @@ def test_blowup_config_rejects_values_outside_its_domain(field, value):
         blowup.BlowupConfig(**{"m": 2.0, field: value})
 
 
+def test_a_stage_time_error_is_first_order_in_its_step_cap(quad_manifold, quad_constants):
+    # acceptance criterion 6's run (R = 25, J = 250) cut at 40 stages, its
+    # step cap S_n/10 lowered to S_n/20 and S_n/40, each against an S_n/200
+    # reference: the worst stage's relative lognorm error falls by about 2x
+    # per halving of the cap (0.114, 0.068 and 0.035, all at stage 3)
+    grid = RadialGrid.uniform(quad_manifold, 25.0, 250)
+    cfg = blowup.BlowupConfig(m=2.0, max_stages=40, steps_per_stage=30)
+
+    def lognorms(k):
+        def policy(dt0, growth, dt_max):  # run_blowup passes dt_max = S_n/10
+            cap = dt_max * 10.0 / k
+            return solver.DtPolicy(min(dt0, cap), growth, cap)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blowup, "DtPolicy", policy)
+            led = blowup.run_blowup(xlog.log_growth_datum(1.0, 2.0), grid, quad_constants, cfg)
+        return np.array([s.lognorm for s in led.stages])
+
+    ref = lognorms(200)
+    worst = [float(np.max(np.abs(lognorms(k) - ref) / ref)) for k in (10, 20, 40)]
+    assert all(1.5 <= coarse / fine <= 2.5 for coarse, fine in zip(worst, worst[1:])), worst
+
+
 def test_bounded_datum_rejected():
     M = geometry.quad_critical(0.5, 3)
     cc = geometry.fit_comparison_constants(M)
@@ -637,7 +660,7 @@ def audited_trajectories(draw):
         times[0] = 0.0
     traj = solver.Trajectory(grid=grid)
     for t in times:
-        low = barriers.blowup_factor(t, horizon, m) * v_base
+        low = barriers.blowup_factor(horizon, m)(t) * v_base
         if kind == "random":
             u = rng.uniform(-3.0, 3.0, cells) * rng.uniform(0.0, 1.0)
         elif kind == "on-envelope":

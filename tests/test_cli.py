@@ -237,6 +237,18 @@ def test_certificates_at_the_largest_radius_give_no_warning(tmp_path, flags, rc)
     assert proc.returncode == rc and len(proc.stderr.splitlines()) == (rc != 0), proc.stderr
 
 
+@pytest.mark.parametrize("m", ["1.001", "1.005"])
+def test_a_supersolution_amplitude_that_underflows_exits_2_naming_m(tmp_path, m):
+    # a = [2m (C' + (m+1)/(m-1))]^(-1/(m-1)) underflows to 0.0 near m = 1,
+    # and BarrierParams refuses it by its amplitude, horizon and m
+    argv = quad_args("barrier-check", "--which", "super", "--m", m, "--out", str(tmp_path / "cert.json"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pme.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2 and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert f"amplitude 0.0 and horizon 1.0 at m={m} must be" in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("which", ["super", "sub"])
 def test_barrier_check_writes_the_certificate_params(tmp_path, which):
     out = tmp_path / "cert.json"

@@ -1753,7 +1753,7 @@ def test_a_barrier_trace_is_the_blowup_factor_times_the_shifted_subsolution(p, d
     # exponent and time-free factor once, and gives the same float per time
     t = math.nextafter(p.horizon, 0.0) if share == 1.0 else share * p.horizon
     bc = solver.BarrierDirichlet(p, delta)
-    want = barriers.blowup_factor(t, p.horizon, p.m) * barriers.shifted_subsolution(p, delta, radius)
+    want = barriers.blowup_factor(p.horizon, p.m)(t) * barriers.shifted_subsolution(p, delta, radius)
     assert float_bits(bc.trace(radius)(t)) == float_bits(want)
 
 
