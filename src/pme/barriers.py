@@ -185,13 +185,21 @@ class CertificateReport:
         return True
 
 
+@np.errstate(over="ignore", invalid="ignore")  # reported by the range check below
 def _unit_terms(p: BarrierParams, manifold: ModelManifold, rho_grid):
     """The nodes of a super/sub certificate, ``rho_grid`` or by default the
-    probe grid, with the unit profile W and (m-1) Lap(W^m) on them."""
+    probe grid, with the unit profile W and (m-1) Lap(W^m) on them.
+
+    DomainError naming m when a term leaves the float range, as the sub
+    profile does near m = 1 (its amplitude is 1e301 at m = 1.001): a NaN
+    residual would fail the certificate without saying why."""
     rho = probe_grid(PROBE_RHO_MAX, CERTIFICATE_NODES) if rho_grid is None else np.asarray(rho_grid)
     if rho.size == 0:
         raise DomainError("a certificate needs at least one grid node")
-    return rho, p.profile_unit(rho), (p.m - 1.0) * laplacian_wm(p, manifold, rho)
+    w, lap = p.profile_unit(rho), (p.m - 1.0) * laplacian_wm(p, manifold, rho)
+    if not np.isfinite((w, lap)).all():
+        raise DomainError(f"the unit barrier profile at m={p.m!r} leaves the float range")
+    return rho, w, lap
 
 
 def _report(kind, res, rho, p: BarrierParams, details: dict, ok: bool = True) -> CertificateReport:

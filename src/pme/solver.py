@@ -50,6 +50,14 @@ each array on its own gives.  The arrays change where the numbers are
 stored, never how they are computed, so every float is what a fresh array
 per solve gives.
 
+``Integrator.balance`` is the public body of the cell balance
+g = u - u_old - dt (cp (v_{i+1} - v_i) - cm (v_i - v_{i-1})), for any two
+fields, step size and boundary value: it runs ``Window.residual`` over all
+cells into new arrays, so it has the kernel's bits.  It leaves behind the
+coefficients of its step size and its rows of v, the face jumps, the flux
+and the scratch buffer, which every solve rescales and rewrites before it
+reads them.
+
 A rejected step, including a singular or non-finite system, is retried on
 two half steps, recursively, so ``step`` always advances by exactly the
 requested increment or raises; ``MAX_HALVINGS`` bounds the depth and
@@ -591,6 +599,9 @@ class Integrator:
     ``scale`` sets the dt-scaled coefficients, recomputing them only when
     the step size changes, and ``window_end`` the zero cells' ``coupling``
     and the window ``margin`` of that step size, on first need.
+    ``balance`` evaluates the cell balance of any step, the residual of
+    the kernel, into a new array, leaving the integrator scaled to its
+    step size and nothing else a later solve reads before writing it.
     ``guess`` extrapolates ``levels`` to the next step into ``u``, the
     buffer a solve iterates in.  ``window_end`` gives the cells a solve runs
     on, and ``window`` holds the views over them after the solve.  After a
@@ -659,6 +670,27 @@ class Integrator:
             _negative(self.coeffs, self.neg)
             self.dt = dt
             self.margin = None
+
+    def balance(self, u_old, u, dt: float, v_b: float) -> np.ndarray:
+        """The cell balance g = u - u_old - dt (flux differences of v = u^m)
+        of the step of size ``dt`` from ``u_old`` to ``u`` with boundary
+        value ``v_b``, as a new array: the residual a solve drives to zero,
+        evaluated by ``Window.residual`` over all cells, so in the kernel's
+        order of operations.  ``u_old`` and ``u`` are float64 fields of the
+        grid's shape, and ``dt`` is positive and finite (DomainError
+        otherwise).  It rescales the integrator to ``dt`` and overwrites v,
+        the face jumps, the flux and the scratch buffer, which every solve
+        rescales and rewrites before it reads them; ``u``, ``levels``,
+        ``support``, ``cfg`` and ``window`` stay as they are."""
+        if not 0 < dt < math.inf:
+            raise DomainError(f"dt must be positive and finite, got {dt!r}")
+        _check_shape(u_old, self.grid, "old field of the balance")
+        _check_shape(u, self.grid, "field of the balance")
+        self.scale(dt)
+        self.whole.vpad[-1] = v_b
+        g = np.empty(self.cells)
+        self.whole.residual(u_old, u, np.empty(self.cells), g)
+        return g
 
     def window_end(self, u_old, predicted, v_b, bound) -> int:
         """The number of leading cells a solve from ``u_old`` with the zero

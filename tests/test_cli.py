@@ -237,16 +237,38 @@ def test_certificates_at_the_largest_radius_give_no_warning(tmp_path, flags, rc)
     assert proc.returncode == rc and len(proc.stderr.splitlines()) == (rc != 0), proc.stderr
 
 
-@pytest.mark.parametrize("m", ["1.001", "1.005"])
-def test_a_supersolution_amplitude_that_underflows_exits_2_naming_m(tmp_path, m):
-    # a = [2m (C' + (m+1)/(m-1))]^(-1/(m-1)) underflows to 0.0 near m = 1,
-    # and BarrierParams refuses it by its amplitude, horizon and m
-    argv = quad_args("barrier-check", "--which", "super", "--m", m, "--out", str(tmp_path / "cert.json"))
+@pytest.mark.parametrize(
+    "which, m, message",
+    [
+        # a = [2m (C' + (m+1)/(m-1))]^(-1/(m-1)) underflows to 0.0 near m = 1,
+        # and BarrierParams refuses it by its amplitude, horizon and m
+        pytest.param("super", "1.001", "amplitude 0.0 and horizon 1.0 at m=1.001 must be", id="1.001"),
+        pytest.param("super", "1.005", "amplitude 0.0 and horizon 1.0 at m=1.005 must be", id="1.005"),
+        # the sub amplitude is 1.07e301 at m = 1.001, so the unit profile
+        # overflows, and the certificate refuses it by m instead of
+        # reporting a NaN residual
+        pytest.param(
+            "sub", "1.001", "the unit barrier profile at m=1.001 leaves the float range", id="sub-1.001"
+        ),
+    ],
+)
+def test_a_supersolution_amplitude_that_underflows_exits_2_naming_m(tmp_path, which, m, message):
+    argv = quad_args("barrier-check", "--which", which, "--m", m, "--out", str(tmp_path / "cert.json"))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "pme.cli", *argv], capture_output=True, text=True
     )
     assert proc.returncode == 2 and len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert f"amplitude 0.0 and horizon 1.0 at m={m} must be" in proc.stderr, proc.stderr
+    assert message in proc.stderr, proc.stderr
+
+
+def test_a_sub_certificate_near_m_one_still_passes_without_a_warning(tmp_path):
+    # at m = 1.005 the sub amplitude is 7.2e59 and its unit profile finite,
+    # so the float-range check refuses nothing there
+    out = tmp_path / "cert.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*quad_args("barrier-check", "--which", "sub", "--m", "1.005", "--out", str(out))) == 0
+    assert json.loads(out.read_text())["pass"] is True
 
 
 @pytest.mark.parametrize("which", ["super", "sub"])

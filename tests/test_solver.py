@@ -71,6 +71,19 @@ def odd_power(u, m):
     return np.sign(u) * np.abs(u) ** m
 
 
+def cell_balance(u_old, u, v_b, cp, cm, m):
+    """What the scheme's cell balance means, written plainly: with
+    v = odd_power(u, m) padded by +0.0 at the origin and by v_b at the ball's
+    edge, g = (u - u_old) - (cp (right - v) - cm (v - left)) for the
+    dt-scaled face coefficients cp and cm; returned with the outer face's
+    jump v_b - v[-1], the last entry of right - v.  The one oracle of
+    ``Integrator.balance``, and the residual of both Newton oracles below."""
+    v = odd_power(u, m)
+    jump_out = np.append(v[1:], v_b) - v
+    jump_in = v - np.append(0.0, v[:-1])
+    return (u - u_old) - (cp * jump_out - cm * jump_in), jump_out[-1]
+
+
 def newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None, kernel=None):
     """``kernel`` (default ``solver._newton_solve``) called with the plain
     kernels' arguments: on ``work``, an integrator on ``grid`` and ``m``,
@@ -101,14 +114,7 @@ def reference_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
     uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
 
     def residual(u):
-        v = odd_power(u, m)
-        right = np.empty(n)
-        right[:-1] = v[1:]
-        right[-1] = v_b
-        left = np.empty(n)
-        left[0] = 0.0
-        left[1:] = v[:-1]
-        return (u - u_old) - (cp * (right - v) - cm * (v - left))
+        return cell_balance(u_old, u, v_b, cp, cm, m)[0]
 
     g = residual(u)
     g_norm = float(np.max(np.abs(g)))
@@ -197,12 +203,8 @@ def plain_newton_solve(work, u_old, v_b, dt, tol, max_iter, bound=None, predicte
     diag, upper, lower = jac[:n], jac[n : 2 * n - 1], jac[2 * n - 1 :]
 
     def residual(u):
-        v = odd_power(u, m)
-        jump = np.empty(n + 1)
-        jump[0] = v[0]
-        np.subtract(v[1:], v[:-1], out=jump[1:-1])
-        jump[-1] = work.jump[-1] = v_b - v[-1]
-        return (u - u_old) - (cp * jump[1:] - cm * jump[:-1])
+        g, work.jump[-1] = cell_balance(u_old, u, v_b, cp, cm, m)
+        return g
 
     g = residual(u)
     g_norm = float(np.abs(g).max())
@@ -611,6 +613,128 @@ def test_barenblatt_run_on_windows_is_bitwise_the_plain_kernel():
     assert same_bytes(got.stacked, want.stacked)
     assert same_bytes(got.boundary_outflow, want.boundary_outflow)
     assert rows <= 0.5 * whole_rows
+
+
+# -- the cell balance ---------------------------------------------------------------------
+
+
+@st.composite
+def balance_cases(draw):
+    """The two fields and the boundary value of a step, exact zeros of both
+    signs included, on a ball of each family."""
+    manifold = draw(st.sampled_from(FAMILIES))
+    cells = draw(st.integers(min_value=3, max_value=80))
+    radius = draw(st.floats(min_value=1.0, max_value=20.0))
+    value = st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.sampled_from([0.0, -0.0]))
+    u_old, u = (np.array(draw(st.lists(value, min_size=cells, max_size=cells))) for _ in range(2))
+    m = draw(st.floats(min_value=1.2, max_value=4.0, exclude_min=True))
+    dt = draw(st.floats(min_value=1e-5, max_value=1.0))
+    return RadialGrid.uniform(manifold, radius, cells), u_old, u, m, dt, draw(value)
+
+
+@given(balance_cases())
+@settings(max_examples=200, deadline=None)
+def test_balance_is_the_plain_cell_balance(case):
+    grid, u_old, u, m, dt, v_b = case
+    g = solver.Integrator(grid, m).balance(u_old, u, dt, v_b)
+    want, _ = cell_balance(u_old, u, v_b, dt * grid.coeff_plus, dt * grid.coeff_minus, m)
+    assert g.dtype == np.float64 and same_bytes(g, want)
+
+
+@st.composite
+def zero_tail_balance_cases(draw):
+    """``balance_cases`` whose u is +0.0 and whose u_old is zero, of either
+    sign, from a drawn cell on, and a window of w cells whose last row is
+    one of those cells."""
+    grid, u_old, u, m, dt, _ = draw(balance_cases())
+    cells = grid.cells
+    support = draw(st.integers(min_value=0, max_value=cells - 2))
+    w = draw(st.integers(min_value=support + 1, max_value=cells - 1))
+    u[support:] = 0.0
+    zero = st.sampled_from([0.0, -0.0])
+    u_old[support:] = draw(st.lists(zero, min_size=cells - support, max_size=cells - support))
+    return grid, u_old, u, m, dt, w
+
+
+@given(zero_tail_balance_cases())
+@settings(max_examples=150, deadline=None)
+def test_a_window_gives_the_first_rows_of_the_balance_and_plus_zero_past_them(case):
+    # a window of w cells reads +0.0 at its outer pad, as ``_newton_solve``
+    # sets it for the boundary value +0.0; where u is +0.0 and u_old zero
+    # from row w - 1 on, its rows are the balance's first w rows, and the
+    # balance is +0.0 past them (the solver's module docstring)
+    grid, u_old, u, m, dt, w = case
+    work = solver.Integrator(grid, m)
+    g = work.balance(u_old, u, dt, 0.0)
+    win = solver.Window(work, w)
+    win.vpad[-1] = 0.0
+    rows = np.empty(w)
+    win.residual(u_old[:w], u[:w], np.empty(w), rows)
+    assert same_bytes(rows, g[:w]) and same_bytes(g[w:], np.zeros(grid.cells - w))
+
+
+@given(balance_cases())
+@settings(max_examples=200, deadline=None)
+def test_the_balance_conserves_mass_up_to_the_boundary_outflow(case):
+    # Weighted by the scaled cell volumes w_i, the flux terms of the balance
+    # telescope: w_i cp_i = w_{i+1} cm_{i+1}, both the area of the face
+    # between cells i and i + 1 over the normalizing volume, and cm_0 = 0,
+    # no flux through the origin.  So in exact arithmetic, for any fields,
+    #   sum w g = sum w (u - u_old) - dt F (v_b - v_last),
+    # F = boundary_flux_coeff = w_last cp_last, with no Newton tolerance.
+    # In floats, |g_i| <= |u_i| + |u_old_i| + dt (cp_i (|v_{i+1}| + |v_i|)
+    # + cm_i (|v_i| + |v_{i-1}|)), whose w-weighted sum is S = sum w (|u| +
+    # |u_old|) + dt sum w (cp + cm) 2|v| + dt F |v_b| by the same identity;
+    # each g_i rounds its terms by at most 4 eps of that bound, and each
+    # weighted sum of at most J terms by J eps/2 of its magnitudes, both
+    # at most S, so the sides differ by at most (J + 8) eps S.  The grid's
+    # own floats, each the exp of a rounded logarithm, miss the face
+    # identity by up to a few hundred eps on a warped ball's inner cells;
+    # that miss, times the jumps of v it multiplies, adds to the bound.
+    grid, u_old, u, m, dt, v_b = case
+    eps = np.finfo(float).eps
+    w, cp, cm, F = grid.weights_scaled, grid.coeff_plus, grid.coeff_minus, grid.boundary_flux_coeff
+    assert cm[0] == 0.0
+    g = solver.Integrator(grid, m).balance(u_old, u, dt, v_b)
+    v = odd_power(u, m)
+    defect = abs(np.dot(w, g) - (np.dot(w, u - u_old) - dt * F * (v_b - v[-1])))
+    S = np.dot(w, np.abs(u) + np.abs(u_old)) + dt * np.dot(w * (cp + cm), 2.0 * np.abs(v))
+    S += dt * F * abs(v_b)
+    missed = np.abs(w[:-1] * cp[:-1] - w[1:] * cm[1:]) @ np.abs(np.diff(v))
+    missed += abs(w[-1] * cp[-1] - F) * abs(v_b - v[-1])
+    assert defect <= (grid.cells + 8) * eps * S + dt * missed
+
+
+@pytest.mark.parametrize("boundary", ["barrier", "zero"])
+def test_a_balance_between_steps_leaves_nothing_a_solve_reads(boundary):
+    # the same six steps on one integrator, plain and with a balance at
+    # another step size and boundary value after each step: the next solve
+    # rescales the coefficients to its own step size, recomputing the
+    # window margin on the zero-boundary run, and rewrites v and the jumps
+    if boundary == "barrier":
+        grid = RadialGrid.uniform(geometry.quad_critical(0.5, 3), 25.0, 250)
+        params = barriers.BarrierParams(1.0, 2.0, horizon=1.0, m=2.0)
+        cfg = small_cfg(1.0, boundary=solver.BarrierDirichlet(params))
+        u0, dt = barriers.shifted_subsolution(params, 0.0, grid.centers), 1e-3
+    else:
+        grid = RadialGrid.uniform(geometry.euclidean(2), 6.0, 400)
+        cfg = small_cfg(1.0)
+        u0, dt = solver.barenblatt(grid.centers, 1.0, 2, 2.0, 0.25), 0.5 * grid.h
+
+    def run(balance):
+        work, u, steps = solver.Integrator(grid, 2.0), u0, []
+        for k in range(6):
+            u, outflow = solver.step(u, k * dt, dt, grid, cfg, work)
+            steps.append((u.tobytes(), outflow.hex(), work.window.w))
+            if balance:
+                work.balance(u0, u, 3.0 * dt, 0.5)
+        levels = [(s, f.tobytes()) for s, f in work.levels]
+        return steps, levels, work.support
+
+    plain = run(balance=False)
+    assert run(balance=True) == plain
+    if boundary == "zero":
+        assert min(w for _, _, w in plain[0]) < grid.cells
 
 
 # -- predictor start ------------------------------------------------------------------------
