@@ -19,13 +19,18 @@ then call its ``validate``, so a failed check leaves the output to inspect;
 this module raises no CertificateError of its own.  Each run checks, after
 its builders and before any solve or output, that it read every config key
 (``barrier-check``: every optional flag) it was given.  Every number flag
-is typed by the config reader (``get_float``, ``get_int`` with its
-minimum), and a float flag whose range the library checks carries that
-range too, so a malformed, non-finite or out-of-range number is a
-ConfigError that names the flag as typed; ``--rho-max`` is at most
-``geometry.MAX_RHO_MAX``.  Its lower bound in ``barrier-check``, the first
-node of the certificate ``--which`` picks (past ``--r0`` for eta), is
-checked in ``cmd_barrier_check``.  Flags are not abbreviated, and
+is typed by the reader of a config key, ``config.get_float`` or
+``config.get_int``, with the flag's bounds, so a malformed, non-finite or
+out-of-range number is a ConfigError that names the flag as typed:
+``option '--x'``, then ``: not a number ('abc')``, ``must be finite``,
+``must be >= B``, ``must be > B`` or ``must be <= B``.  The bounds:
+``--dim`` >= 2, ``--n-probe`` >= 1000, ``--nodes``, ``--table-points``
+and ``--workers`` >= 1; ``--m`` > 1, ``--T``, ``--k``, ``--c_m`` and
+``--c2`` > 0, ``--r0`` >= 2, ``--rho-max`` <= ``geometry.MAX_RHO_MAX``
+and, in ``geometry``, >= ``geometry.MIN_RHO_MAX``.  The lower bound of
+``barrier-check --rho-max``, the first node of the certificate
+``--which`` picks (past ``--r0`` for eta), is no constant, and
+``cmd_barrier_check`` checks it.  Flags are not abbreviated, and
 argparse's own errors (a missing or unknown flag, a bad choice) are
 ConfigErrors too.  An output path that cannot be written (a
 directory, a path under a regular file, a directory without write
@@ -45,8 +50,8 @@ name, or by the ``json`` item of its metadata where it has one, and a
 compares its text with that ``json.dumps`` call after a field and null
 pass of its own, for generated trees (dataclasses, numpy floats,
 signed zeros, subnormals, ints past 2^63, escaped strings), for the errors
-json raises and for the golden blow-up ledger; CI checks that every JSON
-file of a golden ``blowup`` and ``solve`` run is canonical JSON.  Exit
+json raises and for the golden blow-up ledger, and ``tests/test_golden.py``
+checks that every JSON output of the golden runs is canonical JSON.  Exit
 codes: 0 success, else the ``exit_code`` of the ``PMEError`` raised
 (``pme.errors``: 2 bad input, 3 certificate, 4 solver).
 """
@@ -192,19 +197,12 @@ def _numbers(text: str, option: str) -> list:
 
 
 def _float(parser, flag: str, minimum=None, above=None, maximum=None, **kwargs):
-    """Add a float ``flag``, its text read as ``config.get_float`` reads a key,
-    that is at least ``minimum``, more than ``above`` and at most ``maximum``
-    where given."""
-
-    def read(text):
-        val = cfgmod.get_float({flag: text}, flag, maximum=maximum)
-        if minimum is not None and val < minimum:
-            raise ConfigError(f"option '{flag}' must be >= {minimum:g}")
-        if above is not None and not val > above:
-            raise ConfigError(f"option '{flag}' must be > {above:g}")
-        return val
-
-    parser.add_argument(flag, type=read, **kwargs)
+    """Add a float ``flag`` with its bounds, read as ``config.get_float`` reads a key."""
+    parser.add_argument(
+        flag,
+        type=lambda text: cfgmod.get_float({flag: text}, flag, minimum=minimum, above=above, maximum=maximum),
+        **kwargs,
+    )
 
 
 def _int(parser, flag: str, minimum: int, **kwargs):

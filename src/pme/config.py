@@ -12,6 +12,21 @@ radii from 0 to 1e150, interpolated linearly onto the solver grid and held at
 the first value below the first row and at the last beyond the last row.  A
 nonblank table line of other than two fields is refused, naming its line.
 
+Every number from a config line or a command-line flag has one reader,
+``get_float`` (``get_int`` for an integer): it parses the text, checks that
+it is finite and checks the bounds given beside the key.  Its message names
+the key (``key 'x'``) or the flag (``option '--x'``), then says
+``: not a number ('abc')``, ``must be finite``, ``must be >= B``,
+``must be > B`` or ``must be <= B``.  The bounds of the keys: ``m`` > 1;
+``dim`` >= 2; ``cells`` >= 3; ``R`` > 0 and <= ``geometry.MAX_RHO_MAX``;
+``t_end``, ``dt0``, ``dt_max``, ``newton_tol``, ``barrier_a`` and
+``barrier_T`` > 0; ``dt_growth`` >= 1; ``norm_r`` and ``barrier_r`` in
+[2, MAX_RHO_MAX]; ``barrier_delta`` >= 0; ``blowup_threshold`` > 1;
+``newton_max_iter``, ``snapshot_stride`` and ``blowup_max_stages`` >= 1;
+``steps_per_stage`` >= 5; and the amplitude of ``log-growth`` or
+``bounded`` >= 0, named as key ``u0``.  The dataclasses keep the same
+bounds as their own invariants.
+
 ``solver_config_from``, ``blowup_config_from``, ``grid_from``,
 ``datum_from`` and ``norm_r_from`` map a config to run objects for every
 subcommand and ``sweep`` row; ``grid_from`` is the one reader of ``R``.
@@ -28,6 +43,7 @@ import csv
 import math
 import re
 from functools import partial
+from operator import ge, gt, le
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +112,13 @@ def _named(key: str) -> str:
     return f"option '{key}'" if key.startswith("--") else f"key '{key}'"
 
 
-def get_float(cfg: dict, key: str, default=None, positive=False, maximum=None) -> float:
-    """Finite float value of ``key``, at most ``maximum`` where given;
-    required unless a default is given."""
+def get_float(cfg: dict, key: str, default=None, minimum=None, above=None, maximum=None) -> float:
+    """Finite float value of ``key``: at least ``minimum``, more than
+    ``above`` and at most ``maximum`` where given; required unless a
+    default is given, which is returned as it is.  The one reader of a
+    number from a config line or a float flag: every message names the key
+    (``key 'x'``) or the flag (``option '--x'``), then says ``must be
+    finite``, ``must be >= B``, ``must be > B`` or ``must be <= B``."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required {_named(key)}")
@@ -107,12 +127,11 @@ def get_float(cfg: dict, key: str, default=None, positive=False, maximum=None) -
         val = float(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"{_named(key)}: not a number ({cfg[key]!r})") from exc
-    if positive and val <= 0:
-        raise ConfigError(f"{_named(key)} must be positive")
     if not math.isfinite(val):
         raise ConfigError(f"{_named(key)} must be finite")
-    if maximum is not None and val > maximum:
-        raise ConfigError(f"{_named(key)} must be <= {maximum:g}")
+    for op, holds, bound in ((">=", ge, minimum), (">", gt, above), ("<=", le, maximum)):
+        if bound is not None and not holds(val, bound):
+            raise ConfigError(f"{_named(key)} must be {op} {bound:g}")
     return val
 
 
@@ -129,7 +148,9 @@ def get_int(cfg: dict, key: str, minimum=None) -> int:
     return val
 
 
-_positive = partial(get_float, positive=True)
+_positive = partial(get_float, above=0.0)
+# the weight offset r of a norm or barrier: w_r forms r^2, finite up to MAX_RHO_MAX
+_weight_offset = partial(get_float, minimum=2.0, maximum=MAX_RHO_MAX)
 
 
 def _fields(cfg: dict, readers: dict) -> dict:
@@ -137,7 +158,7 @@ def _fields(cfg: dict, readers: dict) -> dict:
     return {name: read(cfg, key) for key, (name, read) in readers.items() if key in cfg}
 
 
-_DT_FIELDS = {"dt_growth": ("growth", get_float), "dt_max": ("dt_max", get_float)}
+_DT_FIELDS = {"dt_growth": ("growth", partial(get_float, minimum=1.0)), "dt_max": ("dt_max", _positive)}
 _RUN_FIELDS = {"newton_tol": ("newton_tol", _positive)}
 _SOLVER_FIELDS = {
     **_RUN_FIELDS,
@@ -146,7 +167,7 @@ _SOLVER_FIELDS = {
 }
 _BLOWUP_FIELDS = {
     **_RUN_FIELDS,
-    "blowup_threshold": ("threshold_factor", get_float),
+    "blowup_threshold": ("threshold_factor", partial(get_float, above=1.0)),
     "blowup_max_stages": ("max_stages", partial(get_int, minimum=1)),
     "steps_per_stage": ("steps_per_stage", partial(get_int, minimum=5)),
 }
@@ -160,11 +181,11 @@ def _boundary_from(cfg: dict, m: float):
         raise ConfigError(f"unknown boundary mode {name!r}")
     params = BarrierParams(
         amplitude=_positive(cfg, "barrier_a"),
-        r=get_float(cfg, "barrier_r", default=2.0, maximum=MAX_RHO_MAX),
+        r=_weight_offset(cfg, "barrier_r", default=2.0),
         horizon=_positive(cfg, "barrier_T"),
         m=m,
     )
-    return BarrierDirichlet(params, **_fields(cfg, {"barrier_delta": ("delta", get_float)}))
+    return BarrierDirichlet(params, **_fields(cfg, {"barrier_delta": ("delta", partial(get_float, minimum=0.0))}))
 
 
 def solver_config_from(cfg: dict, m: float) -> SolverConfig:
@@ -181,10 +202,7 @@ def solver_config_from(cfg: dict, m: float) -> SolverConfig:
 def norm_r_from(cfg: dict) -> float:
     """Weight offset r in [2, ``geometry.MAX_RHO_MAX``] of the norm a
     ``solve``, ``blowup`` or ``sweep`` run reports."""
-    r = get_float(cfg, "norm_r", default=NORM_R, maximum=MAX_RHO_MAX)
-    if r < 2.0:
-        raise ConfigError(f"key 'norm_r' must be >= 2, got {r!r}")
-    return r
+    return _weight_offset(cfg, "norm_r", default=NORM_R)
 
 
 def blowup_config_from(cfg: dict, m: float) -> BlowupConfig:
@@ -207,10 +225,8 @@ def manifold_from(cfg: dict) -> ModelManifold:
 
 
 def exponent_from(cfg: dict, key: str = "m") -> float:
-    m = get_float(cfg, key)
-    if m <= 1.0:
-        raise ConfigError("the PME exponent must satisfy m > 1")
-    return m
+    """The PME exponent m > 1 of ``key``."""
+    return get_float(cfg, key, above=1.0)
 
 
 def datum_from(cfg: dict, m: float) -> RadialDatum:
@@ -227,12 +243,7 @@ def datum_from(cfg: dict, m: float) -> RadialDatum:
     kind, arg = match.group(1), match.group(2).strip()
     if kind == "table":
         return table_datum(*_read_table(arg))
-    try:
-        amp = float(arg)
-    except ValueError as exc:
-        raise ConfigError(f"u0 amplitude is not a number: {arg!r}") from exc
-    if not 0 <= amp < math.inf:
-        raise ConfigError(f"u0 amplitude must be nonnegative and finite, got {arg!r}")
+    amp = get_float({"u0": arg}, "u0", minimum=0.0)
     if kind == "log-growth":
         return log_growth_datum(amp, m)
     return bounded_datum(amp)

@@ -393,7 +393,7 @@ def test_solve_rejects_small_exponent(tmp_path, capsys):
         "--summary", str(tmp_path / "s.json"),
     )
     assert rc == 2
-    assert "m > 1" in capsys.readouterr().err
+    assert "key 'm' must be > 1" in capsys.readouterr().err
 
 
 def test_solve_rejects_unknown_key(tmp_path, capsys):
@@ -1220,15 +1220,21 @@ def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, c
 
 
 def test_solver_failure_exits_4_naming_the_residual_and_its_target(tmp_path, monkeypatch, capsys):
+    golden_solve = (Path(__file__).parent / "golden" / "solve.cfg").read_text()
+    out, summary = str(tmp_path / "traj.csv"), str(tmp_path / "summary.json")
+
+    def assert_solver_failure(text):
+        rc = run_cli("solve", "--config", write_cfg(tmp_path, text), "--out", out, "--summary", summary)
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith(PREFIXES[4]) and err.count("\n") == 1, err
+        assert re.search(r" \(last failed solve: residual \S+, target \S+\)\n$", err), err
+
+    # one Newton iteration cannot reach a target of 1e-300, with no stub
+    assert_solver_failure(golden_solve + "newton_max_iter = 1\nnewton_tol = 1e-300\n")
     # every LAPACK call reports a singular system
     monkeypatch.setattr(solver, "dgtsv", lambda dl, d, du, b, *flags, **kw: (dl, d, du, b, 1))
-    cfg = write_cfg(tmp_path, BASE_CFG)
-    out, summary = str(tmp_path / "traj.csv"), str(tmp_path / "summary.json")
-    rc = run_cli("solve", "--config", cfg, "--out", out, "--summary", summary)
-    err = capsys.readouterr().err
-    assert rc == 4
-    assert err.startswith(PREFIXES[4]), err
-    assert re.search(r" \(last failed solve: residual \S+, target \S+\)\n$", err), err
+    assert_solver_failure(BASE_CFG)
 
 
 def test_documented_exit_codes_name_only_existing_classes():
@@ -1271,6 +1277,31 @@ def test_non_finite_float_options_are_configuration_errors(tmp_path, capsys, arg
     value = next(arg for arg in argv if arg.endswith(("nan", "inf")))
     flag = value.split("=")[0] if "=" in value else argv[argv.index(value) - 1]
     assert f"option '{flag}' must be finite" in err, err
+
+
+NUMBER_TEXTS = st.one_of(
+    st.floats().map(repr),  # nan, inf and -inf among them
+    st.integers(-10, 10).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", " 2.5 ", "1_0", "", "abc", "1,5", "0x10"]),
+    st.text(max_size=8),
+)
+BOUNDS = st.one_of(st.none(), st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
+
+
+@given(text=NUMBER_TEXTS, minimum=BOUNDS, above=BOUNDS, maximum=BOUNDS)
+def test_a_float_flag_reads_its_text_as_get_float_reads_a_key(text, minimum, above, maximum):
+    parser = cli._Parser(prog="pme")
+    cli._float(parser, "--x", minimum=minimum, above=above, maximum=maximum)
+    results = []
+    for read in (
+        lambda: parser.parse_args([f"--x={text}"]).x,
+        lambda: cfgmod.get_float({"x": text}, "x", minimum=minimum, above=above, maximum=maximum),
+    ):
+        try:
+            results.append(repr(read()))
+        except errors.ConfigError as exc:
+            results.append(str(exc).replace("option '--x'", "key 'x'"))
+    assert results[0] == results[1]
 
 
 def solve_args(tmp_path, cfg):
@@ -1324,7 +1355,8 @@ CONFIG_ERRORS = [
     ("line-without-equals", "R = 20\n", "R 20\n", "run.cfg:7: expected 'key = value'"),
     ("u0-of-no-form", "log-growth(1.0)", "gaussian(1.0)",
      "u0 must be log-growth(b), bounded(B) or table(path); got 'gaussian(1.0)'"),
-    ("u0-amplitude-not-a-number", "log-growth(1.0)", "log-growth(one)", "u0 amplitude is not a number: 'one'"),
+    ("u0-amplitude-not-a-number", "log-growth(1.0)", "log-growth(one)", "key 'u0': not a number ('one')"),
+    ("u0-amplitude-negative", "log-growth(1.0)", "bounded(-1)", "key 'u0' must be >= 0"),
 ]
 
 # (id, the u0 table file, the error's text)
@@ -1360,10 +1392,10 @@ def datum_args(tmp_path, command, u0):
 
 
 NON_FINITE_DATA = [
-    ("log-growth(nan)", "u0 amplitude must be nonnegative and finite, got 'nan'"),
-    ("log-growth(inf)", "u0 amplitude must be nonnegative and finite, got 'inf'"),
-    ("bounded(nan)", "u0 amplitude must be nonnegative and finite, got 'nan'"),
-    ("bounded(inf)", "u0 amplitude must be nonnegative and finite, got 'inf'"),
+    ("log-growth(nan)", "key 'u0' must be finite"),
+    ("log-growth(inf)", "key 'u0' must be finite"),
+    ("bounded(nan)", "key 'u0' must be finite"),
+    ("bounded(inf)", "key 'u0' must be finite"),
     ("table(nan,1)", "u0.csv:3: table entries must be finite"),
     ("table(2,nan)", "u0.csv:3: table entries must be finite"),
 ]
@@ -1455,17 +1487,26 @@ dt0 = 1e-5
             )
             for which, m in (("super", ["--m", "2"]), ("sub", ["--m", "2"]), ("eta", []))
         ),
-        # norm_r is at least 2, and every radius a weight reads is at most
-        # geometry.MAX_RHO_MAX: past it r^2 + rho^2 overflows
+        # each config key's bound is checked by config.get_float, whose line
+        # names the key: norm_r and barrier_r are at least 2, and every
+        # radius a weight reads is at most geometry.MAX_RHO_MAX, past which
+        # r^2 + rho^2 overflows
         *(
             pytest.param(lambda tmp, argv=argv, text=text: argv(tmp, write_cfg(tmp, text)), needle, id=name)
             for name, argv, text, needle in (
-                ("solve-norm-r-below-two", solve_args, BASE_CFG + "norm_r = 1.5\n",
-                 "key 'norm_r' must be >= 2, got 1.5"),
+                ("solve-norm-r-below-two", solve_args, BASE_CFG + "norm_r = 1.5\n", "key 'norm_r' must be >= 2"),
                 ("blowup-norm-r-below-two", blowup_args, R12_BLOWUP_CFG + "norm_r = 1.5\n",
-                 "key 'norm_r' must be >= 2, got 1.5"),
+                 "key 'norm_r' must be >= 2"),
                 ("sweep-norm-r-below-two", sweep_cfg_args, R12_BLOWUP_CFG + "norm_r = 1.5\n",
-                 "key 'norm_r' must be >= 2, got 1.5"),
+                 "key 'norm_r' must be >= 2"),
+                ("solve-barrier-r-below-two", solve_args, BARRIER_CFG + "barrier_r = 1\n",
+                 "key 'barrier_r' must be >= 2"),
+                ("solve-barrier-delta-negative", solve_args, BARRIER_CFG + "barrier_delta = -1\n",
+                 "key 'barrier_delta' must be >= 0"),
+                ("solve-dt-growth-below-one", solve_args, BASE_CFG + "dt_growth = 0.5\n",
+                 "key 'dt_growth' must be >= 1"),
+                ("solve-dt-max-zero", solve_args, BASE_CFG.replace("dt_max = 1e-3", "dt_max = 0"),
+                 "key 'dt_max' must be > 0"),
                 ("solve-norm-r-past-the-largest-radius", solve_args, BASE_CFG + "norm_r = 1e160\n",
                  "key 'norm_r' must be <= 1e+150"),
                 ("blowup-norm-r-past-the-largest-radius", blowup_args, R12_BLOWUP_CFG + "norm_r = 1e160\n",
@@ -1531,7 +1572,7 @@ dt0 = 1e-5
         pytest.param(
             lambda tmp: ["blowup", "--ledger", str(tmp / "l.json"), "--config", write_cfg(
                 tmp, R12_BLOWUP_CFG.replace("blowup_threshold = 30", "blowup_threshold = -1"))],
-            "threshold factor must be > 1",
+            "key 'blowup_threshold' must be > 1",
             id="blowup-negative-threshold",
         ),
         pytest.param(

@@ -132,7 +132,7 @@ def test_invalid_values_raise_config_error(key, value):
     [
         (config.get_float, {}, "missing required {}"),
         (config.get_float, {"{}": "x"}, "{}: not a number ('x')"),
-        (config.get_float, {"{}": "-1"}, "{} must be positive"),
+        (config.get_float, {"{}": "-1"}, "{} must be > 0"),
         (config.get_float, {"{}": "inf"}, "{} must be finite"),
         (config.get_int, {}, "missing required {}"),
         (config.get_int, {"{}": "1.5"}, "{}: not an integer ('1.5')"),
@@ -142,7 +142,7 @@ def test_invalid_values_raise_config_error(key, value):
 @pytest.mark.parametrize("key, named", [("--m", "option '--m'"), ("m", "key 'm'")])
 def test_messages_name_a_dashed_key_as_an_option(read, cfg, message, key, named):
     cfg = {k.format(key): v for k, v in cfg.items()}
-    kw = {"positive": True} if read is config.get_float else {"minimum": 1}
+    kw = {"above": 0.0} if read is config.get_float else {"minimum": 1}
     with pytest.raises(ConfigError) as exc:
         read(cfg, key, **kw)
     assert str(exc.value) == message.format(named)

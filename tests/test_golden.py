@@ -38,6 +38,12 @@ exactly.  Each output has one of three bounds:
   ``newton_tol`` 1e-9 and 1e-11 moved no value by more than 2.2e-10 and
   2.7e-11.
 
+Every JSON output, written or printed, is canonical JSON on any machine:
+its text is ``json.dumps(json.loads(text), indent=2, sort_keys=True,
+allow_nan=False)`` plus a newline, which holds exactly when pme's one-pass
+writer writes what ``json.dumps`` writes, since a float's repr reads back
+as the same float.
+
 The sha256 of each file is asserted only where the fingerprint (numpy
 version, scipy version, ``__cpu_features__`` of numpy's core extension)
 equals the recorded one.  A change that moves output on purpose
@@ -192,6 +198,9 @@ def test_golden_outputs(tmp_path, name):
         golden = (GOLDEN / out_name).read_bytes()
         assert hashlib.sha256(golden).hexdigest() == entry["sha256"], out_name
         assert_close(parsed(out_name, data), parsed(out_name, golden), entry["bound"], out_name)
+        if not out_name.endswith(".csv"):  # a JSON report, written or printed, is canonical JSON
+            text = data.decode()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True, allow_nan=False) + "\n", out_name
         if same_build:
             assert hashlib.sha256(data).hexdigest() == entry["sha256"], out_name
 
