@@ -27,7 +27,9 @@ out-of-range number is a ConfigError that names the flag as typed:
 ``--dim`` >= 2, ``--n-probe`` >= 1000, ``--nodes``, ``--table-points``
 and ``--workers`` >= 1; ``--m`` > 1, ``--T``, ``--k``, ``--c_m`` and
 ``--c2`` > 0, ``--r0`` >= 2, ``--rho-max`` <= ``geometry.MAX_RHO_MAX``
-and, in ``geometry``, >= ``geometry.MIN_RHO_MAX``.  The lower bound of
+and, in ``geometry``, >= ``geometry.MIN_RHO_MAX``; ``--c`` is finite
+when parsed, then > 0 where ``--manifold`` takes it, checked by
+``config.curvature_from`` as for key ``c``.  The lower bound of
 ``barrier-check --rho-max``, the first node of the certificate
 ``--which`` picks (past ``--r0`` for eta), is no constant, and
 ``cmd_barrier_check`` checks it.  Flags are not abbreviated, and
@@ -218,6 +220,13 @@ def _manifold_args(parser):
     _float(parser, "--c", default=None)
 
 
+def _manifold(args) -> geometry.ModelManifold:
+    """The model of ``--manifold``, ``--dim`` and ``--c``, whose bound is
+    read as ``config.manifold_from`` reads key ``c``."""
+    flags = {} if args.c is None else {"--c": args.c}
+    return geometry.make_manifold(args.manifold, args.dim, cfgmod.curvature_from(flags, args.manifold, "--c"))
+
+
 def _blowup_setup(cfg: dict):
     """Validated inputs of a blow-up run: ball, datum and settings."""
     cfg = cfgmod.RunConfig(cfg)
@@ -245,7 +254,7 @@ def _info(args, message: str):
 
 
 def cmd_geometry(args) -> int:
-    manifold = geometry.make_manifold(args.manifold, args.dim, args.c)
+    manifold = _manifold(args)
     consts = geometry.fit_comparison_constants(
         manifold, rho_max=args.rho_max, n_probe=args.n_probe
     )
@@ -262,7 +271,7 @@ def _rho_max_above(rho_max: float, first: float, what: str):
 
 
 def cmd_barrier_check(args) -> int:
-    manifold = geometry.make_manifold(args.manifold, args.dim, args.c)
+    manifold = _manifold(args)
     # the optional flags given, as a config keyed by flag: a flag this --which
     # does not read exits 2, and every message names the flag
     opts = cfgmod.RunConfig(

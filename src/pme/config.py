@@ -18,10 +18,11 @@ it is finite and checks the bounds given beside the key.  Its message names
 the key (``key 'x'``) or the flag (``option '--x'``), then says
 ``: not a number ('abc')``, ``must be finite``, ``must be >= B``,
 ``must be > B`` or ``must be <= B``.  The bounds of the keys: ``m`` > 1;
-``dim`` >= 2; ``cells`` >= 3; ``R`` > 0 and <= ``geometry.MAX_RHO_MAX``;
-``t_end``, ``dt0``, ``dt_max``, ``newton_tol``, ``barrier_a`` and
-``barrier_T`` > 0; ``dt_growth`` >= 1; ``norm_r`` and ``barrier_r`` in
-[2, MAX_RHO_MAX]; ``barrier_delta`` >= 0; ``blowup_threshold`` > 1;
+``dim`` >= 2; ``c`` > 0 for the families that take it (``curvature_from``);
+``cells`` >= 3; ``R`` > 0 and <= ``geometry.MAX_RHO_MAX``; ``t_end``,
+``dt0``, ``dt_max``, ``newton_tol``, ``barrier_a`` and ``barrier_T`` > 0;
+``dt_growth`` >= 1; ``norm_r`` and ``barrier_r`` in [2, MAX_RHO_MAX];
+``barrier_delta`` >= 0; ``blowup_threshold`` > 1;
 ``newton_max_iter``, ``snapshot_stride`` and ``blowup_max_stages`` >= 1;
 ``steps_per_stage`` >= 5; and the amplitude of ``log-growth`` or
 ``bounded`` >= 0, named as key ``u0``.  The dataclasses keep the same
@@ -51,7 +52,7 @@ import numpy as np
 from .barriers import BarrierParams
 from .blowup import BlowupConfig
 from .errors import ConfigError
-from .geometry import MAX_RHO_MAX, ModelManifold, make_manifold
+from .geometry import MAX_RHO_MAX, PARAMETRIC_FAMILIES, ModelManifold, make_manifold
 from .grid import RadialGrid
 from .solver import BarrierDirichlet, DtPolicy, HomogeneousDirichlet, SolverConfig
 from .xlog import NORM_R, RadialDatum, bounded_datum, log_growth_datum, table_datum
@@ -215,13 +216,20 @@ def grid_from(cfg: dict, manifold: ModelManifold) -> RadialGrid:
     return RadialGrid.uniform(manifold, _positive(cfg, "R", maximum=MAX_RHO_MAX), get_int(cfg, "cells", minimum=3))
 
 
+def curvature_from(cfg: dict, kind: str, key: str = "c") -> float | None:
+    """The curvature parameter of ``key``, None where absent: > 0 for a
+    family that takes one (``make_manifold`` refuses it for the others)."""
+    if key not in cfg:
+        return None
+    return get_float(cfg, key, above=0.0 if kind in PARAMETRIC_FAMILIES else None)
+
+
 def manifold_from(cfg: dict) -> ModelManifold:
     kind = cfg.get("manifold")
     if kind is None:
         raise ConfigError("missing required key 'manifold'")
     dim = get_int(cfg, "dim", minimum=2)
-    c = get_float(cfg, "c") if "c" in cfg else None
-    return make_manifold(kind, dim, c)
+    return make_manifold(kind, dim, curvature_from(cfg, kind))
 
 
 def exponent_from(cfg: dict, key: str = "m") -> float:

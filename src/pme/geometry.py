@@ -54,14 +54,6 @@ def log_sphere_area(dim: int) -> float:
     return math.log(2.0) + (dim / 2.0) * math.log(math.pi) - math.lgamma(dim / 2.0)
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    """Sectional curvature of radial 2-planes and radial Ricci curvature."""
-
-    sectional: np.ndarray | float
-    ricci_radial: np.ndarray | float
-
-
 @dataclass(frozen=True, eq=False)
 class ModelManifold:
     """Warped-product model: metric d rho^2 + psi(rho)^2 d theta^2."""
@@ -71,7 +63,8 @@ class ModelManifold:
     c: Optional[float]
     # psi is held once, as log psi and its derivative ratios
     log_psi: Callable[[np.ndarray], np.ndarray]
-    # psi'/psi and psi''/psi in overflow-safe closed form.
+    # psi'/psi and psi''/psi in overflow-safe closed form, read through
+    # ``drift`` and ``curvature``, which check that they are finite
     ratio1: Callable[[np.ndarray], np.ndarray]
     ratio2: Callable[[np.ndarray], np.ndarray]
     # Analytic rho -> inf limits of the fitted ratios: rho m/(1+rho^2)
@@ -101,13 +94,14 @@ class ModelManifold:
         return val
 
     def curvature(self, rho):
-        """Sectional curvature -psi''/psi and radial Ricci (N-1) times it."""
+        """Sectional curvature -psi''/psi of the radial 2-planes; the radial
+        Ricci curvature is (N-1) times it."""
         arr = self._check_rho(rho)
         with np.errstate(over="ignore"):  # an overflow is reported just below
             sec = -np.asarray(self.ratio2(arr), dtype=float)
         if not np.all(np.isfinite(sec)):
             raise DomainError("psi''/psi is not finite on the requested radii")
-        return CurvatureSample(sec, (self.dim - 1) * sec)
+        return sec
 
     def log_surface_measure(self, radius):
         """log of the area of the geodesic sphere S_R, |S^{N-1}| psi(R)^{N-1}."""
@@ -120,7 +114,7 @@ class ModelManifold:
 # -- built-in families -------------------------------------------------------
 
 
-def euclidean(dim: int = 3) -> ModelManifold:
+def euclidean(dim: int) -> ModelManifold:
     """Flat model, psi(rho) = rho."""
     return ModelManifold(
         dim=dim,
@@ -133,7 +127,7 @@ def euclidean(dim: int = 3) -> ModelManifold:
     )
 
 
-def hyperbolic(dim: int = 2) -> ModelManifold:
+def hyperbolic(dim: int) -> ModelManifold:
     """Constant curvature -1, psi(rho) = sinh(rho)."""
     return ModelManifold(
         dim=dim,
@@ -148,7 +142,7 @@ def hyperbolic(dim: int = 2) -> ModelManifold:
     )
 
 
-def quad_critical(c: float, dim: int = 3) -> ModelManifold:
+def quad_critical(c: float, dim: int) -> ModelManifold:
     """psi(rho) = rho exp(c rho^2): sectional curvature ~ -4 c^2 rho^2.
 
     Realizes the quadratic curvature borderline with both the upper and the
@@ -172,7 +166,7 @@ def quad_critical(c: float, dim: int = 3) -> ModelManifold:
     )
 
 
-def log_critical(c: float, dim: int = 2) -> ModelManifold:
+def log_critical(c: float, dim: int) -> ModelManifold:
     """psi(rho) = rho exp(c rho^2 / log(e + rho)).
 
     Ricci curvature decays like -(1 + rho^2)/log^2 rho, the borderline under
@@ -223,6 +217,8 @@ def log_critical(c: float, dim: int = 2) -> ModelManifold:
     )
 
 
+# the families of a curvature parameter c > 0; the others take none
+PARAMETRIC_FAMILIES = ("quad-critical", "log-critical")
 BUILTIN_FAMILIES = {
     "euclidean": euclidean,
     "hyperbolic": hyperbolic,
@@ -235,7 +231,7 @@ def make_manifold(kind: str, dim: int, c: float | None = None) -> ModelManifold:
     """Instantiate a built-in family by name (config/CLI entry point)."""
     if kind not in BUILTIN_FAMILIES:
         raise DomainError(f"unknown manifold kind '{kind}'")
-    if kind in ("quad-critical", "log-critical"):
+    if kind in PARAMETRIC_FAMILIES:
         if c is None:
             raise DomainError(f"{kind} requires the curvature parameter c")
         return BUILTIN_FAMILIES[kind](c, dim)
@@ -326,16 +322,17 @@ def fit_comparison_constants(
         c_double_prime = None
         attained["c_double_prime"] = None
 
-    curv = manifold.curvature(rho)
-    neg_ric = -curv.ricci_radial / (1.0 + rho * rho)
-    ric_head = float(nm1 * np.asarray(manifold.ratio2(1e-6), dtype=float))
+    # -Ric_radial = -(N-1) sec over 1 + rho^2, and its value as rho -> 0
+    sec = manifold.curvature(rho)
+    neg_ric = -(nm1 * sec) / (1.0 + rho * rho)
+    ric_head = float(-(nm1 * manifold.curvature(1e-6)))
     sup, where = _extremum_with_limits(neg_ric, rho, ric_head, tails["ricci"])
     c_o = (1.0 + FIT_MARGIN) * max(sup, 0.0)
     attained["c_o"] = where
 
     r_o = 1.0
     mask = rho >= r_o
-    neg_sect = -curv.sectional[mask] / rho[mask] ** 2
+    neg_sect = -sec[mask] / rho[mask] ** 2
     inf, where = _extremum_with_limits(neg_sect, rho[mask], None, tails["sect"], -1.0)
     if inf > 1e-12:
         k_o: Optional[float] = (1.0 - FIT_MARGIN) * inf

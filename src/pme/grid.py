@@ -5,12 +5,13 @@ of its annulus, |S^{N-1}| integral of psi^{N-1} over the cell.  On strongly
 warped models the volume element spans far more than the double-precision
 exponent range, so the grid stores log-weights and exposes *scaled*
 quantities: every weight and face area is normalized by the largest cell
-volume (``log_scale``).  Ratios between neighbouring cells, which are all
-the scheme ever needs, remain O(exp(drift * h)).  ``RadialGrid.uniform``
-raises DomainError for a ball where even these ratios overflow the double
-range (quad-critical c = 1000 at R = 25 with 250 cells): a scaled weight or
-a face coefficient that is not finite.  Scaled weights of inner cells may
-still underflow to 0.
+volume.  Ratios between neighbouring cells, which are all the scheme ever
+needs, remain O(exp(drift * h)).  Both the cell volumes and the face areas
+take |S_rho| from ``ModelManifold.log_surface_measure``.
+``RadialGrid.uniform`` raises DomainError for a ball where even these ratios
+overflow the double range (quad-critical c = 1000 at R = 25 with 250
+cells): a scaled weight or a face coefficient that is not finite.  Scaled
+weights of inner cells may still underflow to 0.
 
 The flux through the origin vanishes identically because psi(0)^{N-1} = 0;
 no ghost cell is needed.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, is_count
-from .geometry import MAX_RHO_MAX, ModelManifold, log_sphere_area
+from .geometry import MAX_RHO_MAX, ModelManifold
 
 # 5-point Gauss-Legendre nodes and weights on [-1, 1], the float64 values of
 # ``numpy.polynomial.legendre.leggauss(5)`` (tests/test_grid.py checks them),
@@ -44,17 +45,16 @@ class RadialGrid:
     cells: int
     edges: np.ndarray = field(repr=False)
     centers: np.ndarray = field(repr=False)
-    h: float = 0.0
+    h: float
     # log of cell volumes and face areas (absolute, includes |S^{N-1}|)
-    log_weights: np.ndarray = field(repr=False, default=None)
-    log_faces: np.ndarray = field(repr=False, default=None)
-    log_scale: float = 0.0  # log of the normalizing volume
-    weights_scaled: np.ndarray = field(repr=False, default=None)
+    log_weights: np.ndarray = field(repr=False)
+    log_faces: np.ndarray = field(repr=False)
+    weights_scaled: np.ndarray = field(repr=False)
     # transmissibility of the faces left/right of each cell, divided by the
     # cell volume (the per-cell update coefficients of the scheme)
-    coeff_minus: np.ndarray = field(repr=False, default=None)
-    coeff_plus: np.ndarray = field(repr=False, default=None)
-    boundary_flux_coeff: float = 0.0  # outer face area / (dist * scale)
+    coeff_minus: np.ndarray = field(repr=False)
+    coeff_plus: np.ndarray = field(repr=False)
+    boundary_flux_coeff: float  # outer face area / (dist * largest cell volume)
 
     @classmethod
     @np.errstate(over="ignore", invalid="ignore")  # reported by the range check below
@@ -65,24 +65,23 @@ class RadialGrid:
         h = radius / cells
         centers = 0.5 * (edges[:-1] + edges[1:])
         nm1 = manifold.dim - 1
-        lsa = log_sphere_area(manifold.dim)
 
-        # Cell volumes via 5-point Gauss-Legendre on psi^{N-1}, evaluated
-        # relative to the cell center so the exponentials stay tame.
+        # Cell volumes |S_center| h q, q the 5-point Gauss-Legendre mean of
+        # psi^{N-1} over the cell relative to the center, so the exponentials
+        # stay tame.
         lp_centers = nm1 * np.asarray(manifold.log_psi(centers), dtype=float)
         nodes = centers[:, None] + 0.5 * h * _GL_NODES[None, :]
         nodes = np.clip(nodes, 1e-300, None)
         lp_nodes = nm1 * np.asarray(manifold.log_psi(nodes), dtype=float)
         q = 0.5 * np.sum(_GL_WEIGHTS[None, :] * np.exp(lp_nodes - lp_centers[:, None]), axis=1)
-        log_weights = lsa + lp_centers + np.log(h * q)
+        log_weights = manifold.log_surface_measure(centers) + np.log(h * q)
 
-        lp_edges = np.empty(cells + 1)
-        lp_edges[0] = -np.inf  # psi(0)^{N-1} = 0: zero-flux origin
-        lp_edges[1:] = nm1 * np.asarray(manifold.log_psi(edges[1:]), dtype=float)
-        # face distance between the adjacent cell centers (h, or h/2 at R)
-        dist = np.full(cells + 1, h)
+        # Face areas |S_edge| over the distance between the adjacent cell
+        # centers (h, or h/2 at R); the origin's is psi(0)^{N-1} = 0, a
+        # zero-flux origin.
+        dist = np.full(cells, h)
         dist[-1] = 0.5 * h
-        log_faces = lsa + lp_edges - np.log(dist)
+        log_faces = np.concatenate(([-np.inf], manifold.log_surface_measure(edges[1:]) - np.log(dist)))
 
         coeff_minus = np.exp(log_faces[:-1] - log_weights)
         coeff_plus = np.exp(log_faces[1:] - log_weights)
@@ -111,7 +110,6 @@ class RadialGrid:
             h=h,
             log_weights=log_weights,
             log_faces=log_faces,
-            log_scale=log_scale,
             weights_scaled=weights_scaled,
             coeff_minus=coeff_minus,
             coeff_plus=coeff_plus,
@@ -119,5 +117,5 @@ class RadialGrid:
         )
 
     def mass(self, u: np.ndarray) -> float:
-        """Integral of u over the ball in units of exp(log_scale)."""
+        """Integral of u over the ball in units of the largest cell volume."""
         return float(np.dot(self.weights_scaled, u))

@@ -378,7 +378,7 @@ def _eta_derivative(k):
 
 FLOAT_CASES = {
     "drift": lambda rho: geometry.log_critical(0.3, 2).drift(rho),
-    "curvature": lambda rho: geometry.log_critical(0.3, 2).curvature(rho).sectional,
+    "curvature": lambda rho: geometry.log_critical(0.3, 2).curvature(rho),
     "laplacian_wm": lambda rho: barriers.laplacian_wm(
         barriers.BarrierParams(0.3, 2.5, 1.0, 2.7), geometry.quad_critical(0.5, 3), rho
     ),

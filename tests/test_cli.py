@@ -1677,8 +1677,28 @@ dt0 = 1e-5
         ),
         pytest.param(
             lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG.replace("c = 0.5", "c = -1"))),
-            "c > 0",
+            "key 'c' must be > 0",
             id="solve-negative-curvature-parameter",
+        ),
+        pytest.param(
+            lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG.replace("c = 0.5", "c = 0"))),
+            "key 'c' must be > 0",
+            id="solve-zero-curvature-parameter",
+        ),
+        # the bound of --c is the family's, read after parsing as key c is
+        *(
+            pytest.param(
+                lambda tmp, command=command, c=c, out=out: [
+                    command, "--manifold", "quad-critical", "--dim", "3", "--c", c, *out(tmp)
+                ],
+                "option '--c' must be > 0",
+                id=f"{command}-c-{c}",
+            )
+            for command, out in (
+                ("geometry", lambda tmp: ["--report", str(tmp / "g.json")]),
+                ("barrier-check", lambda tmp: ["--m", "2", "--which", "super", "--out", str(tmp / "c.json")]),
+            )
+            for c in ("0", "-1")
         ),
         pytest.param(
             lambda tmp: solve_args(tmp, write_cfg(tmp, BASE_CFG.replace("t_end = 0.02", "t_end = 100"))),

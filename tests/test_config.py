@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pme import blowup, config, geometry, solver, xlog
-from pme.errors import ConfigError
+from pme.errors import ConfigError, DomainError
 from pme.geometry import log_sphere_area
 from pme.grid import RadialGrid
 
@@ -198,6 +198,21 @@ def test_table_datum_is_bounded_beyond_its_last_row(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(datum.rows, ([0.5, 4.0], [2.0, -0.25])))
     assert np.all(datum.profile(np.geomspace(4.0, 1e6, 50)) == -0.25)
     assert xlog.limsup_ratio(datum) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["quad-critical", "log-critical", "euclidean", "hyperbolic"])
+@pytest.mark.parametrize("c", ["0", "-1", "0.5"])
+def test_the_curvature_parameter_is_bounded_by_its_family(kind, c):
+    # a critical family reads c > 0 at the reader; the others refuse any c
+    run = config.RunConfig({"manifold": kind, "dim": "3", "c": c})
+    if kind in geometry.PARAMETRIC_FAMILIES and c == "0.5":
+        assert config.manifold_from(run).c == 0.5
+    elif kind in geometry.PARAMETRIC_FAMILIES:
+        with pytest.raises(ConfigError, match=r"^key 'c' must be > 0$"):
+            config.manifold_from(run)
+    else:
+        with pytest.raises(DomainError, match="takes no curvature parameter c"):
+            config.manifold_from(run)
 
 
 def test_log_sphere_area_matches_closed_form():

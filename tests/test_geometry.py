@@ -85,30 +85,26 @@ def test_drift_vectorized(probe_rhos):
 
 
 def test_curvature_euclidean_zero(probe_rhos):
-    cur = geometry.euclidean(4).curvature(probe_rhos)
-    assert np.all(cur.sectional == 0.0)
-    assert np.all(cur.ricci_radial == 0.0)
+    assert np.all(geometry.euclidean(4).curvature(probe_rhos) == 0.0)
 
 
 def test_curvature_hyperbolic_constant():
-    cur = geometry.hyperbolic(2).curvature(2.5)
-    assert cur.sectional == pytest.approx(-1.0, rel=1e-14)
+    assert geometry.hyperbolic(2).curvature(2.5) == pytest.approx(-1.0, rel=1e-14)
 
 
 def test_curvature_quad_critical_symbolic():
     _, f2 = symbolic_ratios(RHO * sp.exp(RHO**2))
     M = geometry.quad_critical(1.0, 3)
-    cur = M.curvature(1.0)
-    assert cur.sectional == pytest.approx(-float(f2(1.0)), rel=1e-12)
-    assert cur.sectional == pytest.approx(-10.0, rel=1e-12)
-    assert cur.ricci_radial == pytest.approx(-20.0, rel=1e-12)
+    sec = M.curvature(1.0)
+    assert sec == pytest.approx(-float(f2(1.0)), rel=1e-12)
+    assert sec == pytest.approx(-10.0, rel=1e-12)
 
 
 def test_curvature_log_critical_symbolic(probe_rhos):
     f1, f2 = symbolic_ratios(SYMBOLIC["log-critical"])
     M = geometry.log_critical(1.0, 2)
     sub = probe_rhos[::25]
-    got = M.curvature(sub).sectional
+    got = M.curvature(sub)
     want = -np.array([float(f2(r)) for r in sub])
     assert np.allclose(got, want, rtol=1e-9)
     got1 = M.drift(sub)
@@ -117,10 +113,11 @@ def test_curvature_log_critical_symbolic(probe_rhos):
 
 
 def test_ricci_is_dim_times_sectional(all_builtins, probe_rhos):
+    # the fit forms -Ric as -(N-1) sec on the probes; the family's tail
+    # limits of -Ric/(1+rho^2) and -sec/rho^2 must agree with it at infinity
     for M in all_builtins:
-        cur = M.curvature(probe_rhos)
-        assert np.allclose(cur.ricci_radial, (M.dim - 1) * cur.sectional, rtol=0, atol=1e-14)
-        assert np.all(cur.sectional <= 1e-14)
+        assert np.all(M.curvature(probe_rhos) <= 1e-14)
+        assert M.tail_limits["ricci"] == pytest.approx((M.dim - 1) * M.tail_limits["sect"], rel=1e-15)
 
 
 # -- class A and the rho -> inf limits ----------------------------------------------
@@ -244,10 +241,10 @@ def test_certified_sandwich_on_probes(all_builtins):
         assert np.all(ratio <= consts.c_prime), M.kind
         if consts.c_double_prime is not None:
             assert np.all(ratio >= consts.c_double_prime), M.kind
-        curv = M.curvature(rho)
-        assert np.all(-curv.ricci_radial / (1 + rho**2) <= consts.c_o), M.kind
+        sec = M.curvature(rho)
+        assert np.all(-(M.dim - 1) * sec / (1 + rho**2) <= consts.c_o), M.kind
         if consts.k_o is not None:
-            assert np.all(-curv.sectional / rho**2 >= consts.k_o), M.kind
+            assert np.all(-sec / rho**2 >= consts.k_o), M.kind
         if consts.c_m is not None:
             vol = M.log_surface_measure(rho) * np.log(rho) / rho**2
             assert np.all(vol <= consts.c_m), M.kind
