@@ -256,6 +256,12 @@ def certify_subsolution(
     return _report("sub", res, rho, p, {})
 
 
+def supersolution_params(consts: ComparisonConstants, m: float) -> BarrierParams:
+    """The unit-horizon supersolution: amplitude ``supersolution_amplitude(C',
+    m)``, weight offset r = 2, horizon 1."""
+    return BarrierParams(amplitude=supersolution_amplitude(consts.c_prime, m), r=2.0, horizon=1.0, m=m)
+
+
 def subsolution_params(consts: ComparisonConstants, m: float) -> BarrierParams:
     """Smallest integer weight offset r >= 2 with h(x) = (C''/2)(1+x) + 1 -
     2x/(r^2+x) >= 0 for all x = rho^2 >= 0, and the large amplitude a =

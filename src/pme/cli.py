@@ -293,8 +293,7 @@ def cmd_barrier_check(args) -> int:
             manifold, rho_max=max(geometry.MIN_RHO_MAX, args.rho_max)
         )
         if args.which == "super":
-            a = barriers.supersolution_amplitude(consts.c_prime, m)
-            barrier = barriers.BarrierParams(amplitude=a, r=2.0, horizon=1.0, m=m)
+            barrier = barriers.supersolution_params(consts, m)
             report = barriers.certify_supersolution(barrier, manifold, consts, grid)
         else:
             barrier = barriers.subsolution_params(consts, m)

@@ -3,15 +3,17 @@
 Cells are uniform in rho on [0, R]; each cell carries the Riemannian volume
 of its annulus, |S^{N-1}| integral of psi^{N-1} over the cell.  On strongly
 warped models the volume element spans far more than the double-precision
-exponent range, so the grid stores log-weights and exposes *scaled*
-quantities: every weight and face area is normalized by the largest cell
-volume.  Ratios between neighbouring cells, which are all the scheme ever
-needs, remain O(exp(drift * h)).  Both the cell volumes and the face areas
-take |S_rho| from ``ModelManifold.log_surface_measure``.
-``RadialGrid.uniform`` raises DomainError for a ball where even these ratios
-overflow the double range (quad-critical c = 1000 at R = 25 with 250
-cells): a scaled weight or a face coefficient that is not finite.  Scaled
-weights of inner cells may still underflow to 0.
+exponent range, so the grid stores no absolute volume or face area.
+``RadialGrid.uniform`` forms both as logarithms, taking |S_rho| from
+``ModelManifold.log_surface_measure``, and keeps only the scaled ratios the
+scheme reads: the cell volumes over the largest (``weights_scaled``), each
+cell's face transmissibilities over its own volume (``coeff_minus``,
+``coeff_plus``) and the outer face's over the largest volume
+(``boundary_flux_coeff``).  Ratios between neighbouring cells remain
+O(exp(drift * h)).  ``uniform`` raises DomainError for a ball where even
+these ratios overflow the double range (quad-critical c = 1000 at R = 25
+with 250 cells): a scaled weight or a face coefficient that is not finite.
+Scaled weights of inner cells may still underflow to 0.
 
 The flux through the origin vanishes identically because psi(0)^{N-1} = 0;
 no ghost cell is needed.
@@ -46,9 +48,6 @@ class RadialGrid:
     edges: np.ndarray = field(repr=False)
     centers: np.ndarray = field(repr=False)
     h: float
-    # log of cell volumes and face areas (absolute, includes |S^{N-1}|)
-    log_weights: np.ndarray = field(repr=False)
-    log_faces: np.ndarray = field(repr=False)
     weights_scaled: np.ndarray = field(repr=False)
     # transmissibility of the faces left/right of each cell, divided by the
     # cell volume (the per-cell update coefficients of the scheme)
@@ -83,6 +82,13 @@ class RadialGrid:
         dist[-1] = 0.5 * h
         log_faces = np.concatenate(([-np.inf], manifold.log_surface_measure(edges[1:]) - np.log(dist)))
 
+        # Each inner face enters two coefficients, coeff_plus of the cell
+        # inside it and coeff_minus of the cell outside, through these two
+        # exps, each of a difference of logarithms rounded to about
+        # eps |log w|.  So w_i cp_i and w_{i+1} cm_{i+1} miss each other by up
+        # to a few hundred eps relative (257 eps on quad-critical c = 0.5),
+        # and the scheme's mass balance tracks the boundary outflow only to
+        # that relative error per face.
         coeff_minus = np.exp(log_faces[:-1] - log_weights)
         coeff_plus = np.exp(log_faces[1:] - log_weights)
 
@@ -108,8 +114,6 @@ class RadialGrid:
             edges=edges,
             centers=centers,
             h=h,
-            log_weights=log_weights,
-            log_faces=log_faces,
             weights_scaled=weights_scaled,
             coeff_minus=coeff_minus,
             coeff_plus=coeff_plus,

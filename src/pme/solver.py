@@ -4,10 +4,8 @@ The conservative form on a model manifold is
 u_t = psi^{1-N} (psi^{N-1} (u^m)_rho)_rho with u^m := |u|^{m-1} u; fluxes are
 two-point differences of v = u^m across cell faces, so the scheme is
 monotone (ordered data stay ordered) and its mass balance is exact up to
-the grid's face miss: ``RadialGrid.uniform`` forms a face's transmissibility
-twice, once per neighbouring cell, and the two disagree by up to a few
-hundred eps relative (257 eps on quad-critical c = 0.5), so mass tracks
-the boundary outflow only to that relative error per face.
+the grid's face miss, which ``RadialGrid.uniform`` states where it forms
+the face coefficients.
 
 Each step solves the nonlinear cell balance implicitly with a damped Newton
 iteration on the cell values u; the flux nonlinearity enters through v(u)

@@ -56,6 +56,12 @@ def test_amplitude_decreasing_in_cprime():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_supersolution_params_are_the_unit_horizon_profile(quad_constants, m):
+    a = barriers.supersolution_amplitude(quad_constants.c_prime, m)
+    assert barriers.supersolution_params(quad_constants, m) == barriers.BarrierParams(a, 2.0, 1.0, m)
+
+
 # -- radial Laplacian of the profile ---------------------------------------------
 
 
