@@ -18,11 +18,13 @@ iteration evaluates the residual about once.
 
 At the grid sizes of a staged blow-up run the cost of a Newton iteration
 is numpy call dispatch, not arithmetic, so the kernel makes as few calls as
-it can while producing every float bit for bit as the plain form (|u|^m
-and |u|^{m-1} recomputed from u, ``-g`` and ``u + lam * delta`` as new
-arrays) does; ``tests/test_solver.py`` keeps that form as its oracle.
-|u| is taken once per evaluated point and serves both the residual's
-|u|^m and the next Jacobian's |u|^{m-1}, since ``abs`` is exact.  The
+it can while producing every float bit for bit as the plain form
+(|u|^{m-1} recomputed from u for v and for dv, ``-g`` and
+``u + lam * delta`` as new arrays) does; ``tests/test_solver.py`` keeps
+that form as its oracle.  |u|^{m-1} is taken once per evaluated point, by
+one power, and serves both the residual's v = u |u|^{m-1} and the next
+Jacobian's dv = m (|u|^{m-1} + eps), since the same power of the same
+|u| is the same float; the target's max|u_old| takes its own |u_old|.  The
 residual is written into the integrator's buffers (see below), in the
 plain form's order of operations.  The right-hand side is negated in place
 and the step is ``u + lam * delta``: solving for +g and stepping with
@@ -35,12 +37,12 @@ step skips the multiply, because ``1.0 * x`` is exact.
 A run's state is one ``Integrator``, the owner of its grid and exponent m:
 the Newton kernel reads both from it, and ``step`` refuses another's with
 DomainError (exit code 2).  It holds the work arrays of a solve (the
-Jacobian and the flags of its finite test, |u|, v and its face jumps, the
-residual and the line-search trial), so a solve allocates only the copy of
-the field it returns; no returned or recorded field is one of its buffers,
-and ``Trajectory.record`` stores the array it is given.  It keeps the
-dt-scaled face coefficients and Jacobian factors until the step size
-changes, and v_b - v[-1] of the last residual evaluated, the accepted
+Jacobian and the flags of its finite test, |u|^{m-1}, v and its face
+jumps, the residual and the line-search trial), so a solve allocates only
+the copy of the field it returns; no returned or recorded field is one of
+its buffers, and ``Trajectory.record`` stores the array it is given.  It
+keeps the dt-scaled face coefficients and Jacobian factors until the step
+size changes, and v_b - v[-1] of the last residual evaluated, the accepted
 field's boundary jump, from which ``step`` sums the boundary outflow.  The
 coefficients sit in two buffers of 2n entries: dt * [coeff_plus |
 coeff_minus] and its negation.  dt * coeff_plus and dt * coeff_minus are
@@ -179,6 +181,22 @@ and past it.  On the whole grid:
   +0.0 - (-0.0) and +0.0 - (+0.0) are both +0.0.  (An old field
   [0, 0, 0, 0, 0, -0.0] as the start, by contrast, would keep its -0.0 on
   the whole grid and lose it on a window.)
+  The same rule keeps v's signed zeros out of the results.  v = u |u|^{m-1}
+  is -0.0 at a -0.0 cell, where the form sign(u) |u|^m gives +0.0; at
+  m = 2 that is the one float in which the two differ, because pow(x, 1.0)
+  is x and numpy's pow(x, 2.0) is x * x.  A zero v meets other floats only
+  in x - y and x * c, and x - (a zero) is x for nonzero x, so the sign of
+  v there reaches a face jump, the flux and g only where every term is a
+  zero: g_i = (u_i - u_old,i) - flux_i changes sign only where u_i - u_old,i
+  is -0.0 as well, that is where u_i is -0.0 over a +0.0 old cell.  No
+  start, guess or iterate is: the start is u_old or a guess, whose first
+  term is the newest level (u_old) times a positive weight, and x + y and
+  x - y are -0.0 only when x is.  So no solve, and no output, depends on
+  which form v takes at a zero; ``Integrator.balance`` of two arbitrary
+  fields can differ between them only in the sign of a zero entry of g.
+  The boundary jump v_b - v[-1] is a zero of the other sign only where
+  v_b is -0.0 too, and ``step`` adds it to an outflow that starts at +0.0
+  and so is never -0.0, which adding a zero of either sign leaves as it is.
 
 What the argument cannot rule out is checked after every LAPACK call on a
 window (``_window_holds``): info is 0, or a zero pivot before the window's
@@ -345,7 +363,7 @@ dgtsv = _load_dgtsv()
 
 # the numpy functions of the step kernel, bound once (module docstring)
 _absolute, _add, _multiply, _negative = np.absolute, np.add, np.multiply, np.negative
-_power, _sign, _subtract = np.power, np.sign, np.subtract
+_power, _subtract = np.power, np.subtract
 _isfinite, _not_equal, _copyto = np.isfinite, np.not_equal, np.copyto
 _finite, _copysign = math.isfinite, math.copysign
 # the reductions, by arg-index: ``_item(x, _argmax(x))`` is max(x) and
@@ -542,15 +560,15 @@ class Window:
         jac, dv = work.jac[: 3 * w - 2], work.dv[:w]
         # which entries of the Jacobian, and of a Newton direction, are finite
         jac_finite = work.finite[: 3 * w - 2]
-        # what a Newton solve reads, unpacked at once: the 0-d operands m, m - 1
-        # and lam, the Jacobian's factors, entries and flags, dv and its
-        # shifts, and u, |u| and g of the point and trial
+        # what a Newton solve reads, unpacked at once: the 0-d operands m and
+        # lam, the Jacobian's factors, entries and flags, dv and its shifts,
+        # and u, |u|^(m-1) and g of the point and trial
         self.kernel = (
-            work.m_op, work.m1_op, work.lam_op, work.c_diag[:w], self.c_upper, self.c_lower,
+            work.m_op, work.lam_op, work.c_diag[:w], self.c_upper, self.c_lower,
             jac, jac[:w], jac[w : 2 * w - 1], jac[2 * w - 1 :], jac_finite, jac_finite[:w],
             dv, dv[1:], dv[:-1],
-            work.u[:w], work.u_abs[:w], work.g[:w],
-            work.trial[:w], work.trial_abs[:w], work.g_trial[:w],
+            work.u[:w], work.u_pow[:w], work.g[:w],
+            work.trial[:w], work.trial_pow[:w], work.g_trial[:w],
         )
         # vpad = [0, v(u), v_b], so jump[k] = vpad[k+1] - vpad[k] is the
         # difference of v across face k: face 0 is the origin (v[0] - 0,
@@ -558,25 +576,24 @@ class Window:
         # On a window vpad[-1] is v of the first cell past it, +0.0
         self.vpad = vpad = work.vpad[: w + 2]
         jump = work.jump[: w + 1]
-        # what a residual evaluation reads, unpacked at once: m, v and its
+        # what a residual evaluation reads, unpacked at once: m - 1, v and its
         # shifts, the face jumps and their shifts, the face coefficients,
         # the flux and a scratch row
         self.operands = (
-            work.m_op, vpad[1:-1], vpad[1:], vpad[:-1], jump, jump[1:], jump[:-1],
+            work.m1_op, vpad[1:-1], vpad[1:], vpad[:-1], jump, jump[1:], jump[:-1],
             self.cp, self.cm, work.flux[:w], work.scratch[:w],
         )
         # which cells of a field are not +0.0, and the same from the last back
         self.nonzero = work.nonzero[:w]
         self.nonzero_from_end = self.nonzero[::-1]
 
-    def residual(self, u_old, u, u_abs, g) -> float:
-        """Write |u| to ``u_abs`` and the residual of the step from ``u_old``
-        to ``g``; return max|g|."""
-        m, v, v_right, v_left, jump, jump_out, jump_in, cp, cm, flux, scratch = self.operands
-        _absolute(u, u_abs)
-        _power(u_abs, m, v)
-        _sign(u, scratch)
-        _multiply(scratch, v, v)
+    def residual(self, u_old, u, u_pow, g) -> float:
+        """Write |u|^(m-1) to ``u_pow`` and the residual of the step from
+        ``u_old`` to ``g``; return max|g|."""
+        m1, v, v_right, v_left, jump, jump_out, jump_in, cp, cm, flux, scratch = self.operands
+        _absolute(u, u_pow)
+        _power(u_pow, m1, u_pow)
+        _multiply(u, u_pow, v)
         _subtract(v_right, v_left, jump)
         _multiply(cp, jump_out, flux)
         _multiply(cm, jump_in, scratch)
@@ -635,10 +652,10 @@ class Integrator:
         self.jac, self.finite = np.empty(3 * n - 2), np.empty(3 * n - 2, dtype=np.bool_)
         self.dv, self.vpad, self.jump = np.empty(n), np.zeros(n + 2), np.zeros(n + 1)
         self.flux, self.scratch = np.empty(n), np.empty(n)
-        # the current point u with |u| and its residual g, and the same three
+        # the current point u with |u|^(m-1) and its residual g, and the same three
         # for the line-search trial
-        self.u, self.u_abs, self.g = np.empty(n), np.empty(n), np.empty(n)
-        self.trial, self.trial_abs, self.g_trial = np.empty(n), np.empty(n), np.empty(n)
+        self.u, self.u_pow, self.g = np.empty(n), np.empty(n), np.empty(n)
+        self.trial, self.trial_pow, self.g_trial = np.empty(n), np.empty(n), np.empty(n)
         self.target = math.nan  # the residual the last solve had to reach
         # which cells of a field are not +0.0 (``end``)
         self.nonzero = self.scratch.view(np.bool_)[:n]
@@ -857,11 +874,11 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, bound, predicted=False):
         win = work.window
         if win.w != w:
             win = work.window = work.whole if w == n else Window(work, w)
-        # an accepted trial swaps its three buffers (u, |u|, g) with the
+        # an accepted trial swaps its three buffers (u, |u|^(m-1), g) with the
         # current point's
         (
-            m_op, m1_op, lam_op, c_diag, c_upper, c_lower, jac, diag, upper, lower, jac_finite,
-            finite, dv, dv_upper, dv_lower, u, u_abs, g, trial, trial_abs, g_trial,
+            m_op, lam_op, c_diag, c_upper, c_lower, jac, diag, upper, lower, jac_finite,
+            finite, dv, dv_upper, dv_lower, u, u_pow, g, trial, trial_pow, g_trial,
         ) = win.kernel
         win.vpad[-1] = v_b
         residual = win.residual
@@ -872,17 +889,16 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, bound, predicted=False):
             old = u_old[:w]
             work.trial[w:] = 0.0
             work.jump[-1] = 0.0
-        g_norm = residual(old, u, u_abs, g)
-        # the target is set by u_old; trial_abs is free until the first trial
-        old_abs = _absolute(old, trial_abs) if predicted else u_abs
+        g_norm = residual(old, u, u_pow, g)
+        # the target is set by u_old; trial_pow is free until the first trial
+        old_abs = _absolute(old, trial_pow)
         target = work.target = _newton_target(_item(old_abs, _argmax(old_abs)), v_b, work.m, tol)
         for done in range(max_iter):
             if g_norm <= target:
                 return u.base.copy(), True, g_norm
             if not _finite(g_norm):
                 return u.base.copy(), False, g_norm
-            _power(u_abs, m1_op, dv)
-            _add(dv, _EPS, dv)
+            _add(u_pow, _EPS, dv)
             _multiply(dv, m_op, dv)
             _multiply(c_diag, dv, diag)
             _add(diag, _ONE, diag)
@@ -904,7 +920,7 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, bound, predicted=False):
             lam = 1.0
             _add(u, delta, trial)
             while True:
-                g_trial_norm = residual(old, trial, trial_abs, g_trial)
+                g_trial_norm = residual(old, trial, trial_pow, g_trial)
                 if (
                     g_trial_norm < (1.0 - 0.25 * lam) * g_norm
                     or g_trial_norm <= target
@@ -915,17 +931,16 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, bound, predicted=False):
                 lam_op[()] = lam
                 _add(u, _multiply(lam_op, delta, trial), trial)
             u, trial = trial, u
-            u_abs, trial_abs = trial_abs, u_abs
+            u_pow, trial_pow = trial_pow, u_pow
             g, g_trial = g_trial, g
             g_norm = g_trial_norm
         else:
             return u.base.copy(), g_norm <= target, g_norm
         # a check failed: the whole grid from the same point, whose cells
-        # past the window are +0.0, in ``work.u``; like a guess, that point
-        # is not u_old, so |u| is not |u_old|
+        # past the window are +0.0, in ``work.u``
         if u.base is not work.u:
             _copyto(work.u, u.base)
-        w, predicted, max_iter = n, True, max_iter - done
+        w, max_iter = n, max_iter - done
 
 
 def step(

@@ -68,8 +68,9 @@ def test_positivity_preserved():
 
 
 def odd_power(u, m):
-    """Signed power |u|^{m-1} u, as the reference kernels compute it."""
-    return np.sign(u) * np.abs(u) ** m
+    """Signed power u^m := |u|^{m-1} u, written as the definition: the
+    reference kernels' v, which the step kernel must give bit for bit."""
+    return u * np.abs(u) ** (m - 1.0)
 
 
 def cell_balance(u_old, u, v_b, cp, cm, m):
@@ -166,6 +167,32 @@ def newton_cases(draw):
     return RadialGrid.uniform(manifold, radius, cells), u_old, m, dt, v_b, max_iter
 
 
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+    st.one_of(st.just(2.0), st.floats(min_value=1.0, max_value=4.0, exclude_min=True)),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_odd_power_is_within_two_ulp_of_the_sign_form(values, m):
+    # v = u |u|^(m-1) (odd_power, the kernel's bits) against sign(u) |u|^m,
+    # over finite u with +-0, subnormals and huge values: two roundings
+    # (the power and the product) against one, so within 2 ulp of the sign
+    # form, with an overflow read as the largest float; at m = 2 the same
+    # bits for nonzero u, since pow(x, 1.0) is x and pow(x, 2.0) is x * x,
+    # and u's own zero at a zero cell, where the sign form has +0.0
+    u = np.array(values)
+    big = np.finfo(float).max
+    with np.errstate(over="ignore", under="ignore"):
+        new = odd_power(u, m)
+        old = np.sign(u) * np.abs(u) ** m
+    assert same_bytes(new[u == 0.0], u[u == 0.0])
+    if m == 2.0:
+        assert same_bytes(new[u != 0.0], old[u != 0.0])
+    new, old = np.clip(new, -big, big), np.clip(old, -big, big)
+    # the spacing below the largest float, where np.spacing overflows
+    ulp = np.spacing(np.minimum(np.abs(old), np.nextafter(big, 0.0)))
+    assert np.all(np.abs(new - old) <= 2.0 * ulp), m
+
+
 @given(newton_cases())
 @settings(max_examples=150, deadline=None)
 def test_newton_solve_matches_reference_kernel(case):
@@ -180,14 +207,14 @@ def test_newton_solve_matches_reference_kernel(case):
 
 def plain_newton_solve(work, u_old, v_b, dt, tol, max_iter, bound=None, predicted=False):
     """The kernel written plainly on the whole grid, with new arrays for
-    |u|^m, |u|^{m-1}, ``-g`` and each trial point: the bitwise oracle of
-    ``_newton_solve``.  A window must give the whole grid's floats, signed
-    zeros included, also where a stubbed ``dgtsv`` fails a call, and
-    ``reference_newton_solve`` (``solve_banded``) takes neither a start nor
-    a stub.  It takes ``_newton_solve``'s arguments (``bound`` unread), so
-    that ``step`` runs on it, and leaves in ``work`` what ``step`` reads:
-    the target, the last residual's boundary jump and the whole grid as
-    the solve's window."""
+    |u|^{m-1} (once for v, once for dv), ``-g`` and each trial point: the
+    bitwise oracle of ``_newton_solve``.  A window must give the whole
+    grid's floats, signed zeros included, also where a stubbed ``dgtsv``
+    fails a call, and ``reference_newton_solve`` (``solve_banded``) takes
+    neither a start nor a stub.  It takes ``_newton_solve``'s arguments
+    (``bound`` unread), so that ``step`` runs on it, and leaves in ``work``
+    what ``step`` reads: the target, the last residual's boundary jump and
+    the whole grid as the solve's window."""
     dgtsv = solver.dgtsv  # resolved per call, so that a stub reaches both kernels
     grid, m = work.grid, work.m
     cm = dt * grid.coeff_minus
@@ -1041,17 +1068,19 @@ def test_a_retry_from_the_newest_field_runs_on_the_support_window():
     assert first_call_rows(front_args(cells=400)) == window_rows(grid, u_old, dt, m, 10) < 200
 
 
-def recorded_run(u0, cfg, grid, handed="integrator"):
+def recorded_run(u0, cfg, grid, handed="integrator", residuals=False):
     """``solve_ball``'s trajectory and, per step, its count of accepted
     solves, the moves of the accepted solves summed up to it (the bound of
     test_scaling_group) and its outflow summed from the returned fields:
-    -d * boundary_flux_coeff * (v_b - sign(u)|u|^m at the last cell) over
+    -d * boundary_flux_coeff * (v_b - |u|^(m-1) u at the last cell) over
     its accepted solves; and the integrator each solve was handed.
 
     ``handed`` is what each step gets of the run's integrator: the
     "integrator" itself; "nothing", so that the step takes a fresh one and
     every solve starts from the old field; or its "history" in a fresh
     integrator, so that the step makes the run's guess in new arrays.
+    With ``residuals``, a move counts the residual the solve returned in
+    place of its target.
     """
     eps = np.finfo(float).eps
     real_solve, step = solver._newton_solve, solver.step
@@ -1064,7 +1093,8 @@ def recorded_run(u0, cfg, grid, handed="integrator"):
         if out[1]:
             uscale = max(1.0, float(np.max(np.abs(u_old))), abs(v_b) ** (1.0 / m))
             coeff = float(np.max(d * (grid.coeff_plus + grid.coeff_minus)))
-            run.moves[-1] += tol * uscale + 8 * eps * (uscale + coeff * uscale**m)
+            spent = out[2] if residuals else tol * uscale
+            run.moves[-1] += spent + 8 * eps * (uscale + coeff * uscale**m)
             run.solves[-1] += 1
             jump = v_b - float(odd_power(out[0][-1:], m)[0])
             run.outflows[-1] += -d * grid.boundary_flux_coeff * jump
@@ -1164,7 +1194,7 @@ def test_run_shares_one_workspace_and_no_field_with_it(run):
         assert not any(np.shares_memory(f, g) for g in fields[i + 1 :])
         assert not any(np.shares_memory(f, b) for b in buffers)
     assert u0.tobytes() == given_u0
-    # the outflow is the one of the sign(u)|u|^m formula, bit for bit
+    # the outflow is the one of the |u|^(m-1) u formula, bit for bit
     assert same_bytes(traj.boundary_outflow[1:], outflows)
     # reusing the integrator's arrays from step to step moves no bit
     fresh_run = recorded_run(u0, cfg, grid, handed="history")
@@ -1208,7 +1238,7 @@ def overflow_prone_solves(draw):
     # the PME scaling group maps a solve from u_old with dt to one from
     # 10^k u_old with 10^(k(1-m)) dt, so every scale sees mild steps as well
     dt = draw(st.floats(min_value=1e-5, max_value=1.0)) * 10.0 ** (k * (1.0 - m))
-    v_b = draw(values) * 10.0 ** min(k * m, 300.0)  # v_b = sign(u)|u|^m stays finite
+    v_b = draw(values) * 10.0 ** min(k * m, 300.0)  # v_b = |u|^(m-1) u stays finite
     return u_old, v_b, dt, grid, m, 1e-10, draw(st.integers(min_value=1, max_value=30)), start
 
 
@@ -1429,17 +1459,17 @@ def test_positional_flags_overwrite_in_place_as_the_keywords_do(system):
 # ``np.<ufunc>(...)`` again, or one made with a keyword argument, or one
 # more call, changes these lists.
 RESIDUAL_CALLS = [
-    "_absolute", "_power", "_sign", "_multiply", "_subtract", "_multiply", "_multiply",
+    "_absolute", "_power", "_multiply", "_subtract", "_multiply", "_multiply",
     "_subtract", "_subtract", "_subtract", "_absolute", "_argmax", "_item",
 ]
 NEWTON_ITERATION_CALLS = [
-    "_power", "_add", "_multiply", "_multiply", "_add", "_multiply", "_multiply",
+    "_add", "_multiply", "_multiply", "_add", "_multiply", "_multiply",
     "_isfinite", "_argmin", "_item", "_negative", "dgtsv", "_isfinite", "_argmin", "_item",
     "_add",
 ]
 KERNEL_NAMES = [
     "_absolute", "_add", "_argmax", "_argmin", "_copyto", "_isfinite", "_item", "_multiply",
-    "_negative", "_not_equal", "_power", "_sign", "_subtract", "dgtsv",
+    "_negative", "_not_equal", "_power", "_subtract", "dgtsv",
 ]
 
 
@@ -1483,7 +1513,7 @@ def test_a_blowup_step_makes_the_pinned_kernel_calls(monkeypatch):
     assert calls == (
         ["_isfinite", "_argmin", "_item", "_multiply", "_add", "_negative", "_copyto"]
         + RESIDUAL_CALLS
-        + ["_argmax", "_item"]
+        + ["_absolute", "_argmax", "_item"]
         + (NEWTON_ITERATION_CALLS + RESIDUAL_CALLS) * iterations
     )
 
@@ -2427,6 +2457,102 @@ def test_comparison_with_ordered_barrier_boundaries():
             for a, b in zip(ta.fields, tb.fields):
                 worst = max(worst, float(np.max(a - b)))
         assert worst <= 1e-12, manifold
+
+
+@st.composite
+def comparison_runs(draw):
+    """(grid, lo, hi, cfg_lo, cfg_hi): 1-4 steps on a ball of one of
+    ``BUILTIN_MANIFOLDS`` at an exponent m in [1.05, 4], from data lo <= hi
+    that may vanish on a tail.  Under homogeneous Dirichlet data both runs
+    have one config; under a barrier trace (the subsolution's where the
+    model has C'', else the supersolution's) lo has the larger shift, so
+    the smaller datum, the shifts being fractions of W^m at R.  There the
+    data are drawn on the trace's scale s = (W^m at R)^(1/m), and dt times
+    s^(1-m), as the PME scaling group maps it, so that every trace sees
+    mild steps."""
+    manifold = draw(st.sampled_from(BUILTIN_MANIFOLDS))
+    m = draw(st.floats(min_value=1.05, max_value=4.0))
+    cells = draw(st.integers(min_value=8, max_value=40))
+    grid = RadialGrid.uniform(manifold, draw(st.floats(min_value=2.0, max_value=12.0)), cells)
+    steps = draw(st.integers(min_value=1, max_value=4))
+    barrier = draw(st.booleans())
+    s = 1.0
+    if barrier:
+        consts = geometry.fit_comparison_constants(manifold)
+        if consts.c_double_prime is None:
+            params = barriers.supersolution_params(consts, m)
+        else:
+            params = barriers.subsolution_params(consts, m)
+        wm_r = float(params.wm_at_horizon(params.profile_unit(grid.radius)))
+        s = wm_r ** (1.0 / m)
+    dt = draw(st.floats(min_value=1e-4, max_value=1e-2)) * s ** (1.0 - m)
+    support = draw(st.integers(min_value=1, max_value=cells))
+    fraction = st.floats(min_value=0.0, max_value=1.0)
+    lo, gap = np.zeros(cells), np.zeros(cells)
+    lo[:support] = draw(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=support, max_size=support))
+    gap[:support] = draw(st.lists(fraction, min_size=support, max_size=support))
+    lo, hi = s * lo, s * (lo + gap)
+    policy = solver.DtPolicy(dt0=dt, growth=1.0)
+    if not barrier:
+        cfg = solver.SolverConfig(m=m, dt=policy, t_end=steps * dt)
+        return grid, lo, hi, cfg, cfg
+    # a horizon far past the run, so that the trace grows by at most
+    # 0.95^(-1/(m-1)) over it
+    params = dataclasses.replace(params, horizon=20.0 * steps * dt)
+    d_small, d_large = sorted(draw(st.lists(fraction, min_size=2, max_size=2)))
+    cfg_lo, cfg_hi = (
+        solver.SolverConfig(
+            m=m, dt=policy, t_end=steps * dt, boundary=solver.BarrierDirichlet(params, d * wm_r)
+        )
+        for d in (d_large, d_small)
+    )
+    return grid, lo, hi, cfg_lo, cfg_hi
+
+
+def _unit_bump_under_a_barrier_trace():
+    """A run of ``comparison_runs`` that the default Newton tolerance orders
+    only to 1.8e-10: zero and a bump at the origin of the trace's height,
+    under the supersolution's trace on the euclidean ball R = 2, one step
+    of six accepted solves."""
+    grid = RadialGrid.uniform(geometry.euclidean(3), 2.0, 8)
+    dt = 0.07517042285965203
+    params = barriers.BarrierParams(0.04998000799680128, 2.0, horizon=20.0 * dt, m=2.0)
+    boundary = solver.BarrierDirichlet(params)
+    cfg = solver.SolverConfig(m=2.0, dt=solver.DtPolicy(dt0=dt, growth=1.0), t_end=dt, boundary=boundary)
+    lo = np.zeros(8)
+    hi = lo.copy()
+    hi[0] = 0.10393050488203898
+    return grid, lo, hi, cfg, cfg
+
+
+@given(comparison_runs())
+@example(_unit_bump_under_a_barrier_trace())
+@settings(max_examples=60, deadline=None)
+def test_comparison_and_odd_symmetry_at_any_exponent(run):
+    # ROADMAP item 11 at continuous m.  Comparison: an accepted solve is the
+    # exact step from its old field moved by its residual g, and an exact
+    # step from ordered data under ordered boundary data is ordered, by
+    # at most max(f - f')^+ (at the cell where u - u' peaks, v - v' peaks
+    # too, so its flux difference is <= 0).  So max(a - b) after k steps is
+    # at most the moves of both runs' first k steps, here each solve's own
+    # residual plus the rounding of its evaluation (recorded_run), and
+    # nothing more: item 18's discrete certificate rests on this.  The
+    # residuals are not below 1e-12, and the explicit example is ordered
+    # only to 1.8e-10.  Odd symmetry: under homogeneous Dirichlet data every
+    # operation of a step commutes with negation on nonzero floats, so -u0
+    # gives -u exactly, with the outflow negated
+    grid, lo, hi, cfg_lo, cfg_hi = run
+    a = recorded_run(lo, cfg_lo, grid, residuals=True)
+    b = recorded_run(hi, cfg_hi, grid, residuals=True)
+    assert a.traj.times == b.traj.times
+    worst = np.array([float(np.max(x - y)) for x, y in zip(a.traj.fields, b.traj.fields)])
+    assert np.all(worst <= a.moves + b.moves), (worst, a.moves + b.moves)
+    a = a.traj
+    if cfg_lo.boundary.m is None:
+        odd = solver.solve_ball(-lo, cfg_lo, grid)
+        assert odd.times == a.times
+        assert all(np.array_equal(x, -y) for x, y in zip(odd.fields, a.fields))
+        assert odd.boundary_outflow == [-f for f in a.boundary_outflow]
 
 
 # -- barrier sandwich along a run ----------------------------------------------------------
