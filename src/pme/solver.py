@@ -78,13 +78,16 @@ one level, u + (d/d_prev)(u - u_prev) from two, and from three on the
 quadratic through the last three levels, with Lagrange weights built from
 the actual step sizes.  The guess is written straight into the
 integrator's ``u``, the buffer the solve iterates in, which a solve that is
-not predicted fills with a copy of u_old instead.  It is computed on the
-cells before the integrator's ``support``, a cell from which every field of
-the history is +0.0: the ``end`` (one past the last cell that is not +0.0,
-``Integrator.end``) of the field that started the history, then the largest
-end of every field a solve returned and a step accepted since.  Past it
-every level is +0.0, each form gives +0.0 there (a negative weight times
-+0.0 is -0.0, and +0.0 + -0.0 is +0.0), and that is written.
+not predicted fills with a copy of u_old on its cells instead.  It is
+computed on the cells before the integrator's ``support``, a cell from
+which every field of the history is +0.0: the ``end`` (one past the last
+cell that is not +0.0, ``Integrator.end``) of the field that started the
+history (``Integrator.start``), then the largest end of every field a solve
+returned and a step accepted since.  Past it every level is +0.0, each form
+gives +0.0 there (a negative weight times +0.0 is -0.0, and +0.0 + -0.0 is
++0.0), and ``u`` holds +0.0 there: the integrator keeps ``zeros``, a cell
+from which both buffers a solve iterates in, ``u`` and ``trial``, are +0.0,
+and the guess writes +0.0 on the gap from ``support`` to ``zeros`` only.
 
 The guess is only a start.  The target residual stays
 tol * max(1, max|u_old|, |v_b|^(1/m)) of the old field, so an accepted
@@ -112,36 +115,46 @@ Solving only the support.  The porous medium equation moves at finite
 speed, and in floats every cell more than a few dozen cells past the front
 is exactly +0.0 after a step (37 at the J = 4000 Barenblatt run).  A solve
 runs on a window, the leading w cells of the grid, when its boundary value
-v_b is +0.0, the old field and the start end in zeros, the start holds no
--0.0 and the zero cells' Jacobian coupling q = dt max(coeff) m
-``JACOBIAN_EPS`` (``Integrator.coupling``) is at most 1/4.  w is a cell
-from which both fields are +0.0 plus a margin (``_window_margin``), the
-cells in which a right-hand side entry up to 2^64 decays below half the
-smallest subnormal at the rate r = q/(1-q) per cell, rounded up to a
-multiple of ``WINDOW_QUANTUM`` (8) cells short of the whole grid.  The
-margin is computed once per step size, when ``window_end`` first needs it;
-a blow-up run (v_b is never +0.0) computes none.  The residual, the
-Jacobian, ``dgtsv`` and the line search then work on a ``Window``: views of
-the integrator's buffers over those cells, made when w changes and kept
-for the next solve; with the rounding, the benchmark's
-Barenblatt runs make 55 windows in 2,001 steps instead of 389, for 0.3%
-more LAPACK rows.  The returned field is +0.0 past the window.  The window
+v_b is +0.0, the old field and the start end in zeros, its history holds
+no -0.0 (see "Signed zeros" below) and the zero cells' Jacobian coupling
+q = dt max(coeff) m ``JACOBIAN_EPS`` (``Integrator.coupling``) is at most
+1/4.  w is a cell from which both fields are +0.0 plus a margin
+(``_window_margin``), the cells in which a right-hand side entry up to
+2^64 decays below half the smallest subnormal at the rate r = q/(1-q) per
+cell, rounded up to a multiple of ``WINDOW_QUANTUM`` (8) cells short of
+the whole grid.  The margin is computed once per step size, when
+``window_end`` first needs it; a blow-up run (v_b is never +0.0) computes
+none.  The residual, the Jacobian, ``dgtsv`` and the line search then work
+on a ``Window``: views of the integrator's buffers over those cells, made
+when w changes and kept for the next solve; with the rounding, the
+benchmark's Barenblatt runs make 55 windows in 2,001 steps instead of 389,
+for 0.3% more LAPACK rows.  The returned field is +0.0 past the window.  The window
 is off, at the cost of one scalar compare, when v_b is not +0.0, when the
-last cell of either field is nonzero, when the start holds a -0.0 cell and
-when q > 1/4.
+last cell of either field is nonzero, when the history's first windowed
+solve found -0.0 in its start or old field, and when q > 1/4.
+
+A windowed solve writes only its w cells, and fills only a gap.  Both
+buffers it iterates in, and may return the field from, must be +0.0 past
+the window; they are from ``Integrator.zeros`` on, so the solve fills
+[w, zeros) of each when w < zeros, and nothing otherwise.  It then writes
+no cell past w, so ``zeros`` becomes w; a whole-grid solve makes it n.  A
+start that is not predicted copies the window's cells of u_old, not all n.
 
 The bookkeeping of a solve stays on its window.  The cell from which both
 fields are +0.0 is the step's running ``support``, which ``step`` hands
 every solve as its ``bound``: it starts at the integrator's ``support``, or
 at the scanned ``end`` of the field that starts a new history, and takes
-in the ``end`` of each field a solve returns and the step accepts, scanned
-over the cells of that solve, past which the field is +0.0
-(``Integrator.end`` scans a window's cells only).  So a new history's field
-is the only one scanned over the whole grid, and the -0.0 scan of the
-start reads only the cells before ``bound``.  ``support`` may exceed
-either field's own end, and then so does w; any w at or above the one the
-fields' own ends give keeps the whole grid's floats, since the argument
-below needs only that both fields are +0.0 from the window's last row on.
+in the ``end`` of each field a solve returns and the step accepts.  That
+field is +0.0 from the solve's w on, and its end is at most ``support``
+unless it lies in [support, w), so ``step`` scans those cells only:
+``Integrator.end(u, support, w)`` is max(support, the field's end).  So a
+new history's field is the only one scanned over the whole grid, and a
+step that does not halve reads w - support cells for its support.  The
+-0.0 scan reads only the cells before ``bound``, once per history, on the
+history's first windowed solve.  ``support`` may exceed either field's
+own end, and then so does w; any w at or above the one the fields' own
+ends give keeps the whole grid's floats, since the argument below needs
+only that both fields are +0.0 from the window's last row on.
 
 The window gives the whole grid's floats, bit for bit.  Say the iterate u
 and the old field are +0.0 (u) and zero (u_old) on the window's last row
@@ -176,8 +189,21 @@ and past it.  On the whole grid:
   bit where they are nonzero.
 - Signed zeros.  A zero direction entry may be +0.0 on one grid and -0.0
   on the other, and u + lam * delta differs between them only where u is
-  -0.0.  No iterate holds -0.0: the start holds none, and x + y is -0.0
-  only when x is.  The old field's zero signs enter only u - u_old, where
+  -0.0.  No iterate holds -0.0, by induction over the history.  Its first
+  windowed solve scans its start and old field, before ``bound`` (both are
+  +0.0 past it), and the history runs on the whole grid if either holds
+  -0.0, which gives the whole grid's bits by definition.  Otherwise: x + y
+  and x - y are -0.0 only where x is, so an iterate u + lam * delta holds
+  -0.0 only where u does, and no iterate, and no accepted field, holds
+  one.  A later solve's old field is an accepted field or the scanned old
+  field, and its start is a copy of its old field or a guess, whose first
+  term is the newest level times a weight >= 1 (u0 itself in the linear
+  form, 5 in the quartic, (d + a)(d + a + b) / (a (a + b)) in the
+  quadratic, whose rounded factors keep the float >= 1 too): -0.0 only
+  where that level is, since a weight >= 1 takes no nonzero float to zero,
+  and the sums after it add nothing.  So no start or old field of the
+  history holds -0.0, and no solve after the first windowed one scans
+  again.  The old field's zero signs would enter only u - u_old, where
   +0.0 - (-0.0) and +0.0 - (+0.0) are both +0.0.  (An old field
   [0, 0, 0, 0, 0, -0.0] as the start, by contrast, would keep its -0.0 on
   the whole grid and lose it on a window.)
@@ -245,7 +271,8 @@ The kernel's reductions go by arg-index, through the methods
 ``_argmax = np.ndarray.argmax``, ``_argmin = np.ndarray.argmin`` and
 ``_item = np.ndarray.item``: max|g| and the target's max|u_old| are
 ``_item(x, _argmax(x))``, each finite test ``_item(flags, _argmin(flags))``,
-and ``window_end``'s -0.0 scan the same argmin of the field's int64 bits.
+and the -0.0 scan (``_holds_negative_zero``) the same argmin of a field's
+int64 bits.
 A ufunc reduction sets up numpy's reduction machinery on every call, which
 at these sizes costs more than the reduction itself.  Each gives the
 float, bool or int the reduction gave, as a Python scalar:
@@ -583,9 +610,6 @@ class Window:
             work.m1_op, vpad[1:-1], vpad[1:], vpad[:-1], jump, jump[1:], jump[:-1],
             self.cp, self.cm, work.flux[:w], work.scratch[:w],
         )
-        # which cells of a field are not +0.0, and the same from the last back
-        self.nonzero = work.nonzero[:w]
-        self.nonzero_from_end = self.nonzero[::-1]
 
     def residual(self, u_old, u, u_pow, g) -> float:
         """Write |u|^(m-1) to ``u_pow`` and the residual of the step from
@@ -610,7 +634,12 @@ class Integrator:
     field) pairs, oldest first, and ``support``, a cell from which every
     field of the history is +0.0: the ``end`` of the field that started
     it, then the largest ``end`` of the fields ``step``'s solves returned
-    and it accepted since.
+    and it accepted since.  ``start`` begins a history, as ``step`` does
+    from any field but the newest level's.  ``negative_zero`` is None until
+    the history's first windowed solve scans its start and old field, and
+    then whether either held -0.0, which keeps the history off windows.
+    ``zeros`` is a cell from which both buffers a solve iterates in,
+    ``u`` and ``trial``, are +0.0.
 
     ``configure`` takes a run's config: it checks its m and reads once its
     boundary ``trace`` and Newton settings, which ``step`` then finds in
@@ -662,7 +691,7 @@ class Integrator:
         # the views over all cells, and those of the last solve, which the
         # next one reuses when it runs on the same cells
         self.whole = self.window = Window(self, n)
-        self.levels, self.support = [], n
+        self.levels, self.support, self.negative_zero, self.zeros = [], n, None, n
 
     def configure(self, cfg: SolverConfig):
         """Take ``cfg`` for the steps that follow (DomainError if its m is
@@ -716,8 +745,11 @@ class Integrator:
         boundary value ``v_b`` runs on, from the guess in ``u`` if
         ``predicted``: the window margin past ``bound``, a cell from which
         both fields are +0.0 (the step's running support); all cells when
-        the window is off (module docstring).  ``u_old`` is native float64,
-        as ``step`` makes every field it solves from."""
+        the window is off (module docstring).  The history's first solve
+        that would run on a window scans its start and ``u_old`` for -0.0,
+        before ``bound`` only, and no later solve of the history does.
+        ``u_old`` is native float64, as ``step`` makes every field it solves
+        from."""
         n = self.cells
         first = self.u if predicted else u_old
         if not (u_old[-1] == 0.0 and first[-1] == 0.0):
@@ -733,10 +765,14 @@ class Integrator:
         w = bound + margin
         if w >= n:
             return n
-        if bound:  # the start is +0.0 from ``bound`` on, so -0.0 only before it
-            bits = first[:bound].view(np.int64)
-            if _item(bits, _argmin(bits)) == _NEGATIVE_ZERO_BITS:
-                return n
+        negative_zero = self.negative_zero
+        if negative_zero is None:
+            negative_zero = self.negative_zero = bound > 0 and (
+                _holds_negative_zero(u_old[:bound])
+                or predicted and _holds_negative_zero(first[:bound])
+            )
+        if negative_zero:
+            return n
         # rounded up, so that a window is rebuilt only when w crosses a
         # multiple of WINDOW_QUANTUM, but short of the whole grid
         return min(-(-w // WINDOW_QUANTUM) * WINDOW_QUANTUM, n - 1)
@@ -745,19 +781,31 @@ class Integrator:
         """Whether ``u`` is the newest level's field itself."""
         return bool(self.levels) and u is self.levels[-1][1]
 
-    def end(self, u, win: Optional[Window] = None) -> int:
-        """One past the last cell of the float64 field ``u`` whose bits are
-        not those of +0.0.  Only the cells of ``win`` (default all) are
-        scanned: ``u`` must be +0.0 past them."""
-        if win is None:
-            win = self.whole
-        w = win.w
-        if u[w - 1] != 0.0:
-            return w
-        nonzero = win.nonzero_from_end
-        _not_equal(u[:w].view(np.int64), _ZERO_BITS, win.nonzero)
+    def start(self, u) -> list:
+        """Begin a history at the finite float64 field ``u``: ``support``
+        becomes its ``end``, and the history's -0.0 scan is owed
+        (``window_end``).  Returns the history's levels, [(0.0, u)], which
+        ``step`` keeps until it accepts its step; ``levels`` is left empty
+        until then, so that no step continues from ``u``."""
+        self.levels, self.support, self.negative_zero = [], self.end(u), None
+        return [(0.0, u)]
+
+    def end(self, u, start: int = 0, stop: Optional[int] = None) -> int:
+        """One past the last cell in [start, stop) of the float64 field ``u``
+        whose bits are not those of +0.0, or ``start`` if there is none;
+        that is max(start, the end of ``u``) when ``u`` is +0.0 from
+        ``stop`` on.  Only those cells are scanned (default all)."""
+        if stop is None:
+            stop = self.cells
+        if not start < stop:
+            return start
+        if u[stop - 1] != 0.0:
+            return stop
+        nonzero = self.nonzero[: stop - start]
+        _not_equal(u[start:stop].view(np.int64), _ZERO_BITS, nonzero)
+        nonzero = nonzero[::-1]
         k = _argmax(nonzero)  # 0 when every cell is +0.0
-        return w - int(k) if _item(nonzero, k) else 0
+        return stop - int(k) if _item(nonzero, k) else start
 
     def guess(self, d: float) -> bool:
         """Write the field ``d`` past the newest level into ``u``, through
@@ -769,8 +817,9 @@ class Integrator:
         linear from two levels and quadratic (Lagrange weights on the actual
         steps) from three or more.  Each form is evaluated left to right, as
         the expression ``w0 * u0 + w1 * u1 + ...`` would be, on the cells
-        before ``support``; past it every form gives +0.0, which is written
-        there.  The weights are 0-d arrays (module docstring).
+        before ``support``; past it every form gives +0.0, which ``u``
+        holds from ``zeros`` on and gets written before.  The weights are
+        0-d arrays (module docstring).
         """
         levels = self.levels
         k = len(levels)
@@ -778,7 +827,8 @@ class Integrator:
             return False
         out, tmp, e = self.u, self.scratch, self.support
         if e < self.cells:
-            out[e:] = 0.0
+            if e < self.zeros:
+                out[e : self.zeros] = 0.0
             out, tmp = out[:e], tmp[:e]
             levels = [(s, u[:e]) for s, u in levels]
         if (
@@ -823,6 +873,13 @@ WINDOW_QUANTUM = 8
 _TAIL_BITS = 64 + 1075
 
 
+def _holds_negative_zero(x) -> bool:
+    """Whether the float64 array ``x``, not empty, holds -0.0: the smallest
+    of its int64 bits, by arg-index (module docstring)."""
+    bits = x.view(np.int64)
+    return _item(bits, _argmin(bits)) == _NEGATIVE_ZERO_BITS
+
+
 def _window_margin(q: float) -> int:
     """Cells a window reaches past the support when no off-diagonal entry of
     a zero cell's Jacobian row exceeds ``q``; 0 (no window) above q = 1/4.
@@ -850,8 +907,8 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, bound, predicted=False):
 
     A ``predicted`` solve starts from the integrator's ``u`` as
     ``Integrator.guess`` wrote it; any other starts from a copy of
-    ``u_old``.  The target residual comes from ``u_old`` either way and is
-    left in ``work.target``.  ``work`` is the run's ``Integrator``, whose
+    ``u_old`` on the solve's cells.  The target residual comes from
+    ``u_old`` either way and is left in ``work.target``.  ``work`` is the run's ``Integrator``, whose
     grid and m the solve reads; the returned field is a copy, never one of
     its buffers.  Fails (``converged`` False) on a singular Jacobian or on
     any non-finite diagonal, Newton direction or residual, so that ``step``
@@ -868,8 +925,6 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, bound, predicted=False):
         work.scale(dt)
     n = work.cells
     w = n if v_b != 0.0 else work.window_end(u_old, predicted, v_b, bound)
-    if not predicted:
-        _copyto(work.u, u_old)
     while True:
         win = work.window
         if win.w != w:
@@ -884,11 +939,16 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, bound, predicted=False):
         residual = win.residual
         old = u_old
         if w < n:
-            # the cells past the window stay +0.0 in both buffers the field
-            # is returned from, and the boundary jump is +0.0 - +0.0
-            old = u_old[:w]
-            work.trial[w:] = 0.0
+            # both buffers the field is returned from are +0.0 from ``zeros``
+            # on, and must be past the window; the boundary jump is +0.0 - +0.0
+            old, zeros = u_old[:w], work.zeros
+            if w < zeros:
+                work.u[w:zeros] = 0.0
+                work.trial[w:zeros] = 0.0
             work.jump[-1] = 0.0
+        work.zeros = w  # the solve writes its cells only
+        if not predicted:
+            _copyto(u, old)
         g_norm = residual(old, u, u_pow, g)
         # the target is set by u_old; trial_pow is free until the first trial
         old_abs = _absolute(old, trial_pow)
@@ -937,10 +997,11 @@ def _newton_solve(work, u_old, v_b, dt, tol, max_iter, bound, predicted=False):
         else:
             return u.base.copy(), g_norm <= target, g_norm
         # a check failed: the whole grid from the same point, whose cells
-        # past the window are +0.0, in ``work.u``
+        # past the window are +0.0, in ``work.u``, where it starts as a
+        # predicted solve starts from the guess
         if u.base is not work.u:
             _copyto(work.u, u.base)
-        w, max_iter = n, max_iter - done
+        w, max_iter, predicted = n, max_iter - done, True
 
 
 def step(
@@ -982,7 +1043,8 @@ def step(
         u = np.asarray(u, dtype=float)
         _check_shape(u, grid, "field entering step")
         _check_finite(u)
-        levels, predicted, support = [(0.0, u)], False, integrator.end(u)
+        levels, predicted = integrator.start(u), False
+        support = integrator.support
     trace, m, tol, max_iter, flux, jump = integrator.settings
     t0, d, depth, solves, outflow = t, dt, 0, 1, 0.0
     # the stack of pending second halves, nested (t0, d, depth, rest)
@@ -998,10 +1060,9 @@ def step(
         if ok:
             outflow += -d * flux * float(jump[-1])
             u = u_new
-            # u is +0.0 past the cells of the solve that returned it
-            end = integrator.end(u, integrator.window)
-            if end > support:
-                support = end
+            # u is +0.0 past the cells of the solve that returned it, so the
+            # support can grow only inside them
+            support = integrator.end(u, support, integrator.window.w)
             if pending is None:
                 break
             t0, d, depth, pending = pending

@@ -89,19 +89,21 @@ def cell_balance(u_old, u, v_b, cp, cm, m):
 def newton_solve(u_old, v_b, dt, grid, m, tol, max_iter, start=None, work=None, kernel=None):
     """``kernel`` (default ``solver._newton_solve``) called with the plain
     kernels' arguments: on ``work``, an integrator on ``grid`` and ``m``,
-    or a new one, bounded by the ``end`` of ``u_old``.  A ``start`` is
-    written into the integrator's ``u`` as a guess is, with ``u_old`` the
-    newest level of a history whose ``support``, the solve's bound, is the
-    larger ``end`` of the two fields, and the solve is predicted."""
+    or a new one, in a history that ``Integrator.start`` begins at
+    ``u_old``, bounded by its support, the ``end`` of ``u_old``.  A
+    ``start`` is written into the integrator's ``u`` as a guess is, the
+    bound is the larger ``end`` of the two fields, and the solve is
+    predicted."""
     kernel = kernel or solver._newton_solve
     if work is None:
         work = solver.Integrator(grid, m)
     assert work.grid is grid and work.m == m
+    work.start(u_old)
     if start is None:
-        return kernel(work, u_old, v_b, dt, tol, max_iter, work.end(u_old))
-    work.levels, work.support = [(0.0, u_old)], max(work.end(u_old), work.end(start))
+        return kernel(work, u_old, v_b, dt, tol, max_iter, work.support)
     np.copyto(work.u, start)
-    return kernel(work, u_old, v_b, dt, tol, max_iter, work.support, predicted=True)
+    bound = work.end(start, work.support)
+    return kernel(work, u_old, v_b, dt, tol, max_iter, bound, predicted=True)
 
 
 def reference_newton_solve(u_old, v_b, dt, grid, m, tol, max_iter):
@@ -1521,11 +1523,12 @@ def test_a_blowup_step_makes_the_pinned_kernel_calls(monkeypatch):
 @pytest.mark.parametrize("steps", [1, 2, 5], ids=["linear", "quadratic", "quartic"])
 def test_a_windowed_step_scans_only_its_window(monkeypatch, steps):
     # a step of the J = 4000 Barenblatt run after ``steps`` steps, so that
-    # its guess takes each form: the -0.0 scan of the guess (the int64
-    # argmin) reads only the cells before the history's support, and the
-    # end of the returned field (``_not_equal``) only the window's cells; no
-    # call of the kernel gets a Python scalar, and every float is the whole
-    # grid's
+    # its guess takes each form: a continuing step makes no -0.0 scan (no
+    # int64 argmin), the history's first windowed solve having made it,
+    # and the end of the returned field (``_not_equal``) reads only the
+    # window's cells past the history's support; no call of the kernel gets
+    # a Python scalar, and every float is the whole grid's, the plain
+    # kernel's run through the same steps
     grid = RadialGrid.uniform(geometry.euclidean(2), 6.0, 4000)
     dt = 0.5 * grid.h
     cfg = solver.SolverConfig(m=2.0, dt=solver.DtPolicy(dt0=dt, growth=1.0), t_end=steps * dt)
@@ -1534,10 +1537,11 @@ def test_a_windowed_step_scans_only_its_window(monkeypatch, steps):
     u = solver.solve_ball(u0, cfg, grid, integrator=integrator).final
     support = integrator.support
     plain = solver.Integrator(grid, 2.0)
-    plain.levels, plain.support = list(integrator.levels), support
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_newton_solve", plain_newton_solve)
-        want, want_outflow = solver.step(u, steps * dt, dt, grid, cfg, plain)
+        u_plain = solver.solve_ball(u0, cfg, grid, integrator=plain).final
+        assert same_bytes(u_plain, u) and plain.support == support
+        want, want_outflow = solver.step(u_plain, steps * dt, dt, grid, cfg, plain)
 
     calls, scanned = [], []
 
@@ -1561,10 +1565,10 @@ def test_a_windowed_step_scans_only_its_window(monkeypatch, steps):
 
     w = rows[0]
     assert w < 4000 and w % solver.WINDOW_QUANTUM == 0 and rows == [w] * len(rows)
-    bits = [a[0][0] for name, *a in scanned if name == "_argmin" and a[0][1] == np.int64]
-    assert bits == [support] and support < w
+    bits = [a for name, *a in scanned if name == "_argmin" and a[0][1] == np.int64]
+    assert bits == [] and integrator.negative_zero is False and support < w
     not_equal = [a for name, *a in scanned if name == "_not_equal"]
-    assert len(not_equal) == 1 and {size for size, _ in not_equal[0]} <= {w, 1}
+    assert len(not_equal) == 1 and {size for size, _ in not_equal[0]} == {w - support, 1}
     # the support is the running maximum of the accepted fields' ends
     assert integrator.support == max(support, integrator.end(got)) < w
 
@@ -1585,9 +1589,9 @@ def test_a_new_history_is_the_only_whole_grid_scan_of_its_step(monkeypatch):
     real_end, real_solve, real_dgtsv = solver.Integrator.end, solver._newton_solve, solver.dgtsv
     scans, sizes = [], []
 
-    def counting_end(self, u, win=None):
-        scans[-1] += (win or self.whole).w == self.cells
-        return real_end(self, u, win)
+    def counting_end(self, u, start=0, stop=None):
+        scans[-1] += (self.cells if stop is None else stop) - start == self.cells
+        return real_end(self, u, start, stop)
 
     def recording_solve(work, u_old, v_b, d, *rest):
         out = real_solve(work, u_old, v_b, d, *rest)
@@ -1606,6 +1610,171 @@ def test_a_new_history_is_the_only_whole_grid_scan_of_its_step(monkeypatch):
     assert scans == [1, 0, 0, 1]
     halved = [(dt / 2, True), (dt / 2, True)]
     assert sizes == [[(dt, True)], [(dt, True)], [(dt, False), (dt, False), *halved], [(dt, False), *halved]]
+
+
+def history_steps(u0, grid, m, dt, steps, singular=0, kernel=None, solves=None, points=None):
+    """``steps`` steps of size ``dt`` under homogeneous Dirichlet data from
+    ``u0`` on one integrator, whose first ``singular`` LAPACK calls report
+    a singular system, so that the first step halves, on a budget of
+    RETRY_BUDGET solves per step.  Returns the (field, outflow) bytes of
+    each step, then the error that ended the run if one did, the LAPACK
+    rows of every call, and the integrator's support after each step.
+    ``kernel`` replaces ``_newton_solve``; per step, ``solves`` gets the
+    list of fields its solves returned converged, and ``points`` gets each
+    field a residual was evaluated at, with its old field."""
+    cfg = solver.SolverConfig(m=m, dt=solver.DtPolicy(dt0=dt, growth=1.0), t_end=1.0)
+    integrator = solver.Integrator(grid, m)
+    solve = kernel or solver._newton_solve
+    residual = solver.Window.residual
+    counting, rows = recorded_dgtsv(solver.dgtsv, singular)
+    out, supports = [], []
+
+    def recording_solve(*args):
+        result = solve(*args)
+        if solves is not None and result[1]:
+            solves[-1].append(result[0].copy())
+        return result
+
+    def recording_residual(self, u_old, u, u_pow, g):
+        points.append((u.copy(), u_old.copy()))
+        return residual(self, u_old, u, u_pow, g)
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(solver, "dgtsv", counting)
+        mp.setattr(solver, "_newton_solve", recording_solve)
+        mp.setattr(solver, "MAX_SUBSTEPS", RETRY_BUDGET)
+        if points is not None:
+            mp.setattr(solver.Window, "residual", recording_residual)
+        u = u0
+        for k in range(steps):
+            if solves is not None:
+                solves.append([])
+            try:
+                u, outflow = solver.step(u, k * dt, dt, grid, cfg, integrator)
+            except SolverError as exc:
+                out.append(str(exc))
+                break
+            out.append((u.tobytes(), float_bits(outflow)))
+            supports.append(integrator.support)
+    return out, rows, supports
+
+
+def holds_negative_zero(u):
+    return bool(np.any(np.signbit(u) & (u == 0.0)))
+
+
+@given(
+    zero_tail_newton_cases(),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_the_running_support_is_the_largest_end_of_the_accepted_fields(case, singular, steps):
+    # ``step`` updates its running support over [support, w) of each solve
+    # it accepts, a halved step's included: after each step the history's
+    # support is the larger of its first field's end and the largest end of
+    # a field accepted since, each over the whole grid.  The drawn fields
+    # hold +-0.0, subnormals and all-zero tails; a history with -0.0 runs on
+    # the whole grid, where the update reads [support, n)
+    grid, u_old, m, dt, _, _, _ = case
+    accepted = []
+    out, _, supports = history_steps(u_old, grid, m, dt, steps, singular, solves=accepted)
+    assert len(supports) == len(out) - isinstance(out[-1], str)
+    whole = solver.Integrator(grid, m)
+    want = whole.end(u_old)
+    for fields, support in zip(accepted, supports):
+        want = max([want, *(whole.end(f) for f in fields)])
+        assert support == want
+
+
+@st.composite
+def newest_levels_without_negative_zero(draw):
+    """Two to five levels, each +0.0 past a drawn cell, whose newest holds
+    no -0.0 while the older ones may, with negative subnormals, and a step
+    d: five levels on d itself give the quartic, two the linear form and
+    three to five on drawn sizes the quadratic."""
+    cells = draw(st.integers(min_value=3, max_value=40))
+    value = st.one_of(
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310]),
+    )
+    count = draw(st.integers(min_value=2, max_value=5))
+    d = draw(st.floats(min_value=1e-3, max_value=1.0))
+    uniform = count == 5 and draw(st.booleans())
+    levels = []
+    for _ in range(count):
+        u = np.zeros(cells)
+        k = draw(st.integers(min_value=0, max_value=cells))
+        u[:k] = draw(st.lists(value, min_size=k, max_size=k))
+        levels.append((d if uniform else draw(st.floats(min_value=1e-3, max_value=1.0)), u))
+    levels[-1] = (levels[-1][0], levels[-1][1] + 0.0)  # -0.0 + 0.0 is +0.0
+    return levels, d
+
+
+@given(newest_levels_without_negative_zero())
+@example(  # the quartic's 5 u0 and the quadratic's w0 u0 keep a negative subnormal
+    ([(0.5, np.array([-0.0, 0.0, 0.0])), *[(0.5, np.array([-5e-324, 0.0, 0.0]))] * 4], 0.5)
+)
+@example(
+    (
+        [(0.3, np.array([-0.0, 1.0, 0.0])), (0.2, np.array([-0.0, 0.0, 0.0])), (0.1, np.array([-5e-324, 0.0, 0.0]))],
+        0.7,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_a_guess_holds_no_negative_zero_where_the_newest_level_holds_none(case):
+    # the first term of each form is the newest level u0 itself (linear) or
+    # times a weight >= 1 (5 for the quartic; (d + a)(d + a + b) / (a (a + b))
+    # for the quadratic, whose float is >= 1 too), so it is -0.0 only where
+    # u0 is, and x + y and x - y are -0.0 only where x is
+    levels, d = case
+    grid = RadialGrid.uniform(geometry.euclidean(2), 1.0, levels[0][1].size)
+    integrator = solver.Integrator(grid, 2.0)
+    integrator.levels = levels
+    integrator.support = max(integrator.end(u) for _, u in levels)
+    np.copyto(integrator.u, -0.0)  # the guess writes every cell
+    assert integrator.guess(d)
+    assert not holds_negative_zero(integrator.u)
+
+
+@given(
+    zero_tail_newton_cases(clean=True),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_history_whose_first_field_holds_no_negative_zero_never_makes_one(case, singular, at):
+    # six fixed steps, so that the guess takes each form, the first step
+    # halving: no start, guess, iterate or trial point that a residual is
+    # evaluated at holds -0.0, nor any old field or accepted field, so the
+    # history scans for -0.0 once, on its first windowed solve.  The first
+    # field holds a negative subnormal now and then
+    grid, u_old, m, dt, _, _, _ = case
+    u0 = u_old.copy()
+    if at % 3 == 0:
+        u0[at % grid.cells] = -5e-324
+    points, accepted = [], []
+    out, rows, _ = history_steps(u0, grid, m, dt, 6, singular, solves=accepted, points=points)
+    assert points and not any(holds_negative_zero(u) or holds_negative_zero(old) for u, old in points)
+    assert not any(holds_negative_zero(f) for fields in accepted for f in fields)
+    assert not any(holds_negative_zero(np.frombuffer(s[0])) for s in out if not isinstance(s, str))
+
+
+@given(zero_tail_newton_cases(clean=True), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_a_history_whose_first_field_holds_negative_zero_runs_on_the_whole_grid(case, at):
+    # the same field with one cell before its end made -0.0: its history
+    # runs every LAPACK call on the whole grid, with the plain kernel's
+    # bytes, where the field with +0.0 there starts on a window
+    grid, u_old, m, dt, _, _, _ = case
+    signed = u_old.copy()
+    signed[at % max(1, np.flatnonzero(u_old).max(initial=0) + 1)] = -0.0
+    out, rows, _ = history_steps(signed, grid, m, dt, 3)
+    want, _, _ = history_steps(signed, grid, m, dt, 3, kernel=plain_newton_solve)
+    assert out == want
+    assert rows == [grid.cells] * len(rows)
+    _, clean_rows, _ = history_steps(signed + 0.0, grid, m, dt, 1)
+    assert not clean_rows or clean_rows[0] < grid.cells
 
 
 def test_a_windowed_run_computes_its_margin_once_per_step_size(monkeypatch):
@@ -1636,26 +1805,36 @@ def test_a_windowed_run_computes_its_margin_once_per_step_size(monkeypatch):
     st.integers(min_value=3, max_value=80).flatmap(
         lambda n: st.tuples(
             st.lists(
-                st.sampled_from([0.0, 0.0, -0.0, 5e-324, 1.0, -2.5]), min_size=n, max_size=n
+                st.sampled_from([0.0, 0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5]),
+                min_size=n,
+                max_size=n,
             ),
             st.integers(min_value=1, max_value=n),
+            st.integers(min_value=0, max_value=n),
         )
     )
 )
 @settings(max_examples=300, deadline=None)
-@example(([0.0] * 5, 1))
-@example(([0.0] * 5, 5))
-@example(([-0.0, 0.0, 0.0], 1))
+@example(([0.0] * 5, 1, 0))
+@example(([0.0] * 5, 5, 5))
+@example(([-0.0, 0.0, 0.0], 1, 0))
+@example(([1.0, 0.0, 0.0, 0.0], 3, 3))
+@example(([0.0, 0.0, 0.0, -0.0], 4, 2))
 def test_end_over_a_window_is_the_end_over_the_grid(case):
-    # ``end`` scans only the window's cells, past which the field is +0.0:
-    # all-zero fields, a window of one cell and -0.0 or subnormal last cells
-    values, w = case
+    # ``end`` over [support, w), past which the field is +0.0, is the larger
+    # of the support and the end over the whole grid, which is how ``step``
+    # updates its running support: all-zero fields and tails, a window of
+    # one cell, a support at or past the window's end, and +-0.0 or
+    # subnormal last cells
+    values, w, support = case
     u = np.array(values)
     u[w:] = 0.0
     integrator = solver.Integrator(RadialGrid.uniform(geometry.euclidean(2), 1.0, u.size), 2.0)
     want = integrator.end(u)
-    assert integrator.end(u, solver.Window(integrator, w)) == want
     assert type(want) is int and want == max(np.flatnonzero(u.view(np.int64)) + 1, default=0)
+    assert integrator.end(u, 0, w) == want
+    got = integrator.end(u, support, w)
+    assert type(got) is int and got == max(support, want)
 
 
 # The kernel reduces by arg-index (module docstring): a maximum of entries
@@ -1940,7 +2119,8 @@ def previous_step(u, t, dt, grid, cfg, integrator):
         predicted = integrator.guess(dt)
     else:
         u = np.asarray(u, dtype=float)
-        levels, predicted, support = [(0.0, u)], False, integrator.end(u)
+        levels, predicted = integrator.start(u), False
+        support = integrator.support
     value, m, tol = cfg.boundary.trace(grid.radius), cfg.m, cfg.newton_tol
     max_iter, flux, jump = cfg.newton_max_iter, grid.boundary_flux_coeff, integrator.jump
     pending = [(t, dt, 0)]
@@ -1973,7 +2153,7 @@ def previous_step(u, t, dt, grid, cfg, integrator):
             continue
         outflow += -d * flux * float(jump[-1])
         u = u_new
-        support = max(support, integrator.end(u, integrator.window))
+        support = max(support, integrator.end(u))
     u.setflags(write=False)
     integrator.levels = [*levels[-4:], (dt, u)]
     integrator.support = support
@@ -2413,11 +2593,6 @@ def test_discrete_comparison_fifty_random_pairs(manifold, m):
     rng = np.random.default_rng(zlib.crc32(f"{manifold.kind} {m}".encode()))
     J = 60
     g = RadialGrid.uniform(manifold, 8.0, J)
-    w, cp, cm = g.weights_scaled, g.coeff_plus, g.coeff_minus
-    assert np.all(cm[1:] > 0.0)
-    r = np.cumprod(np.concatenate([[1.0], w[:-1] * cp[:-1] / (w[1:] * cm[1:])]))
-    growth = float(r.max() / r.min()) * (1.0 + 8 * (J + 2) * np.finfo(float).eps)
-    W = float(np.sum(w))
     worst = -math.inf
     for _ in range(50):
         lo = rng.uniform(-1.5, 1.5, J)
@@ -2427,11 +2602,24 @@ def test_discrete_comparison_fifty_random_pairs(manifold, m):
         tb = recorded_run(hi, cfg, g)
         for a, b in zip(ta.traj.fields, tb.traj.fields):
             worst = max(worst, float(np.max(a - b)))
-        assert len(ta.traj.fields) == len(tb.traj.fields) == len(ta.moves)
-        dist = np.array([float(w @ np.abs(a - b)) for a, b in zip(ta.traj.fields, tb.traj.fields)])
-        moves = np.diff(ta.moves) + np.diff(tb.moves)
-        assert np.all(dist[1:] <= growth * (dist[:-1] + W * moves))
+        assert_l1_steps_within_bound(g, ta, tb)
     assert worst <= 1e-12
+
+
+def assert_l1_steps_within_bound(grid, a, b):
+    """The per-step L1 bound of test_discrete_comparison_fifty_random_pairs
+    on two ``recorded_run`` runs under one homogeneous Dirichlet config:
+    D_k <= growth (D_{k-1} + W (move_k + move'_k)), D = sum w|u - u'|."""
+    J = grid.cells
+    w, cp, cm = grid.weights_scaled, grid.coeff_plus, grid.coeff_minus
+    assert np.all(cm[1:] > 0.0)
+    r = np.cumprod(np.concatenate([[1.0], w[:-1] * cp[:-1] / (w[1:] * cm[1:])]))
+    growth = float(r.max() / r.min()) * (1.0 + 8 * (J + 2) * np.finfo(float).eps)
+    W = float(np.sum(w))
+    assert len(a.traj.fields) == len(b.traj.fields) == len(a.moves)
+    dist = np.array([float(w @ np.abs(x - y)) for x, y in zip(a.traj.fields, b.traj.fields)])
+    moves = np.diff(a.moves) + np.diff(b.moves)
+    assert np.all(dist[1:] <= growth * (dist[:-1] + W * moves)), (dist, moves)
 
 
 def test_comparison_with_ordered_barrier_boundaries():
@@ -2538,15 +2726,19 @@ def test_comparison_and_odd_symmetry_at_any_exponent(run):
     # residual plus the rounding of its evaluation (recorded_run), and
     # nothing more: item 18's discrete certificate rests on this.  The
     # residuals are not below 1e-12, and the explicit example is ordered
-    # only to 1.8e-10.  Odd symmetry: under homogeneous Dirichlet data every
-    # operation of a step commutes with negation on nonzero floats, so -u0
-    # gives -u exactly, with the outflow negated
+    # only to 1.8e-10.  Under homogeneous Dirichlet data, L1 contraction
+    # per step: the bound of test_discrete_comparison_fifty_random_pairs,
+    # whose derivation holds at any m, with these moves.  Odd symmetry:
+    # there every operation of a step commutes with negation on nonzero
+    # floats, so -u0 gives -u exactly, with the outflow negated
     grid, lo, hi, cfg_lo, cfg_hi = run
     a = recorded_run(lo, cfg_lo, grid, residuals=True)
     b = recorded_run(hi, cfg_hi, grid, residuals=True)
     assert a.traj.times == b.traj.times
     worst = np.array([float(np.max(x - y)) for x, y in zip(a.traj.fields, b.traj.fields)])
     assert np.all(worst <= a.moves + b.moves), (worst, a.moves + b.moves)
+    if cfg_lo.boundary.m is None:
+        assert_l1_steps_within_bound(grid, a, b)
     a = a.traj
     if cfg_lo.boundary.m is None:
         odd = solver.solve_ball(-lo, cfg_lo, grid)
